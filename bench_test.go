@@ -85,7 +85,7 @@ func BenchmarkLocalCommit(b *testing.B) {
 // turn; grouped, the flusher folds concurrent commits into one
 // write+fsync, so throughput scales with the batch instead of
 // serializing on the disk. The grouped/unbatched ratio is the PR's
-// headline number (recorded in BENCH_PR3.json).
+// headline number.
 func BenchmarkLocalCommitParallel(b *testing.B) {
 	const committers = 8
 	run := func(b *testing.B, group bool) {
@@ -127,65 +127,58 @@ func BenchmarkLocalCommitParallel(b *testing.B) {
 	b.Run("grouped", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkLocalCommitFastPath measures the zero-allocation local
-// commit: 8 committers on disjoint items over a memory-backed group-
-// commit log, so the protocol's own CPU and allocation cost — not the
-// disk — dominates. fastpath lets eligible write-only transactions
-// take the pooled, map-free commit route; nofastpath forces the same
-// workload through the full §5 run. The allocs/op gap is the PR's
-// headline number (recorded in BENCH_PR8.json), and check.sh gates on
-// the fastpath figure never regressing past its recorded ceiling.
-func BenchmarkLocalCommitFastPath(b *testing.B) {
+// BenchmarkLocalCommitWriteOnly measures the paper's common case: 8
+// committers on disjoint items over a memory-backed group-commit log,
+// so the protocol's own CPU and allocation cost — not the disk —
+// dominates. Every transaction is write-only and locally adequate, the
+// shape Run commits under its admission stripes without asking anyone.
+// check.sh gates on its allocs/op.
+func BenchmarkLocalCommitWriteOnly(b *testing.B) {
 	const committers = 8
-	run := func(b *testing.B, disable bool) {
-		c, err := dvp.NewCluster(dvp.Config{
-			Sites:           1,
-			Seed:            1,
-			GroupCommit:     true,
-			DisableFastPath: disable,
-		})
-		if err != nil {
+	c, err := dvp.NewCluster(dvp.Config{
+		Sites:       1,
+		Seed:        1,
+		GroupCommit: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	items := make([]string, committers)
+	for g := range items {
+		items[g] = fmt.Sprintf("bench/%d", g)
+		if err := c.CreateItem(items[g], dvp.Value(b.N)+1); err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
-		items := make([]string, committers)
-		for g := range items {
-			items[g] = fmt.Sprintf("bench/%d", g)
-			if err := c.CreateItem(items[g], dvp.Value(b.N)+1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < committers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < b.N; i += committers {
-					if res := c.At(1).Reserve(items[g], 1); !res.Committed() {
-						b.Errorf("parallel reserve aborted: %v", res.Status)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
 	}
-	b.Run("fastpath", func(b *testing.B) { run(b, false) })
-	b.Run("nofastpath", func(b *testing.B) { run(b, true) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < b.N; i += committers {
+				if res := c.At(1).Reserve(items[g], 1); !res.Committed() {
+					b.Errorf("parallel reserve aborted: %v", res.Status)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkMixedCommitParallel measures the whole-site concurrency the
 // layered commit engine exists for: committers at site 1 run a mix of
-// local fast-path writes, shortfall writes that must pull quota from
+// local adequate writes, shortfall writes that must pull quota from
 // site 2 (waiter table + inbound Vm + request handling), and full
 // reads that gather from the peer — while a background pump streams
 // unsolicited Vm transfers into site 1, so the message router runs
 // concurrently with every commit. Before the mutex-free layering, all
 // of that serialized on one site mutex for stats, waiter lookups and
 // liveness checks; the committers=8 row against the pre-refactor
-// baseline is the PR's headline number (recorded in BENCH_PR10.json).
+// baseline is the headline number.
 func BenchmarkMixedCommitParallel(b *testing.B) {
 	run := func(b *testing.B, committers int) {
 		c, err := dvp.NewCluster(dvp.Config{
@@ -204,7 +197,7 @@ func BenchmarkMixedCommitParallel(b *testing.B) {
 			items[g] = fmt.Sprintf("mix/local/%d", g)
 			pulls[g] = fmt.Sprintf("mix/pull/%d", g)
 			// Local items live wholly at site 1, so the plain writes are
-			// always fast-path eligible and never convert to pulls.
+			// always locally adequate and never convert to pulls.
 			if err := c.CreateItemShares(items[g], []dvp.Value{dvp.Value(b.N) + 1, 0}); err != nil {
 				b.Fatal(err)
 			}
@@ -261,7 +254,7 @@ func BenchmarkMixedCommitParallel(b *testing.B) {
 						res = c.At(1).RunRetry(dvp.NewTxn().
 							Read(items[g]).Timeout(500*time.Millisecond), 10)
 					default:
-						// Local write: fast-path eligible.
+						// Local write: adequate at site 1.
 						res = c.At(1).Reserve(items[g], 1)
 					}
 					if !res.Committed() {
@@ -285,9 +278,9 @@ func BenchmarkMixedCommitParallel(b *testing.B) {
 // BenchmarkLocalCommitParallelTracing measures the observability tax:
 // the same 8-committer grouped-commit workload with causal tracing and
 // the flight recorder fully on versus fully off. The traced/untraced
-// ratio is the PR's acceptance number (≤ 1.05, recorded in
-// BENCH_PR6.json): spans are a handful of allocations and atomic
-// stores per transaction, invisible next to the synced file log.
+// ratio is the acceptance number (≤ 1.05): spans are a handful of
+// allocations and atomic stores per transaction, invisible next to
+// the synced file log.
 func BenchmarkLocalCommitParallelTracing(b *testing.B) {
 	const committers = 8
 	run := func(b *testing.B, traceBuf, flightBuf int) {
@@ -490,9 +483,9 @@ func buildRecoveryLog(b *testing.B, n, ckptSuffix int) *wal.MemLog {
 	return l
 }
 
-// BenchmarkRecover measures restart time (the R1 experiment, recorded
-// in BENCH_PR7.json). full/* replays the whole history serially, so
-// restart time grows with the log; checkpointed/* starts from a
+// BenchmarkRecover measures restart time (the R1 experiment). full/*
+// replays the whole history serially, so restart time grows with the
+// log; checkpointed/* starts from a
 // checkpoint with a fixed 2000-record suffix, so restart time is flat
 // in total history length. parallel/* replays a 100k-record suffix at
 // increasing worker counts — the acceptance number is >=2x at 8

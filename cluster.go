@@ -112,7 +112,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			CheckpointEveryBytes:   cfg.CheckpointEveryBytes,
 			CheckpointEveryRecords: cfg.CheckpointEveryRecords,
 			RecoveryWorkers:        cfg.RecoveryWorkers,
-			DisableFastPath:        cfg.DisableFastPath,
 			Metrics:                c.reg,
 			Trace:                  c.traces,
 			Flight:                 c.flight,
@@ -330,14 +329,6 @@ func (c *Cluster) SetRebalancePaused(p bool) {
 
 // SiteStats returns site i's event counters.
 func (c *Cluster) SiteStats(i int) site.Stats { return c.checkSite(i).Stats() }
-
-// SkewHints adds delta to every quota hint at site i, deliberately
-// desynchronizing the fast path's advisory cache from the
-// authoritative store. A chaos/test knob: the fast path must re-check
-// under its locks and fall back when a hint lied, so correctness never
-// depends on hint accuracy — this proves it. Hints self-heal as items
-// are next written.
-func (c *Cluster) SkewHints(i int, delta int64) { c.checkSite(i).DB().SkewHints(delta) }
 
 // NetStats returns the network's counters.
 func (c *Cluster) NetStats() simnet.Stats { return c.net.Stats() }

@@ -58,7 +58,7 @@ func main() {
 		groupCmt = flag.Bool("group-commit", false, "batch concurrent WAL appends into single force-writes")
 		groupMax = flag.Int("group-batch", 0, "max records per group-commit flush (0 = default 128)")
 		groupLng = flag.Duration("group-linger", 0, "group-commit linger: wait this long for more committers before flushing")
-		stripes  = flag.Int("stripes", 0, "admission stripes sharding the per-item critical section (0 = default 16; forced to 1 under conc2)")
+		stripes  = flag.Int("stripes", 0, "admission stripes sharding the per-item critical section (0 = default 16, at most 64; forced to 1 under conc2)")
 		ckptIv   = flag.Duration("checkpoint", 0, "write a checkpoint record on this interval (0 disables)")
 		ckptByte = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint once this many WAL payload bytes accumulate since the last checkpoint (0 disables)")
 		ckptRecs = flag.Int("checkpoint-records", 0, "auto-checkpoint once this many WAL records accumulate since the last checkpoint (0 disables)")

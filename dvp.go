@@ -159,7 +159,7 @@ type Config struct {
 
 	// AdmissionStripes shards each site's admission/message critical
 	// section by item so transactions on disjoint items admit
-	// concurrently (default 16; forced to 1 under Conc2).
+	// concurrently (default 16, at most 64; forced to 1 under Conc2).
 	AdmissionStripes int
 
 	// WaiterShards shards each site's waiter table (transactions
@@ -167,12 +167,6 @@ type Config struct {
 	// and crash-failing waiters contend per shard instead of
 	// site-wide (default 16).
 	WaiterShards int
-
-	// DisableFastPath forces every transaction through the full §5
-	// protocol run, turning off the zero-allocation local-commit fast
-	// path. The fast path is semantically transparent; this knob
-	// exists for benchmarks, ablations and chaos comparison runs.
-	DisableFastPath bool
 
 	// CheckpointEveryBytes / CheckpointEveryRecords arm each site's
 	// automatic checkpointer: once the site's log has grown past

@@ -80,10 +80,8 @@ type Report struct {
 	// never flushed again don't); CheckpointCrashes counts
 	// crash-in-checkpoint traps that fired (site killed between the
 	// checkpoint record and the compaction behind it). Fired traps of
-	// either kind also count as Crashes. HintSkews counts hint-skew
-	// events applied to up sites (fast-path quota hints deliberately
-	// corrupted by a signed amount).
-	Crashes, Restarts, Partitions, Heals, LinkFlaps, Checkpoints, FlushCrashes, CheckpointCrashes, HintSkews int
+	// either kind also count as Crashes.
+	Crashes, Restarts, Partitions, Heals, LinkFlaps, Checkpoints, FlushCrashes, CheckpointCrashes int
 
 	// PeerOutages counts applied EvPeerDown events (each also counts
 	// as a Crash); DegradedBarriers counts round barriers crossed with
@@ -121,9 +119,9 @@ type Report struct {
 // String is a one-line summary.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"seed=%d sites=%d items=%d rounds=%d crashes=%d (in-flush=%d in-ckpt=%d) restarts=%d partitions=%d heals=%d flaps=%d ckpts=%d hintskews=%d outages=%d committed=%d aborted=%d rebal=%d checks=%d degraded=%d",
+		"seed=%d sites=%d items=%d rounds=%d crashes=%d (in-flush=%d in-ckpt=%d) restarts=%d partitions=%d heals=%d flaps=%d ckpts=%d outages=%d committed=%d aborted=%d rebal=%d checks=%d degraded=%d",
 		r.Seed, r.Sites, r.Items, r.Rounds,
-		r.Crashes, r.FlushCrashes, r.CheckpointCrashes, r.Restarts, r.Partitions, r.Heals, r.LinkFlaps, r.Checkpoints, r.HintSkews, r.PeerOutages,
+		r.Crashes, r.FlushCrashes, r.CheckpointCrashes, r.Restarts, r.Partitions, r.Heals, r.LinkFlaps, r.Checkpoints, r.PeerOutages,
 		r.Committed, r.Aborted, r.RebalanceTransfers, r.InvariantChecks, r.DegradedBarriers)
 }
 
@@ -476,18 +474,6 @@ func (r *runner) apply(round int, e Event) {
 				}()
 			})
 		})
-	case EvHintSkew:
-		// Corrupt the advisory fast-path hints at a live site. The skew
-		// self-heals per item on its next durable apply (the store
-		// refreshes a hint whenever it mutates the item), so the lie is
-		// exactly as transient as a real lost-update race would be —
-		// long enough to steer traffic wrong, never permanent.
-		if r.c.SiteUp(e.Site) {
-			r.c.SkewHints(e.Site, int64(e.A))
-			r.count(func(rep *Report) { rep.HintSkews++ })
-		} else {
-			applied = false
-		}
 	case EvCrashInCheckpoint:
 		if !r.c.SiteUp(e.Site) {
 			applied = false

@@ -66,14 +66,9 @@ const (
 	// records it summarizes still present — the window where a restart
 	// must not double-apply (page-LSN idempotence) or lose state.
 	EvCrashInCheckpoint
-	// EvHintSkew corrupts a site's advisory quota hints by a signed
-	// amount (A). Hints gate only the local-commit fast path; a hint
-	// lying HIGH steers ineligible transactions onto it and the
-	// authoritative re-check under the stripes must turn every one of
-	// them back, a hint lying LOW just sends eligible traffic down the
-	// full protocol. Either way, every invariant must hold exactly as
-	// if the hints were honest.
-	EvHintSkew
+	// Retired: hint-skew, which corrupted the advisory quota-hint cache
+	// until the cache was deleted. The slot keeps later kinds' numbers.
+	_
 	// EvPeerDown is the long-outage event: the site is crashed and
 	// HELD down across the next A round barriers (clamped so the final
 	// barrier always runs with everyone up). Barriers crossed while a
@@ -101,7 +96,6 @@ var kindNames = map[EventKind]string{
 	EvCheckpoint:        "checkpoint",
 	EvCrashInFlush:      "crash-in-flush",
 	EvCrashInCheckpoint: "crash-in-checkpoint",
-	EvHintSkew:          "hint-skew",
 	EvPeerDown:          "peer-down",
 }
 
@@ -128,11 +122,10 @@ type Event struct {
 	Round int
 	AtMS  int
 	Kind  EventKind
-	// Site is the target of crash/restart/checkpoint/hint-skew/
-	// peer-down; A,B the link of link-down/link-up (A alone the signed
-	// hint-skew amount, or the number of barriers a peer-down site
-	// stays held); P the probability of loss/dup; Groups the partition
-	// groups (1-based site indices).
+	// Site is the target of crash/restart/checkpoint/peer-down; A,B the
+	// link of link-down/link-up (A alone the number of barriers a
+	// peer-down site stays held); P the probability of loss/dup; Groups
+	// the partition groups (1-based site indices).
 	Site   int
 	A, B   int
 	P      float64
@@ -144,8 +137,6 @@ func (e Event) String() string {
 	switch e.Kind {
 	case EvCrash, EvRestart, EvCheckpoint, EvCrashInFlush, EvCrashInCheckpoint:
 		return fmt.Sprintf("%s site=%d", e.Kind, e.Site)
-	case EvHintSkew:
-		return fmt.Sprintf("%s site=%d skew=%d", e.Kind, e.Site, e.A)
 	case EvPeerDown:
 		return fmt.Sprintf("%s site=%d rounds=%d", e.Kind, e.Site, e.A)
 	case EvLinkDown, EvLinkUp:
@@ -197,10 +188,9 @@ func (s *Schedule) eventsIn(round int) []Event {
 // crash-recovery cycle, since the round barrier restarts through §7
 // recovery), at least one partition (healed mid-round or at the
 // barrier), at least one crash-in-flush (a site killed inside a
-// group-commit window), at least one hint-skew (a site running with
-// deliberately corrupted fast-path quota hints), and at least one
-// peer-down long outage (a site held dead across a round barrier
-// while the survivors' retransmission backoff is bounds-checked).
+// group-commit window), and at least one peer-down long outage (a site
+// held dead across a round barrier while the survivors' retransmission
+// backoff is bounds-checked).
 func Build(seed int64) *Schedule {
 	if seed == 0 {
 		seed = 1
@@ -219,7 +209,7 @@ func Build(seed int64) *Schedule {
 		n := 1 + rng.Intn(3) // 1..3 primary faults this round
 		for i := 0; i < n; i++ {
 			at := 10 + rng.Intn(s.RoundMS-30)
-			switch rng.Intn(10) {
+			switch rng.Intn(9) {
 			case 0, 1: // crash, maybe mid-round restart
 				site := 1 + rng.Intn(s.Sites)
 				s.add(Event{Round: r, AtMS: at, Kind: EvCrash, Site: site})
@@ -255,13 +245,7 @@ func Build(seed int64) *Schedule {
 				s.add(Event{Round: r, AtMS: at, Kind: EvCrashInFlush, Site: 1 + rng.Intn(s.Sites)})
 			case 7: // crash between checkpoint write and compaction
 				s.add(Event{Round: r, AtMS: at, Kind: EvCrashInCheckpoint, Site: 1 + rng.Intn(s.Sites)})
-			case 8: // fast-path hint corruption (positive = lies high)
-				amt := 8 + rng.Intn(56)
-				if rng.Intn(3) == 0 {
-					amt = -amt
-				}
-				s.add(Event{Round: r, AtMS: at, Kind: EvHintSkew, Site: 1 + rng.Intn(s.Sites), A: amt})
-			case 9: // long outage: site held down across round barriers
+			case 8: // long outage: site held down across round barriers
 				if r < s.Rounds {
 					held := 1 + rng.Intn(s.Rounds-r)
 					s.add(Event{Round: r, AtMS: at, Kind: EvPeerDown, Site: 1 + rng.Intn(s.Sites), A: held})
@@ -288,18 +272,6 @@ func Build(seed int64) *Schedule {
 	if !s.has(EvCrashInFlush) {
 		r := 1 + rng.Intn(s.Rounds)
 		s.add(Event{Round: r, AtMS: 20 + rng.Intn(50), Kind: EvCrashInFlush, Site: 1 + rng.Intn(s.Sites)})
-	}
-	// And the fast-path hint discipline: at least one site runs part of
-	// a round with deliberately skewed quota hints (biased toward lying
-	// high — the dangerous direction, where the authoritative re-check
-	// is all that stands between a stale hint and a lost invariant).
-	if !s.has(EvHintSkew) {
-		r := 1 + rng.Intn(s.Rounds)
-		amt := 8 + rng.Intn(56)
-		if rng.Intn(3) == 0 {
-			amt = -amt
-		}
-		s.add(Event{Round: r, AtMS: 20 + rng.Intn(50), Kind: EvHintSkew, Site: 1 + rng.Intn(s.Sites), A: amt})
 	}
 	// And the long outage: at least one site spends a full round dead
 	// while the survivors' retransmission backoff and the degraded
@@ -393,7 +365,7 @@ func (s *Schedule) Encode(w io.Writer) error {
 		switch e.Kind {
 		case EvCrash, EvRestart, EvCheckpoint, EvCrashInFlush, EvCrashInCheckpoint:
 			fmt.Fprintf(bw, " site=%d", e.Site)
-		case EvHintSkew, EvPeerDown:
+		case EvPeerDown:
 			fmt.Fprintf(bw, " site=%d a=%d", e.Site, e.A)
 		case EvLinkDown, EvLinkUp:
 			fmt.Fprintf(bw, " a=%d b=%d", e.A, e.B)

@@ -155,7 +155,7 @@ func runN1Mode(o Options, mode string, baseline, outage time.Duration) (n1Stats,
 		}
 	}()
 
-	// Stock: each site fully owns its local item (the fast-path local
+	// Stock: each site fully owns its local item (the all-local
 	// workload), and the cross-site pool lives only at sites 2 and 4 —
 	// so survivors 1 and 3 must redistribute over the wire, and during
 	// the outage half the pool's supply is parked at a corpse.
@@ -192,7 +192,7 @@ func n1Item(site int) ident.ItemID {
 }
 
 // driveN1 runs one client per survivor site for the window: mostly
-// local increments on the site's own item (fast-path commits, the
+// local increments on the site's own item (no-wait commits, the
 // throughput carrier), with every 16th transaction a cross-site pool
 // draw under AskAll — the request fan-out that keeps real frames (and,
 // during the outage, dial pressure) flowing toward every peer. A short

@@ -13,10 +13,10 @@ import (
 // This file is the admission + durability layer: the per-item stripes
 // (the only lock for state mutation), the scheme's admission check,
 // and the three durable mutation entry points — commitDurably,
-// vmCreateDurably, vmAcceptDurably — that every path shares. The fast
-// path (exec_fast.go), the slow path (exec.go), the message handlers
-// (inbound_*.go) and proactive Rds (rds.go) all funnel through here;
-// none of them touches the log or store any other way.
+// vmCreateDurably, vmAcceptDurably — that every path shares. Run
+// (exec.go), the message handlers (inbound_*.go) and proactive Rds
+// (rds.go) all funnel through here; none of them touches the log or
+// store any other way.
 
 // stripeOf maps an item to its admission stripe (FNV-1a).
 func (s *Site) stripeOf(item ident.ItemID) int {
@@ -29,31 +29,6 @@ func (s *Site) stripeOf(item ident.ItemID) int {
 		h *= 16777619
 	}
 	return int(h % uint32(len(s.stripes)))
-}
-
-// lockStripesFor acquires the stripes covering items (deduplicated,
-// ascending — the deadlock-free total order) and returns the release.
-func (s *Site) lockStripesFor(items []ident.ItemID) func() {
-	if len(s.stripes) == 1 {
-		s.stripes[0].Lock()
-		return s.stripes[0].Unlock
-	}
-	need := make([]bool, len(s.stripes))
-	for _, it := range items {
-		need[s.stripeOf(it)] = true
-	}
-	var held []int
-	for i := range s.stripes {
-		if need[i] {
-			s.stripes[i].Lock()
-			held = append(held, i)
-		}
-	}
-	return func() {
-		for _, i := range held {
-			s.stripes[i].Unlock()
-		}
-	}
 }
 
 // lockAllStripes takes every stripe in ascending order (Checkpoint's
@@ -69,16 +44,28 @@ func (s *Site) lockAllStripes() func() {
 	}
 }
 
-// lockStripeMask / unlockStripeMask acquire and release the stripes in
-// a ≤64-stripe bitmask in ascending index order — the same deadlock-
-// free total order lockStripesFor uses, without its slice bookkeeping.
-func (s *Site) lockStripeMask(mask uint64) {
+// maxStripes caps the stripe count so that a transaction's stripe set
+// is one machine word.
+const maxStripes = 64
+
+// stripeMask returns the set of stripes covering items, one bit each.
+func (s *Site) stripeMask(items []ident.ItemID) uint64 {
+	var mask uint64
+	for _, item := range items {
+		mask |= 1 << uint(s.stripeOf(item))
+	}
+	return mask
+}
+
+// lockStripes / unlockStripes acquire and release a stripe set in
+// ascending index order — the deadlock-free total order.
+func (s *Site) lockStripes(mask uint64) {
 	for m := mask; m != 0; m &= m - 1 {
 		s.stripes[bits.TrailingZeros64(m)].Lock()
 	}
 }
 
-func (s *Site) unlockStripeMask(mask uint64) {
+func (s *Site) unlockStripes(mask uint64) {
 	for m := mask; m != 0; m &= m - 1 {
 		s.stripes[bits.TrailingZeros64(m)].Unlock()
 	}
@@ -90,37 +77,38 @@ type admitVerdict int
 const (
 	admitOK admitVerdict = iota
 	// admitCCRejected: some item's timestamp fails the scheme's
-	// AllowLock test — a real CC abort under either path.
+	// AllowLock test — a CC abort.
 	admitCCRejected
-	// admitShort: some item's authoritative quota is below its need —
-	// only reported when needs is non-nil (the fast path's hint
-	// re-check; the slow path redistributes instead of aborting).
+	// admitShort: every item passes the scheme, but some item's
+	// authoritative quota is below its need — the transaction must
+	// redistribute before it can commit.
 	admitShort
 )
 
-// admitLocked runs the scheme's admission check over items under their
-// held stripes: the per-item AllowLock test, plus (when needs is
-// non-nil) the authoritative quota re-check the fast path's advisory
-// hints require. One DB.Get per item serves both. Caller holds every
-// item's stripe; the stripes exclude all mutators of these items, so
-// the values cannot move between check and the caller's lock+stamp.
+// admitLocked runs the admission check over items under their held
+// stripes: the scheme's per-item AllowLock test and the local-adequacy
+// test against needs (parallel to items). One DB.Get per item serves
+// both. Caller holds every item's stripe; the stripes exclude all
+// mutators of these items, so the values cannot move between check and
+// the caller's lock+stamp. A CC rejection on any item outranks a
+// shortfall on another.
 func (s *Site) admitLocked(ts tstamp.TS, items []ident.ItemID, needs []core.Value) admitVerdict {
+	verdict := admitOK
 	for i, item := range items {
 		it, _ := s.cfg.DB.Get(item)
 		if !s.policy.AllowLock(ts, it.TS) {
 			return admitCCRejected
 		}
-		if needs != nil && it.Val < needs[i] {
-			return admitShort
+		if it.Val < needs[i] {
+			verdict = admitShort
 		}
 	}
-	return admitOK
+	return verdict
 }
 
 // lockAndStamp takes the transaction's no-wait locks and, under a
 // StampOnLock scheme (Conc1), stamps the items — §5 step 1's
-// lock+stamp half, shared by both execution paths. Caller holds the
-// items' stripes.
+// lock+stamp half. Caller holds the items' stripes.
 func (s *Site) lockAndStamp(ts tstamp.TS, id ident.TxnID, items []ident.ItemID) bool {
 	if !s.locks.TryLockAll(id, items) {
 		return false
@@ -159,8 +147,8 @@ func (s *Site) logAppend(kind wal.RecordKind, data []byte) (uint64, error) {
 // lower-LSN commit could apply after a higher-LSN Vm record on the
 // same item and be silently skipped). ckptMu's read side is taken
 // here, keeping the append+apply pair atomic against Checkpoint's
-// cut. The actions slice is borrowed for the call — the fast path
-// passes stack scratch.
+// cut. The actions slice is borrowed for the call — Run passes stack
+// scratch.
 func (s *Site) commitDurably(ts tstamp.TS, actions []wal.Action) (uint64, error) {
 	s.ckptMu.RLock()
 	w := wire.GetWriter()

@@ -11,6 +11,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/vclock"
+	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
@@ -382,14 +383,14 @@ func (s *Site) rebalanceTick() {
 // recordConsumption feeds committed consumption (negative deltas) into
 // the demand EWMA — the "how fast is quota leaving here" half of the
 // demand signal.
-func (s *Site) recordConsumption(deltas map[ident.ItemID]core.Value) {
+func (s *Site) recordConsumption(actions []wal.Action) {
 	if s.demand == nil {
 		return
 	}
 	now := s.cfg.Clock.Now()
-	for item, d := range deltas {
-		if d < 0 {
-			s.demand.record(item, -d, now)
+	for _, a := range actions {
+		if a.Delta < 0 {
+			s.demand.record(a.Item, -a.Delta, now)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"time"
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
@@ -11,23 +12,33 @@ import (
 	"dvp/internal/wire"
 )
 
-// Run executes one transaction entirely at this site. Write-only
-// transactions whose items all look locally adequate take the
-// zero-allocation local-commit fast path (exec_fast.go); everything
-// else — full reads, shortfalls, wide transactions, stale quota
-// hints — runs the full §5 protocol via runSlow. Both paths block the
-// calling goroutine for at most the transaction's timeout plus local
-// processing and always return a decision: the protocol is
-// non-blocking by construction.
-func (s *Site) Run(t *txn.Txn) *txn.Result {
-	if res := s.runFast(t); res != nil {
-		return res
-	}
-	return s.runSlow(t)
-}
+// inlineItems is the access-set width whose folded form lives on Run's
+// stack. Wider transactions spill to the heap through append; nothing
+// else about them differs.
+const inlineItems = 8
 
-// runSlow is the paper's §5 seven-step protocol, in full.
-func (s *Site) runSlow(t *txn.Txn) *txn.Result {
+// Run executes one transaction entirely at this site: the paper's §5
+// seven steps, once. The op list is folded into per-item (need, delta)
+// pairs; under lifeMu's read side and the items' stripes the
+// transaction is admitted, locked and stamped, and the authoritative
+// local values decide what happens next. A write-only transaction
+// whose items are all adequate commits right there, stripes still
+// held — §5's "the initial steps of data redistribution can be
+// ignored". Anything else — a shortfall, a full read — releases the
+// stripes and lifeMu (neither is ever held across a network wait),
+// asks, waits, re-fences on the epoch and falls into the same commit
+// tail. Either way the calling goroutine blocks for at most the
+// transaction's timeout plus local processing and always gets a
+// decision: the protocol is non-blocking by construction.
+//
+// Lock order: lifeMu.RLock ≺ stripes ≺ ckptMu.RLock. lifeMu comes
+// first because a stripe taken before it would deadlock against
+// Crash's fence (a pending lifeMu writer blocks new readers while a
+// handler holding the read side waits on our stripe). Holding one
+// read side across liveness check and append is the crash atomicity:
+// once Crash returns, no stale-epoch commit record can still reach the
+// log — recovery's scan would miss it and could reissue its timestamp.
+func (s *Site) Run(t *txn.Txn) *txn.Result {
 	start := s.cfg.Clock.Now()
 	tr := s.obsm.ring.Begin(s.obsm.site, t.Label)
 	var rootSpan uint64
@@ -54,8 +65,17 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 		return res
 	}
 
+	var (
+		itemBuf           [inlineItems]ident.ItemID
+		needBuf, deltaBuf [inlineItems]core.Value
+	)
+	items, needs, deltas := fold(t, itemBuf[:0], needBuf[:0], deltaBuf[:0])
+	writeOnly := len(t.Reads) == 0
+
+	s.lifeMu.RLock()
 	epoch, up := s.currentEpoch()
 	if !up {
+		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
 	}
 
@@ -63,50 +83,71 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 	ts := s.lamport.Next()
 	res.TS = ts
 	id := ts.Txn()
-	items := t.Items()
 	tr.SetTS(uint64(ts))
-	step("admit", fmt.Sprintf("items=%d", len(items)))
+	step("admit", "")
 
 	// Step 1 — atomically lock the local values of A(t), with the
 	// scheme's admission check, stamping under Conc1. The stripes
 	// covering A(t) make check+lock+stamp one atomic step against
 	// message handling on those items; transactions on disjoint
-	// stripes admit concurrently. No quota check here — a shortfall
-	// redistributes in step 2 instead of aborting, so needs is nil.
-	unlock := s.lockStripesFor(items)
-	if s.admitLocked(ts, items, nil) != admitOK {
-		unlock()
+	// stripes admit concurrently. The same pass reads each item's
+	// authoritative quota against its need: a shortfall is not an
+	// abort, it selects the redistribution below.
+	stripes := s.stripeMask(items)
+	s.lockStripes(stripes)
+	verdict := s.admitLocked(ts, items, needs)
+	if verdict == admitCCRejected {
+		s.unlockStripes(stripes)
+		s.lifeMu.RUnlock()
 		return finish(txn.StatusCCRejected)
 	}
 	step("cc-check", "")
 	if !s.lockAndStamp(ts, id, items) {
-		unlock()
+		s.unlockStripes(stripes)
+		s.lifeMu.RUnlock()
 		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", ts, t.Label, len(items))
 		return finish(txn.StatusLockConflict)
 	}
 	step("lock", "")
-	unlock()
 
 	// LIFO: locks release first, then parked inbound Vm on these items
-	// get their redelivery shot at the freshly-unlocked window.
+	// get their redelivery shot at the freshly-unlocked window. Every
+	// return below drops lifeMu first — redelivery takes it again.
 	defer s.redeliverDeferred(items)
 	defer s.locks.ReleaseAll(id)
 
-	// Step 2 — determine inadequate items and send requests.
-	needs := t.Needs()
-	shortfall := make(map[ident.ItemID]core.Value)
-	for item, need := range needs {
-		if have := s.cfg.DB.Value(item); have < need {
-			shortfall[item] = need - have
+	if verdict == admitShort || !writeOnly {
+		s.unlockStripes(stripes)
+		s.lifeMu.RUnlock()
+		if writeOnly {
+			s.obsm.fastFallbacks.Inc()
 		}
-	}
-	if len(shortfall) > 0 || len(t.Reads) > 0 {
+
+		// Step 2 — determine inadequate items and send requests. The
+		// no-wait locks keep every mutator but our own credits off
+		// these items, so the values are still what admission saw.
+		needMap := make(map[ident.ItemID]core.Value, len(items))
+		shortfall := make(map[ident.ItemID]core.Value)
+		for i, item := range items {
+			if needs[i] == 0 {
+				continue
+			}
+			needMap[item] = needs[i]
+			if have := s.cfg.DB.Value(item); have < needs[i] {
+				shortfall[item] = needs[i] - have
+			}
+		}
 		// Park in the waiter table: the transaction's shard is the only
 		// lock registration touches, and the epoch tag lets Crash fail
 		// exactly the waiters of the epoch it ends (waiters.go).
-		w := newWaiter(id, ts, epoch, needs, t.Reads)
+		w := newWaiter(id, ts, epoch, needMap, t.Reads)
 		s.waiterTab.add(w)
 		defer s.waiterTab.remove(id)
+		if !s.sameEpoch(epoch) {
+			// Crash drained the table before this waiter was in it and
+			// nobody is left to wake it.
+			return finish(txn.StatusSiteDown)
+		}
 
 		var tctx wire.TraceCtx
 		if rootSpan != 0 {
@@ -116,126 +157,163 @@ func (s *Site) runSlow(t *txn.Txn) *txn.Result {
 		step("ask", fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask))
 
 		// Step 3 — await the requisite Vm or the timeout.
-		timeout := t.Timeout
-		if timeout <= 0 {
-			timeout = s.cfg.DefaultTimeout
-		}
-		deadline := s.cfg.Clock.After(timeout)
-		for !s.satisfied(w) {
-			select {
-			case <-w.notify:
-				if !s.sameEpoch(epoch) {
-					return finish(txn.StatusSiteDown)
-				}
-			case <-deadline:
-				if !s.sameEpoch(epoch) {
-					return finish(txn.StatusSiteDown)
-				}
-				// §5 step 3: "declare an abort and then release
-				// the locks". Quota already received stays — the
-				// aborted transaction degenerates to an Rds
-				// transaction (§6). The residual shortfall feeds
-				// the demand tracker: unmet need is the strongest
-				// rebalancing signal there is.
-				s.recordDeficit(w.needs)
-				res.VmAccepted = w.acceptedCount()
-				step("vm-accept", fmt.Sprintf("accepted=%d", res.VmAccepted))
-				s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", ts, t.Label, res.VmAccepted)
-				return finish(txn.StatusTimeout)
-			}
+		status := s.await(w, epoch, t.Timeout)
+		if status == txn.StatusSiteDown {
+			return finish(status)
 		}
 		res.VmAccepted = w.acceptedCount()
 		step("vm-accept", fmt.Sprintf("accepted=%d", res.VmAccepted))
+		if status == txn.StatusTimeout {
+			// §5 step 3: "declare an abort and then release the
+			// locks". Quota already received stays — the aborted
+			// transaction degenerates to an Rds transaction (§6). The
+			// residual shortfall feeds the demand tracker: unmet need
+			// is the strongest rebalancing signal there is.
+			s.recordDeficit(w.needs)
+			s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", ts, t.Label, res.VmAccepted)
+			return finish(status)
+		}
+
+		// Back under the fence and the stripes for the commit. Nothing
+		// but credits addressed to this transaction touched the locked
+		// items meanwhile, so adequacy still holds.
+		s.lifeMu.RLock()
+		if !s.sameEpoch(epoch) {
+			s.lifeMu.RUnlock()
+			return finish(txn.StatusSiteDown)
+		}
+		s.lockStripes(stripes)
 	}
 
-	// Step 4 — perform the computation: apply the operators in order
-	// to the (now adequate) local values.
-	working := make(map[ident.ItemID]core.Value)
-	for _, item := range items {
-		working[item] = s.cfg.DB.Value(item)
-	}
-	for _, op := range t.Ops {
-		nv, ok := op.Op.Apply(working[op.Item])
-		if !ok {
-			// Cannot happen while we hold the locks and satisfied()
-			// held; treat defensively as a timeout-class abort.
-			return finish(txn.StatusTimeout)
+	// Step 4 — the computation. Operators are partitionable, so applying
+	// them in order to an adequate value is adding the folded delta;
+	// full reads observe the gathered value before this transaction's
+	// own writes.
+	if !writeOnly {
+		res.Reads = make(map[ident.ItemID]core.Value, len(t.Reads))
+		for _, item := range t.Reads {
+			res.Reads[item] = s.cfg.DB.Value(item)
 		}
-		working[op.Item] = nv
 	}
-	reads := make(map[ident.ItemID]core.Value, len(t.Reads))
-	for _, item := range t.Reads {
-		reads[item] = s.cfg.DB.Value(item)
+	var actBuf [inlineItems]wal.Action
+	actions := actBuf[:0]
+	for i, item := range items {
+		if deltas[i] != 0 {
+			actions = append(actions, wal.Action{Item: item, Delta: deltas[i], SetTS: ts})
+		}
 	}
-	res.Reads = reads
 
-	// Step 5 — write the commit record; its stability commits t.
-	deltas := t.Deltas()
-	actions := make([]wal.Action, 0, len(deltas))
-	for _, item := range items {
-		d, ok := deltas[item]
-		if !ok || d == 0 {
-			continue
-		}
-		actions = append(actions, wal.Action{Item: item, Delta: d, SetTS: ts})
-	}
-	// The epoch check and the append must be one unit against Crash:
-	// lifeMu's fence guarantees that once Crash returns, no stale-epoch
-	// commit record can still reach the log — recovery's scan would
-	// miss it and could reissue its timestamp. commitDurably holds
-	// ckptMu's read side across the append+apply pair (atomic against
-	// Checkpoint's cut); the written items' stripes, re-acquired here,
-	// keep append+apply atomic per item against the message handlers
-	// (the store's page-LSN idempotence and group commit's batched
-	// wakeups demand same-item records applied in LSN order).
-	written := make([]ident.ItemID, 0, len(actions))
-	for _, a := range actions {
-		written = append(written, a.Item)
-	}
-	s.lifeMu.RLock()
-	if !s.sameEpoch(epoch) {
-		s.lifeMu.RUnlock()
-		return finish(txn.StatusSiteDown)
-	}
-	unlockW := s.lockStripesFor(written)
+	// Steps 5 and 6 — write the commit record (its stability commits
+	// t) and apply it, as one unit per item under the stripes and
+	// against Checkpoint's cut (commitDurably).
 	lsn, err := s.commitDurably(ts, actions)
 	if err != nil {
-		unlockW()
+		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
 	}
-	step("wal-flush", fmt.Sprintf("lsn=%d actions=%d", lsn, len(actions)))
-	unlockW()
+	step("wal-flush", "")
+
+	// Step 7. Flow instrumentation records while the locks are still
+	// held: fully-read items snapshot the merged observation vector,
+	// written items register this transaction as their site's next
+	// writer (every commit updates the vectors whether or not anyone
+	// listens — grants stamp them onto outgoing value; the hook's maps
+	// are built only when someone does). Then the locks go, before the
+	// stripes do: whoever queued on a stripe behind this commit must
+	// find the item free when it gets there, not abort on the lock of
+	// a transaction that has already committed. (The deferred
+	// ReleaseAll serves the abort exits and finds nothing left here.)
+	hook := s.cfg.OnCommit
+	var ci CommitInfo
+	if hook != nil {
+		ci = CommitInfo{
+			TS: ts, Site: s.cfg.ID, Deltas: t.Deltas(), Reads: res.Reads,
+			WriterIdx: make(map[ident.ItemID]uint64, len(actions)),
+			ReadVec:   make(map[ident.ItemID]FlowVec, len(t.Reads)),
+			Label:     t.Label, CommitLSN: lsn,
+		}
+		for _, item := range t.Reads {
+			ci.ReadVec[item] = s.flow.snapshot(item)
+		}
+	}
+	for _, a := range actions {
+		idx := s.flow.writerCommit(a.Item, s.cfg.ID)
+		if hook != nil {
+			ci.WriterIdx[a.Item] = idx
+		}
+	}
+	s.locks.ReleaseAll(id)
+	s.unlockStripes(stripes)
 	s.lifeMu.RUnlock()
-	// Step 6 happened inside commitDurably: apply, then the applied
-	// record — the shared durability core both paths funnel through.
 	step("apply", "")
 
-	// Step 7 — locks released by the deferred ReleaseAll. Flow
-	// instrumentation records first, while the locks are still held:
-	// written items register this transaction as their site's next
-	// writer; fully-read items snapshot the merged observation vector
-	// (every commit updates the vectors whether or not anyone
-	// listens — grants stamp them onto outgoing value).
-	writerIdx := make(map[ident.ItemID]uint64, len(deltas))
-	readVec := make(map[ident.ItemID]FlowVec, len(reads))
-	for _, item := range items {
-		if hasRead(reads, item) {
-			readVec[item] = s.flow.snapshot(item)
-		}
-		if d, wrote := deltas[item]; wrote && d != 0 {
-			writerIdx[item] = s.flow.writerCommit(item, s.cfg.ID)
-		}
+	if writeOnly && verdict == admitOK {
+		s.obsm.fastCommits.Inc()
 	}
-	s.recordConsumption(deltas)
-	if s.cfg.OnCommit != nil {
-		s.cfg.OnCommit(CommitInfo{
-			TS: ts, Site: s.cfg.ID, Deltas: deltas, Reads: reads,
-			WriterIdx: writerIdx, ReadVec: readVec, Label: t.Label,
-			CommitLSN: lsn,
-		})
+	s.recordConsumption(actions)
+	if hook != nil {
+		hook(ci)
 	}
 	return finish(txn.StatusCommitted)
+}
+
+// fold reduces a transaction to its access set A(t) — op items in
+// first-use order, then items that are only read — with, per item,
+// the minimum local quota its ops need (core's composite
+// running-requirement rule: each op's need net of the deltas before
+// it) and their net delta. The caller supplies the backing arrays.
+func fold(t *txn.Txn, items []ident.ItemID, needs, deltas []core.Value) ([]ident.ItemID, []core.Value, []core.Value) {
+	for _, op := range t.Ops {
+		i := indexOf(items, op.Item)
+		if i < 0 {
+			i = len(items)
+			items, needs, deltas = append(items, op.Item), append(needs, 0), append(deltas, 0)
+		}
+		if need := op.Op.Needs() - deltas[i]; need > needs[i] {
+			needs[i] = need
+		}
+		deltas[i] += op.Op.Delta()
+	}
+	for _, item := range t.Reads {
+		if indexOf(items, item) < 0 {
+			items, needs, deltas = append(items, item), append(needs, 0), append(deltas, 0)
+		}
+	}
+	return items, needs, deltas
+}
+
+func indexOf(items []ident.ItemID, item ident.ItemID) int {
+	for i := range items {
+		if items[i] == item {
+			return i
+		}
+	}
+	return -1
+}
+
+// await is §5 step 3: block until w is satisfied (StatusCommitted —
+// proceed to commit), its timeout fires (StatusTimeout) or the epoch
+// it parked in ends (StatusSiteDown).
+func (s *Site) await(w *waiter, epoch uint64, timeout time.Duration) txn.Status {
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	deadline := s.cfg.Clock.After(timeout)
+	for !s.satisfied(w) {
+		select {
+		case <-w.notify:
+			if !s.sameEpoch(epoch) {
+				return txn.StatusSiteDown
+			}
+		case <-deadline:
+			if !s.sameEpoch(epoch) {
+				return txn.StatusSiteDown
+			}
+			return txn.StatusTimeout
+		}
+	}
+	return txn.StatusCommitted
 }
 
 // sendRequests dispatches the §5 step-2 requests: full-read gathers to
@@ -292,11 +370,6 @@ func (s *Site) satisfied(w *waiter) bool {
 		}
 	}
 	return w.allResponded(s.peersExceptSelf())
-}
-
-func hasRead(reads map[ident.ItemID]core.Value, item ident.ItemID) bool {
-	_, ok := reads[item]
-	return ok
 }
 
 func (s *Site) countOutcome(status txn.Status) {

@@ -67,7 +67,15 @@ func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int
 	for _, s := range tc.sites {
 		s.Start()
 	}
-	t.Cleanup(tc.net.Close)
+	// Stop the sites' loops with the test: a package run, let alone a
+	// -count=50 one, otherwise piles up thousands of 5 ms retransmit
+	// tickers that starve later tests' 80 ms timeouts.
+	t.Cleanup(func() {
+		for _, s := range tc.sites {
+			s.Crash()
+		}
+		tc.net.Close()
+	})
 	return tc
 }
 

@@ -65,8 +65,10 @@ type siteObs struct {
 	recoverLat     *metrics.Histogram
 	recoverRecords *metrics.Counter
 
-	// Local-commit fast path: commits that took it, and eligible-shape
-	// transactions it declined (hint miss, stale hint, site down).
+	// The no-wait shape of Run: write-only commits that needed no
+	// redistribution, and write-only transactions that found a
+	// shortfall under the stripes and had to ask. The series keep the
+	// names they had when this shape was a separate fast path;
 	// commits/(commits+fallbacks) is the hit rate experiment P2 plots
 	// against the quota distribution.
 	fastCommits   *metrics.Counter

@@ -42,8 +42,12 @@ func TestVmAcceptIntoFreeItemStampsAndReports(t *testing.T) {
 	if err := tc.sites[0].SendValue("x", 2, 4); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, time.Second, "credit lands at site 2", func() bool {
-		return tc.sites[1].DB().Value("x") == 4
+	// The hook fires after the store apply, so the credit being visible
+	// does not mean its event is: wait for the event.
+	waitUntil(t, time.Second, "both halves reported", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(events) == 2
 	})
 
 	it, _ := tc.sites[1].DB().Get(ident.ItemID("x"))

@@ -16,8 +16,7 @@
 //     pair serialize per data item, nothing serializes site-wide.
 //   - durability (admission.go): commitDurably / vmCreateDurably /
 //     vmAcceptDurably are the only places normal processing reaches
-//     the stable log; both execution paths and every handler share
-//     them.
+//     the stable log; Run and every handler share them.
 //   - waiters (waiters.go): a sharded-by-TxnID table with per-shard
 //     locks; registering, waking and failing waiters never meets a
 //     site-wide lock.
@@ -83,7 +82,8 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// AdmissionStripes shards the admission/message-handling critical
 	// section by data item, so transactions on disjoint items run the
-	// check+lock+stamp path concurrently (default 16). Per-item
+	// check+lock+stamp path concurrently (default 16, at most 64: a
+	// transaction's stripe set is one machine word). Per-item
 	// semantics are unchanged: everything touching one item still
 	// serializes on that item's stripe. Forced to 1 under Conc2, whose
 	// §6.2 correctness argument needs whole-site arrival-order
@@ -105,11 +105,6 @@ type Config struct {
 	// recovers from its log (≤1 replays serially; see
 	// internal/recovery).
 	RecoveryWorkers int
-	// DisableFastPath turns off the local-commit fast path (see
-	// exec_fast.go), forcing every transaction through the full §5
-	// protocol run. The fast path is semantically transparent — this
-	// knob exists for benchmarks, ablations and chaos comparison runs.
-	DisableFastPath bool
 	// Rebalance configures the demand-driven rebalancer: when
 	// Enabled, the site tracks per-item demand, gossips it to peers
 	// via DemandAdvert messages, and ships surplus quota toward the
@@ -360,6 +355,9 @@ func New(cfg Config) (*Site, error) {
 	}
 	if cfg.AdmissionStripes <= 0 {
 		cfg.AdmissionStripes = 16
+	}
+	if cfg.AdmissionStripes > maxStripes {
+		cfg.AdmissionStripes = maxStripes
 	}
 	if cfg.CC.Scheme() == cc.Conc2 {
 		cfg.AdmissionStripes = 1

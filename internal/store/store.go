@@ -14,7 +14,6 @@ package store
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
@@ -39,15 +38,6 @@ type Item struct {
 type Durable struct {
 	mu    sync.RWMutex
 	items map[ident.ItemID]Item
-
-	// hints caches each item's quota in an atomic (ItemID →
-	// *atomic.Int64) so the local-commit fast path can test "enough
-	// quota here?" without taking mu. Hints are advisory: every mutator
-	// refreshes them under mu, but a reader may observe a stale value —
-	// the fast path re-checks the authoritative Value under the item's
-	// admission stripe before acting, and falls back to the full
-	// protocol when the hint lied (see internal/site exec fast path).
-	hints sync.Map
 }
 
 // New returns an empty durable store.
@@ -68,60 +58,7 @@ func (d *Durable) Create(item ident.ItemID, val core.Value) error {
 		return fmt.Errorf("store: item %q already exists", item)
 	}
 	d.items[item] = Item{Val: val}
-	d.hintFor(item).Store(int64(val))
 	return nil
-}
-
-// hintFor returns item's hint cell, creating it on first use.
-func (d *Durable) hintFor(item ident.ItemID) *atomic.Int64 {
-	if h, ok := d.hints.Load(item); ok {
-		return h.(*atomic.Int64)
-	}
-	h, _ := d.hints.LoadOrStore(item, new(atomic.Int64))
-	return h.(*atomic.Int64)
-}
-
-// HintValue returns the cached quota hint for item without locking.
-// The second result is false when the item has no hint cell yet (never
-// created or mutated here). The value may be stale relative to the
-// authoritative Value — callers must re-check under whatever excludes
-// writers before relying on it.
-func (d *Durable) HintValue(item ident.ItemID) (core.Value, bool) {
-	h, ok := d.hints.Load(item)
-	if !ok {
-		return 0, false
-	}
-	return core.Value(h.(*atomic.Int64).Load()), true
-}
-
-// SkewHints adds delta to every hint cell, deliberately desynchronizing
-// them from the authoritative values. A chaos/test knob: correctness
-// must not depend on hint accuracy, and this proves it. Hints self-heal
-// as items are next written (each Apply stores the true value).
-func (d *Durable) SkewHints(delta int64) {
-	d.hints.Range(func(_, v any) bool {
-		v.(*atomic.Int64).Add(delta)
-		return true
-	})
-}
-
-// ResyncHints rewrites every hint cell from the authoritative values.
-func (d *Durable) ResyncHints() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.resyncHintsLocked()
-}
-
-func (d *Durable) resyncHintsLocked() {
-	// Cells for items the store no longer knows go to zero (never
-	// stale-high); then every current item gets its true value.
-	d.hints.Range(func(k, v any) bool {
-		v.(*atomic.Int64).Store(int64(d.items[k.(ident.ItemID)].Val))
-		return true
-	})
-	for id, it := range d.items {
-		d.hintFor(id).Store(int64(it.Val))
-	}
 }
 
 // Get returns the durable state of item.
@@ -176,7 +113,6 @@ func (d *Durable) Apply(lsn uint64, a wal.Action) (bool, error) {
 	}
 	it.AppliedLSN = lsn
 	d.items[a.Item] = it
-	d.hintFor(a.Item).Store(int64(nv))
 	return true, nil
 }
 
@@ -235,7 +171,6 @@ func (d *Durable) RestoreCheckpoint(items []wal.CheckpointItem) {
 	for _, ci := range items {
 		d.items[ci.Item] = Item{Val: ci.Value, TS: ci.TS, AppliedLSN: ci.AppliedLSN}
 	}
-	d.resyncHintsLocked()
 }
 
 // Scratch is a detached write buffer over the store, used by parallel
@@ -286,7 +221,6 @@ func (s *Scratch) Install() {
 	defer s.d.mu.Unlock()
 	for id, it := range s.items {
 		s.d.items[id] = it
-		s.d.hintFor(id).Store(int64(it.Val))
 	}
 }
 

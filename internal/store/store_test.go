@@ -290,75 +290,3 @@ func TestScratchRejectsNegative(t *testing.T) {
 		t.Errorf("x = %d, want 0", got)
 	}
 }
-
-// TestHintTracksMutations pins the hint-refresh contract: every durable
-// mutation (create, apply, checkpoint restore, scratch install) leaves
-// the item's lock-free hint equal to its authoritative value.
-func TestHintTracksMutations(t *testing.T) {
-	db := New()
-	if _, ok := db.HintValue("x"); ok {
-		t.Fatal("hint exists before the item does")
-	}
-	db.Create("x", core.Value(10))
-	if hv, ok := db.HintValue("x"); !ok || hv != 10 {
-		t.Fatalf("after Create: hint = %d,%v, want 10,true", hv, ok)
-	}
-	if _, err := db.Apply(1, wal.Action{Item: "x", Delta: -3}); err != nil {
-		t.Fatal(err)
-	}
-	if hv, _ := db.HintValue("x"); hv != 7 {
-		t.Fatalf("after Apply: hint = %d, want 7", hv)
-	}
-	sc := db.NewScratch()
-	if _, err := sc.Apply(2, wal.Action{Item: "x", Delta: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if hv, _ := db.HintValue("x"); hv != 7 {
-		t.Fatalf("scratch leaked into hint before Install: %d", hv)
-	}
-	sc.Install()
-	if hv, _ := db.HintValue("x"); hv != 12 {
-		t.Fatalf("after Install: hint = %d, want 12", hv)
-	}
-	db.RestoreCheckpoint([]wal.CheckpointItem{{Item: "x", Value: 42}})
-	if hv, _ := db.HintValue("x"); hv != 42 {
-		t.Fatalf("after RestoreCheckpoint: hint = %d, want 42", hv)
-	}
-}
-
-// TestSkewAndResyncHints covers the chaos knob: SkewHints shifts every
-// hint away from the truth without touching the authoritative values,
-// the next mutation of an item self-heals its hint, and ResyncHints
-// restores the rest wholesale.
-func TestSkewAndResyncHints(t *testing.T) {
-	db := New()
-	db.Create("a", core.Value(10))
-	db.Create("b", core.Value(20))
-	db.SkewHints(+100)
-	if hv, _ := db.HintValue("a"); hv != 110 {
-		t.Fatalf("skewed hint a = %d, want 110", hv)
-	}
-	if got := db.Value("a"); got != 10 {
-		t.Fatalf("skew touched the authoritative value: %d", got)
-	}
-	// Mutating an item resynchronizes its own hint.
-	if _, err := db.Apply(1, wal.Action{Item: "a", Delta: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if hv, _ := db.HintValue("a"); hv != 9 {
-		t.Fatalf("hint a after self-heal = %d, want 9", hv)
-	}
-	if hv, _ := db.HintValue("b"); hv != 120 {
-		t.Fatalf("hint b should still be skewed: %d", hv)
-	}
-	db.ResyncHints()
-	if hv, _ := db.HintValue("b"); hv != 20 {
-		t.Fatalf("hint b after resync = %d, want 20", hv)
-	}
-	// Negative skew must never underflow into accepting bad commits —
-	// it only makes the fast path decline (stale-low is the safe lie).
-	db.SkewHints(-1000)
-	if hv, _ := db.HintValue("a"); hv != -991 {
-		t.Fatalf("hint a after negative skew = %d, want -991", hv)
-	}
-}

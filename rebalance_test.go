@@ -209,28 +209,41 @@ func TestRebalanceEvensOut(t *testing.T) {
 
 func TestRebalancerReducesAbortsUnderSkew(t *testing.T) {
 	// Ablation in miniature: all demand at site 1, AskOne policy (the
-	// abort-prone corner of F1). With the rebalancer running, far
-	// fewer transactions should abort.
-	run := func(rebalance bool) (aborts int) {
+	// abort-prone corner of F1). A rebalancing round every few
+	// transactions moves quota to site 1 ahead of demand, so it never
+	// has to ask and nothing can abort; the same workload without it
+	// runs site 1 dry and has to ask. The rounds are driven from here
+	// and drained, not from a timer: a transfer landing while a
+	// transaction holds the item costs that transaction its grant, and
+	// counting such collisions would measure the scheduler.
+	const txns, amount = 60, 5
+	run := func(rebalance bool) (aborts int, asks uint64) {
 		c := mustCluster(t, Config{Sites: 4, Seed: 24, MaxDelay: time.Millisecond})
 		c.CreateItem("x", 400)
-		if rebalance {
-			stop := c.StartRebalancer(10*time.Millisecond, "x")
-			defer stop()
-		}
-		for k := 0; k < 60; k++ {
-			res := c.At(1).Run(NewTxn().Sub("x", 5).Ask(AskOne).
+		for k := 0; k < txns; k++ {
+			if rebalance && k%5 == 0 {
+				c.Rebalance("x")
+				c.Quiesce(time.Second)
+			}
+			res := c.At(1).Run(NewTxn().Sub("x", amount).Ask(AskOne).
 				Timeout(30 * time.Millisecond))
 			if !res.Committed() {
 				aborts++
 			}
 		}
-		return aborts
+		c.Quiesce(time.Second)
+		if got, want := c.GlobalTotal("x"), Value(400-amount*(txns-aborts)); got != want {
+			t.Errorf("rebalance=%v: N = %d, want %d after %d commits", rebalance, got, want, txns-aborts)
+		}
+		return aborts, c.SiteStats(1).RequestsSent
 	}
-	without := run(false)
-	with := run(true)
-	if with > without {
-		t.Errorf("rebalancer increased aborts: %d with vs %d without", with, without)
+	without, asksWithout := run(false)
+	with, asksWith := run(true)
+	if asksWithout == 0 {
+		t.Error("without the rebalancer site 1 never asked: the workload does not exercise the skew")
+	}
+	if with != 0 || asksWith != 0 {
+		t.Errorf("with the rebalancer: %d aborts, %d asks; quota should have reached site 1 ahead of demand", with, asksWith)
 	}
 	t.Logf("aborts: %d without rebalancer, %d with", without, with)
 }
