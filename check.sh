@@ -61,8 +61,8 @@ go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWrite
 # Allocation-regression gate: a local write-only commit (8 committers,
 # memory group log) must not allocate more per op than the measured
 # figure plus two — headroom for scheduler noise, not for a
-# reintroduced per-transaction allocation. Measured: 19 allocs/op.
-alloc_ceiling=21
+# reintroduced per-transaction allocation. Measured: 13 allocs/op.
+alloc_ceiling=15
 allocs=$(go test -run='^$' -bench='BenchmarkLocalCommitWriteOnly' -benchtime=1000x -benchmem . |
 	awk '/BenchmarkLocalCommitWriteOnly/ { print $(NF-1) }')
 if [ -z "$allocs" ]; then

@@ -189,8 +189,9 @@ func decodeRecord(r wal.Record) decoded {
 		}
 		d.actions, d.txn = rec.Actions, rec.Txn
 	case wal.RecApplied, wal.RecCheckpoint:
-		// RecApplied bounds redo in systems whose store can regress;
-		// our store's applied-LSN already skips, so nothing to do.
+		// RecApplied appears only in logs written before sites stopped
+		// appending it; the store's applied-LSN already bounds redo,
+		// so there is nothing to do with one.
 		// Checkpoints were handled in pass 1 (including damaged ones,
 		// which the fallback ladder skipped).
 	case wal.RecPrepare, wal.RecDecision, wal.RecBaseApplied:

@@ -134,10 +134,13 @@ func (s *Site) logAppend(kind wal.RecordKind, data []byte) (uint64, error) {
 	return lsn, err
 }
 
-// commitDurably is the shared §5 step-5/6 core: append the commit
-// record (its stability commits the transaction), apply the actions,
-// append the applied record. Both records encode into pooled wire
-// buffers; the Log contract (data borrowed, never retained) lets each
+// commitDurably is §5 steps 5 and 6: append the commit record (its
+// stability commits the transaction), then apply its actions. One
+// record and one force per commit — the store's per-item applied LSN
+// already makes redo idempotent, so there is no separate "applied"
+// record to write (logs from before that was dropped still carry
+// them; recovery skips them). The record encodes into a pooled wire
+// buffer; the Log contract (data borrowed, never retained) lets the
 // buffer return to the pool immediately. The caller must hold
 // lifeMu's read side (crash atomicity: once Crash returns, no
 // stale-epoch commit record can still reach the log) and the stripes
@@ -151,25 +154,19 @@ func (s *Site) logAppend(kind wal.RecordKind, data []byte) (uint64, error) {
 // scratch.
 func (s *Site) commitDurably(ts tstamp.TS, actions []wal.Action) (uint64, error) {
 	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
 	w := wire.GetWriter()
 	rec := wal.CommitRec{Txn: ts, Actions: actions}
 	rec.EncodeTo(w)
 	lsn, err := s.logAppend(wal.RecCommit, w.Bytes())
 	wire.PutWriter(w)
 	if err != nil {
-		s.ckptMu.RUnlock()
 		return 0, err
 	}
 	if _, err := s.cfg.DB.ApplyAll(lsn, actions); err != nil {
 		// Protocol invariant broken; surface loudly in development.
 		panic("site: committed actions failed to apply: " + err.Error())
 	}
-	w = wire.GetWriter()
-	applied := wal.AppliedRec{CommitLSN: lsn}
-	applied.EncodeTo(w)
-	_, _ = s.logAppend(wal.RecApplied, w.Bytes())
-	wire.PutWriter(w)
-	s.ckptMu.RUnlock()
 	return lsn, nil
 }
 

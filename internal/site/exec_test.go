@@ -246,3 +246,22 @@ func parkedWaiters(s *Site) int {
 	}
 	return n
 }
+
+// TestOneRecordPerCommit: N local commits leave exactly N commit
+// records in the log and nothing else — one record, one force, per
+// durable fact.
+func TestOneRecordPerCommit(t *testing.T) {
+	tc := newTestCluster(t, 1, simnet.Config{Seed: 1}, nil)
+	tc.createItem("x", 100)
+	const n = 25
+	for i := 0; i < n; i++ {
+		if res := tc.sites[0].Run(reserve("x", 1)); !res.Committed() {
+			t.Fatalf("reserve %d: %v", i, res.Status)
+		}
+	}
+	recs := countRecords(t, tc.logs[0])
+	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != n {
+		t.Errorf("after %d commits: %d commit records, %d applied records, last LSN %d; want %d, 0, %d",
+			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, n)
+	}
+}

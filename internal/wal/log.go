@@ -36,7 +36,9 @@ const (
 	// stability is the commit point of a transaction.
 	RecCommit
 	// RecApplied is the §5 step-6 record noting the database changes
-	// have been carried out (bounds redo work at recovery).
+	// have been carried out. Nothing writes it any more: the store's
+	// per-item applied LSN bounds redo without it. The kind stays so
+	// that logs written while it existed still decode.
 	RecApplied
 	// RecCheckpoint snapshots store state to bound log scans (§7:
 	// "by using checkpointing mechanisms, the number of redo actions

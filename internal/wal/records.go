@@ -201,7 +201,8 @@ func DecodeCommit(data []byte) (*CommitRec, error) {
 }
 
 // AppliedRec is the §5 step-6 record: the changes logged at CommitLSN
-// have been carried out against the database.
+// have been carried out against the database. Sites no longer write
+// it (see RecApplied); the codec stays for the logs that contain it.
 type AppliedRec struct {
 	CommitLSN uint64
 }
