@@ -260,10 +260,17 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Printf("shutting down")
-	ctlSrv.Close()
-	s.Crash()
+	select {
+	case <-sig:
+		log.Printf("shutting down")
+		ctlSrv.Close()
+		s.Crash()
+	case <-s.FailStopped():
+		// Exit non-zero. The store here is volatile: the next start
+		// replays the log into an empty one, which is all the recovery
+		// a fail-stop needs.
+		log.Fatal(s.FailStopErr())
+	}
 }
 
 // queryN reads a positive ?n= query parameter, with a default.

@@ -659,9 +659,13 @@ func (r *runner) barrier(round int) error {
 	// A barrier crossed mid-outage is degraded: the drain and the
 	// invariant families need the full mesh (global conservation sums
 	// every site's quota; the drain retransmits into a black hole), so
-	// they wait for the release barrier. The outage bounds above are
+	// they wait for the release barrier. The outage bounds above and
+	// the one audit that needs neither — no ack ahead of the log — are
 	// this barrier's whole check.
 	if stillHeld > 0 {
+		if err := r.checkNoAckAheadOfLog(); err != nil {
+			return err
+		}
 		r.count(func(rep *Report) { rep.DegradedBarriers++ })
 		r.tracef("r%d barrier: degraded (%d site(s) held down), outage bounds hold", round, stillHeld)
 		return nil

@@ -10,6 +10,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/recovery"
 	"dvp/internal/tstamp"
+	"dvp/internal/vmsg"
 	"dvp/internal/wal"
 )
 
@@ -147,7 +148,8 @@ func (r *runner) checkNonNegative() error {
 //     receiver's log accepts the same (from, seq) twice. The stable
 //     history itself contains no double-spend.
 //  3. Channel cursors: no receiver has cumulatively acked past what
-//     its sender ever allocated.
+//     its sender ever allocated, and no sender has been acked past what
+//     its receiver's stable log accepts (checkNoAckAheadOfLog).
 func (r *runner) checkExactlyOnce() error {
 	var created, accepted, dups uint64
 	for i := 1; i <= r.sched.Sites; i++ {
@@ -215,6 +217,58 @@ func (r *runner) checkExactlyOnce() error {
 				return fmt.Errorf(
 					"exactly-once: site %d acked %d from site %d, which only ever allocated %d",
 					j, ack, i, out)
+			}
+		}
+	}
+	return r.checkNoAckAheadOfLog()
+}
+
+// checkNoAckAheadOfLog is the exactly-once family's "no ack ahead of
+// the log" audit: on every channel, the sender's cumulative ack is at
+// most the highest contiguous sequence whose acceptance the receiver's
+// stable log holds — as a RecVmAccept, or inside a checkpoint's
+// channel state once compaction has dropped the record. A receiver
+// credits a Vm when its acceptance record is enqueued; this is the
+// check that it never acknowledged one before that record was stable.
+// It needs no quiescence (the sender's cursor is read before the
+// receiver's log, and both only grow), so degraded barriers run it too.
+func (r *runner) checkNoAckAheadOfLog() error {
+	for j := 1; j <= r.sched.Sites; j++ {
+		acked := make(map[ident.SiteID]uint64, r.sched.Sites)
+		for i := 1; i <= r.sched.Sites; i++ {
+			if i != j {
+				acked[ident.SiteID(i)] = r.c.SiteEngine(i).VM().CumAck(ident.SiteID(j))
+			}
+		}
+		// What the stable log accepts is what recovery would rebuild
+		// from it: the same two calls, into a scratch manager.
+		logged := vmsg.NewManager()
+		err := r.c.SiteEngine(j).Log().Scan(1, func(rec wal.Record) error {
+			switch rec.Kind {
+			case wal.RecVmAccept:
+				ar, err := wal.DecodeVmAccept(rec.Data)
+				if err != nil {
+					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
+				}
+				logged.MarkAccepted(ar.From, ar.Seq)
+			case wal.RecCheckpoint:
+				cp, err := wal.DecodeCheckpoint(rec.Data)
+				if err != nil {
+					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
+				}
+				logged.RestoreChannels(cp.Channels)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("exactly-once: site %d log scan: %w", j, err)
+		}
+		for i := 1; i <= r.sched.Sites; i++ {
+			from := ident.SiteID(i)
+			if ack, stable := acked[from], logged.AckFor(from); ack > stable {
+				return fmt.Errorf(
+					"exactly-once: site %v holds a cumulative ack of %d from site %d, whose stable log accepts contiguously only up to %d — an ack ran ahead of the log",
+					from, ack, j, stable)
 			}
 		}
 	}

@@ -1,0 +1,402 @@
+package site
+
+import (
+	"errors"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dvp/internal/core"
+	"dvp/internal/ident"
+	"dvp/internal/obs"
+	"dvp/internal/simnet"
+	"dvp/internal/txn"
+	"dvp/internal/wal"
+	"dvp/internal/wire"
+)
+
+// groupedCluster is a 2-site test cluster whose site 1 logs through a
+// GroupLog over inner, so a test can hold site 1's flush window open
+// (SetFlushHook) or fail it (inner's append hook).
+func groupedCluster(t *testing.T, seed int64, inner wal.Log, mutate func(c *Config)) (*testCluster, *wal.GroupLog) {
+	t.Helper()
+	gl := wal.NewGroupLog(inner, wal.GroupCommitOptions{})
+	t.Cleanup(func() { gl.Close() })
+	tc := newTestCluster(t, 2, simnet.Config{Seed: seed}, func(i int, c *Config) {
+		if i == 0 {
+			c.Log = gl
+			if mutate != nil {
+				mutate(c)
+			}
+		}
+	})
+	return tc, gl
+}
+
+// holdFirstFlush parks the GroupLog's first flush until the returned
+// release is called; entered is closed when the flusher gets there.
+func holdFirstFlush(gl *wal.GroupLog) (entered chan struct{}, release func()) {
+	entered = make(chan struct{})
+	gate := make(chan struct{})
+	var once, open sync.Once
+	gl.SetFlushHook(func(int) {
+		once.Do(func() {
+			close(entered)
+			<-gate
+		})
+	})
+	return entered, func() { open.Do(func() { close(gate) }) }
+}
+
+// ackTap records the highest Vm sequence any 1→2 envelope has
+// acknowledged, explicitly (VmAck) or piggybacked (AckUpTo), and how
+// many explicit acks went by.
+type ackTap struct {
+	covered atomic.Uint64
+	vmAcks  atomic.Int64
+}
+
+func (a *ackTap) install(t *testing.T, net *simnet.Net) {
+	net.SetTap(func(from, to ident.SiteID, kind wire.Kind, frame []byte) {
+		if from != 1 || to != 2 {
+			return
+		}
+		env, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Errorf("tap: bad frame: %v", err)
+			return
+		}
+		up := env.AckUpTo
+		if ack, ok := env.Msg.(*wire.VmAck); ok {
+			a.vmAcks.Add(1)
+			if ack.UpTo > up {
+				up = ack.UpTo
+			}
+		}
+		for {
+			cur := a.covered.Load()
+			if up <= cur || a.covered.CompareAndSwap(cur, up) {
+				return
+			}
+		}
+	})
+}
+
+// A value Vm addressed to a waiting transaction is credited when its
+// acceptance record is enqueued — the store shows it, the waiter wakes
+// and its commit record queues behind the acceptance — but nothing
+// acknowledges it, explicitly or piggybacked, until that record is
+// stable; then the ack goes out and a retransmitted copy is a counted
+// duplicate.
+func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
+	tc, gl := groupedCluster(t, 21, wal.NewMemLog(), nil)
+	item := ident.ItemID("flight/A")
+	tc.createItem(item, 20) // 10 per site
+	var tap ackTap
+	tap.install(t, tc.net)
+	entered, release := holdFirstFlush(gl)
+	defer release()
+
+	// Needs 5 from site 2. Nothing at site 1 reaches the log before the
+	// grant arrives, so the held flush is the acceptance record's.
+	done := make(chan *txn.Result, 1)
+	go func() {
+		done <- tc.sites[0].Run(&txn.Txn{
+			Ops:     []txn.ItemOp{{Item: item, Op: core.Decr{M: 15}}},
+			Ask:     txn.AskAll,
+			Timeout: 5 * time.Second,
+		})
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush at site 1: the grant never arrived")
+	}
+
+	waitUntil(t, 2*time.Second, "credit visible in the store before the force", func() bool {
+		return tc.sites[0].DB().Value(item) == 15
+	})
+	waitUntil(t, 2*time.Second, "commit record queued behind the acceptance", func() bool {
+		return gl.Waiters() == 2
+	})
+	pending := tc.sites[1].VM().PendingTo(1)
+	if len(pending) != 1 {
+		t.Fatalf("sender's retransmission set toward site 1 = %v, want the one unacknowledged Vm", pending)
+	}
+	seq := pending[0].Seq
+	// Give retransmissions (5 ms) time to come round as duplicates and
+	// be answered: those answers must not cover the seq either.
+	time.Sleep(25 * time.Millisecond)
+	if up := tap.covered.Load(); up >= seq {
+		t.Fatalf("an envelope acknowledged up to %d with the acceptance record of seq %d not stable", up, seq)
+	}
+	if got := tc.sites[0].VM().AckFor(2); got >= seq {
+		t.Fatalf("AckFor = %d before the force, want below %d", got, seq)
+	}
+	if n := tc.sites[1].VM().PendingCount(1); n != 1 {
+		t.Fatalf("sender retired the Vm before its acceptance was stable (pending %d)", n)
+	}
+	select {
+	case res := <-done:
+		t.Fatalf("transaction returned %v with its commit record unforced", res.Status)
+	default:
+	}
+	if n := tc.sites[0].Stats().VmAccepted; n != 0 {
+		t.Fatalf("VmAccepted = %d before the force, want 0", n)
+	}
+
+	release()
+	if res := <-done; !res.Committed() || res.VmAccepted != 1 {
+		t.Fatalf("reserve: %v, %d Vm accepted", res.Status, res.VmAccepted)
+	}
+	waitUntil(t, 2*time.Second, "ack retires the Vm at the sender", func() bool {
+		return tc.sites[1].VM().PendingCount(1) == 0
+	})
+	if up := tap.covered.Load(); up < seq {
+		t.Fatalf("acks covered %d, want %d", up, seq)
+	}
+	if st := tc.sites[0].Stats(); st.VmAccepted != 1 {
+		t.Fatalf("VmAccepted = %d, want 1", st.VmAccepted)
+	}
+
+	// No more copies are coming once the sender has retired the Vm and
+	// the network has drained; the next one is ours.
+	tc.settle()
+	dups := tc.sites[0].Stats().VmDuplicates
+	tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{
+		Seq: seq, Item: item, Amount: pending[0].Amount, ReqTxn: pending[0].ReqTxn,
+	}})
+	if got := tc.sites[0].Stats().VmDuplicates; got != dups+1 {
+		t.Fatalf("retransmitted copy: duplicates %d → %d, want one more", dups, got)
+	}
+	if total := tc.globalTotal(item); total != 5 {
+		t.Fatalf("global total = %d, want 5 (20 − 15, credited exactly once)", total)
+	}
+}
+
+// A Vm with nothing to credit is appended under the stripe: with the
+// flush held, the full read it answers is not woken.
+func TestZeroValueVmWaitsForItsForce(t *testing.T) {
+	tc, gl := groupedCluster(t, 22, wal.NewMemLog(), nil)
+	item := ident.ItemID("flight/B")
+	if err := tc.sites[0].DB().Create(item, 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.sites[1].DB().Create(item, 0); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := holdFirstFlush(gl)
+	defer release()
+
+	done := make(chan *txn.Result, 1)
+	go func() {
+		done <- tc.sites[0].Run(&txn.Txn{Reads: []ident.ItemID{item}, Timeout: 5 * time.Second})
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush at site 1: the zero-value answer never arrived")
+	}
+	w := tc.sites[0].waiterTab.lookup(tc.sites[0].locks.Holder(item))
+	if w == nil {
+		t.Fatal("the full read is not parked")
+	}
+	time.Sleep(20 * time.Millisecond)
+	if n := w.acceptedCount(); n != 0 {
+		t.Fatalf("waiter saw %d acceptances with the zero-value record unforced", n)
+	}
+	if n := gl.Waiters(); n != 1 {
+		t.Fatalf("%d records in the pipeline, want only the acceptance", n)
+	}
+	select {
+	case res := <-done:
+		t.Fatalf("full read returned %v before its gather was stable", res.Status)
+	default:
+	}
+
+	release()
+	if res := <-done; !res.Committed() || res.Reads[item] != 10 {
+		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[item])
+	}
+}
+
+// A VmBatch of 8 value Vm is enqueued whole, forced at most twice (the
+// flusher may have left with the first record alone) and acknowledged
+// once.
+func TestVmBatchAcceptForces(t *testing.T) {
+	device := wal.NewSlowDevice(wal.NewMemLog(), 2*time.Millisecond, nil)
+	tc, gl := groupedCluster(t, 23, device, nil)
+	var forces atomic.Int64
+	gl.SetFlushHook(func(int) { forces.Add(1) })
+	var tap ackTap
+	tap.install(t, tc.net)
+
+	const n = 8
+	batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
+	for i := range batch.Vms {
+		item := ident.ItemID("it/" + string(rune('a'+i)))
+		tc.createItem(item, 0)
+		batch.Vms[i] = wire.Vm{Seq: uint64(i + 1), Item: item, Amount: 3}
+	}
+	tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: batch})
+	tc.settle()
+
+	if f := forces.Load(); f > 2 {
+		t.Errorf("batch of %d value Vm cost %d forces, want at most 2", n, f)
+	}
+	if a := tap.vmAcks.Load(); a != 1 {
+		t.Errorf("batch answered with %d acks, want 1", a)
+	}
+	if up := tap.covered.Load(); up != n {
+		t.Errorf("ack covers up to %d, want %d", up, n)
+	}
+	if st := tc.sites[0].Stats(); st.VmAccepted != n {
+		t.Errorf("VmAccepted = %d, want %d", st.VmAccepted, n)
+	}
+	for i := range batch.Vms {
+		if v := tc.sites[0].DB().Value(batch.Vms[i].Item); v != 3 {
+			t.Errorf("%s = %d, want 3", batch.Vms[i].Item, v)
+		}
+	}
+}
+
+// If the force behind an early credit fails, the site never acks and
+// never un-applies: it counts the stop, stops, and refuses to restart
+// over a store that is ahead of its log.
+func TestAcceptForceFailureStopsTheSite(t *testing.T) {
+	inner := wal.NewMemLog()
+	reg := obs.NewRegistry()
+	tc, _ := groupedCluster(t, 24, inner, func(c *Config) { c.Metrics = reg })
+	item := ident.ItemID("flight/C")
+	tc.createItem(item, 20)
+	var tap ackTap
+	tap.install(t, tc.net)
+	inner.SetAppendHook(func(wal.Record) error { return errors.New("disk full") })
+
+	s := tc.sites[0]
+	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 1, Item: item, Amount: 4}})
+	select {
+	case <-s.FailStopped():
+	case <-time.After(2 * time.Second):
+		t.Fatal("site kept running after its acceptance record failed to force")
+	}
+	waitUntil(t, 2*time.Second, "site down", func() bool { return !s.Up() })
+	tc.settle()
+
+	if s.FailStopErr() == nil {
+		t.Error("FailStopErr = nil after a fail-stop")
+	}
+	if got := reg.CounterValue("dvp_site_failstop_total", "site", "s1", "reason", "accept-force"); got != 1 {
+		t.Errorf("dvp_site_failstop_total{reason=accept-force} = %v, want 1", got)
+	}
+	if v := s.DB().Value(item); v != 14 {
+		t.Errorf("store = %d, want 14: the credit is not un-applied", v)
+	}
+	if up := tap.covered.Load(); up != 0 {
+		t.Errorf("an ack covered seq %d though its acceptance record is not in the log", up)
+	}
+	if s.VM().AckFor(2) != 0 || s.Stats().VmAccepted != 0 {
+		t.Errorf("AckFor = %d, VmAccepted = %d, want 0 and 0", s.VM().AckFor(2), s.Stats().VmAccepted)
+	}
+	if err := s.Restart(); err == nil {
+		t.Error("Restart succeeded over a store ahead of its log")
+	}
+}
+
+// A checkpointed restart acknowledges exactly what the log holds: the
+// checkpoint's channel state restores the dedup set and the ackable
+// cursor alike.
+func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
+	tc, _ := groupedCluster(t, 25, wal.NewMemLog(), nil)
+	item := ident.ItemID("flight/D")
+	tc.createItem(item, 20)
+	s := tc.sites[0]
+	for seq := uint64(1); seq <= 3; seq++ {
+		s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: seq, Item: item, Amount: 1}})
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 4, Item: item, Amount: 1}})
+	s.Crash()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.VM().AckFor(2); got != 4 {
+		t.Errorf("AckFor after restart = %d, want 4 (3 from the checkpoint, 1 replayed)", got)
+	}
+	if s.VM().ShouldAccept(2, 4) || !s.VM().ShouldAccept(2, 5) {
+		t.Error("dedup set after restart does not match the log")
+	}
+}
+
+// A crash landing between an acceptance's enqueue and its force waits
+// the force out (the handler holds lifeMu across it), so what the
+// store was credited is never missing from the log recovery reads.
+func TestCrashInsideUnforcedAccept(t *testing.T) {
+	inner := wal.NewMemLog()
+	tc, gl := groupedCluster(t, 26, inner, nil)
+	item := ident.ItemID("flight/E")
+	tc.createItem(item, 20)
+	entered, release := holdFirstFlush(gl)
+	defer release()
+
+	s := tc.sites[0]
+	done := make(chan *txn.Result, 1)
+	go func() {
+		done <- s.Run(&txn.Txn{
+			Ops:     []txn.ItemOp{{Item: item, Op: core.Decr{M: 15}}},
+			Ask:     txn.AskAll,
+			Timeout: 5 * time.Second,
+		})
+	}()
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flush at site 1: the grant never arrived")
+	}
+	waitUntil(t, 2*time.Second, "credit visible in the store before the force", func() bool {
+		return s.DB().Value(item) == 15
+	})
+
+	crashed := make(chan struct{})
+	go func() {
+		s.Crash()
+		close(crashed)
+	}()
+	waitUntil(t, 2*time.Second, "site marked down", func() bool { return !s.Up() })
+	select {
+	case <-crashed:
+		t.Fatal("Crash returned with a credited acceptance record still unforced")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-crashed
+	res := <-done
+
+	accepts := 0
+	inner.Scan(1, func(r wal.Record) error {
+		if r.Kind == wal.RecVmAccept {
+			accepts++
+		}
+		return nil
+	})
+	if accepts != 1 {
+		t.Fatalf("stable log holds %d acceptance records after the crash, want 1", accepts)
+	}
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.VM().AckFor(2); got != 1 {
+		t.Errorf("AckFor after restart = %d, want 1", got)
+	}
+	tc.waitQuiescent(item, 2*time.Second)
+	want := core.Value(20)
+	if res.Committed() {
+		want = 5
+	}
+	if total := tc.globalTotal(item); total != want {
+		t.Errorf("global total = %d, want %d (transaction %v)", total, want, res.Status)
+	}
+}

@@ -13,7 +13,7 @@ import (
 // This file is the admission + durability layer: the per-item stripes
 // (the only lock for state mutation), the scheme's admission check,
 // and the three durable mutation entry points — commitDurably,
-// vmCreateDurably, vmAcceptDurably — that every path shares. Run
+// vmCreateDurably, vmAcceptLocked — that every path shares. Run
 // (exec.go), the message handlers (inbound_*.go) and proactive Rds
 // (rds.go) all funnel through here; none of them touches the log or
 // store any other way.
@@ -189,20 +189,37 @@ func (s *Site) vmCreateDurably(rec *wal.VmCreateRec) (uint64, error) {
 	return lsn, nil
 }
 
-// vmAcceptDurably is the durability half of Vm acceptance: log the
-// acceptance record (the record is the acceptance), mark the channel
-// cursor, apply the credit. Caller holds lifeMu's read side and the
-// item's stripe.
-func (s *Site) vmAcceptDurably(from ident.SiteID, rec *wal.VmAcceptRec) (uint64, error) {
+// vmAcceptLocked is the under-the-stripe half of Vm acceptance: the
+// acceptance record takes its place in the log (the record is the
+// acceptance), the channel's dedup set is marked and the credit is
+// applied at that LSN. A record with actions is only enqueued — its
+// LSN is final, so the credit can land now and the caller waits for
+// the force after releasing the stripe (settleAccepts), acknowledging
+// nothing before. A record with nothing to credit gains nothing from
+// that and is appended synchronously: it is stable, and ackable, on
+// return. Caller holds lifeMu's read side and the item's stripe.
+func (s *Site) vmAcceptLocked(from ident.SiteID, rec *wal.VmAcceptRec) (uint64, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	lsn, err := s.logAppend(wal.RecVmAccept, rec.Encode())
+	if len(rec.Actions) == 0 {
+		lsn, err := s.logAppend(wal.RecVmAccept, rec.Encode())
+		if err == nil {
+			s.vm.MarkAccepted(from, rec.Seq)
+		}
+		return lsn, err
+	}
+	data := rec.Encode()
+	lsn, err := s.cfg.Log.Enqueue(wal.RecVmAccept, data)
 	if err != nil {
 		return 0, err
 	}
-	s.vm.MarkAccepted(from, rec.Seq)
+	s.noteAppend(int64(len(data)))
+	s.vm.MarkApplied(from, rec.Seq)
 	if _, err := s.cfg.DB.ApplyAll(lsn, rec.Actions); err != nil {
-		panic("site: vm-accept actions failed to apply: " + err.Error())
+		// Protocol invariant broken, with the record already in the
+		// log's queue: stop rather than run on beside it.
+		s.failStop("accept-apply", err)
+		return 0, err
 	}
 	return lsn, nil
 }

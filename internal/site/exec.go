@@ -47,7 +47,8 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		tr.SetSpan(rootSpan)
 	}
 	// step records one protocol-step boundary: the trace step plus its
-	// segment duration into dvp_step_seconds{step=...}.
+	// segment duration into dvp_step_seconds{step=...}. Details are
+	// formatted at the call site, and only when someone is tracing.
 	segStart := start
 	step := func(name, detail string) {
 		now := s.cfg.Clock.Now()
@@ -55,6 +56,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		segStart = now
 		tr.Step(name, detail)
 	}
+	var detail string
 	res := &txn.Result{}
 	finish := func(status txn.Status) *txn.Result {
 		res.Status = status
@@ -154,7 +156,10 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			tctx = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: rootSpan}
 		}
 		res.RequestsSent = s.sendRequests(ts, shortfall, t.Reads, t.Ask, tctx)
-		step("ask", fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask))
+		if tr != nil {
+			detail = fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask)
+		}
+		step("ask", detail)
 
 		// Step 3 — await the requisite Vm or the timeout.
 		status := s.await(w, epoch, t.Timeout)
@@ -162,7 +167,10 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			return finish(status)
 		}
 		res.VmAccepted = w.acceptedCount()
-		step("vm-accept", fmt.Sprintf("accepted=%d", res.VmAccepted))
+		if tr != nil {
+			detail = fmt.Sprintf("accepted=%d", res.VmAccepted)
+		}
+		step("vm-accept", detail)
 		if status == txn.StatusTimeout {
 			// §5 step 3: "declare an abort and then release the
 			// locks". Quota already received stays — the aborted

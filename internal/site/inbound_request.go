@@ -105,7 +105,9 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		decline("log-error")
 		return
 	}
-	hop.Step("wal-flush", fmt.Sprintf("lsn=%d grant=%d seq=%d", lsn, grant, seq))
+	if hop != nil {
+		hop.Step("wal-flush", fmt.Sprintf("lsn=%d grant=%d seq=%d", lsn, grant, seq))
+	}
 	s.locks.Unlock(rdsID, req.Item)
 	stripe.Unlock()
 	hop.Step("apply", "")

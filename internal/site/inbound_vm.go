@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"time"
 
 	"dvp/internal/ident"
 	"dvp/internal/obs"
@@ -16,33 +17,70 @@ import (
 // deferral (ignore; retransmission will return) when an unrelated
 // transaction holds it.
 func (s *Site) handleVm(from ident.SiteID, m *wire.Vm) {
-	if s.processVm(from, m) {
-		s.send(from, &wire.VmAck{UpTo: s.vm.AckFor(from)})
-	}
+	var run acceptRun
+	s.processVm(&run, from, m)
+	s.settleAccepts(&run)
 }
 
-// handleVmBatch accepts each carried Vm independently, then sends one
-// cumulative ack for the whole batch — the receiving half of Vm
-// piggybacking (one envelope, many Vm; one ack envelope back).
+// handleVmBatch accepts each carried Vm independently, then waits once
+// for the log and sends one cumulative ack for the whole batch — the
+// receiving half of Vm piggybacking (one envelope, many Vm; one force
+// and one ack envelope back).
 func (s *Site) handleVmBatch(from ident.SiteID, b *wire.VmBatch) {
-	ack := false
+	var run acceptRun
 	for i := range b.Vms {
-		if s.processVm(from, &b.Vms[i]) {
-			ack = true
+		s.processVm(&run, from, &b.Vms[i])
+	}
+	s.settleAccepts(&run)
+}
+
+// acceptRun is a run of inbound Vm handled together: what each still
+// owes once the log has caught up with it.
+type acceptRun struct {
+	// accepted are the acceptances made, in LSN order. The
+	// value-bearing ones were credited at enqueue and their records
+	// are not yet known stable.
+	accepted []acceptedVm
+	// ackTo lists the peers owed a cumulative ack (an acceptance or a
+	// duplicate; a deferral owes none).
+	ackTo []ident.SiteID
+}
+
+// acceptedVm is one Vm credited at the LSN its acceptance record
+// reserved, and everything that must follow that record's stability.
+type acceptedVm struct {
+	from     ident.SiteID
+	m        *wire.Vm
+	lsn      uint64
+	creditTS tstamp.TS
+	hop      *obs.TxnTrace
+	hopStart time.Time
+}
+
+func (r *acceptRun) oweAck(to ident.SiteID) {
+	for _, p := range r.ackTo {
+		if p == to {
+			return
 		}
 	}
-	if ack {
-		s.send(from, &wire.VmAck{UpTo: s.vm.AckFor(from)})
-	}
+	r.ackTo = append(r.ackTo, to)
 }
 
-// processVm is the acceptance path for one Vm (§4.2, §5). It reports
-// whether an ack is owed (accepted or duplicate); a deferral (item
-// locked by a non-waiting transaction) owes none — retransmission
-// will return. A waiting holder is found through its waiter shard
+// processVm is the under-the-stripe half of accepting one Vm (§4.2,
+// §5). A value-bearing Vm is credited at enqueue: its acceptance
+// record takes its place in the log, the channel's dedup set and the
+// store take the credit at that LSN, and the stripe is released and
+// the waiter woken without waiting for the force — whatever the
+// waiter logs next sits behind the acceptance record, and the log is
+// stable in LSN order. What must follow stability (the ack above all)
+// is left in run for settleAccepts. A Vm with nothing to credit — the
+// zero-value answer a full read gets from a peer that holds nothing —
+// is appended synchronously under the stripe. A deferral (item locked
+// by a non-waiting transaction) owes nothing; retransmission will
+// return. A waiting holder is found through its waiter shard
 // (lock-free of anything site-wide); its progress fields are updated
 // under the waiter's own lock.
-func (s *Site) processVm(from ident.SiteID, m *wire.Vm) bool {
+func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced Vm grows a vm-accept span here: the credit half of the
 	// redistribution, parented on the sender's rds-create span.
@@ -60,8 +98,10 @@ func (s *Site) processVm(from ident.SiteID, m *wire.Vm) bool {
 		s.stats.vmDuplicates.Add(1)
 		s.obsm.forPeer(from).vmDups.Inc()
 		hop.Finish("duplicate")
-		// Duplicate: re-ack so the sender can retire it.
-		return true
+		// Duplicate: re-ack so the sender can retire it (the ack covers
+		// it only once its acceptance record is stable).
+		run.oweAck(from)
+		return
 	}
 
 	var w *waiter
@@ -83,7 +123,7 @@ func (s *Site) processVm(from ident.SiteID, m *wire.Vm) bool {
 			s.deferVm(from, m)
 			stripe.Unlock()
 			hop.Finish("deferred")
-			return false
+			return
 		}
 	}
 
@@ -114,28 +154,60 @@ func (s *Site) processVm(from ident.SiteID, m *wire.Vm) bool {
 		// still needs the acceptance record for dedup state.
 		rec.Actions = nil
 	}
-	lsn, err := s.vmAcceptDurably(from, rec)
+	lsn, err := s.vmAcceptLocked(from, rec)
 	if err != nil {
 		stripe.Unlock()
 		hop.Finish("log-error")
-		return false
+		return
 	}
-	hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, m.Amount, m.Seq))
 	s.flow.merge(m.Item, flowVecFromEntries(m.FlowVec))
 	stripe.Unlock()
 	hop.Step("apply", "")
-
-	s.reportRds(creditTS, m.Item, m.Amount)
-	s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(hopStart))
-	s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", from, m.Item, m.Amount, m.Seq)
-	s.obsm.forPeer(from).vmAccepted.Inc()
-	s.stats.vmAccepted.Add(1)
 	if w != nil {
 		w.noteAccept(m.Item, from)
 		w.wake()
 	}
-	hop.Finish("accepted")
-	return true
+	run.oweAck(from)
+	run.accepted = append(run.accepted, acceptedVm{
+		from: from, m: m, lsn: lsn, creditTS: creditTS, hop: hop, hopStart: hopStart,
+	})
+}
+
+// settleAccepts is the after-the-force half of a run: one wait on the
+// last reserved LSN covers every acceptance in it (the log is stable
+// in LSN order; a record appended synchronously is stable already),
+// then each is counted, reported and made ackable, and every peer owed
+// one gets a single cumulative ack. The caller holds lifeMu's read
+// side across the wait, so Crash's fence still means "nothing applied
+// is missing from the log". If the force fails, the credits stay in a
+// store that is now ahead of its log: nothing is acknowledged and the
+// site stops.
+func (s *Site) settleAccepts(run *acceptRun) {
+	if n := len(run.accepted); n > 0 {
+		if err := s.cfg.Log.WaitDurable(run.accepted[n-1].lsn); err != nil {
+			s.failStop("accept-force", err)
+			return
+		}
+	}
+	for i := range run.accepted {
+		e := &run.accepted[i]
+		if e.hop != nil {
+			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.lsn, e.m.Amount, e.m.Seq))
+		}
+		s.reportRds(e.creditTS, e.m.Item, e.m.Amount)
+		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
+		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.m.Item, e.m.Amount, e.m.Seq)
+		s.obsm.forPeer(e.from).vmAccepted.Inc()
+		s.stats.vmAccepted.Add(1)
+		// Ackable last: any envelope may piggyback the cursor from here
+		// on, and a sender that sees its Vm retired may take the
+		// acceptance as counted and reported.
+		s.vm.MarkStable(e.from, e.m.Seq)
+		e.hop.Finish("accepted")
+	}
+	for _, p := range run.ackTo {
+		s.send(p, &wire.VmAck{UpTo: s.vm.AckFor(p)})
+	}
 }
 
 // deferredVm is one parked inbound Vm awaiting its item's unlock.
@@ -194,7 +266,9 @@ func (s *Site) redeliverDeferred(items []ident.ItemID) {
 		return
 	}
 	s.obsm.flight.Recordf(s.obsm.site, "vm-redeliver", "count=%d", len(batch))
+	var run acceptRun
 	for i := range batch {
-		s.handleVm(batch[i].from, &batch[i].vm)
+		s.processVm(&run, batch[i].from, &batch[i].vm)
 	}
+	s.settleAccepts(&run)
 }

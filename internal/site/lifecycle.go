@@ -179,9 +179,49 @@ func formatShardCounts(counts []int) string {
 	return b.String()
 }
 
+// failStop stops the site on an error it cannot run on beside: count
+// it, flight-record it, and crash through the lifecycle so §7 recovery
+// takes over — the paper's own failure model. The crash comes from a
+// fresh goroutine because callers sit under lifeMu's read side, which
+// Crash's fence waits out. A process restarts from its log (dvpnode
+// exits on FailStopped); this object does not restart, see Restart.
+func (s *Site) failStop(reason string, err error) {
+	if c := s.obsm.failStops[reason]; c != nil {
+		c.Inc()
+	}
+	s.obsm.flight.Recordf(s.obsm.site, "fail-stop", "reason=%s err=%v", reason, err)
+	s.failOnce.Do(func() {
+		s.failErr = fmt.Errorf("site %v: fail-stop (%s): %w", s.cfg.ID, reason, err)
+		close(s.failed)
+		go s.Crash()
+	})
+}
+
+// FailStopped is closed once the site has stopped itself on an
+// internal error; FailStopErr then says which.
+func (s *Site) FailStopped() <-chan struct{} { return s.failed }
+
+// FailStopErr returns the error the site stopped itself on, or nil.
+func (s *Site) FailStopErr() error {
+	select {
+	case <-s.failed:
+		return s.failErr
+	default:
+		return nil
+	}
+}
+
 // Restart recovers from the stable log and rejoins the network,
-// without talking to any other site.
+// without talking to any other site. A site that stopped itself does
+// not restart in place: in this model the store object survives the
+// crash like disk pages, and a fail-stop may have left it holding
+// credits whose acceptance records never reached the log — redo over
+// such a store would not reproduce what the log says. A real process
+// has no such store; it replays the log into an empty one.
 func (s *Site) Restart() error {
+	if err := s.FailStopErr(); err != nil {
+		return fmt.Errorf("restart refused, store may be ahead of the log: %w", err)
+	}
 	s.mu.Lock()
 	if s.up {
 		s.mu.Unlock()

@@ -74,6 +74,10 @@ type siteObs struct {
 	fastCommits   *metrics.Counter
 	fastFallbacks *metrics.Counter
 
+	// failStops counts the times the site stopped itself, by reason
+	// (dvp_site_failstop_total{reason=...}); see failStop.
+	failStops map[string]*metrics.Counter
+
 	// txnLat caches the per-(label, outcome) latency histograms so the
 	// commit path resolves dvp_site_txn_seconds through two map reads
 	// instead of a registry lookup (whose variadic labels allocate on
@@ -139,6 +143,10 @@ func (s *Site) initObs() {
 	o.ckptBytes = o.reg.Counter("dvp_checkpoint_bytes", "site", o.site)
 	o.fastCommits = o.reg.Counter("dvp_fastpath_commits_total", "site", o.site)
 	o.fastFallbacks = o.reg.Counter("dvp_fastpath_fallback_total", "site", o.site)
+	o.failStops = make(map[string]*metrics.Counter, 2)
+	for _, reason := range []string{"accept-force", "accept-apply"} {
+		o.failStops[reason] = o.reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
+	}
 	o.txnLat = make(map[string]*txnLatSet, 8)
 	o.recoverLat = o.reg.Histogram("dvp_recover_seconds", "site", o.site)
 	o.recoverRecords = o.reg.Counter("dvp_recover_records_replayed", "site", o.site)

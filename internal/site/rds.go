@@ -99,7 +99,9 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 		stripe.Unlock()
 		return fmt.Errorf("site %v: rds log append: %w", s.cfg.ID, err)
 	}
-	hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
+	if hop != nil {
+		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
+	}
 	stripe.Unlock()
 	hop.Step("apply", "")
 	outcome = "sent"

@@ -15,7 +15,7 @@
 //     for state mutation — check+lock+stamp and every append+apply
 //     pair serialize per data item, nothing serializes site-wide.
 //   - durability (admission.go): commitDurably / vmCreateDurably /
-//     vmAcceptDurably are the only places normal processing reaches
+//     vmAcceptLocked are the only places normal processing reaches
 //     the stable log; Run and every handler share them.
 //   - waiters (waiters.go): a sharded-by-TxnID table with per-shard
 //     locks; registering, waking and failing waiters never meets a
@@ -314,6 +314,12 @@ type Site struct {
 	ckptHookMu sync.Mutex
 	ckptHook   func(stage string) error
 
+	// failed is closed, after failErr is set, by the first failStop
+	// (lifecycle.go).
+	failOnce sync.Once
+	failed   chan struct{}
+	failErr  error
+
 	// mu is the lifecycle core's lock and nothing else's: it guards
 	// up, epoch and the loop channels across Start/Crash/Restart/epoch
 	// transitions. The per-txn commit path and the per-message handler
@@ -378,6 +384,7 @@ func New(cfg Config) (*Site, error) {
 		vm:         vmsg.NewManager(),
 		flow:       newFlowClocks(),
 		ckptKick:   make(chan struct{}, 1),
+		failed:     make(chan struct{}),
 	}
 	s.demand = newDemandTracker(s.cfg.Rebalance)
 	s.initObs()

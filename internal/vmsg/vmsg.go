@@ -15,9 +15,14 @@
 //   - outbound: the next sequence number, the set of created-but-
 //     unacknowledged Vm (the retransmission set), and the cumulative
 //     acknowledgement received;
-//   - inbound: the set of accepted sequence numbers, as a low-water
-//     mark plus sparse out-of-order tail, from which the cumulative
-//     ack to piggyback is derived.
+//   - inbound: two sets of sequence numbers, each a low-water mark
+//     plus sparse out-of-order tail — the applied set (deduplication:
+//     the value has been credited) and the stable set (the acceptance
+//     record is on stable storage), whose low-water mark is the
+//     cumulative ack to piggyback. A site credits a Vm when its
+//     acceptance record is enqueued and acknowledges it only once that
+//     record is stable, so the stable set trails the applied one by
+//     the records still in the log's queue.
 //
 // The Manager holds protocol state only; logging, database effects,
 // and actual sends belong to the site layer, which makes the state
@@ -78,8 +83,47 @@ type outChannel struct {
 }
 
 type inChannel struct {
-	low   uint64 // all seq ≤ low accepted
+	applied seqSet // credited: never accept again
+	stable  seqSet // acceptance record stable: may be acknowledged
+}
+
+// seqSet is a set of sequence numbers dense from 1: everything up to
+// low, plus a sparse out-of-order tail.
+type seqSet struct {
+	low   uint64
 	above map[uint64]bool
+}
+
+func (s *seqSet) has(seq uint64) bool { return seq <= s.low || s.above[seq] }
+
+// add inserts seq and advances low over any contiguous run.
+func (s *seqSet) add(seq uint64) {
+	if s.has(seq) {
+		return
+	}
+	if s.above == nil {
+		s.above = make(map[uint64]bool)
+	}
+	s.above[seq] = true
+	s.advance()
+}
+
+func (s *seqSet) advance() {
+	for s.above[s.low+1] {
+		s.low++
+		delete(s.above, s.low)
+	}
+}
+
+// restore merges a checkpointed (low, above) pair into the set.
+func (s *seqSet) restore(low uint64, above []uint64) {
+	if low > s.low {
+		s.low = low
+		s.advance() // the raised low may have met the sparse tail
+	}
+	for _, seq := range above {
+		s.add(seq)
+	}
 }
 
 // NewManager returns an empty channel-state manager.
@@ -165,7 +209,7 @@ func (m *Manager) outChan(peer ident.SiteID) *outChannel {
 func (m *Manager) inChan(peer ident.SiteID) *inChannel {
 	c, ok := m.in[peer]
 	if !ok {
-		c = &inChannel{above: make(map[uint64]bool)}
+		c = &inChannel{}
 		m.in[peer] = c
 	}
 	return c
@@ -395,62 +439,74 @@ func (m *Manager) AckRTT(peer ident.SiteID) time.Duration {
 // --- inbound ---------------------------------------------------------------
 
 // ShouldAccept reports whether the Vm (from, seq) is new. It does not
-// mark it: the caller first logs the acceptance record, then calls
-// MarkAccepted — crash between the two re-delivers, and the log replay
+// mark it: the caller first places the acceptance record in the log,
+// then marks — a crash in between re-delivers, and the log replay
 // marks it, so acceptance stays exactly-once.
 func (m *Manager) ShouldAccept(from ident.SiteID, seq uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	c := m.inChan(from)
-	return seq > c.low && !c.above[seq]
+	return !m.inChan(from).applied.has(seq)
 }
 
-// MarkAccepted records the acceptance of (from, seq) and advances the
-// cumulative low-water mark over any contiguous run.
+// MarkApplied records that (from, seq) has been credited, its
+// acceptance record enqueued but not known stable: a second copy is a
+// duplicate from here on, yet no acknowledgement covers it until
+// MarkStable.
+func (m *Manager) MarkApplied(from ident.SiteID, seq uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.inChan(from).applied.add(seq)
+}
+
+// MarkStable records that the acceptance record of (from, seq) is on
+// stable storage, advancing the cumulative acknowledgement over any
+// contiguous run.
+func (m *Manager) MarkStable(from ident.SiteID, seq uint64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.inChan(from).stable.add(seq)
+}
+
+// MarkAccepted is MarkApplied and MarkStable at once: for an
+// acceptance whose record is already stable (a synchronous append, a
+// record replayed by recovery).
 func (m *Manager) MarkAccepted(from ident.SiteID, seq uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c := m.inChan(from)
-	if seq <= c.low || c.above[seq] {
-		return
-	}
-	c.above[seq] = true
-	for c.above[c.low+1] {
-		c.low++
-		delete(c.above, c.low)
-	}
+	c.applied.add(seq)
+	c.stable.add(seq)
 }
 
 // AckFor returns the cumulative acknowledgement to send toward peer:
-// every inbound Vm with seq ≤ AckFor(peer) has been accepted and
-// logged ("all messages upto and including the message m have been
-// received and processed safely", §4.2).
+// every inbound Vm with seq ≤ AckFor(peer) has been accepted and its
+// acceptance record is stable ("all messages upto and including the
+// message m have been received and processed safely", §4.2).
 func (m *Manager) AckFor(peer ident.SiteID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.in[peer]; ok {
-		return c.low
+		return c.stable.low
 	}
 	return 0
 }
 
-// Accepted reports whether (from, seq) has been accepted — the
+// Accepted reports whether (from, seq) has been credited — the
 // receiver-side half of the global conservation check.
 func (m *Manager) Accepted(from ident.SiteID, seq uint64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.in[from]
-	if !ok {
-		return false
-	}
-	return seq <= c.low || c.above[seq]
+	return ok && c.applied.has(seq)
 }
 
 // --- recovery --------------------------------------------------------------
 
 // SnapshotChannels captures the complete per-peer channel state for a
 // checkpoint record: outbound cursor, cumulative ack, retransmission
-// set, and the inbound acceptance set.
+// set, and the inbound applied set. The applied set is the right one:
+// the checkpoint record follows every enqueued acceptance record in
+// the log, so it is stable only once they all are.
 func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -477,8 +533,8 @@ func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 			sort.Slice(ch.Pending, func(i, j int) bool { return ch.Pending[i].Seq < ch.Pending[j].Seq })
 		}
 		if c, ok := m.in[p]; ok {
-			ch.InLow = c.low
-			for s := range c.above {
+			ch.InLow = c.applied.low
+			for s := range c.applied.above {
 				ch.InAbove = append(ch.InAbove, s)
 			}
 			sort.Slice(ch.InAbove, func(i, j int) bool { return ch.InAbove[i] < ch.InAbove[j] })
@@ -490,7 +546,9 @@ func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 
 // RestoreChannels reloads channel state from a checkpoint. Recovery
 // calls it before replaying the log suffix, whose VmCreate/VmAccept
-// records then advance the restored state idempotently.
+// records then advance the restored state idempotently. Whatever a
+// checkpoint read back from the log lists as accepted is stable, so
+// both inbound sets take it.
 func (m *Manager) RestoreChannels(chs []wal.VmChannelState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -508,18 +566,8 @@ func (m *Manager) RestoreChannels(chs []wal.VmChannelState) {
 			}
 		}
 		ic := m.inChan(ch.Peer)
-		if ch.InLow > ic.low {
-			ic.low = ch.InLow
-		}
-		for _, s := range ch.InAbove {
-			if s > ic.low {
-				ic.above[s] = true
-			}
-		}
-		for ic.above[ic.low+1] {
-			ic.low++
-			delete(ic.above, ic.low)
-		}
+		ic.applied.restore(ch.InLow, ch.InAbove)
+		ic.stable.restore(ch.InLow, ch.InAbove)
 	}
 }
 

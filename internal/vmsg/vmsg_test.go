@@ -448,3 +448,42 @@ func TestResetClearsRetxState(t *testing.T) {
 		t.Errorf("RetxStats after Reset = (%d, %d), want (1, 0)", fired, skipped)
 	}
 }
+
+// The ackable cursor trails the dedup set: a credited Vm is a
+// duplicate at once, and acknowledged only once marked stable — over a
+// contiguous stable run, whatever order the marks arrive in.
+func TestAckCursorTrailsAppliedSet(t *testing.T) {
+	m := NewManager()
+	m.MarkApplied(1, 1)
+	m.MarkApplied(1, 2)
+	if m.ShouldAccept(1, 1) || m.ShouldAccept(1, 2) || !m.Accepted(1, 2) {
+		t.Error("an applied seq must be a duplicate from then on")
+	}
+	if m.AckFor(1) != 0 {
+		t.Errorf("AckFor = %d with nothing stable", m.AckFor(1))
+	}
+	m.MarkStable(1, 2) // out of order: 1 is not stable yet
+	if m.AckFor(1) != 0 {
+		t.Errorf("AckFor = %d across an unstable gap", m.AckFor(1))
+	}
+	m.MarkStable(1, 1)
+	m.MarkStable(1, 1) // idempotent
+	if m.AckFor(1) != 2 {
+		t.Errorf("AckFor = %d, want 2", m.AckFor(1))
+	}
+
+	// A checkpoint lists the applied set — by the time it is read back
+	// every acceptance it lists is stable — and restores both cursors.
+	m.MarkApplied(1, 3)
+	m.MarkApplied(1, 5)
+	m2 := NewManager()
+	m2.MarkStable(1, 4) // a stray tail entry the raised low must absorb
+	m2.MarkApplied(1, 4)
+	m2.RestoreChannels(m.SnapshotChannels())
+	if m2.AckFor(1) != 5 {
+		t.Errorf("restored AckFor = %d, want 5", m2.AckFor(1))
+	}
+	if m2.ShouldAccept(1, 5) || !m2.ShouldAccept(1, 6) {
+		t.Error("restored dedup set does not match the snapshot")
+	}
+}

@@ -140,8 +140,16 @@ func (l *FileLog) Instrument(reg *obs.Registry, labels ...string) {
 
 // Append implements Log.
 func (l *FileLog) Append(kind RecordKind, data []byte) (uint64, error) {
+	return appendDurably(l, kind, data)
+}
+
+// Enqueue implements Log: written (and, with Sync, forced) on return.
+func (l *FileLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	return l.AppendBatch([]BatchEntry{{Kind: kind, Data: data}})
 }
+
+// WaitDurable implements Log: a record is stable once Enqueue returns.
+func (l *FileLog) WaitDurable(uint64) error { return nil }
 
 // AppendBatch implements BatchAppender: the whole batch is framed into
 // one buffer, written with one WriteAt and made stable with one fsync —

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -24,35 +25,40 @@ type GroupCommitOptions struct {
 	Clock vclock.Clock
 }
 
-// groupWaiter is one queued append and the parked caller's mailbox.
-type groupWaiter struct {
-	entry BatchEntry
-	lsn   uint64
-	err   error
-	done  chan struct{}
-}
-
-// GroupLog is the group-commit pipeline: a Log whose Append parks the
-// caller while a dedicated flusher goroutine drains the queue of all
-// concurrent appends into a single AppendBatch on the inner log — one
-// write, one force, many commit points (§5 step 5: stability of the
-// record is the commit point; *whose* fsync made it stable is
-// immaterial). Append keeps the Log contract exactly: when it returns
-// nil, the record is stable.
+// GroupLog is the group-commit pipeline: a Log whose Enqueue reserves
+// the record's LSN and queues it, while a dedicated flusher goroutine
+// drains the queue of all concurrent appends into a single AppendBatch
+// on the inner log — one write, one force, many commit points (§5
+// step 5: stability of the record is the commit point; *whose* fsync
+// made it stable is immaterial). WaitDurable parks on the durable
+// watermark, and Append is the two in sequence, so it keeps the Log
+// contract exactly: when it returns nil, the record is stable.
+//
+// The LSN is reserved under the queue lock, so queue order is LSN
+// order and the watermark only ever moves over a dense prefix. A flush
+// error therefore fails the log for good — every queued record and
+// every later Enqueue — because "a later force succeeded" must imply
+// "every earlier enqueued record is stable": a caller may act on a
+// reserved LSN before its force (a site credits a Vm that way) and
+// relies on any later record's stability covering it. Recovery is a
+// new GroupLog over the inner log.
 //
 // The GroupLog itself is volatile (the queue is process state): a
 // crash loses queued-but-unflushed records, which is safe because
-// their appenders were still parked and nothing was acknowledged.
+// nobody was told they were stable.
 type GroupLog struct {
 	inner Log
 	batch BatchAppender // inner's native batching, if any
 	opts  GroupCommitOptions
 
 	mu       sync.Mutex
-	cond     *sync.Cond
-	queue    []*groupWaiter
+	work     *sync.Cond   // the flusher parks here for records
+	stable   *sync.Cond   // WaitDurable parks here for the watermark
+	queue    []BatchEntry // entry i holds LSN next-len(queue)+i
+	next     uint64       // the LSN the next Enqueue gets
 	inFlight int
 	durable  uint64
+	failed   error // first flush error; sticky
 	closed   bool
 	done     chan struct{}
 
@@ -74,7 +80,8 @@ type GroupLog struct {
 }
 
 // NewGroupLog wraps inner with a group-commit flusher. Close stops the
-// flusher and closes inner.
+// flusher and closes inner. Nothing else may append to inner while the
+// GroupLog is open: it hands out inner's LSNs ahead of the write.
 func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 128
@@ -86,53 +93,74 @@ func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
 		inner:   inner,
 		opts:    opts,
 		durable: inner.LastLSN(),
+		next:    inner.LastLSN() + 1,
 		done:    make(chan struct{}),
 	}
 	if ba, ok := inner.(BatchAppender); ok {
 		g.batch = ba
 	}
-	g.cond = sync.NewCond(&g.mu)
+	g.work = sync.NewCond(&g.mu)
+	g.stable = sync.NewCond(&g.mu)
 	go g.flusher()
 	return g
 }
 
-// Append implements Log: enqueue and park until the flusher reports
-// the record stable.
-//
-// data is borrowed, not copied: the caller stays parked until the
-// flusher has handed it to the inner log (which consumes it before
-// AppendBatch returns), so the buffer is pinned for exactly the span
-// the flusher needs it. This lets committers encode records into
-// pooled scratch and return it right after Append — the whole batch is
-// built with zero intermediate copies.
+// Append implements Log. data stays borrowed, not copied: the caller
+// is parked in WaitDurable until the flusher has handed the record to
+// the inner log (or the log has failed and dropped its queue), so
+// committers encode into pooled scratch and return it right after.
 func (g *GroupLog) Append(kind RecordKind, data []byte) (uint64, error) {
-	w := &groupWaiter{
-		entry: BatchEntry{Kind: kind, Data: data},
-		done:  make(chan struct{}),
-	}
+	return appendDurably(g, kind, data)
+}
+
+// Enqueue implements Log: reserve the next LSN and queue the record
+// for the flusher. The queue holds data itself, not a copy.
+func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.closed {
-		g.mu.Unlock()
 		return 0, ErrClosed
 	}
-	g.queue = append(g.queue, w)
-	g.cond.Signal()
-	g.mu.Unlock()
-	<-w.done
-	return w.lsn, w.err
+	if g.failed != nil {
+		return 0, g.failed
+	}
+	lsn := g.next
+	g.next++
+	g.queue = append(g.queue, BatchEntry{Kind: kind, Data: data})
+	g.work.Signal()
+	return lsn, nil
+}
+
+// WaitDurable implements Log: park until the watermark covers lsn, or
+// the log fails or closes short of it.
+func (g *GroupLog) WaitDurable(lsn uint64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.durable < lsn {
+		if g.failed != nil {
+			return g.failed
+		}
+		if g.closed && len(g.queue)+g.inFlight == 0 {
+			return ErrClosed
+		}
+		g.stable.Wait()
+	}
+	return nil
 }
 
 // flusher is the dedicated group-commit goroutine: wait for work,
 // optionally linger to let a group gather, then force the whole group
-// with one inner AppendBatch and wake every parked appender.
+// with one inner AppendBatch and move the watermark over it.
 func (g *GroupLog) flusher() {
 	defer close(g.done)
 	for {
 		g.mu.Lock()
 		for len(g.queue) == 0 && !g.closed {
-			g.cond.Wait()
+			g.work.Wait()
 		}
-		if len(g.queue) == 0 && g.closed {
+		if len(g.queue) == 0 {
+			// Closed and drained (a failed log has no queue either).
+			g.stable.Broadcast()
 			g.mu.Unlock()
 			return
 		}
@@ -145,8 +173,14 @@ func (g *GroupLog) flusher() {
 		if n > g.opts.MaxBatch {
 			n = g.opts.MaxBatch
 		}
-		group := g.queue[:n:n]
-		g.queue = append([]*groupWaiter(nil), g.queue[n:]...)
+		// The group moves into the flusher's own scratch, reused across
+		// flushes; both it and the queue's vacated tail are cleared once
+		// done with, so neither pins an appender's pooled data buffer.
+		entries := append(g.entryScratch[:0], g.queue[:n]...)
+		rest := copy(g.queue, g.queue[n:])
+		clear(g.queue[rest:])
+		g.queue = g.queue[:rest]
+		want := g.next - uint64(rest) - uint64(n)
 		g.inFlight = n
 		hook := g.hook
 		flushLat := g.flushLat
@@ -155,16 +189,6 @@ func (g *GroupLog) flusher() {
 
 		if hook != nil {
 			hook(n)
-		}
-		// entryScratch is reused across flushes (only the flusher
-		// goroutine touches it); entries are cleared after the write so
-		// the scratch never pins the appenders' pooled data buffers.
-		if cap(g.entryScratch) < n {
-			g.entryScratch = make([]BatchEntry, n)
-		}
-		entries := g.entryScratch[:n]
-		for i, w := range group {
-			entries[i] = w.entry
 		}
 		var start time.Time
 		if flushLat != nil {
@@ -177,6 +201,9 @@ func (g *GroupLog) flusher() {
 		} else {
 			first, err = appendBatchFallback(g.inner, entries)
 		}
+		if err == nil && first != want {
+			err = fmt.Errorf("wal: group log reserved LSN %d but the inner log wrote %d: something else appends to it", want, first)
+		}
 		if flushLat != nil {
 			flushLat.Record(time.Since(start))
 			// The batch-size histogram reuses the duration histogram's
@@ -188,10 +215,8 @@ func (g *GroupLog) flusher() {
 			flushes.Inc()
 			records.Add(uint64(n))
 		}
-
-		for i := range entries {
-			entries[i] = BatchEntry{}
-		}
+		clear(entries)
+		g.entryScratch = entries[:0]
 
 		if err == nil {
 			flight.Recordf(flightSite, "wal-flush", "records=%d first_lsn=%d", n, first)
@@ -200,19 +225,18 @@ func (g *GroupLog) flusher() {
 		}
 
 		g.mu.Lock()
-		if err == nil {
-			g.durable = first + uint64(n) - 1
-		}
 		g.inFlight = 0
-		g.mu.Unlock()
-		for i, w := range group {
-			if err != nil {
-				w.err = err
-			} else {
-				w.lsn = first + uint64(i)
-			}
-			close(w.done)
+		if err == nil {
+			g.durable = want + uint64(n) - 1
+		} else {
+			// Everything queued behind the failed group holds an LSN
+			// that can no longer become stable in order: drop it.
+			g.failed = err
+			clear(g.queue)
+			g.queue = g.queue[:0]
 		}
+		g.stable.Broadcast()
+		g.mu.Unlock()
 	}
 }
 
@@ -224,10 +248,10 @@ func (g *GroupLog) DurableLSN() uint64 {
 	return g.durable
 }
 
-// Waiters reports how many appends are queued or riding an in-progress
-// flush — the waiter/durable-LSN boundary the chaos harness audits: a
-// record is either durable (LSN ≤ DurableLSN) or its appender is still
-// parked here, never acknowledged-but-lost.
+// Waiters reports how many records are queued or riding an in-progress
+// flush — the enqueued/durable boundary the chaos harness audits: a
+// record is either durable (LSN ≤ DurableLSN) or still counted here,
+// never acknowledged-but-lost.
 func (g *GroupLog) Waiters() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -290,7 +314,7 @@ func (g *GroupLog) Close() error {
 		return nil
 	}
 	g.closed = true
-	g.cond.Broadcast()
+	g.work.Broadcast()
 	g.mu.Unlock()
 	<-g.done
 	return g.inner.Close()

@@ -152,6 +152,9 @@ func TestGroupLogLinger(t *testing.T) {
 	}
 }
 
+// A flush error fails the log for good: the LSNs behind the failed
+// group were handed out already and can no longer become stable in
+// order. Recovery is a new GroupLog over the inner log.
 func TestGroupLogErrorFailsWholeGroup(t *testing.T) {
 	inner := NewMemLog()
 	boom := errors.New("disk full")
@@ -163,8 +166,159 @@ func TestGroupLogErrorFailsWholeGroup(t *testing.T) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	inner.SetAppendHook(nil)
-	if lsn, err := g.Append(RecCommit, nil); err != nil || lsn != 1 {
-		t.Fatalf("after recovery: lsn=%d err=%v", lsn, err)
+	if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
+		t.Fatalf("append after the disk came back: err = %v, want the log to stay failed with %v", err, boom)
+	}
+	if n := g.Waiters(); n != 0 {
+		t.Fatalf("failed log still counts %d queued records", n)
+	}
+
+	g2 := NewGroupLog(inner, GroupCommitOptions{})
+	defer g2.Close()
+	if lsn, err := g2.Append(RecCommit, nil); err != nil || lsn != 1 {
+		t.Fatalf("new GroupLog over the inner log: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// Every queued record and every later append fails once a flush has:
+// none of them may be reported stable behind a hole.
+func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
+	inner := NewMemLog()
+	boom := errors.New("disk full")
+	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 1})
+	defer g.Close()
+
+	// Hold the first flush so the rest queue up behind it.
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	g.SetFlushHook(func(int) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	var lsns []uint64
+	for i := 0; i < 4; i++ {
+		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+		if i == 0 {
+			<-entered
+		}
+	}
+	inner.SetAppendHook(func(Record) error { return boom })
+	close(release)
+	for _, lsn := range lsns {
+		if err := g.WaitDurable(lsn); !errors.Is(err, boom) {
+			t.Errorf("WaitDurable(%d) = %v, want %v", lsn, err, boom)
+		}
+	}
+	inner.SetAppendHook(nil)
+	if _, err := g.Enqueue(RecCommit, nil); !errors.Is(err, boom) {
+		t.Errorf("later Enqueue = %v, want %v", err, boom)
+	}
+	if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
+		t.Errorf("later Append = %v, want %v", err, boom)
+	}
+	if inner.LastLSN() != 0 {
+		t.Errorf("inner log holds %d records; none was to be written", inner.LastLSN())
+	}
+}
+
+// LSNs are reserved under the queue lock: what 8 concurrent enqueuers
+// get back is dense, final (the record is found at exactly that LSN)
+// and in queue order (one enqueuer's LSNs only grow).
+func TestGroupLogEnqueueDenseFinalInQueueOrder(t *testing.T) {
+	const enqueuers, each = 8, 50
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 7})
+	defer g.Close()
+
+	got := make([][]uint64, enqueuers)
+	var wg sync.WaitGroup
+	for w := 0; w < enqueuers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				lsn, err := g.Enqueue(RecCommit, []byte{byte(w), byte(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[w] = append(got[w], lsn)
+			}
+			if err := g.WaitDurable(got[w][each-1]); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	owner := make(map[uint64][2]byte)
+	for w, lsns := range got {
+		for i, lsn := range lsns {
+			if i > 0 && lsn <= lsns[i-1] {
+				t.Fatalf("enqueuer %d: LSN %d after %d", w, lsn, lsns[i-1])
+			}
+			if _, dup := owner[lsn]; dup {
+				t.Fatalf("LSN %d handed out twice", lsn)
+			}
+			owner[lsn] = [2]byte{byte(w), byte(i)}
+		}
+	}
+	next := uint64(1)
+	err := inner.Scan(1, func(r Record) error {
+		if r.LSN != next {
+			return fmt.Errorf("inner log has LSN %d where %d was due", r.LSN, next)
+		}
+		if o := owner[r.LSN]; len(r.Data) != 2 || r.Data[0] != o[0] || r.Data[1] != o[1] {
+			return fmt.Errorf("LSN %d holds %v, but Enqueue promised it to %v", r.LSN, r.Data, o)
+		}
+		next++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next-1 != enqueuers*each {
+		t.Fatalf("inner log holds %d records, want %d", next-1, enqueuers*each)
+	}
+}
+
+// Durability is a prefix: once WaitDurable(l) returns nil, every LSN
+// up to l is in the inner log, whoever enqueued it.
+func TestGroupLogWaitDurableCoversPrefix(t *testing.T) {
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 3})
+	defer g.Close()
+	var lsns []uint64
+	for i := 0; i < 20; i++ {
+		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	for _, l := range []uint64{lsns[4], lsns[11], lsns[19]} {
+		if err := g.WaitDurable(l); err != nil {
+			t.Fatal(err)
+		}
+		seen := uint64(0)
+		inner.Scan(1, func(r Record) error {
+			if r.LSN == seen+1 {
+				seen++
+			}
+			return nil
+		})
+		if seen < l {
+			t.Fatalf("WaitDurable(%d) returned with the inner log dense only up to %d", l, seen)
+		}
+	}
+	if g.DurableLSN() != lsns[19] || g.Waiters() != 0 {
+		t.Fatalf("durable=%d waiters=%d after the last wait, want %d and 0", g.DurableLSN(), g.Waiters(), lsns[19])
 	}
 }
 

@@ -86,14 +86,28 @@ type Record struct {
 	Data []byte
 }
 
-// Log is an append-only stable log. Append is durable when it
-// returns: a crash after Append never loses the record. All methods
-// are safe for concurrent use.
+// Log is an append-only stable log. An append has two steps: Enqueue
+// fixes the record's place in the log, WaitDurable returns once that
+// place is stable. Append is the two in sequence and is durable when
+// it returns: a crash after Append never loses the record. Durability
+// is a prefix property — WaitDurable(l) returning nil means every
+// record with LSN ≤ l is stable, so a caller that enqueues several
+// records waits once, on the last. All methods are safe for concurrent
+// use.
 type Log interface {
-	// Append writes a record and returns its LSN. data is borrowed for
-	// the duration of the call only: implementations must not retain it
-	// after returning, so callers may encode into pooled scratch and
-	// reuse it immediately.
+	// Enqueue assigns the record its LSN, which is final on return:
+	// records become stable in LSN order or not at all. The log owns
+	// data from here on; the caller must not touch it again until
+	// WaitDurable has returned for this LSN. Logs without a queue
+	// (MemLog, FileLog, SlowLog) make the record stable right here.
+	Enqueue(kind RecordKind, data []byte) (uint64, error)
+	// WaitDurable blocks until every record with LSN ≤ lsn is stable.
+	// lsn must come from Enqueue on this log. An error means the record
+	// may never become stable, and neither will any enqueued after it.
+	WaitDurable(lsn uint64) error
+	// Append is Enqueue then WaitDurable. data is borrowed for the
+	// duration of the call only, so callers may encode into pooled
+	// scratch and reuse it immediately.
 	Append(kind RecordKind, data []byte) (uint64, error)
 	// Scan calls fn for every record with LSN ≥ from, in LSN order.
 	// fn returning an error stops the scan and propagates the error.
@@ -132,6 +146,16 @@ type BatchEntry struct {
 // commit group.
 type BatchAppender interface {
 	AppendBatch(entries []BatchEntry) (first uint64, err error)
+}
+
+// appendDurably is Append for every implementation: Enqueue, then
+// WaitDurable.
+func appendDurably(l Log, kind RecordKind, data []byte) (uint64, error) {
+	lsn, err := l.Enqueue(kind, data)
+	if err != nil {
+		return 0, err
+	}
+	return lsn, l.WaitDurable(lsn)
 }
 
 // appendBatchFallback serializes a batch through plain Append for logs

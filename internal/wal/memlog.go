@@ -24,6 +24,14 @@ func NewMemLog() *MemLog { return &MemLog{} }
 
 // Append implements Log.
 func (l *MemLog) Append(kind RecordKind, data []byte) (uint64, error) {
+	return appendDurably(l, kind, data)
+}
+
+// WaitDurable implements Log: a record is stable once Enqueue returns.
+func (l *MemLog) WaitDurable(uint64) error { return nil }
+
+// Enqueue implements Log.
+func (l *MemLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {

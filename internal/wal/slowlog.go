@@ -65,11 +65,20 @@ func (l *SlowLog) force() {
 	l.clock.Sleep(l.delay)
 }
 
-// Append implements Log: wait the storage latency, then append.
+// Append implements Log.
 func (l *SlowLog) Append(kind RecordKind, data []byte) (uint64, error) {
+	return appendDurably(l, kind, data)
+}
+
+// Enqueue implements Log: wait the storage latency, then append — the
+// force is paid here, so the record is stable on return.
+func (l *SlowLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	l.force()
 	return l.inner.Append(kind, data)
 }
+
+// WaitDurable implements Log: a record is stable once Enqueue returns.
+func (l *SlowLog) WaitDurable(uint64) error { return nil }
 
 // AppendBatch implements BatchAppender: the latency models the
 // force-write, so a batched flush pays it once for the whole batch —
