@@ -23,18 +23,43 @@ else
 	echo "staticcheck: not on PATH, skipping (CI runs it pinned)" >&2
 fi
 
-# Site-mutex gate: the lifecycle core (internal/site/lifecycle.go) is
-# the only file allowed to acquire s.mu — the per-txn commit path and
-# the per-message handler path run on stripes, waiter shards and
-# atomics alone. Any new acquisition elsewhere reintroduces the
-# site-wide convoy the PR-10 layering removed.
+# Site-mutex gate. (1) The lifecycle core (internal/site/lifecycle.go)
+# is the only file allowed to acquire s.mu — the per-txn commit path
+# and the per-message handler path run on stripes, the item state under
+# them and atomics alone. (2) An item's volatile state has one home and
+# one guard (item.go: itemState under its admission stripe), so the
+# package may declare only the mutexes listed here — a new one is a
+# second path to state the stripe already covers — and may not import
+# the lock-table package.
 mu_violations=$(grep -n 's\.mu\.\(Lock\|Unlock\)' internal/site/*.go | grep -v '^internal/site/lifecycle\.go:' || true)
 if [ -n "$mu_violations" ]; then
 	echo "site-mutex gate: s.mu acquired outside lifecycle.go:" >&2
 	echo "$mu_violations" >&2
 	exit 1
 fi
-echo "site-mutex gate: s.mu confined to lifecycle.go"
+allowed_mutexes='site.go:stripes site.go:lifeMu site.go:ckptMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu obs.go:txnLatMu'
+for f in internal/site/*.go; do
+	case "$f" in *_test.go) continue ;; esac
+	if grep -q '^[[:space:]]*sync\.\(RW\)\{0,1\}Mutex' "$f"; then
+		echo "site-mutex gate: $f embeds a mutex" >&2
+		exit 1
+	fi
+	# Field declarations: "<name> [[]]sync.[RW]Mutex".
+	for name in $(sed -n 's/^[[:space:]]*\([A-Za-z_][A-Za-z0-9_]*\)[[:space:]]\{1,\}\(\[\]\)\{0,1\}sync\.\(RW\)\{0,1\}Mutex.*/\1/p' "$f"); do
+		case " $allowed_mutexes " in
+		*" $(basename "$f"):$name "*) ;;
+		*)
+			echo "site-mutex gate: $f declares mutex '$name', not on the allow-list" >&2
+			exit 1
+			;;
+		esac
+	done
+done
+if grep -n '"dvp/internal/lock"' internal/site/*.go | grep -v '_test\.go:'; then
+	echo "site-mutex gate: internal/site imports dvp/internal/lock" >&2
+	exit 1
+fi
+echo "site-mutex gate: s.mu confined to lifecycle.go, 9 allow-listed mutexes, no lock table"
 
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
@@ -45,6 +70,12 @@ go -C bench build ./...
 # -shuffle randomizes test order within each package: the layered site
 # must not depend on test-ordering accidents to pass.
 go test -race -shuffle=on ./...
+
+# Stress pass over the site tests that sit on an interleaving — the one
+# commit path's eight shapes, crash waking parked waiters, the flow
+# checker on a live history, parked-Vm redelivery, batch accept — on
+# one and two CPUs.
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces' ./internal/site
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — the
@@ -61,10 +92,10 @@ go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWrite
 # Allocation-regression gate: a local write-only commit (8 committers,
 # memory group log) must not allocate more per op than the measured
 # figure plus two — headroom for scheduler noise, not for a
-# reintroduced per-transaction allocation. Measured: 10 allocs/op
-# (an append parks on the group log's durable watermark; it no longer
-# allocates a waiter and a channel of its own).
-alloc_ceiling=12
+# reintroduced per-transaction allocation. Measured: 9 allocs/op
+# (the no-wait locks are fields of the items' state; there is no
+# per-transaction slice of held items).
+alloc_ceiling=11
 allocs=$(go test -run='^$' -bench='BenchmarkLocalCommitWriteOnly' -benchtime=1000x -benchmem . |
 	awk '/BenchmarkLocalCommitWriteOnly/ { print $(NF-1) }')
 if [ -z "$allocs" ]; then
@@ -88,7 +119,7 @@ go test ./internal/wal -run='^$' -fuzz=FuzzFileLogRecovery -fuzztime=10s
 
 # Coverage floors. These packages carry the paper's algebra (core),
 # the layered commit engine itself (site: admission, durability,
-# waiters, router, lifecycle),
+# item state, router, lifecycle),
 # the exactly-once channel (vmsg), the serializability machinery (cc),
 # the tracing/flight-recorder surface every failure dump depends on
 # (obs), the §7 restart path (recovery), and the peer-failure state

@@ -108,7 +108,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			RetransmitMax:          cfg.RetransmitMax,
 			DefaultTimeout:         cfg.DefaultTimeout,
 			AdmissionStripes:       cfg.AdmissionStripes,
-			WaiterShards:           cfg.WaiterShards,
 			CheckpointEveryBytes:   cfg.CheckpointEveryBytes,
 			CheckpointEveryRecords: cfg.CheckpointEveryRecords,
 			RecoveryWorkers:        cfg.RecoveryWorkers,

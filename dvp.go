@@ -162,12 +162,6 @@ type Config struct {
 	// concurrently (default 16, at most 64; forced to 1 under Conc2).
 	AdmissionStripes int
 
-	// WaiterShards shards each site's waiter table (transactions
-	// parked awaiting Vm) by transaction id, so registering, waking
-	// and crash-failing waiters contend per shard instead of
-	// site-wide (default 16).
-	WaiterShards int
-
 	// CheckpointEveryBytes / CheckpointEveryRecords arm each site's
 	// automatic checkpointer: once the site's log has grown past
 	// either threshold since its last checkpoint, a background

@@ -70,7 +70,7 @@ type series struct {
 	kind    metricKind
 	counter *metrics.Counter
 	gauge   *Gauge
-	gaugeFn func() float64
+	gaugeFn atomic.Pointer[func() float64] // replaced by re-registration while scrapes read it
 	hist    *metrics.Histogram
 }
 
@@ -174,10 +174,11 @@ func (r *Registry) GaugeFunc(name string, fn func() float64, labels ...string) {
 	if r == nil {
 		return
 	}
-	s := r.register(name, kindGaugeFunc, labels, func(s *series) {})
-	r.mu.Lock()
-	s.gaugeFn = fn
-	r.mu.Unlock()
+	// Set at creation, under the registry lock, so a concurrent scrape
+	// never sees a series without its function; stored again for the
+	// re-registration case.
+	s := r.register(name, kindGaugeFunc, labels, func(s *series) { s.gaugeFn.Store(&fn) })
+	s.gaugeFn.Store(&fn)
 }
 
 // Histogram returns the latency histogram for name+labels, creating it
@@ -250,7 +251,7 @@ func (s *series) write(w io.Writer) error {
 		_, err := fmt.Fprintf(w, "%s%s %d\n", s.name, braced, s.gauge.Value())
 		return err
 	case kindGaugeFunc:
-		_, err := fmt.Fprintf(w, "%s%s %g\n", s.name, braced, s.gaugeFn())
+		_, err := fmt.Fprintf(w, "%s%s %g\n", s.name, braced, (*s.gaugeFn.Load())())
 		return err
 	case kindHistogram:
 		return s.writeHistogram(w)

@@ -188,19 +188,26 @@ func TestZeroValueVmWaitsForItsForce(t *testing.T) {
 	}
 	entered, release := holdFirstFlush(gl)
 	defer release()
+	// The answer's synchronous append will sit under the item's stripe
+	// for as long as the flush is held, and the waiter is read under
+	// that stripe: keep the answer off until the waiter is in hand (the
+	// sender's retransmission brings it back).
+	tc.net.SetFilter(func(from, to ident.SiteID, kind wire.Kind) bool { return kind != wire.KVm })
 
 	done := make(chan *txn.Result, 1)
 	go func() {
 		done <- tc.sites[0].Run(&txn.Txn{Reads: []ident.ItemID{item}, Timeout: 5 * time.Second})
 	}()
+	var w *waiter
+	waitUntil(t, 2*time.Second, "the full read is parked", func() bool {
+		peekItem(tc.sites[0], item, func(st *itemState) { w = st.waiter })
+		return w != nil
+	})
+	tc.net.SetFilter(nil)
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("no flush at site 1: the zero-value answer never arrived")
-	}
-	w := tc.sites[0].waiterTab.lookup(tc.sites[0].locks.Holder(item))
-	if w == nil {
-		t.Fatal("the full read is not parked")
 	}
 	time.Sleep(20 * time.Millisecond)
 	if n := w.acceptedCount(); n != 0 {
@@ -301,6 +308,64 @@ func TestAcceptForceFailureStopsTheSite(t *testing.T) {
 	}
 	if err := s.Restart(); err == nil {
 		t.Error("Restart succeeded over a store ahead of its log")
+	}
+}
+
+// An action that fails to apply on the commit or the Vm-create path —
+// the record is in the log, the store refuses it — stops the site
+// through failStop: counted by reason, FailStopped closed, an error to
+// the caller, no panic.
+func TestApplyFailureStopsTheSite(t *testing.T) {
+	overdraw := []wal.Action{{Item: "x", Delta: -100}}
+	cases := []struct {
+		reason string
+		entry  func(s *Site) error
+	}{
+		{"commit-apply", func(s *Site) error {
+			_, err := s.commitDurably(s.lamport.Next(), overdraw)
+			return err
+		}},
+		{"create-apply", func(s *Site) error {
+			_, err := s.vmCreateDurably(&wal.VmCreateRec{
+				Actions: overdraw,
+				Msgs:    []wal.VmOut{{To: 2, Seq: s.vm.AllocSeq(2), Item: "x", Amount: 100}},
+			})
+			return err
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.reason, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tc := newTestCluster(t, 2, simnet.Config{Seed: 27}, func(i int, cfg *Config) { cfg.Metrics = reg })
+			tc.createItem("x", 20)
+			s := tc.sites[0]
+
+			// As every caller does: lifeMu's read side and the item's stripe.
+			s.lifeMu.RLock()
+			stripe, _ := s.lockItem("x")
+			err := c.entry(s)
+			stripe.Unlock()
+			s.lifeMu.RUnlock()
+
+			if err == nil {
+				t.Fatal("overdrawing action applied without error")
+			}
+			select {
+			case <-s.FailStopped():
+			case <-time.After(2 * time.Second):
+				t.Fatal("site kept running beside a record it could not apply")
+			}
+			waitUntil(t, 2*time.Second, "site down", func() bool { return !s.Up() })
+			if s.FailStopErr() == nil {
+				t.Error("FailStopErr = nil after a fail-stop")
+			}
+			if got := reg.CounterValue("dvp_site_failstop_total", "site", "s1", "reason", c.reason); got != 1 {
+				t.Errorf("dvp_site_failstop_total{reason=%s} = %v, want 1", c.reason, got)
+			}
+			if v := s.DB().Value("x"); v != 10 {
+				t.Errorf("store = %d, want 10: nothing applied", v)
+			}
+		})
 	}
 }
 

@@ -106,11 +106,12 @@ func (s *Site) admitLocked(ts tstamp.TS, items []ident.ItemID, needs []core.Valu
 	return verdict
 }
 
-// lockAndStamp takes the transaction's no-wait locks and, under a
-// StampOnLock scheme (Conc1), stamps the items — §5 step 1's
-// lock+stamp half. Caller holds the items' stripes.
-func (s *Site) lockAndStamp(ts tstamp.TS, id ident.TxnID, items []ident.ItemID) bool {
-	if !s.locks.TryLockAll(id, items) {
+// lockAndStamp takes the transaction's no-wait locks (sts are the
+// states of items, in order) and, under a StampOnLock scheme (Conc1),
+// stamps the items — §5 step 1's lock+stamp half. Caller holds the
+// items' stripes.
+func (s *Site) lockAndStamp(ts tstamp.TS, items []ident.ItemID, sts []*itemState) bool {
+	if !tryLockItems(ts.Txn(), sts) {
 		return false
 	}
 	if s.policy.StampOnLock() {
@@ -164,8 +165,10 @@ func (s *Site) commitDurably(ts tstamp.TS, actions []wal.Action) (uint64, error)
 		return 0, err
 	}
 	if _, err := s.cfg.DB.ApplyAll(lsn, actions); err != nil {
-		// Protocol invariant broken; surface loudly in development.
-		panic("site: committed actions failed to apply: " + err.Error())
+		// Protocol invariant broken, with the record already stable:
+		// stop rather than run on beside it.
+		s.failStop("commit-apply", err)
+		return 0, err
 	}
 	return lsn, nil
 }
@@ -184,7 +187,8 @@ func (s *Site) vmCreateDurably(rec *wal.VmCreateRec) (uint64, error) {
 	}
 	s.vm.Created(rec.Msgs)
 	if _, err := s.cfg.DB.ApplyAll(lsn, rec.Actions); err != nil {
-		panic("site: vm-create actions failed to apply: " + err.Error())
+		s.failStop("create-apply", err)
+		return 0, err
 	}
 	return lsn, nil
 }

@@ -9,9 +9,6 @@ import (
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
-	"dvp/internal/obs"
-	"dvp/internal/vclock"
-	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
@@ -80,10 +77,12 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	return c
 }
 
-// itemDemand is one item's demand cell: an impulse-decay EWMA (each
-// recorded amount is added whole; the accumulator halves every
-// HalfLife) plus the hysteresis timestamp of the item's last outbound
-// rebalance transfer.
+// itemDemand is one item's demand cell (itemState.demand, guarded by
+// the item's stripe): an impulse-decay EWMA (each recorded amount is
+// added whole; the accumulator halves every HalfLife) plus the
+// hysteresis timestamp of the item's last outbound rebalance transfer.
+// Crash discards it with the rest of the item's volatile state: demand
+// is a hint, rebuilt from live traffic after restart.
 type itemDemand struct {
 	ewma         float64
 	lastSample   time.Time
@@ -104,94 +103,64 @@ func (d *itemDemand) decayTo(now time.Time, halfLife time.Duration) {
 	d.lastSample = now
 }
 
+// add folds amount units of observed demand (consumption or shortfall)
+// into the EWMA.
+func (d *itemDemand) add(amount core.Value, now time.Time, halfLife time.Duration) {
+	if amount <= 0 {
+		return
+	}
+	d.decayTo(now, halfLife)
+	d.ewma += float64(amount)
+}
+
+// level reads the decayed demand estimate.
+func (d *itemDemand) level(now time.Time, halfLife time.Duration) float64 {
+	d.decayTo(now, halfLife)
+	return d.ewma
+}
+
+// cooldownOK reports whether the item is outside its transfer
+// cooldown, and if so stamps now as the last transfer time
+// (test-and-set, so concurrent ticks cannot double-send).
+func (d *itemDemand) cooldownOK(now time.Time, cooldown time.Duration) bool {
+	if !d.lastTransfer.IsZero() && now.Sub(d.lastTransfer) < cooldown {
+		return false
+	}
+	d.lastTransfer = now
+	return true
+}
+
+// demandOf reads item's decayed demand estimate under its stripe.
+func (s *Site) demandOf(item ident.ItemID, now time.Time) float64 {
+	stripe, st := s.lockItem(item)
+	defer stripe.Unlock()
+	return st.demand.level(now, s.cfg.Rebalance.HalfLife)
+}
+
 // peerAdvert is the latest demand advert received from one peer.
 type peerAdvert struct {
 	at      time.Time
 	entries map[ident.ItemID]wire.DemandEntry
 }
 
-// demandTracker aggregates local consumption/deficit signals and peer
-// adverts for one site. All methods are safe for concurrent use; the
-// single mutex is fine because recording is a few float ops and the
-// commit path touches it outside the stripes.
+// demandTracker holds the freshest demand advert from each peer — the
+// half of the rebalancer's view that is not per-item local state, and
+// that no commit touches. Safe for concurrent use.
 type demandTracker struct {
 	cfg RebalanceConfig
 
-	// Exposition hooks, set once by instrument (nil-safe without).
-	reg   *obs.Registry
-	site  string
-	clock vclock.Clock
-
 	mu      sync.Mutex
-	items   map[ident.ItemID]*itemDemand
 	adverts map[ident.SiteID]*peerAdvert
 }
 
-// instrument enables per-item demand gauges: each item's decayed EWMA
-// is exported as dvp_rebalance_demand{site,item} at exposition time.
-func (t *demandTracker) instrument(reg *obs.Registry, site string, clock vclock.Clock) {
-	t.reg = reg
-	t.site = site
-	t.clock = clock
-}
-
 func newDemandTracker(cfg RebalanceConfig) *demandTracker {
-	return &demandTracker{
-		cfg:     cfg,
-		items:   make(map[ident.ItemID]*itemDemand),
-		adverts: make(map[ident.SiteID]*peerAdvert),
-	}
+	return &demandTracker{cfg: cfg, adverts: make(map[ident.SiteID]*peerAdvert)}
 }
 
-// cell returns item's demand cell, creating it on first use (and lazily
-// registering its demand gauge — registration is idempotent, so cells
-// recreated after a crash re-attach to the same series). Caller holds
-// t.mu.
-func (t *demandTracker) cell(item ident.ItemID) *itemDemand {
-	d, ok := t.items[item]
-	if !ok {
-		d = &itemDemand{}
-		t.items[item] = d
-		if t.reg != nil {
-			it := item
-			t.reg.GaugeFunc("dvp_rebalance_demand",
-				func() float64 { return t.demand(it, t.clock.Now()) },
-				"site", t.site, "item", string(it))
-		}
-	}
-	return d
-}
-
-// record folds amount units of observed demand (consumption or
-// shortfall) for item into the EWMA.
-func (t *demandTracker) record(item ident.ItemID, amount core.Value, now time.Time) {
-	if amount <= 0 {
-		return
-	}
-	t.mu.Lock()
-	d := t.cell(item)
-	d.decayTo(now, t.cfg.HalfLife)
-	d.ewma += float64(amount)
-	t.mu.Unlock()
-}
-
-// demand reads item's decayed demand estimate.
-func (t *demandTracker) demand(item ident.ItemID, now time.Time) float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d, ok := t.items[item]
-	if !ok {
-		return 0
-	}
-	d.decayTo(now, t.cfg.HalfLife)
-	return d.ewma
-}
-
-// reset clears volatile demand state (crash discards it; demand is a
-// hint, rebuilt from live traffic after restart).
+// reset forgets the peers' adverts (restart: the view is rebuilt from
+// live gossip).
 func (t *demandTracker) reset() {
 	t.mu.Lock()
-	t.items = make(map[ident.ItemID]*itemDemand)
 	t.adverts = make(map[ident.SiteID]*peerAdvert)
 	t.mu.Unlock()
 }
@@ -235,20 +204,6 @@ func (t *demandTracker) peerView(item ident.ItemID, now time.Time) []peerShare {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].site < out[j].site })
 	return out
-}
-
-// cooldownOK reports whether item is outside its transfer cooldown,
-// and if so stamps now as the last transfer time (test-and-set, so
-// concurrent ticks cannot double-send).
-func (t *demandTracker) cooldownOK(item ident.ItemID, now time.Time) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	d := t.cell(item)
-	if !d.lastTransfer.IsZero() && now.Sub(d.lastTransfer) < t.cfg.Cooldown {
-		return false
-	}
-	d.lastTransfer = now
-	return true
 }
 
 // --- the per-site rebalancer loop -------------------------------------------
@@ -305,7 +260,7 @@ func (s *Site) advertiseDemand() {
 	for _, item := range items {
 		entries = append(entries, wire.DemandEntry{
 			Item:   item,
-			Demand: uint64(s.demand.demand(item, now)*1000 + 0.5),
+			Demand: uint64(s.demandOf(item, now)*1000 + 0.5),
 			Have:   s.cfg.DB.Value(item),
 		})
 	}
@@ -335,7 +290,7 @@ func (s *Site) rebalanceTick() {
 		if len(view) == 0 {
 			continue
 		}
-		myDemand := s.demand.demand(item, now)
+		myDemand := s.demandOf(item, now)
 		demands := make([]float64, 0, len(view)+1)
 		demands = append(demands, myDemand)
 		total := s.cfg.DB.Value(item)
@@ -366,7 +321,10 @@ func (s *Site) rebalanceTick() {
 		if bestDeficit < amount {
 			amount = bestDeficit
 		}
-		if !s.demand.cooldownOK(item, now) {
+		stripe, st := s.lockItem(item)
+		cooled := st.demand.cooldownOK(now, cfg.Cooldown)
+		stripe.Unlock()
+		if !cooled {
 			continue
 		}
 		if err := s.SendValue(item, view[best].site, amount); err == nil {
@@ -380,36 +338,22 @@ func (s *Site) rebalanceTick() {
 	}
 }
 
-// recordConsumption feeds committed consumption (negative deltas) into
-// the demand EWMA — the "how fast is quota leaving here" half of the
-// demand signal.
-func (s *Site) recordConsumption(actions []wal.Action) {
-	if s.demand == nil {
-		return
-	}
-	now := s.cfg.Clock.Now()
-	for _, a := range actions {
-		if a.Delta < 0 {
-			s.demand.record(a.Item, -a.Delta, now)
-		}
-	}
-}
-
 // recordDeficit feeds a timeout abort's residual shortfall into the
 // demand EWMA and the deficit counter — the "what we could not serve"
-// half. Recording the unmet need, not just consumption, is what pulls
-// quota toward sites whose demand exceeds their holding.
+// half of the demand signal (the other half, committed consumption, is
+// recorded by the commit itself under the stripes it holds). Recording
+// the unmet need, not just consumption, is what pulls quota toward
+// sites whose demand exceeds their holding.
 func (s *Site) recordDeficit(needs map[ident.ItemID]core.Value) {
-	if s.demand == nil {
-		return
-	}
 	now := s.cfg.Clock.Now()
 	counted := false
 	for item, need := range needs {
+		stripe, st := s.lockItem(item)
 		if have := s.cfg.DB.Value(item); have < need {
-			s.demand.record(item, need-have, now)
+			st.demand.add(need-have, now, s.cfg.Rebalance.HalfLife)
 			counted = true
 		}
+		stripe.Unlock()
 	}
 	if counted {
 		s.obsm.deficitAborts.Inc()

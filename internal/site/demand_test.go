@@ -10,7 +10,7 @@ import (
 	"dvp/internal/wire"
 )
 
-// --- demandTracker unit tests ------------------------------------------------
+// --- demand cell and advert tracker unit tests -------------------------------
 
 func trackerCfg() RebalanceConfig {
 	return RebalanceConfig{
@@ -24,27 +24,31 @@ func trackerCfg() RebalanceConfig {
 }
 
 func TestDemandEWMADecays(t *testing.T) {
-	d := newDemandTracker(trackerCfg())
+	halfLife := trackerCfg().HalfLife // 40ms
+	var x, y itemState
 	t0 := time.Unix(1000, 0)
-	d.record("x", 100, t0)
-	if got := d.demand("x", t0); got != 100 {
+	x.demand.add(100, t0, halfLife)
+	if got := x.demand.level(t0, halfLife); got != 100 {
 		t.Errorf("demand at t0 = %v, want 100", got)
 	}
 	// One half-life later the accumulator has halved; two, quartered.
-	if got := d.demand("x", t0.Add(40*time.Millisecond)); got < 49 || got > 51 {
+	if got := x.demand.level(t0.Add(40*time.Millisecond), halfLife); got < 49 || got > 51 {
 		t.Errorf("demand after one half-life = %v, want ≈ 50", got)
 	}
-	if got := d.demand("x", t0.Add(80*time.Millisecond)); got < 24 || got > 26 {
+	if got := x.demand.level(t0.Add(80*time.Millisecond), halfLife); got < 24 || got > 26 {
 		t.Errorf("demand after two half-lives = %v, want ≈ 25", got)
 	}
 	// Fresh samples pile on top of the decayed value.
-	d.record("x", 10, t0.Add(80*time.Millisecond))
-	if got := d.demand("x", t0.Add(80*time.Millisecond)); got < 34 || got > 36 {
+	x.demand.add(10, t0.Add(80*time.Millisecond), halfLife)
+	if got := x.demand.level(t0.Add(80*time.Millisecond), halfLife); got < 34 || got > 36 {
 		t.Errorf("demand after decay+sample = %v, want ≈ 35", got)
 	}
-	// Unknown items have zero demand and never allocate a cell.
-	if got := d.demand("y", t0); got != 0 {
-		t.Errorf("demand for unknown item = %v", got)
+	// An item nobody consumed has zero demand; non-positive amounts
+	// are not demand.
+	y.demand.add(0, t0, halfLife)
+	y.demand.add(-3, t0, halfLife)
+	if got := y.demand.level(t0, halfLife); got != 0 {
+		t.Errorf("demand for untouched item = %v", got)
 	}
 }
 
@@ -79,18 +83,19 @@ func TestDemandAdvertFreshnessIsReachability(t *testing.T) {
 }
 
 func TestDemandCooldownTestAndSet(t *testing.T) {
-	d := newDemandTracker(trackerCfg()) // Cooldown = 20ms
+	cooldown := trackerCfg().Cooldown // 20ms
+	var x, y itemState
 	t0 := time.Unix(1000, 0)
-	if !d.cooldownOK("x", t0) {
+	if !x.demand.cooldownOK(t0, cooldown) {
 		t.Fatal("first transfer blocked")
 	}
-	if d.cooldownOK("x", t0.Add(10*time.Millisecond)) {
+	if x.demand.cooldownOK(t0.Add(10*time.Millisecond), cooldown) {
 		t.Error("transfer inside the cooldown allowed")
 	}
-	if !d.cooldownOK("y", t0.Add(10*time.Millisecond)) {
+	if !y.demand.cooldownOK(t0.Add(10*time.Millisecond), cooldown) {
 		t.Error("cooldown leaked across items")
 	}
-	if !d.cooldownOK("x", t0.Add(25*time.Millisecond)) {
+	if !x.demand.cooldownOK(t0.Add(25*time.Millisecond), cooldown) {
 		t.Error("transfer after the cooldown blocked")
 	}
 }

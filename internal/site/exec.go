@@ -61,7 +61,6 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	finish := func(status txn.Status) *txn.Result {
 		res.Status = status
 		res.Latency = s.cfg.Clock.Now().Sub(start)
-		s.countOutcome(status)
 		s.obsm.observeTxn(t.Label, status, res.Latency)
 		tr.Finish(status.String())
 		return res
@@ -104,7 +103,12 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		return finish(txn.StatusCCRejected)
 	}
 	step("cc-check", "")
-	if !s.lockAndStamp(ts, id, items) {
+	var stBuf [inlineItems]*itemState
+	sts := stBuf[:0] // the items' volatile state, parallel to items
+	for _, item := range items {
+		sts = append(sts, s.itemAt(s.stripeOf(item), item))
+	}
+	if !s.lockAndStamp(ts, items, sts) {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", ts, t.Label, len(items))
@@ -112,22 +116,27 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 	step("lock", "")
 
-	// LIFO: locks release first, then parked inbound Vm on these items
-	// get their redelivery shot at the freshly-unlocked window. Every
-	// return below drops lifeMu first — redelivery takes it again.
-	defer s.redeliverDeferred(items)
-	defer s.locks.ReleaseAll(id)
+	// One exit for everything below. Releasing the locks and taking the
+	// Vm parked behind them is one step under the stripes (the commit
+	// tail does it under the stripes it already holds, an abort exit
+	// takes them here); the parked Vm then get their redelivery shot at
+	// the freshly-unlocked window, after everything is let go —
+	// redelivery takes lifeMu again.
+	var parked []deferredVm
+	locked := true
+	defer func() {
+		if locked {
+			s.lockStripes(stripes)
+			parked = releaseItems(id, sts)
+			s.unlockStripes(stripes)
+		}
+		s.redeliver(parked)
+	}()
 
 	if verdict == admitShort || !writeOnly {
-		s.unlockStripes(stripes)
-		s.lifeMu.RUnlock()
-		if writeOnly {
-			s.obsm.fastFallbacks.Inc()
-		}
-
-		// Step 2 — determine inadequate items and send requests. The
-		// no-wait locks keep every mutator but our own credits off
-		// these items, so the values are still what admission saw.
+		// Step 2 — determine inadequate items. The no-wait locks keep
+		// every mutator but our own credits off these items, so the
+		// values stay what admission saw.
 		needMap := make(map[ident.ItemID]core.Value, len(items))
 		shortfall := make(map[ident.ItemID]core.Value)
 		for i, item := range items {
@@ -139,18 +148,22 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 				shortfall[item] = needs[i] - have
 			}
 		}
-		// Park in the waiter table: the transaction's shard is the only
-		// lock registration touches, and the epoch tag lets Crash fail
-		// exactly the waiters of the epoch it ends (waiters.go).
+		// Park on the items before letting go of the fence and the
+		// stripes: a Vm handler finds the waiter under the stripe it
+		// holds, and Crash's sweep — behind the fence — cannot miss it.
+		// The epoch tag lets Crash fail exactly the waiters of the epoch
+		// it ends.
 		w := newWaiter(id, ts, epoch, needMap, t.Reads)
-		s.waiterTab.add(w)
-		defer s.waiterTab.remove(id)
-		if !s.sameEpoch(epoch) {
-			// Crash drained the table before this waiter was in it and
-			// nobody is left to wake it.
-			return finish(txn.StatusSiteDown)
+		for _, st := range sts {
+			st.waiter = w
+		}
+		s.unlockStripes(stripes)
+		s.lifeMu.RUnlock()
+		if writeOnly {
+			s.obsm.fastFallbacks.Inc()
 		}
 
+		// ... and send requests.
 		var tctx wire.TraceCtx
 		if rootSpan != 0 {
 			tctx = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: rootSpan}
@@ -175,7 +188,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			// §5 step 3: "declare an abort and then release the
 			// locks". Quota already received stays — the aborted
 			// transaction degenerates to an Rds transaction (§6). The
-			// residual shortfall feeds the demand tracker: unmet need
+			// residual shortfall feeds the demand cells: unmet need
 			// is the strongest rebalancing signal there is.
 			s.recordDeficit(w.needs)
 			s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", ts, t.Label, res.VmAccepted)
@@ -222,16 +235,17 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 	step("wal-flush", "")
 
-	// Step 7. Flow instrumentation records while the locks are still
-	// held: fully-read items snapshot the merged observation vector,
-	// written items register this transaction as their site's next
-	// writer (every commit updates the vectors whether or not anyone
-	// listens — grants stamp them onto outgoing value; the hook's maps
-	// are built only when someone does). Then the locks go, before the
-	// stripes do: whoever queued on a stripe behind this commit must
-	// find the item free when it gets there, not abort on the lock of
-	// a transaction that has already committed. (The deferred
-	// ReleaseAll serves the abort exits and finds nothing left here.)
+	// Step 7. The items' volatile state is brought up to date while
+	// the stripes are still held: fully-read items snapshot the merged
+	// observation vector, written items register this transaction as
+	// their site's next writer (every commit updates the vectors
+	// whether or not anyone listens — grants stamp them onto outgoing
+	// value; the hook's maps are built only when someone does) and
+	// feed committed consumption into their demand cell — the "how fast
+	// is quota leaving here" half of the demand signal. Then the locks
+	// go, before the stripes do: whoever queued on a stripe behind this
+	// commit must find the item free when it gets there, not abort on
+	// the lock of a transaction that has already committed.
 	hook := s.cfg.OnCommit
 	var ci CommitInfo
 	if hook != nil {
@@ -242,16 +256,20 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			Label:     t.Label, CommitLSN: lsn,
 		}
 		for _, item := range t.Reads {
-			ci.ReadVec[item] = s.flow.snapshot(item)
+			ci.ReadVec[item] = sts[indexOf(items, item)].flowSnapshot()
 		}
 	}
-	for _, a := range actions {
-		idx := s.flow.writerCommit(a.Item, s.cfg.ID)
+	for i, st := range sts {
+		if deltas[i] == 0 {
+			continue
+		}
+		idx := st.writerCommit(s.cfg.ID)
 		if hook != nil {
-			ci.WriterIdx[a.Item] = idx
+			ci.WriterIdx[items[i]] = idx
 		}
+		st.demand.add(-deltas[i], segStart, s.cfg.Rebalance.HalfLife)
 	}
-	s.locks.ReleaseAll(id)
+	parked, locked = releaseItems(id, sts), false
 	s.unlockStripes(stripes)
 	s.lifeMu.RUnlock()
 	step("apply", "")
@@ -259,7 +277,6 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	if writeOnly && verdict == admitOK {
 		s.obsm.fastCommits.Inc()
 	}
-	s.recordConsumption(actions)
 	if hook != nil {
 		hook(ci)
 	}
@@ -356,7 +373,6 @@ func (s *Site) sendRequests(ts tstamp.TS, shortfall map[ident.ItemID]core.Value,
 			}
 		}
 	}
-	s.stats.requestsSent.Add(uint64(sent))
 	return sent
 }
 
@@ -378,19 +394,4 @@ func (s *Site) satisfied(w *waiter) bool {
 		}
 	}
 	return w.allResponded(s.peersExceptSelf())
-}
-
-func (s *Site) countOutcome(status txn.Status) {
-	switch status {
-	case txn.StatusCommitted:
-		s.stats.committed.Add(1)
-	case txn.StatusLockConflict:
-		s.stats.abortLockConflict.Add(1)
-	case txn.StatusCCRejected:
-		s.stats.abortCCRejected.Add(1)
-	case txn.StatusTimeout:
-		s.stats.abortTimeout.Add(1)
-	case txn.StatusSiteDown:
-		s.stats.abortSiteDown.Add(1)
-	}
 }

@@ -156,7 +156,7 @@ func TestRunShapes(t *testing.T) {
 			case c.crashParked:
 				done := make(chan *txn.Result, 1)
 				go func() { done <- s.Run(c.txn) }()
-				waitUntil(t, 2*time.Second, "txn parked in the waiter table", func() bool {
+				waitUntil(t, 2*time.Second, "txn parked on its item", func() bool {
 					return parkedWaiters(s) == 1
 				})
 				s.Crash()
@@ -233,18 +233,6 @@ func TestRunShapes(t *testing.T) {
 			}
 		})
 	}
-}
-
-// parkedWaiters counts the transactions registered in s's waiter table.
-func parkedWaiters(s *Site) int {
-	n := 0
-	for i := range s.waiterTab.shards {
-		sh := &s.waiterTab.shards[i]
-		sh.mu.Lock()
-		n += len(sh.m)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // TestOneRecordPerCommit: N local commits leave exactly N commit

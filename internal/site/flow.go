@@ -1,17 +1,19 @@
 package site
 
 import (
-	"sync"
+	"sort"
 
 	"dvp/internal/ident"
 	"dvp/internal/wire"
 )
 
-// flowClocks instruments value flow for exact serializability
-// checking, as a per-item *vector clock*: one component per site,
-// counting the writers committed at that site. Every value-carrying
-// Vm ships the sender's current vector; the receiver max-merges it on
-// acceptance.
+// FlowVec is one item's value-flow vector: site → writers observed. It
+// instruments value flow for exact serializability checking, as a
+// per-item *vector clock*: one component per site, counting the
+// writers committed at that site. Every value-carrying Vm ships the
+// sender's current vector; the receiver max-merges it on acceptance.
+// The vector is a field of the item's state (itemState.flow), read and
+// written under the item's stripe like everything else there.
 //
 // The invariant this buys is exact: a full read R observed writer W
 // (the k-th writer at site j) if and only if R's merged vector has
@@ -30,88 +32,53 @@ import (
 // Flow vectors are volatile diagnostics: they reset on crash, so the
 // checker applies to crash-free histories (recovery correctness has
 // its own tests).
-type flowClocks struct {
-	mu  sync.Mutex
-	vec map[ident.ItemID]map[ident.SiteID]uint64
-}
-
-// FlowVec is one item's value-flow vector: site → writers observed.
 type FlowVec map[ident.SiteID]uint64
 
-// Entries converts to the wire representation.
+// Entries converts to the wire representation, sorted by site.
 func (v FlowVec) Entries() []wire.FlowEntry {
 	if len(v) == 0 {
 		return nil
 	}
 	out := make([]wire.FlowEntry, 0, len(v))
-	for _, s := range ident.SortSites(sitesOf(v)) {
-		out = append(out, wire.FlowEntry{Site: s, Count: v[s]})
+	for s, c := range v {
+		out = append(out, wire.FlowEntry{Site: s, Count: c})
 	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
 	return out
-}
-
-func sitesOf(v FlowVec) []ident.SiteID {
-	out := make([]ident.SiteID, 0, len(v))
-	for s := range v {
-		out = append(out, s)
-	}
-	return out
-}
-
-func newFlowClocks() *flowClocks {
-	return &flowClocks{vec: make(map[ident.ItemID]map[ident.SiteID]uint64)}
-}
-
-func (f *flowClocks) itemVec(item ident.ItemID) map[ident.SiteID]uint64 {
-	v, ok := f.vec[item]
-	if !ok {
-		v = make(map[ident.SiteID]uint64)
-		f.vec[item] = v
-	}
-	return v
 }
 
 // writerCommit records a committed writer at this site and returns its
 // local writer index (its identity is (site, index)).
-func (f *flowClocks) writerCommit(item ident.ItemID, self ident.SiteID) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := f.itemVec(item)
-	v[self]++
-	return v[self]
+func (st *itemState) writerCommit(self ident.SiteID) uint64 {
+	if st.flow == nil {
+		st.flow = make(FlowVec)
+	}
+	st.flow[self]++
+	return st.flow[self]
 }
 
-// snapshot copies the item's current vector (a reader's observation
-// set, or the payload stamped onto an outgoing grant).
-func (f *flowClocks) snapshot(item ident.ItemID) FlowVec {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := f.itemVec(item)
-	out := make(FlowVec, len(v))
-	for s, c := range v {
+// flowSnapshot copies the item's current vector (a reader's
+// observation set, handed to the OnCommit hook).
+func (st *itemState) flowSnapshot() FlowVec {
+	out := make(FlowVec, len(st.flow))
+	for s, c := range st.flow {
 		out[s] = c
 	}
 	return out
 }
 
-// merge folds a received vector into the item's (component-wise max).
-func (f *flowClocks) merge(item ident.ItemID, in FlowVec) {
+// mergeFlow folds the vector a Vm carried into the item's
+// (component-wise max).
+func (st *itemState) mergeFlow(in []wire.FlowEntry) {
 	if len(in) == 0 {
 		return
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v := f.itemVec(item)
-	for s, c := range in {
-		if c > v[s] {
-			v[s] = c
+	if st.flow == nil {
+		st.flow = make(FlowVec, len(in))
+	}
+	for _, e := range in {
+		if e.Count > st.flow[e.Site] {
+			st.flow[e.Site] = e.Count
 		}
 	}
-}
-
-// reset clears all vectors (crash).
-func (f *flowClocks) reset() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.vec = make(map[ident.ItemID]map[ident.SiteID]uint64)
 }

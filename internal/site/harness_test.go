@@ -152,11 +152,43 @@ func waitUntil(t *testing.T, deadline time.Duration, what string, cond func() bo
 	t.Fatalf("condition %q not reached within %v", what, deadline)
 }
 
+// peekItem runs fn on item's volatile state under its stripe.
+func peekItem(s *Site, item ident.ItemID, fn func(st *itemState)) {
+	stripe, st := s.lockItem(item)
+	defer stripe.Unlock()
+	fn(st)
+}
+
 // lockHeld reports whether any transaction currently holds the lock
 // on item at s — the observable signal that a concurrent Run has
 // passed its §5 step-1 lock acquisition.
 func lockHeld(s *Site, item ident.ItemID) bool {
-	return s.locks.Holder(item) != ident.NoTxn
+	held := false
+	peekItem(s, item, func(st *itemState) { held = st.holder != ident.NoTxn })
+	return held
+}
+
+// parkedOn counts the Vm parked behind item's lock at s.
+func parkedOn(s *Site, item ident.ItemID) int {
+	n := 0
+	peekItem(s, item, func(st *itemState) { n = len(st.deferred) })
+	return n
+}
+
+// parkedWaiters counts the transactions parked in §5 step 3 at s (a
+// transaction holding several items counts once).
+func parkedWaiters(s *Site) int {
+	seen := make(map[*waiter]bool)
+	for i := range s.stripes {
+		s.stripes[i].Lock()
+		for _, st := range s.items[i] {
+			if st.waiter != nil {
+				seen[st.waiter] = true
+			}
+		}
+		s.stripes[i].Unlock()
+	}
+	return len(seen)
 }
 
 func (tc *testCluster) committedTxns() []cc.CommittedTxn {

@@ -13,8 +13,8 @@ import (
 // handleRequest implements the remote site's side of §5: decide
 // whether to honor a request for local quota, and if so create the
 // virtual message that carries it. It runs under the router's
-// lifeMu read side and serializes on the item's stripe; the stats it
-// bumps are atomics — no site-wide lock anywhere on this path.
+// lifeMu read side and serializes on the item's stripe; the counters
+// it bumps are atomics — no site-wide lock anywhere on this path.
 func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced request grows an rds-create span here: the deduct half
@@ -27,12 +27,10 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 			req.Trace.Origin.String(), uint64(req.Trace.TS), hopSpan, req.Trace.Span)
 	}
 
-	stripe := &s.stripes[s.stripeOf(req.Item)]
-	stripe.Lock()
+	stripe, st := s.lockItem(req.Item)
 
 	decline := func(reason string) {
 		stripe.Unlock()
-		s.stats.requestsDeclined.Add(1)
 		s.obsm.forPeer(from).declined.Inc()
 		s.obsm.flight.Recordf(s.obsm.site, "rds-decline", "from=%v item=%s txn=%v reason=%s", from, req.Item, req.Txn, reason)
 		hop.Finish("declined:" + reason)
@@ -40,7 +38,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 
 	// "If there is currently a lock on d_j, site s_j can simply
 	// decide not to honor the request" (§5).
-	if s.locks.Holder(req.Item) != ident.NoTxn {
+	if st.holder != ident.NoTxn {
 		decline("locked")
 		return
 	}
@@ -72,13 +70,10 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 
 	// Honor: this is an Rds transaction acting at this site (§6).
-	// Lock, stamp, log the [database-actions, message-sequence]
-	// record, apply, unlock — all before the real message leaves.
-	rdsID := req.Txn.Txn()
-	if !s.locks.TryLock(rdsID, req.Item) {
-		decline("lock-race")
-		return
-	}
+	// Stamp, log the [database-actions, message-sequence] record,
+	// apply — all inside this one stripe hold, which is the Rds
+	// transaction's lock (nobody can see the item until it ends), and
+	// all before the real message leaves.
 	if s.policy.StampOnLock() {
 		s.cfg.DB.SetTS(req.Item, req.Txn)
 	}
@@ -91,7 +86,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		Actions: []wal.Action{{Item: req.Item, Delta: -grant, SetTS: stamp}},
 		Msgs: []wal.VmOut{{
 			To: from, Seq: seq, Item: req.Item, Amount: grant, ReqTxn: req.Txn,
-			FlowVec: s.flow.snapshot(req.Item).Entries(),
+			FlowVec: st.flow.Entries(),
 		}},
 	}
 	if hopSpan != 0 {
@@ -101,22 +96,18 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 	lsn, err := s.vmCreateDurably(rec)
 	if err != nil {
-		s.locks.Unlock(rdsID, req.Item)
 		decline("log-error")
 		return
 	}
 	if hop != nil {
 		hop.Step("wal-flush", fmt.Sprintf("lsn=%d grant=%d seq=%d", lsn, grant, seq))
 	}
-	s.locks.Unlock(rdsID, req.Item)
 	stripe.Unlock()
 	hop.Step("apply", "")
 
 	s.reportRds(stamp, req.Item, -grant)
 	s.obsm.observeStep("rds-create", s.cfg.Clock.Now().Sub(hopStart))
 	s.obsm.flight.Recordf(s.obsm.site, "rds-create", "to=%v item=%s amount=%d seq=%d", from, req.Item, grant, seq)
-	s.stats.requestsHonored.Add(1)
-	s.stats.vmCreated.Add(1)
 	po := s.obsm.forPeer(from)
 	po.honored.Inc()
 	po.vmCreated.Inc()

@@ -77,9 +77,9 @@ func (r *acceptRun) oweAck(to ident.SiteID) {
 // zero-value answer a full read gets from a peer that holds nothing —
 // is appended synchronously under the stripe. A deferral (item locked
 // by a non-waiting transaction) owes nothing; retransmission will
-// return. A waiting holder is found through its waiter shard
-// (lock-free of anything site-wide); its progress fields are updated
-// under the waiter's own lock.
+// return. A waiting holder's parking record is a field of the item's
+// state, read under the stripe already held; its progress fields are
+// updated under the waiter's own lock.
 func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced Vm grows a vm-accept span here: the credit half of the
@@ -90,12 +90,10 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 			m.Trace.Origin.String(), uint64(m.Trace.TS), s.newSpan(), m.Trace.Span)
 	}
 
-	stripe := &s.stripes[s.stripeOf(m.Item)]
-	stripe.Lock()
+	stripe, st := s.lockItem(m.Item)
 
 	if !s.vm.ShouldAccept(from, m.Seq) {
 		stripe.Unlock()
-		s.stats.vmDuplicates.Add(1)
 		s.obsm.forPeer(from).vmDups.Inc()
 		hop.Finish("duplicate")
 		// Duplicate: re-ack so the sender can retire it (the ack covers
@@ -105,9 +103,8 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 	}
 
 	var w *waiter
-	holder := s.locks.Holder(m.Item)
-	if holder != ident.NoTxn {
-		w = s.waiterTab.lookup(holder)
+	if st.holder != ident.NoTxn {
+		w = st.waiter
 		if w == nil || m.ReqTxn != w.ts {
 			// Locked by a transaction not in its waiting phase, or a
 			// Vm not addressed to the waiting holder (an unsolicited
@@ -120,7 +117,7 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 			// serialized elsewhere — the waiter's full read would
 			// observe value its serial position cannot explain. The
 			// Vm is parked and redelivered when the lock releases.
-			s.deferVm(from, m)
+			s.deferVm(st, from, m)
 			stripe.Unlock()
 			hop.Finish("deferred")
 			return
@@ -160,7 +157,7 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 		hop.Finish("log-error")
 		return
 	}
-	s.flow.merge(m.Item, flowVecFromEntries(m.FlowVec))
+	st.mergeFlow(m.FlowVec)
 	stripe.Unlock()
 	hop.Step("apply", "")
 	if w != nil {
@@ -198,7 +195,6 @@ func (s *Site) settleAccepts(run *acceptRun) {
 		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
 		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.m.Item, e.m.Amount, e.m.Seq)
 		s.obsm.forPeer(e.from).vmAccepted.Inc()
-		s.stats.vmAccepted.Add(1)
 		// Ackable last: any envelope may piggyback the cursor from here
 		// on, and a sender that sees its Vm retired may take the
 		// acceptance as counted and reported.
@@ -221,54 +217,41 @@ type deferredVm struct {
 const maxDeferredPerItem = 16
 
 // deferVm parks a Vm whose item was locked, for redelivery on unlock.
-// Duplicates (a retransmission racing the parked copy) collapse.
-func (s *Site) deferVm(from ident.SiteID, m *wire.Vm) {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	q := s.deferredVm[m.Item]
-	for i := range q {
-		if q[i].from == from && q[i].vm.Seq == m.Seq {
+// Duplicates (a retransmission racing the parked copy) collapse. Caller
+// holds the item's stripe.
+func (s *Site) deferVm(st *itemState, from ident.SiteID, m *wire.Vm) {
+	for i := range st.deferred {
+		if st.deferred[i].from == from && st.deferred[i].vm.Seq == m.Seq {
 			return
 		}
 	}
-	if len(q) >= maxDeferredPerItem {
+	if len(st.deferred) >= maxDeferredPerItem {
 		return
 	}
-	s.deferredVm[m.Item] = append(q, deferredVm{from: from, vm: *m})
-	s.obsm.flight.Recordf(s.obsm.site, "vm-defer", "from=%v item=%s seq=%d parked=%d", from, m.Item, m.Seq, len(q)+1)
+	st.deferred = append(st.deferred, deferredVm{from: from, vm: *m})
+	s.obsm.flight.Recordf(s.obsm.site, "vm-defer", "from=%v item=%s seq=%d parked=%d", from, m.Item, m.Seq, len(st.deferred))
 }
 
-// redeliverDeferred re-runs the acceptance path for Vm parked on the
-// given items. Called after a transaction releases its locks — the
-// parked Vm land in the unlock window instead of waiting out the
-// sender's retransmit interval (which an item locked back-to-back may
-// never overlap). A redelivered Vm that finds the item locked again
-// simply parks again.
-func (s *Site) redeliverDeferred(items []ident.ItemID) {
-	var batch []deferredVm
-	s.defMu.Lock()
-	for _, item := range items {
-		if q := s.deferredVm[item]; len(q) > 0 {
-			batch = append(batch, q...)
-			delete(s.deferredVm, item)
-		}
-	}
-	s.defMu.Unlock()
-	if len(batch) == 0 {
+// redeliver re-runs the acceptance path for the Vm a lock release took
+// from behind the lock (releaseItems) — they land in the unlock window
+// instead of waiting out the sender's retransmit interval (which an
+// item locked back-to-back may never overlap). A redelivered Vm that
+// finds the item locked again simply parks again. Caller holds nothing.
+func (s *Site) redeliver(parked []deferredVm) {
+	if len(parked) == 0 {
 		return
 	}
 	// Mirror the network entry point: the lifeMu fence and up-check
-	// keep redelivery inside the site's lifetime (exec's own lifeMu
-	// window has already closed by the time its unlock defer runs).
+	// keep redelivery inside the site's lifetime.
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if !s.Up() {
 		return
 	}
-	s.obsm.flight.Recordf(s.obsm.site, "vm-redeliver", "count=%d", len(batch))
+	s.obsm.flight.Recordf(s.obsm.site, "vm-redeliver", "count=%d", len(parked))
 	var run acceptRun
-	for i := range batch {
-		s.processVm(&run, batch[i].from, &batch[i].vm)
+	for i := range parked {
+		s.processVm(&run, parked[i].from, &parked[i].vm)
 	}
 	s.settleAccepts(&run)
 }

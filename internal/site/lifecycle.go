@@ -2,9 +2,7 @@ package site
 
 import (
 	"fmt"
-	"strings"
 
-	"dvp/internal/ident"
 	"dvp/internal/recovery"
 )
 
@@ -15,12 +13,12 @@ import (
 // lock-free via currentEpoch/sameEpoch/Up below.
 
 // recover rebuilds volatile state from the stable log (§7). The
-// volatile objects are reset in place, never replaced.
+// volatile objects are reset in place, never replaced. The per-item
+// state needs nothing here: it is mutated only while the site is up,
+// and Crash swept it (clearItems).
 func (s *Site) recover() error {
 	s.lamport.Reset()
-	s.locks.Clear()
 	s.vm.Reset()
-	s.flow.reset()
 	s.demand.reset()
 	sum, err := recovery.RecoverOpts(s.cfg.Log, s.cfg.DB, s.vm, s.lamport,
 		recovery.Options{Workers: s.cfg.RecoveryWorkers})
@@ -138,45 +136,20 @@ func (s *Site) Crash() {
 	if ckptDone != nil {
 		<-ckptDone
 	}
-	// Fail every transaction parked in this epoch: drain shard by
-	// shard — no global freeze — and wake each waiter; they observe
-	// the epoch change and report SiteDown. Entries tagged with a
-	// different epoch are left alone (a waiter registered after a
-	// concurrent Restart must not be failed by the old epoch's
-	// crash, and one already drained must not double-wake).
-	ws, shardCounts := s.waiterTab.drain(epoch)
+	// The per-item volatile state is gone — lock holders, parked Vm
+	// (retransmission re-covers them), flow vectors, demand cells —
+	// and recovery starts clean (§7). The same sweep finds the
+	// transactions parked in this epoch; waking them fails them: they
+	// observe the epoch change and report SiteDown. It runs behind the
+	// fence, and Run installs its waiter before leaving the fence's
+	// read side, so none is missed.
+	ws, parked := s.clearItems(epoch)
 	for _, w := range ws {
 		w.wake()
 	}
-	// Volatile lock table is gone — recovery starts clean (§7). So
-	// are parked Vm: retransmission re-covers them.
-	s.locks.Clear()
-	s.defMu.Lock()
-	dropped := 0
-	for _, q := range s.deferredVm {
-		dropped += len(q)
-	}
-	s.deferredVm = make(map[ident.ItemID][]deferredVm)
-	s.defMu.Unlock()
-	// One flight event per epoch transition, carrying the waiter
-	// drain's shard census (crash forensics: which shards were hot
-	// when the site died).
+	// One flight event per epoch transition.
 	s.obsm.flight.Recordf(s.obsm.site, "site-down",
-		"epoch=%d waiters=%d shards=%s parked_dropped=%d",
-		epoch, len(ws), formatShardCounts(shardCounts), dropped)
-}
-
-// formatShardCounts renders a drain census as "n0,n1,..." for the
-// site-down flight event.
-func formatShardCounts(counts []int) string {
-	var b strings.Builder
-	for i, n := range counts {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "%d", n)
-	}
-	return b.String()
+		"epoch=%d waiters=%d parked_dropped=%d", epoch, len(ws), parked)
 }
 
 // failStop stops the site on an error it cannot run on beside: count
@@ -255,10 +228,4 @@ func (s *Site) currentEpoch() (uint64, bool) {
 // the commit path's guard that no crash intervened since admission.
 func (s *Site) sameEpoch(e uint64) bool {
 	return s.epochUp.Load() == e<<1|1
-}
-
-// currentEpochValue reads the epoch without the up gate (lifecycle
-// flight events fire on both sides of the transition).
-func (s *Site) currentEpochValue() uint64 {
-	return s.epochUp.Load() >> 1
 }

@@ -123,7 +123,8 @@ func (s *Site) initObs() {
 		o.steps[step] = o.reg.Histogram("dvp_step_seconds", "site", o.site, "step", step)
 	}
 	// Parked foreign credits (the deferVm/ReqTxn gate): sampled at
-	// exposition time, so crash-clearing needs no gauge bookkeeping.
+	// exposition time from the items' state, so crash-clearing needs
+	// no gauge bookkeeping.
 	o.reg.GaugeFunc("dvp_rebalance_parked_credits",
 		func() float64 { return float64(s.parkedCredits()) }, "site", o.site)
 	o.outcomes = make(map[txn.Status]*metrics.Counter, 5)
@@ -143,8 +144,8 @@ func (s *Site) initObs() {
 	o.ckptBytes = o.reg.Counter("dvp_checkpoint_bytes", "site", o.site)
 	o.fastCommits = o.reg.Counter("dvp_fastpath_commits_total", "site", o.site)
 	o.fastFallbacks = o.reg.Counter("dvp_fastpath_fallback_total", "site", o.site)
-	o.failStops = make(map[string]*metrics.Counter, 2)
-	for _, reason := range []string{"accept-force", "accept-apply"} {
+	o.failStops = make(map[string]*metrics.Counter, 4)
+	for _, reason := range []string{"accept-force", "accept-apply", "commit-apply", "create-apply"} {
 		o.failStops[reason] = o.reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
 	}
 	o.txnLat = make(map[string]*txnLatSet, 8)

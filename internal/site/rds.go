@@ -36,7 +36,6 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	// Rds transactions are transactions: they draw a timestamp and
 	// take the lock like anyone else (§6 treats them uniformly).
 	ts := s.lamport.Next()
-	id := ts.Txn()
 
 	// A proactive transfer is its own causal root: it gets an "rds"
 	// span stitched by its own TS, and the Vm it creates carries the
@@ -60,18 +59,16 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if !s.sameEpoch(epoch) {
 		return fmt.Errorf("site %v: down", s.cfg.ID)
 	}
-	stripe := &s.stripes[s.stripeOf(item)]
-	stripe.Lock()
+	stripe, st := s.lockItem(item)
 	it, _ := s.cfg.DB.Get(item)
 	if !s.policy.AllowLock(ts, it.TS) {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: cc rejected rds on %q", s.cfg.ID, item)
 	}
-	if !s.locks.TryLock(id, item) {
+	if st.holder != ident.NoTxn {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: %q locked", s.cfg.ID, item)
 	}
-	defer s.locks.Unlock(id, item)
 	if have := s.cfg.DB.Value(item); have < amount {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: quota %d < transfer %d", s.cfg.ID, have, amount)
@@ -88,7 +85,7 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 		Actions: []wal.Action{{Item: item, Delta: -amount, SetTS: stamp}},
 		Msgs: []wal.VmOut{{
 			To: peer, Seq: seq, Item: item, Amount: amount, ReqTxn: 0,
-			FlowVec: s.flow.snapshot(item).Entries(),
+			FlowVec: st.flow.Entries(),
 		}},
 	}
 	if hopSpan != 0 {
@@ -102,15 +99,25 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if hop != nil {
 		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
 	}
+	// The lock is taken as the stripe is let go (nobody could see it
+	// sooner) and held through dispatch: an Rds queued on the stripe
+	// behind this one aborts no-wait instead of shipping again from its
+	// caller's stale snapshot — concurrent rebalancers would otherwise
+	// double-ship. A Vm that parks behind it waits for the item's next
+	// release or its own retransmission.
+	st.holder = ts.Txn()
 	stripe.Unlock()
 	hop.Step("apply", "")
 	outcome = "sent"
 
 	s.reportRds(stamp, item, -amount)
-	s.stats.vmCreated.Add(1)
 	s.obsm.forPeer(peer).vmCreated.Inc()
 	if s.sameEpoch(epoch) {
 		s.sendVm(rec.Msgs[0])
 	}
+	// Still this transaction's: Crash's sweep waits out lifeMu.
+	stripe.Lock()
+	st.holder = ident.NoTxn
+	stripe.Unlock()
 	return nil
 }

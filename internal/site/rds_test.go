@@ -108,30 +108,27 @@ func TestDeferredVmRedeliversOnUnlock(t *testing.T) {
 
 	dst := tc.sites[1]
 	blocker := ident.TxnID(7)
-	if !dst.locks.TryLock(blocker, "x") {
-		t.Fatal("could not lock x at destination")
-	}
+	peekItem(dst, "x", func(st *itemState) { st.holder = blocker })
 	if err := tc.sites[0].SendValue("x", 2, 4); err != nil {
 		t.Fatal(err)
 	}
 	waitUntil(t, time.Second, "Vm parked at the locked destination", func() bool {
-		dst.defMu.Lock()
-		defer dst.defMu.Unlock()
-		return len(dst.deferredVm["x"]) == 1
+		return parkedOn(dst, "x") == 1
 	})
 	if got := dst.DB().Value("x"); got != 0 {
 		t.Fatalf("credit landed through a held lock: value = %d", got)
 	}
 
-	dst.locks.Unlock(blocker, "x")
-	dst.redeliverDeferred([]ident.ItemID{"x"})
+	var parked []deferredVm
+	peekItem(dst, "x", func(st *itemState) { parked = releaseItems(blocker, []*itemState{st}) })
+	if len(parked) != 1 || lockHeld(dst, "x") {
+		t.Fatalf("release took %d parked Vm and left the lock held=%v, want 1 and free", len(parked), lockHeld(dst, "x"))
+	}
+	dst.redeliver(parked)
 	if got := dst.DB().Value("x"); got != 4 {
 		t.Errorf("value = %d after unlock redelivery, want 4", got)
 	}
-	dst.defMu.Lock()
-	left := len(dst.deferredVm["x"])
-	dst.defMu.Unlock()
-	if left != 0 {
+	if left := parkedOn(dst, "x"); left != 0 {
 		t.Errorf("%d Vm still parked after redelivery", left)
 	}
 }

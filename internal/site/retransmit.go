@@ -46,7 +46,6 @@ func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 		if !s.Up() {
 			return
 		}
-		s.stats.retransmissions.Add(uint64(total))
 		s.obsm.retx.Add(uint64(total))
 		for _, p := range s.peersExceptSelf() {
 			vms := perPeer[p]

@@ -11,7 +11,8 @@ import (
 // This file is the message router: the network entry point that folds
 // piggybacked state and dispatches by message kind, plus the outbound
 // send helpers. Handlers (inbound_request.go, inbound_vm.go) touch
-// only admission stripes, waiter shards and atomics — never s.mu.
+// only admission stripes, the item state under them and atomics —
+// never s.mu.
 
 // handle is the network entry point. It folds the piggybacked Lamport
 // clock and Vm acknowledgement into local state (§4.2), then
@@ -82,16 +83,4 @@ func (s *Site) reportRds(ts tstamp.TS, item ident.ItemID, delta core.Value) {
 	if s.cfg.OnRds != nil && delta != 0 {
 		s.cfg.OnRds(RdsInfo{TS: ts, Site: s.cfg.ID, Item: item, Delta: delta})
 	}
-}
-
-// flowVecFromEntries converts wire form to the merge form.
-func flowVecFromEntries(es []wire.FlowEntry) FlowVec {
-	if len(es) == 0 {
-		return nil
-	}
-	out := make(FlowVec, len(es))
-	for _, e := range es {
-		out[e.Site] = e.Count
-	}
-	return out
 }

@@ -1,10 +1,11 @@
 // Package site implements one DvP site: the single place a
 // transaction executes (§2's conclusion), holding its quota store,
-// stable log, lock table, Vm channels and concurrency control.
+// stable log, per-item state, Vm channels and concurrency control.
 //
 // A Site is built from substrates that outlive crashes (wal.Log,
 // store.Durable, the network attachment) and volatile state that does
-// not (locks, waiters, Vm manager, Lamport clock). Crash discards the
+// not (the per-item state — locks, waiters, parked Vm, flow vectors,
+// demand — the Vm manager, the Lamport clock). Crash discards the
 // volatile state; Restart rebuilds it from the log via
 // internal/recovery and resumes — with no communication, per §7.
 //
@@ -17,12 +18,12 @@
 //   - durability (admission.go): commitDurably / vmCreateDurably /
 //     vmAcceptLocked are the only places normal processing reaches
 //     the stable log; Run and every handler share them.
-//   - waiters (waiters.go): a sharded-by-TxnID table with per-shard
-//     locks; registering, waking and failing waiters never meets a
-//     site-wide lock.
+//   - item state (item.go): one itemState per item — no-wait lock
+//     holder, the holder's parked waiter, flow vector, demand cell,
+//     parked Vm — in one map per stripe, guarded by that stripe and
+//     nothing else; store.Durable stays the durable half.
 //   - router (router.go, inbound_*.go, retransmit.go): per-kind
-//     message handlers touching only stripes, waiter shards and
-//     atomics.
+//     message handlers touching only stripes, item state and atomics.
 //   - lifecycle (lifecycle.go): s.mu is demoted to Start / Crash /
 //     Restart / epoch transitions — the per-txn commit path and the
 //     per-message handler path never acquire it (check.sh greps for
@@ -38,11 +39,11 @@ import (
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
-	"dvp/internal/lock"
 	"dvp/internal/obs"
 	"dvp/internal/recovery"
 	"dvp/internal/store"
 	"dvp/internal/tstamp"
+	"dvp/internal/txn"
 	"dvp/internal/vclock"
 	"dvp/internal/vmsg"
 	"dvp/internal/wal"
@@ -89,10 +90,6 @@ type Config struct {
 	// §6.2 correctness argument needs whole-site arrival-order
 	// processing, not merely per-item order.
 	AdmissionStripes int
-	// WaiterShards shards the waiter table (transactions parked in §5
-	// step 3) by TxnID, so registering, waking and crash-failing
-	// waiters contend per shard instead of site-wide (default 16).
-	WaiterShards int
 	// CheckpointEveryBytes and CheckpointEveryRecords arm the
 	// automatic checkpointer: once the log has grown past either
 	// threshold since the last checkpoint, a background goroutine
@@ -152,7 +149,7 @@ type CommitInfo struct {
 	CommitLSN uint64
 	// WriterIdx gives, per written item, this transaction's local
 	// writer index at its site; ReadVec gives, per fully-read item,
-	// the observation vector (see flowClocks). Together they drive
+	// the observation vector (see FlowVec). Together they drive
 	// the exact serializability checker.
 	WriterIdx map[ident.ItemID]uint64
 	ReadVec   map[ident.ItemID]FlowVec
@@ -173,7 +170,8 @@ type RdsInfo struct {
 	Delta core.Value
 }
 
-// Stats counts site-level events. Snapshot with Site.Stats.
+// Stats counts site-level events. Snapshot with Site.Stats, which
+// reads the metric counters the commit paths and handlers bump.
 type Stats struct {
 	Committed         uint64
 	AbortLockConflict uint64
@@ -187,26 +185,6 @@ type Stats struct {
 	VmAccepted        uint64
 	VmDuplicates      uint64
 	Retransmissions   uint64
-}
-
-// statCounters is the hot-path form of Stats: one atomic per counter,
-// bumped by the commit paths and message handlers without any
-// site-wide lock. Stats() folds them into the exported snapshot. At a
-// quiescent point (no handler or commit mid-flight) the snapshot is
-// exact, which is all the harness audits need.
-type statCounters struct {
-	committed         atomic.Uint64
-	abortLockConflict atomic.Uint64
-	abortCCRejected   atomic.Uint64
-	abortTimeout      atomic.Uint64
-	abortSiteDown     atomic.Uint64
-	requestsSent      atomic.Uint64
-	requestsHonored   atomic.Uint64
-	requestsDeclined  atomic.Uint64
-	vmCreated         atomic.Uint64
-	vmAccepted        atomic.Uint64
-	vmDuplicates      atomic.Uint64
-	retransmissions   atomic.Uint64
 }
 
 // Site is one DvP site. Run executes transactions; the network
@@ -230,15 +208,12 @@ type Site struct {
 	// only per-item order. Lock order: lifeMu.RLock ≺ stripe ≺
 	// ckptMu.RLock (acquire a stripe only when not yet holding a
 	// later-ordered lock; multiple stripes in ascending index order).
+	// items[i] holds the volatile state of the items that map to
+	// stripes[i] and is guarded by it (item.go).
 	stripes []sync.Mutex
+	items   []map[ident.ItemID]*itemState
 	lamport *tstamp.Clock
-	locks   *lock.NoWait
 	vm      *vmsg.Manager
-	flow    *flowClocks
-
-	// waiterTab is the waiter-table layer: transactions parked in §5
-	// step 3, sharded by TxnID (see waiters.go).
-	waiterTab *waiterTable
 
 	// ckptMu fences Checkpoint against every append+apply pair: the
 	// mutating paths (commit, Vm create/accept) hold the read side
@@ -269,32 +244,17 @@ type Site struct {
 	// atomic against Crash's fence.
 	epochUp atomic.Uint64
 
-	// stats are the site's event counters — all atomics, never behind
-	// a lock (see statCounters).
-	stats statCounters
-
 	// askCursor rotates the starting peer for narrow-fanout asks.
 	askCursor atomic.Uint64
 
-	// demand is the demand-driven rebalancer's state: local EWMA
-	// demand per item plus the freshest advert from each peer. Always
+	// demand holds the freshest demand advert from each peer (the
+	// local per-item demand cells live in the items' state). Always
 	// non-nil; the rebalancer goroutine itself runs only when
 	// cfg.Rebalance.Enabled. rebalPaused gates ticks without stopping
 	// the goroutine and deliberately survives Crash/Restart (harness
 	// barriers rely on that while they crash-cycle sites).
 	demand      *demandTracker
 	rebalPaused atomic.Bool
-
-	// deferredVm parks inbound Vm that found their item locked. §4.2
-	// allows dropping them ("it will eventually be sent again anyway"),
-	// but a site whose item is locked back-to-back — a skewed site
-	// running one deficit transaction after another — would then starve
-	// inbound credits for many retransmit intervals. Parked Vm are
-	// redelivered the moment the locking transaction releases, bounding
-	// the wait by the lock hold time. Volatile: cleared on crash, the
-	// sender's retransmission re-covers anything lost.
-	defMu      sync.Mutex
-	deferredVm map[ident.ItemID][]deferredVm
 
 	// Automatic checkpointer state: bytes/records appended since the
 	// last checkpoint (bumped by logAppend), a one-slot kick channel
@@ -368,27 +328,23 @@ func New(cfg Config) (*Site, error) {
 	if cfg.CC.Scheme() == cc.Conc2 {
 		cfg.AdmissionStripes = 1
 	}
-	if cfg.WaiterShards <= 0 {
-		cfg.WaiterShards = defaultWaiterShards
-	}
 	cfg.Rebalance = cfg.Rebalance.withDefaults()
 	s := &Site{
-		cfg:        cfg,
-		policy:     cfg.CC,
-		grant:      cfg.Grant,
-		stripes:    make([]sync.Mutex, cfg.AdmissionStripes),
-		waiterTab:  newWaiterTable(cfg.WaiterShards),
-		deferredVm: make(map[ident.ItemID][]deferredVm),
-		lamport:    tstamp.NewClock(cfg.ID),
-		locks:      lock.NewNoWait(),
-		vm:         vmsg.NewManager(),
-		flow:       newFlowClocks(),
-		ckptKick:   make(chan struct{}, 1),
-		failed:     make(chan struct{}),
+		cfg:      cfg,
+		policy:   cfg.CC,
+		grant:    cfg.Grant,
+		stripes:  make([]sync.Mutex, cfg.AdmissionStripes),
+		items:    make([]map[ident.ItemID]*itemState, cfg.AdmissionStripes),
+		lamport:  tstamp.NewClock(cfg.ID),
+		vm:       vmsg.NewManager(),
+		demand:   newDemandTracker(cfg.Rebalance),
+		ckptKick: make(chan struct{}, 1),
+		failed:   make(chan struct{}),
 	}
-	s.demand = newDemandTracker(s.cfg.Rebalance)
+	for i := range s.items {
+		s.items[i] = make(map[ident.ItemID]*itemState)
+	}
 	s.initObs()
-	s.demand.instrument(s.cfg.Metrics, s.obsm.site, s.cfg.Clock)
 	if s.obsm.ring != nil {
 		// Ack retirement completes a Vm's lifespan: record the
 		// piggyback hop as a span parented on the context the Vm
@@ -416,39 +372,38 @@ func (s *Site) newSpan() uint64 {
 	return uint64(s.cfg.ID)<<40 | s.spanCtr.Add(1)
 }
 
-// parkedCredits counts currently parked inbound Vm (the deferVm gate),
-// exposed as the dvp_rebalance_parked_credits gauge.
-func (s *Site) parkedCredits() int {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	n := 0
-	for _, q := range s.deferredVm {
-		n += len(q)
-	}
-	return n
-}
-
 // ID returns the site's identity.
 func (s *Site) ID() ident.SiteID { return s.cfg.ID }
 
-// Stats returns a snapshot of the site's counters. Every counter is an
-// atomic; no lock is involved, so the snapshot is exact whenever the
-// site is quiescent and merely consistent-per-counter under load.
+// Stats returns a snapshot of the site's counters, read from the
+// metric handles the commit paths and handlers bump (with no registry
+// configured they are working orphans, so the snapshot is the same).
+// Every counter is an atomic; no lock is involved, so the snapshot is
+// exact whenever the site is quiescent and merely consistent-per-counter
+// under load.
 func (s *Site) Stats() Stats {
-	return Stats{
-		Committed:         s.stats.committed.Load(),
-		AbortLockConflict: s.stats.abortLockConflict.Load(),
-		AbortCCRejected:   s.stats.abortCCRejected.Load(),
-		AbortTimeout:      s.stats.abortTimeout.Load(),
-		AbortSiteDown:     s.stats.abortSiteDown.Load(),
-		RequestsSent:      s.stats.requestsSent.Load(),
-		RequestsHonored:   s.stats.requestsHonored.Load(),
-		RequestsDeclined:  s.stats.requestsDeclined.Load(),
-		VmCreated:         s.stats.vmCreated.Load(),
-		VmAccepted:        s.stats.vmAccepted.Load(),
-		VmDuplicates:      s.stats.vmDuplicates.Load(),
-		Retransmissions:   s.stats.retransmissions.Load(),
+	o := &s.obsm
+	st := Stats{
+		Committed:         o.outcomes[txn.StatusCommitted].Value(),
+		AbortLockConflict: o.outcomes[txn.StatusLockConflict].Value(),
+		AbortCCRejected:   o.outcomes[txn.StatusCCRejected].Value(),
+		AbortTimeout:      o.outcomes[txn.StatusTimeout].Value(),
+		AbortSiteDown:     o.outcomes[txn.StatusSiteDown].Value(),
+		Retransmissions:   o.retx.Value(),
 	}
+	addPeer := func(po *peerObs) {
+		st.RequestsSent += po.asksSent.Value()
+		st.RequestsHonored += po.honored.Value()
+		st.RequestsDeclined += po.declined.Value()
+		st.VmCreated += po.vmCreated.Value()
+		st.VmAccepted += po.vmAccepted.Value()
+		st.VmDuplicates += po.vmDups.Value()
+	}
+	for _, po := range o.peers {
+		addPeer(po)
+	}
+	addPeer(o.orphan)
+	return st
 }
 
 // DB exposes the durable store (monitors, conservation checks).
