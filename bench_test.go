@@ -484,17 +484,13 @@ func buildRecoveryLog(b *testing.B, n, ckptSuffix int) *wal.MemLog {
 }
 
 // BenchmarkRecover measures restart time (the R1 experiment). full/*
-// replays the whole history serially, so restart time grows with the
-// log; checkpointed/* starts from a
-// checkpoint with a fixed 2000-record suffix, so restart time is flat
-// in total history length. parallel/* replays a 100k-record suffix at
-// increasing worker counts — the acceptance number is >=2x at 8
-// workers over 1.
+// replays the whole history, so restart time grows with the log;
+// checkpointed/* starts from a checkpoint with a fixed 2000-record
+// suffix, so restart time is flat in total history length.
 func BenchmarkRecover(b *testing.B) {
-	recoverOnce := func(b *testing.B, l *wal.MemLog, workers int) {
+	recoverOnce := func(b *testing.B, l *wal.MemLog) {
 		b.Helper()
-		sum, err := recovery.RecoverOpts(l, store.New(), vmsg.NewManager(), tstamp.NewClock(1),
-			recovery.Options{Workers: workers})
+		sum, err := recovery.Recover(l, store.New(), vmsg.NewManager(), tstamp.NewClock(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -508,24 +504,14 @@ func BenchmarkRecover(b *testing.B) {
 			l := buildRecoveryLog(b, n, 0)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recoverOnce(b, l, 1)
+				recoverOnce(b, l)
 			}
 		})
 		b.Run(fmt.Sprintf("checkpointed/records=%d", n), func(b *testing.B) {
 			l := buildRecoveryLog(b, n, 2000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				recoverOnce(b, l, 1)
-			}
-		})
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		w := w
-		b.Run(fmt.Sprintf("parallel/records=100000/workers=%d", w), func(b *testing.B) {
-			l := buildRecoveryLog(b, 100_000, 0)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recoverOnce(b, l, w)
+				recoverOnce(b, l)
 			}
 		})
 	}

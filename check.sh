@@ -61,6 +61,46 @@ if grep -n '"dvp/internal/lock"' internal/site/*.go | grep -v '_test\.go:'; then
 fi
 echo "site-mutex gate: s.mu confined to lifecycle.go, 9 allow-listed mutexes, no lock table"
 
+# Option gate. Every independently settable value doubles the
+# configurations tests and benchmarks must cover, so the option
+# surfaces carry ceilings (exported field names per Config struct,
+# flag declarations in dvpnode) — a new one has to remove one — and the
+# options and second paths the knob audit deleted (parallel replay, the
+# pre-hardening transport, the batch fallback, the byte checkpoint
+# trigger) may not come back under their old names.
+count_fields() { # file, struct type: exported field names, comma lists counted per name
+	awk -v t="$2" '
+		$0 ~ "^type " t " struct {" { in_s = 1; next }
+		in_s && /^}/ { exit }
+		in_s && match($0, /^\t[A-Z][A-Za-z0-9]*(, [A-Z][A-Za-z0-9]*)* /) {
+			names = substr($0, RSTART, RLENGTH)
+			c += gsub(/,/, ",", names) + 1
+		}
+		END { print c + 0 }' "$1"
+}
+check_options() { # label, count, ceiling
+	if [ "$2" -gt "$3" ]; then
+		echo "option gate: $1 has $2 options, ceiling $3 (remove one before adding one)" >&2
+		exit 1
+	fi
+}
+n_dvp=$(count_fields dvp.go Config)
+n_site=$(count_fields internal/site/site.go Config)
+n_rebal=$(count_fields internal/site/demand.go RebalanceConfig)
+n_tcp=$(count_fields internal/tcpnet/tcpnet.go Config)
+n_flags=$(grep -c '^[[:space:]]*fs\.[A-Za-z0-9]*Var(' cmd/dvpnode/main.go || true)
+check_options dvp.Config "$n_dvp" 22
+check_options site.Config "$n_site" 17
+check_options site.RebalanceConfig "$n_rebal" 7
+check_options tcpnet.Config "$n_tcp" 10
+check_options 'cmd/dvpnode flags' "$n_flags" 14
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax'
+if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
+	echo "option gate: a deleted option or path is named again (see above)" >&2
+	exit 1
+fi
+echo "option gate: dvp.Config $n_dvp/22, site.Config $n_site/17, RebalanceConfig $n_rebal/7, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
+
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
 # descend into: vet and build it here so that an internal/ API change
@@ -78,15 +118,16 @@ go test -race -shuffle=on ./...
 go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces' ./internal/site
 
 # Dead-peer regression: the dial-rate bound against a closed port must
-# hold under race. This is the PR-9 storm fix's dedicated gate — the
-# legacy half of the test proves the regression is detectable (≥50
-# dials unthrottled), the hardened half bounds it (≤25).
+# hold under race. This is the PR-9 storm fix's dedicated gate — 500
+# sends toward a dead peer in 500 ms may cost at most 25 dials, a bound
+# a writer that dials once per frame cannot meet.
 go test -race -run 'TestDeadPeerDialRateBounded' -count=1 ./internal/tcpnet
 
 # Bench smoke: one iteration of the perf-bearing benchmarks, so the
-# group-commit, Vm, write-only, tracing-overhead and recovery pipelines
-# stay runnable under `go test -bench` without paying full measurement
-# time. -benchmem keeps allocs/op visible wherever these run.
+# group-commit, Vm, write-only, tracing-overhead and recovery (full/*
+# and checkpointed/* rows) benches stay runnable under `go test -bench`
+# without paying full measurement time. -benchmem keeps allocs/op
+# visible wherever these run.
 go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWriteOnly|BenchmarkMixedCommitParallel|BenchmarkVmThroughput|BenchmarkRecover' -benchtime=1x -benchmem .
 
 # Allocation-regression gate: a local write-only commit (8 committers,

@@ -70,7 +70,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.peers = append(c.peers, ident.SiteID(i))
 	}
 	for i := 1; i <= cfg.Sites; i++ {
-		var log wal.Log
+		var dev wal.Device
 		if cfg.FileLogDir != "" {
 			fl, err := wal.OpenFileLog(
 				filepath.Join(cfg.FileLogDir, fmt.Sprintf("site%d.wal", i)),
@@ -78,19 +78,17 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			log = fl
+			dev = fl
 		} else {
-			log = wal.NewMemLog()
+			dev = wal.NewMemLog()
 		}
 		// A site's log is one device: simulated forces serialize, so
 		// commit cost under concurrency is realistic (and group commit
 		// has the same per-flush win the real fsync path shows).
-		log = wal.NewSlowDevice(log, cfg.LogAppendDelay, nil)
+		dev = wal.NewSlowDevice(dev, cfg.LogAppendDelay, nil)
+		var log wal.Log = dev
 		if cfg.GroupCommit {
-			gl := wal.NewGroupLog(log, wal.GroupCommitOptions{
-				MaxBatch: cfg.GroupCommitMaxBatch,
-				Linger:   cfg.GroupCommitLinger,
-			})
+			gl := wal.NewGroupLog(dev, wal.GroupCommitOptions{Linger: cfg.GroupCommitLinger})
 			gl.Instrument(c.reg, "site", ident.SiteID(i).String())
 			gl.SetFlight(flight, ident.SiteID(i).String())
 			log = gl
@@ -105,12 +103,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			CC:                     cc.New(cfg.CC),
 			Grant:                  cfg.Grant,
 			RetransmitEvery:        cfg.RetransmitEvery,
-			RetransmitMax:          cfg.RetransmitMax,
 			DefaultTimeout:         cfg.DefaultTimeout,
-			AdmissionStripes:       cfg.AdmissionStripes,
-			CheckpointEveryBytes:   cfg.CheckpointEveryBytes,
 			CheckpointEveryRecords: cfg.CheckpointEveryRecords,
-			RecoveryWorkers:        cfg.RecoveryWorkers,
 			Metrics:                c.reg,
 			Trace:                  c.traces,
 			Flight:                 c.flight,
@@ -254,9 +248,6 @@ func (c *Cluster) SetLoss(p float64) { c.net.SetLoss(p) }
 // SetDup adjusts the message-duplication probability at runtime.
 func (c *Cluster) SetDup(p float64) { c.net.SetDup(p) }
 
-// SetDelay adjusts the simulated propagation-delay bounds at runtime.
-func (c *Cluster) SetDelay(min, max time.Duration) { c.net.SetDelayBounds(min, max) }
-
 // Crash kills site i: volatile state is lost; log and store survive.
 // In-progress transactions at the site abort with SiteDown.
 func (c *Cluster) Crash(i int) { c.checkSite(i).Crash() }
@@ -354,7 +345,6 @@ type RecoverySummary struct {
 	RecordsScanned     int
 	ActionsRedone      int
 	VmRestored         int
-	Workers            int
 	Elapsed            time.Duration
 	NetworkCalls       int
 }
@@ -368,7 +358,6 @@ func (c *Cluster) LastRecovery(i int) RecoverySummary {
 		RecordsScanned:     r.RecordsScanned,
 		ActionsRedone:      r.ActionsRedone,
 		VmRestored:         r.VmRestored,
-		Workers:            r.Workers,
 		Elapsed:            r.Elapsed,
 		NetworkCalls:       r.NetworkCalls,
 	}

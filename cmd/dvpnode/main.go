@@ -44,73 +44,92 @@ import (
 	"dvp/internal/wal"
 )
 
-func main() {
-	var (
-		siteID   = flag.Int("site", 0, "this site's id (1-based, required)")
-		listen   = flag.String("listen", "", "peer-protocol listen address (required)")
-		ctlAddr  = flag.String("ctl", "", "control-port listen address (required)")
-		peersArg = flag.String("peers", "", "comma list id=addr covering every site (required)")
-		walPath  = flag.String("wal", "", "stable log file (required)")
-		creates  = flag.String("create", "", "comma list item=localshare installed if absent")
-		scheme   = flag.String("cc", "conc1", "concurrency control: conc1 or conc2")
-		timeout  = flag.Duration("timeout", 250*time.Millisecond, "default transaction timeout")
-		sync     = flag.Bool("sync", false, "fsync the WAL on every force-write")
-		groupCmt = flag.Bool("group-commit", false, "batch concurrent WAL appends into single force-writes")
-		groupMax = flag.Int("group-batch", 0, "max records per group-commit flush (0 = default 128)")
-		groupLng = flag.Duration("group-linger", 0, "group-commit linger: wait this long for more committers before flushing")
-		stripes  = flag.Int("stripes", 0, "admission stripes sharding the per-item critical section (0 = default 16, at most 64; forced to 1 under conc2)")
-		ckptIv   = flag.Duration("checkpoint", 0, "write a checkpoint record on this interval (0 disables)")
-		ckptByte = flag.Int64("checkpoint-bytes", 0, "auto-checkpoint once this many WAL payload bytes accumulate since the last checkpoint (0 disables)")
-		ckptRecs = flag.Int("checkpoint-records", 0, "auto-checkpoint once this many WAL records accumulate since the last checkpoint (0 disables)")
-		recWkrs  = flag.Int("recovery-workers", 0, "parallel WAL-replay workers at startup recovery (<=1 replays serially)")
-		metricsL = flag.String("metrics", "", "HTTP listen address serving /metrics, /traces, /flight, /healthz and /debug/pprof (optional)")
-		traceCap = flag.Int("trace-buf", 1024, "transaction trace ring capacity")
-		flightCp = flag.Int("flight-buf", 1024, "flight recorder capacity (0 disables)")
-		rebal    = flag.Bool("rebalance", false, "run the demand-driven rebalancer: gossip per-item demand to peers and ship surplus quota toward observed deficits")
-		rebalIv  = flag.Duration("rebalance-interval", 0, "rebalancer tick interval, jittered per tick (0 = default 50ms)")
-		rebalMin = flag.Duration("rebalance-cooldown", 0, "minimum gap between transfers of the same item (0 = default 2×interval)")
-		rebalAmt = flag.Int64("rebalance-min", 0, "smallest surplus/deficit worth a transfer (0 = default 4)")
-		retxIv   = flag.Duration("retransmit", 25*time.Millisecond, "Vm retransmission base interval")
-		retxMax  = flag.Duration("retransmit-max", 0, "cap on the adaptive per-peer retransmission backoff (0 = 8× -retransmit)")
-		dialBo   = flag.Duration("dial-backoff", 0, "first redial delay after a failed dial toward a peer, doubling with jitter (0 = default 25ms)")
-		dialBoMx = flag.Duration("dial-backoff-max", 0, "redial backoff cap (0 = default 2s)")
-		downAft  = flag.Int("peer-down-after", 0, "consecutive failures before a peer is marked down and probed half-open (0 = default 3)")
-	)
-	flag.Parse()
-	if *siteID <= 0 || *listen == "" || *ctlAddr == "" || *peersArg == "" || *walPath == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
+// traceBuf and flightBuf size the process's transaction trace ring and
+// flight recorder.
+const (
+	traceBuf  = 1024
+	flightBuf = 1024
+)
 
-	peers, addrs, err := parsePeers(*peersArg)
-	if err != nil {
-		log.Fatalf("bad -peers: %v", err)
+// options holds the parsed command line.
+type options struct {
+	site        int
+	listen      string
+	ctl         string
+	peers       string
+	wal         string
+	create      string
+	cc          string
+	timeout     time.Duration
+	sync        bool
+	groupCommit bool
+	ckptRecords int
+	metrics     string
+	rebalance   bool
+	retransmit  time.Duration
+}
+
+// defineFlags declares every dvpnode flag on fs. main_test.go pins the
+// set by name: a new flag has to edit the test.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.IntVar(&o.site, "site", 0, "this site's id (1-based, required)")
+	fs.StringVar(&o.listen, "listen", "", "peer-protocol listen address (required)")
+	fs.StringVar(&o.ctl, "ctl", "", "control-port listen address (required)")
+	fs.StringVar(&o.peers, "peers", "", "comma list id=addr covering every site (required)")
+	fs.StringVar(&o.wal, "wal", "", "stable log file (required)")
+	fs.StringVar(&o.create, "create", "", "comma list item=localshare installed if absent")
+	fs.StringVar(&o.cc, "cc", "conc1", "concurrency control: conc1 or conc2 (every site must run the same scheme)")
+	fs.DurationVar(&o.timeout, "timeout", 250*time.Millisecond, "default transaction timeout")
+	fs.BoolVar(&o.sync, "sync", false, "fsync the WAL on every force-write")
+	fs.BoolVar(&o.groupCommit, "group-commit", false, "batch concurrent WAL appends into single force-writes")
+	fs.IntVar(&o.ckptRecords, "checkpoint-records", 0, "auto-checkpoint once this many WAL records accumulate since the last checkpoint (0 disables)")
+	fs.StringVar(&o.metrics, "metrics", "", "HTTP listen address serving /metrics, /traces, /flight, /healthz and /debug/pprof (optional)")
+	fs.BoolVar(&o.rebalance, "rebalance", false, "run the demand-driven rebalancer: gossip per-item demand to peers and ship surplus quota toward observed deficits")
+	fs.DurationVar(&o.retransmit, "retransmit", 25*time.Millisecond, "Vm retransmission base interval (backoff toward a silent peer doubles up to 8x)")
+	return o
+}
+
+// usageExit reports a bad command line and exits 2.
+func usageExit(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "dvpnode: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
+func main() {
+	o := defineFlags(flag.CommandLine)
+	flag.Parse()
+	if o.site <= 0 || o.listen == "" || o.ctl == "" || o.peers == "" || o.wal == "" {
+		usageExit("-site, -listen, -ctl, -peers and -wal are required")
 	}
-	self := ident.SiteID(*siteID)
+	peers, addrs, err := parsePeers(o.peers)
+	if err != nil {
+		usageExit("bad -peers: %v", err)
+	}
+	self := ident.SiteID(o.site)
 	if _, ok := addrs[self]; !ok {
-		log.Fatalf("-peers must include this site (%d)", *siteID)
+		usageExit("-peers must include this site (%d)", o.site)
+	}
+	scheme, err := parseScheme(o.cc)
+	if err != nil {
+		usageExit("bad -cc: %v", err)
 	}
 
 	// Observability: one registry + trace ring + flight recorder for
 	// the whole process.
 	reg := obs.NewRegistry()
-	traces := obs.NewRing(*traceCap)
-	var flight *obs.Flight
-	if *flightCp > 0 {
-		flight = obs.NewFlight(*flightCp)
-	}
+	traces := obs.NewRing(traceBuf)
+	flight := obs.NewFlight(flightBuf)
 
-	logFile, err := wal.OpenFileLog(*walPath, wal.FileLogOptions{Sync: *sync})
+	logFile, err := wal.OpenFileLog(o.wal, wal.FileLogOptions{Sync: o.sync})
 	if err != nil {
 		log.Fatal(err)
 	}
 	logFile.Instrument(reg, "site", self.String())
 	var siteLog wal.Log = logFile
-	if *groupCmt {
-		gl := wal.NewGroupLog(logFile, wal.GroupCommitOptions{
-			MaxBatch: *groupMax,
-			Linger:   *groupLng,
-		})
+	if o.groupCommit {
+		gl := wal.NewGroupLog(logFile, wal.GroupCommitOptions{})
 		gl.Instrument(reg, "site", self.String())
 		gl.SetFlight(flight, self.String())
 		siteLog = gl
@@ -118,57 +137,39 @@ func main() {
 	defer siteLog.Close()
 
 	ep, err := tcpnet.New(tcpnet.Config{
-		Site: self, Listen: *listen, Peers: addrs,
-		DialBackoffMin: *dialBo,
-		DialBackoffMax: *dialBoMx,
-		DownAfter:      *downAft,
-		Metrics:        reg,
-		Flight:         flight,
+		Site: self, Listen: o.listen, Peers: addrs,
+		Metrics: reg,
+		Flight:  flight,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer ep.Close()
 
-	ccPolicy := cc.New(cc.Conc1)
-	if strings.EqualFold(*scheme, "conc2") {
-		ccPolicy = cc.New(cc.Conc2)
-	}
-
 	db := store.New()
 	s, err := site.New(site.Config{
 		ID: self, Peers: peers,
 		Log: siteLog, DB: db,
 		Endpoint:               ep,
-		CC:                     ccPolicy,
-		DefaultTimeout:         *timeout,
-		RetransmitEvery:        *retxIv,
-		RetransmitMax:          *retxMax,
-		AdmissionStripes:       *stripes,
-		CheckpointEveryBytes:   *ckptByte,
-		CheckpointEveryRecords: *ckptRecs,
-		RecoveryWorkers:        *recWkrs,
+		CC:                     cc.New(scheme),
+		DefaultTimeout:         o.timeout,
+		RetransmitEvery:        o.retransmit,
+		CheckpointEveryRecords: o.ckptRecords,
 		Metrics:                reg,
 		Trace:                  traces,
 		Flight:                 flight,
-		Rebalance: site.RebalanceConfig{
-			Enabled:     *rebal,
-			Interval:    *rebalIv,
-			MinTransfer: core.Value(*rebalAmt),
-			Cooldown:    *rebalMin,
-			Seed:        int64(*siteID),
-		},
+		Rebalance:              site.RebalanceConfig{Enabled: o.rebalance, Seed: int64(o.site)},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	rec := s.LastRecovery()
-	log.Printf("site %v recovered in %s: checkpoint lsn %d (%d skipped), %d records scanned, %d actions redone, %d vm restored, %d workers",
+	log.Printf("site %v recovered in %s: checkpoint lsn %d (%d skipped), %d records scanned, %d actions redone, %d vm restored",
 		self, rec.Elapsed, rec.CheckpointLSN, rec.CheckpointsSkipped,
-		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored, rec.Workers)
+		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored)
 
-	if *creates != "" {
-		for _, kv := range strings.Split(*creates, ",") {
+	if o.create != "" {
+		for _, kv := range strings.Split(o.create, ",") {
 			item, share, err := parseCreate(kv)
 			if err != nil {
 				log.Fatalf("bad -create: %v", err)
@@ -196,25 +197,13 @@ func main() {
 	s.Start()
 	log.Printf("site %v serving peers on %s", self, ep.Addr())
 
-	if *ckptIv > 0 {
-		go func() {
-			ticker := time.NewTicker(*ckptIv)
-			defer ticker.Stop()
-			for range ticker.C {
-				if err := s.Checkpoint(); err != nil {
-					log.Printf("checkpoint: %v", err)
-				}
-			}
-		}()
-	}
-
 	ctlSrv := &ctl.Server{Site: s, DB: db, Metrics: reg, Traces: traces, Flight: flight}
-	if err := ctlSrv.Listen(*ctlAddr); err != nil {
+	if err := ctlSrv.Listen(o.ctl); err != nil {
 		log.Fatal(err)
 	}
 	log.Printf("control port on %s", ctlSrv.Addr())
 
-	if *metricsL != "" {
+	if o.metrics != "" {
 		mux := http.NewServeMux()
 		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -225,10 +214,6 @@ func main() {
 			_ = traces.DumpJSON(w, queryN(r, 100))
 		})
 		mux.HandleFunc("/flight", func(w http.ResponseWriter, r *http.Request) {
-			if flight == nil {
-				http.Error(w, "flight recorder disabled", http.StatusNotFound)
-				return
-			}
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = flight.WriteText(w, queryN(r, 200))
 		})
@@ -251,8 +236,8 @@ func main() {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("metrics endpoint on %s", *metricsL)
-			if err := http.ListenAndServe(*metricsL, mux); err != nil {
+			log.Printf("metrics endpoint on %s", o.metrics)
+			if err := http.ListenAndServe(o.metrics, mux); err != nil {
 				log.Printf("metrics endpoint: %v", err)
 			}
 		}()
@@ -283,7 +268,21 @@ func queryN(r *http.Request, def int) int {
 	return def
 }
 
-// parsePeers parses "1=host:port,2=host:port,...".
+// parseScheme maps -cc onto a concurrency scheme. An unknown name is
+// an error, not Conc1: §6.2's argument needs every site on the same
+// scheme, so a typo must not start a Conc1 site beside Conc2 peers.
+func parseScheme(name string) (cc.Scheme, error) {
+	switch strings.ToLower(name) {
+	case "conc1":
+		return cc.Conc1, nil
+	case "conc2":
+		return cc.Conc2, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want conc1 or conc2)", name)
+}
+
+// parsePeers parses "1=host:port,2=host:port,..."; a site id may
+// appear once.
 func parsePeers(arg string) ([]ident.SiteID, map[ident.SiteID]string, error) {
 	addrs := make(map[ident.SiteID]string)
 	var peers []ident.SiteID
@@ -295,6 +294,9 @@ func parsePeers(arg string) ([]ident.SiteID, map[ident.SiteID]string, error) {
 		id, err := strconv.Atoi(parts[0])
 		if err != nil || id <= 0 {
 			return nil, nil, fmt.Errorf("bad site id %q", parts[0])
+		}
+		if _, dup := addrs[ident.SiteID(id)]; dup {
+			return nil, nil, fmt.Errorf("site %d listed twice", id)
 		}
 		addrs[ident.SiteID(id)] = parts[1]
 		peers = append(peers, ident.SiteID(id))

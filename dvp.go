@@ -114,14 +114,10 @@ type Config struct {
 	// DefaultTimeout bounds transactions that don't set their own.
 	// Default 100ms.
 	DefaultTimeout time.Duration
-	// RetransmitEvery paces Vm retransmission. Default 15ms.
+	// RetransmitEvery paces Vm retransmission. Default 15ms. Sweeps
+	// toward an unresponsive peer double their gap from it up to 8×,
+	// and reset on the first cumulative ack that advances the channel.
 	RetransmitEvery time.Duration
-	// RetransmitMax caps the adaptive per-peer retransmission backoff:
-	// sweeps toward an unresponsive peer double their gap from
-	// RetransmitEvery up to this cap, and reset on the first
-	// cumulative ack that advances the channel. Default 8× the base
-	// interval.
-	RetransmitMax time.Duration
 
 	// Seed drives network fault sampling (0 means 1).
 	Seed int64
@@ -150,30 +146,18 @@ type Config struct {
 	// durable-LSN notification instead of each paying their own fsync.
 	// The Log contract is unchanged (Append returns ⇒ record stable).
 	GroupCommit bool
-	// GroupCommitMaxBatch bounds records per flush (default 128).
-	GroupCommitMaxBatch int
 	// GroupCommitLinger is how long the flusher waits after the first
 	// record of a batch for concurrent committers to join (default 0:
 	// flush immediately; arrivals during a flush still batch up).
 	GroupCommitLinger time.Duration
 
-	// AdmissionStripes shards each site's admission/message critical
-	// section by item so transactions on disjoint items admit
-	// concurrently (default 16, at most 64; forced to 1 under Conc2).
-	AdmissionStripes int
-
-	// CheckpointEveryBytes / CheckpointEveryRecords arm each site's
-	// automatic checkpointer: once the site's log has grown past
-	// either threshold since its last checkpoint, a background
-	// goroutine snapshots durable state into a checkpoint record and
-	// compacts the log behind it, keeping restart time bounded by the
-	// suffix. A zero threshold disables that trigger; with both zero,
-	// checkpoints happen only via Cluster.Checkpoint.
-	CheckpointEveryBytes   int64
+	// CheckpointEveryRecords arms each site's automatic checkpointer:
+	// once the site's log has grown by this many records since its
+	// last checkpoint, a background goroutine snapshots durable state
+	// into a checkpoint record and compacts the log behind it, keeping
+	// restart time bounded by the suffix. Zero means checkpoints
+	// happen only via Cluster.Checkpoint.
 	CheckpointEveryRecords int
-	// RecoveryWorkers is the parallel WAL-replay width each site uses
-	// when recovering from its log (≤1 replays serially).
-	RecoveryWorkers int
 
 	// TraceBuf sizes the cluster-wide causal-trace ring (0 = default
 	// 1024 spans; negative disables tracing entirely — no root spans,
@@ -242,7 +226,7 @@ type CommitInfo struct {
 
 // RebalanceOptions tunes the demand-driven rebalancer (see
 // site.RebalanceConfig for field semantics: Enabled, Interval,
-// MinTransfer, Cooldown, HalfLife, AdvertStale, Floor).
+// MinTransfer, Cooldown, HalfLife, AdvertStale, Seed).
 type RebalanceOptions = site.RebalanceConfig
 
 // Value is a quantity (Γ in the paper: non-negative int64).

@@ -22,11 +22,11 @@ const (
 	baseDup         = 0.02
 	maxDelay        = time.Millisecond
 	retransmitEvery = 4 * time.Millisecond
-	// retransmitMax caps the adaptive per-peer retransmission backoff;
-	// the peer-down outage bound below is stated in terms of it (one
-	// sweep per cap once backed off, against one per 4ms tick
-	// unthrottled).
-	retransmitMax = 32 * time.Millisecond
+	// retransmitMax is the site's cap on the adaptive per-peer
+	// retransmission backoff (8× the base interval); the peer-down
+	// outage bound below is stated in terms of it (one sweep per cap
+	// once backed off, against one per 4ms tick unthrottled).
+	retransmitMax = 8 * retransmitEvery
 	txnTimeout    = 25 * time.Millisecond
 	quiesceBound  = 5 * time.Second
 
@@ -197,7 +197,6 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		LossProb:        baseLoss,
 		DupProb:         baseDup,
 		RetransmitEvery: retransmitEvery,
-		RetransmitMax:   retransmitMax,
 		DefaultTimeout:  txnTimeout,
 		// Group commit is always on under chaos: every schedule crashes
 		// a site inside a flush window (EvCrashInFlush) and the
@@ -207,13 +206,12 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		// The flight recorder runs through every chaos run; its dump is
 		// the first artifact a violation produces (Report.FlightDump).
 		FlightBuf: 4096,
-		// Automatic checkpointing and parallel replay are part of the
-		// system under test: the checkpointer compacts logs behind the
-		// workload's back, and every crash-recovery cycle the schedule
-		// forces replays its suffix with striped workers. The barrier
-		// pauses the checkpointer only across its audits.
+		// Automatic checkpointing is part of the system under test:
+		// the checkpointer compacts logs behind the workload's back,
+		// and every crash-recovery cycle the schedule forces replays
+		// the suffix the way a deployed node does. The barrier pauses
+		// the checkpointer only across its audits.
 		CheckpointEveryRecords: 256,
-		RecoveryWorkers:        4,
 		// The demand rebalancer gossips adverts and ships surplus over
 		// the same faulty network the workload runs on; the barrier's
 		// anti-thrash invariant bounds its transfer volume once faults
@@ -225,7 +223,6 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 			Cooldown:    2 * rebalInterval,
 			HalfLife:    rebalHalfLife,
 			AdvertStale: 5 * rebalInterval,
-			Floor:       0.25,
 		},
 		OnCommit: func(ci dvp.CommitInfo) {
 			r.mu.Lock()

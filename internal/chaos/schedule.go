@@ -77,8 +77,8 @@ const (
 	// which need the full mesh — and instead check the outage bounds:
 	// every survivor's retransmission set toward the dead peer stays
 	// bounded, and its retransmission sweeps stay rate-bounded by the
-	// adaptive backoff (one sweep per RetransmitMax once backed off,
-	// not one per tick). The barrier that releases the site restarts
+	// adaptive backoff (one sweep per 8 ticks once backed off, not
+	// one per tick). The barrier that releases the site restarts
 	// it through full §7 recovery and the run's remaining barriers
 	// prove full catch-up.
 	EvPeerDown

@@ -133,9 +133,9 @@ func (c *Server) handle(args []string) string {
 			st.RequestsHonored, st.VmAccepted, st.Retransmissions)
 	case "RECOVERY":
 		r := c.Site.LastRecovery()
-		return fmt.Sprintf("OK checkpoint_lsn=%d checkpoints_skipped=%d records_scanned=%d actions_redone=%d vm_restored=%d workers=%d elapsed_us=%d network_calls=%d",
+		return fmt.Sprintf("OK checkpoint_lsn=%d checkpoints_skipped=%d records_scanned=%d actions_redone=%d vm_restored=%d elapsed_us=%d network_calls=%d",
 			r.CheckpointLSN, r.CheckpointsSkipped, r.RecordsScanned,
-			r.ActionsRedone, r.VmRestored, r.Workers,
+			r.ActionsRedone, r.VmRestored,
 			r.Elapsed.Microseconds(), r.NetworkCalls)
 	case "METRICS":
 		if c.Metrics == nil {

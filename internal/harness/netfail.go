@@ -27,48 +27,41 @@ const n1Sites = 4
 // model says a dead peer must cost the survivors nothing but the value
 // parked in flight toward it — not their own throughput. N1 runs four
 // DvP sites over loopback TCP, measures survivor throughput with all
-// peers up, then kills one site and measures again, in two network
-// configurations: hardened (the tcpnet peer state machine — dial
-// backoff with jitter, priority shedding, adaptive Vm retransmission)
-// and legacy (every queued frame redials the corpse, overflow drops
-// whatever arrives — the pre-hardening ablation). The headline numbers
-// are the throughput ratio and the dial-attempt count toward the dead
-// peer over the outage window.
+// peers up, then kills one site and measures again, on the tcpnet peer
+// state machine (dial backoff with jitter, priority shedding, adaptive
+// Vm retransmission). The headline numbers are the throughput ratio
+// and the dial-attempt count toward the dead peer over the outage
+// window; the pre-hardening transport's figures are history
+// (EXPERIMENTS N1 cites them from commit 0bd88bd).
 func expN1() Experiment {
 	return Experiment{
 		ID:    "N1",
-		Title: "Peer outage: survivor throughput and dial pressure, hardened vs legacy",
+		Title: "Peer outage: survivor throughput and dial pressure",
 		Claim: "§4.2: loss of messages is tolerated by the Vm mechanism — a dead peer should degrade only the value routed through it, not the survivors' local throughput.",
 		Run: func(o Options) (*Result, error) {
 			table := metrics.NewTable("N1 — 4 sites over loopback TCP, site 4 killed between windows",
 				"mode", "baseline-tps", "outage-tps", "ratio", "dials→dead", "drops")
 			baseline := time.Duration(o.scale(250, 3000)) * time.Millisecond
 			outage := time.Duration(o.scale(250, 10000)) * time.Millisecond
-			notes := []string{}
-			for _, mode := range []string{"hardened", "legacy"} {
-				r, err := runN1Mode(o, mode, baseline, outage)
-				if err != nil {
-					return nil, err
-				}
-				table.AddRow(mode, r.baseTPS, r.outTPS, r.ratio(), r.dials, r.drops)
-				notes = append(notes, fmt.Sprintf(
-					"%s: outage/baseline ratio %.2f (acceptance target ≥ 0.90 hardened), %d dial attempts toward the dead peer in %v",
-					mode, r.ratio(), r.dials, outage.Round(time.Millisecond)))
+			r, err := runN1(o, baseline, outage)
+			if err != nil {
+				return nil, err
 			}
-			notes = append(notes,
-				"the dial columns carry the mechanism: hardened, each survivor pays one",
-				"timed probe per backoff window (capped at 2s), so attempts stay rate-",
-				"bounded however long the outage runs; legacy redials once per queued",
-				"frame — adverts, requests and retransmissions each trigger a connect().",
-				"caveat: on loopback a refused connect is ~microseconds, so the legacy",
-				"throughput penalty here underestimates a real WAN (where each attempt",
-				"burns a dial timeout); the attempt counts are the portable signal.")
+			table.AddRow("hardened", r.baseTPS, r.outTPS, r.ratio(), r.dials, r.drops)
+			notes := []string{
+				fmt.Sprintf("outage/baseline ratio %.2f (acceptance target ≥ 0.90), %d dial attempts toward the dead peer in %v",
+					r.ratio(), r.dials, outage.Round(time.Millisecond)),
+				"the dial column carries the mechanism: each survivor pays one timed",
+				"probe per backoff window (capped at 2s), so attempts stay rate-bounded",
+				"however long the outage runs — adverts, requests and retransmissions",
+				"queue behind the held frame instead of each triggering a connect().",
+			}
 			return &Result{ID: "N1", Title: "peer-outage resilience", Table: table, Notes: notes}, nil
 		},
 	}
 }
 
-// n1Stats is one mode's measurement.
+// n1Stats is one run's measurement.
 type n1Stats struct {
 	baseTPS, outTPS float64
 	dials, drops    uint64
@@ -81,11 +74,10 @@ func (s n1Stats) ratio() float64 {
 	return s.outTPS / s.baseTPS
 }
 
-// runN1Mode builds a fresh 4-site cluster over real sockets in the
-// given network configuration, runs the baseline window at sites 1–3
-// (site 4 up and serving), kills site 4, and runs the outage window at
-// the same three survivors.
-func runN1Mode(o Options, mode string, baseline, outage time.Duration) (n1Stats, error) {
+// runN1 builds a fresh 4-site cluster over real sockets, runs the
+// baseline window at sites 1–3 (site 4 up and serving), kills site 4,
+// and runs the outage window at the same three survivors.
+func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 	reg := obs.NewRegistry()
 	peers := make([]ident.SiteID, n1Sites)
 	for i := range peers {
@@ -97,16 +89,11 @@ func runN1Mode(o Options, mode string, baseline, outage time.Duration) (n1Stats,
 	eps := make([]*tcpnet.Endpoint, n1Sites)
 	addrs := make(map[ident.SiteID]string, n1Sites)
 	for i := 0; i < n1Sites; i++ {
-		cfg := tcpnet.Config{
+		ep, err := tcpnet.New(tcpnet.Config{
 			Site:    ident.SiteID(i + 1),
 			Listen:  "127.0.0.1:0",
 			Metrics: reg,
-		}
-		if mode == "legacy" {
-			cfg.DialBackoffMin = -1 // pre-hardening: dial per frame
-			cfg.NoShedPriority = true
-		}
-		ep, err := tcpnet.New(cfg)
+		})
 		if err != nil {
 			return n1Stats{}, err
 		}

@@ -112,10 +112,10 @@ func TestRunN1Quick(t *testing.T) {
 	}
 	res := runQuick(t, "N1")
 	rows := res.Table.Rows()
-	if len(rows) != 2 {
-		t.Fatalf("N1 rows = %d, want 2 (hardened, legacy)", len(rows))
+	if len(rows) != 1 {
+		t.Fatalf("N1 rows = %d, want 1", len(rows))
 	}
-	// Both modes must actually commit through both windows; the mode
+	// The run must actually commit through both windows; the mode
 	// label is column 0, throughput columns 1–2.
 	for _, row := range rows {
 		for col := 1; col <= 2; col++ {

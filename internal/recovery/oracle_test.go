@@ -3,9 +3,9 @@ package recovery
 // The recovery-equivalence oracle: for randomized histories containing
 // checkpoints at arbitrary positions (including between a commit and
 // its applied marker, and between a Vm's creation and its acceptance),
-// recovering from the latest checkpoint plus the log suffix — at any
-// worker count — must produce state byte-identical to a serial scan of
-// the entire log that ignores checkpoints. The comparison is on the
+// recovering from the latest checkpoint plus the log suffix must
+// produce state byte-identical to a scan of the entire log that
+// ignores checkpoints. The comparison is on the
 // encoded checkpoint payload of the final state, which covers every
 // item's value, timestamp and applied-LSN, every Vm channel's cursors,
 // pending set and acceptance set, and the Lamport counter.
@@ -36,7 +36,7 @@ func snapshotBytes(db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock) []b
 }
 
 // histGen grows one randomized log history while mirroring every data
-// record into a live writer state — exactly the way serial replay
+// record into a live writer state — exactly the way replay
 // would — so the checkpoint records it interleaves are consistent cuts
 // by construction.
 type histGen struct {
@@ -67,8 +67,7 @@ func newHistGen(t *testing.T, seed int64) *histGen {
 		outSeq: make(map[ident.SiteID]uint64),
 		inSeq:  make(map[ident.SiteID]uint64),
 	}
-	// Enough distinct items that every worker count in the oracle sees
-	// several stripes with real contention on each.
+	// Enough distinct items that multi-item commits overlap.
 	n := 6 + g.rng.Intn(10)
 	for i := 0; i < n; i++ {
 		g.items = append(g.items, ident.ItemID(fmt.Sprintf("item/%d", i)))
@@ -77,20 +76,15 @@ func newHistGen(t *testing.T, seed int64) *histGen {
 }
 
 // appendData appends one data record and applies it to the writer
-// state through the same decode/apply/bookkeep path serial replay uses.
+// state through the same per-record redo replay uses.
 func (g *histGen) appendData(kind wal.RecordKind, payload []byte) uint64 {
 	lsn, err := g.log.Append(kind, payload)
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	d := decodeRecord(wal.Record{LSN: lsn, Kind: kind, Data: payload})
-	if d.err != nil {
-		g.t.Fatalf("generator produced an undecodable record: %v", d.err)
+	if err := redo(wal.Record{LSN: lsn, Kind: kind, Data: payload}, g.db, g.vm, g.clock, &g.sum); err != nil {
+		g.t.Fatalf("generator produced a record replay rejects: %v", err)
 	}
-	if _, err := g.db.ApplyAll(d.lsn, d.actions); err != nil {
-		g.t.Fatalf("generator action rejected: %v", err)
-	}
-	bookkeep(&d, g.vm, g.clock, &g.sum)
 	return lsn
 }
 
@@ -194,9 +188,8 @@ func (g *histGen) build() {
 	}
 }
 
-// TestRecoveryEquivalenceOracle holds the checkpoint-plus-suffix replay
-// paths, serial and parallel, to the full-log serial reference across
-// randomized histories.
+// TestRecoveryEquivalenceOracle holds checkpoint-plus-suffix recovery to
+// the full-log replay reference across randomized histories.
 func TestRecoveryEquivalenceOracle(t *testing.T) {
 	const histories = 60
 	for seed := int64(1); seed <= histories; seed++ {
@@ -206,11 +199,11 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			g := newHistGen(t, seed*911)
 			g.build()
 
-			// Reference: serial scan of the whole log, checkpoints
-			// ignored (replaySerial treats RecCheckpoint as a no-op).
+			// Reference: one scan of the whole log, checkpoints ignored
+			// (replay treats RecCheckpoint as a no-op).
 			refDB, refVM, refClock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
 			var refSum Summary
-			if err := replaySerial(g.log, refDB, refVM, refClock, 1, &refSum); err != nil {
+			if err := replay(g.log, refDB, refVM, refClock, 1, &refSum); err != nil {
 				t.Fatalf("reference replay: %v", err)
 			}
 			ref := snapshotBytes(refDB, refVM, refClock)
@@ -218,28 +211,23 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			// The generator's writer state must agree with its own
 			// history — a failure here is a bug in the oracle itself.
 			if got := snapshotBytes(g.db, g.vm, g.clock); !bytes.Equal(got, ref) {
-				t.Fatalf("generator state diverges from serial replay of its own log")
+				t.Fatalf("generator state diverges from replay of its own log")
 			}
 
-			for _, workers := range []int{1, 4, 8} {
-				db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
-				sum, err := RecoverOpts(g.log, db, vm, clock, Options{Workers: workers})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got := snapshotBytes(db, vm, clock); !bytes.Equal(got, ref) {
-					t.Errorf("workers=%d: recovered state differs from full-log serial replay\n  checkpoints=%d records=%d summary=%+v",
-						workers, g.checkpoints, g.log.LastLSN(), sum)
-				}
-				if sum.CheckpointLSN == 0 {
-					t.Errorf("workers=%d: checkpoint not used (history has %d)", workers, g.checkpoints)
-				}
-				if sum.NetworkCalls != 0 {
-					t.Errorf("workers=%d: recovery made network calls", workers)
-				}
-				if sum.Workers != workers {
-					t.Errorf("summary workers = %d, want %d", sum.Workers, workers)
-				}
+			db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
+			sum, err := Recover(g.log, db, vm, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := snapshotBytes(db, vm, clock); !bytes.Equal(got, ref) {
+				t.Errorf("recovered state differs from full-log replay\n  checkpoints=%d records=%d summary=%+v",
+					g.checkpoints, g.log.LastLSN(), sum)
+			}
+			if sum.CheckpointLSN == 0 {
+				t.Errorf("checkpoint not used (history has %d)", g.checkpoints)
+			}
+			if sum.NetworkCalls != 0 {
+				t.Errorf("recovery made network calls")
 			}
 		})
 	}
@@ -271,22 +259,19 @@ func TestRecoverFallsBackToEarlierCheckpoint(t *testing.T) {
 	}
 
 	ref := snapshotBytes(g.db, g.vm, g.clock)
-	for _, workers := range []int{1, 8} {
-		db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
-		sum, err := RecoverOpts(g.log, db, vm, clock, Options{Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if sum.CheckpointsSkipped != 1 {
-			t.Errorf("workers=%d: skipped = %d, want 1", workers, sum.CheckpointsSkipped)
-		}
-		if sum.CheckpointLSN != goodLSN {
-			t.Errorf("workers=%d: used checkpoint %d, want earlier valid %d",
-				workers, sum.CheckpointLSN, goodLSN)
-		}
-		if got := snapshotBytes(db, vm, clock); !bytes.Equal(got, ref) {
-			t.Errorf("workers=%d: fallback recovery diverged from writer state", workers)
-		}
+	db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
+	sum, err := Recover(g.log, db, vm, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.CheckpointsSkipped != 1 {
+		t.Errorf("skipped = %d, want 1", sum.CheckpointsSkipped)
+	}
+	if sum.CheckpointLSN != goodLSN {
+		t.Errorf("used checkpoint %d, want earlier valid %d", sum.CheckpointLSN, goodLSN)
+	}
+	if got := snapshotBytes(db, vm, clock); !bytes.Equal(got, ref) {
+		t.Errorf("fallback recovery diverged from writer state")
 	}
 }
 
@@ -311,7 +296,7 @@ func TestRecoverFallsBackToFullScan(t *testing.T) {
 	appendRec(wal.RecCheckpoint, []byte{})
 
 	db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
-	sum, err := RecoverOpts(l, db, vm, clock, Options{Workers: 4})
+	sum, err := Recover(l, db, vm, clock)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,50 +311,5 @@ func TestRecoverFallsBackToFullScan(t *testing.T) {
 	}
 	if clock.Current() != 5 {
 		t.Errorf("clock = %d, want 5", clock.Current())
-	}
-}
-
-// TestRecoverParallelRejectsCorruptRecord mirrors the serial corrupt-
-// record test on the parallel path: a suffix record that fails to
-// decode must surface as an error from every worker count, not a panic
-// or a partial silent replay.
-func TestRecoverParallelRejectsCorruptRecord(t *testing.T) {
-	for _, workers := range []int{2, 8} {
-		l := wal.NewMemLog()
-		ts := tstamp.Make(2, 1)
-		l.Append(wal.RecCommit, (&wal.CommitRec{
-			Txn: ts, Actions: []wal.Action{{Item: "x", Delta: 9, SetTS: ts}},
-		}).Encode())
-		l.Append(wal.RecCommit, []byte{0xFF}) // undecodable
-		_, err := RecoverOpts(l, store.New(), vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: workers})
-		if err == nil {
-			t.Errorf("workers=%d: corrupt record accepted", workers)
-		}
-	}
-}
-
-// TestRecoverParallelMoreWorkersThanRecords exercises the degenerate
-// shapes: empty suffix and fewer records than workers.
-func TestRecoverParallelMoreWorkersThanRecords(t *testing.T) {
-	sum, err := RecoverOpts(wal.NewMemLog(), store.New(), vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.RecordsScanned != 0 {
-		t.Errorf("summary = %+v", sum)
-	}
-
-	l := wal.NewMemLog()
-	ts := tstamp.Make(4, 1)
-	l.Append(wal.RecCommit, (&wal.CommitRec{
-		Txn: ts, Actions: []wal.Action{{Item: "only", Delta: 12, SetTS: ts}},
-	}).Encode())
-	db := store.New()
-	sum, err = RecoverOpts(l, db, vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Value("only") != 12 || sum.ActionsRedone != 1 {
-		t.Errorf("value=%d summary=%+v", db.Value("only"), sum)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"dvp/internal/core"
 	"dvp/internal/store"
 	"dvp/internal/tstamp"
 	"dvp/internal/vmsg"
@@ -261,28 +260,11 @@ func TestRebuildMatchesIncrementalRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoverParallelRejectsBaselineAndNegative drives the parallel
-// pipeline's fatal-error paths: a baseline record stops the walk
-// mid-chunk (the prefix before it still replays), and an action that
-// would drive a quota negative poisons the stripe scratches so the
-// store keeps its pre-replay image.
-func TestRecoverParallelRejectsBaselineAndNegative(t *testing.T) {
-	t.Run("baseline", func(t *testing.T) {
-		l := wal.NewMemLog()
-		l.Append(wal.RecCommit, (&wal.CommitRec{
-			Txn:     tstamp.Make(1, 1),
-			Actions: []wal.Action{{Item: "x", Delta: 9, SetTS: tstamp.Make(1, 1)}},
-		}).Encode())
-		l.Append(wal.RecPrepare, (&wal.PrepareRec{Txn: tstamp.Make(2, 1)}).Encode())
-		db := store.New()
-		_, err := RecoverOpts(l, db, vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: 4})
-		if err == nil || !strings.Contains(err.Error(), "baseline") {
-			t.Fatalf("baseline record accepted by parallel replay: %v", err)
-		}
-		if got := db.Value("x"); got != 9 {
-			t.Errorf("prefix before baseline record not replayed: x = %d, want 9", got)
-		}
-	})
+// TestRecoverRejectsNegativeAndUnknownKind drives replay's other two
+// fatal-error paths: an action that would drive a quota negative and a
+// record kind the codec does not know both fail recovery, and the
+// rejected action leaves the store untouched.
+func TestRecoverRejectsNegativeAndUnknownKind(t *testing.T) {
 	t.Run("negative", func(t *testing.T) {
 		l := wal.NewMemLog()
 		l.Append(wal.RecCommit, (&wal.CommitRec{
@@ -290,76 +272,20 @@ func TestRecoverParallelRejectsBaselineAndNegative(t *testing.T) {
 			Actions: []wal.Action{{Item: "x", Delta: -5, SetTS: tstamp.Make(1, 1)}},
 		}).Encode())
 		db := store.New()
-		_, err := RecoverOpts(l, db, vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: 4})
+		_, err := Recover(l, db, vmsg.NewManager(), tstamp.NewClock(1))
 		if err == nil || !strings.Contains(err.Error(), "negative") {
-			t.Fatalf("negative apply accepted by parallel replay: %v", err)
+			t.Fatalf("negative apply accepted by replay: %v", err)
 		}
 		if got := db.Value("x"); got != 0 {
-			t.Errorf("poisoned scratch installed anyway: x = %d", got)
+			t.Errorf("rejected action applied anyway: x = %d", got)
 		}
 	})
 	t.Run("unknown-kind", func(t *testing.T) {
 		l := wal.NewMemLog()
 		l.Append(wal.RecordKind(250), nil)
-		for _, workers := range []int{1, 4} {
-			_, err := RecoverOpts(l, store.New(), vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: workers})
-			if err == nil || !strings.Contains(err.Error(), "unknown") {
-				t.Errorf("workers=%d: unknown record kind accepted: %v", workers, err)
-			}
-		}
-	})
-}
-
-// TestRecoverParallelMultiChunk pushes the suffix past one pipeline
-// chunk so the arena and stripe-run buffers are reused, and plants a
-// corrupt record deep in the second chunk: every record before it must
-// replay, the error must still surface, and a clean multi-chunk log
-// must agree with serial replay exactly.
-func TestRecoverParallelMultiChunk(t *testing.T) {
-	build := func(n int) *wal.MemLog {
-		l := wal.NewMemLog()
-		for i := 0; i < n; i++ {
-			ts := tstamp.Make(uint64(i+1), 1)
-			l.Append(wal.RecCommit, (&wal.CommitRec{
-				Txn:     ts,
-				Actions: []wal.Action{{Item: "x", Delta: 1, SetTS: ts}},
-			}).Encode())
-		}
-		return l
-	}
-	n := replayChunk + replayChunk/2
-	t.Run("clean", func(t *testing.T) {
-		l := build(n)
-		ref := store.New()
-		refSum := Summary{}
-		if err := replaySerial(l, ref, vmsg.NewManager(), tstamp.NewClock(1), 1, &refSum); err != nil {
-			t.Fatal(err)
-		}
-		db, clock := store.New(), tstamp.NewClock(1)
-		sum, err := RecoverOpts(l, db, vmsg.NewManager(), clock, Options{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := db.Value("x"), ref.Value("x"); got != want {
-			t.Errorf("x = %d, want %d", got, want)
-		}
-		if sum.RecordsScanned != n || sum.ActionsRedone != n {
-			t.Errorf("scanned %d redone %d, want %d/%d", sum.RecordsScanned, sum.ActionsRedone, n, n)
-		}
-		if got, want := clock.Current(), uint64(n); got != want {
-			t.Errorf("clock = %v, want %v", got, want)
-		}
-	})
-	t.Run("corrupt-in-second-chunk", func(t *testing.T) {
-		l := build(n)
-		l.Append(wal.RecCommit, []byte{0xFF})
-		db := store.New()
-		_, err := RecoverOpts(l, db, vmsg.NewManager(), tstamp.NewClock(1), Options{Workers: 4})
-		if err == nil {
-			t.Fatal("corrupt record in second chunk accepted")
-		}
-		if got := db.Value("x"); got != core.Value(n) {
-			t.Errorf("prefix chunks lost: x = %d, want %d", got, n)
+		_, err := Recover(l, store.New(), vmsg.NewManager(), tstamp.NewClock(1))
+		if err == nil || !strings.Contains(err.Error(), "unknown") {
+			t.Errorf("unknown record kind accepted: %v", err)
 		}
 	})
 }

@@ -97,40 +97,38 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 			}
 			cuts := []int{1, finalRec / 2, finalRec - 1}
 			for ci, cut := range cuts {
-				for _, workers := range []int{1, 4} {
-					tornPath := filepath.Join(base, fmt.Sprintf("torn-%d-%d.wal", ci, workers))
-					if err := os.WriteFile(tornPath, img[:len(img)-cut], 0o644); err != nil {
-						t.Fatal(err)
-					}
-					l, err := wal.OpenFileLog(tornPath, wal.FileLogOptions{})
-					if err != nil {
-						t.Fatalf("cut=%d: torn tail must recover on open: %v", cut, err)
-					}
-					db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
-					sum, err := RecoverOpts(l, db, vm, clock, Options{Workers: workers})
-					if err != nil {
-						l.Close()
-						t.Fatalf("cut=%d workers=%d: %v", cut, workers, err)
-					}
-					if sum.CheckpointLSN != cp1LSN {
-						t.Errorf("cut=%d workers=%d: recovered from checkpoint %d, want %d",
-							cut, workers, sum.CheckpointLSN, cp1LSN)
-					}
-					for item, v := range want {
-						if got := db.Value(ident.ItemID(item)); got != v {
-							t.Errorf("cut=%d workers=%d: %s = %d, want %d (acked commit lost)",
-								cut, workers, item, got, v)
-						}
-					}
-					// The torn log must keep working: append, reopen, rescan.
-					if _, err := l.Append(wal.RecCommit, (&wal.CommitRec{
-						Txn:     tstamp.Make(100, 1),
-						Actions: []wal.Action{{Item: "a", Delta: 1, SetTS: tstamp.Make(100, 1)}},
-					}).Encode()); err != nil {
-						t.Errorf("cut=%d: append after torn recovery: %v", cut, err)
-					}
-					l.Close()
+				tornPath := filepath.Join(base, fmt.Sprintf("torn-%d.wal", ci))
+				if err := os.WriteFile(tornPath, img[:len(img)-cut], 0o644); err != nil {
+					t.Fatal(err)
 				}
+				l, err := wal.OpenFileLog(tornPath, wal.FileLogOptions{})
+				if err != nil {
+					t.Fatalf("cut=%d: torn tail must recover on open: %v", cut, err)
+				}
+				db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
+				sum, err := Recover(l, db, vm, clock)
+				if err != nil {
+					l.Close()
+					t.Fatalf("cut=%d: %v", cut, err)
+				}
+				if sum.CheckpointLSN != cp1LSN {
+					t.Errorf("cut=%d: recovered from checkpoint %d, want %d",
+						cut, sum.CheckpointLSN, cp1LSN)
+				}
+				for item, v := range want {
+					if got := db.Value(ident.ItemID(item)); got != v {
+						t.Errorf("cut=%d: %s = %d, want %d (acked commit lost)",
+							cut, item, got, v)
+					}
+				}
+				// The torn log must keep working: append, reopen, rescan.
+				if _, err := l.Append(wal.RecCommit, (&wal.CommitRec{
+					Txn:     tstamp.Make(100, 1),
+					Actions: []wal.Action{{Item: "a", Delta: 1, SetTS: tstamp.Make(100, 1)}},
+				}).Encode()); err != nil {
+					t.Errorf("cut=%d: append after torn recovery: %v", cut, err)
+				}
+				l.Close()
 			}
 		})
 	}

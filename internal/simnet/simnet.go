@@ -165,13 +165,6 @@ func (n *Net) Heal() {
 	n.group = make(map[ident.SiteID]int)
 }
 
-// Partitioned reports whether a partition is currently in effect.
-func (n *Net) Partitioned() bool {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.split
-}
-
 // SetLink fails or restores the directed link a→b. Failing only one
 // direction yields the paper's "not clean" partial failures.
 func (n *Net) SetLink(a, b ident.SiteID, up bool) {

@@ -19,7 +19,7 @@ import (
 // groupedCluster is a 2-site test cluster whose site 1 logs through a
 // GroupLog over inner, so a test can hold site 1's flush window open
 // (SetFlushHook) or fail it (inner's append hook).
-func groupedCluster(t *testing.T, seed int64, inner wal.Log, mutate func(c *Config)) (*testCluster, *wal.GroupLog) {
+func groupedCluster(t *testing.T, seed int64, inner wal.Device, mutate func(c *Config)) (*testCluster, *wal.GroupLog) {
 	t.Helper()
 	gl := wal.NewGroupLog(inner, wal.GroupCommitOptions{})
 	t.Cleanup(func() { gl.Close() })

@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the checkpoint/compaction half of the durability layer:
-// the quiescent-cut Checkpoint, the growth-threshold trigger fed by
+// the quiescent-cut Checkpoint, the record-count trigger fed by
 // logAppend (admission.go), and the background loop that runs it.
 
 // CheckpointStagePreCompact is the hook stage fired after the
@@ -39,10 +39,9 @@ func (s *Site) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	// The record is durable: restart the growth counters even if the
+	// The record is durable: restart the growth counter even if the
 	// compaction below is skipped or fails — recovery can already use
 	// this checkpoint.
-	s.ckptBytes.Store(0)
 	s.ckptRecs.Store(0)
 	s.obsm.ckptTotal.Inc()
 	s.obsm.ckptBytes.Add(uint64(len(payload)))
@@ -57,21 +56,18 @@ func (s *Site) Checkpoint() error {
 
 // autoCheckpoint reports whether the automatic checkpointer is armed.
 func (s *Site) autoCheckpoint() bool {
-	return s.cfg.CheckpointEveryBytes > 0 || s.cfg.CheckpointEveryRecords > 0
+	return s.cfg.CheckpointEveryRecords > 0
 }
 
-// noteAppend bumps the since-last-checkpoint counters and kicks the
-// checkpointer goroutine when a threshold is crossed. The kick channel
-// has one slot and drops when full: the loop coalesces bursts into one
-// checkpoint, and a missed kick re-arms on the next append.
-func (s *Site) noteAppend(n int64) {
+// noteAppend bumps the since-last-checkpoint record count and kicks
+// the checkpointer goroutine when the threshold is crossed. The kick
+// channel has one slot and drops when full: the loop coalesces bursts
+// into one checkpoint, and a missed kick re-arms on the next append.
+func (s *Site) noteAppend() {
 	if !s.autoCheckpoint() {
 		return
 	}
-	b := s.ckptBytes.Add(n)
-	r := s.ckptRecs.Add(1)
-	if (s.cfg.CheckpointEveryBytes > 0 && b >= s.cfg.CheckpointEveryBytes) ||
-		(s.cfg.CheckpointEveryRecords > 0 && r >= int64(s.cfg.CheckpointEveryRecords)) {
+	if s.ckptRecs.Add(1) >= int64(s.cfg.CheckpointEveryRecords) {
 		select {
 		case s.ckptKick <- struct{}{}:
 		default:

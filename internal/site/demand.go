@@ -23,6 +23,10 @@ import (
 // transfer is a Virtual Message, so partitions and crashes cannot lose
 // or duplicate value.
 
+// rebalanceFloor is the fraction of the even share every site keeps
+// regardless of demand (core.DemandShares).
+const rebalanceFloor = 0.25
+
 // RebalanceConfig tunes the per-site demand-driven rebalancer.
 type RebalanceConfig struct {
 	// Enabled starts the rebalancer goroutine with the site.
@@ -44,9 +48,6 @@ type RebalanceConfig struct {
 	// partitioned away) drop out of the rebalancing view. Default
 	// 4·Interval.
 	AdvertStale time.Duration
-	// Floor is the fraction of the even share every site keeps
-	// regardless of demand (core.DemandShares). Default 0.25.
-	Floor float64
 	// Seed drives the tick jitter (clusters derive a per-site seed).
 	Seed int64
 }
@@ -67,12 +68,6 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	}
 	if c.AdvertStale <= 0 {
 		c.AdvertStale = 4 * c.Interval
-	}
-	if c.Floor <= 0 {
-		c.Floor = 0.25
-	}
-	if c.Floor > 1 {
-		c.Floor = 1
 	}
 	return c
 }
@@ -303,7 +298,7 @@ func (s *Site) rebalanceTick() {
 		if totalDemand < minDemandSignal {
 			continue
 		}
-		targets := core.DemandShares(total, demands, cfg.Floor)
+		targets := core.DemandShares(total, demands, rebalanceFloor)
 		surplus := s.cfg.DB.Value(item) - targets[0]
 		if surplus < cfg.MinTransfer {
 			continue

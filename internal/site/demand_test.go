@@ -19,7 +19,6 @@ func trackerCfg() RebalanceConfig {
 		Cooldown:    20 * time.Millisecond,
 		HalfLife:    40 * time.Millisecond,
 		AdvertStale: 40 * time.Millisecond,
-		Floor:       0.25,
 	}.withDefaults()
 }
 
@@ -114,7 +113,6 @@ func rebalCluster(t *testing.T) *testCluster {
 			Cooldown:    10 * time.Millisecond,
 			HalfLife:    200 * time.Millisecond,
 			AdvertStale: 25 * time.Millisecond,
-			Floor:       0.25,
 			Seed:        int64(i + 1),
 		}
 	})

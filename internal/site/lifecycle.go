@@ -20,8 +20,7 @@ func (s *Site) recover() error {
 	s.lamport.Reset()
 	s.vm.Reset()
 	s.demand.reset()
-	sum, err := recovery.RecoverOpts(s.cfg.Log, s.cfg.DB, s.vm, s.lamport,
-		recovery.Options{Workers: s.cfg.RecoveryWorkers})
+	sum, err := recovery.Recover(s.cfg.Log, s.cfg.DB, s.vm, s.lamport)
 	if err != nil {
 		return fmt.Errorf("site %v: %w", s.cfg.ID, err)
 	}
@@ -31,9 +30,9 @@ func (s *Site) recover() error {
 	s.obsm.recoverLat.Record(sum.Elapsed)
 	s.obsm.recoverRecords.Add(uint64(sum.RecordsScanned))
 	s.obsm.flight.Recordf(s.obsm.site, "recover",
-		"cp=%d skipped=%d scanned=%d redone=%d workers=%d elapsed=%s",
+		"cp=%d skipped=%d scanned=%d redone=%d elapsed=%s",
 		sum.CheckpointLSN, sum.CheckpointsSkipped, sum.RecordsScanned,
-		sum.ActionsRedone, sum.Workers, sum.Elapsed)
+		sum.ActionsRedone, sum.Elapsed)
 	s.mu.Lock()
 	s.lastRec = sum
 	s.mu.Unlock()

@@ -6,6 +6,13 @@ import (
 	"dvp/internal/wire"
 )
 
+// retransmitCapFactor caps the adaptive per-peer retransmission
+// backoff: sweeps toward a peer that never acks stretch from
+// RetransmitEvery (or 2× the observed ack RTT, if larger) by doubling
+// up to this many times RetransmitEvery, and snap back to the base
+// pace on the first cumulative ack that advances the channel.
+const retransmitCapFactor = 8
+
 // maxVmPerEnvelope bounds how many Vm one retransmission envelope
 // carries (stays well inside the wire frame limit).
 const maxVmPerEnvelope = 64
@@ -17,9 +24,9 @@ const maxVmPerEnvelope = 64
 // one piggybacked ack back) carries the lot. The tick is only an
 // upper bound on the pace: per-peer adaptive backoff (vmsg
 // DueRetransmit, seeded by the ack-RTT EWMA, doubling to
-// RetransmitMax, reset by the first advancing ack) decides whether a
-// given peer's sweep actually fires, so a long-dead peer costs one
-// sweep per RetransmitMax instead of one per tick.
+// retransmitCapFactor ticks, reset by the first advancing ack) decides
+// whether a given peer's sweep actually fires, so a long-dead peer
+// costs one sweep per retransmitCapFactor ticks instead of one per tick.
 func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	for {
@@ -32,7 +39,7 @@ func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 		total := 0
 		perPeer := make(map[ident.SiteID][]wal.VmOut)
 		for _, p := range s.peersExceptSelf() {
-			if !s.vm.DueRetransmit(p, now, s.cfg.RetransmitEvery, s.cfg.RetransmitMax) {
+			if !s.vm.DueRetransmit(p, now, s.cfg.RetransmitEvery, retransmitCapFactor*s.cfg.RetransmitEvery) {
 				continue
 			}
 			if vms := s.vm.PendingTo(p); len(vms) > 0 {

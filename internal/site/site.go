@@ -72,36 +72,15 @@ type Config struct {
 	// RetransmitEvery is the Vm retransmission interval (default
 	// 15ms — several rounds fit inside a default timeout).
 	RetransmitEvery time.Duration
-	// RetransmitMax caps the adaptive per-peer retransmission backoff:
-	// sweeps toward a peer that never acks stretch from RetransmitEvery
-	// (or 2× the observed ack RTT, if larger) by doubling up to this
-	// cap, and snap back to the base pace on the first cumulative ack
-	// that advances the channel (default 8× RetransmitEvery).
-	RetransmitMax time.Duration
 	// DefaultTimeout bounds transactions that don't set their own
 	// (default 100ms).
 	DefaultTimeout time.Duration
-	// AdmissionStripes shards the admission/message-handling critical
-	// section by data item, so transactions on disjoint items run the
-	// check+lock+stamp path concurrently (default 16, at most 64: a
-	// transaction's stripe set is one machine word). Per-item
-	// semantics are unchanged: everything touching one item still
-	// serializes on that item's stripe. Forced to 1 under Conc2, whose
-	// §6.2 correctness argument needs whole-site arrival-order
-	// processing, not merely per-item order.
-	AdmissionStripes int
-	// CheckpointEveryBytes and CheckpointEveryRecords arm the
-	// automatic checkpointer: once the log has grown past either
-	// threshold since the last checkpoint, a background goroutine
-	// takes a checkpoint (consistent cut under all admission stripes)
-	// and compacts the log behind it. A zero threshold disables that
-	// trigger; with both zero, checkpoints are manual-only.
-	CheckpointEveryBytes   int64
+	// CheckpointEveryRecords arms the automatic checkpointer: once
+	// the log has grown by this many records since the last
+	// checkpoint, a background goroutine takes a checkpoint
+	// (consistent cut under all admission stripes) and compacts the
+	// log behind it. Zero leaves checkpoints manual-only.
 	CheckpointEveryRecords int
-	// RecoveryWorkers is the parallel replay width used when the site
-	// recovers from its log (≤1 replays serially; see
-	// internal/recovery).
-	RecoveryWorkers int
 	// Rebalance configures the demand-driven rebalancer: when
 	// Enabled, the site tracks per-item demand, gossips it to peers
 	// via DemandAdvert messages, and ships surplus quota toward the
@@ -256,9 +235,9 @@ type Site struct {
 	demand      *demandTracker
 	rebalPaused atomic.Bool
 
-	// Automatic checkpointer state: bytes/records appended since the
-	// last checkpoint (bumped by logAppend), a one-slot kick channel
-	// the thresholds fire into, and a pause gate for harness barriers.
+	// Automatic checkpointer state: records appended since the last
+	// checkpoint (bumped by logAppend), a one-slot kick channel the
+	// threshold fires into, and a pause gate for harness barriers.
 	// ckptRunMu is held across each background checkpoint run, so
 	// SetCheckpointPaused can join an in-flight run by acquiring it.
 	// The checkpoint loop itself starts and stops with the site (see
@@ -266,7 +245,6 @@ type Site struct {
 	// is invoked at named stages inside Checkpoint — fault harnesses
 	// use it to land crashes between the snapshot write and the
 	// compaction.
-	ckptBytes  atomic.Int64
 	ckptRecs   atomic.Int64
 	ckptKick   chan struct{}
 	ckptPaused atomic.Bool
@@ -313,28 +291,20 @@ func New(cfg Config) (*Site, error) {
 	if cfg.RetransmitEvery <= 0 {
 		cfg.RetransmitEvery = 15 * time.Millisecond
 	}
-	if cfg.RetransmitMax <= 0 {
-		cfg.RetransmitMax = 8 * cfg.RetransmitEvery
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 100 * time.Millisecond
 	}
-	if cfg.AdmissionStripes <= 0 {
-		cfg.AdmissionStripes = 16
-	}
-	if cfg.AdmissionStripes > maxStripes {
-		cfg.AdmissionStripes = maxStripes
-	}
+	stripes := admissionStripes
 	if cfg.CC.Scheme() == cc.Conc2 {
-		cfg.AdmissionStripes = 1
+		stripes = 1
 	}
 	cfg.Rebalance = cfg.Rebalance.withDefaults()
 	s := &Site{
 		cfg:      cfg,
 		policy:   cfg.CC,
 		grant:    cfg.Grant,
-		stripes:  make([]sync.Mutex, cfg.AdmissionStripes),
-		items:    make([]map[ident.ItemID]*itemState, cfg.AdmissionStripes),
+		stripes:  make([]sync.Mutex, stripes),
+		items:    make([]map[ident.ItemID]*itemState, stripes),
 		lamport:  tstamp.NewClock(cfg.ID),
 		vm:       vmsg.NewManager(),
 		demand:   newDemandTracker(cfg.Rebalance),

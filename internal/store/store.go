@@ -173,57 +173,6 @@ func (d *Durable) RestoreCheckpoint(items []wal.CheckpointItem) {
 	}
 }
 
-// Scratch is a detached write buffer over the store, used by parallel
-// log replay: Apply-equivalent simulation against private copies of
-// the items, then a single Install writes the results back under one
-// lock acquisition. Distinct scratches over the same store must touch
-// disjoint item sets (parallel replay guarantees this by hashing each
-// item onto exactly one stripe), and the store must not be written by
-// anyone else between a scratch's first Apply and its Install.
-type Scratch struct {
-	d     *Durable
-	items map[ident.ItemID]Item
-}
-
-// NewScratch returns an empty scratch over d.
-func (d *Durable) NewScratch() *Scratch {
-	return &Scratch{d: d, items: make(map[ident.ItemID]Item)}
-}
-
-// Apply mirrors Durable.Apply — same applied-LSN skip rule, same
-// negative-quota check — against the scratch's private copy of the
-// item, faulting the current durable state in on first touch.
-func (s *Scratch) Apply(lsn uint64, a wal.Action) (bool, error) {
-	it, ok := s.items[a.Item]
-	if !ok {
-		it, _ = s.d.Get(a.Item)
-		s.items[a.Item] = it
-	}
-	if lsn <= it.AppliedLSN {
-		return false, nil
-	}
-	nv := it.Val + a.Delta
-	if nv < 0 {
-		return false, fmt.Errorf("store: applying %+d to %q (=%d) would go negative", a.Delta, a.Item, it.Val)
-	}
-	it.Val = nv
-	if a.SetTS > it.TS {
-		it.TS = a.SetTS
-	}
-	it.AppliedLSN = lsn
-	s.items[a.Item] = it
-	return true, nil
-}
-
-// Install writes the scratch's items back into the store.
-func (s *Scratch) Install() {
-	s.d.mu.Lock()
-	defer s.d.mu.Unlock()
-	for id, it := range s.items {
-		s.d.items[id] = it
-	}
-}
-
 // Total sums the local quotas of the given items — a convenience for
 // conservation checks in tests and monitors.
 func (d *Durable) Total(items ...ident.ItemID) core.Value {

@@ -231,62 +231,3 @@ func TestConcurrentAppliesConserve(t *testing.T) {
 		t.Errorf("value = %d out of bounds", v)
 	}
 }
-
-// TestScratchMirrorsApply replays the same action sequence through
-// Durable.Apply and through a Scratch: skip rule, negative check, TS
-// fold and applied-LSN must agree exactly, and Install must write the
-// scratch image back verbatim.
-func TestScratchMirrorsApply(t *testing.T) {
-	direct, scratched := New(), New()
-	direct.Create("x", 10)
-	scratched.Create("x", 10)
-
-	ops := []struct {
-		lsn uint64
-		a   wal.Action
-	}{
-		{1, wal.Action{Item: "x", Delta: 5, SetTS: tstamp.Make(1, 1)}},
-		{1, wal.Action{Item: "x", Delta: 5, SetTS: tstamp.Make(1, 1)}}, // dup LSN: skipped
-		{2, wal.Action{Item: "y", Delta: 3}},                           // unknown item: created
-		{3, wal.Action{Item: "x", Delta: -4, SetTS: tstamp.Make(9, 2)}},
-	}
-	sc := scratched.NewScratch()
-	for _, op := range ops {
-		wantOK, wantErr := direct.Apply(op.lsn, op.a)
-		gotOK, gotErr := sc.Apply(op.lsn, op.a)
-		if wantOK != gotOK || (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("Apply(%d, %+v): scratch (%v,%v) != durable (%v,%v)",
-				op.lsn, op.a, gotOK, gotErr, wantOK, wantErr)
-		}
-	}
-	// Before Install the scratch writes are invisible.
-	if got := scratched.Value("x"); got != 10 {
-		t.Errorf("scratch leaked before Install: x = %d", got)
-	}
-	sc.Install()
-	for _, item := range []ident.ItemID{"x", "y"} {
-		want, _ := direct.Get(item)
-		got, _ := scratched.Get(item)
-		if got != want {
-			t.Errorf("%s: scratch image %+v != durable %+v", item, got, want)
-		}
-	}
-}
-
-// TestScratchRejectsNegative keeps the scratch's negative-quota check
-// aligned with Durable.Apply, including after a fault-in.
-func TestScratchRejectsNegative(t *testing.T) {
-	db := New()
-	db.Create("x", core.Value(2))
-	sc := db.NewScratch()
-	if _, err := sc.Apply(1, wal.Action{Item: "x", Delta: -3}); err == nil {
-		t.Fatal("scratch allowed negative quota")
-	}
-	if ok, err := sc.Apply(1, wal.Action{Item: "x", Delta: -2}); !ok || err != nil {
-		t.Fatalf("scratch rejected legal drain: ok=%v err=%v", ok, err)
-	}
-	sc.Install()
-	if got := db.Value("x"); got != 0 {
-		t.Errorf("x = %d, want 0", got)
-	}
-}

@@ -54,9 +54,7 @@ type Config struct {
 	// DialBackoffMin is the delay before the first redial after a
 	// failed dial or write (default 25ms). Consecutive failures double
 	// it up to DialBackoffMax, with ±50% jitter so peers redialing a
-	// recovered site don't arrive in lockstep. Negative disables the
-	// backoff machine entirely — every queued frame retries the dial,
-	// the pre-hardening behavior — and exists for ablation runs (N1).
+	// recovered site don't arrive in lockstep.
 	DialBackoffMin time.Duration
 	// DialBackoffMax caps the redial backoff (default 2s).
 	DialBackoffMax time.Duration
@@ -65,11 +63,6 @@ type Config struct {
 	// runs a half-open probe — one frame, flushed alone — and only the
 	// probe's clean flush restores the peer to healthy.
 	DownAfter int
-	// NoShedPriority makes queue overflow drop the incoming frame
-	// regardless of kind (the pre-hardening policy) instead of
-	// preferring to evict a queued Request over an ack or Vm.
-	// Ablation knob for the N1 experiment.
-	NoShedPriority bool
 	// Metrics, when set, registers per-peer traffic counters
 	// (dvp_net_{bytes,msgs}_{in,out}_total, dvp_net_dial_failures_total,
 	// dvp_net_flushes_total), the peer state gauge (dvp_net_peer_state:
@@ -286,7 +279,7 @@ func New(cfg Config) (*Endpoint, error) {
 	if cfg.MaxFrame == 0 {
 		cfg.MaxFrame = 1 << 20
 	}
-	if cfg.DialBackoffMin == 0 {
+	if cfg.DialBackoffMin <= 0 {
 		cfg.DialBackoffMin = 25 * time.Millisecond
 	}
 	if cfg.DialBackoffMax <= 0 {
@@ -521,7 +514,7 @@ func (e *Endpoint) enqueue(w *peerWriter, frame *wire.Writer, kind wire.Kind) {
 		w.signal()
 		return
 	}
-	if e.cfg.NoShedPriority || !highPriority(kind) {
+	if !highPriority(kind) {
 		w.mu.Unlock()
 		e.dropFrame(w, frame, kind, "backlog")
 		return
@@ -568,16 +561,14 @@ func (e *Endpoint) noteFailure(w *peerWriter) {
 		next = peerDown
 	}
 	w.state.Store(next)
-	if e.cfg.DialBackoffMin >= 0 {
-		backoff := e.cfg.DialBackoffMax
-		if shift := w.failures - 1; shift < 20 {
-			if b := e.cfg.DialBackoffMin << shift; b < backoff {
-				backoff = b
-			}
+	backoff := e.cfg.DialBackoffMax
+	if shift := w.failures - 1; shift < 20 {
+		if b := e.cfg.DialBackoffMin << shift; b < backoff {
+			backoff = b
 		}
-		backoff = backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
-		w.nextDial = time.Now().Add(backoff)
 	}
+	backoff = backoff/2 + time.Duration(rand.Int63n(int64(backoff/2)+1))
+	w.nextDial = time.Now().Add(backoff)
 	if next == peerDown && prev != peerDown {
 		e.cfg.Flight.Recordf(e.cfg.Site.String(), "net-peer-down",
 			"peer=%v failures=%d", w.site, w.failures)
@@ -601,9 +592,6 @@ func (e *Endpoint) noteHealthy(w *peerWriter) {
 // dial failure holds the frame and waits out the backoff window (at
 // most one dial in flight per peer, one timed probe per window); a
 // write error drops the connection and the in-flight frames (loss).
-// With backoff disabled (DialBackoffMin < 0, ablations only) a dial
-// failure drops the frame and the next frame redials — the
-// pre-hardening dial-per-frame behavior.
 func (e *Endpoint) writerLoop(w *peerWriter, stop <-chan struct{}) {
 	defer e.wg.Done()
 	defer w.drainInto(e)
@@ -643,11 +631,6 @@ func (e *Endpoint) writerLoop(w *peerWriter, stop <-chan struct{}) {
 					pc.dialFailures.Inc()
 				}
 				e.noteFailure(w)
-				if e.cfg.DialBackoffMin < 0 {
-					e.dropFrame(w, f.w, f.kind, "dial-fail")
-					f = outFrame{}
-					break
-				}
 				continue
 			}
 			if !e.rememberConn(w.site, c) {
@@ -660,9 +643,6 @@ func (e *Endpoint) writerLoop(w *peerWriter, stop <-chan struct{}) {
 			probe = w.state.Load() == peerDown
 			conn = c
 			bw = bufio.NewWriterSize(conn, 64<<10)
-		}
-		if f.w == nil {
-			continue // backoff-disabled dial failure dropped it
 		}
 		// Write the frame plus everything already queued behind it,
 		// then flush the batch with one syscall (well, one Flush).

@@ -47,8 +47,7 @@ type GroupCommitOptions struct {
 // crash loses queued-but-unflushed records, which is safe because
 // nobody was told they were stable.
 type GroupLog struct {
-	inner Log
-	batch BatchAppender // inner's native batching, if any
+	inner Device
 	opts  GroupCommitOptions
 
 	mu       sync.Mutex
@@ -82,7 +81,7 @@ type GroupLog struct {
 // NewGroupLog wraps inner with a group-commit flusher. Close stops the
 // flusher and closes inner. Nothing else may append to inner while the
 // GroupLog is open: it hands out inner's LSNs ahead of the write.
-func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
+func NewGroupLog(inner Device, opts GroupCommitOptions) *GroupLog {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 128
 	}
@@ -95,9 +94,6 @@ func NewGroupLog(inner Log, opts GroupCommitOptions) *GroupLog {
 		durable: inner.LastLSN(),
 		next:    inner.LastLSN() + 1,
 		done:    make(chan struct{}),
-	}
-	if ba, ok := inner.(BatchAppender); ok {
-		g.batch = ba
 	}
 	g.work = sync.NewCond(&g.mu)
 	g.stable = sync.NewCond(&g.mu)
@@ -194,13 +190,7 @@ func (g *GroupLog) flusher() {
 		if flushLat != nil {
 			start = time.Now()
 		}
-		var first uint64
-		var err error
-		if g.batch != nil {
-			first, err = g.batch.AppendBatch(entries)
-		} else {
-			first, err = appendBatchFallback(g.inner, entries)
-		}
+		first, err := g.inner.AppendBatch(entries)
 		if err == nil && first != want {
 			err = fmt.Errorf("wal: group log reserved LSN %d but the inner log wrote %d: something else appends to it", want, first)
 		}

@@ -148,6 +148,14 @@ type BatchAppender interface {
 	AppendBatch(entries []BatchEntry) (first uint64, err error)
 }
 
+// Device is a log that forces a whole batch with one write — what
+// GroupLog and SlowLog wrap. Taking it as the parameter type makes
+// "the inner log batches natively" a compile-time condition.
+type Device interface {
+	Log
+	BatchAppender
+}
+
 // appendDurably is Append for every implementation: Enqueue, then
 // WaitDurable.
 func appendDurably(l Log, kind RecordKind, data []byte) (uint64, error) {
@@ -156,23 +164,6 @@ func appendDurably(l Log, kind RecordKind, data []byte) (uint64, error) {
 		return 0, err
 	}
 	return lsn, l.WaitDurable(lsn)
-}
-
-// appendBatchFallback serializes a batch through plain Append for logs
-// without native batch support. LSN density is guaranteed by the
-// caller holding whatever excludes concurrent appenders.
-func appendBatchFallback(l Log, entries []BatchEntry) (uint64, error) {
-	var first uint64
-	for i, e := range entries {
-		lsn, err := l.Append(e.Kind, e.Data)
-		if err != nil {
-			return 0, err
-		}
-		if i == 0 {
-			first = lsn
-		}
-	}
-	return first, nil
 }
 
 // Stats summarizes a log for experiments and debugging.

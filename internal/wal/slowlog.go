@@ -7,7 +7,7 @@ import (
 	"dvp/internal/vclock"
 )
 
-// SlowLog wraps a Log, adding a fixed latency to every Append —
+// SlowLog wraps a Device, adding a fixed latency to every Append —
 // modelling the force-write to stable storage that commit protocols
 // actually pay (an fsync is hundreds of microseconds on an SSD,
 // milliseconds on spinning disk). Experiments use it so that "commit
@@ -21,7 +21,7 @@ import (
 // instead serializes the waits themselves, modelling one log device
 // that forces one write at a time.
 type SlowLog struct {
-	inner Log
+	inner Device
 	delay time.Duration
 	clock vclock.Clock
 	// dev, when non-nil, serializes force-writes: one delay at a time,
@@ -33,7 +33,7 @@ type SlowLog struct {
 // NewSlowLog wraps inner with a per-append delay on the given clock
 // (nil means the real clock). A non-positive delay returns inner
 // unchanged.
-func NewSlowLog(inner Log, delay time.Duration, clock vclock.Clock) Log {
+func NewSlowLog(inner Device, delay time.Duration, clock vclock.Clock) Device {
 	if delay <= 0 {
 		return inner
 	}
@@ -48,7 +48,7 @@ func NewSlowLog(inner Log, delay time.Duration, clock vclock.Clock) Log {
 // log device actually forces. This is the model under which group
 // commit earns its keep — without batching, k concurrent committers
 // take k delays; batched, one delay covers the group.
-func NewSlowDevice(inner Log, delay time.Duration, clock vclock.Clock) Log {
+func NewSlowDevice(inner Device, delay time.Duration, clock vclock.Clock) Device {
 	l := NewSlowLog(inner, delay, clock)
 	if sl, ok := l.(*SlowLog); ok {
 		sl.dev = &sync.Mutex{}
@@ -86,10 +86,7 @@ func (l *SlowLog) WaitDurable(uint64) error { return nil }
 // exists to buy, and Quick-mode experiments must see it.
 func (l *SlowLog) AppendBatch(entries []BatchEntry) (uint64, error) {
 	l.force()
-	if ba, ok := l.inner.(BatchAppender); ok {
-		return ba.AppendBatch(entries)
-	}
-	return appendBatchFallback(l.inner, entries)
+	return l.inner.AppendBatch(entries)
 }
 
 // Scan implements Log.

@@ -75,7 +75,7 @@ func TestSlowDeviceSerializesForces(t *testing.T) {
 		entries[i] = BatchEntry{Kind: RecCommit}
 	}
 	start = time.Now()
-	if _, err := l.(BatchAppender).AppendBatch(entries); err != nil {
+	if _, err := l.AppendBatch(entries); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(start); elapsed > 40*time.Millisecond {

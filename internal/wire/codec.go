@@ -236,29 +236,6 @@ func (r *Reader) Bytes2() []byte {
 	return b
 }
 
-// Bytes2View reads a length-prefixed byte slice without copying: the
-// returned slice aliases the Reader's buffer. Only for consumers that
-// fully process the bytes before the buffer is reused (e.g. a transport
-// read loop that decodes each frame synchronously); anyone retaining
-// the data past that point must use Bytes2 or copy explicitly.
-func (r *Reader) Bytes2View() []byte {
-	n := r.U64()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxStringLen {
-		r.fail(fmt.Errorf("%w: blob of %d bytes", ErrTooLong, n))
-		return nil
-	}
-	if r.off+int(n) > len(r.buf) {
-		r.fail(ErrShort)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n) : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
 // F64 reads a fixed 8-byte float64.
 func (r *Reader) F64() float64 {
 	if r.err != nil {

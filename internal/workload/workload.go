@@ -202,17 +202,6 @@ func (g *Generator) nextBanking() *txn.Txn {
 	}
 }
 
-// DemandWeights estimates the long-run per-site demand share when n
-// sites draw from this generator round-robin — used to seed
-// WeightedShares initial distributions in experiments.
-func DemandWeights(n int) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // SkewedSiteWeights returns per-site demand weights where site 0
 // receives `hot` times the demand of the others (experiment F6's
 // all-demand-at-one-site shape as hot → ∞).
