@@ -67,7 +67,8 @@ echo "site-mutex gate: s.mu confined to lifecycle.go, 9 allow-listed mutexes, no
 # flag declarations in dvpnode) — a new one has to remove one — and the
 # options and second paths the knob audit deleted (parallel replay, the
 # pre-hardening transport, the batch fallback, the byte checkpoint
-# trigger) may not come back under their old names.
+# trigger, the root package's even-share rebalancer) may not come back
+# under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -91,15 +92,15 @@ n_tcp=$(count_fields internal/tcpnet/tcpnet.go Config)
 n_flags=$(grep -c '^[[:space:]]*fs\.[A-Za-z0-9]*Var(' cmd/dvpnode/main.go || true)
 check_options dvp.Config "$n_dvp" 22
 check_options site.Config "$n_site" 17
-check_options site.RebalanceConfig "$n_rebal" 7
+check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 10
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\('
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
 fi
-echo "option gate: dvp.Config $n_dvp/22, site.Config $n_site/17, RebalanceConfig $n_rebal/7, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
+echo "option gate: dvp.Config $n_dvp/22, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
 
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
@@ -113,9 +114,9 @@ go test -race -shuffle=on ./...
 
 # Stress pass over the site tests that sit on an interleaving — the one
 # commit path's eight shapes, crash waking parked waiters, the flow
-# checker on a live history, parked-Vm redelivery, batch accept — on
-# one and two CPUs.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces' ./internal/site
+# checker on a live history, parked-Vm redelivery, batch accept, the
+# Rds lock held through dispatch — on one and two CPUs.
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch' ./internal/site
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

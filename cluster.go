@@ -9,6 +9,7 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
+	"dvp/internal/recovery"
 	"dvp/internal/simnet"
 	"dvp/internal/site"
 	"dvp/internal/store"
@@ -109,53 +110,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Trace:                  c.traces,
 			Flight:                 c.flight,
 			Rebalance:              cfg.Rebalance,
+			OnCommit:               cfg.OnCommit,
+			OnRds:                  cfg.OnRds,
 		}
 		// Each site jitters from its own stream: lockstep rounds are
 		// exactly what the jitter exists to break.
 		sc.Rebalance.Seed = cfg.Seed*1000003 + int64(i)*7919 + 1
-		if cfg.OnCommit != nil {
-			hook := cfg.OnCommit
-			sc.OnCommit = func(ci site.CommitInfo) {
-				out := CommitInfo{
-					Site:      int(ci.Site),
-					TS:        uint64(ci.TS),
-					Deltas:    make(map[string]int64, len(ci.Deltas)),
-					Reads:     make(map[string]int64, len(ci.Reads)),
-					WriterIdx: make(map[string]uint64, len(ci.WriterIdx)),
-					ReadVec:   make(map[string]map[int]uint64, len(ci.ReadVec)),
-					Label:     ci.Label,
-					CommitLSN: ci.CommitLSN,
-				}
-				for k, v := range ci.Deltas {
-					out.Deltas[string(k)] = int64(v)
-				}
-				for k, v := range ci.Reads {
-					out.Reads[string(k)] = int64(v)
-				}
-				for k, v := range ci.WriterIdx {
-					out.WriterIdx[string(k)] = v
-				}
-				for k, vec := range ci.ReadVec {
-					m := make(map[int]uint64, len(vec))
-					for st, c := range vec {
-						m[int(st)] = c
-					}
-					out.ReadVec[string(k)] = m
-				}
-				hook(out)
-			}
-		}
-		if cfg.OnRds != nil {
-			hook := cfg.OnRds
-			sc.OnRds = func(ri site.RdsInfo) {
-				hook(RdsInfo{
-					Site:  int(ri.Site),
-					TS:    uint64(ri.TS),
-					Item:  string(ri.Item),
-					Delta: int64(ri.Delta),
-				})
-			}
-		}
 		s, err := site.New(sc)
 		if err != nil {
 			return nil, err
@@ -217,6 +177,18 @@ func (c *Cluster) CreateItemShares(item string, shares []Value) error {
 // weights.
 func (c *Cluster) CreateItemWeighted(item string, total Value, weights []float64) error {
 	return c.CreateItemShares(item, core.WeightedShares(total, weights))
+}
+
+// SendValue runs a redistribution-only (Rds) transaction (paper §5):
+// move amount of item from site `from` to site `to` without changing
+// the item's total. The transfer rides a Virtual Message, so it
+// survives loss, partitions, and crashes of either site. For
+// redistribution ahead of demand, see Config.Rebalance.
+func (c *Cluster) SendValue(item string, from, to int, amount Value) error {
+	if to < 1 || to > len(c.sites) {
+		return fmt.Errorf("dvp: site index %d out of range", to)
+	}
+	return c.checkSite(from).SendValue(toItem(item), ident.SiteID(to), amount)
 }
 
 // --- failure injection --------------------------------------------------------
@@ -337,31 +309,12 @@ func (c *Cluster) SetCheckpointPaused(p bool) {
 	}
 }
 
-// RecoverySummary describes what site i's most recent recovery pass
+// RecoverySummary describes what a site's most recent recovery pass
 // did. NetworkCalls is always zero: recovery is independent (§7).
-type RecoverySummary struct {
-	CheckpointLSN      uint64
-	CheckpointsSkipped int
-	RecordsScanned     int
-	ActionsRedone      int
-	VmRestored         int
-	Elapsed            time.Duration
-	NetworkCalls       int
-}
+type RecoverySummary = recovery.Summary
 
 // LastRecovery reports site i's most recent recovery summary.
-func (c *Cluster) LastRecovery(i int) RecoverySummary {
-	r := c.checkSite(i).LastRecovery()
-	return RecoverySummary{
-		CheckpointLSN:      r.CheckpointLSN,
-		CheckpointsSkipped: r.CheckpointsSkipped,
-		RecordsScanned:     r.RecordsScanned,
-		ActionsRedone:      r.ActionsRedone,
-		VmRestored:         r.VmRestored,
-		Elapsed:            r.Elapsed,
-		NetworkCalls:       r.NetworkCalls,
-	}
-}
+func (c *Cluster) LastRecovery(i int) RecoverySummary { return c.checkSite(i).LastRecovery() }
 
 // LogRecords returns the number of stable-log records at site i.
 func (c *Cluster) LogRecords(i int) uint64 { return c.checkSite(i).LogLastLSN() }

@@ -179,7 +179,8 @@ type Config struct {
 	Rebalance RebalanceOptions
 
 	// OnCommit observes every committed transaction (metrics,
-	// serializability checking). Called from transaction goroutines.
+	// serializability checking). Called from transaction goroutines;
+	// the record's maps are the site's own, so treat them as read-only.
 	OnCommit func(CommitInfo)
 
 	// OnRds observes each half of every redistribution — the deduct
@@ -190,43 +191,20 @@ type Config struct {
 	OnRds func(RdsInfo)
 }
 
+// CommitInfo describes one committed transaction to the OnCommit hook:
+// the serializability checker's record (cc.CommittedTxn: site, stamp,
+// deltas, full reads, value-flow vectors) plus the commit record's LSN
+// and the transaction's label.
+type CommitInfo = site.CommitInfo
+
 // RdsInfo describes one redistribution half to the OnRds hook: Delta
 // is negative for the sender's deduct, positive for the receiver's
 // credit, and TS is the timestamp that half serializes at.
-type RdsInfo struct {
-	Site  int
-	TS    uint64
-	Item  string
-	Delta int64
-}
-
-// CommitInfo describes one committed transaction to the OnCommit hook.
-type CommitInfo struct {
-	// Site is the (1-based) site the transaction ran at.
-	Site int
-	// TS is the packed timestamp/identifier.
-	TS uint64
-	// Deltas is the net change per item; Reads the observed full
-	// reads. Label is the transaction's tag.
-	Deltas map[string]int64
-	Reads  map[string]int64
-	// WriterIdx gives, per written item, this transaction's local
-	// writer index at its site; ReadVec gives, per fully-read item,
-	// the observation vector (site → writers seen). Together they
-	// drive the exact serializability checker on crash-free
-	// histories.
-	WriterIdx map[string]uint64
-	ReadVec   map[string]map[int]uint64
-	Label     string
-	// CommitLSN is the stable-log LSN of the commit record that
-	// acknowledged this transaction — the handle durability audits
-	// use to assert no acknowledged commit is ever lost.
-	CommitLSN uint64
-}
+type RdsInfo = site.RdsInfo
 
 // RebalanceOptions tunes the demand-driven rebalancer (see
 // site.RebalanceConfig for field semantics: Enabled, Interval,
-// MinTransfer, Cooldown, HalfLife, AdvertStale, Seed).
+// HalfLife, AdvertStale, Seed).
 type RebalanceOptions = site.RebalanceConfig
 
 // Value is a quantity (Γ in the paper: non-negative int64).

@@ -93,9 +93,9 @@ func Example_recovery() {
 	// network calls during recovery: 0
 }
 
-// Proactive rebalancing (Rds transactions, §5): move value toward
-// demand before demand arrives.
-func Example_rebalance() {
+// Redistribution-only (Rds) transactions, §5: move value toward
+// demand before demand arrives, without changing the item's total.
+func Example_sendValue() {
 	c, err := dvp.NewCluster(dvp.Config{Sites: 4, Seed: 4})
 	if err != nil {
 		panic(err)
@@ -103,7 +103,11 @@ func Example_rebalance() {
 	defer c.Close()
 	c.CreateItemShares("x", []dvp.Value{100, 0, 0, 0})
 
-	c.Rebalance("x")
+	for to := 2; to <= 4; to++ {
+		if err := c.SendValue("x", 1, to, 25); err != nil {
+			panic(err)
+		}
+	}
 	c.Quiesce(time.Second)
 	fmt.Println(c.Quota(1, "x"), c.Quota(2, "x"), c.Quota(3, "x"), c.Quota(4, "x"))
 	// Output:

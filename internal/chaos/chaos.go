@@ -219,8 +219,6 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		Rebalance: dvp.RebalanceOptions{
 			Enabled:     true,
 			Interval:    rebalInterval,
-			MinTransfer: 4,
-			Cooldown:    2 * rebalInterval,
 			HalfLife:    rebalHalfLife,
 			AdvertStale: 5 * rebalInterval,
 		},

@@ -2,9 +2,10 @@ package chaos
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
-	"dvp"
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
@@ -92,7 +93,7 @@ func (r *runner) checkConservation() error {
 	deltas := make(map[string]int64, len(r.items))
 	for _, ci := range r.committed {
 		for item, d := range ci.Deltas {
-			deltas[item] += d
+			deltas[string(item)] += int64(d)
 		}
 	}
 	r.mu.Unlock()
@@ -286,7 +287,7 @@ func (r *runner) checkNoAckAheadOfLog() error {
 // committers, durable watermark caught up with the last assigned LSN.
 func (r *runner) checkDurability() error {
 	r.mu.Lock()
-	ackedBySite := make(map[int][]uint64)
+	ackedBySite := make(map[ident.SiteID][]uint64)
 	for _, ci := range r.committed {
 		if ci.CommitLSN > 0 {
 			ackedBySite[ci.Site] = append(ackedBySite[ci.Site], ci.CommitLSN)
@@ -303,7 +304,7 @@ func (r *runner) checkDurability() error {
 				return fmt.Errorf("durability: site %d durable watermark %d behind last LSN %d at a quiescent barrier", i, d, l)
 			}
 		}
-		acked := ackedBySite[i]
+		acked := ackedBySite[ident.SiteID(i)]
 		if len(acked) == 0 {
 			continue
 		}
@@ -341,22 +342,12 @@ func (r *runner) checkSerializability() error {
 	r.mu.Lock()
 	txns := make([]cc.CommittedTxn, len(r.committed))
 	for k, ci := range r.committed {
-		t := cc.CommittedTxn{
-			TS:     tstamp.TS(ci.TS),
-			Site:   ident.SiteID(ci.Site),
-			Deltas: make(map[ident.ItemID]core.Value, len(ci.Deltas)),
-			Reads:  make(map[ident.ItemID]core.Value, len(ci.Reads)),
-		}
-		for item, d := range ci.Deltas {
-			t.Deltas[ident.ItemID(item)] = core.Value(d)
-		}
-		for item, v := range ci.Reads {
-			t.Reads[ident.ItemID(item)] = core.Value(v)
-		}
-		txns[k] = t
+		txns[k] = ci.CommittedTxn
+		// The fold below adds into Deltas, which is the hook's read-only
+		// map (and is folded afresh at every barrier): work on a copy.
+		txns[k].Deltas = maps.Clone(ci.Deltas)
 	}
-	rds := make([]dvp.RdsInfo, len(r.rds))
-	copy(rds, r.rds)
+	rds := slices.Clone(r.rds)
 	r.mu.Unlock()
 
 	// Fold every redistribution half into the replay at its stamp.
@@ -371,18 +362,17 @@ func (r *runner) checkSerializability() error {
 		byTS[txns[k].TS] = k
 	}
 	for _, e := range rds {
-		ts := tstamp.TS(e.TS)
-		k, ok := byTS[ts]
+		k, ok := byTS[e.TS]
 		if !ok {
 			txns = append(txns, cc.CommittedTxn{
-				TS:     ts,
-				Site:   ident.SiteID(e.Site),
+				TS:     e.TS,
+				Site:   e.Site,
 				Deltas: make(map[ident.ItemID]core.Value, 1),
 			})
 			k = len(txns) - 1
-			byTS[ts] = k
+			byTS[e.TS] = k
 		}
-		txns[k].Deltas[ident.ItemID(e.Item)] += core.Value(e.Delta)
+		txns[k].Deltas[e.Item] += e.Delta
 	}
 
 	initial := make(map[ident.ItemID]core.Value, len(r.items))

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -14,12 +13,13 @@ import (
 // expA1: ablation — proactive rebalancing (Rds transactions, §5/§8).
 // The paper's demand-driven requests are reactive; §8 asks for
 // "performance studies to find the best ways to distribute the data".
-// A1 measures the abort-rate effect of a simple proactive policy
-// (periodically even out quotas) under concentrated demand.
+// A1 measures the abort-rate effect of the site rebalancer (quota
+// shipped toward observed demand ahead of it) under concentrated
+// demand.
 func expA1() Experiment {
 	return Experiment{
 		ID:    "A1",
-		Title: "Ablation: proactive rebalancing vs demand-driven only",
+		Title: "Ablation: proactive rebalancing vs on-demand requests only",
 		Claim: "§5/§8: Rds transactions may redistribute value ahead of demand; the paper leaves the distribution policy to future study.",
 		Run: func(o Options) (*Result, error) {
 			const n = 4
@@ -27,38 +27,12 @@ func expA1() Experiment {
 				"rebalancer", "abort%", "tps", "rds-transfers")
 			perRun := o.scale(120, 500)
 			for _, rebalance := range []bool{false, true} {
-				c, err := dvp.NewCluster(dvp.Config{Sites: n, Seed: o.seed(), MaxDelay: time.Millisecond})
+				c, err := dvp.NewCluster(dvp.Config{Sites: n, Seed: o.seed(), MaxDelay: time.Millisecond,
+					Rebalance: dvp.RebalanceOptions{Enabled: rebalance, Interval: 8 * time.Millisecond}})
 				if err != nil {
 					return nil, err
 				}
 				c.CreateItem("x", core.Value(perRun*3))
-				transfers := 0
-				var tmu sync.Mutex
-				stopRebal := func() {}
-				if rebalance {
-					// Count transfers via a manual loop (the public
-					// StartRebalancer doesn't report counts).
-					done := make(chan struct{})
-					var wg sync.WaitGroup
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						tick := time.NewTicker(8 * time.Millisecond)
-						defer tick.Stop()
-						for {
-							select {
-							case <-done:
-								return
-							case <-tick.C:
-								m := c.Rebalance("x")
-								tmu.Lock()
-								transfers += m
-								tmu.Unlock()
-							}
-						}
-					}()
-					stopRebal = func() { close(done); wg.Wait() }
-				}
 				var committed, aborted int
 				start := time.Now()
 				for k := 0; k < perRun; k++ {
@@ -71,14 +45,11 @@ func expA1() Experiment {
 					}
 				}
 				elapsed := time.Since(start)
-				stopRebal()
+				transfers := c.Metrics().SumCounters("dvp_rebalance_transfers_total")
 				c.Close()
-				tmu.Lock()
-				tr := transfers
-				tmu.Unlock()
 				table.AddRow(rebalance,
 					100*float64(aborted)/float64(committed+aborted),
-					float64(committed)/elapsed.Seconds(), tr)
+					float64(committed)/elapsed.Seconds(), transfers)
 			}
 			return &Result{ID: "A1", Title: "rebalancer ablation", Table: table,
 				Notes: []string{
@@ -143,10 +114,10 @@ func expA3() Experiment {
 	}
 }
 
-// expA2: ablation — the decentralized demand-driven rebalancer vs the
-// centralized even-share round vs no rebalancing, under Zipf-skewed
-// bursty demand. §8 leaves "the best ways to distribute the data
-// values among the sites" to performance studies; this is that study.
+// expA2: ablation — the decentralized demand-driven rebalancer vs no
+// rebalancing, under Zipf-skewed bursty demand. §8 leaves "the best
+// ways to distribute the data values among the sites" to performance
+// studies; this is that study.
 //
 // The workload is a storefront economy: each round, every site's
 // storefront sells a burst of seats (burst sizes Zipf-skewed across
@@ -154,13 +125,13 @@ func expA3() Experiment {
 // what sold, keeping total supply roughly constant. The burst is
 // where placement policy shows: a site can only serve a burst from
 // the buffer it holds when the burst starts — mid-burst asks ride a
-// lossy network on a tight timeout. Even-share caps every buffer at
-// the even share no matter who sells; the demand-driven policy sizes
-// the hot site's buffer to its observed burst rate.
+// lossy network on a tight timeout. Without rebalancing every buffer
+// stays where restocking left it; the demand-driven policy sizes the
+// hot site's buffer to its observed burst rate.
 func expA2() Experiment {
 	return Experiment{
 		ID:    "A2",
-		Title: "Ablation: demand-driven vs even-share rebalancing under Zipf-skewed bursts",
+		Title: "Ablation: demand-driven rebalancing vs none under Zipf-skewed bursts",
 		Claim: "§8: performance studies are required to determine the best ways to distribute the data values among the sites.",
 		Run: func(o Options) (*Result, error) {
 			const n = 4
@@ -181,53 +152,21 @@ func expA2() Experiment {
 				for i := range burst {
 					burst[i] = int(float64(roundUnits) / 8 * weights[i] / wsum)
 				}
-				for _, mode := range []string{"off", "even-share", "demand"} {
-					cfg := dvp.Config{Sites: n, Seed: o.seed(),
+				for _, mode := range []string{"off", "demand"} {
+					c, err := dvp.NewCluster(dvp.Config{Sites: n, Seed: o.seed(),
 						MinDelay: time.Millisecond, MaxDelay: 3 * time.Millisecond,
 						LogAppendDelay: 300 * time.Microsecond,
-						LossProb:       0.25}
-					if mode == "demand" {
-						cfg.Rebalance = dvp.RebalanceOptions{
-							Enabled:     true,
+						LossProb:       0.25,
+						Rebalance: dvp.RebalanceOptions{
+							Enabled:     mode == "demand",
 							Interval:    5 * time.Millisecond,
-							MinTransfer: 4,
-							Cooldown:    10 * time.Millisecond,
 							HalfLife:    100 * time.Millisecond,
 							AdvertStale: 25 * time.Millisecond,
-						}
-					}
-					c, err := dvp.NewCluster(cfg)
+						}})
 					if err != nil {
 						return nil, err
 					}
 					c.CreateItem("x", supply)
-					var transfers uint64
-					stopRebal := func() {}
-					if mode == "even-share" {
-						// Cluster.StartRebalancer's loop, inlined so the
-						// transfer count is observable.
-						done := make(chan struct{})
-						var wg sync.WaitGroup
-						var tmu sync.Mutex
-						wg.Add(1)
-						go func() {
-							defer wg.Done()
-							rng := rand.New(rand.NewSource(o.seed()))
-							for {
-								d := 4*time.Millisecond + time.Duration(rng.Int63n(int64(8*time.Millisecond)))
-								select {
-								case <-done:
-									return
-								case <-time.After(d):
-									m := c.Rebalance("x")
-									tmu.Lock()
-									transfers += uint64(m)
-									tmu.Unlock()
-								}
-							}
-						}()
-						stopRebal = func() { close(done); wg.Wait() }
-					}
 					var mu sync.Mutex
 					var committed, aborted int
 					start := time.Now()
@@ -265,19 +204,16 @@ func expA2() Experiment {
 								sold -= 4
 							}
 						}
-						// Lull between bursts: the rebalancers place the
+						// Lull between bursts: the rebalancer places the
 						// restocked value for the next round.
 						time.Sleep(25 * time.Millisecond)
 					}
 					elapsed := time.Since(start)
-					stopRebal()
 					var deficits uint64
 					for i := 1; i <= n; i++ {
 						deficits += c.SiteStats(i).AbortTimeout
 					}
-					if mode == "demand" {
-						transfers = c.Metrics().SumCounters("dvp_rebalance_transfers_total")
-					}
+					transfers := c.Metrics().SumCounters("dvp_rebalance_transfers_total")
 					c.Close()
 					total := committed + aborted
 					table.AddRow(skew, mode,
@@ -289,8 +225,8 @@ func expA2() Experiment {
 			return &Result{ID: "A2", Title: "demand-rebalancing ablation", Table: table,
 				Notes: []string{
 					"expected shape: as skew rises past the point where the hot site's burst",
-					"exceeds its even share, even-share and off both abort on the burst tail;",
-					"the demand-driven rebalancer sizes the hot buffer to demand and stays low.",
+					"exceeds its share, off aborts on the burst tail; the demand-driven",
+					"rebalancer sizes the hot buffer to demand and stays low.",
 				}}, nil
 		},
 	}

@@ -12,7 +12,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -133,48 +132,11 @@ type runner interface {
 	MessagesSent() uint64
 }
 
-// drive issues perSite transactions at every site concurrently (one
-// client goroutine per site), drawing from per-site generators (equal
-// seeds offset by site so demand is balanced unless weights say
-// otherwise).
-func drive(r runner, gens []*workload.Generator, perSite int, timeout time.Duration) runStats {
-	stats := runStats{latency: &metrics.Histogram{}}
-	var mu sync.Mutex
-	m0 := r.MessagesSent()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 1; i <= r.Sites(); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g := gens[i-1]
-			for k := 0; k < perSite; k++ {
-				tx := g.Next()
-				if timeout > 0 {
-					tx.Timeout = timeout
-				}
-				res := r.Run(i, tx)
-				mu.Lock()
-				if res.Committed() {
-					stats.committed++
-					stats.latency.Record(res.Latency)
-				} else {
-					stats.aborted++
-				}
-				stats.requests += uint64(res.RequestsSent)
-				mu.Unlock()
-			}
-		}(i)
-	}
-	wg.Wait()
-	stats.elapsed = time.Since(start)
-	stats.msgs = r.MessagesSent() - m0
-	return stats
-}
-
-// driveClients is drive with `clients` goroutines per site, each with
-// its own generator — intra-site concurrency for contention studies.
-func driveClients(r runner, wcfg workload.Config, clients, perClient int, timeout time.Duration) runStats {
+// drive runs `clients` client goroutines at every site concurrently,
+// each issuing perClient transactions from its own generator. Seeds
+// are offset by site and client, so demand is balanced unless the
+// workload's weights say otherwise and intra-site clients contend.
+func drive(r runner, wcfg workload.Config, clients, perClient int, timeout time.Duration) runStats {
 	stats := runStats{latency: &metrics.Histogram{}}
 	var mu sync.Mutex
 	m0 := r.MessagesSent()
@@ -182,13 +144,11 @@ func driveClients(r runner, wcfg workload.Config, clients, perClient int, timeou
 	var wg sync.WaitGroup
 	for i := 1; i <= r.Sites(); i++ {
 		for cl := 0; cl < clients; cl++ {
+			c := wcfg
+			c.Seed = wcfg.Seed + int64(i-1)*101 + int64(cl)*10007
+			g := workload.New(c)
 			wg.Add(1)
-			g := func() *workload.Generator {
-				c := wcfg
-				c.Seed = wcfg.Seed + int64(i)*101 + int64(cl)*10007
-				return workload.New(c)
-			}()
-			go func(i int, g *workload.Generator) {
+			go func() {
 				defer wg.Done()
 				for k := 0; k < perClient; k++ {
 					tx := g.Next()
@@ -206,7 +166,7 @@ func driveClients(r runner, wcfg workload.Config, clients, perClient int, timeou
 					stats.requests += uint64(res.RequestsSent)
 					mu.Unlock()
 				}
-			}(i, g)
+			}()
 		}
 	}
 	wg.Wait()
@@ -215,51 +175,9 @@ func driveClients(r runner, wcfg workload.Config, clients, perClient int, timeou
 	return stats
 }
 
-// gensFor builds one generator per site with distinct seeds.
-func gensFor(n int, cfg workload.Config) []*workload.Generator {
-	out := make([]*workload.Generator, n)
-	for i := range out {
-		c := cfg
-		c.Seed = cfg.Seed + int64(i)*101
-		out[i] = workload.New(c)
-	}
-	return out
-}
-
 // dvpRunner adapts a dvp.Cluster to the runner interface.
 type dvpRunner struct{ c *dvp.Cluster }
 
-func (r dvpRunner) Run(i int, tx *txn.Txn) *txn.Result {
-	b := builderFromTxn(tx)
-	return r.c.At(i).Run(b)
-}
-func (r dvpRunner) Sites() int           { return r.c.Sites() }
-func (r dvpRunner) MessagesSent() uint64 { return r.c.NetStats().Sent }
-
-// builderFromTxn rebuilds a public TxnBuilder from an internal txn
-// description (the generators speak internal txn; the public API
-// speaks builders).
-func builderFromTxn(tx *txn.Txn) *dvp.TxnBuilder {
-	b := dvp.NewTxn().Ask(tx.Ask).Timeout(tx.Timeout).Label(tx.Label)
-	for _, op := range tx.Ops {
-		if d := op.Op.Delta(); d >= 0 {
-			b.Add(string(op.Item), d)
-		} else {
-			b.Sub(string(op.Item), -d)
-		}
-	}
-	for _, item := range tx.Reads {
-		b.Read(string(item))
-	}
-	return b
-}
-
-// sortedKeys returns map keys in stable order for deterministic rows.
-func sortedKeys[M ~map[string]V, V any](m M) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (r dvpRunner) Run(i int, tx *txn.Txn) *txn.Result { return r.c.SiteEngine(i).Run(tx) }
+func (r dvpRunner) Sites() int                         { return r.c.Sites() }
+func (r dvpRunner) MessagesSent() uint64               { return r.c.NetStats().Sent }

@@ -53,9 +53,9 @@ func TestRunA2Quick(t *testing.T) {
 		t.Skip("experiment run")
 	}
 	res := runQuick(t, "A2")
-	// 3 Zipf skews × 3 rebalancer modes.
-	if len(res.Table.Rows()) != 9 {
-		t.Errorf("A2 rows = %d, want 9 (3 skews × 3 modes)", len(res.Table.Rows()))
+	// 3 Zipf skews × 2 rebalancer modes.
+	if len(res.Table.Rows()) != 6 {
+		t.Errorf("A2 rows = %d, want 6 (3 skews × 2 modes)", len(res.Table.Rows()))
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/metrics"
 	"dvp/internal/simnet"
-	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/workload"
 )
@@ -58,7 +57,7 @@ func expT1() Experiment {
 						return nil, err
 					}
 				}
-				st := drive(dvpRunner{c}, gensFor(n, wcfg), perSite*4, 100*time.Millisecond)
+				st := drive(dvpRunner{c}, wcfg, 1, perSite*4, 100*time.Millisecond)
 				c.Close()
 				table.AddRow(n, "dvp", st.tps(), st.msgsPerTxn(), st.abortPct(),
 					st.latency.Quantile(0.5), st.latency.Quantile(0.99))
@@ -73,7 +72,7 @@ func expT1() Experiment {
 						return nil, err
 					}
 				}
-				st2 := drive(tc, gensFor(n, wcfg), perSite, 0)
+				st2 := drive(tc, wcfg, 1, perSite, 0)
 				tc.close()
 				table.AddRow(n, "2pc", st2.tps(), st2.msgsPerTxn(), st2.abortPct(),
 					st2.latency.Quantile(0.5), st2.latency.Quantile(0.99))
@@ -209,7 +208,7 @@ func expT3() Experiment {
 				}
 				c.CreateItem("acct", core.Value(200*n))
 				wcfg := workload.Config{Kind: workload.Banking, Seed: o.seed(), Items: 1, MaxAmount: 3}
-				drive(dvpRunner{c}, gensFor(n, wcfg), history/n, 60*time.Millisecond)
+				drive(dvpRunner{c}, wcfg, 1, history/n, 60*time.Millisecond)
 				c.Quiesce(2 * time.Second)
 
 				for i := 1; i <= k; i++ {
@@ -284,7 +283,7 @@ func expT4() Experiment {
 				for _, item := range workload.New(wcfg).ItemIDs() {
 					c.CreateItem(string(item), 2000)
 				}
-				st := drive(dvpRunner{c}, gensFor(n, wcfg), perSite, 120*time.Millisecond)
+				st := drive(dvpRunner{c}, wcfg, 1, perSite, 120*time.Millisecond)
 				c.Close()
 				table.AddRow(int(rf*100), "dvp", st.tps(), st.msgsPerTxn(), st.abortPct())
 
@@ -295,7 +294,7 @@ func expT4() Experiment {
 				for _, item := range workload.New(wcfg).ItemIDs() {
 					tc.createItem(item, 2000)
 				}
-				st2 := drive(tc, gensFor(n, wcfg), perSite, 0)
+				st2 := drive(tc, wcfg, 1, perSite, 0)
 				tc.close()
 				table.AddRow(int(rf*100), "2pc", st2.tps(), st2.msgsPerTxn(), st2.abortPct())
 			}
@@ -327,32 +326,8 @@ func expT5() Experiment {
 						Sites: n, Seed: o.seed(), CC: scheme,
 						OrderPreserving: true, MaxDelay: time.Millisecond,
 						OnCommit: func(ci dvp.CommitInfo) {
-							t := cc.CommittedTxn{
-								TS:        tstamp.TS(ci.TS),
-								Site:      ident.SiteID(ci.Site),
-								Deltas:    map[ident.ItemID]core.Value{},
-								Reads:     map[ident.ItemID]core.Value{},
-								WriterIdx: map[ident.ItemID]uint64{},
-								ReadVec:   map[ident.ItemID]map[ident.SiteID]uint64{},
-							}
-							for k, v := range ci.Deltas {
-								t.Deltas[ident.ItemID(k)] = core.Value(v)
-							}
-							for k, v := range ci.Reads {
-								t.Reads[ident.ItemID(k)] = core.Value(v)
-							}
-							for k, v := range ci.WriterIdx {
-								t.WriterIdx[ident.ItemID(k)] = v
-							}
-							for k, vec := range ci.ReadVec {
-								m := map[ident.SiteID]uint64{}
-								for st, c := range vec {
-									m[ident.SiteID(st)] = c
-								}
-								t.ReadVec[ident.ItemID(k)] = m
-							}
 							mu.Lock()
-							commits = append(commits, t)
+							commits = append(commits, ci.CommittedTxn)
 							mu.Unlock()
 						},
 					})
@@ -372,7 +347,7 @@ func expT5() Experiment {
 						c.CreateItem(string(item), supply)
 						initial[item] = supply
 					}
-					st := driveClients(dvpRunner{c}, wcfg, 3, perSite, 60*time.Millisecond)
+					st := drive(dvpRunner{c}, wcfg, 3, perSite, 60*time.Millisecond)
 					c.Quiesce(2 * time.Second)
 					final := map[ident.ItemID]core.Value{}
 					for item := range initial {

@@ -8,7 +8,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -284,18 +283,4 @@ func (t *Table) CSV() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortRowsByFirstColumn orders rows numerically when possible,
-// lexically otherwise (stable presentation for map-driven sweeps).
-func (t *Table) SortRowsByFirstColumn() {
-	sort.SliceStable(t.rows, func(i, j int) bool {
-		var a, b float64
-		_, errA := fmt.Sscanf(t.rows[i][0], "%f", &a)
-		_, errB := fmt.Sscanf(t.rows[j][0], "%f", &b)
-		if errA == nil && errB == nil {
-			return a < b
-		}
-		return t.rows[i][0] < t.rows[j][0]
-	})
 }

@@ -144,15 +144,3 @@ func TestTableRowsIsCopy(t *testing.T) {
 		t.Error("Rows must return a copy")
 	}
 }
-
-func TestTableSortNumeric(t *testing.T) {
-	tb := NewTable("x", "n", "v")
-	tb.AddRow(16, "a")
-	tb.AddRow(2, "b")
-	tb.AddRow(8, "c")
-	tb.SortRowsByFirstColumn()
-	rows := tb.Rows()
-	if rows[0][0] != "2" || rows[1][0] != "8" || rows[2][0] != "16" {
-		t.Errorf("sorted rows: %v", rows)
-	}
-}

@@ -74,7 +74,6 @@ type Net struct {
 	down   map[linkKey]bool     // directional link failures
 	filter func(from, to ident.SiteID, kind wire.Kind) bool
 	stats  Stats
-	trace  func(ev TraceEvent)
 	tap    func(from, to ident.SiteID, kind wire.Kind, frame []byte)
 	closed bool
 	fifos  map[linkKey]chan deliverJob // OrderPreserving queues
@@ -82,14 +81,6 @@ type Net struct {
 	// unsound here: Add() races with Wait() when the counter touches
 	// zero between bursts, which is exactly Quiesce's situation.
 	pending atomic.Int64
-}
-
-// TraceEvent reports one network decision for debugging/visualization.
-type TraceEvent struct {
-	From, To ident.SiteID
-	Kind     wire.Kind
-	Outcome  string // "deliver", "lost", "cut", "dup"
-	Delay    time.Duration
 }
 
 type deliverJob struct {
@@ -199,17 +190,6 @@ func (n *Net) SetDup(p float64) {
 	n.cfg.DupProb = p
 }
 
-// SetDelayBounds adjusts the propagation-delay bounds at runtime
-// (max < min is clamped to min, matching New).
-func (n *Net) SetDelayBounds(min, max time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if max < min {
-		max = min
-	}
-	n.cfg.MinDelay, n.cfg.MaxDelay = min, max
-}
-
 // ScheduleAfter runs fn once d has elapsed on the network's clock —
 // the scheduled-fault hook: chaos schedules partition/heal/crash
 // actions at virtual or real instants without owning a timer. fn is
@@ -251,14 +231,6 @@ func (n *Net) SetFilter(f func(from, to ident.SiteID, kind wire.Kind) bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.filter = f
-}
-
-// SetTrace installs a trace callback (nil disables). The callback runs
-// on the sending goroutine under no locks.
-func (n *Net) SetTrace(fn func(TraceEvent)) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.trace = fn
 }
 
 // Stats returns a snapshot of the counters.
@@ -337,29 +309,17 @@ func (n *Net) send(from *endpoint, env *wire.Envelope) error {
 	n.stats.ByKind[kind]++
 	if n.filter != nil && !n.filter(from.site, env.To, kind) {
 		n.stats.Cut++
-		tr := n.trace
 		n.mu.Unlock()
-		if tr != nil {
-			tr(TraceEvent{From: from.site, To: env.To, Kind: kind, Outcome: "cut"})
-		}
 		return nil
 	}
 	if !n.reachable(from.site, env.To) {
 		n.stats.Cut++
-		tr := n.trace
 		n.mu.Unlock()
-		if tr != nil {
-			tr(TraceEvent{From: from.site, To: env.To, Kind: kind, Outcome: "cut"})
-		}
 		return nil // silent loss: the sender cannot tell (§2.2)
 	}
 	if n.cfg.LossProb > 0 && n.rng.Float64() < n.cfg.LossProb {
 		n.stats.Lost++
-		tr := n.trace
 		n.mu.Unlock()
-		if tr != nil {
-			tr(TraceEvent{From: from.site, To: env.To, Kind: kind, Outcome: "lost"})
-		}
 		return nil
 	}
 	copies := 1
@@ -371,17 +331,9 @@ func (n *Net) send(from *endpoint, env *wire.Envelope) error {
 	for i := range delays {
 		delays[i] = n.sampleDelayLocked()
 	}
-	tr := n.trace
 	n.mu.Unlock()
 
 	for i := 0; i < copies; i++ {
-		outcome := "deliver"
-		if i > 0 {
-			outcome = "dup"
-		}
-		if tr != nil {
-			tr(TraceEvent{From: from.site, To: env.To, Kind: kind, Outcome: outcome, Delay: delays[i]})
-		}
 		n.dispatch(from.site, dst, buf, delays[i])
 	}
 	return nil

@@ -314,27 +314,6 @@ func TestEndpointReattachIsSameAddress(t *testing.T) {
 	}
 }
 
-func TestTraceCallback(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	e1 := n.Endpoint(1)
-	n.Endpoint(2).SetHandler(func(*wire.Envelope) {})
-	var events int32
-	n.SetTrace(func(ev TraceEvent) {
-		atomic.AddInt32(&events, 1)
-		if ev.From != 1 || ev.To != 2 {
-			t.Errorf("trace addressing: %+v", ev)
-		}
-	})
-	env := ack(1)
-	env.To = 2
-	e1.Send(env)
-	n.Quiesce()
-	if atomic.LoadInt32(&events) != 1 {
-		t.Errorf("trace events = %d", events)
-	}
-}
-
 func TestStatsByKind(t *testing.T) {
 	n := New(Config{})
 	defer n.Close()
@@ -443,14 +422,6 @@ func TestRuntimeFaultKnobs(t *testing.T) {
 	send(10)
 	if got := c.count(); got != 40 {
 		t.Fatalf("delivered %d with dup=1.0, want 40", got)
-	}
-	// Delay bounds are clamped like New (max < min → min).
-	n.SetDelayBounds(time.Millisecond, 0)
-	n.mu.Lock()
-	min, max := n.cfg.MinDelay, n.cfg.MaxDelay
-	n.mu.Unlock()
-	if min != time.Millisecond || max != time.Millisecond {
-		t.Errorf("delay bounds = %v/%v, want 1ms/1ms", min, max)
 	}
 }
 

@@ -27,20 +27,19 @@ import (
 // regardless of demand (core.DemandShares).
 const rebalanceFloor = 0.25
 
+// minTransfer is the hysteresis dead-band: ship surplus only when both
+// the local surplus and the peer's deficit reach it.
+const minTransfer core.Value = 4
+
 // RebalanceConfig tunes the per-site demand-driven rebalancer.
 type RebalanceConfig struct {
 	// Enabled starts the rebalancer goroutine with the site.
 	Enabled bool
 	// Interval is the base advert/rebalance pace. Each tick is
 	// jittered over [Interval/2, 3·Interval/2) so concurrent sites
-	// never fall into lockstep rounds. Default 50ms.
+	// never fall into lockstep rounds; transfers of one item from this
+	// site are at least 2·Interval apart. Default 50ms.
 	Interval time.Duration
-	// MinTransfer is the hysteresis dead-band: ship surplus only when
-	// both the local surplus and the peer's deficit reach it. Default 4.
-	MinTransfer core.Value
-	// Cooldown is the minimum gap between transfers of one item from
-	// this site. Default 2·Interval.
-	Cooldown time.Duration
 	// HalfLife sets how fast the demand EWMA decays. Default 8·Interval.
 	HalfLife time.Duration
 	// AdvertStale bounds how old a peer's advert may be and still
@@ -56,12 +55,6 @@ type RebalanceConfig struct {
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	if c.Interval <= 0 {
 		c.Interval = 50 * time.Millisecond
-	}
-	if c.MinTransfer <= 0 {
-		c.MinTransfer = 4
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * c.Interval
 	}
 	if c.HalfLife <= 0 {
 		c.HalfLife = 8 * c.Interval
@@ -273,10 +266,10 @@ func (s *Site) advertiseDemand() {
 
 // rebalanceTick walks the local items and, for each, compares this
 // site's holding against its demand-weighted share of what the
-// reachable view holds. Surplus at least MinTransfer beyond the target
+// reachable view holds. Surplus at least minTransfer beyond the target
 // ships to the single largest-deficit peer (one transfer per item per
-// tick, bounding transfer volume); the per-item cooldown and the
-// MinTransfer dead-band on both ends stop oscillation.
+// tick, bounding transfer volume); the per-item cooldown (2·Interval)
+// and the minTransfer dead-band on both ends stop oscillation.
 func (s *Site) rebalanceTick() {
 	cfg := s.cfg.Rebalance
 	now := s.cfg.Clock.Now()
@@ -300,7 +293,7 @@ func (s *Site) rebalanceTick() {
 		}
 		targets := core.DemandShares(total, demands, rebalanceFloor)
 		surplus := s.cfg.DB.Value(item) - targets[0]
-		if surplus < cfg.MinTransfer {
+		if surplus < minTransfer {
 			continue
 		}
 		best, bestDeficit := -1, core.Value(0)
@@ -309,7 +302,7 @@ func (s *Site) rebalanceTick() {
 				best, bestDeficit = k, deficit
 			}
 		}
-		if best < 0 || bestDeficit < cfg.MinTransfer {
+		if best < 0 || bestDeficit < minTransfer {
 			continue
 		}
 		amount := surplus
@@ -317,7 +310,7 @@ func (s *Site) rebalanceTick() {
 			amount = bestDeficit
 		}
 		stripe, st := s.lockItem(item)
-		cooled := st.demand.cooldownOK(now, cfg.Cooldown)
+		cooled := st.demand.cooldownOK(now, 2*cfg.Interval)
 		stripe.Unlock()
 		if !cooled {
 			continue

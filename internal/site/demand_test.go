@@ -7,6 +7,7 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
+	"dvp/internal/txn"
 	"dvp/internal/wire"
 )
 
@@ -15,8 +16,6 @@ import (
 func trackerCfg() RebalanceConfig {
 	return RebalanceConfig{
 		Interval:    10 * time.Millisecond,
-		MinTransfer: 4,
-		Cooldown:    20 * time.Millisecond,
 		HalfLife:    40 * time.Millisecond,
 		AdvertStale: 40 * time.Millisecond,
 	}.withDefaults()
@@ -82,7 +81,7 @@ func TestDemandAdvertFreshnessIsReachability(t *testing.T) {
 }
 
 func TestDemandCooldownTestAndSet(t *testing.T) {
-	cooldown := trackerCfg().Cooldown // 20ms
+	cooldown := 2 * trackerCfg().Interval // 20ms
 	var x, y itemState
 	t0 := time.Unix(1000, 0)
 	if !x.demand.cooldownOK(t0, cooldown) {
@@ -109,8 +108,6 @@ func rebalCluster(t *testing.T) *testCluster {
 		c.Rebalance = RebalanceConfig{
 			Enabled:     true,
 			Interval:    5 * time.Millisecond,
-			MinTransfer: 4,
-			Cooldown:    10 * time.Millisecond,
 			HalfLife:    200 * time.Millisecond,
 			AdvertStale: 25 * time.Millisecond,
 			Seed:        int64(i + 1),
@@ -199,4 +196,53 @@ func TestRebalancerSkipsUnreachablePeers(t *testing.T) {
 	waitUntil(t, 2*time.Second, "transfer after heal", func() bool {
 		return tc.sites[2].DB().Value("x") >= 40
 	})
+}
+
+// TestRebalancerReducesAbortsUnderSkew is the ablation in miniature:
+// all demand at site 1, AskOne policy (the abort-prone corner of F1). A
+// rebalancing round every few transactions moves quota to site 1 ahead
+// of demand, so it never has to ask and nothing can abort; the same
+// workload without it runs site 1 dry and has to ask. The rounds are
+// driven from here and drained, not from a timer: a transfer landing
+// while a transaction holds the item costs that transaction its grant,
+// and counting such collisions would measure the scheduler.
+func TestRebalancerReducesAbortsUnderSkew(t *testing.T) {
+	const txns, amount = 60, 5
+	run := func(rebalance bool) (aborts int, asks uint64) {
+		tc := newTestCluster(t, 4, simnet.Config{Seed: 24, MaxDelay: time.Millisecond}, nil)
+		tc.createItem("x", 400)
+		for k := 0; k < txns; k++ {
+			if rebalance && k%5 == 0 {
+				for _, s := range tc.sites {
+					s.advertiseDemand()
+				}
+				tc.settle()
+				for _, s := range tc.sites {
+					s.rebalanceTick()
+				}
+				tc.waitQuiescent("x", time.Second)
+			}
+			res := tc.sites[0].Run(&txn.Txn{
+				Ops: []txn.ItemOp{{Item: "x", Op: core.Decr{M: amount}}},
+				Ask: txn.AskOne, Timeout: 30 * time.Millisecond,
+			})
+			if !res.Committed() {
+				aborts++
+			}
+		}
+		tc.waitQuiescent("x", time.Second)
+		if got, want := tc.globalTotal("x"), core.Value(400-amount*(txns-aborts)); got != want {
+			t.Errorf("rebalance=%v: N = %d, want %d after %d commits", rebalance, got, want, txns-aborts)
+		}
+		return aborts, tc.sites[0].Stats().RequestsSent
+	}
+	without, asksWithout := run(false)
+	with, asksWith := run(true)
+	if asksWithout == 0 {
+		t.Error("without the rebalancer site 1 never asked: the workload does not exercise the skew")
+	}
+	if with != 0 || asksWith != 0 {
+		t.Errorf("with the rebalancer: %d aborts, %d asks; quota should have reached site 1 ahead of demand", with, asksWith)
+	}
+	t.Logf("aborts: %d without rebalancer, %d with", without, with)
 }

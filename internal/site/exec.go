@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/tstamp"
@@ -250,10 +251,12 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	var ci CommitInfo
 	if hook != nil {
 		ci = CommitInfo{
-			TS: ts, Site: s.cfg.ID, Deltas: t.Deltas(), Reads: res.Reads,
-			WriterIdx: make(map[ident.ItemID]uint64, len(actions)),
-			ReadVec:   make(map[ident.ItemID]FlowVec, len(t.Reads)),
-			Label:     t.Label, CommitLSN: lsn,
+			CommittedTxn: cc.CommittedTxn{
+				TS: ts, Site: s.cfg.ID, Deltas: t.Deltas(), Reads: res.Reads,
+				WriterIdx: make(map[ident.ItemID]uint64, len(actions)),
+				ReadVec:   make(map[ident.ItemID]map[ident.SiteID]uint64, len(t.Reads)),
+			},
+			Label: t.Label, CommitLSN: lsn,
 		}
 		for _, item := range t.Reads {
 			ci.ReadVec[item] = sts[indexOf(items, item)].flowSnapshot()

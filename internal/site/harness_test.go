@@ -196,15 +196,7 @@ func (tc *testCluster) committedTxns() []cc.CommittedTxn {
 	defer tc.mu.Unlock()
 	out := make([]cc.CommittedTxn, 0, len(tc.commits))
 	for _, ci := range tc.commits {
-		t := cc.CommittedTxn{
-			TS: ci.TS, Site: ci.Site, Deltas: ci.Deltas, Reads: ci.Reads,
-			WriterIdx: ci.WriterIdx,
-			ReadVec:   make(map[ident.ItemID]map[ident.SiteID]uint64, len(ci.ReadVec)),
-		}
-		for item, vec := range ci.ReadVec {
-			t.ReadVec[item] = map[ident.SiteID]uint64(vec)
-		}
-		out = append(out, t)
+		out = append(out, ci.CommittedTxn)
 	}
 	return out
 }

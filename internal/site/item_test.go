@@ -302,7 +302,7 @@ func TestItemStateUnderScrapeAndRebalance(t *testing.T) {
 	reg := obs.NewRegistry()
 	tc := newTestCluster(t, 2, simnet.Config{Seed: 34}, func(i int, c *Config) {
 		c.Metrics = reg
-		c.Rebalance = RebalanceConfig{Interval: 2 * time.Millisecond, Cooldown: time.Millisecond, MinTransfer: 1, Seed: int64(i + 1)}
+		c.Rebalance = RebalanceConfig{Interval: 2 * time.Millisecond, Seed: int64(i + 1)}
 	})
 	items := []ident.ItemID{"ov/0", "ov/1", "ov/2", "ov/3"}
 	for _, item := range items {

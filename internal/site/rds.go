@@ -18,7 +18,7 @@ import (
 // machinery guarantees eventual delivery.
 //
 // Returns an error if the site is down, the item is locked (no-wait),
-// or local quota is insufficient. Proactive rebalancing policies are
+// or local quota is insufficient. The demand rebalancer (demand.go) is
 // built on this (paper §8: "performance studies to find the best ways
 // to distribute the data ... are needed").
 func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value) error {
@@ -102,9 +102,9 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	// The lock is taken as the stripe is let go (nobody could see it
 	// sooner) and held through dispatch: an Rds queued on the stripe
 	// behind this one aborts no-wait instead of shipping again from its
-	// caller's stale snapshot — concurrent rebalancers would otherwise
-	// double-ship. A Vm that parks behind it waits for the item's next
-	// release or its own retransmission.
+	// caller's stale snapshot — a caller racing the rebalancer would
+	// otherwise double-ship. A Vm that parks behind it waits for the
+	// item's next release or its own retransmission.
 	st.holder = ts.Txn()
 	stripe.Unlock()
 	hop.Step("apply", "")

@@ -2,6 +2,7 @@ package site
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
 	"dvp/internal/tstamp"
+	"dvp/internal/wire"
 )
 
 // TestVmAcceptIntoFreeItemStampsAndReports pins the Rds-as-two-
@@ -130,5 +132,54 @@ func TestDeferredVmRedeliversOnUnlock(t *testing.T) {
 	}
 	if left := parkedOn(dst, "x"); left != 0 {
 		t.Errorf("%d Vm still parked after redelivery", left)
+	}
+}
+
+// TestSendValueHoldsLockThroughDispatch pins the window between an
+// Rds's log append and its Vm dispatch: the item's lock stays held
+// across it, so a caller racing the rebalancer — another SendValue
+// that read the same pre-transfer quota — aborts no-wait instead of
+// shipping the same surplus a second time. A tap parks the first Vm
+// inside the window; the racing transfer must fail while it is there.
+func TestSendValueHoldsLockThroughDispatch(t *testing.T) {
+	tc := newTestCluster(t, 2, simnet.Config{Seed: 13}, nil)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var first atomic.Bool
+	tc.net.SetTap(func(_, _ ident.SiteID, kind wire.Kind, _ []byte) {
+		if kind == wire.KVm && first.CompareAndSwap(false, true) {
+			close(parked)
+			<-release
+		}
+	})
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(unpark) // before the cluster's cleanup crashes the sites
+	for i, s := range tc.sites {
+		share := core.Value(0)
+		if i == 0 {
+			share = 10
+		}
+		if err := s.DB().Create("x", share); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	src := tc.sites[0]
+	done := make(chan error, 1)
+	go func() { done <- src.SendValue("x", 2, 5) }()
+	<-parked
+	if err := src.SendValue("x", 2, 5); err == nil {
+		t.Error("a second transfer shipped while the first was still dispatching")
+	}
+	if !lockHeld(src, "x") {
+		t.Error("the item's lock was released before the Vm was dispatched")
+	}
+	unpark()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	tc.waitQuiescent("x", time.Second)
+	if got := tc.sites[1].DB().Value("x"); got != 5 {
+		t.Errorf("receiver holds %d, want 5", got)
 	}
 }

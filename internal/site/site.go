@@ -87,7 +87,9 @@ type Config struct {
 	// largest observed deficit with Rds transfers (see demand.go).
 	Rebalance RebalanceConfig
 	// OnCommit, when set, observes every committed transaction
-	// (metrics, serializability checking). Called outside locks.
+	// (metrics, serializability checking). Called outside locks; the
+	// record's maps are not copied for it, so the hook must treat them
+	// as read-only.
 	OnCommit func(CommitInfo)
 	// OnRds, when set, observes each half of every redistribution: the
 	// deduct logged with a Vm's creation and the credit logged with its
@@ -115,23 +117,16 @@ type Config struct {
 	Flight *obs.Flight
 }
 
-// CommitInfo describes a committed transaction to the OnCommit hook.
+// CommitInfo describes a committed transaction to the OnCommit hook:
+// the record the serializability checkers take (its ReadVec entries are
+// FlowVec snapshots), plus two fields they do not need.
 type CommitInfo struct {
-	TS     tstamp.TS
-	Site   ident.SiteID
-	Deltas map[ident.ItemID]core.Value
-	Reads  map[ident.ItemID]core.Value
+	cc.CommittedTxn
 	// CommitLSN is the stable-log LSN of the commit record whose
 	// stability acknowledged this transaction. Durability audits check
 	// it against the log: an acknowledged commit is either still in
 	// the log or behind the compaction horizon, never lost.
 	CommitLSN uint64
-	// WriterIdx gives, per written item, this transaction's local
-	// writer index at its site; ReadVec gives, per fully-read item,
-	// the observation vector (see FlowVec). Together they drive
-	// the exact serializability checker.
-	WriterIdx map[ident.ItemID]uint64
-	ReadVec   map[ident.ItemID]FlowVec
 	Label     string
 }
 

@@ -384,8 +384,6 @@ func TestDemandRebalanceOverTCP(t *testing.T) {
 			Rebalance: site.RebalanceConfig{
 				Enabled:     true,
 				Interval:    5 * time.Millisecond,
-				MinTransfer: 4,
-				Cooldown:    10 * time.Millisecond,
 				HalfLife:    200 * time.Millisecond,
 				AdvertStale: 25 * time.Millisecond,
 				Seed:        int64(id),

@@ -55,9 +55,6 @@ func (t TS) String() string {
 // the timestamp of a transaction "also serves as its identifier".
 func (t TS) Txn() ident.TxnID { return ident.TxnID(t) }
 
-// FromTxn recovers the timestamp from a transaction id.
-func FromTxn(id ident.TxnID) TS { return TS(id) }
-
 // Clock is one site's Lamport clock. It is safe for concurrent use:
 // transactions draw timestamps while the message layer observes
 // incoming ones.

@@ -67,13 +67,6 @@ func TestZero(t *testing.T) {
 	}
 }
 
-func TestTxnRoundTrip(t *testing.T) {
-	ts := Make(9, 3)
-	if FromTxn(ts.Txn()) != ts {
-		t.Errorf("Txn round trip lost information: %v", ts)
-	}
-}
-
 func TestClockStrictlyIncreasing(t *testing.T) {
 	c := NewClock(2)
 	prev := c.Next()

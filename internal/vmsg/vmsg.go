@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/metrics"
 	"dvp/internal/obs"
@@ -569,20 +568,4 @@ func (m *Manager) RestoreChannels(chs []wal.VmChannelState) {
 		ic.applied.restore(ch.InLow, ch.InAbove)
 		ic.stable.restore(ch.InLow, ch.InAbove)
 	}
-}
-
-// OutstandingValue sums the amounts of unacknowledged outbound Vm for
-// item, for monitors: an upper bound on the in-flight value N_M.
-func (m *Manager) OutstandingValue(item ident.ItemID) core.Value {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var sum core.Value
-	for _, c := range m.out {
-		for _, v := range c.pending {
-			if v.Item == item {
-				sum += v.Amount
-			}
-		}
-	}
-	return sum
 }

@@ -113,7 +113,7 @@ func TestPendingAllAcrossPeers(t *testing.T) {
 	}
 }
 
-func TestHasOutstandingAndValue(t *testing.T) {
+func TestHasOutstanding(t *testing.T) {
 	m := NewManager()
 	m.Created([]wal.VmOut{
 		{To: 2, Seq: 1, Item: "a", Amount: 5},
@@ -122,9 +122,6 @@ func TestHasOutstandingAndValue(t *testing.T) {
 	})
 	if !m.HasOutstanding("a") || !m.HasOutstanding("b") || m.HasOutstanding("c") {
 		t.Error("HasOutstanding wrong")
-	}
-	if v := m.OutstandingValue("a"); v != 7 {
-		t.Errorf("OutstandingValue(a) = %d", v)
 	}
 	m.OnAck(3, 2)
 	if m.HasOutstanding("b") {

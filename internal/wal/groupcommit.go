@@ -309,6 +309,3 @@ func (g *GroupLog) Close() error {
 	<-g.done
 	return g.inner.Close()
 }
-
-// Inner exposes the wrapped log (harness audits and tests).
-func (g *GroupLog) Inner() Log { return g.inner }

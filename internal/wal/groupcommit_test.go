@@ -353,9 +353,6 @@ func TestGroupLogScanCompactDelegate(t *testing.T) {
 	if len(lsns) != 2 || lsns[0] != 3 {
 		t.Errorf("after compact: %v", lsns)
 	}
-	if g.Inner() != Log(inner) {
-		t.Error("Inner() must expose the wrapped log")
-	}
 }
 
 func TestGroupLogInstrument(t *testing.T) {

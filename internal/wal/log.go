@@ -165,20 +165,3 @@ func appendDurably(l Log, kind RecordKind, data []byte) (uint64, error) {
 	}
 	return lsn, l.WaitDurable(lsn)
 }
-
-// Stats summarizes a log for experiments and debugging.
-type Stats struct {
-	Records uint64
-	Bytes   uint64
-}
-
-// CountStats scans the log and tallies record count and payload bytes.
-func CountStats(l Log) (Stats, error) {
-	var s Stats
-	err := l.Scan(1, func(r Record) error {
-		s.Records++
-		s.Bytes += uint64(len(r.Data))
-		return nil
-	})
-	return s, err
-}

@@ -189,19 +189,6 @@ func TestMemLogAppendHookFault(t *testing.T) {
 	}
 }
 
-func TestCountStats(t *testing.T) {
-	l := NewMemLog()
-	l.Append(RecCommit, []byte("1234"))
-	l.Append(RecApplied, []byte("56"))
-	s, err := CountStats(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Records != 2 || s.Bytes != 6 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestRecordKindStrings(t *testing.T) {
 	kinds := []RecordKind{RecVmCreate, RecVmAccept, RecCommit, RecApplied,
 		RecCheckpoint, RecPrepare, RecDecision, RecBaseApplied}

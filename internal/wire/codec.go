@@ -13,7 +13,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrShort reports a truncated buffer during decode.
@@ -92,11 +91,6 @@ func (w *Writer) String(s string) {
 func (w *Writer) Bytes2(b []byte) {
 	w.U64(uint64(len(b)))
 	w.buf = append(w.buf, b...)
-}
-
-// F64 appends a float64 as fixed 8 bytes.
-func (w *Writer) F64(v float64) {
-	w.buf = binary.BigEndian.AppendUint64(w.buf, math.Float64bits(v))
 }
 
 // Reader consumes a binary encoding produced by Writer. Decode errors
@@ -234,18 +228,4 @@ func (r *Reader) Bytes2() []byte {
 	copy(b, r.buf[r.off:])
 	r.off += int(n)
 	return b
-}
-
-// F64 reads a fixed 8-byte float64.
-func (r *Reader) F64() float64 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+8 > len(r.buf) {
-		r.fail(ErrShort)
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(r.buf[r.off:]))
-	r.off += 8
-	return v
 }

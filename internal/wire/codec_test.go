@@ -17,7 +17,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	w.Bool(false)
 	w.String("hello, Γ⁺")
 	w.Bytes2([]byte{1, 2, 3})
-	w.F64(3.25)
 
 	r := NewReader(w.Bytes())
 	if v := r.U8(); v != 0xAB {
@@ -43,9 +42,6 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	}
 	if v := r.Bytes2(); !bytes.Equal(v, []byte{1, 2, 3}) {
 		t.Errorf("Bytes2 = %v", v)
-	}
-	if v := r.F64(); v != 3.25 {
-		t.Errorf("F64 = %v", v)
 	}
 	if r.Err() != nil {
 		t.Errorf("unexpected error: %v", r.Err())
@@ -140,7 +136,6 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 		_ = r.String()
 		_ = r.I64()
 		_ = r.Bytes2()
-		_ = r.F64()
 		return true // reaching here without panic is the property
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -9,7 +9,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"dvp/internal/core"
@@ -200,18 +199,4 @@ func (g *Generator) nextBanking() *txn.Txn {
 			Label: "withdraw",
 		}
 	}
-}
-
-// SkewedSiteWeights returns per-site demand weights where site 0
-// receives `hot` times the demand of the others (experiment F6's
-// all-demand-at-one-site shape as hot → ∞).
-func SkewedSiteWeights(n int, hot float64) []float64 {
-	w := make([]float64, n)
-	for i := range w {
-		w[i] = 1
-	}
-	if n > 0 {
-		w[0] = math.Max(hot, 0)
-	}
-	return w
 }

@@ -121,16 +121,6 @@ func TestAskPolicyPropagates(t *testing.T) {
 	}
 }
 
-func TestSkewedSiteWeights(t *testing.T) {
-	w := SkewedSiteWeights(4, 10)
-	if w[0] != 10 || w[1] != 1 || len(w) != 4 {
-		t.Errorf("weights = %v", w)
-	}
-	if w := SkewedSiteWeights(3, -5); w[0] != 0 {
-		t.Error("negative hot weight must clamp to 0")
-	}
-}
-
 func TestKindStrings(t *testing.T) {
 	if Airline.String() != "airline" || Banking.String() != "banking" ||
 		Inventory.String() != "inventory" || Kind(9).String() != "workload?" {
