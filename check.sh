@@ -115,8 +115,10 @@ go test -race -shuffle=on ./...
 # Stress pass over the site tests that sit on an interleaving — the one
 # commit path's eight shapes, crash waking parked waiters, the flow
 # checker on a live history, parked-Vm redelivery, batch accept, the
-# Rds lock held through dispatch — on one and two CPUs.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch' ./internal/site
+# Rds lock held through dispatch, commits overlapping a held force, a
+# held Vm create, force and endpoint-open failures — on one and two
+# CPUs.
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite' ./internal/site
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

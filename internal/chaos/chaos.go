@@ -168,6 +168,14 @@ type runner struct {
 	// barrier can join them before restarting sites.
 	hooksLive bool
 	crashWG   sync.WaitGroup
+
+	// eventErr is the first violation an event-time audit caught — one
+	// checked inside the OnCommit hook or the network tap, the moment
+	// the reply or the Vm leaves, rather than at a barrier. The next
+	// barrier reports it. creates indexes the Vm each site's stable log
+	// has created, for the wire audit (see checkVmAfterLog).
+	eventErr error
+	creates  createIndex
 }
 
 // Run executes the schedule and checks the global invariants at every
@@ -189,6 +197,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		outageStart: make(map[int]time.Time),
 		outageBase:  make(map[int]map[int]uint64),
 		start:       time.Now(),
+		creates:     createIndex{sites: make(map[ident.SiteID]*siteCreates)},
 	}
 	c, err := dvp.NewCluster(dvp.Config{
 		Sites:           sched.Sites,
@@ -223,6 +232,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 			AdvertStale: 5 * rebalInterval,
 		},
 		OnCommit: func(ci dvp.CommitInfo) {
+			r.checkReplyAfterLog(ci)
 			r.mu.Lock()
 			r.committed = append(r.committed, ci)
 			r.mu.Unlock()
@@ -242,9 +252,14 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 	}
 	r.c = c
 	defer c.Close()
-	if opt.Tap != nil {
-		c.Net().SetTap(opt.Tap)
-	}
+	// Every frame passes the wire audit (a Vm may not leave ahead of its
+	// create record), then the caller's tap.
+	c.Net().SetTap(func(from, to ident.SiteID, kind wire.Kind, frame []byte) {
+		r.checkVmAfterLog(from, kind, frame)
+		if opt.Tap != nil {
+			opt.Tap(from, to, kind, frame)
+		}
+	})
 
 	for k := 0; k < sched.Items; k++ {
 		item := fmt.Sprintf("item/%d", k)
@@ -572,6 +587,10 @@ func (r *runner) apply(round int, e Event) {
 // quiescent state and checks every global invariant. Mid-run checks
 // happen here: once per round, not only at the end of the run.
 func (r *runner) barrier(round int) error {
+	// Whatever the round's replies and Vm broke as they left comes first.
+	if err := r.eventViolation(); err != nil {
+		return err
+	}
 	// Disarm flush and checkpoint traps and join any crash they already
 	// launched — after this, no trap can kill a site the barrier just
 	// restarted.

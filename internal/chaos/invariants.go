@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"sync"
 	"time"
 
+	"dvp"
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
@@ -13,6 +15,7 @@ import (
 	"dvp/internal/tstamp"
 	"dvp/internal/vmsg"
 	"dvp/internal/wal"
+	"dvp/internal/wire"
 )
 
 // checkInvariants runs every global invariant family at a quiescent,
@@ -46,7 +49,142 @@ func (r *runner) checkInvariants(round int) error {
 	if err := r.checkConservation(); err != nil {
 		return fmt.Errorf("after idempotence cycling: %w", err)
 	}
-	return nil
+	// The drain and the crash-cycles above sent and acknowledged too.
+	return r.eventViolation()
+}
+
+// violated records err as an event-time violation unless an earlier
+// one is already held.
+func (r *runner) violated(err error) {
+	r.mu.Lock()
+	if r.eventErr == nil {
+		r.eventErr = err
+	}
+	r.mu.Unlock()
+}
+
+// eventViolation returns the first event-time violation, if any.
+func (r *runner) eventViolation() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.eventErr
+}
+
+// checkReplyAfterLog is the durability family's "no reply ahead of the
+// log", checked inside the OnCommit hook — the moment the site reports
+// the commit, alongside its reply: the site's durable watermark must
+// already cover the commit record. A site enqueues and applies the
+// record under the item's stripe and forces it after letting go; this
+// is the check that it answers only after the force.
+func (r *runner) checkReplyAfterLog(ci dvp.CommitInfo) {
+	gl := r.c.GroupLog(int(ci.Site))
+	if gl == nil {
+		return
+	}
+	if d := gl.DurableLSN(); d < ci.CommitLSN {
+		r.violated(fmt.Errorf(
+			"durability: site %v reported txn %v committed at LSN %d with its durable watermark at %d — a reply ran ahead of the log",
+			ci.Site, ci.TS, ci.CommitLSN, d))
+	}
+}
+
+// chanKey names one Vm: its peer (receiver or sender, by context) and
+// sequence number.
+type chanKey struct {
+	peer ident.SiteID
+	seq  uint64
+}
+
+// createIndex records, per site, every Vm its stable log has created —
+// as a VmCreate record, or as a checkpoint's pending entry once
+// compaction has dropped the record — scanned incrementally from next.
+type createIndex struct {
+	mu    sync.Mutex
+	sites map[ident.SiteID]*siteCreates
+}
+
+type siteCreates struct {
+	next uint64
+	vm   map[chanKey]bool
+}
+
+// checkVmAfterLog is the exactly-once family's "no Vm on the wire
+// ahead of its create record", checked in the network tap as each
+// frame leaves: every Vm a Vm or VmBatch envelope carries must already
+// be created by a record in its sender's stable log. A site deducts a
+// Vm's value when its create record is enqueued and may send the Vm
+// only once that record is stable (§4.2: the Vm exists from that
+// instant). A Vm the sender has already had acknowledged is exempt —
+// its record may lie behind a compaction horizon the index never saw.
+func (r *runner) checkVmAfterLog(from ident.SiteID, kind wire.Kind, frame []byte) {
+	if kind != wire.KVm && kind != wire.KVmBatch {
+		return
+	}
+	env, err := wire.Unmarshal(frame)
+	if err != nil {
+		r.violated(fmt.Errorf("wire audit: site %v sent an undecodable %v frame: %w", from, kind, err))
+		return
+	}
+	var vms []wire.Vm
+	switch m := env.Msg.(type) {
+	case *wire.Vm:
+		vms = []wire.Vm{*m}
+	case *wire.VmBatch:
+		vms = m.Vms
+	}
+	eng := r.c.SiteEngine(int(from))
+	r.creates.mu.Lock()
+	defer r.creates.mu.Unlock()
+	sc := r.creates.sites[from]
+	if sc == nil {
+		sc = &siteCreates{next: 1, vm: make(map[chanKey]bool)}
+		r.creates.sites[from] = sc
+	}
+	for _, v := range vms {
+		k := chanKey{env.To, v.Seq}
+		if sc.vm[k] {
+			continue
+		}
+		if err := sc.scan(eng.Log()); err != nil {
+			r.violated(fmt.Errorf("wire audit: site %v log scan: %w", from, err))
+			return
+		}
+		if sc.vm[k] || v.Seq <= eng.VM().CumAck(env.To) {
+			continue
+		}
+		r.violated(fmt.Errorf(
+			"exactly-once: site %v sent Vm (to=%v seq=%d item=%s amount=%d) with no create record for it in its stable log (last stable LSN %d) — a Vm went on the wire ahead of its create record",
+			from, env.To, v.Seq, v.Item, v.Amount, eng.Log().LastLSN()))
+		return
+	}
+}
+
+// scan indexes the Vm created by the stable log's records from next on.
+func (sc *siteCreates) scan(log wal.Log) error {
+	return log.Scan(sc.next, func(rec wal.Record) error {
+		sc.next = rec.LSN + 1
+		switch rec.Kind {
+		case wal.RecVmCreate:
+			cr, err := wal.DecodeVmCreate(rec.Data)
+			if err != nil {
+				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+			}
+			for _, m := range cr.Msgs {
+				sc.vm[chanKey{m.To, m.Seq}] = true
+			}
+		case wal.RecCheckpoint:
+			cp, err := wal.DecodeCheckpoint(rec.Data)
+			if err != nil {
+				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+			}
+			for _, ch := range cp.Channels {
+				for _, v := range ch.Pending {
+					sc.vm[chanKey{ch.Peer, v.Seq}] = true
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // checkRebalanceQuiet is the anti-thrash invariant on the demand
@@ -165,10 +303,6 @@ func (r *runner) checkExactlyOnce() error {
 			created, accepted, dups)
 	}
 
-	type chanKey struct {
-		peer ident.SiteID
-		seq  uint64
-	}
 	for i := 1; i <= r.sched.Sites; i++ {
 		log := r.c.SiteEngine(i).Log()
 		sentOnce := make(map[chanKey]bool)

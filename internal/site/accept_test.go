@@ -84,11 +84,12 @@ func (a *ackTap) install(t *testing.T, net *simnet.Net) {
 }
 
 // A value Vm addressed to a waiting transaction is credited when its
-// acceptance record is enqueued — the store shows it, the waiter wakes
-// and its commit record queues behind the acceptance — but nothing
-// acknowledges it, explicitly or piggybacked, until that record is
-// stable; then the ack goes out and a retransmitted copy is a counted
-// duplicate.
+// acceptance record is enqueued — the waiter wakes, and its commit
+// record queues behind the acceptance and applies there, so the store
+// shows credit and deduct alike — but nothing acknowledges the Vm,
+// explicitly or piggybacked, and nothing answers the transaction,
+// until those records are stable; then the ack goes out and a
+// retransmitted copy is a counted duplicate.
 func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	tc, gl := groupedCluster(t, 21, wal.NewMemLog(), nil)
 	item := ident.ItemID("flight/A")
@@ -114,12 +115,12 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 		t.Fatal("no flush at site 1: the grant never arrived")
 	}
 
-	waitUntil(t, 2*time.Second, "credit visible in the store before the force", func() bool {
-		return tc.sites[0].DB().Value(item) == 15
-	})
 	waitUntil(t, 2*time.Second, "commit record queued behind the acceptance", func() bool {
 		return gl.Waiters() == 2
 	})
+	if v := tc.sites[0].DB().Value(item); v != 0 {
+		t.Fatalf("store = %d before the force, want 0: 10 + 5 credited, 15 committed", v)
+	}
 	pending := tc.sites[1].VM().PendingTo(1)
 	if len(pending) != 1 {
 		t.Fatalf("sender's retransmission set toward site 1 = %v, want the one unacknowledged Vm", pending)
@@ -322,11 +323,11 @@ func TestApplyFailureStopsTheSite(t *testing.T) {
 		entry  func(s *Site) error
 	}{
 		{"commit-apply", func(s *Site) error {
-			_, err := s.commitDurably(s.lamport.Next(), overdraw)
+			_, _, err := s.commitLocked(s.lamport.Next(), overdraw)
 			return err
 		}},
 		{"create-apply", func(s *Site) error {
-			_, err := s.vmCreateDurably(&wal.VmCreateRec{
+			_, err := s.vmCreateLocked(&wal.VmCreateRec{
 				Actions: overdraw,
 				Msgs:    []wal.VmOut{{To: 2, Seq: s.vm.AllocSeq(2), Item: "x", Amount: 100}},
 			})
@@ -397,8 +398,9 @@ func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
 }
 
 // A crash landing between an acceptance's enqueue and its force waits
-// the force out (the handler holds lifeMu across it), so what the
-// store was credited is never missing from the log recovery reads.
+// the force out (the handler holds lifeMu across it, and so does the
+// commit queued behind it), so what the store was credited and debited
+// is never missing from the log recovery reads.
 func TestCrashInsideUnforcedAccept(t *testing.T) {
 	inner := wal.NewMemLog()
 	tc, gl := groupedCluster(t, 26, inner, nil)
@@ -421,9 +423,12 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no flush at site 1: the grant never arrived")
 	}
-	waitUntil(t, 2*time.Second, "credit visible in the store before the force", func() bool {
-		return s.DB().Value(item) == 15
+	waitUntil(t, 2*time.Second, "commit record queued behind the acceptance", func() bool {
+		return gl.Waiters() == 2
 	})
+	if v := s.DB().Value(item); v != 0 {
+		t.Fatalf("store = %d before the force, want 0: credit and commit both applied", v)
+	}
 
 	crashed := make(chan struct{})
 	go func() {
@@ -440,15 +445,14 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	<-crashed
 	res := <-done
 
-	accepts := 0
-	inner.Scan(1, func(r wal.Record) error {
-		if r.Kind == wal.RecVmAccept {
-			accepts++
-		}
-		return nil
-	})
-	if accepts != 1 {
-		t.Fatalf("stable log holds %d acceptance records after the crash, want 1", accepts)
+	// Its record was in the queue before the crash, so the transaction
+	// committed: the force the crash waited out made it stable.
+	if !res.Committed() {
+		t.Fatalf("transaction %v, want committed: its record was enqueued before the crash", res.Status)
+	}
+	if recs := countRecords(t, inner); recs[wal.RecVmAccept] != 1 || recs[wal.RecCommit] != 1 {
+		t.Fatalf("stable log holds %d acceptance and %d commit records after the crash, want 1 and 1",
+			recs[wal.RecVmAccept], recs[wal.RecCommit])
 	}
 	if err := s.Restart(); err != nil {
 		t.Fatal(err)
@@ -457,11 +461,7 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 		t.Errorf("AckFor after restart = %d, want 1", got)
 	}
 	tc.waitQuiescent(item, 2*time.Second)
-	want := core.Value(20)
-	if res.Committed() {
-		want = 5
-	}
-	if total := tc.globalTotal(item); total != want {
-		t.Errorf("global total = %d, want %d (transaction %v)", total, want, res.Status)
+	if total := tc.globalTotal(item); total != 5 {
+		t.Errorf("global total = %d, want 5 (20 − 15)", total)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file is the checkpoint/compaction half of the durability layer:
 // the quiescent-cut Checkpoint, the record-count trigger fed by
-// logAppend (admission.go), and the background loop that runs it.
+// logEnqueue (admission.go), and the background loop that runs it.
 
 // CheckpointStagePreCompact is the hook stage fired after the
 // checkpoint record is durably appended but before the log is

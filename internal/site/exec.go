@@ -23,12 +23,14 @@ const inlineItems = 8
 // pairs; under lifeMu's read side and the items' stripes the
 // transaction is admitted, locked and stamped, and the authoritative
 // local values decide what happens next. A write-only transaction
-// whose items are all adequate commits right there, stripes still
-// held — §5's "the initial steps of data redistribution can be
-// ignored". Anything else — a shortfall, a full read — releases the
-// stripes and lifeMu (neither is ever held across a network wait),
-// asks, waits, re-fences on the epoch and falls into the same commit
-// tail. Either way the calling goroutine blocks for at most the
+// whose items are all adequate enqueues and applies its commit record
+// right there, stripes still held — §5's "the initial steps of data
+// redistribution can be ignored". Anything else — a shortfall, a full
+// read — releases the stripes and lifeMu (neither is ever held across
+// a network wait), asks, waits, re-fences on the epoch and falls into
+// the same commit tail. The tail lets go of the locks and the stripes
+// before the record's force, and answers only after it (admission.go).
+// Either way the calling goroutine blocks for at most the
 // transaction's timeout plus local processing and always gets a
 // decision: the protocol is non-blocking by construction.
 //
@@ -36,9 +38,10 @@ const inlineItems = 8
 // first because a stripe taken before it would deadlock against
 // Crash's fence (a pending lifeMu writer blocks new readers while a
 // handler holding the read side waits on our stripe). Holding one
-// read side across liveness check and append is the crash atomicity:
-// once Crash returns, no stale-epoch commit record can still reach the
-// log — recovery's scan would miss it and could reissue its timestamp.
+// read side across liveness check, enqueue and force is the crash
+// atomicity: once Crash returns, no stale-epoch commit record can
+// still reach the log — recovery's scan would miss it and could
+// reissue its timestamp — and none that was applied is missing.
 func (s *Site) Run(t *txn.Txn) *txn.Result {
 	start := s.cfg.Clock.Now()
 	tr := s.obsm.ring.Begin(s.obsm.site, t.Label)
@@ -225,16 +228,16 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		}
 	}
 
-	// Steps 5 and 6 — write the commit record (its stability commits
-	// t) and apply it, as one unit per item under the stripes and
-	// against Checkpoint's cut (commitDurably).
-	lsn, err := s.commitDurably(ts, actions)
+	// Steps 5 and 6 — enqueue the commit record (its stability will
+	// commit t) and apply it, as one unit per item under the stripes
+	// and against Checkpoint's cut (commitLocked). The force comes
+	// after the stripes are let go.
+	lsn, w, err := s.commitLocked(ts, actions)
 	if err != nil {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
 	}
-	step("wal-flush", "")
 
 	// Step 7. The items' volatile state is brought up to date while
 	// the stripes are still held: fully-read items snapshot the merged
@@ -244,9 +247,10 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// value; the hook's maps are built only when someone does) and
 	// feed committed consumption into their demand cell — the "how fast
 	// is quota leaving here" half of the demand signal. Then the locks
-	// go, before the stripes do: whoever queued on a stripe behind this
-	// commit must find the item free when it gets there, not abort on
-	// the lock of a transaction that has already committed.
+	// go, before the stripes do and before the force: whoever queued on
+	// a stripe behind this commit must find the item free when it gets
+	// there, not abort on the lock of a transaction whose record is
+	// already in the log — its own record queues behind this one.
 	hook := s.cfg.OnCommit
 	var ci CommitInfo
 	if hook != nil {
@@ -274,8 +278,23 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 	parked, locked = releaseItems(id, sts), false
 	s.unlockStripes(stripes)
-	s.lifeMu.RUnlock()
 	step("apply", "")
+
+	// Step 5's commit point: the record's stability. Nothing about t —
+	// reply, hook, counters — leaves the site before it. lifeMu's read
+	// side is held across the wait, so Crash's fence still means
+	// "nothing applied is missing from the log". A force that fails
+	// leaves the store ahead of its log: the site stops, and t is not
+	// reported committed.
+	err = s.cfg.Log.WaitDurable(lsn)
+	wire.PutWriter(w)
+	if err != nil {
+		s.failStop("commit-force", err)
+		s.lifeMu.RUnlock()
+		return finish(txn.StatusSiteDown)
+	}
+	s.lifeMu.RUnlock()
+	step("wal-flush", "")
 
 	if writeOnly && verdict == admitOK {
 		s.obsm.fastCommits.Inc()

@@ -24,8 +24,8 @@ func countRecords(t *testing.T, log wal.Log) map[wal.RecordKind]int {
 }
 
 const (
-	noWaitSteps = "admit,cc-check,lock,wal-flush,apply"
-	waitSteps   = "admit,cc-check,lock,ask,vm-accept,wal-flush,apply"
+	noWaitSteps = "admit,cc-check,lock,apply,wal-flush"
+	waitSteps   = "admit,cc-check,lock,ask,vm-accept,apply,wal-flush"
 )
 
 // TestRunShapes drives every shape of transaction through Run, the one

@@ -70,10 +70,11 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 
 	// Honor: this is an Rds transaction acting at this site (§6).
-	// Stamp, log the [database-actions, message-sequence] record,
+	// Stamp, enqueue the [database-actions, message-sequence] record,
 	// apply — all inside this one stripe hold, which is the Rds
-	// transaction's lock (nobody can see the item until it ends), and
-	// all before the real message leaves.
+	// transaction's lock. From the enqueue on the Vm is outstanding, so
+	// a full read here declines; it is sent only once its record is
+	// stable (§4.2: the Vm exists from that instant).
 	if s.policy.StampOnLock() {
 		s.cfg.DB.SetTS(req.Item, req.Txn)
 	}
@@ -94,16 +95,21 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		// the receiver's vm-accept and our own eventual vm-ack span.
 		rec.Msgs[0].Trace = wire.TraceCtx{Origin: req.Trace.Origin, TS: req.Trace.TS, Span: hopSpan}
 	}
-	lsn, err := s.vmCreateDurably(rec)
+	lsn, err := s.vmCreateLocked(rec)
 	if err != nil {
 		decline("log-error")
+		return
+	}
+	stripe.Unlock()
+	hop.Step("apply", "")
+	// The router holds lifeMu's read side across the force.
+	if err := s.vmCreateStable(lsn, rec); err != nil {
+		hop.Finish("fail-stop")
 		return
 	}
 	if hop != nil {
 		hop.Step("wal-flush", fmt.Sprintf("lsn=%d grant=%d seq=%d", lsn, grant, seq))
 	}
-	stripe.Unlock()
-	hop.Step("apply", "")
 
 	s.reportRds(stamp, req.Item, -grant)
 	s.obsm.observeStep("rds-create", s.cfg.Clock.Now().Sub(hopStart))

@@ -81,7 +81,13 @@ func (s *Site) Start() {
 	s.mu.Unlock()
 
 	s.cfg.Endpoint.SetHandler(s.handle)
-	_ = s.cfg.Endpoint.Open()
+	if err := s.cfg.Endpoint.Open(); err != nil {
+		// A site that cannot attach would run on deaf: every ask would
+		// time out and every Vm toward it pile up at its peers. Stop it
+		// instead; the loops below start anyway, and the crash joins
+		// them as it would on any other epoch.
+		s.failStop("endpoint-open", err)
+	}
 	go s.retransmitLoop(stop, done)
 	if stopRebal != nil {
 		go s.rebalanceLoop(stopRebal, rebalDone)

@@ -119,7 +119,7 @@ func TestTraceSevenSteps(t *testing.T) {
 	if got.TS == 0 {
 		t.Error("trace has no timestamp")
 	}
-	want := []string{"admit", "cc-check", "lock", "ask", "vm-accept", "wal-flush", "apply"}
+	want := []string{"admit", "cc-check", "lock", "ask", "vm-accept", "apply", "wal-flush"}
 	var names []string
 	for _, st := range got.Steps {
 		names = append(names, st.Name)

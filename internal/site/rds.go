@@ -51,9 +51,12 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	defer func() { hop.Finish(outcome) }()
 
 	// Lock order: lifeMu.RLock ≺ stripe ≺ ckptMu.RLock. The lifeMu
-	// fence keeps the append inside the site's lifetime, like the
-	// commit path: once Crash returns, no rds record can still reach
-	// the log.
+	// fence keeps the append and its force inside the site's lifetime,
+	// like the commit path: once Crash returns, no rds record can still
+	// reach the log. Vm parked behind our lock are redelivered once it
+	// is let go, after the fence (redelivery takes it again).
+	var parked []deferredVm
+	defer func() { s.redeliver(parked) }()
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	if !s.sameEpoch(epoch) {
@@ -91,23 +94,34 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if hopSpan != 0 {
 		rec.Msgs[0].Trace = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: hopSpan}
 	}
-	lsn, err := s.vmCreateDurably(rec)
+	lsn, err := s.vmCreateLocked(rec)
 	if err != nil {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: rds log append: %w", s.cfg.ID, err)
 	}
-	if hop != nil {
-		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
-	}
 	// The lock is taken as the stripe is let go (nobody could see it
-	// sooner) and held through dispatch: an Rds queued on the stripe
-	// behind this one aborts no-wait instead of shipping again from its
-	// caller's stale snapshot — a caller racing the rebalancer would
-	// otherwise double-ship. A Vm that parks behind it waits for the
-	// item's next release or its own retransmission.
+	// sooner) and held through the force and the dispatch: an Rds
+	// queued on the stripe behind this one aborts no-wait instead of
+	// shipping again from its caller's stale snapshot — a caller racing
+	// the rebalancer would otherwise double-ship. A Vm that parks
+	// behind it is taken back with the lock, as on the commit path.
+	// Still this transaction's when released: Crash's sweep waits out
+	// lifeMu.
 	st.holder = ts.Txn()
 	stripe.Unlock()
 	hop.Step("apply", "")
+	defer func() {
+		stripe.Lock()
+		parked = releaseItems(ts.Txn(), []*itemState{st})
+		stripe.Unlock()
+	}()
+	if err := s.vmCreateStable(lsn, rec); err != nil {
+		outcome = "fail-stop"
+		return fmt.Errorf("site %v: rds log force: %w", s.cfg.ID, err)
+	}
+	if hop != nil {
+		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
+	}
 	outcome = "sent"
 
 	s.reportRds(stamp, item, -amount)
@@ -115,9 +129,5 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if s.sameEpoch(epoch) {
 		s.sendVm(rec.Msgs[0])
 	}
-	// Still this transaction's: Crash's sweep waits out lifeMu.
-	stripe.Lock()
-	st.holder = ident.NoTxn
-	stripe.Unlock()
 	return nil
 }

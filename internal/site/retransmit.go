@@ -17,35 +17,38 @@ const retransmitCapFactor = 8
 // carries (stays well inside the wire frame limit).
 const maxVmPerEnvelope = 64
 
-// retransmitLoop periodically resends every unacknowledged Vm — the
-// guaranteed-delivery engine behind "a Vm is never lost" (§4.2). All
-// pending Vm toward one peer coalesce into VmBatch envelopes: the
+// retransmitLoop periodically resends every overdue Vm — the
+// guaranteed-delivery engine behind "a Vm is never lost" (§4.2). A Vm
+// is overdue once it has gone unacknowledged for longer than an ack
+// should take (vmsg Overdue: RetransmitEvery, or twice the ack-RTT
+// EWMA if longer), so a lossless channel resends nothing. All overdue
+// Vm toward one peer coalesce into VmBatch envelopes: the
 // retransmission tick fires them together anyway, so one frame (and
 // one piggybacked ack back) carries the lot. The tick is only an
 // upper bound on the pace: per-peer adaptive backoff (vmsg
-// DueRetransmit, seeded by the ack-RTT EWMA, doubling to
-// retransmitCapFactor ticks, reset by the first advancing ack) decides
-// whether a given peer's sweep actually fires, so a long-dead peer
-// costs one sweep per retransmitCapFactor ticks instead of one per tick.
+// DueRetransmit, seeded the same way, doubling to retransmitCapFactor
+// ticks, reset by the first advancing ack) decides whether a given
+// peer's sweep actually fires, so a long-dead peer costs one sweep per
+// retransmitCapFactor ticks instead of one per tick.
 func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
+	base := s.cfg.RetransmitEvery
 	for {
 		select {
 		case <-stop:
 			return
-		case <-s.cfg.Clock.After(s.cfg.RetransmitEvery):
+		case <-s.cfg.Clock.After(base):
 		}
 		now := s.cfg.Clock.Now()
 		total := 0
 		perPeer := make(map[ident.SiteID][]wal.VmOut)
 		for _, p := range s.peersExceptSelf() {
-			if !s.vm.DueRetransmit(p, now, s.cfg.RetransmitEvery, retransmitCapFactor*s.cfg.RetransmitEvery) {
+			vms := s.vm.Overdue(p, now, base)
+			if len(vms) == 0 || !s.vm.DueRetransmit(p, now, base, retransmitCapFactor*base) {
 				continue
 			}
-			if vms := s.vm.PendingTo(p); len(vms) > 0 {
-				perPeer[p] = vms
-				total += len(vms)
-			}
+			perPeer[p] = vms
+			total += len(vms)
 		}
 		if total == 0 {
 			continue

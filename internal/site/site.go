@@ -13,11 +13,13 @@
 // may serialize on what:
 //
 //   - admission (admission.go): the per-item stripes are the only lock
-//     for state mutation — check+lock+stamp and every append+apply
+//     for state mutation — check+lock+stamp and every enqueue+apply
 //     pair serialize per data item, nothing serializes site-wide.
-//   - durability (admission.go): commitDurably / vmCreateDurably /
+//   - durability (admission.go): commitLocked / vmCreateLocked /
 //     vmAcceptLocked are the only places normal processing reaches
-//     the stable log; Run and every handler share them.
+//     the stable log; Run and every handler share them. Each enqueues
+//     and applies under the stripe; the force is waited for after the
+//     stripe is released, and nothing leaves the site before it.
 //   - item state (item.go): one itemState per item — no-wait lock
 //     holder, the holder's parked waiter, flow vector, demand cell,
 //     parked Vm — in one map per stripe, guarded by that stripe and
@@ -106,7 +108,7 @@ type Config struct {
 	Metrics *obs.Registry
 	// Trace, when set, records each transaction's §5 protocol steps
 	// into the ring (admit → cc-check → lock → ask → vm-accept →
-	// wal-flush → apply → outcome), tags outgoing Requests and Vm with
+	// apply → wal-flush → outcome), tags outgoing Requests and Vm with
 	// a causal trace context, and records origin-tagged spans for every
 	// remote hop (Rds create, Vm accept, ack retirement) so a
 	// cross-site stitcher can rebuild the full span tree by TS.
@@ -189,12 +191,14 @@ type Site struct {
 	lamport *tstamp.Clock
 	vm      *vmsg.Manager
 
-	// ckptMu fences Checkpoint against every append+apply pair: the
+	// ckptMu fences Checkpoint against every enqueue+apply pair: the
 	// mutating paths (commit, Vm create/accept) hold the read side
-	// from log append through store apply, so under the write side
+	// from log enqueue through store apply, so under the write side
 	// the snapshot, the checkpoint record's LSN and the compaction
 	// horizon are one consistent cut — no record below the horizon
-	// can still be unapplied.
+	// can still be unapplied. It is not held across the force that
+	// follows: the checkpoint record is stable only after every record
+	// before it.
 	ckptMu sync.RWMutex
 
 	// lifeMu fences message handling against Crash: handlers hold the
@@ -231,7 +235,7 @@ type Site struct {
 	rebalPaused atomic.Bool
 
 	// Automatic checkpointer state: records appended since the last
-	// checkpoint (bumped by logAppend), a one-slot kick channel the
+	// checkpoint (bumped by logEnqueue), a one-slot kick channel the
 	// threshold fires into, and a pause gate for harness barriers.
 	// ckptRunMu is held across each background checkpoint run, so
 	// SetCheckpointPaused can join an in-flight run by acquiring it.
@@ -309,6 +313,7 @@ func New(cfg Config) (*Site, error) {
 	for i := range s.items {
 		s.items[i] = make(map[ident.ItemID]*itemState)
 	}
+	s.vm.SetClock(cfg.Clock)
 	s.initObs()
 	if s.obsm.ring != nil {
 		// Ack retirement completes a Vm's lifespan: record the

@@ -12,9 +12,15 @@
 //
 // Manager tracks, per peer channel:
 //
-//   - outbound: the next sequence number, the set of created-but-
-//     unacknowledged Vm (the retransmission set), and the cumulative
-//     acknowledgement received;
+//   - outbound: the next sequence number, two sets of created-but-
+//     unacknowledged Vm — the enqueued set (the create record is in the
+//     log's queue: the value has left the store, so the Vm counts as
+//     outstanding, but it must not be sent) and the retransmission set
+//     (the create record is stable: the Vm exists, is sent, and is
+//     resent until acknowledged) — and the cumulative acknowledgement
+//     received. A site deducts a Vm's value when its create record is
+//     enqueued and sends it only once that record is stable, mirroring
+//     the inbound pair below;
 //   - inbound: two sets of sequence numbers, each a low-water mark
 //     plus sparse out-of-order tail — the applied set (deduplication:
 //     the value has been credited) and the stable set (the acceptance
@@ -26,7 +32,10 @@
 //
 // The Manager holds protocol state only; logging, database effects,
 // and actual sends belong to the site layer, which makes the state
-// transitions here purely deterministic and easy to test.
+// transitions here purely deterministic and easy to test. Its one
+// notion of time — a Vm's send instant, the ack round trip measured
+// from it, a Vm's age for retransmission — comes from one clock, the
+// site's (SetClock).
 package vmsg
 
 import (
@@ -37,15 +46,17 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/metrics"
 	"dvp/internal/obs"
+	"dvp/internal/vclock"
 	"dvp/internal/wal"
 )
 
 // Manager tracks Vm channel state for one site. Safe for concurrent
 // use.
 type Manager struct {
-	mu  sync.Mutex
-	out map[ident.SiteID]*outChannel
-	in  map[ident.SiteID]*inChannel
+	mu    sync.Mutex
+	out   map[ident.SiteID]*outChannel
+	in    map[ident.SiteID]*inChannel
+	clock vclock.Clock
 
 	// Observability (see Instrument): nil when not instrumented.
 	reg  *obs.Registry
@@ -59,13 +70,17 @@ type Manager struct {
 type outChannel struct {
 	nextSeq uint64 // last allocated
 	cumAck  uint64 // highest cumulative ack received
-	pending map[uint64]wal.VmOut
+	// enqueued holds Vm whose create record is not yet known stable;
+	// pending (the retransmission set) those whose record is.
+	enqueued map[uint64]wal.VmOut
+	pending  map[uint64]wal.VmOut
 
-	// sentAt remembers each pending Vm's creation instant; ackRTT
-	// (nil when the manager is not instrumented) additionally exports
-	// each Vm's lifespan — creation to cumulative ack, i.e. the full
-	// guaranteed-delivery round trip including retransmissions — as a
-	// histogram.
+	// sentAt remembers each pending Vm's send instant (when it joined
+	// the retransmission set; none for one restored from a checkpoint);
+	// ackRTT (nil when the manager is not instrumented) additionally
+	// exports each Vm's lifespan — first send to cumulative ack, i.e.
+	// the full guaranteed-delivery round trip including
+	// retransmissions — as a histogram.
 	ackRTT *metrics.Histogram
 	sentAt map[uint64]time.Time
 
@@ -125,12 +140,22 @@ func (s *seqSet) restore(low uint64, above []uint64) {
 	}
 }
 
-// NewManager returns an empty channel-state manager.
+// NewManager returns an empty channel-state manager on the real clock.
 func NewManager() *Manager {
 	return &Manager{
-		out: make(map[ident.SiteID]*outChannel),
-		in:  make(map[ident.SiteID]*inChannel),
+		out:   make(map[ident.SiteID]*outChannel),
+		in:    make(map[ident.SiteID]*inChannel),
+		clock: vclock.Real{},
 	}
+}
+
+// SetClock makes c the manager's clock: send instants and ack round
+// trips are read from it. A site passes its own clock, the one its
+// retransmission sweeps are paced by.
+func (m *Manager) SetClock(c vclock.Clock) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.clock = c
 }
 
 // Reset discards all channel state — the volatile state of a crashed
@@ -148,8 +173,8 @@ func (m *Manager) Reset() {
 // labelled site=site and peer=<id>: per-peer pending-set depth
 // (dvp_vmsg_pending, registered for every peer up front so idle
 // channels still expose 0) and Vm ack round-trip
-// (dvp_vmsg_ack_seconds, creation to cumulative ack, retransmissions
-// included). Event counters (created/accepted/duplicates) live at the
+// (dvp_vmsg_ack_seconds, first send to cumulative ack,
+// retransmissions included). Event counters (created/accepted/duplicates) live at the
 // site layer, which distinguishes live protocol traffic from recovery
 // replay.
 func (m *Manager) Instrument(reg *obs.Registry, site string, peers []ident.SiteID) {
@@ -196,8 +221,9 @@ func (m *Manager) outChan(peer ident.SiteID) *outChannel {
 	c, ok := m.out[peer]
 	if !ok {
 		c = &outChannel{
-			pending: make(map[uint64]wal.VmOut),
-			sentAt:  make(map[uint64]time.Time),
+			enqueued: make(map[uint64]wal.VmOut),
+			pending:  make(map[uint64]wal.VmOut),
+			sentAt:   make(map[uint64]time.Time),
 		}
 		m.out[peer] = c
 		m.instrumentOutLocked(peer, c)
@@ -217,7 +243,8 @@ func (m *Manager) inChan(peer ident.SiteID) *inChannel {
 // --- outbound --------------------------------------------------------------
 
 // AllocSeq reserves the next sequence number toward peer. The caller
-// embeds it in the VmCreate log record before calling Created.
+// embeds it in the VmCreate log record before registering the Vm
+// (CreateEnqueued, or Created).
 func (m *Manager) AllocSeq(peer ident.SiteID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -226,10 +253,12 @@ func (m *Manager) AllocSeq(peer ident.SiteID) uint64 {
 	return c.nextSeq
 }
 
-// Created registers logged Vm as pending retransmission. Must be
-// called only after the VmCreate record is stable — the Vm exists from
-// that instant.
-func (m *Manager) Created(msgs []wal.VmOut) {
+// CreateEnqueued registers Vm whose VmCreate record has taken its
+// place in the log but is not known stable: the value has left the
+// store, so HasOutstanding reports them and checkpoints carry them,
+// but they are not in the retransmission set — nothing may send them
+// before CreateStable.
+func (m *Manager) CreateEnqueued(msgs []wal.VmOut) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, v := range msgs {
@@ -238,10 +267,35 @@ func (m *Manager) Created(msgs []wal.VmOut) {
 			c.nextSeq = v.Seq // recovery replay can run ahead of alloc
 		}
 		if v.Seq > c.cumAck {
-			c.pending[v.Seq] = v
-			c.sentAt[v.Seq] = time.Now()
+			c.enqueued[v.Seq] = v
 		}
 	}
+}
+
+// CreateStable records that the VmCreate record of msgs is stable —
+// the Vm exist from that instant — moving them into the retransmission
+// set with the manager's clock reading as their send instant: the
+// caller sends them next.
+func (m *Manager) CreateStable(msgs []wal.VmOut) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	now := m.clock.Now()
+	for _, v := range msgs {
+		c := m.outChan(v.To)
+		delete(c.enqueued, v.Seq)
+		if v.Seq > c.cumAck {
+			c.pending[v.Seq] = v
+			c.sentAt[v.Seq] = now
+		}
+	}
+}
+
+// Created is CreateEnqueued and CreateStable at once: for Vm whose
+// create record is already stable (a record replayed by recovery, a
+// synchronous append).
+func (m *Manager) Created(msgs []wal.VmOut) {
+	m.CreateEnqueued(msgs)
+	m.CreateStable(msgs)
 }
 
 // SetRetireHook installs fn to observe every outbound Vm retired by a
@@ -270,6 +324,7 @@ func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 	// interval instead of waiting out the backoff cap.
 	c.retxGap = 0
 	c.retxAt = time.Time{}
+	now := m.clock.Now()
 	var retired []wal.VmOut
 	for seq, v := range c.pending {
 		if seq <= upTo {
@@ -278,7 +333,7 @@ func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 				retired = append(retired, v)
 			}
 			if at, ok := c.sentAt[seq]; ok {
-				rtt := time.Since(at)
+				rtt := now.Sub(at)
 				// EWMA with α = 0.2: smooth enough to ride out one
 				// retransmitted straggler, fresh enough to track a
 				// congested link within a few acks.
@@ -306,7 +361,8 @@ func (m *Manager) OnAck(peer ident.SiteID, upTo uint64) {
 }
 
 // PendingTo returns the unacknowledged Vm toward peer in seq order —
-// the retransmission set.
+// the retransmission set (Vm whose create record is still only
+// enqueued are not in it).
 func (m *Manager) PendingTo(peer ident.SiteID) []wal.VmOut {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -314,9 +370,35 @@ func (m *Manager) PendingTo(peer ident.SiteID) []wal.VmOut {
 	if !ok {
 		return nil
 	}
-	out := make([]wal.VmOut, 0, len(c.pending))
-	for _, v := range c.pending {
-		out = append(out, v)
+	return sortedVm(c.pending, func(uint64) bool { return true })
+}
+
+// Overdue returns, in seq order, the Vm in peer's retransmission set
+// sent at least the seed gap before now — max(base, 2× the ack-RTT
+// EWMA), the time an ack of a delivered Vm should take to come back.
+// A younger Vm is not resent: its ack may still be on its way, so
+// without loss nothing is ever retransmitted. The send instant is the
+// first send's, so a Vm stays overdue until acknowledged and every
+// sweep DueRetransmit lets fire resends it; a Vm restored from a
+// checkpoint has none and is overdue at once.
+func (m *Manager) Overdue(peer ident.SiteID, now time.Time, base time.Duration) []wal.VmOut {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.out[peer]
+	if !ok {
+		return nil
+	}
+	age := c.seedGap(base)
+	return sortedVm(c.pending, func(seq uint64) bool { return now.Sub(c.sentAt[seq]) >= age })
+}
+
+// sortedVm returns the Vm of set whose seq passes keep, in seq order.
+func sortedVm(set map[uint64]wal.VmOut, keep func(seq uint64) bool) []wal.VmOut {
+	out := make([]wal.VmOut, 0, len(set))
+	for seq, v := range set {
+		if keep(seq) {
+			out = append(out, v)
+		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
 	return out
@@ -338,16 +420,19 @@ func (m *Manager) PendingAll() []wal.VmOut {
 }
 
 // HasOutstanding reports whether any unacknowledged outbound Vm
-// carries item. A site must decline to honor a full-read request while
-// this holds (paper §5: "the fact that no outstanding Vm is there
-// assures that the complete Π⁻¹(d) is procured").
+// carries item — stable or only enqueued: either way its value has
+// left the store. A site must decline to honor a full-read request
+// while this holds (paper §5: "the fact that no outstanding Vm is
+// there assures that the complete Π⁻¹(d) is procured").
 func (m *Manager) HasOutstanding(item ident.ItemID) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, c := range m.out {
-		for _, v := range c.pending {
-			if v.Item == item {
-				return true
+		for _, set := range []map[uint64]wal.VmOut{c.enqueued, c.pending} {
+			for _, v := range set {
+				if v.Item == item {
+					return true
+				}
 			}
 		}
 	}
@@ -383,7 +468,9 @@ func (m *Manager) CumAck(peer ident.SiteID) uint64 {
 // therefore costs one sweep per cap interval instead of one per tick,
 // while a healthy channel keeps the base pace: its acks reset the gap
 // before the next tick. Ticks suppressed inside a gap are counted
-// (see RetxStats) but change no state.
+// (see RetxStats) but change no state. A site asks only once Overdue
+// has something to resend, so a sweep with nothing old enough neither
+// fires nor backs off.
 func (m *Manager) DueRetransmit(peer ident.SiteID, now time.Time, base, max time.Duration) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -397,10 +484,7 @@ func (m *Manager) DueRetransmit(peer ident.SiteID, now time.Time, base, max time
 	}
 	gap := c.retxGap
 	if gap == 0 {
-		gap = base
-		if r := 2 * c.rttEWMA; r > gap {
-			gap = r
-		}
+		gap = c.seedGap(base)
 	} else {
 		gap *= 2
 	}
@@ -411,6 +495,15 @@ func (m *Manager) DueRetransmit(peer ident.SiteID, now time.Time, base, max time
 	c.retxAt = now.Add(gap)
 	c.retxFired++
 	return true
+}
+
+// seedGap is the channel's base retransmission gap: base, or twice the
+// smoothed ack round trip if that is longer.
+func (c *outChannel) seedGap(base time.Duration) time.Duration {
+	if r := 2 * c.rttEWMA; r > base {
+		return r
+	}
+	return base
 }
 
 // RetxStats returns how many retransmission sweeps fired toward peer
@@ -502,10 +595,12 @@ func (m *Manager) Accepted(from ident.SiteID, seq uint64) bool {
 // --- recovery --------------------------------------------------------------
 
 // SnapshotChannels captures the complete per-peer channel state for a
-// checkpoint record: outbound cursor, cumulative ack, retransmission
-// set, and the inbound applied set. The applied set is the right one:
-// the checkpoint record follows every enqueued acceptance record in
-// the log, so it is stable only once they all are.
+// checkpoint record: outbound cursor, cumulative ack, every
+// unacknowledged outbound Vm, and the inbound applied set. The
+// enqueued Vm and the applied set are the right ones: the checkpoint
+// record follows every enqueued create and acceptance record in the
+// log, so it is stable only once they all are — and compaction behind
+// it drops those records, so it must carry what they say.
 func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -526,8 +621,10 @@ func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 		if c, ok := m.out[p]; ok {
 			ch.OutSeq = c.nextSeq
 			ch.CumAck = c.cumAck
-			for _, v := range c.pending {
-				ch.Pending = append(ch.Pending, v)
+			for _, set := range []map[uint64]wal.VmOut{c.enqueued, c.pending} {
+				for _, v := range set {
+					ch.Pending = append(ch.Pending, v)
+				}
 			}
 			sort.Slice(ch.Pending, func(i, j int) bool { return ch.Pending[i].Seq < ch.Pending[j].Seq })
 		}
@@ -546,8 +643,9 @@ func (m *Manager) SnapshotChannels() []wal.VmChannelState {
 // RestoreChannels reloads channel state from a checkpoint. Recovery
 // calls it before replaying the log suffix, whose VmCreate/VmAccept
 // records then advance the restored state idempotently. Whatever a
-// checkpoint read back from the log lists as accepted is stable, so
-// both inbound sets take it.
+// checkpoint read back from the log lists is stable: its outbound Vm
+// join the retransmission set (with no send instant, so the first
+// sweep resends them), and both inbound sets take its accepted ones.
 func (m *Manager) RestoreChannels(chs []wal.VmChannelState) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

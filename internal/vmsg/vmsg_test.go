@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"dvp/internal/ident"
+	"dvp/internal/vclock"
 	"dvp/internal/wal"
 )
 
@@ -126,6 +127,89 @@ func TestHasOutstanding(t *testing.T) {
 	m.OnAck(3, 2)
 	if m.HasOutstanding("b") {
 		t.Error("acked Vm still outstanding")
+	}
+}
+
+// The outbound pair mirrors the inbound one: a Vm whose create record
+// is only enqueued is outstanding (its value has left the store) and
+// checkpointed, but not in the retransmission set; CreateStable moves
+// it there with the manager's clock as its send instant.
+func TestCreateEnqueuedThenStable(t *testing.T) {
+	m := NewManager()
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	v := wal.VmOut{To: 2, Seq: m.AllocSeq(2), Item: "a", Amount: 4}
+	m.CreateEnqueued([]wal.VmOut{v})
+	if !m.HasOutstanding("a") {
+		t.Error("an enqueued Vm must count as outstanding")
+	}
+	if p := m.PendingTo(2); len(p) != 0 || m.PendingCount(2) != 0 {
+		t.Errorf("enqueued Vm in the retransmission set: %+v", p)
+	}
+	if m.DueRetransmit(2, clock.Now(), time.Millisecond, time.Second) {
+		t.Error("a sweep fired for a Vm that is only enqueued")
+	}
+	chs := m.SnapshotChannels()
+	if len(chs) != 1 || len(chs[0].Pending) != 1 || chs[0].Pending[0].Seq != v.Seq {
+		t.Errorf("checkpoint channels = %+v, want the enqueued Vm carried", chs)
+	}
+
+	clock.Advance(3 * time.Millisecond)
+	m.CreateStable([]wal.VmOut{v})
+	if p := m.PendingTo(2); len(p) != 1 || p[0].Seq != v.Seq {
+		t.Fatalf("after CreateStable: pending = %+v", p)
+	}
+	clock.Advance(7 * time.Millisecond)
+	m.OnAck(2, v.Seq)
+	if rtt := m.AckRTT(2); rtt != 7*time.Millisecond {
+		t.Errorf("ack RTT = %v, want 7ms on the manager's clock, from the send instant", rtt)
+	}
+	if m.HasOutstanding("a") {
+		t.Error("acked Vm still outstanding")
+	}
+}
+
+// A Vm is overdue only once it is older than the seed gap — base, or
+// twice the ack-RTT EWMA once that is longer — so a sweep over a
+// channel whose acks come back in time resends nothing.
+func TestOverdueByAge(t *testing.T) {
+	m := NewManager()
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	const base = 10 * time.Millisecond
+	send := func(item ident.ItemID) wal.VmOut {
+		v := wal.VmOut{To: 2, Seq: m.AllocSeq(2), Item: item, Amount: 1}
+		m.CreateEnqueued([]wal.VmOut{v})
+		m.CreateStable([]wal.VmOut{v})
+		return v
+	}
+	v1 := send("a")
+	clock.Advance(base - time.Millisecond)
+	if o := m.Overdue(2, clock.Now(), base); len(o) != 0 {
+		t.Errorf("Vm younger than base overdue: %+v", o)
+	}
+	v2 := send("b")
+	clock.Advance(time.Millisecond)
+	if o := m.Overdue(2, clock.Now(), base); len(o) != 1 || o[0].Seq != v1.Seq {
+		t.Errorf("at base: overdue = %+v, want only seq %d", o, v1.Seq)
+	}
+	if o := m.Overdue(3, clock.Now(), base); len(o) != 0 {
+		t.Errorf("unknown peer overdue = %+v", o)
+	}
+
+	// v1's ack, 20ms after its send, seeds the EWMA: now only Vm older
+	// than 40ms are overdue.
+	clock.Advance(10 * time.Millisecond)
+	m.OnAck(2, v1.Seq)
+	if rtt := m.AckRTT(2); rtt != 20*time.Millisecond {
+		t.Fatalf("EWMA = %v, want 20ms", rtt)
+	}
+	if o := m.Overdue(2, clock.Now(), base); len(o) != 0 {
+		t.Errorf("11ms-old Vm overdue under a 40ms seed gap: %+v", o)
+	}
+	clock.Advance(29 * time.Millisecond)
+	if o := m.Overdue(2, clock.Now(), base); len(o) != 1 || o[0].Seq != v2.Seq {
+		t.Errorf("40ms-old Vm: overdue = %+v, want seq %d", o, v2.Seq)
 	}
 }
 
