@@ -37,7 +37,7 @@ if [ -n "$mu_violations" ]; then
 	echo "$mu_violations" >&2
 	exit 1
 fi
-allowed_mutexes='site.go:stripes site.go:lifeMu site.go:ckptMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu obs.go:txnLatMu'
+allowed_mutexes='site.go:stripes site.go:lifeMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu obs.go:txnLatMu'
 for f in internal/site/*.go; do
 	case "$f" in *_test.go) continue ;; esac
 	if grep -q '^[[:space:]]*sync\.\(RW\)\{0,1\}Mutex' "$f"; then
@@ -59,7 +59,7 @@ if grep -n '"dvp/internal/lock"' internal/site/*.go | grep -v '_test\.go:'; then
 	echo "site-mutex gate: internal/site imports dvp/internal/lock" >&2
 	exit 1
 fi
-echo "site-mutex gate: s.mu confined to lifecycle.go, 9 allow-listed mutexes, no lock table"
+echo "site-mutex gate: s.mu confined to lifecycle.go, $(echo $allowed_mutexes | wc -w) allow-listed mutexes, no lock table"
 
 # Option gate. Every independently settable value doubles the
 # configurations tests and benchmarks must cover, so the option
@@ -95,7 +95,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 10
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\('
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -116,9 +116,10 @@ go test -race -shuffle=on ./...
 # commit path's eight shapes, crash waking parked waiters, the flow
 # checker on a live history, parked-Vm redelivery, batch accept, the
 # Rds lock held through dispatch, commits overlapping a held force, a
-# held Vm create, force and endpoint-open failures — on one and two
-# CPUs.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite' ./internal/site
+# held Vm create, force and endpoint-open failures, the checkpoint cut
+# across held flushes — on one and two CPUs. CI runs this line through
+# this script; it lives nowhere else.
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes' ./internal/site
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

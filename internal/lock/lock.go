@@ -53,34 +53,6 @@ func (l *NoWait) TryLock(txn ident.TxnID, item ident.ItemID) bool {
 	return true
 }
 
-// TryLockAll atomically acquires every item for txn (paper §5 step 1:
-// "these locks are obtained atomically"): either all are acquired or
-// none are. Items are deduplicated; order does not matter because the
-// acquisition is atomic under the table mutex.
-func (l *NoWait) TryLockAll(txn ident.TxnID, items []ident.ItemID) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for _, it := range items {
-		if h, ok := l.holder[it]; ok && h != txn {
-			return false
-		}
-	}
-	for _, it := range items {
-		if _, ok := l.holder[it]; !ok {
-			l.holder[it] = txn
-			l.held[txn] = append(l.held[txn], it)
-		}
-	}
-	return true
-}
-
-// Holder returns the transaction holding item (NoTxn if unlocked).
-func (l *NoWait) Holder(item ident.ItemID) ident.TxnID {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.holder[item]
-}
-
 // Unlock releases one item if txn holds it.
 func (l *NoWait) Unlock(txn ident.TxnID, item ident.ItemID) {
 	l.mu.Lock()

@@ -24,68 +24,26 @@ func TestNoWaitBasicConflict(t *testing.T) {
 	}
 }
 
-func TestNoWaitHolder(t *testing.T) {
-	l := NewNoWait()
-	if l.Holder("a") != ident.NoTxn {
-		t.Error("unlocked item must report NoTxn")
-	}
-	l.TryLock(7, "a")
-	if l.Holder("a") != 7 {
-		t.Errorf("Holder = %v", l.Holder("a"))
-	}
-}
-
-func TestNoWaitTryLockAllAtomic(t *testing.T) {
-	l := NewNoWait()
-	l.TryLock(9, "b")
-	// Txn 1 wants a,b,c — b is taken, so nothing must be acquired.
-	if l.TryLockAll(1, []ident.ItemID{"a", "b", "c"}) {
-		t.Fatal("TryLockAll must fail when any item conflicts")
-	}
-	if l.Holder("a") != ident.NoTxn || l.Holder("c") != ident.NoTxn {
-		t.Fatal("failed TryLockAll must acquire nothing (atomicity)")
-	}
-	l.Unlock(9, "b")
-	if !l.TryLockAll(1, []ident.ItemID{"a", "b", "c"}) {
-		t.Fatal("TryLockAll must succeed on free items")
-	}
-	for _, it := range []ident.ItemID{"a", "b", "c"} {
-		if l.Holder(it) != 1 {
-			t.Errorf("%s holder = %v", it, l.Holder(it))
-		}
-	}
-}
-
-func TestNoWaitTryLockAllWithDuplicatesAndOwned(t *testing.T) {
-	l := NewNoWait()
-	l.TryLock(1, "a")
-	if !l.TryLockAll(1, []ident.ItemID{"a", "a", "b"}) {
-		t.Fatal("TryLockAll with items already held by self must succeed")
-	}
-	l.ReleaseAll(1)
-	if l.Locked() != 0 {
-		t.Errorf("Locked = %d after ReleaseAll", l.Locked())
-	}
-}
-
 func TestNoWaitUnlockWrongTxnIgnored(t *testing.T) {
 	l := NewNoWait()
 	l.TryLock(1, "a")
 	l.Unlock(2, "a") // not the holder
-	if l.Holder("a") != 1 {
+	if l.TryLock(2, "a") {
 		t.Error("unlock by non-holder must be ignored")
 	}
 }
 
 func TestNoWaitReleaseAll(t *testing.T) {
 	l := NewNoWait()
-	l.TryLockAll(3, []ident.ItemID{"x", "y", "z"})
+	for _, it := range []ident.ItemID{"x", "y", "z"} {
+		l.TryLock(3, it)
+	}
 	l.TryLock(4, "w")
 	l.ReleaseAll(3)
-	if l.Holder("x") != ident.NoTxn || l.Holder("y") != ident.NoTxn {
+	if !l.TryLock(5, "x") || !l.TryLock(5, "y") {
 		t.Error("ReleaseAll left locks behind")
 	}
-	if l.Holder("w") != 4 {
+	if l.TryLock(5, "w") {
 		t.Error("ReleaseAll released another txn's lock")
 	}
 }
@@ -128,18 +86,19 @@ func TestNoWaitConcurrentExclusion(t *testing.T) {
 
 func TestNoWaitPartialUnlockKeepsOthers(t *testing.T) {
 	l := NewNoWait()
-	l.TryLockAll(1, []ident.ItemID{"a", "b"})
+	l.TryLock(1, "a")
+	l.TryLock(1, "b")
 	l.Unlock(1, "a")
-	if l.Holder("a") != ident.NoTxn {
-		t.Error("a should be free")
-	}
-	if l.Holder("b") != 1 {
+	if l.TryLock(3, "b") {
 		t.Error("b should still be held")
 	}
-	// ReleaseAll afterwards must not panic or release a's new holder.
-	l.TryLock(2, "a")
+	// a is free; ReleaseAll afterwards must not panic or release a's
+	// new holder.
+	if !l.TryLock(2, "a") {
+		t.Error("a should be free")
+	}
 	l.ReleaseAll(1)
-	if l.Holder("a") != 2 {
+	if l.TryLock(3, "a") {
 		t.Error("ReleaseAll touched a lock it no longer held")
 	}
 }

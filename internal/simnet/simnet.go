@@ -168,12 +168,6 @@ func (n *Net) SetLink(a, b ident.SiteID, up bool) {
 	}
 }
 
-// SetLinkBoth fails or restores both directions between a and b.
-func (n *Net) SetLinkBoth(a, b ident.SiteID, up bool) {
-	n.SetLink(a, b, up)
-	n.SetLink(b, a, up)
-}
-
 // SetLoss adjusts the random message-loss probability at runtime.
 // Fault schedules use it to flap lossiness mid-run; messages already
 // in flight are unaffected.

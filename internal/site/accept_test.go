@@ -323,14 +323,17 @@ func TestApplyFailureStopsTheSite(t *testing.T) {
 		entry  func(s *Site) error
 	}{
 		{"commit-apply", func(s *Site) error {
-			_, _, err := s.commitLocked(s.lamport.Next(), overdraw)
+			rec := wal.CommitRec{Txn: s.lamport.Next(), Actions: overdraw}
+			_, err := s.enqueueApply(wal.RecCommit, rec.EncodeTo, overdraw, nil)
 			return err
 		}},
 		{"create-apply", func(s *Site) error {
-			_, err := s.vmCreateLocked(&wal.VmCreateRec{
+			rec := &wal.VmCreateRec{
 				Actions: overdraw,
-				Msgs:    []wal.VmOut{{To: 2, Seq: s.vm.AllocSeq(2), Item: "x", Amount: 100}},
-			})
+				Msgs:    []wal.VmOut{{To: 2, Seq: 1, Item: "x", Amount: 100}},
+			}
+			_, err := s.enqueueApply(wal.RecVmCreate, rec.EncodeTo, overdraw,
+				func() { s.vm.CreateEnqueued(rec.Msgs) })
 			return err
 		}},
 	}

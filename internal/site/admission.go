@@ -12,21 +12,19 @@ import (
 
 // This file is the admission + durability layer: the per-item stripes
 // (the only lock for state mutation), the scheme's admission check,
-// and the three durable mutation entry points — commitLocked,
-// vmCreateLocked, vmAcceptLocked — that every path shares. Run
-// (exec.go), the message handlers (inbound_*.go) and proactive Rds
-// (rds.go) all funnel through here; none of them touches the log or
-// store any other way.
+// and the one durable-write path every record takes — Run's commit
+// (exec.go), a Vm's creation (rds.go) and acceptance (inbound_vm.go),
+// and Checkpoint. None of them touches the log or store any other way.
 //
-// All three take one form. Under the item's stripe and ckptMu's read
-// side the record is enqueued — its LSN is final — and applied at that
-// LSN; the caller does its volatile bookkeeping and lets go of the
-// no-wait locks and the stripe. Then, still under lifeMu's read side,
-// it waits for the record's durability, and only after that does
-// anything leave the site: a reply, a hook, a Vm, an ack. No stripe is
-// held across a force, so whoever queues on the item next enqueues
-// behind this record and shares or follows its force instead of
-// waiting it out. Whatever reads the early value logs behind it, the
+// The path has two steps. enqueueApply, under the stripes of the
+// record's items, enqueues the record — its LSN is final — and applies
+// it at that LSN; the caller does its volatile bookkeeping and lets go
+// of the no-wait locks and the stripe. waitForce, still under lifeMu's
+// read side, waits for the record's durability, and only after that
+// does anything leave the site: a reply, a hook, a Vm, an ack. No
+// stripe is held across a force, so whoever queues on the item next
+// enqueues behind this record and shares or follows its force instead
+// of waiting it out. Whatever reads the early value logs behind it, the
 // log is stable in LSN order, and a force that fails stops the site
 // (failStop): nothing built on an unforced record can get out.
 
@@ -41,19 +39,6 @@ func (s *Site) stripeOf(item ident.ItemID) int {
 		h *= 16777619
 	}
 	return int(h % uint32(len(s.stripes)))
-}
-
-// lockAllStripes takes every stripe in ascending order (Checkpoint's
-// whole-site quiescent point) and returns the release.
-func (s *Site) lockAllStripes() func() {
-	for i := range s.stripes {
-		s.stripes[i].Lock()
-	}
-	return func() {
-		for i := range s.stripes {
-			s.stripes[i].Unlock()
-		}
-	}
 }
 
 // admissionStripes shards the admission/message-handling critical
@@ -139,126 +124,76 @@ func (s *Site) lockAndStamp(ts tstamp.TS, items []ident.ItemID, sts []*itemState
 	return true
 }
 
-// logEnqueue is the site-internal append path: it places a record in
-// the stable log's queue and feeds the automatic checkpointer's growth
-// threshold. All normal-processing records (commit, Vm create/accept)
-// go through it; Checkpoint itself appends directly so a checkpoint
-// record never re-arms the trigger it just cleared.
-func (s *Site) logEnqueue(kind wal.RecordKind, data []byte) (uint64, error) {
-	lsn, err := s.cfg.Log.Enqueue(kind, data)
-	if err == nil {
-		s.noteAppend()
-	}
-	return lsn, err
+// durable is one record between the two steps: its kind, the LSN it
+// reserved, and the pooled buffer holding its bytes, which the log
+// borrows until waitForce returns.
+type durable struct {
+	kind wal.RecordKind
+	lsn  uint64
+	w    *wire.Writer
 }
 
-// commitLocked is §5 steps 5 and 6 up to the force: enqueue the commit
-// record (its stability will commit the transaction) and apply its
-// actions at the LSN it reserved. One record and one force per commit
-// — the store's per-item applied LSN already makes redo idempotent, so
-// there is no separate "applied" record to write (logs from before
-// that was dropped still carry them; recovery skips them). The record
-// encodes into a pooled wire buffer, which the log borrows until the
-// record's WaitDurable returns: the caller waits, then hands w back to
-// the pool (it is nil on error). The caller must hold lifeMu's read
-// side — from here through that wait (crash atomicity: once Crash
-// returns, no stale-epoch commit record can still reach the log, and
-// nothing applied is missing from it) — and the stripes covering every
-// action's item (the store's page-LSN idempotence needs same-item
-// records applied in LSN order, which is enqueue order only while the
-// stripe is held across enqueue+apply). ckptMu's read side is taken
-// here, keeping the enqueue+apply pair atomic against Checkpoint's
-// cut; it is not held across the wait, which the cut does not need —
-// a checkpoint record enqueued later is stable only after this one. The
-// actions slice is borrowed for the call — Run passes stack scratch.
-func (s *Site) commitLocked(ts tstamp.TS, actions []wal.Action) (uint64, *wire.Writer, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
+// recordName names a record kind in its fail-stop reasons
+// (<name>-apply, <name>-force; obs.go registers them).
+var recordName = map[wal.RecordKind]string{
+	wal.RecCommit:     "commit",
+	wal.RecVmCreate:   "create",
+	wal.RecVmAccept:   "accept",
+	wal.RecCheckpoint: "checkpoint",
+}
+
+// enqueueApply is the first step of every durable write: encode the
+// record into a pooled buffer and Enqueue it, then run mark — the Vm
+// channel's bookkeeping for the record, if any — and apply actions at
+// the reserved LSN. The caller holds the stripes of every action's
+// item: the store's page-LSN idempotence needs same-item records
+// applied in LSN order, which is enqueue order only while the stripe is
+// held across enqueue and apply, and Checkpoint's cut, taken under
+// every stripe, then finds no record enqueued but not applied. It also
+// holds lifeMu's read side — from here through waitForce — unless it is
+// Checkpoint, whose record applies nothing. Every record but a
+// checkpoint feeds the automatic
+// checkpointer's growth count; a checkpoint record never re-arms the
+// trigger it clears. An enqueue error is returned as is. An apply that
+// fails, with the record already in the log's queue, stops the site
+// (<kind>-apply); the log keeps borrowing the buffer until the record
+// is forced or dropped, so it is not pooled again. actions is borrowed
+// for the call.
+func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), actions []wal.Action, mark func()) (durable, error) {
 	w := wire.GetWriter()
-	rec := wal.CommitRec{Txn: ts, Actions: actions}
-	rec.EncodeTo(w)
-	lsn, err := s.logEnqueue(wal.RecCommit, w.Bytes())
+	encode(w)
+	lsn, err := s.cfg.Log.Enqueue(kind, w.Bytes())
 	if err != nil {
 		wire.PutWriter(w)
-		return 0, nil, err
+		return durable{}, err
+	}
+	if kind != wal.RecCheckpoint {
+		s.noteAppend()
+	}
+	if mark != nil {
+		mark()
 	}
 	if _, err := s.cfg.DB.ApplyAll(lsn, actions); err != nil {
-		// Protocol invariant broken, with the record already in the
-		// log's queue: stop rather than run on beside it. The log keeps
-		// borrowing w until the record is forced or dropped, so it is
-		// not pooled again.
-		s.failStop("commit-apply", err)
-		return 0, nil, err
+		s.failStop(recordName[kind]+"-apply", err)
+		return durable{}, err
 	}
-	return lsn, w, nil
+	return durable{kind: kind, lsn: lsn, w: w}, nil
 }
 
-// vmCreateLocked is the under-the-stripe half of every Vm creation — a
-// request honored (inbound_request.go) or a proactive Rds transfer
-// (rds.go): enqueue the [database-actions, message-sequence] record,
-// register the outgoing Vm as enqueued (outstanding, not sendable) and
-// apply the deduct at that LSN. The caller releases the stripe, then
-// makes the Vm real with vmCreateStable. Caller holds lifeMu's read
-// side and the item's stripe.
-func (s *Site) vmCreateLocked(rec *wal.VmCreateRec) (uint64, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	lsn, err := s.logEnqueue(wal.RecVmCreate, rec.Encode())
+// waitForce is the second step: wait for d's record to be stable, hand
+// its buffer back to the pool, and stop the site if the force failed
+// (<kind>-force) — the record's effects stay applied in a store that is
+// now ahead of its log, and nothing built on them may leave. Waiting
+// again on a record already waited for is a no-op. Holding lifeMu's
+// read side across the wait keeps Crash's fence meaning "nothing
+// applied is missing from the log"; no stripe is held across it but by
+// Checkpoint (every stripe) and the zero-actions accept (its item's).
+func (s *Site) waitForce(d *durable) error {
+	err := s.cfg.Log.WaitDurable(d.lsn)
+	wire.PutWriter(d.w)
+	d.w = nil
 	if err != nil {
-		return 0, err
+		s.failStop(recordName[d.kind]+"-force", err)
 	}
-	s.vm.CreateEnqueued(rec.Msgs)
-	if _, err := s.cfg.DB.ApplyAll(lsn, rec.Actions); err != nil {
-		s.failStop("create-apply", err)
-		return 0, err
-	}
-	return lsn, nil
-}
-
-// vmCreateStable is the after-the-force half of a Vm creation: wait
-// for the create record vmCreateLocked enqueued at lsn, then move its
-// Vm into the retransmission set — they exist from here on (§4.2) and
-// the caller sends them. If the force fails the deduct stays in a
-// store that is now ahead of its log, and nothing is sent: the site
-// stops. Caller holds lifeMu's read side, and no stripe.
-func (s *Site) vmCreateStable(lsn uint64, rec *wal.VmCreateRec) error {
-	if err := s.cfg.Log.WaitDurable(lsn); err != nil {
-		s.failStop("create-force", err)
-		return err
-	}
-	s.vm.CreateStable(rec.Msgs)
-	return nil
-}
-
-// vmAcceptLocked is the under-the-stripe half of Vm acceptance: the
-// acceptance record takes its place in the log (the record is the
-// acceptance), the channel's dedup set is marked and the credit is
-// applied at that LSN. A record with actions is only enqueued — its
-// LSN is final, so the credit can land now and the caller waits for
-// the force after releasing the stripe (settleAccepts), acknowledging
-// nothing before. A record with nothing to credit gains nothing from
-// that and is made stable under the stripe: it is ackable on return.
-// Caller holds lifeMu's read side and the item's stripe.
-func (s *Site) vmAcceptLocked(from ident.SiteID, rec *wal.VmAcceptRec) (uint64, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	lsn, err := s.logEnqueue(wal.RecVmAccept, rec.Encode())
-	if err != nil {
-		return 0, err
-	}
-	if len(rec.Actions) == 0 {
-		if err := s.cfg.Log.WaitDurable(lsn); err != nil {
-			return 0, err
-		}
-		s.vm.MarkAccepted(from, rec.Seq)
-		return lsn, nil
-	}
-	s.vm.MarkApplied(from, rec.Seq)
-	if _, err := s.cfg.DB.ApplyAll(lsn, rec.Actions); err != nil {
-		// Protocol invariant broken, with the record already in the
-		// log's queue: stop rather than run on beside it.
-		s.failStop("accept-apply", err)
-		return 0, err
-	}
-	return lsn, nil
+	return err
 }

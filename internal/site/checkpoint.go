@@ -8,7 +8,7 @@ import (
 
 // This file is the checkpoint/compaction half of the durability layer:
 // the quiescent-cut Checkpoint, the record-count trigger fed by
-// logEnqueue (admission.go), and the background loop that runs it.
+// enqueueApply (admission.go), and the background loop that runs it.
 
 // CheckpointStagePreCompact is the hook stage fired after the
 // checkpoint record is durably appended but before the log is
@@ -21,22 +21,27 @@ const CheckpointStagePreCompact = "pre-compact"
 // before the checkpoint are no longer needed (the checkpoint carries
 // the store snapshot, channel cursors, pending Vm and clock).
 //
-// All stripes plus ckptMu's write side make the cut exact even
-// against the commit path (which runs outside the stripes): every
-// record below the compaction horizon is applied, every unapplied
-// record survives compaction.
+// Every stripe makes the cut exact: every enqueue+apply pair runs
+// under the stripes of its items, so with all of them held no record
+// is enqueued but unapplied — every record below the compaction horizon
+// is applied, every unapplied record survives compaction. The record
+// takes the one durable-write path; a force that fails stops the site
+// (checkpoint-force).
 func (s *Site) Checkpoint() error {
-	defer s.lockAllStripes()()
-	s.ckptMu.Lock()
-	defer s.ckptMu.Unlock()
+	all := uint64(1)<<len(s.stripes) - 1
+	s.lockStripes(all)
+	defer s.unlockStripes(all)
 	rec := &wal.CheckpointRec{
 		Items:    s.cfg.DB.Snapshot(),
 		Channels: s.vm.SnapshotChannels(),
 		Clock:    s.lamport.Current(),
 	}
-	payload := rec.Encode()
-	lsn, err := s.cfg.Log.Append(wal.RecCheckpoint, payload)
+	d, err := s.enqueueApply(wal.RecCheckpoint, rec.EncodeTo, nil, nil)
 	if err != nil {
+		return err
+	}
+	size := d.w.Len()
+	if err := s.waitForce(&d); err != nil {
 		return err
 	}
 	// The record is durable: restart the growth counter even if the
@@ -44,14 +49,14 @@ func (s *Site) Checkpoint() error {
 	// this checkpoint.
 	s.ckptRecs.Store(0)
 	s.obsm.ckptTotal.Inc()
-	s.obsm.ckptBytes.Add(uint64(len(payload)))
-	s.obsm.flight.Recordf(s.obsm.site, "checkpoint", "lsn=%d bytes=%d items=%d", lsn, len(payload), len(rec.Items))
+	s.obsm.ckptBytes.Add(uint64(size))
+	s.obsm.flight.Recordf(s.obsm.site, "checkpoint", "lsn=%d bytes=%d items=%d", d.lsn, size, len(rec.Items))
 	if h := s.checkpointHook(); h != nil {
 		if err := h(CheckpointStagePreCompact); err != nil {
 			return fmt.Errorf("site %v: checkpoint %s hook: %w", s.cfg.ID, CheckpointStagePreCompact, err)
 		}
 	}
-	return s.cfg.Log.Compact(lsn - 1)
+	return s.cfg.Log.Compact(d.lsn - 1)
 }
 
 // autoCheckpoint reports whether the automatic checkpointer is armed.
@@ -76,9 +81,9 @@ func (s *Site) noteAppend() {
 }
 
 // checkpointLoop runs automatic checkpoints. It cannot run inline in
-// the append paths — an appender holds its stripe and ckptMu's read
-// side, exactly the locks Checkpoint needs — so threshold crossings
-// kick this goroutine instead. It starts and stops with the site.
+// the append paths — an appender holds its stripe, and Checkpoint needs
+// every stripe — so threshold crossings kick this goroutine instead. It
+// starts and stops with the site.
 func (s *Site) checkpointLoop(stop, done chan struct{}) {
 	defer close(done)
 	for {

@@ -1,0 +1,149 @@
+package site
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"dvp/internal/cc"
+	"dvp/internal/core"
+	"dvp/internal/ident"
+	"dvp/internal/recovery"
+	"dvp/internal/simnet"
+	"dvp/internal/txn"
+	"dvp/internal/wal"
+)
+
+// Checkpoint's cut needs no lock of its own: every enqueue+apply pair
+// runs under its items' stripes, and Checkpoint takes them all. Each
+// round races checkpoints against site 1's commits, Vm creates (a
+// grant and a proactive transfer) and Vm accepts twice: once with
+// site 1's flush held, so that the cut lands across seven records
+// enqueued and applied but not forced, and once free-running, with a
+// checkpoint started beside the writers. Once everything is forced, a
+// rebuild from the compacted log alone must equal the live store, item
+// by item, under both schemes.
+func TestCheckpointCutAcrossHeldFlushes(t *testing.T) {
+	for _, scheme := range []cc.Scheme{cc.Conc1, cc.Conc2} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
+			t.Cleanup(func() { gl.Close() })
+			tc := newTestCluster(t, 2, simnet.Config{Seed: 35}, func(i int, c *Config) {
+				c.CC = cc.New(scheme)
+				if i == 0 {
+					c.Log = gl
+				}
+			})
+			const rounds = 3
+			// Every item exists before the first checkpoint: initial
+			// placement is not logged, so a rebuild knows an item only
+			// from a checkpoint.
+			for _, item := range []ident.ItemID{"c0", "c1", "c2", "t"} {
+				tc.createItem(item, 200)
+			}
+			for r := 0; r < rounds; r++ {
+				for _, phase := range []string{"held", "free"} {
+					tc.createItem(ident.ItemID(fmt.Sprintf("g-%s-%d", phase, r)), 20)
+					tc.createItem(ident.ItemID(fmt.Sprintf("r-%s-%d", phase, r)), 20)
+				}
+			}
+			s := tc.sites[0]
+
+			var lastCut uint64
+			for r := 0; r < rounds; r++ {
+				// Held: the first flush parks until the cut is enqueued
+				// behind every writer's record.
+				entered, release := holdFirstFlush(gl)
+				t.Cleanup(release)
+				writers := burst(t, tc, fmt.Sprintf("held-%d", r))
+				<-entered
+				waitUntil(t, 5*time.Second, "seven records enqueued, none forced", func() bool { return gl.Waiters() >= 7 })
+				cut := make(chan error, 1)
+				go func() { cut <- s.Checkpoint() }()
+				waitUntil(t, 5*time.Second, "checkpoint record enqueued", func() bool { return gl.Waiters() >= 8 })
+				release()
+				writers.Wait()
+				if err := <-cut; err != nil {
+					t.Fatalf("round %d: checkpoint across held flushes: %v", r, err)
+				}
+				lastCut = checkRebuild(t, tc, gl, lastCut)
+
+				// Free: a checkpoint started beside the writers.
+				gl.SetFlushHook(nil)
+				writers = burst(t, tc, fmt.Sprintf("free-%d", r))
+				if err := s.Checkpoint(); err != nil {
+					t.Fatalf("round %d: checkpoint beside the writers: %v", r, err)
+				}
+				writers.Wait()
+				lastCut = checkRebuild(t, tc, gl, lastCut)
+			}
+		})
+	}
+}
+
+// burst starts, each on its own goroutine, every kind of durable write
+// site 1 makes: three commits, a proactive transfer, a grant to site 2
+// (which commits on it) and the acceptance of site 2's grant (which
+// site 1 commits on) — seven records in site 1's log.
+func burst(t *testing.T, tc *testCluster, tag string) *sync.WaitGroup {
+	t.Helper()
+	var wg sync.WaitGroup
+	run := func(s *Site, x *txn.Txn) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res := s.Run(x); !res.Committed() {
+				t.Errorf("%s: %v on %s", tag, res.Status, x.Ops[0].Item)
+			}
+		}()
+	}
+	short := func(item string) *txn.Txn { // 10 held per site: short by 2
+		return &txn.Txn{
+			Ops:     []txn.ItemOp{{Item: ident.ItemID(item + "-" + tag), Op: core.Decr{M: 12}}},
+			Ask:     txn.AskAll,
+			Timeout: 5 * time.Second,
+		}
+	}
+	for _, item := range []ident.ItemID{"c0", "c1", "c2"} {
+		run(tc.sites[0], reserve(item, 1))
+	}
+	run(tc.sites[1], short("g"))
+	run(tc.sites[0], short("r"))
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if err := tc.sites[0].SendValue("t", 2, 1); err != nil {
+			t.Errorf("%s: transfer: %v", tag, err)
+		}
+	}()
+	return &wg
+}
+
+// checkRebuild drains site 1 and checks that its compacted log alone
+// rebuilds the live store — every item's value and applied LSN — from a
+// checkpoint newer than after. It returns that checkpoint's LSN.
+func checkRebuild(t *testing.T, tc *testCluster, gl *wal.GroupLog, after uint64) uint64 {
+	t.Helper()
+	tc.settle()
+	waitUntil(t, 5*time.Second, "site 1's log drained", func() bool { return gl.Waiters() == 0 })
+	s := tc.sites[0]
+	db, _, sum, err := recovery.Rebuild(gl, s.ID())
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	if sum.CheckpointLSN <= after {
+		t.Fatalf("rebuild started from checkpoint %d, want one after %d", sum.CheckpointLSN, after)
+	}
+	live, rebuilt := s.DB().Snapshot(), db.Snapshot()
+	if len(live) != len(rebuilt) {
+		t.Fatalf("rebuilt %d items, live store has %d", len(rebuilt), len(live))
+	}
+	for i, it := range live {
+		if got := rebuilt[i]; got.Item != it.Item || got.Value != it.Value || got.AppliedLSN != it.AppliedLSN {
+			t.Errorf("%s: rebuilt %d at LSN %d, live %d at LSN %d",
+				it.Item, got.Value, got.AppliedLSN, it.Value, it.AppliedLSN)
+		}
+	}
+	return sum.CheckpointLSN
+}

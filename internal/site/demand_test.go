@@ -182,8 +182,10 @@ func TestRebalancerSkipsUnreachablePeers(t *testing.T) {
 	// Cut site 3 off entirely, then give it deficit demand: its
 	// adverts can no longer reach site 1, so after AdvertStale its
 	// stale entry drops from the view and nothing ships into the void.
-	tc.net.SetLinkBoth(1, 3, false)
-	tc.net.SetLinkBoth(2, 3, false)
+	tc.net.SetLink(1, 3, false)
+	tc.net.SetLink(3, 1, false)
+	tc.net.SetLink(2, 3, false)
+	tc.net.SetLink(3, 2, false)
 	time.Sleep(30 * time.Millisecond) // > AdvertStale: pre-cut adverts age out
 	tc.sites[2].recordDeficit(map[ident.ItemID]core.Value{"x": 60})
 	time.Sleep(60 * time.Millisecond)
@@ -191,8 +193,10 @@ func TestRebalancerSkipsUnreachablePeers(t *testing.T) {
 		t.Errorf("site 1 created %d Vm toward an unreachable peer", n)
 	}
 	// Heal: adverts flow again and the transfer happens.
-	tc.net.SetLinkBoth(1, 3, true)
-	tc.net.SetLinkBoth(2, 3, true)
+	tc.net.SetLink(1, 3, true)
+	tc.net.SetLink(3, 1, true)
+	tc.net.SetLink(2, 3, true)
+	tc.net.SetLink(3, 2, true)
 	waitUntil(t, 2*time.Second, "transfer after heal", func() bool {
 		return tc.sites[2].DB().Value("x") >= 40
 	})

@@ -34,10 +34,10 @@ const inlineItems = 8
 // transaction's timeout plus local processing and always gets a
 // decision: the protocol is non-blocking by construction.
 //
-// Lock order: lifeMu.RLock ≺ stripes ≺ ckptMu.RLock. lifeMu comes
-// first because a stripe taken before it would deadlock against
-// Crash's fence (a pending lifeMu writer blocks new readers while a
-// handler holding the read side waits on our stripe). Holding one
+// Lock order: lifeMu.RLock ≺ stripes. lifeMu comes first because a
+// stripe taken before it would deadlock against Crash's fence (a
+// pending lifeMu writer blocks new readers while a handler holding the
+// read side waits on our stripe). Holding one
 // read side across liveness check, enqueue and force is the crash
 // atomicity: once Crash returns, no stale-epoch commit record can
 // still reach the log — recovery's scan would miss it and could
@@ -229,10 +229,12 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 
 	// Steps 5 and 6 — enqueue the commit record (its stability will
-	// commit t) and apply it, as one unit per item under the stripes
-	// and against Checkpoint's cut (commitLocked). The force comes
-	// after the stripes are let go.
-	lsn, w, err := s.commitLocked(ts, actions)
+	// commit t) and apply it, as one unit per item under the stripes;
+	// the force comes after they are let go. One record per commit: the
+	// store's per-item applied LSN already makes redo idempotent, so
+	// there is no separate "applied" record.
+	rec := wal.CommitRec{Txn: ts, Actions: actions}
+	d, err := s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, nil)
 	if err != nil {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
@@ -260,7 +262,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 				WriterIdx: make(map[ident.ItemID]uint64, len(actions)),
 				ReadVec:   make(map[ident.ItemID]map[ident.SiteID]uint64, len(t.Reads)),
 			},
-			Label: t.Label, CommitLSN: lsn,
+			Label: t.Label, CommitLSN: d.lsn,
 		}
 		for _, item := range t.Reads {
 			ci.ReadVec[item] = sts[indexOf(items, item)].flowSnapshot()
@@ -281,19 +283,13 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	step("apply", "")
 
 	// Step 5's commit point: the record's stability. Nothing about t —
-	// reply, hook, counters — leaves the site before it. lifeMu's read
-	// side is held across the wait, so Crash's fence still means
-	// "nothing applied is missing from the log". A force that fails
-	// leaves the store ahead of its log: the site stops, and t is not
-	// reported committed.
-	err = s.cfg.Log.WaitDurable(lsn)
-	wire.PutWriter(w)
+	// reply, hook, counters — leaves the site before it; if the force
+	// fails, the site stops and t is not reported committed.
+	err = s.waitForce(&d)
+	s.lifeMu.RUnlock()
 	if err != nil {
-		s.failStop("commit-force", err)
-		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
 	}
-	s.lifeMu.RUnlock()
 	step("wal-flush", "")
 
 	if writeOnly && verdict == admitOK {

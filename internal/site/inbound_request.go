@@ -1,8 +1,6 @@
 package site
 
 import (
-	"fmt"
-
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
@@ -69,55 +67,26 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		}
 	}
 
-	// Honor: this is an Rds transaction acting at this site (§6).
-	// Stamp, enqueue the [database-actions, message-sequence] record,
-	// apply — all inside this one stripe hold, which is the Rds
-	// transaction's lock. From the enqueue on the Vm is outstanding, so
-	// a full read here declines; it is sent only once its record is
+	// Honor: an Rds transaction acting at this site (§6), at the
+	// requester's timestamp. The Vm is sent only once its record is
 	// stable (§4.2: the Vm exists from that instant).
-	if s.policy.StampOnLock() {
-		s.cfg.DB.SetTS(req.Item, req.Txn)
-	}
-	seq := s.vm.AllocSeq(from)
-	var stamp = it.TS
-	if s.policy.StampOnLock() {
-		stamp = req.Txn
-	}
-	rec := &wal.VmCreateRec{
-		Actions: []wal.Action{{Item: req.Item, Delta: -grant, SetTS: stamp}},
-		Msgs: []wal.VmOut{{
-			To: from, Seq: seq, Item: req.Item, Amount: grant, ReqTxn: req.Txn,
-			FlowVec: st.flow.Entries(),
-		}},
-	}
+	v := wal.VmOut{To: from, Item: req.Item, Amount: grant, ReqTxn: req.Txn}
 	if hopSpan != 0 {
 		// The outgoing Vm carries this hop's span as the parent of
 		// the receiver's vm-accept and our own eventual vm-ack span.
-		rec.Msgs[0].Trace = wire.TraceCtx{Origin: req.Trace.Origin, TS: req.Trace.TS, Span: hopSpan}
+		v.Trace = wire.TraceCtx{Origin: req.Trace.Origin, TS: req.Trace.TS, Span: hopSpan}
 	}
-	lsn, err := s.vmCreateLocked(rec)
-	if err != nil {
+	applied, err := s.createVm(stripe, st, it.TS, req.Txn, ident.NoTxn, &v, hop)
+	if !applied {
 		decline("log-error")
 		return
 	}
-	stripe.Unlock()
-	hop.Step("apply", "")
-	// The router holds lifeMu's read side across the force.
-	if err := s.vmCreateStable(lsn, rec); err != nil {
+	if err != nil {
 		hop.Finish("fail-stop")
 		return
 	}
-	if hop != nil {
-		hop.Step("wal-flush", fmt.Sprintf("lsn=%d grant=%d seq=%d", lsn, grant, seq))
-	}
-
-	s.reportRds(stamp, req.Item, -grant)
 	s.obsm.observeStep("rds-create", s.cfg.Clock.Now().Sub(hopStart))
-	s.obsm.flight.Recordf(s.obsm.site, "rds-create", "to=%v item=%s amount=%d seq=%d", from, req.Item, grant, seq)
-	po := s.obsm.forPeer(from)
-	po.honored.Inc()
-	po.vmCreated.Inc()
-
-	s.sendVm(rec.Msgs[0])
+	s.obsm.flight.Recordf(s.obsm.site, "rds-create", "to=%v item=%s amount=%d seq=%d", from, req.Item, grant, v.Seq)
+	s.obsm.forPeer(from).honored.Inc()
 	hop.Finish("honored")
 }

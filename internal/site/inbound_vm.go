@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"dvp/internal/ident"
@@ -22,8 +23,8 @@ func (s *Site) handleVm(from ident.SiteID, m *wire.Vm) {
 	s.settleAccepts(&run)
 }
 
-// handleVmBatch accepts each carried Vm independently, then waits once
-// for the log and sends one cumulative ack for the whole batch — the
+// handleVmBatch accepts each carried Vm independently, then waits for
+// the log and sends one cumulative ack for the whole batch — the
 // receiving half of Vm piggybacking (one envelope, many Vm; one force
 // and one ack envelope back).
 func (s *Site) handleVmBatch(from ident.SiteID, b *wire.VmBatch) {
@@ -51,31 +52,28 @@ type acceptRun struct {
 type acceptedVm struct {
 	from     ident.SiteID
 	m        *wire.Vm
-	lsn      uint64
+	rec      durable
 	creditTS tstamp.TS
 	hop      *obs.TxnTrace
 	hopStart time.Time
 }
 
 func (r *acceptRun) oweAck(to ident.SiteID) {
-	for _, p := range r.ackTo {
-		if p == to {
-			return
-		}
+	if !slices.Contains(r.ackTo, to) {
+		r.ackTo = append(r.ackTo, to)
 	}
-	r.ackTo = append(r.ackTo, to)
 }
 
 // processVm is the under-the-stripe half of accepting one Vm (§4.2,
-// §5). A value-bearing Vm is credited at enqueue: its acceptance
-// record takes its place in the log, the channel's dedup set and the
-// store take the credit at that LSN, and the stripe is released and
-// the waiter woken without waiting for the force — whatever the
-// waiter logs next sits behind the acceptance record, and the log is
-// stable in LSN order. What must follow stability (the ack above all)
-// is left in run for settleAccepts. A Vm with nothing to credit — the
-// zero-value answer a full read gets from a peer that holds nothing —
-// is appended synchronously under the stripe. A deferral (item locked
+// §5). The Vm is credited at enqueue: its acceptance record takes its
+// place in the log, the channel's dedup set and the store take the
+// credit at that LSN, and the stripe is released and the waiter woken
+// without waiting for the force — whatever the waiter logs next sits
+// behind the acceptance record, and the log is stable in LSN order.
+// What must follow stability (the ack above all) is left in run for
+// settleAccepts. A Vm with nothing to credit — the zero-value answer a
+// full read gets from a peer that holds nothing — has its force waited
+// for under the stripe (DESIGN §2.7). A deferral (item locked
 // by a non-waiting transaction) owes nothing; retransmission will
 // return. A waiting holder's parking record is a field of the item's
 // state, read under the stripe already held; its progress fields are
@@ -151,7 +149,13 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 		// still needs the acceptance record for dedup state.
 		rec.Actions = nil
 	}
-	lsn, err := s.vmAcceptLocked(from, rec)
+	d, err := s.enqueueApply(wal.RecVmAccept, rec.EncodeTo, rec.Actions,
+		func() { s.vm.MarkApplied(from, rec.Seq) })
+	if err == nil && len(rec.Actions) == 0 {
+		// Nothing to credit: the force is waited for here, under the
+		// stripe (the zero-actions exception, DESIGN §2.7).
+		err = s.waitForce(&d)
+	}
 	if err != nil {
 		stripe.Unlock()
 		hop.Finish("log-error")
@@ -166,30 +170,25 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 	}
 	run.oweAck(from)
 	run.accepted = append(run.accepted, acceptedVm{
-		from: from, m: m, lsn: lsn, creditTS: creditTS, hop: hop, hopStart: hopStart,
+		from: from, m: m, rec: d, creditTS: creditTS, hop: hop, hopStart: hopStart,
 	})
 }
 
-// settleAccepts is the after-the-force half of a run: one wait on the
-// last reserved LSN covers every acceptance in it (the log is stable
-// in LSN order; a record appended synchronously is stable already),
-// then each is counted, reported and made ackable, and every peer owed
-// one gets a single cumulative ack. The caller holds lifeMu's read
-// side across the wait, so Crash's fence still means "nothing applied
-// is missing from the log". If the force fails, the credits stay in a
-// store that is now ahead of its log: nothing is acknowledged and the
-// site stops.
+// settleAccepts is the after-the-force half of a run: each acceptance,
+// in LSN order, waits for its record (after the first, the force that
+// covered it has usually covered the rest), then is counted, reported
+// and made ackable, and every peer owed one gets a single cumulative
+// ack. The caller holds lifeMu's read side. If a force fails, the
+// credits stay in a store that is now ahead of its log: nothing more is
+// acknowledged and the site stops.
 func (s *Site) settleAccepts(run *acceptRun) {
-	if n := len(run.accepted); n > 0 {
-		if err := s.cfg.Log.WaitDurable(run.accepted[n-1].lsn); err != nil {
-			s.failStop("accept-force", err)
-			return
-		}
-	}
 	for i := range run.accepted {
 		e := &run.accepted[i]
+		if s.waitForce(&e.rec) != nil {
+			return
+		}
 		if e.hop != nil {
-			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.lsn, e.m.Amount, e.m.Seq))
+			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.rec.lsn, e.m.Amount, e.m.Seq))
 		}
 		s.reportRds(e.creditTS, e.m.Item, e.m.Amount)
 		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))

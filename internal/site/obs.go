@@ -144,10 +144,10 @@ func (s *Site) initObs() {
 	o.ckptBytes = o.reg.Counter("dvp_checkpoint_bytes", "site", o.site)
 	o.fastCommits = o.reg.Counter("dvp_fastpath_commits_total", "site", o.site)
 	o.fastFallbacks = o.reg.Counter("dvp_fastpath_fallback_total", "site", o.site)
-	o.failStops = make(map[string]*metrics.Counter, 7)
+	o.failStops = make(map[string]*metrics.Counter, 8)
 	for _, reason := range []string{
 		"commit-force", "commit-apply", "create-force", "create-apply",
-		"accept-force", "accept-apply", "endpoint-open",
+		"accept-force", "accept-apply", "checkpoint-force", "endpoint-open",
 	} {
 		o.failStops[reason] = o.reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
 	}

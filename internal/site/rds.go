@@ -2,10 +2,12 @@ package site
 
 import (
 	"fmt"
+	"sync"
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
+	"dvp/internal/tstamp"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
@@ -50,11 +52,11 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	outcome := "aborted"
 	defer func() { hop.Finish(outcome) }()
 
-	// Lock order: lifeMu.RLock ≺ stripe ≺ ckptMu.RLock. The lifeMu
-	// fence keeps the append and its force inside the site's lifetime,
-	// like the commit path: once Crash returns, no rds record can still
-	// reach the log. Vm parked behind our lock are redelivered once it
-	// is let go, after the fence (redelivery takes it again).
+	// Lock order: lifeMu.RLock ≺ stripe. The lifeMu fence keeps the
+	// append and its force inside the site's lifetime, like the commit
+	// path: once Crash returns, no rds record can still reach the log.
+	// Vm parked behind our lock are redelivered once it is let go, after
+	// the fence (redelivery takes it again).
 	var parked []deferredVm
 	defer func() { s.redeliver(parked) }()
 	s.lifeMu.RLock()
@@ -76,58 +78,82 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 		stripe.Unlock()
 		return fmt.Errorf("site %v: quota %d < transfer %d", s.cfg.ID, have, amount)
 	}
-	if s.policy.StampOnLock() {
-		s.cfg.DB.SetTS(item, ts)
-	}
-	stamp := it.TS
-	if s.policy.StampOnLock() {
-		stamp = ts
-	}
-	seq := s.vm.AllocSeq(peer)
-	rec := &wal.VmCreateRec{
-		Actions: []wal.Action{{Item: item, Delta: -amount, SetTS: stamp}},
-		Msgs: []wal.VmOut{{
-			To: peer, Seq: seq, Item: item, Amount: amount, ReqTxn: 0,
-			FlowVec: st.flow.Entries(),
-		}},
-	}
-	if hopSpan != 0 {
-		rec.Msgs[0].Trace = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: hopSpan}
-	}
-	lsn, err := s.vmCreateLocked(rec)
-	if err != nil {
-		stripe.Unlock()
-		return fmt.Errorf("site %v: rds log append: %w", s.cfg.ID, err)
-	}
 	// The lock is taken as the stripe is let go (nobody could see it
 	// sooner) and held through the force and the dispatch: an Rds
 	// queued on the stripe behind this one aborts no-wait instead of
 	// shipping again from its caller's stale snapshot — a caller racing
-	// the rebalancer would otherwise double-ship. A Vm that parks
-	// behind it is taken back with the lock, as on the commit path.
-	// Still this transaction's when released: Crash's sweep waits out
-	// lifeMu.
-	st.holder = ts.Txn()
-	stripe.Unlock()
-	hop.Step("apply", "")
+	// the rebalancer would otherwise double-ship. A Vm that parks behind
+	// it is taken back with the lock, as on the commit path. Still this
+	// transaction's when released: Crash's sweep waits out lifeMu.
 	defer func() {
 		stripe.Lock()
 		parked = releaseItems(ts.Txn(), []*itemState{st})
 		stripe.Unlock()
 	}()
-	if err := s.vmCreateStable(lsn, rec); err != nil {
+	v := wal.VmOut{To: peer, Item: item, Amount: amount}
+	if hopSpan != 0 {
+		v.Trace = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: hopSpan}
+	}
+	applied, err := s.createVm(stripe, st, it.TS, ts, ts.Txn(), &v, hop)
+	if !applied {
+		stripe.Unlock()
+		return fmt.Errorf("site %v: rds log append: %w", s.cfg.ID, err)
+	}
+	if err != nil {
 		outcome = "fail-stop"
 		return fmt.Errorf("site %v: rds log force: %w", s.cfg.ID, err)
 	}
-	if hop != nil {
-		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", lsn, amount, seq))
-	}
 	outcome = "sent"
-
-	s.reportRds(stamp, item, -amount)
-	s.obsm.forPeer(peer).vmCreated.Inc()
-	if s.sameEpoch(epoch) {
-		s.sendVm(rec.Msgs[0])
-	}
 	return nil
+}
+
+// createVm is the part of every Vm creation past its admission check —
+// a request honored (handleRequest) or a proactive transfer
+// (SendValue): an Rds transaction acting at this site (§6), whose lock
+// is the stripe hold it runs in. It stamps the item at ts under a
+// StampOnLock scheme (cur is TS(d) before it), takes the Vm's sequence
+// number and builds the [database-actions, message-sequence] record —
+// *v, which names destination, item, amount, ReqTxn and trace context,
+// gains the sequence number and the item's flow vector — then enqueues
+// and applies it: from here the Vm is outstanding, so a full read
+// declines. holder, unless NoTxn, takes the item's no-wait lock as the
+// stripe is let go. Only once the record is stable is the Vm real
+// (§4.2): it enters the retransmission set, is reported and sent.
+//
+// The caller holds lifeMu's read side and the item's stripe. applied
+// reports whether the record was enqueued and applied: if not, err is
+// the log's or the store's error and the stripe is still held; if so,
+// the stripe is released and err is the force's (the site is stopping).
+func (s *Site) createVm(stripe *sync.Mutex, st *itemState, cur, ts tstamp.TS, holder ident.TxnID, v *wal.VmOut, hop *obs.TxnTrace) (applied bool, err error) {
+	if s.policy.StampOnLock() {
+		s.cfg.DB.SetTS(v.Item, ts)
+		cur = ts
+	}
+	v.Seq = s.vm.AllocSeq(v.To)
+	v.FlowVec = st.flow.Entries()
+	rec := &wal.VmCreateRec{
+		Actions: []wal.Action{{Item: v.Item, Delta: -v.Amount, SetTS: cur}},
+		Msgs:    []wal.VmOut{*v},
+	}
+	d, err := s.enqueueApply(wal.RecVmCreate, rec.EncodeTo, rec.Actions,
+		func() { s.vm.CreateEnqueued(rec.Msgs) })
+	if err != nil {
+		return false, err
+	}
+	st.holder = holder
+	stripe.Unlock()
+	hop.Step("apply", "")
+	if err := s.waitForce(&d); err != nil {
+		return true, err
+	}
+	s.vm.CreateStable(rec.Msgs)
+	if hop != nil {
+		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", d.lsn, v.Amount, v.Seq))
+	}
+	s.reportRds(cur, v.Item, -v.Amount)
+	s.obsm.forPeer(v.To).vmCreated.Inc()
+	if s.Up() { // after a crash has begun, recovery resends it from the log
+		s.sendVm(*v)
+	}
+	return true, nil
 }

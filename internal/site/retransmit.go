@@ -1,10 +1,6 @@
 package site
 
-import (
-	"dvp/internal/ident"
-	"dvp/internal/wal"
-	"dvp/internal/wire"
-)
+import "dvp/internal/wire"
 
 // retransmitCapFactor caps the adaptive per-peer retransmission
 // backoff: sweeps toward a peer that never acks stretch from
@@ -40,39 +36,23 @@ func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 		case <-s.cfg.Clock.After(base):
 		}
 		now := s.cfg.Clock.Now()
-		total := 0
-		perPeer := make(map[ident.SiteID][]wal.VmOut)
 		for _, p := range s.peersExceptSelf() {
 			vms := s.vm.Overdue(p, now, base)
 			if len(vms) == 0 || !s.vm.DueRetransmit(p, now, base, retransmitCapFactor*base) {
 				continue
 			}
-			perPeer[p] = vms
-			total += len(vms)
-		}
-		if total == 0 {
-			continue
-		}
-		if !s.Up() {
-			return
-		}
-		s.obsm.retx.Add(uint64(total))
-		for _, p := range s.peersExceptSelf() {
-			vms := perPeer[p]
+			if !s.Up() {
+				return
+			}
+			s.obsm.retx.Add(uint64(len(vms)))
 			for len(vms) > 0 {
-				n := len(vms)
-				if n > maxVmPerEnvelope {
-					n = maxVmPerEnvelope
-				}
+				n := min(len(vms), maxVmPerEnvelope)
 				if n == 1 {
 					s.sendVm(vms[0])
 				} else {
 					batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
 					for i, v := range vms[:n] {
-						batch.Vms[i] = wire.Vm{
-							Seq: v.Seq, Item: v.Item, Amount: v.Amount,
-							ReqTxn: v.ReqTxn, FlowVec: v.FlowVec, Trace: v.Trace,
-						}
+						batch.Vms[i] = wireVm(v)
 					}
 					s.send(p, batch)
 				}

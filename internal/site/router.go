@@ -70,10 +70,16 @@ func (s *Site) send(to ident.SiteID, msg wire.Msg) {
 
 // sendVm transmits one real message for a virtual message.
 func (s *Site) sendVm(v wal.VmOut) {
-	s.send(v.To, &wire.Vm{
+	m := wireVm(v)
+	s.send(v.To, &m)
+}
+
+// wireVm is the real message that carries virtual message v.
+func wireVm(v wal.VmOut) wire.Vm {
+	return wire.Vm{
 		Seq: v.Seq, Item: v.Item, Amount: v.Amount, ReqTxn: v.ReqTxn,
 		FlowVec: v.FlowVec, Trace: v.Trace,
-	})
+	}
 }
 
 // reportRds fires the OnRds hook for one redistribution half. Zero

@@ -15,11 +15,11 @@
 //   - admission (admission.go): the per-item stripes are the only lock
 //     for state mutation — check+lock+stamp and every enqueue+apply
 //     pair serialize per data item, nothing serializes site-wide.
-//   - durability (admission.go): commitLocked / vmCreateLocked /
-//     vmAcceptLocked are the only places normal processing reaches
-//     the stable log; Run and every handler share them. Each enqueues
-//     and applies under the stripe; the force is waited for after the
-//     stripe is released, and nothing leaves the site before it.
+//   - durability (admission.go): enqueueApply then waitForce is the
+//     one way any record — commit, Vm create, Vm accept, checkpoint —
+//     reaches the stable log. The record is enqueued and applied under
+//     the stripe; its force is waited for after the stripe is
+//     released, and nothing leaves the site before it.
 //   - item state (item.go): one itemState per item — no-wait lock
 //     holder, the holder's parked waiter, flow vector, demand cell,
 //     parked Vm — in one map per stripe, guarded by that stripe and
@@ -181,25 +181,14 @@ type Site struct {
 	// Conc2 there is exactly one stripe, restoring the paper's §6.2
 	// whole-site "processed in the order of their arrival" model that
 	// its 2PL proof assumes; Conc1's per-item timestamp rule needs
-	// only per-item order. Lock order: lifeMu.RLock ≺ stripe ≺
-	// ckptMu.RLock (acquire a stripe only when not yet holding a
-	// later-ordered lock; multiple stripes in ascending index order).
+	// only per-item order. Lock order: lifeMu.RLock ≺ stripes (multiple
+	// stripes in ascending index order).
 	// items[i] holds the volatile state of the items that map to
 	// stripes[i] and is guarded by it (item.go).
 	stripes []sync.Mutex
 	items   []map[ident.ItemID]*itemState
 	lamport *tstamp.Clock
 	vm      *vmsg.Manager
-
-	// ckptMu fences Checkpoint against every enqueue+apply pair: the
-	// mutating paths (commit, Vm create/accept) hold the read side
-	// from log enqueue through store apply, so under the write side
-	// the snapshot, the checkpoint record's LSN and the compaction
-	// horizon are one consistent cut — no record below the horizon
-	// can still be unapplied. It is not held across the force that
-	// follows: the checkpoint record is stable only after every record
-	// before it.
-	ckptMu sync.RWMutex
 
 	// lifeMu fences message handling against Crash: handlers hold the
 	// read side, so when Crash returns holding the write side, no
@@ -235,7 +224,7 @@ type Site struct {
 	rebalPaused atomic.Bool
 
 	// Automatic checkpointer state: records appended since the last
-	// checkpoint (bumped by logEnqueue), a one-slot kick channel the
+	// checkpoint (bumped by enqueueApply), a one-slot kick channel the
 	// threshold fires into, and a pause gate for harness barriers.
 	// ckptRunMu is held across each background checkpoint run, so
 	// SetCheckpointPaused can join an in-flight run by acquiring it.

@@ -125,23 +125,6 @@ func (t *Txn) Deltas() map[ident.ItemID]core.Value {
 	return deltas
 }
 
-// IsWriteOnly reports whether the transaction needs no data gathering:
-// no full reads and no local shortfall possible (all ops have zero
-// Needs). Write-only transactions skip the redistribution phase
-// entirely (§5: "in case of write-only transactions, the initial
-// steps of data redistribution can be ignored").
-func (t *Txn) IsWriteOnly() bool {
-	if len(t.Reads) > 0 {
-		return false
-	}
-	for _, op := range t.Ops {
-		if op.Op.Needs() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Status is a transaction outcome.
 type Status uint8
 

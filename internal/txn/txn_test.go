@@ -53,21 +53,6 @@ func TestDeltasNet(t *testing.T) {
 	}
 }
 
-func TestIsWriteOnly(t *testing.T) {
-	pure := &Txn{Ops: []ItemOp{{Item: "a", Op: core.Incr{M: 5}}}}
-	if !pure.IsWriteOnly() {
-		t.Error("pure increment must be write-only")
-	}
-	needy := &Txn{Ops: []ItemOp{{Item: "a", Op: core.Decr{M: 5}}}}
-	if needy.IsWriteOnly() {
-		t.Error("decrement may need redistribution; not write-only")
-	}
-	reader := &Txn{Reads: []ident.ItemID{"a"}}
-	if reader.IsWriteOnly() {
-		t.Error("reads are never write-only")
-	}
-}
-
 func TestAskPolicyFanout(t *testing.T) {
 	if AskAll.Fanout(7) != 7 {
 		t.Error("AskAll fanout")

@@ -135,14 +135,6 @@ func (l *MemLog) Close() error {
 	return nil
 }
 
-// Reopen clears the closed flag, modelling the recovering site
-// re-attaching to its surviving stable storage.
-func (l *MemLog) Reopen() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.closed = false
-}
-
 // SetAppendHook installs a fault-injection hook (see appendHook).
 func (l *MemLog) SetAppendHook(h func(Record) error) {
 	l.mu.Lock()

@@ -264,6 +264,12 @@ type CheckpointRec struct {
 // Encode serializes the record payload.
 func (rec *CheckpointRec) Encode() []byte {
 	var w wire.Writer
+	rec.EncodeTo(&w)
+	return w.Bytes()
+}
+
+// EncodeTo appends the record payload to w (byte-identical to Encode).
+func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 	w.U64(uint64(len(rec.Items)))
 	for _, it := range rec.Items {
 		w.String(string(it.Item))
@@ -276,7 +282,7 @@ func (rec *CheckpointRec) Encode() []byte {
 		w.U16(uint16(ch.Peer))
 		w.U64(ch.OutSeq)
 		w.U64(ch.CumAck)
-		encodeVmOuts(&w, ch.Pending)
+		encodeVmOuts(w, ch.Pending)
 		w.U64(ch.InLow)
 		w.U64(uint64(len(ch.InAbove)))
 		for _, s := range ch.InAbove {
@@ -284,7 +290,6 @@ func (rec *CheckpointRec) Encode() []byte {
 		}
 	}
 	w.U64(rec.Clock)
-	return w.Bytes()
 }
 
 // DecodeCheckpoint parses a RecCheckpoint payload.

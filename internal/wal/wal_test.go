@@ -160,19 +160,6 @@ func TestAppendCopiesData(t *testing.T) {
 	})
 }
 
-func TestMemLogReopen(t *testing.T) {
-	l := NewMemLog()
-	l.Append(RecCommit, []byte("survives"))
-	l.Close()
-	l.Reopen()
-	if _, err := l.Append(RecCommit, nil); err != nil {
-		t.Fatalf("Append after Reopen: %v", err)
-	}
-	if l.LastLSN() != 2 {
-		t.Errorf("LastLSN = %d, want 2 (crash keeps the log)", l.LastLSN())
-	}
-}
-
 func TestMemLogAppendHookFault(t *testing.T) {
 	l := NewMemLog()
 	boom := errors.New("disk full")
