@@ -144,14 +144,22 @@ func (r *Ring) DumpJSON(w io.Writer, n int) error {
 	return nil
 }
 
-// TxnTrace accumulates one transaction's steps. It is built by the
-// single goroutine running the transaction and published to the ring
-// on Finish; a nil TxnTrace (tracing disabled) ignores every call.
+// TxnTrace accumulates one transaction's steps. It is built by one
+// goroutine at a time — the one running the transaction, or the one it
+// hands the span to — and published to the ring on Finish; a nil
+// TxnTrace (tracing disabled) ignores every call.
 type TxnTrace struct {
 	ring  *Ring
 	start time.Time
 	t     Trace
+	// steps backs t.Steps for the first inlineSteps steps, so that a
+	// trace costs one allocation however many steps it records.
+	steps [inlineSteps]TraceStep
 }
+
+// inlineSteps covers the longest step sequence a site records: the §5
+// run with a redistribution is seven steps.
+const inlineSteps = 8
 
 // Begin starts a trace for a transaction executing at site. Returns
 // nil (a valid no-op trace) when the ring is nil.
@@ -160,7 +168,7 @@ func (r *Ring) Begin(site, label string) *TxnTrace {
 		return nil
 	}
 	now := time.Now()
-	return &TxnTrace{
+	tt := &TxnTrace{
 		ring:  r,
 		start: now,
 		t: Trace{
@@ -171,6 +179,8 @@ func (r *Ring) Begin(site, label string) *TxnTrace {
 			StartUnixNano: now.UnixNano(),
 		},
 	}
+	tt.t.Steps = tt.steps[:0]
+	return tt
 }
 
 // BeginSpan starts a remote-hop span of kind, recorded at site, for
@@ -182,7 +192,7 @@ func (r *Ring) BeginSpan(site, kind, origin string, ts, span, parent uint64) *Tx
 		return nil
 	}
 	now := time.Now()
-	return &TxnTrace{
+	tt := &TxnTrace{
 		ring:  r,
 		start: now,
 		t: Trace{
@@ -195,6 +205,8 @@ func (r *Ring) BeginSpan(site, kind, origin string, ts, span, parent uint64) *Tx
 			StartUnixNano: now.UnixNano(),
 		},
 	}
+	tt.t.Steps = tt.steps[:0]
+	return tt
 }
 
 // SetTS records the transaction's timestamp once drawn.

@@ -12,6 +12,7 @@ import (
 	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
+	"dvp/internal/vclock"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
@@ -86,10 +87,12 @@ func (a *ackTap) install(t *testing.T, net *simnet.Net) {
 // A value Vm addressed to a waiting transaction is credited when its
 // acceptance record is enqueued — the waiter wakes, and its commit
 // record queues behind the acceptance and applies there, so the store
-// shows credit and deduct alike — but nothing acknowledges the Vm,
-// explicitly or piggybacked, and nothing answers the transaction,
-// until those records are stable; then the ack goes out and a
-// retransmitted copy is a counted duplicate.
+// shows credit and deduct alike — and the acceptance asks for no force
+// of its own: the first flush is the one the commit asks for, carrying
+// both records. Nothing acknowledges the Vm, explicitly or
+// piggybacked, and nothing answers the transaction, until that force
+// lands; then the ack goes out and a retransmitted copy is a counted
+// duplicate.
 func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	tc, gl := groupedCluster(t, 21, wal.NewMemLog(), nil)
 	item := ident.ItemID("flight/A")
@@ -99,8 +102,9 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	entered, release := holdFirstFlush(gl)
 	defer release()
 
-	// Needs 5 from site 2. Nothing at site 1 reaches the log before the
-	// grant arrives, so the held flush is the acceptance record's.
+	// Needs 5 from site 2. Nothing at site 1 asks for a force before the
+	// commit does, so the held flush is the commit's, and the acceptance
+	// record rides it.
 	done := make(chan *txn.Result, 1)
 	go func() {
 		done <- tc.sites[0].Run(&txn.Txn{
@@ -115,7 +119,7 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 		t.Fatal("no flush at site 1: the grant never arrived")
 	}
 
-	waitUntil(t, 2*time.Second, "commit record queued behind the acceptance", func() bool {
+	waitUntil(t, 2*time.Second, "acceptance and commit records in the pipeline", func() bool {
 		return gl.Waiters() == 2
 	})
 	if v := tc.sites[0].DB().Value(item); v != 0 {
@@ -229,49 +233,73 @@ func TestZeroValueVmWaitsForItsForce(t *testing.T) {
 	}
 }
 
-// A VmBatch of 8 value Vm is enqueued whole, forced at most twice (the
-// flusher may have left with the first record alone) and acknowledged
-// once.
+// A VmBatch of 8 value Vm is credited whole at enqueue and asks for no
+// force: nothing is forced, counted or acknowledged until somebody asks
+// — a commit, or on an idle site the retransmission tick — and then one
+// flush carries all 8 and one cumulative ack follows it.
 func TestVmBatchAcceptForces(t *testing.T) {
-	device := wal.NewSlowDevice(wal.NewMemLog(), 2*time.Millisecond, nil)
-	tc, gl := groupedCluster(t, 23, device, nil)
-	var forces atomic.Int64
-	gl.SetFlushHook(func(int) { forces.Add(1) })
-	var tap ackTap
-	tap.install(t, tc.net)
+	for _, by := range []string{"commit", "tick"} {
+		t.Run(by, func(t *testing.T) {
+			clock := vclock.NewVirtual(time.Unix(0, 0))
+			tc, gl := groupedCluster(t, 23, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+			var forces, carried atomic.Int64
+			gl.SetFlushHook(func(n int) {
+				forces.Add(1)
+				carried.Add(int64(n))
+			})
+			var tap ackTap
+			tap.install(t, tc.net)
 
-	const n = 8
-	batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
-	for i := range batch.Vms {
-		item := ident.ItemID("it/" + string(rune('a'+i)))
-		tc.createItem(item, 0)
-		batch.Vms[i] = wire.Vm{Seq: uint64(i + 1), Item: item, Amount: 3}
-	}
-	tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: batch})
-	tc.settle()
+			const n = 8
+			batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
+			for i := range batch.Vms {
+				item := ident.ItemID("it/" + string(rune('a'+i)))
+				tc.createItem(item, 0)
+				batch.Vms[i] = wire.Vm{Seq: uint64(i + 1), Item: item, Amount: 3}
+			}
+			s := tc.sites[0]
+			s.handle(&wire.Envelope{From: 2, To: 1, Msg: batch})
+			tc.settle()
+			for i := range batch.Vms {
+				if v := s.DB().Value(batch.Vms[i].Item); v != 3 {
+					t.Errorf("%s = %d, want 3: credited at enqueue", batch.Vms[i].Item, v)
+				}
+			}
+			if f, a, acc := forces.Load(), tap.vmAcks.Load(), s.Stats().VmAccepted; f != 0 || a != 0 || acc != 0 {
+				t.Fatalf("before anyone asked: %d forces, %d acks, %d accepted; want none", f, a, acc)
+			}
 
-	if f := forces.Load(); f > 2 {
-		t.Errorf("batch of %d value Vm cost %d forces, want at most 2", n, f)
-	}
-	if a := tap.vmAcks.Load(); a != 1 {
-		t.Errorf("batch answered with %d acks, want 1", a)
-	}
-	if up := tap.covered.Load(); up != n {
-		t.Errorf("ack covers up to %d, want %d", up, n)
-	}
-	if st := tc.sites[0].Stats(); st.VmAccepted != n {
-		t.Errorf("VmAccepted = %d, want %d", st.VmAccepted, n)
-	}
-	for i := range batch.Vms {
-		if v := tc.sites[0].DB().Value(batch.Vms[i].Item); v != 3 {
-			t.Errorf("%s = %d, want 3", batch.Vms[i].Item, v)
-		}
+			records := int64(n)
+			switch by {
+			case "commit":
+				tc.createItem("local", 20)
+				if res := s.Run(reserve("local", 1)); !res.Committed() {
+					t.Fatalf("local commit: %v", res.Status)
+				}
+				records++
+			case "tick":
+				waitUntil(t, 2*time.Second, "retransmit loop parked", func() bool { return clock.PendingTimers() == 1 })
+				clock.Advance(5 * time.Millisecond)
+			}
+			waitUntil(t, 2*time.Second, "the batch acknowledged", func() bool { return tap.covered.Load() == n })
+			tc.settle()
+			if f, c := forces.Load(), carried.Load(); f != 1 || c != records {
+				t.Errorf("%d forces carrying %d records, want 1 carrying %d", f, c, records)
+			}
+			if a := tap.vmAcks.Load(); a != 1 {
+				t.Errorf("batch answered with %d acks, want 1", a)
+			}
+			if st := s.Stats(); st.VmAccepted != n {
+				t.Errorf("VmAccepted = %d, want %d", st.VmAccepted, n)
+			}
+		})
 	}
 }
 
-// If the force behind an early credit fails, the site never acks and
-// never un-applies: it counts the stop, stops, and refuses to restart
-// over a store that is ahead of its log.
+// If the force behind an early credit fails — the retransmission tick
+// asks for it here, nobody else having done so — the site never acks
+// and never un-applies: it counts the stop, stops, and refuses to
+// restart over a store that is ahead of its log.
 func TestAcceptForceFailureStopsTheSite(t *testing.T) {
 	inner := wal.NewMemLog()
 	reg := obs.NewRegistry()
@@ -401,9 +429,10 @@ func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
 }
 
 // A crash landing between an acceptance's enqueue and its force waits
-// the force out (the handler holds lifeMu across it, and so does the
-// commit queued behind it), so what the store was credited and debited
-// is never missing from the log recovery reads.
+// the force out (the commit queued behind it holds lifeMu across the
+// force it asked for, which carries the acceptance), so what the store
+// was credited and debited is never missing from the log recovery
+// reads.
 func TestCrashInsideUnforcedAccept(t *testing.T) {
 	inner := wal.NewMemLog()
 	tc, gl := groupedCluster(t, 26, inner, nil)

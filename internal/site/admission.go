@@ -20,11 +20,14 @@ import (
 // record's items, enqueues the record — its LSN is final — and applies
 // it at that LSN; the caller does its volatile bookkeeping and lets go
 // of the no-wait locks and the stripe. waitForce, still under lifeMu's
-// read side, waits for the record's durability, and only after that
-// does anything leave the site: a reply, a hook, a Vm, an ack. No
-// stripe is held across a force, so whoever queues on the item next
-// enqueues behind this record and shares or follows its force instead
-// of waiting it out. Whatever reads the early value logs behind it, the
+// read side, asks for the record's force and waits for it, and only
+// after that does anything leave the site: a reply, a hook, a Vm. A
+// value-bearing acceptance skips the second step: nothing waits on it,
+// so it asks for no force, rides whichever force next covers its LSN,
+// and its ack leaves once that force lands (inbound_vm.go). No stripe
+// is held across a force, so whoever queues on the item next enqueues
+// behind this record and shares or follows its force instead of
+// waiting it out. Whatever reads the early value logs behind it, the
 // log is stable in LSN order, and a force that fails stops the site
 // (failStop): nothing built on an unforced record can get out.
 
@@ -180,14 +183,18 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 	return durable{kind: kind, lsn: lsn, w: w}, nil
 }
 
-// waitForce is the second step: wait for d's record to be stable, hand
-// its buffer back to the pool, and stop the site if the force failed
-// (<kind>-force) — the record's effects stay applied in a store that is
-// now ahead of its log, and nothing built on them may leave. Waiting
-// again on a record already waited for is a no-op. Holding lifeMu's
-// read side across the wait keeps Crash's fence meaning "nothing
-// applied is missing from the log"; no stripe is held across it but by
-// Checkpoint (every stripe) and the zero-actions accept (its item's).
+// waitForce is the second step: ask for d's record to be forced and
+// wait until it is stable, hand its buffer back to the pool, and stop
+// the site if the force failed (<kind>-force) — the record's effects
+// stay applied in a store that is now ahead of its log, and nothing
+// built on them may leave. Holding lifeMu's read side across the wait
+// keeps Crash's fence meaning "nothing applied is missing from the
+// log" (Crash forces the pending acceptances itself); no stripe is held
+// across it but by Checkpoint (every stripe) and the zero-actions
+// accept (its item's). Pending acceptances ride the force rather than
+// ask for one of their own; once the caller holds no stripe it settles
+// those the force covered (settleAccepts up to d's LSN), so their
+// OnRds hook never runs under one.
 func (s *Site) waitForce(d *durable) error {
 	err := s.cfg.Log.WaitDurable(d.lsn)
 	wire.PutWriter(d.w)

@@ -28,6 +28,11 @@ const CheckpointStagePreCompact = "pre-compact"
 // takes the one durable-write path; a force that fails stops the site
 // (checkpoint-force).
 func (s *Site) Checkpoint() error {
+	// Deferred first, so it runs once the stripes are let go: the
+	// acceptances the checkpoint's force carried are settled outside
+	// them.
+	var forced uint64
+	defer func() { s.settleAccepts(forced, nil) }()
 	all := uint64(1)<<len(s.stripes) - 1
 	s.lockStripes(all)
 	defer s.unlockStripes(all)
@@ -44,6 +49,7 @@ func (s *Site) Checkpoint() error {
 	if err := s.waitForce(&d); err != nil {
 		return err
 	}
+	forced = d.lsn
 	// The record is durable: restart the growth counter even if the
 	// compaction below is skipped or fails — recovery can already use
 	// this checkpoint.

@@ -284,8 +284,13 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 
 	// Step 5's commit point: the record's stability. Nothing about t —
 	// reply, hook, counters — leaves the site before it; if the force
-	// fails, the site stops and t is not reported committed.
+	// fails, the site stops and t is not reported committed. The
+	// acceptances the force carried — the one t consumed, most often —
+	// are acked from here.
 	err = s.waitForce(&d)
+	if err == nil {
+		s.settleAccepts(d.lsn, nil)
+	}
 	s.lifeMu.RUnlock()
 	if err != nil {
 		return finish(txn.StatusSiteDown)

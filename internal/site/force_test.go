@@ -288,3 +288,36 @@ func TestEndpointOpenFailureStopsTheSite(t *testing.T) {
 		t.Error("the peer with a working endpoint went down too")
 	}
 }
+
+// failingSend is an endpoint that refuses every envelope.
+type failingSend struct{ wire.Endpoint }
+
+func (failingSend) Send(*wire.Envelope) error { return errors.New("connection reset") }
+
+// A send the endpoint refuses is loss to the protocol — the requester's
+// timeout covers it here — and is counted per peer, not swallowed.
+func TestSendErrorsCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	tc := newTestCluster(t, 2, simnet.Config{Seed: 39}, func(i int, c *Config) {
+		c.Metrics = reg
+		if i == 0 {
+			c.Endpoint = failingSend{c.Endpoint}
+		}
+	})
+	item := ident.ItemID("flight/L")
+	tc.createItem(item, 20)
+	res := tc.sites[0].Run(&txn.Txn{
+		Ops:     []txn.ItemOp{{Item: item, Op: core.Decr{M: 15}}},
+		Ask:     txn.AskAll,
+		Timeout: 20 * time.Millisecond,
+	})
+	if res.Status != txn.StatusTimeout || res.RequestsSent != 1 {
+		t.Fatalf("ask over a refusing endpoint: %v after %d requests, want a timeout after 1", res.Status, res.RequestsSent)
+	}
+	if got := reg.CounterValue("dvp_site_send_errors_total", "site", "s1", "peer", "s2"); got != 1 {
+		t.Errorf("dvp_site_send_errors_total{peer=s2} = %d, want 1", got)
+	}
+	if !tc.sites[0].Up() {
+		t.Error("a refused send stopped the site; it is loss, not a failure")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/tstamp"
@@ -18,67 +19,63 @@ import (
 // deferral (ignore; retransmission will return) when an unrelated
 // transaction holds it.
 func (s *Site) handleVm(from ident.SiteID, m *wire.Vm) {
-	var run acceptRun
-	s.processVm(&run, from, m)
-	s.settleAccepts(&run)
+	var owed acks
+	s.processVm(&owed, from, m)
+	s.settleAccepts(s.cfg.Log.DurableLSN(), owed)
 }
 
-// handleVmBatch accepts each carried Vm independently, then waits for
-// the log and sends one cumulative ack for the whole batch — the
-// receiving half of Vm piggybacking (one envelope, many Vm; one force
-// and one ack envelope back).
+// handleVmBatch accepts each carried Vm independently — the receiving
+// half of Vm piggybacking: one envelope, many Vm; their records ride
+// one force, and whoever settles them sends one ack envelope back.
 func (s *Site) handleVmBatch(from ident.SiteID, b *wire.VmBatch) {
-	var run acceptRun
+	var owed acks
 	for i := range b.Vms {
-		s.processVm(&run, from, &b.Vms[i])
+		s.processVm(&owed, from, &b.Vms[i])
 	}
-	s.settleAccepts(&run)
+	s.settleAccepts(s.cfg.Log.DurableLSN(), owed)
 }
 
-// acceptRun is a run of inbound Vm handled together: what each still
-// owes once the log has caught up with it.
-type acceptRun struct {
-	// accepted are the acceptances made, in LSN order. The
-	// value-bearing ones were credited at enqueue and their records
-	// are not yet known stable.
-	accepted []acceptedVm
-	// ackTo lists the peers owed a cumulative ack (an acceptance or a
-	// duplicate; a deferral owes none).
-	ackTo []ident.SiteID
+// acks lists the peers owed a cumulative ack, each once.
+type acks []ident.SiteID
+
+func (a *acks) add(to ident.SiteID) {
+	if !slices.Contains(*a, to) {
+		*a = append(*a, to)
+	}
 }
 
 // acceptedVm is one Vm credited at the LSN its acceptance record
 // reserved, and everything that must follow that record's stability.
+// It keeps its own copy of what it needs of the Vm: it outlives the
+// envelope that carried it.
 type acceptedVm struct {
 	from     ident.SiteID
-	m        *wire.Vm
+	seq      uint64
+	item     ident.ItemID
+	amount   core.Value
 	rec      durable
 	creditTS tstamp.TS
 	hop      *obs.TxnTrace
 	hopStart time.Time
 }
 
-func (r *acceptRun) oweAck(to ident.SiteID) {
-	if !slices.Contains(r.ackTo, to) {
-		r.ackTo = append(r.ackTo, to)
-	}
-}
-
 // processVm is the under-the-stripe half of accepting one Vm (§4.2,
 // §5). The Vm is credited at enqueue: its acceptance record takes its
 // place in the log, the channel's dedup set and the store take the
 // credit at that LSN, and the stripe is released and the waiter woken
-// without waiting for the force — whatever the waiter logs next sits
-// behind the acceptance record, and the log is stable in LSN order.
-// What must follow stability (the ack above all) is left in run for
-// settleAccepts. A Vm with nothing to credit — the zero-value answer a
-// full read gets from a peer that holds nothing — has its force waited
-// for under the stripe (DESIGN §2.7). A deferral (item locked
-// by a non-waiting transaction) owes nothing; retransmission will
-// return. A waiting holder's parking record is a field of the item's
-// state, read under the stripe already held; its progress fields are
-// updated under the waiter's own lock.
-func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
+// without asking for a force — whatever the waiter logs next sits
+// behind the acceptance record, and the log is stable in LSN order, so
+// the record rides the waiter's force (or whichever comes first). What
+// must follow stability (the ack above all) goes onto the site's list
+// of pending acceptances for settleAccepts. A Vm with nothing to credit
+// — the zero-value answer a full read gets from a peer that holds
+// nothing — has its force waited for under the stripe (DESIGN §2.7). A
+// duplicate owes its sender an ack at once (owed); a deferral (item
+// locked by a non-waiting transaction) owes nothing; retransmission
+// will return. A waiting holder's parking record is a field of the
+// item's state, read under the stripe already held; its progress
+// fields are updated under the waiter's own lock.
+func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced Vm grows a vm-accept span here: the credit half of the
 	// redistribution, parented on the sender's rds-create span.
@@ -96,7 +93,7 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 		hop.Finish("duplicate")
 		// Duplicate: re-ack so the sender can retire it (the ack covers
 		// it only once its acceptance record is stable).
-		run.oweAck(from)
+		owed.add(from)
 		return
 	}
 
@@ -153,7 +150,8 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 		func() { s.vm.MarkApplied(from, rec.Seq) })
 	if err == nil && len(rec.Actions) == 0 {
 		// Nothing to credit: the force is waited for here, under the
-		// stripe (the zero-actions exception, DESIGN §2.7).
+		// stripe (the zero-actions exception, DESIGN §2.7); the
+		// handler's return settles it.
 		err = s.waitForce(&d)
 	}
 	if err != nil {
@@ -164,45 +162,110 @@ func (s *Site) processVm(run *acceptRun, from ident.SiteID, m *wire.Vm) {
 	st.mergeFlow(m.FlowVec)
 	stripe.Unlock()
 	hop.Step("apply", "")
+	// Pending before the waiter wakes, so the force its commit asks for
+	// settles this acceptance too; and before the handler lets go of
+	// lifeMu, so Crash, behind its fence, finds every one.
+	s.acceptMu.Lock()
+	s.accepts = append(s.accepts, acceptedVm{
+		from: from, seq: m.Seq, item: m.Item, amount: m.Amount,
+		rec: d, creditTS: creditTS, hop: hop, hopStart: hopStart,
+	})
+	s.nAccepts.Store(int32(len(s.accepts)))
+	s.acceptMu.Unlock()
 	if w != nil {
 		w.noteAccept(m.Item, from)
 		w.wake()
 	}
-	run.oweAck(from)
-	run.accepted = append(run.accepted, acceptedVm{
-		from: from, m: m, rec: d, creditTS: creditTS, hop: hop, hopStart: hopStart,
-	})
 }
 
-// settleAccepts is the after-the-force half of a run: each acceptance,
-// in LSN order, waits for its record (after the first, the force that
-// covered it has usually covered the rest), then is counted, reported
-// and made ackable, and every peer owed one gets a single cumulative
-// ack. The caller holds lifeMu's read side. If a force fails, the
-// credits stay in a store that is now ahead of its log: nothing more is
-// acknowledged and the site stops.
-func (s *Site) settleAccepts(run *acceptRun) {
-	for i := range run.accepted {
-		e := &run.accepted[i]
-		if s.waitForce(&e.rec) != nil {
-			return
+// takeAccepts removes and returns the pending acceptances whose records
+// lie at or below upTo.
+func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
+	if s.nAccepts.Load() == 0 {
+		return nil
+	}
+	s.acceptMu.Lock()
+	defer s.acceptMu.Unlock()
+	var taken []acceptedVm
+	kept := s.accepts[:0]
+	for _, e := range s.accepts {
+		if e.rec.lsn <= upTo {
+			taken = append(taken, e)
+		} else {
+			kept = append(kept, e)
 		}
+	}
+	clear(s.accepts[len(kept):])
+	s.accepts = kept
+	s.nAccepts.Store(int32(len(kept)))
+	return taken
+}
+
+// settleAccepts is the after-the-force half of every pending acceptance
+// whose record is known stable, the log being durable up to upTo. It
+// runs wherever that is learnt, holding no stripe: after every commit,
+// create and checkpoint force, at the return of every Vm handler and
+// redelivery (up to the log's DurableLSN, so a log without a queue
+// settles there at once — the zero-value acceptance's own force
+// included), and from the retransmission tick and Crash
+// (forceAccepts). Each one is counted, reported and made ackable; then
+// every peer owed an ack — for one of these, or for a duplicate in
+// owed — gets a single cumulative one, unless the site is going down.
+func (s *Site) settleAccepts(upTo uint64, owed acks) {
+	for _, e := range s.takeAccepts(upTo) {
+		wire.PutWriter(e.rec.w)
 		if e.hop != nil {
-			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.rec.lsn, e.m.Amount, e.m.Seq))
+			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.rec.lsn, e.amount, e.seq))
 		}
-		s.reportRds(e.creditTS, e.m.Item, e.m.Amount)
+		s.reportRds(e.creditTS, e.item, e.amount)
 		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
-		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.m.Item, e.m.Amount, e.m.Seq)
+		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.item, e.amount, e.seq)
 		s.obsm.forPeer(e.from).vmAccepted.Inc()
 		// Ackable last: any envelope may piggyback the cursor from here
 		// on, and a sender that sees its Vm retired may take the
 		// acceptance as counted and reported.
-		s.vm.MarkStable(e.from, e.m.Seq)
+		s.vm.MarkStable(e.from, e.seq)
 		e.hop.Finish("accepted")
+		owed.add(e.from)
 	}
-	for _, p := range run.ackTo {
+	if !s.Up() {
+		return
+	}
+	for _, p := range owed {
 		s.send(p, &wire.VmAck{UpTo: s.vm.AckFor(p)})
 	}
+}
+
+// forceAccepts asks for the force of every pending acceptance and
+// settles them: the share of acceptances no commit, create or
+// checkpoint force has carried. The retransmission tick calls it, so an
+// idle site acks at most one RetransmitEvery late, and so does Crash,
+// so that nothing applied is missing from the log once it returns. A
+// force that fails stops the site (accept-force): the acceptances it
+// covered are dropped unacknowledged, their credits left in a store
+// that is now ahead of its log.
+func (s *Site) forceAccepts() {
+	if s.nAccepts.Load() == 0 {
+		return
+	}
+	var high uint64
+	s.acceptMu.Lock()
+	for _, e := range s.accepts {
+		high = max(high, e.rec.lsn)
+	}
+	s.acceptMu.Unlock()
+	if high == 0 {
+		return
+	}
+	if err := s.cfg.Log.WaitDurable(high); err != nil {
+		for _, e := range s.takeAccepts(high) {
+			wire.PutWriter(e.rec.w)
+			e.hop.Finish("fail-stop")
+		}
+		s.failStop("accept-force", err)
+		return
+	}
+	s.settleAccepts(high, nil)
 }
 
 // deferredVm is one parked inbound Vm awaiting its item's unlock.
@@ -235,7 +298,9 @@ func (s *Site) deferVm(st *itemState, from ident.SiteID, m *wire.Vm) {
 // from behind the lock (releaseItems) — they land in the unlock window
 // instead of waiting out the sender's retransmit interval (which an
 // item locked back-to-back may never overlap). A redelivered Vm that
-// finds the item locked again simply parks again. Caller holds nothing.
+// finds the item locked again simply parks again. Like a handler, it
+// asks for no force: the transaction whose release redelivers answers
+// on its own record's stability, not on these. Caller holds nothing.
 func (s *Site) redeliver(parked []deferredVm) {
 	if len(parked) == 0 {
 		return
@@ -248,9 +313,9 @@ func (s *Site) redeliver(parked []deferredVm) {
 		return
 	}
 	s.obsm.flight.Recordf(s.obsm.site, "vm-redeliver", "count=%d", len(parked))
-	var run acceptRun
+	var owed acks
 	for i := range parked {
-		s.processVm(&run, parked[i].from, &parked[i].vm)
+		s.processVm(&owed, parked[i].from, &parked[i].vm)
 	}
-	s.settleAccepts(&run)
+	s.settleAccepts(s.cfg.Log.DurableLSN(), owed)
 }

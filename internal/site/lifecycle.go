@@ -141,6 +141,12 @@ func (s *Site) Crash() {
 	if ckptDone != nil {
 		<-ckptDone
 	}
+	// Acceptances credited at enqueue ask for no force, and the fence
+	// does not wait for one that nobody asked for: ask for it here,
+	// where no new acceptance can be made, so that once Crash returns
+	// nothing applied is missing from the log (a failed force stops the
+	// site as accept-force).
+	s.forceAccepts()
 	// The per-item volatile state is gone — lock holders, parked Vm
 	// (retransmission re-covers them), flow vectors, demand cells —
 	// and recovery starts clean (§7). The same sweep finds the

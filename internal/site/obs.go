@@ -25,6 +25,9 @@ type peerObs struct {
 	vmCreated  *metrics.Counter
 	vmAccepted *metrics.Counter
 	vmDups     *metrics.Counter
+	// sendErrs counts envelopes toward the peer the endpoint refused —
+	// loss to the protocol, counted so it is not silent.
+	sendErrs *metrics.Counter
 }
 
 // siteObs bundles the site's resolved metric handles. With no registry
@@ -103,6 +106,7 @@ func newPeerObs(reg *obs.Registry, site, peer string) *peerObs {
 		vmCreated:  reg.Counter("dvp_vmsg_created_total", "site", site, "peer", peer),
 		vmAccepted: reg.Counter("dvp_vmsg_accepted_total", "site", site, "peer", peer),
 		vmDups:     reg.Counter("dvp_vmsg_dup_drops_total", "site", site, "peer", peer),
+		sendErrs:   reg.Counter("dvp_site_send_errors_total", "site", site, "peer", peer),
 	}
 }
 

@@ -155,5 +155,6 @@ func (s *Site) createVm(stripe *sync.Mutex, st *itemState, cur, ts tstamp.TS, ho
 	if s.Up() { // after a crash has begun, recovery resends it from the log
 		s.sendVm(*v)
 	}
+	s.settleAccepts(d.lsn, nil) // what the force carried beside the grant
 	return true, nil
 }

@@ -26,6 +26,10 @@ const maxVmPerEnvelope = 64
 // ticks, reset by the first advancing ack) decides whether a given
 // peer's sweep actually fires, so a long-dead peer costs one sweep per
 // retransmitCapFactor ticks instead of one per tick.
+//
+// The tick is also the force of last resort for the receiving side:
+// an acceptance nobody's force has carried yet is forced and acked
+// here (forceAccepts), so an idle site acks at most one tick late.
 func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	base := s.cfg.RetransmitEvery
@@ -35,6 +39,7 @@ func (s *Site) retransmitLoop(stop <-chan struct{}, done chan<- struct{}) {
 			return
 		case <-s.cfg.Clock.After(base):
 		}
+		s.forceAccepts()
 		now := s.cfg.Clock.Now()
 		for _, p := range s.peersExceptSelf() {
 			vms := s.vm.Overdue(p, now, base)

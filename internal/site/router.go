@@ -63,9 +63,12 @@ func (s *Site) send(to ident.SiteID, msg wire.Msg) {
 		AckUpTo: s.vm.AckFor(to),
 		Msg:     msg,
 	}
-	// Send errors are indistinguishable from message loss to the
-	// protocol; the failure model already covers loss.
-	_ = s.cfg.Endpoint.Send(env)
+	// A send error is indistinguishable from message loss to the
+	// protocol, and the failure model already covers loss; it is only
+	// counted (dvp_site_send_errors_total).
+	if err := s.cfg.Endpoint.Send(env); err != nil {
+		s.obsm.forPeer(to).sendErrs.Inc()
+	}
 }
 
 // sendVm transmits one real message for a virtual message.

@@ -15,11 +15,14 @@
 //   - admission (admission.go): the per-item stripes are the only lock
 //     for state mutation — check+lock+stamp and every enqueue+apply
 //     pair serialize per data item, nothing serializes site-wide.
-//   - durability (admission.go): enqueueApply then waitForce is the
-//     one way any record — commit, Vm create, Vm accept, checkpoint —
-//     reaches the stable log. The record is enqueued and applied under
-//     the stripe; its force is waited for after the stripe is
-//     released, and nothing leaves the site before it.
+//   - durability (admission.go): enqueueApply is the one way any
+//     record — commit, Vm create, Vm accept, checkpoint — reaches the
+//     stable log: enqueued and applied under the stripe. A commit,
+//     create or checkpoint then asks for its force with waitForce after
+//     the stripe is released, and nothing leaves the site before it. A
+//     value-bearing acceptance asks for no force: it rides the next one
+//     somebody asks for, and whoever sees it stable settles it
+//     (inbound_vm.go).
 //   - item state (item.go): one itemState per item — no-wait lock
 //     holder, the holder's parked waiter, flow vector, demand cell,
 //     parked Vm — in one map per stripe, guarded by that stripe and
@@ -194,6 +197,14 @@ type Site struct {
 	// read side, so when Crash returns holding the write side, no
 	// handler is mid-flight and the stable log is quiescent.
 	lifeMu sync.RWMutex
+
+	// accepts are the Vm acceptances credited at enqueue whose records
+	// nobody has yet seen stable, in the order they were made, and
+	// acceptMu guards them (inbound_vm.go). nAccepts mirrors their
+	// count so that a force with nothing to settle takes no lock.
+	acceptMu sync.Mutex
+	accepts  []acceptedVm
+	nAccepts atomic.Int32
 
 	// obsm holds resolved metric handles; initialized once in New,
 	// read-only afterwards (the handles themselves are atomic).

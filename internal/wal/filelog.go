@@ -151,6 +151,9 @@ func (l *FileLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 // WaitDurable implements Log: a record is stable once Enqueue returns.
 func (l *FileLog) WaitDurable(uint64) error { return nil }
 
+// DurableLSN implements Log: every record is stable, so LastLSN.
+func (l *FileLog) DurableLSN() uint64 { return l.LastLSN() }
+
 // AppendBatch implements BatchAppender: the whole batch is framed into
 // one buffer, written with one WriteAt and made stable with one fsync —
 // the force-write amortization group commit is built on.

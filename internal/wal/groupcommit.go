@@ -15,24 +15,28 @@ type GroupCommitOptions struct {
 	// MaxBatch bounds how many records one flush may carry
 	// (default 128).
 	MaxBatch int
-	// Linger is how long the flusher waits after the first record of
-	// a batch arrives before forcing, giving concurrent committers a
-	// window to join. Zero (the default) flushes immediately; natural
-	// batching still happens, because arrivals during an in-progress
-	// flush queue up and ride the next one.
+	// Linger is how long the flusher waits after a waiter asks for a
+	// force before forcing, giving concurrent committers a window to
+	// join. Zero (the default) flushes at once; natural batching still
+	// happens, because records queued by then — and arrivals during an
+	// in-progress flush — ride the same or the next force.
 	Linger time.Duration
 	// Clock times the linger (nil = real clock).
 	Clock vclock.Clock
 }
 
 // GroupLog is the group-commit pipeline: a Log whose Enqueue reserves
-// the record's LSN and queues it, while a dedicated flusher goroutine
-// drains the queue of all concurrent appends into a single AppendBatch
-// on the inner log — one write, one force, many commit points (§5
-// step 5: stability of the record is the commit point; *whose* fsync
-// made it stable is immaterial). WaitDurable parks on the durable
-// watermark, and Append is the two in sequence, so it keeps the Log
-// contract exactly: when it returns nil, the record is stable.
+// the record's LSN and queues it, and nothing more. A force is asked
+// for: WaitDurable on an LSN not yet durable records the demand and
+// wakes a dedicated flusher goroutine, which drains the whole queue —
+// the demanded record, everything before it and everything after it
+// that has queued by then — into a single AppendBatch on the inner log:
+// one write, one force, many commit points (§5 step 5: stability of the
+// record is the commit point; *whose* fsync made it stable is
+// immaterial). A record nobody waits for rides the next force somebody
+// asks for, or Close's. WaitDurable parks on the durable watermark, and
+// Append is the two in sequence, so it keeps the Log contract exactly:
+// when it returns nil, the record is stable.
 //
 // The LSN is reserved under the queue lock, so queue order is LSN
 // order and the watermark only ever moves over a dense prefix. A flush
@@ -51,13 +55,14 @@ type GroupLog struct {
 	opts  GroupCommitOptions
 
 	mu       sync.Mutex
-	work     *sync.Cond   // the flusher parks here for records
+	work     *sync.Cond   // the flusher parks here for a demand
 	stable   *sync.Cond   // WaitDurable parks here for the watermark
 	queue    []BatchEntry // entry i holds LSN next-len(queue)+i
 	next     uint64       // the LSN the next Enqueue gets
 	inFlight int
 	durable  uint64
-	failed   error // first flush error; sticky
+	demand   uint64 // the highest LSN any WaitDurable has asked for
+	failed   error  // first flush error; sticky
 	closed   bool
 	done     chan struct{}
 
@@ -110,7 +115,8 @@ func (g *GroupLog) Append(kind RecordKind, data []byte) (uint64, error) {
 }
 
 // Enqueue implements Log: reserve the next LSN and queue the record
-// for the flusher. The queue holds data itself, not a copy.
+// until some waiter asks for a force that covers it. The queue holds
+// data itself, not a copy.
 func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -123,15 +129,19 @@ func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	lsn := g.next
 	g.next++
 	g.queue = append(g.queue, BatchEntry{Kind: kind, Data: data})
-	g.work.Signal()
 	return lsn, nil
 }
 
-// WaitDurable implements Log: park until the watermark covers lsn, or
-// the log fails or closes short of it.
+// WaitDurable implements Log: ask for a force covering lsn if the
+// watermark is short of it, then park until the watermark covers lsn,
+// or the log fails or closes short of it.
 func (g *GroupLog) WaitDurable(lsn uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.durable < lsn && g.demand < lsn {
+		g.demand = lsn
+		g.work.Signal()
+	}
 	for g.durable < lsn {
 		if g.failed != nil {
 			return g.failed
@@ -144,14 +154,15 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 	return nil
 }
 
-// flusher is the dedicated group-commit goroutine: wait for work,
-// optionally linger to let a group gather, then force the whole group
-// with one inner AppendBatch and move the watermark over it.
+// flusher is the dedicated group-commit goroutine: wait until someone
+// waits on a queued LSN (or the log closes), optionally linger to let
+// a group gather, then force the whole queue with one inner
+// AppendBatch and move the watermark over it.
 func (g *GroupLog) flusher() {
 	defer close(g.done)
 	for {
 		g.mu.Lock()
-		for len(g.queue) == 0 && !g.closed {
+		for !g.closed && (len(g.queue) == 0 || g.demand <= g.durable) {
 			g.work.Wait()
 		}
 		if len(g.queue) == 0 {
@@ -230,8 +241,9 @@ func (g *GroupLog) flusher() {
 	}
 }
 
-// DurableLSN reports the highest LSN the flusher has made stable. At a
-// quiescent point it equals LastLSN(); mid-flush it trails it.
+// DurableLSN implements Log: the highest LSN the flusher has made
+// stable, read without asking for a force. At a quiescent point it
+// equals LastLSN(); mid-flush it trails it.
 func (g *GroupLog) DurableLSN() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()

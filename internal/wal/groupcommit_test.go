@@ -188,7 +188,8 @@ func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 1})
 	defer g.Close()
 
-	// Hold the first flush so the rest queue up behind it.
+	// Hold the first flush — the one a waiter on the first record asks
+	// for — so the rest queue up behind it.
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	g.SetFlushHook(func(int) {
@@ -198,6 +199,7 @@ func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 		})
 	})
 	var lsns []uint64
+	firstWait := make(chan error, 1)
 	for i := 0; i < 4; i++ {
 		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
 		if err != nil {
@@ -205,11 +207,15 @@ func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 		}
 		lsns = append(lsns, lsn)
 		if i == 0 {
+			go func() { firstWait <- g.WaitDurable(lsn) }()
 			<-entered
 		}
 	}
 	inner.SetAppendHook(func(Record) error { return boom })
 	close(release)
+	if err := <-firstWait; !errors.Is(err, boom) {
+		t.Errorf("the demanding WaitDurable(%d) = %v, want %v", lsns[0], err, boom)
+	}
 	for _, lsn := range lsns {
 		if err := g.WaitDurable(lsn); !errors.Is(err, boom) {
 			t.Errorf("WaitDurable(%d) = %v, want %v", lsn, err, boom)
@@ -319,6 +325,72 @@ func TestGroupLogWaitDurableCoversPrefix(t *testing.T) {
 	}
 	if g.DurableLSN() != lsns[19] || g.Waiters() != 0 {
 		t.Fatalf("durable=%d waiters=%d after the last wait, want %d and 0", g.DurableLSN(), g.Waiters(), lsns[19])
+	}
+}
+
+// A force is asked for, not set off by a queued record: two records
+// enqueued and never waited for stay queued, and a wait on the first
+// forces both with one flush. Waiting on the second then asks for
+// nothing more.
+func TestGroupLogForcesOnDemand(t *testing.T) {
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{})
+	defer g.Close()
+	var mu sync.Mutex
+	var batches []int
+	g.SetFlushHook(func(n int) {
+		mu.Lock()
+		batches = append(batches, n)
+		mu.Unlock()
+	})
+	flushed := func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]int(nil), batches...)
+	}
+
+	a, err := g.Enqueue(RecVmAccept, []byte("a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := g.Enqueue(RecCommit, []byte("b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if f := flushed(); len(f) != 0 || inner.LastLSN() != 0 || g.Waiters() != 2 {
+		t.Fatalf("before any wait: flushes %v, inner at %d, %d queued; want none, 0 and 2", f, inner.LastLSN(), g.Waiters())
+	}
+	if err := g.WaitDurable(a); err != nil {
+		t.Fatal(err)
+	}
+	if f := flushed(); len(f) != 1 || f[0] != 2 {
+		t.Fatalf("a wait on the first of two queued records flushed %v, want one flush of 2", f)
+	}
+	if d := g.DurableLSN(); d != b {
+		t.Fatalf("durable = %d after the demanded force, want %d: the later record rides it", d, b)
+	}
+	if err := g.WaitDurable(b); err != nil {
+		t.Fatal(err)
+	}
+	if f := flushed(); len(f) != 1 {
+		t.Fatalf("waiting on a record already durable flushed again: %v", f)
+	}
+}
+
+// A record nobody ever waits for is forced by Close.
+func TestGroupLogCloseForcesUnwaited(t *testing.T) {
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{})
+	lsn, err := g.Enqueue(RecVmAccept, []byte("never waited for"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if last := inner.LastLSN(); last != lsn {
+		t.Fatalf("inner log at %d after Close, want the unwaited record %d", last, lsn)
 	}
 }
 

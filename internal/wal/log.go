@@ -92,19 +92,26 @@ type Record struct {
 // it returns: a crash after Append never loses the record. Durability
 // is a prefix property — WaitDurable(l) returning nil means every
 // record with LSN ≤ l is stable, so a caller that enqueues several
-// records waits once, on the last. All methods are safe for concurrent
-// use.
+// records waits once, on the last. A force is something a waiter asks
+// for: a queued record is stable no later than the first WaitDurable
+// on it or on any later LSN (or Close), and a record nobody waits for
+// may stay queued until then. All methods are safe for concurrent use.
 type Log interface {
 	// Enqueue assigns the record its LSN, which is final on return:
 	// records become stable in LSN order or not at all. The log owns
-	// data from here on; the caller must not touch it again until
-	// WaitDurable has returned for this LSN. Logs without a queue
-	// (MemLog, FileLog, SlowLog) make the record stable right here.
+	// data from here on; the caller must not touch it again until the
+	// record is known stable (WaitDurable returned, or DurableLSN reached
+	// it) or the log has failed. Logs without a queue (MemLog,
+	// FileLog, SlowLog) make the record stable right here.
 	Enqueue(kind RecordKind, data []byte) (uint64, error)
-	// WaitDurable blocks until every record with LSN ≤ lsn is stable.
-	// lsn must come from Enqueue on this log. An error means the record
-	// may never become stable, and neither will any enqueued after it.
+	// WaitDurable asks for every record with LSN ≤ lsn to be forced and
+	// blocks until it is. lsn must come from Enqueue on this log. An
+	// error means the record may never become stable, and neither will
+	// any enqueued after it.
 	WaitDurable(lsn uint64) error
+	// DurableLSN reports the highest LSN known stable, without asking
+	// for a force. Logs without a queue return LastLSN.
+	DurableLSN() uint64
 	// Append is Enqueue then WaitDurable. data is borrowed for the
 	// duration of the call only, so callers may encode into pooled
 	// scratch and reuse it immediately.

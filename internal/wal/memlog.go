@@ -30,6 +30,9 @@ func (l *MemLog) Append(kind RecordKind, data []byte) (uint64, error) {
 // WaitDurable implements Log: a record is stable once Enqueue returns.
 func (l *MemLog) WaitDurable(uint64) error { return nil }
 
+// DurableLSN implements Log: every record is stable, so LastLSN.
+func (l *MemLog) DurableLSN() uint64 { return l.LastLSN() }
+
 // Enqueue implements Log.
 func (l *MemLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	l.mu.Lock()

@@ -80,6 +80,9 @@ func (l *SlowLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 // WaitDurable implements Log: a record is stable once Enqueue returns.
 func (l *SlowLog) WaitDurable(uint64) error { return nil }
 
+// DurableLSN implements Log: every record is stable, so LastLSN.
+func (l *SlowLog) DurableLSN() uint64 { return l.LastLSN() }
+
 // AppendBatch implements BatchAppender: the latency models the
 // force-write, so a batched flush pays it once for the whole batch —
 // that per-flush (not per-record) cost is exactly the win group commit
