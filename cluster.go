@@ -22,7 +22,7 @@ type Cluster struct {
 	cfg    Config
 	net    *simnet.Net
 	sites  []*site.Site
-	logs   []wal.Log
+	logs   []*wal.GroupLog
 	dbs    []*store.Durable
 	peers  []ident.SiteID
 	reg    *obs.Registry
@@ -75,7 +75,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if cfg.FileLogDir != "" {
 			fl, err := wal.OpenFileLog(
 				filepath.Join(cfg.FileLogDir, fmt.Sprintf("site%d.wal", i)),
-				wal.FileLogOptions{Sync: cfg.FileLogSync})
+				wal.FileLogOptions{Sync: true})
 			if err != nil {
 				return nil, err
 			}
@@ -83,17 +83,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		} else {
 			dev = wal.NewMemLog()
 		}
-		// A site's log is one device: simulated forces serialize, so
-		// commit cost under concurrency is realistic (and group commit
-		// has the same per-flush win the real fsync path shows).
-		dev = wal.NewSlowDevice(dev, cfg.LogAppendDelay, nil)
-		var log wal.Log = dev
-		if cfg.GroupCommit {
-			gl := wal.NewGroupLog(dev, wal.GroupCommitOptions{Linger: cfg.GroupCommitLinger})
-			gl.Instrument(c.reg, "site", ident.SiteID(i).String())
-			gl.SetFlight(flight, ident.SiteID(i).String())
-			log = gl
-		}
+		// A site's log is a group log over one device: simulated forces
+		// serialize, so commit cost under concurrency is realistic, and
+		// one force covers a whole group, as the real fsync path does.
+		log := wal.NewGroupLog(wal.NewSlowDevice(dev, cfg.LogAppendDelay), wal.GroupCommitOptions{})
+		log.Instrument(c.reg, "site", ident.SiteID(i).String())
+		log.SetFlight(flight, ident.SiteID(i).String())
 		db := store.New()
 		sc := site.Config{
 			ID:                     ident.SiteID(i),
@@ -328,13 +323,12 @@ func (c *Cluster) Net() *simnet.Net { return c.net }
 // spirit as Net; never drive transactions through it directly, use At).
 func (c *Cluster) SiteEngine(i int) *site.Site { return c.checkSite(i) }
 
-// GroupLog returns site i's group-commit pipeline, or nil when
-// Config.GroupCommit is off. Chaos schedules hook its flush windows;
-// invariant checkers audit its waiter/durable-LSN boundary.
+// GroupLog returns site i's group-commit pipeline: every site's log is
+// one. Chaos schedules hook its flush windows; invariant checkers audit
+// its waiter/durable-LSN boundary.
 func (c *Cluster) GroupLog(i int) *wal.GroupLog {
 	c.checkSite(i)
-	gl, _ := c.logs[i-1].(*wal.GroupLog)
-	return gl
+	return c.logs[i-1]
 }
 
 // Metrics returns the cluster-wide metrics registry. Every site

@@ -82,7 +82,9 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.cc, "cc", "conc1", "concurrency control: conc1 or conc2 (every site must run the same scheme)")
 	fs.DurationVar(&o.timeout, "timeout", 250*time.Millisecond, "default transaction timeout")
 	fs.BoolVar(&o.sync, "sync", false, "fsync the WAL on every force-write")
-	fs.BoolVar(&o.groupCommit, "group-commit", false, "batch concurrent WAL appends into single force-writes")
+	// Every site log is a group log; -group-commit stays declared only
+	// because bench/harness/cluster.go passes it, and false is refused.
+	fs.BoolVar(&o.groupCommit, "group-commit", true, "kept for old command lines: the WAL always batches concurrent appends into single force-writes, and =false is refused")
 	fs.IntVar(&o.ckptRecords, "checkpoint-records", 0, "auto-checkpoint once this many WAL records accumulate since the last checkpoint (0 disables)")
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP listen address serving /metrics, /traces, /flight, /healthz and /debug/pprof (optional)")
 	fs.BoolVar(&o.rebalance, "rebalance", false, "run the demand-driven rebalancer: gossip per-item demand to peers and ship surplus quota toward observed deficits")
@@ -91,29 +93,33 @@ func defineFlags(fs *flag.FlagSet) *options {
 }
 
 // usageExit reports a bad command line and exits 2.
-func usageExit(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "dvpnode: "+format+"\n", args...)
-	flag.Usage()
+func usageExit(fs *flag.FlagSet, format string, args ...any) {
+	fmt.Fprintf(fs.Output(), "dvpnode: "+format+"\n", args...)
+	fs.Usage()
 	os.Exit(2)
 }
 
 func main() {
-	o := defineFlags(flag.CommandLine)
-	flag.Parse()
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	o := defineFlags(fs)
+	fs.Parse(os.Args[1:])
 	if o.site <= 0 || o.listen == "" || o.ctl == "" || o.peers == "" || o.wal == "" {
-		usageExit("-site, -listen, -ctl, -peers and -wal are required")
+		usageExit(fs, "-site, -listen, -ctl, -peers and -wal are required")
+	}
+	if !o.groupCommit {
+		usageExit(fs, "-group-commit=false is no longer supported: every site log is a group log")
 	}
 	peers, addrs, err := parsePeers(o.peers)
 	if err != nil {
-		usageExit("bad -peers: %v", err)
+		usageExit(fs, "bad -peers: %v", err)
 	}
 	self := ident.SiteID(o.site)
 	if _, ok := addrs[self]; !ok {
-		usageExit("-peers must include this site (%d)", o.site)
+		usageExit(fs, "-peers must include this site (%d)", o.site)
 	}
 	scheme, err := parseScheme(o.cc)
 	if err != nil {
-		usageExit("bad -cc: %v", err)
+		usageExit(fs, "bad -cc: %v", err)
 	}
 
 	// Observability: one registry + trace ring + flight recorder for
@@ -127,13 +133,9 @@ func main() {
 		log.Fatal(err)
 	}
 	logFile.Instrument(reg, "site", self.String())
-	var siteLog wal.Log = logFile
-	if o.groupCommit {
-		gl := wal.NewGroupLog(logFile, wal.GroupCommitOptions{})
-		gl.Instrument(reg, "site", self.String())
-		gl.SetFlight(flight, self.String())
-		siteLog = gl
-	}
+	siteLog := wal.NewGroupLog(logFile, wal.GroupCommitOptions{})
+	siteLog.Instrument(reg, "site", self.String())
+	siteLog.SetFlight(flight, self.String())
 	defer siteLog.Close()
 
 	ep, err := tcpnet.New(tcpnet.Config{

@@ -1,21 +1,81 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"flag"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
 )
 
+// TestMain lets a test run this binary as dvpnode: when the first
+// argument after the test flags is "dvpnode", the rest is a dvpnode
+// command line and main runs on it.
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if args := flag.Args(); len(args) > 0 && args[0] == "dvpnode" {
+		os.Args = args
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadCommandLineExitsTwo runs dvpnode on command lines it must
+// refuse before opening its log: each exits 2 and names what is wrong.
+func TestBadCommandLineExitsTwo(t *testing.T) {
+	required := func(extra ...string) []string {
+		return append([]string{
+			"-site", "1", "-listen", "127.0.0.1:0", "-ctl", "127.0.0.1:0",
+			"-peers", "1=127.0.0.1:0", "-wal", filepath.Join(t.TempDir(), "s1.wal"),
+		}, extra...)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"group-commit off", required("-group-commit=false"), "-group-commit=false"},
+		{"deleted tuning flag", required("-checkpoint-bytes", "4096"), "checkpoint-bytes"},
+		{"missing wal", []string{"-site", "1", "-listen", ":0", "-ctl", ":0", "-peers", "1=:0"}, "-wal are required"},
+		{"unknown scheme", required("-cc", "conc3"), "conc3"},
+		{"repeated peer", required("-peers", "1=a:1,1=b:2"), "site 1 listed twice"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"dvpnode"}, tc.args...)...)
+			var stderr bytes.Buffer
+			cmd.Stderr = &stderr
+			err := cmd.Run()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("dvpnode %s: %v, want exit status 2\n%s", strings.Join(tc.args, " "), err, stderr.String())
+			}
+			if !strings.Contains(stderr.String(), tc.want) {
+				t.Errorf("dvpnode %s: stderr does not name %q:\n%s", strings.Join(tc.args, " "), tc.want, stderr.String())
+			}
+		})
+	}
+}
+
 // TestFlagSurface pins dvpnode's flags by name and default. Adding a
 // flag means editing this table — ROADMAP's "no new flag without
 // removing one", executable — and the ten the benchmark harness passes
 // (-site -listen -ctl -peers -wal -create -group-commit -timeout
-// -retransmit -sync) must keep their defaults.
+// -retransmit -sync) must keep their defaults. -group-commit is kept
+// only because the harness passes it: it is true, and false is refused
+// (TestBadCommandLineExitsTwo).
 func TestFlagSurface(t *testing.T) {
 	want := map[string]string{
 		"site":               "0",
@@ -27,7 +87,7 @@ func TestFlagSurface(t *testing.T) {
 		"cc":                 "conc1",
 		"timeout":            "250ms",
 		"sync":               "false",
-		"group-commit":       "false",
+		"group-commit":       "true",
 		"checkpoint-records": "0",
 		"metrics":            "",
 		"rebalance":          "false",

@@ -129,27 +129,16 @@ type Config struct {
 	OrderPreserving bool
 
 	// FileLogDir, when set, backs each site's stable log with a real
-	// CRC-framed file under this directory instead of memory.
+	// CRC-framed file under this directory instead of memory; every
+	// force-write fsyncs it.
 	FileLogDir string
-	// FileLogSync forces an fsync per force-write on file-backed logs
-	// (see wal.FileLogOptions.Sync). Meaningful only with FileLogDir.
-	FileLogSync bool
 	// LogAppendDelay simulates stable-storage force-write latency per
 	// flush (e.g. 200µs ≈ SSD fsync). It makes commit cost a wait
 	// rather than CPU, so concurrency behaviour is realistic
-	// regardless of host core count. With GroupCommit on, one delay
-	// covers a whole batch — the batching win the real fsync gives.
+	// regardless of host core count. Each site's log is a group log,
+	// so one delay covers a whole batch — the batching win the real
+	// fsync gives.
 	LogAppendDelay time.Duration
-
-	// GroupCommit batches concurrent log appends per site into single
-	// force-writes: committers park on a dedicated flusher goroutine's
-	// durable-LSN notification instead of each paying their own fsync.
-	// The Log contract is unchanged (Append returns ⇒ record stable).
-	GroupCommit bool
-	// GroupCommitLinger is how long the flusher waits after the first
-	// record of a batch for concurrent committers to join (default 0:
-	// flush immediately; arrivals during a flush still batch up).
-	GroupCommitLinger time.Duration
 
 	// CheckpointEveryRecords arms each site's automatic checkpointer:
 	// once the site's log has grown by this many records since its

@@ -231,16 +231,12 @@ func TestLossyNetworkStillConserves(t *testing.T) {
 	}
 }
 
-// A group-commit cluster must behave identically to an unbatched one
-// (commits durable, totals conserved) while exposing the pipeline: a
-// per-site GroupLog handle, a durable-LSN watermark covering every
-// acknowledged commit, and batch/flush histograms in the registry.
+// Every cluster runs its sites on group logs (commits durable, totals
+// conserved) and exposes the pipeline: a per-site GroupLog handle, a
+// durable-LSN watermark covering every acknowledged commit, and
+// batch/flush histograms in the registry.
 func TestGroupCommitCluster(t *testing.T) {
-	c := mustCluster(t, Config{
-		Sites:       3,
-		Seed:        17,
-		GroupCommit: true,
-	})
+	c := mustCluster(t, Config{Sites: 3, Seed: 17})
 	if err := c.CreateItem("flight/G", 90); err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +263,6 @@ func TestGroupCommitCluster(t *testing.T) {
 
 	for i := 1; i <= 3; i++ {
 		gl := c.GroupLog(i)
-		if gl == nil {
-			t.Fatalf("site %d: GroupLog() = nil with GroupCommit on", i)
-		}
 		if gl.Waiters() != 0 {
 			t.Errorf("site %d: %d waiters parked after quiesce", i, gl.Waiters())
 		}
@@ -285,6 +278,47 @@ func TestGroupCommitCluster(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics render missing %s", want)
+		}
+	}
+}
+
+// A cluster with no options beyond a force delay still lets go of an
+// item's stripe before forcing: while the first reserve's force is in
+// flight, a second reserve on the same item enqueues its record and
+// applies it, and both commit once the force lands.
+func TestDefaultClusterForcesOffTheStripe(t *testing.T) {
+	c := mustCluster(t, Config{Sites: 1, LogAppendDelay: 20 * time.Millisecond})
+	if err := c.CreateItem("flight/D", 10); err != nil {
+		t.Fatal(err)
+	}
+	gl := c.GroupLog(1)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var hold, let sync.Once
+	gl.SetFlushHook(func(int) {
+		hold.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	defer let.Do(func() { close(release) })
+
+	results := make(chan *Result, 2)
+	reserve := func() { results <- c.At(1).Reserve("flight/D", 1) }
+	go reserve()
+	<-entered // the first commit's force is in flight, and held there
+	go reserve()
+	deadline := time.Now().Add(2 * time.Second)
+	for gl.Waiters() != 2 || c.Quota(1, "flight/D") != 8 {
+		if time.Now().After(deadline) {
+			t.Fatalf("second reserve: %d records queued or in flight and quota %d, want 2 and 8 while the first force is held",
+				gl.Waiters(), c.Quota(1, "flight/D"))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	let.Do(func() { close(release) })
+	for i := 0; i < 2; i++ {
+		if res := <-results; !res.Committed() {
+			t.Errorf("reserve %d: %v, want committed", i+1, res.Status)
 		}
 	}
 }

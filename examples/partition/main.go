@@ -54,9 +54,13 @@ func main() {
 	peers := []ident.SiteID{1, 2, 3, 4}
 	var tsites []*twopc.Site
 	for _, id := range peers {
+		// Each 2PC site logs the way a DvP site does: a group log over
+		// one device with the same 200µs force.
+		gl := wal.NewGroupLog(wal.NewSlowDevice(wal.NewMemLog(), 200*time.Microsecond), wal.GroupCommitOptions{})
+		defer gl.Close()
 		s, err := twopc.New(twopc.Config{
 			ID: id, Peers: peers,
-			Log: wal.NewSlowLog(wal.NewMemLog(), 200*time.Microsecond, nil), DB: store.New(),
+			Log: gl, DB: store.New(),
 			Endpoint:    net2.Endpoint(id),
 			LockTimeout: 30 * time.Millisecond,
 			VoteTimeout: 60 * time.Millisecond,

@@ -164,8 +164,12 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		}
 	}
 
-	// Phase 2: decide commit (force-written) and distribute.
-	s.decide(st, id, true)
+	// Phase 2: decide commit (force-written) and distribute. A commit
+	// decision the log did not take is an abort, and the coordinator,
+	// whose log has failed, answers as DvP's fail-stopped site does.
+	if !s.decide(st, id, true) {
+		return s.abortResult(res, txn.StatusSiteDown, start)
+	}
 	s.mu.Lock()
 	s.stats.Committed++
 	s.mu.Unlock()
@@ -178,10 +182,15 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 }
 
 // decide force-writes the decision and starts distributing it; the
-// retry loop keeps resending until every participant acks.
-func (s *Site) decide(st *coordState, id ident.TxnID, commit bool) {
+// retry loop keeps resending until every participant acks. It reports
+// whether the decision is commit: a commit decision whose record did
+// not become stable is distributed as an abort instead, which presumed
+// abort lets go unlogged.
+func (s *Site) decide(st *coordState, id ident.TxnID, commit bool) bool {
 	rec := &wal.DecisionRec{Txn: st.ts, Commit: commit}
-	_, _ = s.cfg.Log.Append(wal.RecDecision, rec.Encode())
+	if _, err := s.cfg.Log.Append(wal.RecDecision, rec.Encode()); err != nil {
+		commit = false
+	}
 	s.mu.Lock()
 	st.decided = true
 	st.commit = commit
@@ -191,6 +200,7 @@ func (s *Site) decide(st *coordState, id ident.TxnID, commit bool) {
 	}
 	// Local lock release happens when our own participant side
 	// processes the Decision (uniform path).
+	return commit
 }
 
 // abortEverywhere releases local locks and tells peers to drop any

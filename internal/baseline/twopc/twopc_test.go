@@ -1,6 +1,7 @@
 package twopc
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -21,7 +22,18 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, netCfg simnet.Config) *cluster {
 	t.Helper()
+	logs := make([]wal.Log, n)
+	for i := range logs {
+		logs[i] = wal.NewMemLog()
+	}
+	return newClusterOnLogs(t, netCfg, logs)
+}
+
+// newClusterOnLogs runs one site per log, site i+1 on logs[i].
+func newClusterOnLogs(t *testing.T, netCfg simnet.Config, logs []wal.Log) *cluster {
+	t.Helper()
 	c := &cluster{t: t, net: simnet.New(netCfg)}
+	n := len(logs)
 	peers := make([]ident.SiteID, n)
 	for i := range peers {
 		peers[i] = ident.SiteID(i + 1)
@@ -31,7 +43,7 @@ func newCluster(t *testing.T, n int, netCfg simnet.Config) *cluster {
 		s, err := New(Config{
 			ID:          id,
 			Peers:       peers,
-			Log:         wal.NewMemLog(),
+			Log:         logs[i],
 			DB:          store.New(),
 			Endpoint:    c.net.Endpoint(id),
 			LockTimeout: 40 * time.Millisecond,
@@ -310,6 +322,39 @@ func TestConflictingCoordinatorsDontDeadlockForever(t *testing.T) {
 		case <-done:
 		case <-time.After(5 * time.Second):
 			t.Fatal("coordinator hung — deadlock not resolved")
+		}
+	}
+}
+
+// A coordinator whose decision record does not reach its log has not
+// committed: it must not report the transaction committed, and no
+// participant may be told to commit it. The participants learn of an
+// abort instead and leave their replicas as they were.
+func TestUnloggedDecisionIsNotACommit(t *testing.T) {
+	coordLog := wal.NewMemLog()
+	coordLog.SetAppendHook(func(r wal.Record) error {
+		if r.Kind == wal.RecDecision {
+			return errors.New("decision device failed")
+		}
+		return nil
+	})
+	c := newClusterOnLogs(t, simnet.Config{Seed: 10, MaxDelay: time.Millisecond},
+		[]wal.Log{coordLog, wal.NewMemLog(), wal.NewMemLog()})
+	c.createItem("flight/A", 100)
+
+	if res := c.sites[0].Run(reserveTxn("flight/A", 10)); res.Committed() {
+		t.Fatal("coordinator reported a commit whose decision record was never logged")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for _, s := range c.sites[1:] {
+		for s.Stats().InDoubtNow != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("participant %v never learned the outcome", s.ID())
+			}
+			time.Sleep(2 * time.Millisecond)
+		}
+		if v := s.Value("flight/A"); v != 100 {
+			t.Errorf("participant %v holds %d, want 100: it was told to commit", s.ID(), v)
 		}
 	}
 }

@@ -207,11 +207,6 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		DupProb:         baseDup,
 		RetransmitEvery: retransmitEvery,
 		DefaultTimeout:  txnTimeout,
-		// Group commit is always on under chaos: every schedule crashes
-		// a site inside a flush window (EvCrashInFlush) and the
-		// durability invariant audits the acked-commit/durable-LSN
-		// boundary the pipeline introduces.
-		GroupCommit: true,
 		// The flight recorder runs through every chaos run; its dump is
 		// the first artifact a violation produces (Report.FlightDump).
 		FlightBuf: 4096,
@@ -448,7 +443,7 @@ func (r *runner) apply(round int, e Event) {
 		}
 	case EvCrashInFlush:
 		gl := r.c.GroupLog(e.Site)
-		if gl == nil || !r.c.SiteUp(e.Site) {
+		if !r.c.SiteUp(e.Site) {
 			applied = false
 			break
 		}
@@ -598,9 +593,7 @@ func (r *runner) barrier(round int) error {
 	r.hooksLive = false
 	r.mu.Unlock()
 	for i := 1; i <= r.sched.Sites; i++ {
-		if gl := r.c.GroupLog(i); gl != nil {
-			gl.SetFlushHook(nil)
-		}
+		r.c.GroupLog(i).SetFlushHook(nil)
 		r.c.SiteEngine(i).SetCheckpointHook(nil)
 	}
 	r.crashWG.Wait()

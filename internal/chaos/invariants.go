@@ -77,11 +77,7 @@ func (r *runner) eventViolation() error {
 // record under the item's stripe and forces it after letting go; this
 // is the check that it answers only after the force.
 func (r *runner) checkReplyAfterLog(ci dvp.CommitInfo) {
-	gl := r.c.GroupLog(int(ci.Site))
-	if gl == nil {
-		return
-	}
-	if d := gl.DurableLSN(); d < ci.CommitLSN {
+	if d := r.c.GroupLog(int(ci.Site)).DurableLSN(); d < ci.CommitLSN {
 		r.violated(fmt.Errorf(
 			"durability: site %v reported txn %v committed at LSN %d with its durable watermark at %d — a reply ran ahead of the log",
 			ci.Site, ci.TS, ci.CommitLSN, d))
@@ -430,13 +426,12 @@ func (r *runner) checkDurability() error {
 	r.mu.Unlock()
 
 	for i := 1; i <= r.sched.Sites; i++ {
-		if gl := r.c.GroupLog(i); gl != nil {
-			if n := gl.Waiters(); n != 0 {
-				return fmt.Errorf("durability: site %d has %d committers parked in the group-commit queue at a quiescent barrier", i, n)
-			}
-			if d, l := gl.DurableLSN(), gl.LastLSN(); d != l {
-				return fmt.Errorf("durability: site %d durable watermark %d behind last LSN %d at a quiescent barrier", i, d, l)
-			}
+		gl := r.c.GroupLog(i)
+		if n := gl.Waiters(); n != 0 {
+			return fmt.Errorf("durability: site %d has %d committers parked in the group-commit queue at a quiescent barrier", i, n)
+		}
+		if d, l := gl.DurableLSN(), gl.LastLSN(); d != l {
+			return fmt.Errorf("durability: site %d durable watermark %d behind last LSN %d at a quiescent barrier", i, d, l)
 		}
 		acked := ackedBySite[ident.SiteID(i)]
 		if len(acked) == 0 {

@@ -17,6 +17,7 @@ import (
 type twopcCluster struct {
 	net   *simnet.Net
 	sites []*twopc.Site
+	logs  []*wal.GroupLog
 }
 
 func newTwopcCluster(n int, netCfg simnet.Config) (*twopcCluster, error) {
@@ -24,8 +25,9 @@ func newTwopcCluster(n int, netCfg simnet.Config) (*twopcCluster, error) {
 }
 
 // newTwopcClusterDelay adds simulated stable-storage latency to every
-// force-write (prepare and decision records), matching what the DvP
-// side pays per append when configured with the same delay.
+// force-write (prepare and decision records). Each site's log is the
+// same group log over one device that a DvP site runs on, so the two
+// pay alike for the same delay.
 func newTwopcClusterDelay(n int, netCfg simnet.Config, appendDelay time.Duration) (*twopcCluster, error) {
 	c := &twopcCluster{net: simnet.New(netCfg)}
 	peers := make([]ident.SiteID, n)
@@ -33,10 +35,12 @@ func newTwopcClusterDelay(n int, netCfg simnet.Config, appendDelay time.Duration
 		peers[i] = ident.SiteID(i + 1)
 	}
 	for i := 0; i < n; i++ {
+		log := wal.NewGroupLog(wal.NewSlowDevice(wal.NewMemLog(), appendDelay), wal.GroupCommitOptions{})
+		c.logs = append(c.logs, log)
 		s, err := twopc.New(twopc.Config{
 			ID:          peers[i],
 			Peers:       peers,
-			Log:         wal.NewSlowDevice(wal.NewMemLog(), appendDelay, nil),
+			Log:         log,
 			DB:          store.New(),
 			Endpoint:    c.net.Endpoint(peers[i]),
 			LockTimeout: 40 * time.Millisecond,
@@ -44,6 +48,7 @@ func newTwopcClusterDelay(n int, netCfg simnet.Config, appendDelay time.Duration
 			RetryEvery:  15 * time.Millisecond,
 		})
 		if err != nil {
+			c.close()
 			return nil, err
 		}
 		c.sites = append(c.sites, s)
@@ -64,7 +69,12 @@ func (c *twopcCluster) createItem(item ident.ItemID, total core.Value) error {
 	return nil
 }
 
-func (c *twopcCluster) close() { c.net.Close() }
+func (c *twopcCluster) close() {
+	c.net.Close()
+	for _, l := range c.logs {
+		l.Close()
+	}
+}
 
 func (c *twopcCluster) Run(i int, tx *txn.Txn) *txn.Result { return c.sites[i-1].Run(tx) }
 func (c *twopcCluster) Sites() int                         { return len(c.sites) }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dvp"
@@ -458,7 +459,8 @@ func f3Escrow(clients, perClient int, work time.Duration) float64 {
 
 // f3Dvp measures DvP with the field partitioned over 4 sites; clients
 // round-robin across sites. Its commit pays the same force-write
-// latency through the site's (slow) stable log.
+// latency through the site's (slow) stable log. Only committed
+// withdrawals count: naive and escrow never abort here, DvP can.
 func f3Dvp(o Options, clients, perClient int, work time.Duration) (float64, error) {
 	const n = 4
 	c, err := dvp.NewCluster(dvp.Config{Sites: n, Seed: o.seed(), LogAppendDelay: work})
@@ -467,6 +469,7 @@ func f3Dvp(o Options, clients, perClient int, work time.Duration) (float64, erro
 	}
 	defer c.Close()
 	c.CreateItem("agg", core.Value(clients*perClient)*2)
+	var committed atomic.Int64
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < clients; w++ {
@@ -475,12 +478,14 @@ func f3Dvp(o Options, clients, perClient int, work time.Duration) (float64, erro
 			defer wg.Done()
 			at := w%n + 1
 			for i := 0; i < perClient; i++ {
-				c.At(at).Run(dvp.NewTxn().Sub("agg", 1).Timeout(50 * time.Millisecond))
+				if c.At(at).Run(dvp.NewTxn().Sub("agg", 1).Timeout(50 * time.Millisecond)).Committed() {
+					committed.Add(1)
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return float64(clients*perClient) / time.Since(start).Seconds(), nil
+	return float64(committed.Load()) / time.Since(start).Seconds(), nil
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -12,98 +12,86 @@ import (
 
 // expP1: performance — the group-commit WAL pipeline. §5 makes the
 // stability of the commit record the commit point; nothing says each
-// transaction must pay its own force-write. P1 sweeps site count,
-// committers per site and the flusher's linger, with a fixed simulated
-// force-write cost per flush (LogAppendDelay), so the batching win is
-// deterministic and visible regardless of host disk speed.
+// transaction must pay its own force-write. P1 sweeps site count and
+// committers per site, with a fixed simulated force-write cost per
+// flush (LogAppendDelay), so the batching win is deterministic and
+// visible regardless of host disk speed.
 func expP1() Experiment {
 	return Experiment{
 		ID:    "P1",
-		Title: "Group commit: local-commit throughput vs sites, committers and linger",
+		Title: "Group commit: local-commit throughput vs sites and committers",
 		Claim: "§5: 'the stability of the record commit(t)' is the commit point — whose force-write made it stable is immaterial, so concurrent commit records can share one.",
 		Run: func(o Options) (*Result, error) {
 			table := metrics.NewTable("P1 — disjoint local reserves, 200µs simulated force-write per flush",
-				"sites", "committers/site", "group-commit", "linger", "tps", "mean-batch")
+				"sites", "committers/site", "tps", "mean-batch")
 			sitesSweep := []int{1, 3}
 			clientSweep := []int{1, 8}
 			if !o.Quick {
 				sitesSweep = []int{1, 2, 4}
 				clientSweep = []int{1, 2, 4, 8}
 			}
-			type mode struct {
-				group  bool
-				linger time.Duration
-			}
-			modes := []mode{{false, 0}, {true, 0}, {true, 200 * time.Microsecond}}
 			perClient := o.scale(40, 150)
 			for _, n := range sitesSweep {
 				for _, clients := range clientSweep {
-					for _, m := range modes {
-						c, err := dvp.NewCluster(dvp.Config{
-							Sites:             n,
-							Seed:              o.seed(),
-							LogAppendDelay:    200 * time.Microsecond,
-							GroupCommit:       m.group,
-							GroupCommitLinger: m.linger,
-						})
-						if err != nil {
-							return nil, err
-						}
-						// One private item per (site, committer) with all of
-						// its value at the owning site: pure local commits,
-						// no redistribution inside the measurement.
-						item := func(i, cl int) string { return fmt.Sprintf("p1/s%d/c%d", i, cl) }
-						for i := 1; i <= n; i++ {
-							for cl := 0; cl < clients; cl++ {
-								shares := make([]dvp.Value, n)
-								shares[i-1] = core.Value(perClient) + 1
-								if err := c.CreateItemShares(item(i, cl), shares); err != nil {
-									c.Close()
-									return nil, err
-								}
-							}
-						}
-						var mu sync.Mutex
-						var committed uint64
-						start := time.Now()
-						var wg sync.WaitGroup
-						for i := 1; i <= n; i++ {
-							for cl := 0; cl < clients; cl++ {
-								wg.Add(1)
-								go func(i, cl int) {
-									defer wg.Done()
-									it := item(i, cl)
-									for k := 0; k < perClient; k++ {
-										if c.At(i).Reserve(it, 1).Committed() {
-											mu.Lock()
-											committed++
-											mu.Unlock()
-										}
-									}
-								}(i, cl)
-							}
-						}
-						wg.Wait()
-						elapsed := time.Since(start)
-						meanBatch := 0.0
-						if flushes := c.Metrics().SumCounters("dvp_wal_group_flushes_total"); flushes > 0 {
-							meanBatch = float64(c.Metrics().SumCounters("dvp_wal_group_records_total")) /
-								float64(flushes)
-						}
-						c.Close()
-						table.AddRow(n, clients, m.group, m.linger.String(),
-							float64(committed)/elapsed.Seconds(), meanBatch)
+					c, err := dvp.NewCluster(dvp.Config{
+						Sites:          n,
+						Seed:           o.seed(),
+						LogAppendDelay: 200 * time.Microsecond,
+					})
+					if err != nil {
+						return nil, err
 					}
+					// One private item per (site, committer) with all of
+					// its value at the owning site: pure local commits,
+					// no redistribution inside the measurement.
+					item := func(i, cl int) string { return fmt.Sprintf("p1/s%d/c%d", i, cl) }
+					for i := 1; i <= n; i++ {
+						for cl := 0; cl < clients; cl++ {
+							shares := make([]dvp.Value, n)
+							shares[i-1] = core.Value(perClient) + 1
+							if err := c.CreateItemShares(item(i, cl), shares); err != nil {
+								c.Close()
+								return nil, err
+							}
+						}
+					}
+					var mu sync.Mutex
+					var committed uint64
+					start := time.Now()
+					var wg sync.WaitGroup
+					for i := 1; i <= n; i++ {
+						for cl := 0; cl < clients; cl++ {
+							wg.Add(1)
+							go func(i, cl int) {
+								defer wg.Done()
+								it := item(i, cl)
+								for k := 0; k < perClient; k++ {
+									if c.At(i).Reserve(it, 1).Committed() {
+										mu.Lock()
+										committed++
+										mu.Unlock()
+									}
+								}
+							}(i, cl)
+						}
+					}
+					wg.Wait()
+					elapsed := time.Since(start)
+					meanBatch := 0.0
+					if flushes := c.Metrics().SumCounters("dvp_wal_group_flushes_total"); flushes > 0 {
+						meanBatch = float64(c.Metrics().SumCounters("dvp_wal_group_records_total")) /
+							float64(flushes)
+					}
+					c.Close()
+					table.AddRow(n, clients, float64(committed)/elapsed.Seconds(), meanBatch)
 				}
 			}
 			return &Result{ID: "P1", Title: "group-commit throughput", Table: table,
 				Notes: []string{
-					"expected shape: unbatched, committers at one site serialize on the 200µs",
-					"force, so per-site tps is flat as committers grow; grouped, one force",
-					"covers the whole batch and tps scales with committers (mean-batch tracks",
-					"the committer count). Sites scale throughput linearly in both modes —",
-					"each site owns its log. Linger trades single-committer latency for",
-					"larger batches when arrivals are sparse.",
+					"expected shape: one force covers the whole batch, so tps scales with",
+					"committers; the device forces one write at a time, so committers split",
+					"between two alternating forces and mean-batch is about half their count.",
+					"Sites scale throughput linearly — each site owns its log.",
 				}}, nil
 		},
 	}
@@ -132,11 +120,7 @@ func expP2() Experiment {
 			const sites = 4
 			txns := o.scale(150, 800)
 			for _, frac := range shares {
-				c, err := dvp.NewCluster(dvp.Config{
-					Sites:       sites,
-					Seed:        o.seed(),
-					GroupCommit: true,
-				})
+				c, err := dvp.NewCluster(dvp.Config{Sites: sites, Seed: o.seed()})
 				if err != nil {
 					return nil, err
 				}

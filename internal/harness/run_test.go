@@ -84,9 +84,9 @@ func TestRunP1Quick(t *testing.T) {
 		t.Skip("experiment run")
 	}
 	res := runQuick(t, "P1")
-	// Quick sweep: 2 site counts × 2 committer counts × 3 modes.
-	if got := len(res.Table.Rows()); got != 12 {
-		t.Errorf("P1 rows = %d, want 12", got)
+	// Quick sweep: 2 site counts × 2 committer counts.
+	if got := len(res.Table.Rows()); got != 4 {
+		t.Errorf("P1 rows = %d, want 4", got)
 	}
 }
 

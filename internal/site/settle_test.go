@@ -97,7 +97,7 @@ func TestShortfallForceBudget(t *testing.T) {
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 37}, func(i int, c *Config) {
 		var dev wal.Device = wal.NewMemLog()
 		if i == 0 {
-			dev = wal.NewSlowDevice(dev, 500*time.Microsecond, nil)
+			dev = wal.NewSlowDevice(dev, 500*time.Microsecond)
 		}
 		gl := wal.NewGroupLog(dev, wal.GroupCommitOptions{})
 		t.Cleanup(func() { gl.Close() })

@@ -52,10 +52,9 @@ type FileLogOptions struct {
 	// Sync forces an fsync after every append. Without it a crash of
 	// the host OS (not just the process) can lose the tail; the
 	// simulation's crash model only kills the process, so tests run
-	// with Sync off for speed. With Sync on, wrap the log in a
-	// GroupLog (GroupCommitOptions) so concurrent committers share
-	// one fsync per batch instead of paying one each — AppendBatch
-	// forces once for the whole group.
+	// with Sync off for speed. A site wraps the log in a GroupLog, so
+	// concurrent committers share one fsync per batch instead of
+	// paying one each — AppendBatch forces once for the whole group.
 	Sync bool
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"dvp/internal/metrics"
 	"dvp/internal/obs"
-	"dvp/internal/vclock"
 )
 
 // GroupCommitOptions configures a GroupLog.
@@ -15,14 +14,6 @@ type GroupCommitOptions struct {
 	// MaxBatch bounds how many records one flush may carry
 	// (default 128).
 	MaxBatch int
-	// Linger is how long the flusher waits after a waiter asks for a
-	// force before forcing, giving concurrent committers a window to
-	// join. Zero (the default) flushes at once; natural batching still
-	// happens, because records queued by then — and arrivals during an
-	// in-progress flush — ride the same or the next force.
-	Linger time.Duration
-	// Clock times the linger (nil = real clock).
-	Clock vclock.Clock
 }
 
 // GroupLog is the group-commit pipeline: a Log whose Enqueue reserves
@@ -90,9 +81,6 @@ func NewGroupLog(inner Device, opts GroupCommitOptions) *GroupLog {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 128
 	}
-	if opts.Clock == nil {
-		opts.Clock = vclock.Real{}
-	}
 	g := &GroupLog{
 		inner:   inner,
 		opts:    opts,
@@ -155,9 +143,10 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 }
 
 // flusher is the dedicated group-commit goroutine: wait until someone
-// waits on a queued LSN (or the log closes), optionally linger to let
-// a group gather, then force the whole queue with one inner
-// AppendBatch and move the watermark over it.
+// waits on a queued LSN (or the log closes), then force the whole
+// queue with one inner AppendBatch and move the watermark over it.
+// Records queued by the time of the demand, and arrivals during an
+// in-progress flush, ride the same or the next force.
 func (g *GroupLog) flusher() {
 	defer close(g.done)
 	for {
@@ -170,11 +159,6 @@ func (g *GroupLog) flusher() {
 			g.stable.Broadcast()
 			g.mu.Unlock()
 			return
-		}
-		if g.opts.Linger > 0 && len(g.queue) < g.opts.MaxBatch && !g.closed {
-			g.mu.Unlock()
-			g.opts.Clock.Sleep(g.opts.Linger)
-			g.mu.Lock()
 		}
 		n := len(g.queue)
 		if n > g.opts.MaxBatch {

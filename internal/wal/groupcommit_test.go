@@ -128,30 +128,6 @@ func TestGroupLogMaxBatch(t *testing.T) {
 	}
 }
 
-func TestGroupLogLinger(t *testing.T) {
-	// With a linger, two appends issued a moment apart should share a
-	// flush. Issue the second from a goroutine shortly after the first.
-	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{Linger: 20 * time.Millisecond})
-	defer g.Close()
-	var flushes atomic.Int64
-	g.SetFlushHook(func(int) { flushes.Add(1) })
-
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			g.Append(RecCommit, nil)
-		}()
-		time.Sleep(2 * time.Millisecond)
-	}
-	wg.Wait()
-	if flushes.Load() != 1 {
-		t.Errorf("2 appends within the linger window took %d flushes, want 1", flushes.Load())
-	}
-}
-
 // A flush error fails the log for good: the LSNs behind the failed
 // group were handed out already and can no longer become stable in
 // order. Recovery is a new GroupLog over the inner log.
@@ -542,14 +518,13 @@ func TestFileLogAppendBatchFrames(t *testing.T) {
 }
 
 func TestSlowLogBatchPaysOneDelayPerFlush(t *testing.T) {
-	l := NewSlowLog(NewMemLog(), 10*time.Millisecond, nil)
-	sl := l.(*SlowLog)
+	l := NewSlowDevice(NewMemLog(), 10*time.Millisecond)
 	entries := make([]BatchEntry, 8)
 	for i := range entries {
 		entries[i] = BatchEntry{Kind: RecCommit}
 	}
 	start := time.Now()
-	first, err := sl.AppendBatch(entries)
+	first, err := l.AppendBatch(entries)
 	if err != nil || first != 1 {
 		t.Fatalf("first=%d err=%v", first, err)
 	}

@@ -5,11 +5,12 @@
 // committed the moment its `[database-actions]` record is stable
 // (§5 step 5).
 //
-// Two implementations are provided: MemLog, an in-memory stable log
-// for simulation (it survives simulated site crashes because crash
-// only discards volatile site state), and FileLog, a real append-only
-// file with CRC-protected framing and torn-tail recovery for the
-// dvpnode binary.
+// Two devices are provided: MemLog, an in-memory stable log for
+// simulation (it survives simulated site crashes because crash only
+// discards volatile site state), and FileLog, a real append-only file
+// with CRC-protected framing and torn-tail recovery for the dvpnode
+// binary. A site's log is always a GroupLog over one device, so its
+// records are forced in groups, on demand, off the item's stripe.
 package wal
 
 import (
@@ -101,8 +102,9 @@ type Log interface {
 	// records become stable in LSN order or not at all. The log owns
 	// data from here on; the caller must not touch it again until the
 	// record is known stable (WaitDurable returned, or DurableLSN reached
-	// it) or the log has failed. Logs without a queue (MemLog,
-	// FileLog, SlowLog) make the record stable right here.
+	// it) or the log has failed. A Device (MemLog, FileLog,
+	// NewSlowDevice) has no queue and makes the record stable right
+	// here; a site runs it only under a GroupLog.
 	Enqueue(kind RecordKind, data []byte) (uint64, error)
 	// WaitDurable asks for every record with LSN ≤ lsn to be forced and
 	// blocks until it is. lsn must come from Enqueue on this log. An
@@ -148,15 +150,15 @@ type BatchEntry struct {
 // AppendBatch returns nil, every entry is stable; on error, none of
 // the batch may be acknowledged (a torn tail is truncated at reopen).
 //
-// MemLog, FileLog and SlowLog all implement it; GroupLog uses it to
-// amortize one fsync (or one simulated force-write) over a whole
-// commit group.
+// MemLog, FileLog and NewSlowDevice's log all implement it; GroupLog
+// uses it to amortize one fsync (or one simulated force-write) over a
+// whole commit group.
 type BatchAppender interface {
 	AppendBatch(entries []BatchEntry) (first uint64, err error)
 }
 
 // Device is a log that forces a whole batch with one write — what
-// GroupLog and SlowLog wrap. Taking it as the parameter type makes
+// GroupLog and NewSlowDevice wrap. Taking it as the parameter type makes
 // "the inner log batches natively" a compile-time condition.
 type Device interface {
 	Log

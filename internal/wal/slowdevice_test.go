@@ -7,7 +7,7 @@ import (
 )
 
 func TestSlowLogAddsLatency(t *testing.T) {
-	l := NewSlowLog(NewMemLog(), 5*time.Millisecond, nil)
+	l := NewSlowDevice(NewMemLog(), 5*time.Millisecond)
 	start := time.Now()
 	if _, err := l.Append(RecCommit, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -19,39 +19,16 @@ func TestSlowLogAddsLatency(t *testing.T) {
 
 func TestSlowLogZeroDelayIsPassthrough(t *testing.T) {
 	inner := NewMemLog()
-	l := NewSlowLog(inner, 0, nil)
-	if l != Log(inner) {
+	l := NewSlowDevice(inner, 0)
+	if l != Device(inner) {
 		t.Error("zero delay must return the inner log unchanged")
-	}
-}
-
-func TestSlowLogConcurrentAppendsOverlap(t *testing.T) {
-	// The latency models independent I/O: k concurrent appenders must
-	// finish in ~1 delay, not k delays.
-	l := NewSlowLog(NewMemLog(), 20*time.Millisecond, nil)
-	const k = 8
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.Append(RecCommit, nil)
-		}()
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 100*time.Millisecond {
-		t.Errorf("%d concurrent appends took %v — waits did not overlap", k, elapsed)
-	}
-	if l.LastLSN() != k {
-		t.Errorf("LastLSN = %d", l.LastLSN())
 	}
 }
 
 func TestSlowDeviceSerializesForces(t *testing.T) {
 	// A device forces one write at a time: k concurrent appends take
 	// ~k delays, not ~1 — the cost profile group commit amortizes.
-	l := NewSlowDevice(NewMemLog(), 10*time.Millisecond, nil)
+	l := NewSlowDevice(NewMemLog(), 10*time.Millisecond)
 	const k = 5
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -84,7 +61,7 @@ func TestSlowDeviceSerializesForces(t *testing.T) {
 }
 
 func TestSlowLogDelegates(t *testing.T) {
-	l := NewSlowLog(NewMemLog(), time.Microsecond, nil)
+	l := NewSlowDevice(NewMemLog(), time.Microsecond)
 	l.Append(RecApplied, []byte("a"))
 	var n int
 	l.Scan(1, func(r Record) error { n++; return nil })
