@@ -41,6 +41,7 @@ import (
 	"dvp/internal/site"
 	"dvp/internal/store"
 	"dvp/internal/tcpnet"
+	"dvp/internal/vmsg"
 	"dvp/internal/wal"
 )
 
@@ -88,7 +89,7 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&o.ckptRecords, "checkpoint-records", 0, "auto-checkpoint once this many WAL records accumulate since the last checkpoint (0 disables)")
 	fs.StringVar(&o.metrics, "metrics", "", "HTTP listen address serving /metrics, /traces, /flight, /healthz and /debug/pprof (optional)")
 	fs.BoolVar(&o.rebalance, "rebalance", false, "run the demand-driven rebalancer: gossip per-item demand to peers and ship surplus quota toward observed deficits")
-	fs.DurationVar(&o.retransmit, "retransmit", 25*time.Millisecond, "Vm retransmission base interval (backoff toward a silent peer doubles up to 8x)")
+	fs.DurationVar(&o.retransmit, "retransmit", 25*time.Millisecond, fmt.Sprintf("Vm retransmission base interval (backoff toward a silent peer doubles up to %dx)", vmsg.RetransmitCap))
 	return o
 }
 

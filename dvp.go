@@ -115,8 +115,9 @@ type Config struct {
 	// Default 100ms.
 	DefaultTimeout time.Duration
 	// RetransmitEvery paces Vm retransmission. Default 15ms. Sweeps
-	// toward an unresponsive peer double their gap from it up to 8×,
-	// and reset on the first cumulative ack that advances the channel.
+	// toward an unresponsive peer double their gap from it up to
+	// vmsg.RetransmitCap times it, and reset on the first cumulative
+	// ack that advances the channel.
 	RetransmitEvery time.Duration
 
 	// Seed drives network fault sampling (0 means 1).

@@ -10,6 +10,7 @@ import (
 
 	"dvp"
 	"dvp/internal/ident"
+	"dvp/internal/vmsg"
 	"dvp/internal/wire"
 )
 
@@ -23,10 +24,10 @@ const (
 	maxDelay        = time.Millisecond
 	retransmitEvery = 4 * time.Millisecond
 	// retransmitMax is the site's cap on the adaptive per-peer
-	// retransmission backoff (8× the base interval); the peer-down
-	// outage bound below is stated in terms of it (one sweep per cap
-	// once backed off, against one per 4ms tick unthrottled).
-	retransmitMax = 8 * retransmitEvery
+	// retransmission backoff; the peer-down outage bound below is
+	// stated in terms of it (one sweep per cap once backed off, against
+	// one per 4ms tick unthrottled).
+	retransmitMax = vmsg.RetransmitCap * retransmitEvery
 	txnTimeout    = 25 * time.Millisecond
 	quiesceBound  = 5 * time.Second
 
@@ -557,8 +558,7 @@ func (r *runner) apply(round int, e Event) {
 			if i == e.Site {
 				continue
 			}
-			fired, _ := r.c.SiteEngine(i).VM().RetxStats(ident.SiteID(e.Site))
-			base[i] = fired
+			base[i] = r.c.SiteEngine(i).VM().Sweeps(ident.SiteID(e.Site))
 		}
 		r.mu.Lock()
 		r.heldDown[e.Site] = until
@@ -728,7 +728,8 @@ func (r *runner) held(site int) bool {
 // retransmit interval would produce. The sweep allowance scales with
 // the measured wall-clock window so a slow host can't false-positive:
 // 5 sweeps of doubling headroom plus 2 per retransmitMax elapsed,
-// against elapsed/retransmitEvery (8× more) unthrottled.
+// against elapsed/retransmitEvery (vmsg.RetransmitCap times more)
+// unthrottled.
 func (r *runner) checkPeerOutageBounds(round, down int) error {
 	r.mu.Lock()
 	start := r.outageStart[down]
@@ -745,7 +746,7 @@ func (r *runner) checkPeerOutageBounds(round, down int) error {
 			return fmt.Errorf("peer-down bounds: site %d holds %d pending Vm toward dead site %d (bound %d)",
 				i, n, down, maxOutagePending)
 		}
-		fired, _ := vm.RetxStats(ident.SiteID(down))
+		fired := vm.Sweeps(ident.SiteID(down))
 		delta := fired - base[i]
 		if fired < base[i] {
 			// The survivor itself crashed and restarted during the

@@ -109,11 +109,25 @@ func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 		}
 	}()
 
+	// Each site runs on the group log every deployment runs, over a
+	// memory device.
 	sites := make([]*site.Site, n1Sites)
+	logs := make([]*wal.GroupLog, n1Sites)
+	defer func() {
+		for i, s := range sites {
+			if s != nil && s.Up() {
+				s.Crash()
+			}
+			if logs[i] != nil {
+				logs[i].Close()
+			}
+		}
+	}()
 	for i := 0; i < n1Sites; i++ {
+		logs[i] = wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
 		s, err := site.New(site.Config{
 			ID: ident.SiteID(i + 1), Peers: peers,
-			Log: wal.NewMemLog(), DB: store.New(),
+			Log: logs[i], DB: store.New(),
 			Endpoint:        eps[i],
 			CC:              cc.New(cc.Conc1),
 			RetransmitEvery: 5 * time.Millisecond,
@@ -134,13 +148,6 @@ func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 		s.Start()
 		sites[i] = s
 	}
-	defer func() {
-		for _, s := range sites {
-			if s.Up() {
-				s.Crash()
-			}
-		}
-	}()
 
 	// Stock: each site fully owns its local item (the all-local
 	// workload), and the cross-site pool lives only at sites 2 and 4 —

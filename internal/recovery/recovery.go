@@ -173,7 +173,7 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 		// so there is nothing to do with one.
 		// Checkpoints were handled in pass 1 (including damaged ones,
 		// which the fallback ladder skipped).
-	case wal.RecPrepare, wal.RecDecision, wal.RecBaseApplied:
+	case wal.RecPrepare, wal.RecDecision:
 		// Baseline records never appear in a DvP site's log.
 		return fmt.Errorf("recovery: unexpected baseline record %v at LSN %d", r.Kind, r.LSN)
 	default:

@@ -90,8 +90,7 @@ func (s *Site) noteAppend() {
 // the append paths — an appender holds its stripe, and Checkpoint needs
 // every stripe — so threshold crossings kick this goroutine instead. It
 // starts and stops with the site.
-func (s *Site) checkpointLoop(stop, done chan struct{}) {
-	defer close(done)
+func (s *Site) checkpointLoop(stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:

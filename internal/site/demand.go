@@ -216,8 +216,7 @@ func (s *Site) SetRebalancePaused(p bool) { s.rebalPaused.Store(p) }
 // surplus transfer per item toward the largest observed deficit.
 // Mirrors retransmitLoop's lifecycle (started by Start, joined by
 // Crash).
-func (s *Site) rebalanceLoop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (s *Site) rebalanceLoop(stop <-chan struct{}) {
 	cfg := s.cfg.Rebalance
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for {

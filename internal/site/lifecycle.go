@@ -2,6 +2,7 @@ package site
 
 import (
 	"fmt"
+	"sync"
 
 	"dvp/internal/recovery"
 )
@@ -48,8 +49,9 @@ func (s *Site) LastRecovery() recovery.Summary {
 	return s.lastRec
 }
 
-// Start attaches the site to the network and begins the Vm
-// retransmission loop. Idempotent while up.
+// Start attaches the site to the network and begins the epoch's loops:
+// Vm retransmission, and the rebalancer and checkpointer when
+// configured. Idempotent while up.
 func (s *Site) Start() {
 	s.mu.Lock()
 	if s.up {
@@ -60,24 +62,18 @@ func (s *Site) Start() {
 	s.epoch++
 	epoch := s.epoch
 	s.epochUp.Store(epoch<<1 | 1)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	s.stopRetx = stop
-	s.retxDone = done
-	var stopRebal, rebalDone chan struct{}
+	run := []func(stop <-chan struct{}){s.retransmitLoop}
 	if s.cfg.Rebalance.Enabled {
-		stopRebal = make(chan struct{})
-		rebalDone = make(chan struct{})
-		s.stopRebal = stopRebal
-		s.rebalDone = rebalDone
+		run = append(run, s.rebalanceLoop)
 	}
-	var stopCkpt, ckptDone chan struct{}
 	if s.autoCheckpoint() {
-		stopCkpt = make(chan struct{})
-		ckptDone = make(chan struct{})
-		s.stopCkpt = stopCkpt
-		s.ckptDone = ckptDone
+		run = append(run, s.checkpointLoop)
 	}
+	// The join is this epoch's own, counted before anyone can see it:
+	// the Crash that ends the epoch waits on exactly these loops.
+	stop, loops := make(chan struct{}), new(sync.WaitGroup)
+	loops.Add(len(run))
+	s.stop, s.loops = stop, loops
 	s.mu.Unlock()
 
 	s.cfg.Endpoint.SetHandler(s.handle)
@@ -88,12 +84,11 @@ func (s *Site) Start() {
 		// them as it would on any other epoch.
 		s.failStop("endpoint-open", err)
 	}
-	go s.retransmitLoop(stop, done)
-	if stopRebal != nil {
-		go s.rebalanceLoop(stopRebal, rebalDone)
-	}
-	if stopCkpt != nil {
-		go s.checkpointLoop(stopCkpt, ckptDone)
+	for _, loop := range run {
+		go func() {
+			defer loops.Done()
+			loop(stop)
+		}()
 	}
 	s.obsm.flight.Recordf(s.obsm.site, "site-up", "epoch=%d", epoch)
 }
@@ -110,22 +105,9 @@ func (s *Site) Crash() {
 	s.up = false
 	epoch := s.epoch
 	s.epochUp.Store(epoch << 1)
-	close(s.stopRetx)
-	s.stopRetx = nil
-	done := s.retxDone
-	s.retxDone = nil
-	rebalDone := s.rebalDone
-	if s.stopRebal != nil {
-		close(s.stopRebal)
-		s.stopRebal = nil
-		s.rebalDone = nil
-	}
-	ckptDone := s.ckptDone
-	if s.stopCkpt != nil {
-		close(s.stopCkpt)
-		s.stopCkpt = nil
-		s.ckptDone = nil
-	}
+	close(s.stop)
+	loops := s.loops
+	s.stop, s.loops = nil, nil
 	s.mu.Unlock()
 
 	s.cfg.Endpoint.Close()
@@ -133,14 +115,8 @@ func (s *Site) Crash() {
 	// mid-flight, so nothing further reaches the log or store.
 	s.lifeMu.Lock()
 	s.lifeMu.Unlock() // empty critical section is the fence (SA2001, excluded in staticcheck.conf)
-	// Join the retransmission, rebalancer and checkpointer loops.
-	<-done
-	if rebalDone != nil {
-		<-rebalDone
-	}
-	if ckptDone != nil {
-		<-ckptDone
-	}
+	// Join the epoch's loops.
+	loops.Wait()
 	// Acceptances credited at enqueue ask for no force, and the fence
 	// does not wait for one that nobody asked for: ask for it here,
 	// where no new acceptance can be made, so that once Crash returns

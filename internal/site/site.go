@@ -258,20 +258,17 @@ type Site struct {
 	failErr  error
 
 	// mu is the lifecycle core's lock and nothing else's: it guards
-	// up, epoch and the loop channels across Start/Crash/Restart/epoch
-	// transitions. The per-txn commit path and the per-message handler
-	// path never acquire it (check.sh's site-mutex gate greps for
-	// exactly this — the lock is taken only in lifecycle.go).
-	mu        sync.Mutex
-	lastRec   recovery.Summary
-	up        bool
-	epoch     uint64
-	stopRetx  chan struct{}
-	retxDone  chan struct{}
-	stopRebal chan struct{}
-	rebalDone chan struct{}
-	stopCkpt  chan struct{}
-	ckptDone  chan struct{}
+	// up, epoch and the epoch's loop stop channel and join across
+	// Start/Crash/Restart/epoch transitions. The per-txn commit path
+	// and the per-message handler path never acquire it (check.sh's
+	// site-mutex gate greps for exactly this — the lock is taken only
+	// in lifecycle.go).
+	mu      sync.Mutex
+	lastRec recovery.Summary
+	up      bool
+	epoch   uint64
+	stop    chan struct{}
+	loops   *sync.WaitGroup
 }
 
 // New assembles a site and runs recovery on its log (a brand-new site

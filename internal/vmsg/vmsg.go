@@ -84,16 +84,15 @@ type outChannel struct {
 	ackRTT *metrics.Histogram
 	sentAt map[uint64]time.Time
 
-	// Adaptive retransmission pacing (see DueRetransmit): rttEWMA is
-	// the smoothed observed ack round trip; retxAt is when the next
-	// sweep toward this peer may fire, retxGap the current backoff
-	// between sweeps (0 = fresh channel or just-acked, fire at base
-	// pace). retxFired/retxSkipped count sweep decisions.
-	rttEWMA     time.Duration
-	retxAt      time.Time
-	retxGap     time.Duration
-	retxFired   uint64
-	retxSkipped uint64
+	// Adaptive retransmission pacing (see Due): rttEWMA is the smoothed
+	// observed ack round trip; retxAt is when the next sweep toward
+	// this peer may fire, retxGap the current backoff between sweeps
+	// (0 = fresh channel or just-acked, fire at base pace). sweeps
+	// counts the sweeps that fired.
+	rttEWMA time.Duration
+	retxAt  time.Time
+	retxGap time.Duration
+	sweeps  uint64
 }
 
 type inChannel struct {
@@ -373,25 +372,6 @@ func (m *Manager) PendingTo(peer ident.SiteID) []wal.VmOut {
 	return sortedVm(c.pending, func(uint64) bool { return true })
 }
 
-// Overdue returns, in seq order, the Vm in peer's retransmission set
-// sent at least the seed gap before now — max(base, 2× the ack-RTT
-// EWMA), the time an ack of a delivered Vm should take to come back.
-// A younger Vm is not resent: its ack may still be on its way, so
-// without loss nothing is ever retransmitted. The send instant is the
-// first send's, so a Vm stays overdue until acknowledged and every
-// sweep DueRetransmit lets fire resends it; a Vm restored from a
-// checkpoint has none and is overdue at once.
-func (m *Manager) Overdue(peer ident.SiteID, now time.Time, base time.Duration) []wal.VmOut {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.out[peer]
-	if !ok {
-		return nil
-	}
-	age := c.seedGap(base)
-	return sortedVm(c.pending, func(seq uint64) bool { return now.Sub(c.sentAt[seq]) >= age })
-}
-
 // sortedVm returns the Vm of set whose seq passes keep, in seq order.
 func sortedVm(set map[uint64]wal.VmOut, keep func(seq uint64) bool) []wal.VmOut {
 	out := make([]wal.VmOut, 0, len(set))
@@ -459,71 +439,57 @@ func (m *Manager) CumAck(peer ident.SiteID) uint64 {
 	return 0
 }
 
-// DueRetransmit reports whether a retransmission sweep toward peer
-// should fire at now, and advances the per-peer pacing state when it
-// does. The first sweep after a channel gains pending Vm — or after
-// any cumulative ack advanced it (a heal) — fires immediately; each
-// fired sweep then doubles the gap to the next, seeded at
-// max(base, 2×ack-RTT EWMA) and capped at max. A peer that never acks
-// therefore costs one sweep per cap interval instead of one per tick,
-// while a healthy channel keeps the base pace: its acks reset the gap
-// before the next tick. Ticks suppressed inside a gap are counted
-// (see RetxStats) but change no state. A site asks only once Overdue
-// has something to resend, so a sweep with nothing old enough neither
-// fires nor backs off.
-func (m *Manager) DueRetransmit(peer ident.SiteID, now time.Time, base, max time.Duration) bool {
+// RetransmitCap caps the per-peer retransmission backoff, in multiples
+// of the base interval: sweeps toward a peer that never acks stretch by
+// doubling up to RetransmitCap × base.
+const RetransmitCap = 8
+
+// Due returns, in seq order, the Vm a retransmission sweep toward peer
+// resends at now, and advances the peer's pacing when there are any.
+//
+// A Vm is old enough once it was sent at least the seed gap before
+// now — max(base, 2× the ack-RTT EWMA), the time an ack of a delivered
+// Vm should take to come back — so without loss nothing is ever
+// resent. The send instant is the first send's, so a Vm stays old
+// enough until acknowledged; one restored from a checkpoint has none
+// and is old enough at once.
+//
+// The first sweep after a channel gains something to resend — or after
+// a cumulative ack advanced it (a heal) — fires at once; each fired
+// sweep then doubles the gap to the next, from the seed gap up to
+// RetransmitCap × base. A peer that never acks therefore costs one
+// sweep per cap interval instead of one per tick, while a healthy
+// channel keeps the base pace: its acks reset the gap before the next
+// tick. A sweep inside the gap, or with nothing old enough, returns
+// nothing and changes no state.
+func (m *Manager) Due(peer ident.SiteID, now time.Time, base time.Duration) []wal.VmOut {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c, ok := m.out[peer]
-	if !ok || len(c.pending) == 0 {
-		return false
+	if !ok || now.Before(c.retxAt) {
+		return nil
 	}
-	if !c.retxAt.IsZero() && now.Before(c.retxAt) {
-		c.retxSkipped++
-		return false
+	seed := max(base, 2*c.rttEWMA)
+	due := sortedVm(c.pending, func(seq uint64) bool { return now.Sub(c.sentAt[seq]) >= seed })
+	if len(due) == 0 {
+		return nil
 	}
-	gap := c.retxGap
-	if gap == 0 {
-		gap = c.seedGap(base)
-	} else {
-		gap *= 2
+	gap := seed
+	if c.retxGap != 0 {
+		gap = 2 * c.retxGap
 	}
-	if max > 0 && gap > max {
-		gap = max
-	}
-	c.retxGap = gap
-	c.retxAt = now.Add(gap)
-	c.retxFired++
-	return true
+	c.retxGap = min(gap, RetransmitCap*base)
+	c.retxAt = now.Add(c.retxGap)
+	c.sweeps++
+	return due
 }
 
-// seedGap is the channel's base retransmission gap: base, or twice the
-// smoothed ack round trip if that is longer.
-func (c *outChannel) seedGap(base time.Duration) time.Duration {
-	if r := 2 * c.rttEWMA; r > base {
-		return r
-	}
-	return base
-}
-
-// RetxStats returns how many retransmission sweeps fired toward peer
-// and how many tick opportunities the adaptive backoff suppressed.
-func (m *Manager) RetxStats(peer ident.SiteID) (fired, suppressed uint64) {
+// Sweeps returns how many retransmission sweeps toward peer fired.
+func (m *Manager) Sweeps(peer ident.SiteID) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if c, ok := m.out[peer]; ok {
-		return c.retxFired, c.retxSkipped
-	}
-	return 0, 0
-}
-
-// AckRTT returns the smoothed ack round trip toward peer (0 until the
-// first cumulative ack retires a timed Vm).
-func (m *Manager) AckRTT(peer ident.SiteID) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.out[peer]; ok {
-		return c.rttEWMA
+		return c.sweeps
 	}
 	return 0
 }

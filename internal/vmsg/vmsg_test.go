@@ -2,6 +2,7 @@ package vmsg
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -146,8 +147,8 @@ func TestCreateEnqueuedThenStable(t *testing.T) {
 	if p := m.PendingTo(2); len(p) != 0 || m.PendingCount(2) != 0 {
 		t.Errorf("enqueued Vm in the retransmission set: %+v", p)
 	}
-	if m.DueRetransmit(2, clock.Now(), time.Millisecond, time.Second) {
-		t.Error("a sweep fired for a Vm that is only enqueued")
+	if d := m.Due(2, clock.Now().Add(time.Hour), time.Millisecond); len(d) != 0 {
+		t.Errorf("a sweep resends a Vm that is only enqueued: %+v", d)
 	}
 	chs := m.SnapshotChannels()
 	if len(chs) != 1 || len(chs[0].Pending) != 1 || chs[0].Pending[0].Seq != v.Seq {
@@ -161,12 +162,36 @@ func TestCreateEnqueuedThenStable(t *testing.T) {
 	}
 	clock.Advance(7 * time.Millisecond)
 	m.OnAck(2, v.Seq)
-	if rtt := m.AckRTT(2); rtt != 7*time.Millisecond {
-		t.Errorf("ack RTT = %v, want 7ms on the manager's clock, from the send instant", rtt)
-	}
 	if m.HasOutstanding("a") {
 		t.Error("acked Vm still outstanding")
 	}
+	// The 7ms round trip, read on the manager's clock from the send
+	// instant, seeds a 14ms gap: a Vm sent now is resent at 14ms, not
+	// before.
+	v2 := created(m, "b")
+	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond-1), time.Millisecond); len(d) != 0 {
+		t.Errorf("resent inside the 14ms seed gap: %v", d)
+	}
+	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond), time.Millisecond); !slices.Equal(d, []uint64{v2.Seq}) {
+		t.Errorf("at the 14ms seed gap: due = %v, want [%d]", d, v2.Seq)
+	}
+}
+
+// created registers one stable Vm toward peer 2, sent at the manager's
+// clock reading.
+func created(m *Manager, item ident.ItemID) wal.VmOut {
+	v := wal.VmOut{To: 2, Seq: m.AllocSeq(2), Item: item, Amount: 1}
+	m.Created([]wal.VmOut{v})
+	return v
+}
+
+// dueSeqs returns the seqs a sweep toward peer 2 resends at at.
+func dueSeqs(m *Manager, at time.Time, base time.Duration) []uint64 {
+	var seqs []uint64
+	for _, v := range m.Due(2, at, base) {
+		seqs = append(seqs, v.Seq)
+	}
+	return seqs
 }
 
 // A Vm is overdue only once it is older than the seed gap — base, or
@@ -177,39 +202,34 @@ func TestOverdueByAge(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(1000, 0))
 	m.SetClock(clock)
 	const base = 10 * time.Millisecond
-	send := func(item ident.ItemID) wal.VmOut {
-		v := wal.VmOut{To: 2, Seq: m.AllocSeq(2), Item: item, Amount: 1}
-		m.CreateEnqueued([]wal.VmOut{v})
-		m.CreateStable([]wal.VmOut{v})
-		return v
-	}
-	v1 := send("a")
+	v1 := created(m, "a")
 	clock.Advance(base - time.Millisecond)
-	if o := m.Overdue(2, clock.Now(), base); len(o) != 0 {
-		t.Errorf("Vm younger than base overdue: %+v", o)
+	if d := dueSeqs(m, clock.Now(), base); len(d) != 0 {
+		t.Errorf("Vm younger than base due: %v", d)
 	}
-	v2 := send("b")
+	v2 := created(m, "b")
 	clock.Advance(time.Millisecond)
-	if o := m.Overdue(2, clock.Now(), base); len(o) != 1 || o[0].Seq != v1.Seq {
-		t.Errorf("at base: overdue = %+v, want only seq %d", o, v1.Seq)
+	if d := dueSeqs(m, clock.Now(), base); !slices.Equal(d, []uint64{v1.Seq}) {
+		t.Errorf("at base: due = %v, want only seq %d", d, v1.Seq)
 	}
-	if o := m.Overdue(3, clock.Now(), base); len(o) != 0 {
-		t.Errorf("unknown peer overdue = %+v", o)
+	if d := m.Due(3, clock.Now(), base); len(d) != 0 {
+		t.Errorf("unknown peer due = %+v", d)
 	}
 
-	// v1's ack, 20ms after its send, seeds the EWMA: now only Vm older
-	// than 40ms are overdue.
+	// v1's ack, 20ms after its send, seeds the EWMA (and resets the
+	// pacing): now only Vm at least 40ms old are due.
 	clock.Advance(10 * time.Millisecond)
 	m.OnAck(2, v1.Seq)
-	if rtt := m.AckRTT(2); rtt != 20*time.Millisecond {
-		t.Fatalf("EWMA = %v, want 20ms", rtt)
+	if d := dueSeqs(m, clock.Now(), base); len(d) != 0 {
+		t.Errorf("11ms-old Vm due under a 40ms seed gap: %v", d)
 	}
-	if o := m.Overdue(2, clock.Now(), base); len(o) != 0 {
-		t.Errorf("11ms-old Vm overdue under a 40ms seed gap: %+v", o)
+	clock.Advance(28 * time.Millisecond)
+	if d := dueSeqs(m, clock.Now(), base); len(d) != 0 {
+		t.Errorf("39ms-old Vm due under a 40ms seed gap: %v", d)
 	}
-	clock.Advance(29 * time.Millisecond)
-	if o := m.Overdue(2, clock.Now(), base); len(o) != 1 || o[0].Seq != v2.Seq {
-		t.Errorf("40ms-old Vm: overdue = %+v, want seq %d", o, v2.Seq)
+	clock.Advance(time.Millisecond)
+	if d := dueSeqs(m, clock.Now(), base); !slices.Equal(d, []uint64{v2.Seq}) {
+		t.Errorf("40ms-old Vm: due = %v, want [%d]", d, v2.Seq)
 	}
 }
 
@@ -392,18 +412,17 @@ func TestConcurrentChannelUse(t *testing.T) {
 
 // --- adaptive retransmission pacing -----------------------------------------
 
-// TestDueRetransmitBacksOffAndCaps walks the pacing state machine with
-// a fabricated clock: the first sweep fires immediately, each fired
-// sweep doubles the gap, the gap caps at max, and ticks that land
-// inside a gap are suppressed (and counted).
-func TestDueRetransmitBacksOffAndCaps(t *testing.T) {
+// TestDueBacksOffAndCaps walks the pacing state machine on a virtual
+// clock: the first sweep fires once the Vm is old enough, each fired
+// sweep doubles the gap, the gap caps at RetransmitCap × base, and
+// ticks that land inside a gap resend nothing.
+func TestDueBacksOffAndCaps(t *testing.T) {
 	m := NewManager()
-	m.Created([]wal.VmOut{{To: 2, Seq: m.AllocSeq(2), Item: "a", Amount: 1}})
-	t0 := time.Now()
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
 	const base = 10 * time.Millisecond
-	const cap = 80 * time.Millisecond
-	at := func(d time.Duration) bool { return m.DueRetransmit(2, t0.Add(d), base, cap) }
-
+	v := created(m, "a")
+	t0 := clock.Now().Add(base) // the Vm is old enough from here on
 	steps := []struct {
 		at   time.Duration
 		want bool
@@ -421,28 +440,46 @@ func TestDueRetransmitBacksOffAndCaps(t *testing.T) {
 		{230 * time.Millisecond, true},
 	}
 	for i, s := range steps {
-		if got := at(s.at); got != s.want {
-			t.Fatalf("step %d (t+%v): due = %v, want %v", i, s.at, got, s.want)
+		d := dueSeqs(m, t0.Add(s.at), base)
+		if fired := len(d) > 0; fired != s.want {
+			t.Fatalf("step %d (t+%v): due = %v, want fired=%v", i, s.at, d, s.want)
+		}
+		if s.want && !slices.Equal(d, []uint64{v.Seq}) {
+			t.Fatalf("step %d (t+%v): due = %v, want [%d]", i, s.at, d, v.Seq)
 		}
 	}
-	fired, skipped := m.RetxStats(2)
-	if fired != 6 || skipped != 5 {
-		t.Errorf("RetxStats = (%d fired, %d skipped), want (6, 5)", fired, skipped)
+	if n := m.Sweeps(2); n != 6 {
+		t.Errorf("Sweeps = %d, want 6", n)
 	}
 }
 
-// TestDueRetransmitNoPending: an empty retransmission set never fires
-// a sweep, and costs no pacing state.
-func TestDueRetransmitNoPending(t *testing.T) {
+// TestDueNoPending: a sweep with nothing to resend — no channel,
+// everything acked, or nothing old enough yet — neither fires nor
+// backs off.
+func TestDueNoPending(t *testing.T) {
 	m := NewManager()
-	if m.DueRetransmit(2, time.Now(), time.Millisecond, time.Second) {
-		t.Error("sweep fired with nothing pending")
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	const base = time.Millisecond
+	if d := m.Due(2, clock.Now(), base); len(d) != 0 {
+		t.Errorf("sweep resent %+v on a channel never used", d)
 	}
-	s := m.AllocSeq(2)
-	m.Created([]wal.VmOut{{To: 2, Seq: s, Item: "a", Amount: 1}})
-	m.OnAck(2, s)
-	if m.DueRetransmit(2, time.Now(), time.Millisecond, time.Second) {
-		t.Error("sweep fired after everything was acked")
+	v := created(m, "a")
+	m.OnAck(2, v.Seq)
+	if d := m.Due(2, clock.Now().Add(time.Hour), base); len(d) != 0 {
+		t.Errorf("sweep resent %+v after everything was acked", d)
+	}
+	v = created(m, "b")
+	if d := m.Due(2, clock.Now().Add(base-1), base); len(d) != 0 {
+		t.Errorf("sweep resent %+v younger than base", d)
+	}
+	if n := m.Sweeps(2); n != 0 {
+		t.Errorf("Sweeps = %d with nothing resent, want 0", n)
+	}
+	// No backoff was taken: the first sweep with something old enough
+	// fires.
+	if d := dueSeqs(m, clock.Now().Add(base), base); !slices.Equal(d, []uint64{v.Seq}) {
+		t.Errorf("first sweep past base: due = %v, want [%d]", d, v.Seq)
 	}
 }
 
@@ -451,82 +488,102 @@ func TestDueRetransmitNoPending(t *testing.T) {
 // channel — a heal must not wait out the cap.
 func TestAckResetsRetransmitBackoff(t *testing.T) {
 	m := NewManager()
-	s1 := m.AllocSeq(2)
-	s2 := m.AllocSeq(2)
-	m.Created([]wal.VmOut{
-		{To: 2, Seq: s1, Item: "a", Amount: 1},
-		{To: 2, Seq: s2, Item: "a", Amount: 2},
-	})
-	t0 := time.Now()
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock) // stays put: every ack measures a zero round trip
 	const base = 10 * time.Millisecond
-	const cap = 80 * time.Millisecond
+	s1 := created(m, "a").Seq
+	s2 := created(m, "a").Seq
+	t0 := clock.Now().Add(base)
+	fires := func(d time.Duration) bool { return len(m.Due(2, t0.Add(d*time.Millisecond), base)) > 0 }
 	// Drive the gap to the cap.
 	for _, d := range []time.Duration{0, 10, 30, 70} {
-		if !m.DueRetransmit(2, t0.Add(d*time.Millisecond), base, cap) {
-			t.Fatalf("sweep at t+%v should fire", d)
+		if !fires(d) {
+			t.Fatalf("sweep at t+%vms should fire", d)
 		}
 	}
 	// Next sweep would be 80ms out; the ack arrives first.
 	m.OnAck(2, s1)
-	if !m.DueRetransmit(2, t0.Add(71*time.Millisecond), base, cap) {
-		t.Error("sweep after an advancing ack must fire immediately")
+	if got := dueSeqs(m, t0.Add(71*time.Millisecond), base); !slices.Equal(got, []uint64{s2}) {
+		t.Errorf("sweep after an advancing ack: due = %v, want [%d] at once", got, s2)
 	}
 	// Stale ack (no advance) must NOT reset.
 	for _, d := range []time.Duration{81, 101} { // gap is re-seeded at base
-		m.DueRetransmit(2, t0.Add(d*time.Millisecond), base, cap)
+		fires(d)
 	}
 	m.OnAck(2, s1) // duplicate, upTo == cumAck
-	if m.DueRetransmit(2, t0.Add(102*time.Millisecond), base, cap) {
+	if fires(102) {
 		t.Error("duplicate ack reset the backoff")
 	}
 }
 
-// TestAckRTTEWMA: the smoothed round trip tracks observed acks without
-// requiring instrumentation (no registry attached).
+// TestAckRTTEWMA: the smoothed round trip (α = 0.2) tracks observed
+// acks without requiring instrumentation (no registry attached), and
+// Due reads it: the seed gap is max(base, 2×EWMA), both as the age a
+// Vm must reach and as the first pacing gap.
 func TestAckRTTEWMA(t *testing.T) {
 	m := NewManager()
-	s1 := m.AllocSeq(2)
-	m.Created([]wal.VmOut{{To: 2, Seq: s1, Item: "a", Amount: 1}})
-	if m.AckRTT(2) != 0 {
-		t.Error("EWMA must be 0 before the first ack")
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	const base = time.Millisecond
+	ms := time.Millisecond
+	// dueFrom checks that a sweep at sent+gap-1ns resends nothing and
+	// one at sent+gap resends exactly want.
+	dueFrom := func(sent time.Time, gap time.Duration, want uint64) {
+		t.Helper()
+		if d := dueSeqs(m, sent.Add(gap-1), base); len(d) != 0 {
+			t.Errorf("due %v before the %v seed gap", d, gap)
+		}
+		if d := dueSeqs(m, sent.Add(gap), base); !slices.Equal(d, []uint64{want}) {
+			t.Errorf("at the %v seed gap: due = %v, want [%d]", gap, d, want)
+		}
 	}
-	time.Sleep(2 * time.Millisecond)
-	m.OnAck(2, s1)
-	rtt := m.AckRTT(2)
-	if rtt < time.Millisecond {
-		t.Errorf("EWMA after a ~2ms round trip = %v, want >= 1ms", rtt)
+
+	// Before the first ack the seed gap is base.
+	v1 := created(m, "a")
+	dueFrom(clock.Now(), base, v1.Seq)
+
+	// A 2ms round trip seeds the EWMA: the seed gap is 4ms.
+	clock.Advance(2 * ms)
+	m.OnAck(2, v1.Seq)
+	v2 := created(m, "a")
+	sent := clock.Now()
+	dueFrom(sent, 4*ms, v2.Seq)
+	// The pacing gap after that sweep is the seed gap too.
+	if d := m.Due(2, sent.Add(8*ms-1), base); len(d) != 0 {
+		t.Errorf("sweep inside the 2×RTT pacing gap resent %+v", d)
 	}
-	// The first gap after an RTT observation is seeded at 2×EWMA when
-	// that exceeds base.
-	s2 := m.AllocSeq(2)
-	m.Created([]wal.VmOut{{To: 2, Seq: s2, Item: "a", Amount: 1}})
-	t0 := time.Now()
-	if !m.DueRetransmit(2, t0, time.Nanosecond, time.Hour) {
-		t.Fatal("first sweep must fire")
+	if d := m.Due(2, sent.Add(8*ms), base); len(d) != 1 {
+		t.Errorf("sweep past the 2×RTT pacing gap: due = %+v", d)
 	}
-	if m.DueRetransmit(2, t0.Add(rtt), time.Nanosecond, time.Hour) {
-		t.Error("sweep inside the 2×RTT seed gap must be suppressed")
-	}
-	if !m.DueRetransmit(2, t0.Add(2*rtt+time.Millisecond), time.Nanosecond, time.Hour) {
-		t.Error("sweep past the seed gap must fire")
-	}
+
+	// A 12ms round trip moves the EWMA a fifth of the way: 4ms, so the
+	// seed gap is 8ms.
+	clock.Advance(12 * ms)
+	m.OnAck(2, v2.Seq)
+	v3 := created(m, "a")
+	dueFrom(clock.Now(), 8*ms, v3.Seq)
 }
 
 // TestResetClearsRetxState: crash recovery rebuilds channels from the
-// log; pacing state must not survive the crash.
+// log; pacing state must not survive the crash, and a Vm restored from
+// a checkpoint has no send instant, so the first sweep resends it.
 func TestResetClearsRetxState(t *testing.T) {
 	m := NewManager()
-	s1 := m.AllocSeq(2)
-	m.Created([]wal.VmOut{{To: 2, Seq: s1, Item: "a", Amount: 1}})
-	t0 := time.Now()
-	m.DueRetransmit(2, t0, 10*time.Millisecond, 80*time.Millisecond)
-	m.Reset()
-	m.Created([]wal.VmOut{{To: 2, Seq: s1, Item: "a", Amount: 1}})
-	if !m.DueRetransmit(2, t0.Add(time.Millisecond), 10*time.Millisecond, 80*time.Millisecond) {
-		t.Error("restored channel must retransmit immediately")
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	const base = 10 * time.Millisecond
+	v := created(m, "a")
+	t0 := clock.Now()
+	if d := m.Due(2, t0.Add(base), base); len(d) != 1 { // next sweep at t0+20ms
+		t.Fatalf("first sweep: due = %+v", d)
 	}
-	if fired, skipped := m.RetxStats(2); fired != 1 || skipped != 0 {
-		t.Errorf("RetxStats after Reset = (%d, %d), want (1, 0)", fired, skipped)
+	m.Reset()
+	m.RestoreChannels([]wal.VmChannelState{{Peer: 2, OutSeq: v.Seq, Pending: []wal.VmOut{v}}})
+	if d := dueSeqs(m, t0.Add(time.Millisecond), base); !slices.Equal(d, []uint64{v.Seq}) {
+		t.Errorf("restored channel: due = %v, want [%d] at once", d, v.Seq)
+	}
+	if n := m.Sweeps(2); n != 1 {
+		t.Errorf("Sweeps after Reset = %d, want 1", n)
 	}
 }
 

@@ -131,7 +131,7 @@ func (l *FileLog) Instrument(reg *obs.Registry, labels ...string) {
 	l.appendLat = reg.Histogram("dvp_wal_append_seconds", labels...)
 	l.fsyncLat = reg.Histogram("dvp_wal_fsync_seconds", labels...)
 	l.recKind = make(map[RecordKind]*metrics.Counter)
-	for k := RecVmCreate; k <= RecBaseApplied; k++ {
+	for k := RecVmCreate; k <= RecDecision; k++ {
 		l.recKind[k] = reg.Counter("dvp_wal_records_total",
 			append([]string{"kind", k.String()}, labels...)...)
 	}

@@ -53,8 +53,6 @@ const (
 	// RecDecision is the baseline coordinator/participant decision
 	// record.
 	RecDecision
-	// RecBaseApplied notes baseline writes carried out.
-	RecBaseApplied
 )
 
 func (k RecordKind) String() string {
@@ -73,8 +71,6 @@ func (k RecordKind) String() string {
 		return "prepare"
 	case RecDecision:
 		return "decision"
-	case RecBaseApplied:
-		return "base-applied"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -178,7 +178,7 @@ func TestMemLogAppendHookFault(t *testing.T) {
 
 func TestRecordKindStrings(t *testing.T) {
 	kinds := []RecordKind{RecVmCreate, RecVmAccept, RecCommit, RecApplied,
-		RecCheckpoint, RecPrepare, RecDecision, RecBaseApplied}
+		RecCheckpoint, RecPrepare, RecDecision}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

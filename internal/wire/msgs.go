@@ -139,8 +139,8 @@ type Request struct {
 	Item     ident.ItemID
 	Want     core.Value
 	FullRead bool
-	// Trace is the optional causal-tracing context (zero when the
-	// origin site runs untraced). Encoded as a trailer; see TraceCtx.
+	// Trace is the causal-tracing context (zero when the origin site
+	// runs untraced).
 	Trace TraceCtx
 }
 
@@ -153,7 +153,7 @@ func (m *Request) Encode(w *Writer) {
 	w.String(string(m.Item))
 	w.I64(int64(m.Want))
 	w.Bool(m.FullRead)
-	encodeTraceTail(w, m.Trace)
+	encodeTraceCtx(w, m.Trace)
 }
 
 func decodeRequest(r *Reader) *Request {
@@ -162,7 +162,7 @@ func decodeRequest(r *Reader) *Request {
 		Item:     ident.ItemID(r.String()),
 		Want:     core.Value(r.I64()),
 		FullRead: r.Bool(),
-		Trace:    decodeTraceTail(r),
+		Trace:    decodeTraceCtx(r),
 	}
 }
 
@@ -191,44 +191,33 @@ type Vm struct {
 	// time. It rides with the value so the receiver's vector merges
 	// everything its quota now embodies.
 	FlowVec []FlowEntry
-	// Trace is the optional causal-tracing context of the transfer
-	// (zero when untraced). Encoded as a trailer on standalone Vm
-	// frames and as a parallel list on VmBatch; see TraceCtx.
+	// Trace is the causal-tracing context of the transfer (zero when
+	// untraced).
 	Trace TraceCtx
 }
 
 // Kind implements Msg.
 func (*Vm) Kind() Kind { return KVm }
 
-// Encode implements Msg.
+// Encode implements Msg. It is also each member's encoding in a
+// VmBatch.
 func (m *Vm) Encode(w *Writer) {
-	m.encodeBase(w)
-	encodeTraceTail(w, m.Trace)
-}
-
-// encodeBase writes the pre-tracing Vm body (shared with VmBatch,
-// whose trace contexts travel in a batch-level trailer instead).
-func (m *Vm) encodeBase(w *Writer) {
 	w.U64(m.Seq)
 	w.String(string(m.Item))
 	w.I64(int64(m.Amount))
 	w.U64(uint64(m.ReqTxn))
 	EncodeFlowVec(w, m.FlowVec)
+	encodeTraceCtx(w, m.Trace)
 }
 
 func decodeVm(r *Reader) *Vm {
-	v := decodeVmBase(r)
-	v.Trace = decodeTraceTail(r)
-	return v
-}
-
-func decodeVmBase(r *Reader) *Vm {
 	return &Vm{
 		Seq:     r.U64(),
 		Item:    ident.ItemID(r.String()),
 		Amount:  core.Value(r.I64()),
 		ReqTxn:  tstamp.TS(r.U64()),
 		FlowVec: DecodeFlowVec(r),
+		Trace:   decodeTraceCtx(r),
 	}
 }
 
@@ -271,27 +260,11 @@ const maxVmBatch = 1 << 12
 // Kind implements Msg.
 func (*VmBatch) Kind() Kind { return KVmBatch }
 
-// Encode implements Msg.
+// Encode implements Msg: the count, then each member's Vm encoding.
 func (m *VmBatch) Encode(w *Writer) {
 	w.U64(uint64(len(m.Vms)))
 	for i := range m.Vms {
-		m.Vms[i].encodeBase(w)
-	}
-	// Trace contexts travel as a batch-level trailer (one per Vm, in
-	// order) so untraced batches encode exactly as before tracing.
-	traced := false
-	for i := range m.Vms {
-		if m.Vms[i].Trace.Valid() {
-			traced = true
-			break
-		}
-	}
-	if !traced {
-		return
-	}
-	w.U64(uint64(len(m.Vms)))
-	for i := range m.Vms {
-		encodeTraceCtx(w, m.Vms[i].Trace)
+		m.Vms[i].Encode(w)
 	}
 }
 
@@ -303,22 +276,11 @@ func decodeVmBatch(r *Reader) *VmBatch {
 	}
 	out := make([]Vm, 0, n)
 	for i := uint64(0); i < n; i++ {
-		v := decodeVmBase(r)
+		v := decodeVm(r)
 		if r.Err() != nil {
 			break
 		}
 		out = append(out, *v)
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		// Trailer: the trace-context list must pair off exactly with
-		// the Vms it annotates.
-		if m := r.U64(); m != uint64(len(out)) {
-			r.fail(ErrTooLong)
-			return &VmBatch{}
-		}
-		for i := range out {
-			out[i].Trace = decodeTraceCtx(r)
-		}
 	}
 	return &VmBatch{Vms: out}
 }

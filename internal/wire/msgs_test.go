@@ -195,18 +195,23 @@ func TestUnmarshalTrailingBytes(t *testing.T) {
 }
 
 func TestUnmarshalTruncations(t *testing.T) {
-	env := &Envelope{
-		From: 1, To: 2, Lamport: tstamp.Make(3, 1), AckUpTo: 5,
-		Msg: &Request{Txn: tstamp.Make(9, 2), Item: "flight/A", Want: 4, FullRead: true},
-	}
-	buf, err := env.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every strict prefix must fail cleanly, never panic.
-	for n := 0; n < len(buf); n++ {
-		if _, err := Unmarshal(buf[:n]); err == nil {
-			t.Errorf("truncation to %d bytes decoded successfully", n)
+	ctx := TraceCtx{Origin: 2, TS: tstamp.Make(9, 2), Span: 2<<40 | 1}
+	for _, m := range []Msg{
+		&Request{Txn: tstamp.Make(9, 2), Item: "flight/A", Want: 4, FullRead: true},
+		&Vm{Seq: 3, Item: "flight/A", Amount: 4, Trace: ctx},
+		&VmBatch{Vms: []Vm{{Seq: 3, Item: "a", Amount: 4, Trace: ctx}, {Seq: 4, Item: "b", Amount: 1}}},
+	} {
+		env := &Envelope{From: 1, To: 2, Lamport: tstamp.Make(3, 1), AckUpTo: 5, Msg: m}
+		buf, err := env.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every strict prefix must fail cleanly, never panic: the trace
+		// context is a field like any other, not an optional tail.
+		for n := 0; n < len(buf); n++ {
+			if _, err := Unmarshal(buf[:n]); err == nil {
+				t.Errorf("%v truncated to %d bytes decoded successfully", m.Kind(), n)
+			}
 		}
 	}
 }

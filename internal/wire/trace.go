@@ -9,13 +9,8 @@ import (
 // protocol envelopes. Origin is the site whose transaction started the
 // causal chain, TS that transaction's timestamp (the stitch key), and
 // Span the sender-side span id the receiver's spans point back to as
-// their parent.
-//
-// Encoding is a backward-compatible trailer: a message that carries a
-// zero context encodes exactly as it did before tracing existed, and a
-// decoder that finds no bytes after the base body leaves the context
-// zero. That keeps old frames, mixed-version clusters, and the
-// checked-in fuzz corpus all decoding unchanged.
+// their parent. It is an ordinary field, encoded the same way wherever
+// it appears; a zero context costs 4 bytes.
 type TraceCtx struct {
 	Origin ident.SiteID
 	TS     tstamp.TS
@@ -25,24 +20,6 @@ type TraceCtx struct {
 // Valid reports whether the context carries a real trace (TS is the
 // stitch key; no traced chain has a zero timestamp).
 func (c TraceCtx) Valid() bool { return c.TS != 0 }
-
-// encodeTraceTail appends the context iff it is valid. Must only be
-// used for fields that sit at the very end of a message body.
-func encodeTraceTail(w *Writer, c TraceCtx) {
-	if !c.Valid() {
-		return
-	}
-	encodeTraceCtx(w, c)
-}
-
-// decodeTraceTail consumes a trailing context iff bytes remain. Must
-// mirror encodeTraceTail: only call at the very end of a message body.
-func decodeTraceTail(r *Reader) TraceCtx {
-	if r.Err() != nil || r.Remaining() == 0 {
-		return TraceCtx{}
-	}
-	return decodeTraceCtx(r)
-}
 
 func encodeTraceCtx(w *Writer, c TraceCtx) {
 	w.U16(uint16(c.Origin))

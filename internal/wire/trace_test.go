@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -10,7 +9,7 @@ import (
 	"dvp/internal/tstamp"
 )
 
-// TestTraceCtxRoundTrip covers the trace-context trailers: traced and
+// TestTraceCtxRoundTrip covers the trace-context field: traced and
 // untraced variants of every envelope that can carry one.
 func TestTraceCtxRoundTrip(t *testing.T) {
 	ctx := TraceCtx{Origin: 3, TS: tstamp.Make(41, 3), Span: 3<<40 | 7}
@@ -23,8 +22,8 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 			{Seq: 1, Item: "a", Amount: 2, Trace: ctx},
 			{Seq: 2, Item: "b", Amount: 3, Trace: TraceCtx{Origin: 1, TS: tstamp.Make(9, 1), Span: 1<<40 | 2}},
 		}},
-		// Mixed batch: the trailer still carries one slot per Vm, so an
-		// untraced member decodes back to its zero context.
+		// Mixed batch: every member carries its own context, so an
+		// untraced one decodes back to zero beside a traced one.
 		&VmBatch{Vms: []Vm{
 			{Seq: 1, Item: "a", Amount: 2, Trace: ctx},
 			{Seq: 2, Item: "b", Amount: 3},
@@ -42,121 +41,22 @@ func TestTraceCtxRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCtxLegacyFramesDecode pins backward compatibility in both
-// directions: a pre-tracing frame (no trailer) decodes to a zero
-// context, and a zero context encodes to the byte-identical
-// pre-tracing frame.
-func TestTraceCtxLegacyFramesDecode(t *testing.T) {
-	legacyRequest := func() []byte {
-		var w Writer
-		w.U8(envelopeMagic)
-		w.U16(1)
-		w.U16(2)
-		w.U64(0)
-		w.U64(0)
-		w.U8(uint8(KRequest))
-		w.U64(uint64(tstamp.Make(5, 2)))
-		w.String("flight/A")
-		w.I64(3)
-		w.Bool(false)
-		return w.Bytes()
-	}()
-	env, err := Unmarshal(legacyRequest)
-	if err != nil {
-		t.Fatalf("legacy request frame rejected: %v", err)
-	}
-	req := env.Msg.(*Request)
-	if req.Trace.Valid() || req.Trace != (TraceCtx{}) {
-		t.Errorf("legacy frame decoded with non-zero trace: %+v", req.Trace)
-	}
-	reEnc, err := env.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reEnc, legacyRequest) {
-		t.Errorf("zero-trace encoding differs from legacy frame:\n got %x\nwant %x", reEnc, legacyRequest)
-	}
-
-	legacyVm := func() []byte {
-		var w Writer
-		w.U8(envelopeMagic)
-		w.U16(3)
-		w.U16(1)
-		w.U64(0)
-		w.U64(7)
-		w.U8(uint8(KVm))
-		w.U64(12)
-		w.String("flight/A")
-		w.I64(5)
-		w.U64(uint64(tstamp.Make(5, 2)))
-		EncodeFlowVec(&w, nil)
-		return w.Bytes()
-	}()
-	env, err = Unmarshal(legacyVm)
-	if err != nil {
-		t.Fatalf("legacy vm frame rejected: %v", err)
-	}
-	if vm := env.Msg.(*Vm); vm.Trace.Valid() {
-		t.Errorf("legacy vm decoded with non-zero trace: %+v", vm.Trace)
-	}
-	reEnc, err = env.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(reEnc, legacyVm) {
-		t.Errorf("zero-trace vm encoding differs from legacy frame:\n got %x\nwant %x", reEnc, legacyVm)
-	}
-}
-
-// TestVmBatchTrailerCountMismatch rejects a hostile batch trailer
-// whose slot count disagrees with the Vm count.
-func TestVmBatchTrailerCountMismatch(t *testing.T) {
-	var w Writer
-	w.U8(envelopeMagic)
-	w.U16(1)
-	w.U16(2)
-	w.U64(0)
-	w.U64(0)
-	w.U8(uint8(KVmBatch))
-	w.U64(1)
-	(&Vm{Seq: 1, Item: "a", Amount: 2}).encodeBase(&w)
-	w.U64(9) // trailer claims nine contexts for one Vm
-	encodeTraceCtx(&w, TraceCtx{Origin: 1, TS: 5, Span: 6})
-	if _, err := Unmarshal(w.Bytes()); err == nil {
-		t.Error("mismatched batch trace trailer must be rejected")
-	}
-}
-
-// TestTraceCtxRoundTripProperty: any context survives Request and Vm
-// trailers; contexts with TS==0 are invalid by definition and decode
-// as zero (the trailer is simply absent).
+// TestTraceCtxRoundTripProperty: any context — valid or not — survives
+// a Request, a Vm and a VmBatch member beside an untraced one.
 func TestTraceCtxRoundTripProperty(t *testing.T) {
 	f := func(origin uint16, ts, span uint64) bool {
 		ctx := TraceCtx{Origin: ident.SiteID(origin), TS: tstamp.TS(ts), Span: span}
-		req := &Request{Txn: tstamp.Make(1, 1), Item: "i", Want: 1, Trace: ctx}
-		vm := &Vm{Seq: 1, Item: "i", Amount: 1, Trace: ctx}
-		for _, m := range []Msg{req, vm} {
-			env := &Envelope{From: 1, To: 2, Msg: m}
-			buf, err := env.Marshal()
+		for _, m := range []Msg{
+			&Request{Txn: tstamp.Make(1, 1), Item: "i", Want: 1, Trace: ctx},
+			&Vm{Seq: 1, Item: "i", Amount: 1, Trace: ctx},
+			&VmBatch{Vms: []Vm{{Seq: 1, Item: "i", Amount: 1}, {Seq: 2, Item: "i", Amount: 1, Trace: ctx}}},
+		} {
+			buf, err := (&Envelope{From: 1, To: 2, Msg: m}).Marshal()
 			if err != nil {
 				return false
 			}
 			got, err := Unmarshal(buf)
-			if err != nil {
-				return false
-			}
-			var dec TraceCtx
-			switch g := got.Msg.(type) {
-			case *Request:
-				dec = g.Trace
-			case *Vm:
-				dec = g.Trace
-			}
-			if ctx.Valid() {
-				if dec != ctx {
-					return false
-				}
-			} else if dec != (TraceCtx{}) {
+			if err != nil || !reflect.DeepEqual(got.Msg, m) {
 				return false
 			}
 		}
@@ -164,5 +64,15 @@ func TestTraceCtxRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A zero context costs 4 bytes: a fixed 2-byte origin and two 1-byte
+// varints.
+func TestZeroTraceCtxCostsFourBytes(t *testing.T) {
+	var w Writer
+	encodeTraceCtx(&w, TraceCtx{})
+	if w.Len() != 4 {
+		t.Errorf("zero context encodes to %d bytes, want 4", w.Len())
 	}
 }
