@@ -15,9 +15,10 @@
 // then: dvpctl -addr :8101 reserve flight/A 35
 //
 // -create installs this site's LOCAL share of the item (each node
-// declares its own quota; the item's total is their sum). On restart
-// with an existing WAL, state recovers from the log and -create is
-// skipped for items already present.
+// declares its own quota; the item's total is their sum), as one logged
+// record for every item listed. On restart with an existing WAL, state
+// recovers from the log and -create is skipped for items already
+// present.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -172,28 +174,15 @@ func main() {
 		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored)
 
 	if o.create != "" {
-		for _, kv := range strings.Split(o.create, ",") {
-			item, share, err := parseCreate(kv)
-			if err != nil {
-				log.Fatalf("bad -create: %v", err)
-			}
-			if _, exists := db.Get(item); exists {
-				log.Printf("item %s already in recovered state; -create skipped", item)
-				continue
-			}
-			// Unlike the in-process simulation (where the store
-			// object survives crashes like disk pages), a real
-			// process rebuilds its store from the WAL — so the
-			// initial share must itself be a logged action.
-			rec := &wal.CommitRec{Actions: []wal.Action{{Item: item, Delta: share}}}
-			lsn, err := siteLog.Append(wal.RecCommit, rec.Encode())
-			if err != nil {
-				log.Fatal(err)
-			}
-			if _, err := db.ApplyAll(lsn, rec.Actions); err != nil {
-				log.Fatal(err)
-			}
-			log.Printf("created local share %s = %d", item, share)
+		created, skipped, err := createShares(siteLog, db, o.create)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, a := range created {
+			log.Printf("created local share %s = %d", a.Item, a.Delta)
+		}
+		for _, item := range skipped {
+			log.Printf("item %s already in recovered state; -create skipped", item)
 		}
 	}
 
@@ -305,6 +294,41 @@ func parsePeers(arg string) ([]ident.SiteID, map[ident.SiteID]string, error) {
 		peers = append(peers, ident.SiteID(id))
 	}
 	return ident.SortSites(peers), addrs, nil
+}
+
+// createShares installs this site's initial shares from a -create
+// spec (item=share,...): the items the recovered state does not hold
+// yet go into one commit record, appended and applied once, so a start
+// that crashes part-way leaves all of them or none. Unlike the
+// in-process simulation, where the store object survives crashes like
+// disk pages, a real process rebuilds its store from the WAL, so the
+// placement must itself be logged. It returns the actions logged and
+// the items skipped as already present (or listed twice).
+func createShares(l wal.Log, db *store.Durable, spec string) (created []wal.Action, skipped []ident.ItemID, err error) {
+	for _, kv := range strings.Split(spec, ",") {
+		item, share, err := parseCreate(kv)
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad -create: %w", err)
+		}
+		_, exists := db.Get(item)
+		if exists || slices.ContainsFunc(created, func(a wal.Action) bool { return a.Item == item }) {
+			skipped = append(skipped, item)
+			continue
+		}
+		created = append(created, wal.Action{Item: item, Delta: share})
+	}
+	if len(created) == 0 {
+		return nil, skipped, nil
+	}
+	rec := &wal.CommitRec{Actions: created}
+	lsn, err := l.Append(wal.RecCommit, rec.Encode())
+	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := db.ApplyAll(lsn, created); err != nil {
+		return nil, nil, err
+	}
+	return created, skipped, nil
 }
 
 // parseCreate parses "item=share".

@@ -16,6 +16,9 @@ import (
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
+	"dvp/internal/recovery"
+	"dvp/internal/store"
+	"dvp/internal/wal"
 )
 
 // TestMain lets a test run this binary as dvpnode: when the first
@@ -99,6 +102,55 @@ func TestFlagSurface(t *testing.T) {
 	fs.VisitAll(func(f *flag.Flag) { got[f.Name] = f.DefValue })
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("flag surface changed:\n got %v\nwant %v", got, want)
+	}
+}
+
+// -create logs the whole initial placement as one record on a fresh
+// WAL, and nothing on a restart over it: recovery restores every item.
+func TestCreateLogsOnePlacementRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "s1.wal")
+	const spec = "a=5, b=0,c=7,a=9"
+	want := map[ident.ItemID]core.Value{"a": 5, "b": 0, "c": 7}
+
+	l, err := wal.OpenFileLog(path, wal.FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := store.New()
+	created, skipped, err := createShares(l, db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.LastLSN(); n != 1 || len(created) != 3 || !reflect.DeepEqual(skipped, []ident.ItemID{"a"}) {
+		t.Errorf("fresh WAL: %d records, created %v, skipped %v; want 1 record of 3 shares, a listed twice skipped", n, created, skipped)
+	}
+	for item, v := range want {
+		if got := db.Value(item); got != v {
+			t.Errorf("fresh WAL: %s = %d, want %d", item, got, v)
+		}
+	}
+	l.Close()
+
+	l, err = wal.OpenFileLog(path, wal.FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	db, _, _, err = recovery.Rebuild(l, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, skipped, err = createShares(l, db, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := l.LastLSN(); n != 1 || len(created) != 0 || len(skipped) != 4 {
+		t.Errorf("restart: %d records, created %v, skipped %v; want still 1 record, nothing created", n, created, skipped)
+	}
+	for item, v := range want {
+		if got := db.Value(item); got != v {
+			t.Errorf("restart: %s = %d, want %d", item, got, v)
+		}
 	}
 }
 

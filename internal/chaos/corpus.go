@@ -19,8 +19,9 @@ import (
 //
 //   - every distinct envelope kind tapped off the simulated network →
 //     internal/wire/testdata/fuzz/FuzzUnmarshal
-//   - every distinct WAL record payload scanned from the sites' logs →
-//     internal/wal/testdata/fuzz/FuzzDecodeRecords
+//   - every distinct WAL record payload scanned from the sites' logs,
+//     by kind, with commits that accept Vm apart from those that do not
+//     → internal/wal/testdata/fuzz/FuzzDecodeRecords
 //   - complete and torn file-log images built from those records →
 //     internal/wal/testdata/fuzz/FuzzFileLogRecovery
 //
@@ -33,7 +34,7 @@ func CaptureCorpus(seed int64, internalDir string) error {
 	const perKind = 3
 	var mu sync.Mutex
 	frames := make(map[wire.Kind][][]byte)
-	payloads := make(map[wal.RecordKind][][]byte)
+	payloads := make(map[string][]wal.Record)
 
 	rep, err := Run(sched, Options{
 		Tap: func(from, to ident.SiteID, kind wire.Kind, frame []byte) {
@@ -46,9 +47,13 @@ func CaptureCorpus(seed int64, internalDir string) error {
 		OnQuiescent: func(c *dvp.Cluster) {
 			for i := 1; i <= sched.Sites; i++ {
 				_ = c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
-					if len(payloads[rec.Kind]) < perKind {
-						payloads[rec.Kind] = append(payloads[rec.Kind],
-							append([]byte(nil), rec.Data...))
+					shape := rec.Kind.String()
+					if acc, _ := wal.Accepted(rec); rec.Kind == wal.RecCommit && len(acc) > 0 {
+						shape = "commit-accepts"
+					}
+					if len(payloads[shape]) < perKind {
+						payloads[shape] = append(payloads[shape],
+							wal.Record{Kind: rec.Kind, Data: append([]byte(nil), rec.Data...)})
 					}
 					return nil
 				})
@@ -72,13 +77,13 @@ func CaptureCorpus(seed int64, internalDir string) error {
 
 	recDir := filepath.Join(internalDir, "wal", "testdata", "fuzz", "FuzzDecodeRecords")
 	var allRecords []wal.Record
-	for kind, ps := range payloads {
-		for i, p := range ps {
-			name := fmt.Sprintf("chaos-%s-%d", sanitize(kind.String()), i)
-			if err := writeCorpusFile(filepath.Join(recDir, name), p); err != nil {
+	for shape, recs := range payloads {
+		for i, rec := range recs {
+			name := fmt.Sprintf("chaos-%s-%d", sanitize(shape), i)
+			if err := writeCorpusFile(filepath.Join(recDir, name), rec.Data); err != nil {
 				return err
 			}
-			allRecords = append(allRecords, wal.Record{Kind: kind, Data: p})
+			allRecords = append(allRecords, rec)
 		}
 	}
 

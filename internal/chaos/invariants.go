@@ -280,7 +280,8 @@ func (r *runner) checkNonNegative() error {
 //     Neither counter is bumped by recovery replay, so the identity
 //     spans crashes.
 //  2. WAL audit: no sender's log creates the same (to, seq) twice; no
-//     receiver's log accepts the same (from, seq) twice. The stable
+//     receiver's log accepts the same (from, seq) twice, whether by an
+//     acceptance record or in a commit record's list. The stable
 //     history itself contains no double-spend.
 //  3. Channel cursors: no receiver has cumulatively acked past what
 //     its sender ever allocated, and no sender has been acked past what
@@ -304,8 +305,7 @@ func (r *runner) checkExactlyOnce() error {
 		sentOnce := make(map[chanKey]bool)
 		acceptedOnce := make(map[chanKey]bool)
 		err := log.Scan(1, func(rec wal.Record) error {
-			switch rec.Kind {
-			case wal.RecVmCreate:
+			if rec.Kind == wal.RecVmCreate {
 				cr, err := wal.DecodeVmCreate(rec.Data)
 				if err != nil {
 					return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
@@ -318,15 +318,16 @@ func (r *runner) checkExactlyOnce() error {
 					}
 					sentOnce[k] = true
 				}
-			case wal.RecVmAccept:
-				ar, err := wal.DecodeVmAccept(rec.Data)
-				if err != nil {
-					return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
-				}
-				k := chanKey{ar.From, ar.Seq}
+			}
+			accepted, err := wal.Accepted(rec)
+			if err != nil {
+				return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
+			}
+			for _, v := range accepted {
+				k := chanKey{v.From, v.Seq}
 				if acceptedOnce[k] {
 					return fmt.Errorf(
-						"exactly-once: site %d log accepts Vm (from=%v seq=%d) twice", i, ar.From, ar.Seq)
+						"exactly-once: site %d log accepts Vm (from=%v seq=%d) twice", i, v.From, v.Seq)
 				}
 				acceptedOnce[k] = true
 			}
@@ -357,10 +358,11 @@ func (r *runner) checkExactlyOnce() error {
 // checkNoAckAheadOfLog is the exactly-once family's "no ack ahead of
 // the log" audit: on every channel, the sender's cumulative ack is at
 // most the highest contiguous sequence whose acceptance the receiver's
-// stable log holds — as a RecVmAccept, or inside a checkpoint's
-// channel state once compaction has dropped the record. A receiver
-// credits a Vm when its acceptance record is enqueued; this is the
-// check that it never acknowledged one before that record was stable.
+// stable log holds — as a RecVmAccept, in a RecCommit's accepted list,
+// or inside a checkpoint's channel state once compaction has dropped
+// the record. A receiver credits a Vm when the record accepting it is
+// enqueued; this is the check that it never acknowledged one before
+// that record was stable.
 // It needs no quiescence (the sender's cursor is read before the
 // receiver's log, and both only grow), so degraded barriers run it too.
 func (r *runner) checkNoAckAheadOfLog() error {
@@ -375,19 +377,19 @@ func (r *runner) checkNoAckAheadOfLog() error {
 		// from it: the same two calls, into a scratch manager.
 		logged := vmsg.NewManager()
 		err := r.c.SiteEngine(j).Log().Scan(1, func(rec wal.Record) error {
-			switch rec.Kind {
-			case wal.RecVmAccept:
-				ar, err := wal.DecodeVmAccept(rec.Data)
-				if err != nil {
-					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
-				}
-				logged.MarkAccepted(ar.From, ar.Seq)
-			case wal.RecCheckpoint:
+			if rec.Kind == wal.RecCheckpoint {
 				cp, err := wal.DecodeCheckpoint(rec.Data)
 				if err != nil {
 					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
 				}
 				logged.RestoreChannels(cp.Channels)
+			}
+			accepted, err := wal.Accepted(rec)
+			if err != nil {
+				return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
+			}
+			for _, v := range accepted {
+				logged.MarkAccepted(v.From, v.Seq)
 			}
 			return nil
 		})

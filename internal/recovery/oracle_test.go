@@ -3,6 +3,8 @@ package recovery
 // The recovery-equivalence oracle: for randomized histories containing
 // checkpoints at arbitrary positions (including between a commit and
 // its applied marker, and between a Vm's creation and its acceptance),
+// and commits that accept the Vm they consumed beside acceptance
+// records,
 // recovering from the latest checkpoint plus the log suffix must
 // produce state byte-identical to a scan of the entire log that
 // ignores checkpoints. The comparison is on the
@@ -53,7 +55,10 @@ type histGen struct {
 	inSeq       map[ident.SiteID]uint64 // per-peer inbound Vm seq
 	lastCommit  uint64                  // LSN of the last commit record
 	checkpoints int
-	sum         Summary // sink for bookkeep counters
+	// noCheckpoints stops step from writing checkpoints: a suffix that
+	// must not supersede the checkpoint a test damaged.
+	noCheckpoints bool
+	sum           Summary // sink for bookkeep counters
 }
 
 func newHistGen(t *testing.T, seed int64) *histGen {
@@ -90,6 +95,9 @@ func (g *histGen) appendData(kind wal.RecordKind, payload []byte) uint64 {
 
 // checkpoint writes the writer state as a checkpoint record.
 func (g *histGen) checkpoint() {
+	if g.noCheckpoints {
+		return
+	}
 	cp := &wal.CheckpointRec{
 		Items:    g.db.Snapshot(),
 		Channels: g.vm.SnapshotChannels(),
@@ -109,7 +117,7 @@ func (g *histGen) stamp() tstamp.TS {
 // step appends one random history element.
 func (g *histGen) step() {
 	switch p := g.rng.Float64(); {
-	case p < 0.55: // local commit, sometimes multi-item
+	case p < 0.55: // local commit, sometimes multi-item, sometimes consuming Vm
 		nacts := 1 + g.rng.Intn(3)
 		ts := g.stamp()
 		var acts []wal.Action
@@ -129,7 +137,19 @@ func (g *histGen) step() {
 			}
 			acts = append(acts, wal.Action{Item: item, Delta: delta, SetTS: ts})
 		}
-		g.lastCommit = g.appendData(wal.RecCommit, (&wal.CommitRec{Txn: ts, Actions: acts}).Encode())
+		// A commit that consumed Vm from peers: their credits — zero
+		// for a full read's "I hold nothing" — net into its first
+		// action, and the record accepts them.
+		var accepted []wal.VmRef
+		if g.rng.Float64() < 0.4 {
+			for k := 1 + g.rng.Intn(2); k > 0; k-- {
+				from := ident.SiteID(2 + g.rng.Intn(3))
+				g.inSeq[from]++
+				accepted = append(accepted, wal.VmRef{From: from, Seq: g.inSeq[from]})
+				acts[0].Delta += core.Value(g.rng.Intn(5))
+			}
+		}
+		g.lastCommit = g.appendData(wal.RecCommit, (&wal.CommitRec{Txn: ts, Actions: acts, Accepted: accepted}).Encode())
 	case p < 0.70: // grant quota away as a Vm
 		item := g.items[g.rng.Intn(len(g.items))]
 		amt := core.Value(1 + g.rng.Intn(4))
@@ -254,6 +274,7 @@ func TestRecoverFallsBackToEarlierCheckpoint(t *testing.T) {
 	if _, err := g.log.Append(wal.RecCheckpoint, []byte{0xDE, 0xAD, 0xBE}); err != nil {
 		t.Fatal(err)
 	}
+	g.noCheckpoints = true
 	for i := 0; i < 10; i++ {
 		g.step()
 	}

@@ -16,8 +16,10 @@
 //  3. Replay the log suffix: every VmCreate / VmAccept / Commit
 //     record's database actions are redone idempotently (the store's
 //     per-item applied-LSN makes replay safe even if recovery itself
-//     crashes and reruns), Vm channel state is rebuilt, and the
-//     highest transaction timestamp is folded into the clock.
+//     crashes and reruns), Vm channel state is rebuilt — a commit
+//     accepts the Vm it lists, as an acceptance record accepts its
+//     one — and the highest transaction timestamp is folded into the
+//     clock.
 //  4. Outstanding Vm are NOT retransmitted here: they re-enter the
 //     normal retransmission loop once the site is up ("the system
 //     eventually sends the outstanding Vm in the normal course of
@@ -127,7 +129,9 @@ func replay(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Cloc
 
 // redo replays one record: its database actions are re-applied (the
 // store's applied-LSN skips what it already holds), then Vm channel
-// state is rebuilt and the record's timestamps folded into the clock.
+// state is rebuilt — what the record creates, and what it accepts, be
+// it a Vm acceptance or a commit that consumed Vm — and the record's
+// timestamps folded into the clock.
 func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock, sum *Summary) error {
 	apply := func(actions []wal.Action) error {
 		n, err := db.ApplyAll(r.LSN, actions)
@@ -157,7 +161,6 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 		if err := apply(rec.Actions); err != nil {
 			return err
 		}
-		vm.MarkAccepted(rec.From, rec.Seq)
 	case wal.RecCommit:
 		rec, err := wal.DecodeCommit(r.Data)
 		if err != nil {
@@ -178,6 +181,13 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 		return fmt.Errorf("recovery: unexpected baseline record %v at LSN %d", r.Kind, r.LSN)
 	default:
 		return fmt.Errorf("recovery: unknown record kind %v at LSN %d", r.Kind, r.LSN)
+	}
+	accepted, err := wal.Accepted(r)
+	if err != nil {
+		return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
+	}
+	for _, v := range accepted {
+		vm.MarkAccepted(v.From, v.Seq)
 	}
 	return nil
 }

@@ -84,12 +84,11 @@ func (a *ackTap) install(t *testing.T, net *simnet.Net) {
 	})
 }
 
-// A value Vm addressed to a waiting transaction is credited when its
-// acceptance record is enqueued — the waiter wakes, and its commit
-// record queues behind the acceptance and applies there, so the store
-// shows credit and deduct alike — and the acceptance asks for no force
-// of its own: the first flush is the one the commit asks for, carrying
-// both records. Nothing acknowledges the Vm, explicitly or
+// A value Vm addressed to a waiting transaction is held on it: the
+// waiter wakes, and its commit record nets the credit in and lists the
+// Vm — the one record in the pipeline, applied at its enqueue, so the
+// store shows credit and deduct alike — and the first flush is the one
+// the commit asks for. Nothing acknowledges the Vm, explicitly or
 // piggybacked, and nothing answers the transaction, until that force
 // lands; then the ack goes out and a retransmitted copy is a counted
 // duplicate.
@@ -103,8 +102,8 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	defer release()
 
 	// Needs 5 from site 2. Nothing at site 1 asks for a force before the
-	// commit does, so the held flush is the commit's, and the acceptance
-	// record rides it.
+	// commit does, so the held flush is the commit's, and it carries the
+	// acceptance.
 	done := make(chan *txn.Result, 1)
 	go func() {
 		done <- tc.sites[0].Run(&txn.Txn{
@@ -119,8 +118,8 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 		t.Fatal("no flush at site 1: the grant never arrived")
 	}
 
-	waitUntil(t, 2*time.Second, "acceptance and commit records in the pipeline", func() bool {
-		return gl.Waiters() == 2
+	waitUntil(t, 2*time.Second, "the commit record in the pipeline", func() bool {
+		return gl.Waiters() == 1
 	})
 	if v := tc.sites[0].DB().Value(item); v != 0 {
 		t.Fatalf("store = %d before the force, want 0: 10 + 5 credited, 15 committed", v)
@@ -164,6 +163,9 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	if st := tc.sites[0].Stats(); st.VmAccepted != 1 {
 		t.Fatalf("VmAccepted = %d, want 1", st.VmAccepted)
 	}
+	if got := acceptedBy(t, gl); len(got) != 1 || got[0] != (acceptance{wal.RecCommit, wal.VmRef{From: 2, Seq: seq}}) {
+		t.Fatalf("the log accepts %v, want seq %d by the commit record alone", got, seq)
+	}
 
 	// No more copies are coming once the sender has retired the Vm and
 	// the network has drained; the next one is ours.
@@ -180,9 +182,12 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	}
 }
 
-// A Vm with nothing to credit is appended under the stripe: with the
-// flush held, the full read it answers is not woken.
-func TestZeroValueVmWaitsForItsForce(t *testing.T) {
+// A Vm with nothing to credit — the answer a full read gets from a peer
+// that holds nothing — is held on the reader like any other, and the
+// reader's commit record accepts it: with that record's flush held open,
+// it is the only record in the pipeline, the item's stripe is free, and
+// the read is not answered. No force is waited for under a stripe.
+func TestZeroValueVmRidesTheCommit(t *testing.T) {
 	tc, gl := groupedCluster(t, 22, wal.NewMemLog(), nil)
 	item := ident.ItemID("flight/B")
 	if err := tc.sites[0].DB().Create(item, 10); err != nil {
@@ -193,43 +198,37 @@ func TestZeroValueVmWaitsForItsForce(t *testing.T) {
 	}
 	entered, release := holdFirstFlush(gl)
 	defer release()
-	// The answer's synchronous append will sit under the item's stripe
-	// for as long as the flush is held, and the waiter is read under
-	// that stripe: keep the answer off until the waiter is in hand (the
-	// sender's retransmission brings it back).
-	tc.net.SetFilter(func(from, to ident.SiteID, kind wire.Kind) bool { return kind != wire.KVm })
 
+	s := tc.sites[0]
 	done := make(chan *txn.Result, 1)
 	go func() {
-		done <- tc.sites[0].Run(&txn.Txn{Reads: []ident.ItemID{item}, Timeout: 5 * time.Second})
+		done <- s.Run(&txn.Txn{Reads: []ident.ItemID{item}, Timeout: 5 * time.Second})
 	}()
-	var w *waiter
-	waitUntil(t, 2*time.Second, "the full read is parked", func() bool {
-		peekItem(tc.sites[0], item, func(st *itemState) { w = st.waiter })
-		return w != nil
-	})
-	tc.net.SetFilter(nil)
 	select {
 	case <-entered:
 	case <-time.After(5 * time.Second):
 		t.Fatal("no flush at site 1: the zero-value answer never arrived")
 	}
-	time.Sleep(20 * time.Millisecond)
-	if n := w.acceptedCount(); n != 0 {
-		t.Fatalf("waiter saw %d acceptances with the zero-value record unforced", n)
-	}
 	if n := gl.Waiters(); n != 1 {
-		t.Fatalf("%d records in the pipeline, want only the acceptance", n)
+		t.Fatalf("%d records in the pipeline, want the commit alone", n)
 	}
+	stripe := &s.stripes[s.stripeOf(item)]
+	if !stripe.TryLock() {
+		t.Fatal("the item's stripe is held across the force")
+	}
+	stripe.Unlock()
 	select {
 	case res := <-done:
-		t.Fatalf("full read returned %v before its gather was stable", res.Status)
+		t.Fatalf("full read returned %v before its record was stable", res.Status)
 	default:
 	}
 
 	release()
 	if res := <-done; !res.Committed() || res.Reads[item] != 10 {
 		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[item])
+	}
+	if got := acceptedBy(t, gl); len(got) != 1 || got[0].kind != wal.RecCommit || got[0].ref.From != 2 {
+		t.Errorf("the log accepts %v, want site 2's answer by the commit record alone", got)
 	}
 }
 
@@ -428,11 +427,10 @@ func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
 	}
 }
 
-// A crash landing between an acceptance's enqueue and its force waits
-// the force out (the commit queued behind it holds lifeMu across the
-// force it asked for, which carries the acceptance), so what the store
-// was credited and debited is never missing from the log recovery
-// reads.
+// A crash landing between a commit's enqueue and its force waits the
+// force out (the commit holds lifeMu across the force it asked for), so
+// what the store was credited and debited — the commit nets in the grant
+// it consumed — is never missing from the log recovery reads.
 func TestCrashInsideUnforcedAccept(t *testing.T) {
 	inner := wal.NewMemLog()
 	tc, gl := groupedCluster(t, 26, inner, nil)
@@ -455,8 +453,8 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("no flush at site 1: the grant never arrived")
 	}
-	waitUntil(t, 2*time.Second, "commit record queued behind the acceptance", func() bool {
-		return gl.Waiters() == 2
+	waitUntil(t, 2*time.Second, "the commit record queued", func() bool {
+		return gl.Waiters() == 1
 	})
 	if v := s.DB().Value(item); v != 0 {
 		t.Fatalf("store = %d before the force, want 0: credit and commit both applied", v)
@@ -470,7 +468,7 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	waitUntil(t, 2*time.Second, "site marked down", func() bool { return !s.Up() })
 	select {
 	case <-crashed:
-		t.Fatal("Crash returned with a credited acceptance record still unforced")
+		t.Fatal("Crash returned with a credited commit record still unforced")
 	case <-time.After(20 * time.Millisecond):
 	}
 	release()
@@ -482,9 +480,8 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	if !res.Committed() {
 		t.Fatalf("transaction %v, want committed: its record was enqueued before the crash", res.Status)
 	}
-	if recs := countRecords(t, inner); recs[wal.RecVmAccept] != 1 || recs[wal.RecCommit] != 1 {
-		t.Fatalf("stable log holds %d acceptance and %d commit records after the crash, want 1 and 1",
-			recs[wal.RecVmAccept], recs[wal.RecCommit])
+	if got := acceptedBy(t, inner); len(got) != 1 || got[0].kind != wal.RecCommit {
+		t.Fatalf("stable log accepts %v after the crash, want the one grant, by the commit record", got)
 	}
 	if err := s.Restart(); err != nil {
 		t.Fatal(err)
@@ -496,4 +493,26 @@ func TestCrashInsideUnforcedAccept(t *testing.T) {
 	if total := tc.globalTotal(item); total != 5 {
 		t.Errorf("global total = %d, want 5 (20 − 15)", total)
 	}
+}
+
+// acceptance is one Vm a log record accepts, and the record's kind.
+type acceptance struct {
+	kind wal.RecordKind
+	ref  wal.VmRef
+}
+
+// acceptedBy lists every Vm the log's stable records accept, in order.
+func acceptedBy(t *testing.T, log wal.Log) []acceptance {
+	t.Helper()
+	var out []acceptance
+	if err := log.Scan(0, func(r wal.Record) error {
+		refs, err := wal.Accepted(r)
+		for _, ref := range refs {
+			out = append(out, acceptance{r.Kind, ref})
+		}
+		return err
+	}); err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	return out
 }

@@ -21,10 +21,12 @@ import (
 // it at that LSN; the caller does its volatile bookkeeping and lets go
 // of the no-wait locks and the stripe. waitForce, still under lifeMu's
 // read side, asks for the record's force and waits for it, and only
-// after that does anything leave the site: a reply, a hook, a Vm. A
-// value-bearing acceptance skips the second step: nothing waits on it,
-// so it asks for no force, rides whichever force next covers its LSN,
-// and its ack leaves once that force lands (inbound_vm.go). No stripe
+// after that does anything leave the site: a reply, a hook, a Vm. An
+// acceptance record skips the second step: nothing waits on it, so it
+// asks for no force, rides whichever force next covers its LSN, and its
+// ack leaves once that force lands (inbound_vm.go). A Vm consumed by
+// the transaction it answers has no record of its own: the commit's
+// record lists it and carries its credit. No stripe
 // is held across a force, so whoever queues on the item next enqueues
 // behind this record and shares or follows its force instead of
 // waiting it out. Whatever reads the early value logs behind it, the
@@ -190,9 +192,9 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 // built on them may leave. Holding lifeMu's read side across the wait
 // keeps Crash's fence meaning "nothing applied is missing from the
 // log" (Crash forces the pending acceptances itself); no stripe is held
-// across it but by Checkpoint (every stripe) and the zero-actions
-// accept (its item's). Pending acceptances ride the force rather than
-// ask for one of their own; once the caller holds no stripe it settles
+// across it but by Checkpoint (every stripe). Pending acceptances ride
+// the force rather than ask for one of their own; once the caller holds
+// no stripe it settles
 // those the force covered (settleAccepts up to d's LSN), so their
 // OnRds hook never runs under one.
 func (s *Site) waitForce(d *durable) error {

@@ -123,16 +123,18 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// One exit for everything below. Releasing the locks and taking the
 	// Vm parked behind them is one step under the stripes (the commit
 	// tail does it under the stripes it already holds, an abort exit
-	// takes them here); the parked Vm then get their redelivery shot at
-	// the freshly-unlocked window, after everything is let go —
-	// redelivery takes lifeMu again.
-	var parked []deferredVm
+	// takes them in abandon, logging what the transaction held); the
+	// parked Vm then get their redelivery shot at the freshly-unlocked
+	// window, after everything is let go — redelivery takes lifeMu
+	// again.
+	var (
+		parked []deferredVm
+		w      *waiter
+	)
 	locked := true
 	defer func() {
 		if locked {
-			s.lockStripes(stripes)
-			parked = releaseItems(id, sts)
-			s.unlockStripes(stripes)
+			parked = s.abandon(id, epoch, stripes, sts, w)
 		}
 		s.redeliver(parked)
 	}()
@@ -157,7 +159,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		// holds, and Crash's sweep — behind the fence — cannot miss it.
 		// The epoch tag lets Crash fail exactly the waiters of the epoch
 		// it ends.
-		w := newWaiter(id, ts, epoch, needMap, t.Reads)
+		w = newWaiter(id, ts, epoch, needMap, t.Reads)
 		for _, st := range sts {
 			st.waiter = w
 		}
@@ -191,7 +193,8 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		if status == txn.StatusTimeout {
 			// §5 step 3: "declare an abort and then release the
 			// locks". Quota already received stays — the aborted
-			// transaction degenerates to an Rds transaction (§6). The
+			// transaction degenerates to an Rds transaction (§6), whose
+			// acceptance records abandon writes as it releases. The
 			// residual shortfall feeds the demand cells: unmet need
 			// is the strongest rebalancing signal there is.
 			s.recordDeficit(w.needs)
@@ -200,8 +203,8 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		}
 
 		// Back under the fence and the stripes for the commit. Nothing
-		// but credits addressed to this transaction touched the locked
-		// items meanwhile, so adequacy still holds.
+		// but credits held for this transaction touched the locked items
+		// meanwhile, so adequacy still holds.
 		s.lifeMu.RLock()
 		if !s.sameEpoch(epoch) {
 			s.lifeMu.RUnlock()
@@ -212,19 +215,23 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 
 	// Step 4 — the computation. Operators are partitionable, so applying
 	// them in order to an adequate value is adding the folded delta;
-	// full reads observe the gathered value before this transaction's
-	// own writes.
+	// full reads observe the gathered value — the local quota plus the
+	// credits held for this transaction — before its own writes.
+	var held []acceptedVm
+	if w != nil {
+		held = w.heldCredits()
+	}
 	if !writeOnly {
 		res.Reads = make(map[ident.ItemID]core.Value, len(t.Reads))
 		for _, item := range t.Reads {
-			res.Reads[item] = s.cfg.DB.Value(item)
+			res.Reads[item] = s.cfg.DB.Value(item) + creditOn(held, item)
 		}
 	}
 	var actBuf [inlineItems]wal.Action
 	actions := actBuf[:0]
 	for i, item := range items {
-		if deltas[i] != 0 {
-			actions = append(actions, wal.Action{Item: item, Delta: deltas[i], SetTS: ts})
+		if d := deltas[i] + creditOn(held, item); d != 0 {
+			actions = append(actions, wal.Action{Item: item, Delta: d, SetTS: ts})
 		}
 	}
 
@@ -232,13 +239,33 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// commit t) and apply it, as one unit per item under the stripes;
 	// the force comes after they are let go. One record per commit: the
 	// store's per-item applied LSN already makes redo idempotent, so
-	// there is no separate "applied" record.
+	// there is no separate "applied" record, and the record's actions
+	// net the credits t consumed, so it is their acceptance record too
+	// (§4.2's `[database-actions, message-sequence]`): it lists them,
+	// they are marked applied on their channels at its enqueue, and they
+	// settle — reported, counted, acked — on its force.
 	rec := wal.CommitRec{Txn: ts, Actions: actions}
-	d, err := s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, nil)
+	var mark func()
+	if len(held) > 0 {
+		rec.Accepted = make([]wal.VmRef, len(held))
+		for i, e := range held {
+			rec.Accepted[i] = wal.VmRef{From: e.from, Seq: e.seq}
+		}
+		mark = func() {
+			for _, e := range held {
+				s.vm.MarkApplied(e.from, e.seq)
+			}
+		}
+	}
+	d, err := s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, mark)
 	if err != nil {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusSiteDown)
+	}
+	if len(held) > 0 {
+		w.takeHeld()
+		s.pend(d.lsn, held...)
 	}
 
 	// Step 7. The items' volatile state is brought up to date while
@@ -285,8 +312,8 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// Step 5's commit point: the record's stability. Nothing about t —
 	// reply, hook, counters — leaves the site before it; if the force
 	// fails, the site stops and t is not reported committed. The
-	// acceptances the force carried — the one t consumed, most often —
-	// are acked from here.
+	// acceptances the force carried — those t's own record lists, and
+	// any logged before it — are acked from here.
 	err = s.waitForce(&d)
 	if err == nil {
 		s.settleAccepts(d.lsn, nil)
@@ -304,6 +331,34 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		hook(ci)
 	}
 	return finish(txn.StatusCommitted)
+}
+
+// abandon is Run's exit for a transaction that does not commit. In one
+// hold of its items' stripes it logs each credit held for it as an
+// acceptance record of its own (acceptLogged) — unless its epoch ended,
+// Crash having dropped them, or a commit that failed to apply already
+// accepted one — and frees its locks, taking the Vm parked behind them:
+// a Vm held up to the release is not lost. Like a Vm handler it asks
+// for no force, and settles on its way out what the log holds stable.
+// w is nil for a transaction that never waited.
+func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, w *waiter) []deferredVm {
+	s.lifeMu.RLock()
+	defer s.lifeMu.RUnlock()
+	s.lockStripes(stripes)
+	if w != nil && s.sameEpoch(epoch) {
+		for _, e := range w.takeHeld() {
+			if !s.vm.ShouldAccept(e.from, e.seq) {
+				continue
+			}
+			if err := s.acceptLogged(e, 0); err != nil {
+				e.hop.Finish("log-error")
+			}
+		}
+	}
+	parked := releaseItems(id, sts)
+	s.unlockStripes(stripes)
+	s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
+	return parked
 }
 
 // fold reduces a transaction to its access set A(t) — op items in
@@ -400,11 +455,12 @@ func (s *Site) sendRequests(ts tstamp.TS, shortfall map[ident.ItemID]core.Value,
 }
 
 // satisfied is the §5 step-3/4 gate: every op item has adequate local
-// quota, and every full read has gathered all of Π⁻¹(d): a response
-// from every peer and no Vm of ours still carrying the item away.
+// quota, counting the credits held for the transaction, and every full
+// read has gathered all of Π⁻¹(d): a response from every peer and no Vm
+// of ours still carrying the item away.
 func (s *Site) satisfied(w *waiter) bool {
 	for item, need := range w.needs {
-		if s.cfg.DB.Value(item) < need {
+		if s.cfg.DB.Value(item)+w.heldOn(item) < need {
 			return false
 		}
 	}

@@ -177,10 +177,10 @@ func TestHeldCreateIsOutstandingNotSent(t *testing.T) {
 // A force that fails behind an applied commit or an applied grant stops
 // the site, counted by reason, and nothing built on the record gets
 // out: the transaction is not answered committed and not reported, and
-// the Vm is never sent. So does a failed force that only a checkpoint,
-// or a zero-value acceptance, waits on: the log is failed for good, and
-// a site that ran on beside it would answer SiteDown forever while
-// reporting itself up.
+// the Vm is never sent. So does a failed force that only a checkpoint
+// waits on, or that only the retransmission tick asks for on behalf of
+// an acceptance: the log is failed for good, and a site that ran on
+// beside it would answer SiteDown forever while reporting itself up.
 func TestForceFailureStopsTheSite(t *testing.T) {
 	cases := []struct {
 		reason string
@@ -208,8 +208,8 @@ func TestForceFailureStopsTheSite(t *testing.T) {
 			}
 		}},
 		{"accept-force", func(t *testing.T, tc *testCluster, item ident.ItemID) {
-			// The "I hold nothing" answer to a full read: nothing to
-			// credit, so its force is waited for under the stripe.
+			// The "I hold nothing" answer to a full read, arriving at a
+			// free item: nobody waits on its record, so the tick asks.
 			tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 1, Item: item}})
 		}},
 	}

@@ -1,0 +1,346 @@
+package site
+
+import (
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"dvp/internal/cc"
+	"dvp/internal/core"
+	"dvp/internal/ident"
+	"dvp/internal/simnet"
+	"dvp/internal/txn"
+	"dvp/internal/vclock"
+	"dvp/internal/wal"
+	"dvp/internal/wire"
+)
+
+// parkShort starts a transaction at site 1 that needs 14 of item, of
+// which site 1 holds 10, with every request lost, and waits until it is
+// parked. grant has site 2 honour a request for want on its behalf: the
+// Vm goes out and, addressed to the waiter, is held on it.
+func parkShort(t *testing.T, tc *testCluster, item ident.ItemID, timeout time.Duration) (w *waiter, done <-chan *txn.Result, grant func(want core.Value)) {
+	t.Helper()
+	s := tc.sites[0]
+	tc.net.SetFilter(func(_, _ ident.SiteID, kind wire.Kind) bool { return kind != wire.KRequest })
+	ch := make(chan *txn.Result, 1)
+	go func() {
+		ch <- s.Run(&txn.Txn{
+			Ops:     []txn.ItemOp{{Item: item, Op: core.Decr{M: 14}}},
+			Ask:     txn.AskAll,
+			Timeout: timeout,
+		})
+	}()
+	waitUntil(t, 2*time.Second, "the transaction parked", func() bool { return parkedWaiters(s) == 1 })
+	peekItem(s, item, func(st *itemState) { w = st.waiter })
+	return w, ch, func(want core.Value) {
+		tc.sites[1].handle(&wire.Envelope{From: 1, To: 2, Msg: &wire.Request{Txn: w.ts, Item: item, Want: want}})
+	}
+}
+
+// A crash while a credit is held leaves nothing of it behind: not in
+// the store, not in the log, not on the channel. The sender still has
+// the Vm pending, retransmits it after the restart, and it is accepted
+// exactly once, into the now-free item; value is conserved throughout.
+func TestCrashWhileHeldDropsTheCredit(t *testing.T) {
+	tc := newTestCluster(t, 2, simnet.Config{Seed: 41}, nil)
+	item := ident.ItemID("held/A")
+	tc.createItem(item, 20) // 10 per site
+	s := tc.sites[0]
+	w, done, grant := parkShort(t, tc, item, 5*time.Second)
+	grant(2)
+	waitUntil(t, 2*time.Second, "the grant held", func() bool { return w.acceptedCount() == 1 })
+	seq := tc.sites[1].VM().OutSeq(1)
+
+	untouched := func(when string) {
+		t.Helper()
+		if v := s.DB().Value(item); v != 10 {
+			t.Errorf("%s: store = %d, want site 1's own 10", when, v)
+		}
+		if got := acceptedBy(t, tc.logs[0]); len(got) != 0 {
+			t.Errorf("%s: the log accepts %v", when, got)
+		}
+		if !s.VM().ShouldAccept(2, seq) || s.VM().AckFor(2) >= seq {
+			t.Errorf("%s: the channel from site 2 knows seq %d (ack %d)", when, seq, s.VM().AckFor(2))
+		}
+	}
+	untouched("held")
+	s.Crash()
+	if res := <-done; res.Status != txn.StatusSiteDown {
+		t.Fatalf("transaction: %v, want %v", res.Status, txn.StatusSiteDown)
+	}
+	untouched("after the crash")
+
+	tc.net.SetFilter(nil)
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, 2*time.Second, "the retransmitted Vm acknowledged", func() bool {
+		return tc.sites[1].VM().PendingCount(1) == 0
+	})
+	if v := s.DB().Value(item); v != 12 {
+		t.Errorf("store = %d after the restart, want 12: the grant accepted once", v)
+	}
+	if got := acceptedBy(t, tc.logs[0]); len(got) != 1 || got[0] != (acceptance{wal.RecVmAccept, wal.VmRef{From: 2, Seq: seq}}) {
+		t.Errorf("the log accepts %v, want seq %d once, by an acceptance record", got, seq)
+	}
+	dups := s.Stats().VmDuplicates
+	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: seq, Item: item, Amount: 2}})
+	if got := s.Stats().VmDuplicates; got != dups+1 || s.DB().Value(item) != 12 {
+		t.Errorf("another copy: duplicates %d → %d, store %d; want one more duplicate and 12", dups, got, s.DB().Value(item))
+	}
+	if total := tc.globalTotal(item); total != 20 {
+		t.Errorf("global total = %d, want 20", total)
+	}
+}
+
+// A transaction that times out holding a credit degenerates to an Rds
+// transaction (§6): nothing of the credit is logged or applied while it
+// is held, and the exit writes its own acceptance record, credited at
+// enqueue, that asks for no force. The ack waits for the force the
+// retransmission tick asks for, and then covers it.
+func TestTimeoutLogsHeldCredit(t *testing.T) {
+	clock := vclock.NewVirtual(time.Unix(0, 0))
+	tc, gl := groupedCluster(t, 42, wal.NewMemLog(), func(c *Config) {
+		c.Clock = clock
+		c.RetransmitEvery = time.Hour
+	})
+	var tap ackTap
+	tap.install(t, tc.net)
+	item := ident.ItemID("held/B")
+	tc.createItem(item, 20)
+	s := tc.sites[0]
+	w, done, grant := parkShort(t, tc, item, 10*time.Millisecond)
+	grant(2)
+	waitUntil(t, 2*time.Second, "the grant held", func() bool { return w.acceptedCount() == 1 })
+	seq := tc.sites[1].VM().OutSeq(1)
+	if v, n := s.DB().Value(item), gl.Waiters(); v != 10 || n != 0 {
+		t.Fatalf("held: store = %d with %d records queued, want 10 and none", v, n)
+	}
+
+	waitUntil(t, 2*time.Second, "timeout and tick armed", func() bool { return clock.PendingTimers() == 2 })
+	clock.Advance(10 * time.Millisecond)
+	if res := <-done; res.Status != txn.StatusTimeout {
+		t.Fatalf("transaction: %v, want %v", res.Status, txn.StatusTimeout)
+	}
+	if v := s.DB().Value(item); v != 12 {
+		t.Errorf("store = %d after the timeout, want 12: the held credit stays", v)
+	}
+	if n := gl.Waiters(); n != 1 {
+		t.Errorf("%d records queued, want the one acceptance, unforced", n)
+	}
+	tc.settle()
+	if up := tap.covered.Load(); up >= seq || s.VM().AckFor(2) >= seq || s.Stats().VmAccepted != 0 {
+		t.Fatalf("acked up to %d (AckFor %d, accepted %d) with the acceptance record unforced", up, s.VM().AckFor(2), s.Stats().VmAccepted)
+	}
+
+	clock.Advance(time.Hour) // the tick asks for the force
+	waitUntil(t, 2*time.Second, "the acceptance acknowledged", func() bool { return tap.covered.Load() >= seq })
+	if got := acceptedBy(t, gl); len(got) != 1 || got[0] != (acceptance{wal.RecVmAccept, wal.VmRef{From: 2, Seq: seq}}) {
+		t.Errorf("the log accepts %v, want seq %d by one acceptance record", got, seq)
+	}
+	if n := s.Stats().VmAccepted; n != 1 {
+		t.Errorf("VmAccepted = %d, want 1", n)
+	}
+}
+
+// A copy of a Vm already held is a duplicate that earns no ack: its
+// acceptance is whichever record the waiter's exit writes. Once the
+// commit record is enqueued, copies of what it accepts owe an ack, but
+// none covers them until the commit's force lands. (Conc2, so that site
+// 2 may honour a second request at the same timestamp.)
+func TestHeldDuplicateEarnsNoAck(t *testing.T) {
+	gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
+	t.Cleanup(func() { gl.Close() })
+	tc := newTestCluster(t, 2, simnet.Config{Seed: 43}, func(i int, c *Config) {
+		c.CC = cc.New(cc.Conc2)
+		if i == 0 {
+			c.Log = gl
+		}
+	})
+	var tap ackTap
+	tap.install(t, tc.net)
+	item := ident.ItemID("held/C")
+	tc.createItem(item, 20)
+	s := tc.sites[0]
+	w, done, grant := parkShort(t, tc, item, 5*time.Second)
+	grant(2)
+	waitUntil(t, 2*time.Second, "the first grant held", func() bool { return w.acceptedCount() == 1 })
+	first := tc.sites[1].VM().OutSeq(1)
+
+	dups := s.Stats().VmDuplicates
+	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: first, Item: item, Amount: 2, ReqTxn: w.ts}})
+	if got := s.Stats().VmDuplicates; got != dups+1 {
+		t.Errorf("a copy of the held Vm: duplicates %d → %d, want one more", dups, got)
+	}
+	tc.settle()
+	if n, a := w.acceptedCount(), tap.vmAcks.Load(); n != 1 || a != 0 {
+		t.Fatalf("after copies of the held Vm: %d held, %d acks sent; want 1 and none", n, a)
+	}
+	if v := s.DB().Value(item); v != 10 {
+		t.Errorf("store = %d with the credit held, want 10", v)
+	}
+
+	entered, release := holdFirstFlush(gl)
+	defer release()
+	grant(2)
+	<-entered
+	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: first, Item: item, Amount: 2, ReqTxn: w.ts}})
+	tc.settle()
+	if up := tap.covered.Load(); up >= first {
+		t.Fatalf("an ack covered %d with the commit record accepting it unforced", up)
+	}
+	release()
+	if res := <-done; !res.Committed() || res.VmAccepted != 2 {
+		t.Fatalf("transaction: %v with %d accepted, want committed with 2", res.Status, res.VmAccepted)
+	}
+	waitUntil(t, 2*time.Second, "both grants acknowledged", func() bool { return tc.sites[1].VM().PendingCount(1) == 0 })
+	got := acceptedBy(t, gl)
+	if len(got) != 2 || got[0].kind != wal.RecCommit || got[1].kind != wal.RecCommit {
+		t.Errorf("the log accepts %v, want both grants by the commit record", got)
+	}
+}
+
+// logCounter tallies the forces of one site's log, and the forces that
+// started while a stripe of the site was held across them.
+type logCounter struct {
+	gl        *wal.GroupLog
+	forces    atomic.Int64
+	underLock atomic.Int64
+}
+
+// TestCountBudgetPerOpKind pins, for each kind of operation, the
+// records, forces and log bytes (payload, mean per op) it costs at the
+// site that runs it and at each donor. Three sites log through
+// GroupLog(MemLog) and run one operation at a time at site 1:
+//
+//   - a local write: one commit record and one force at site 1, nothing
+//     anywhere else;
+//   - a shortfall write, needing a grant from each donor: each donor
+//     logs and forces its create, and site 1's one commit record
+//     accepts both grants;
+//   - a full read, one donor holding nothing: each donor logs and forces
+//     its create, site 1 logs one commit record, and no force at site 1
+//     starts with one of its stripes held.
+//
+// The byte ceilings are the measured sizes plus one byte, room for a
+// timestamp's varint to grow and none for a field per action.
+func TestCountBudgetPerOpKind(t *testing.T) {
+	counters := make([]*logCounter, 3)
+	tc := newTestCluster(t, 3, simnet.Config{Seed: 44}, func(i int, c *Config) {
+		gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
+		t.Cleanup(func() { gl.Close() })
+		counters[i] = &logCounter{gl: gl}
+		c.Log = gl
+		c.DefaultTimeout = 5 * time.Second
+	})
+	s := tc.sites[0]
+	for i := 1; i < 3; i++ {
+		c := counters[i]
+		c.gl.SetFlushHook(func(int) { c.forces.Add(1) })
+	}
+	// A stripe held across a force stays held until the flush ends, and
+	// the flush is parked in this hook: one free moment of each stripe
+	// clears it.
+	c1 := counters[0]
+	c1.gl.SetFlushHook(func(int) {
+		c1.forces.Add(1)
+		for i := range s.stripes {
+			deadline := time.Now().Add(200 * time.Millisecond)
+			for !s.stripes[i].TryLock() {
+				if time.Now().After(deadline) {
+					c1.underLock.Add(1)
+					return
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			s.stripes[i].Unlock()
+		}
+	})
+
+	type cost struct{ records, forces, bytes int64 }
+	measure := func(op func(i int)) (per [3]cost) {
+		const n = 5
+		type mark struct{ lsn, forces int64 }
+		var before [3]mark
+		for k, c := range counters {
+			before[k] = mark{int64(c.gl.LastLSN()), c.forces.Load()}
+		}
+		for i := 0; i < n; i++ {
+			op(i)
+			waitUntil(t, 2*time.Second, "the channels drained", func() bool {
+				for _, x := range tc.sites {
+					if len(x.VM().PendingAll()) != 0 {
+						return false
+					}
+				}
+				return true
+			})
+		}
+		for k, c := range counters {
+			var bytes int64
+			if err := c.gl.Scan(uint64(before[k].lsn)+1, func(r wal.Record) error {
+				bytes += int64(len(r.Data))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			recs := int64(c.gl.LastLSN()) - before[k].lsn
+			if recs%n != 0 || (c.forces.Load()-before[k].forces)%n != 0 {
+				t.Errorf("site %d: %d records, %d forces over %d operations: not the same for each", k+1, recs, c.forces.Load()-before[k].forces, n)
+			}
+			per[k] = cost{recs / n, (c.forces.Load() - before[k].forces) / n, (bytes + n - 1) / n}
+		}
+		return per
+	}
+	check := func(kind string, got [3]cost, want [3]cost) {
+		t.Helper()
+		for k := range got {
+			if got[k].records != want[k].records || got[k].forces != want[k].forces || got[k].bytes > want[k].bytes {
+				t.Errorf("%s at site %d: %d records, %d forces, %d B of log per op; want %d, %d, at most %d B",
+					kind, k+1, got[k].records, got[k].forces, got[k].bytes, want[k].records, want[k].forces, want[k].bytes)
+			}
+		}
+	}
+
+	for k, q := range []core.Value{1000, 0, 0} {
+		if err := tc.sites[k].DB().Create("local", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("local write", measure(func(int) {
+		if res := s.Run(reserve("local", 1)); !res.Committed() {
+			t.Fatalf("local write: %v", res.Status)
+		}
+	}), [3]cost{{1, 1, 12}, {}, {}})
+
+	item := func(kind string, i int) ident.ItemID { return ident.ItemID(kind + "/" + string(rune('a'+i))) }
+	for i := 0; i < 5; i++ {
+		for k, q := range []core.Value{0, 1, 1} {
+			if err := tc.sites[k].DB().Create(item("short", i), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, q := range []core.Value{10, 10, 0} {
+			if err := tc.sites[k].DB().Create(item("read", i), q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("shortfall write", measure(func(i int) {
+		res := s.Run(&txn.Txn{Ops: []txn.ItemOp{{Item: item("short", i), Op: core.Decr{M: 2}}}, Ask: txn.AskAll})
+		if !res.Committed() || res.VmAccepted != 2 {
+			t.Fatalf("shortfall write: %v with %d accepted", res.Status, res.VmAccepted)
+		}
+	}), [3]cost{{1, 1, 12}, {1, 1, 23}, {1, 1, 23}})
+
+	check("full read", measure(func(i int) {
+		res := s.Run(readItem(item("read", i)))
+		if !res.Committed() || res.Reads[item("read", i)] != 20 {
+			t.Fatalf("full read: %v, read %d", res.Status, res.Reads[item("read", i)])
+		}
+	}), [3]cost{{1, 1, 20}, {1, 1, 22}, {1, 1, 22}})
+	if n := counters[0].underLock.Load(); n != 0 {
+		t.Errorf("%d forces at site 1 started with a stripe held across them", n)
+	}
+}

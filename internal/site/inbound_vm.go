@@ -44,37 +44,37 @@ func (a *acks) add(to ident.SiteID) {
 	}
 }
 
-// acceptedVm is one Vm credited at the LSN its acceptance record
-// reserved, and everything that must follow that record's stability.
-// It keeps its own copy of what it needs of the Vm: it outlives the
-// envelope that carried it.
+// acceptedVm is one Vm's credit from arrival to acknowledgement: held
+// on the transaction it answers, then logged at lsn — by an acceptance
+// record or by that transaction's commit record — and settled once the
+// log is stable there. It keeps its own copy of what it needs of the
+// Vm: it outlives the envelope that carried it. w is the pooled buffer
+// of its own acceptance record, nil when the commit's record carries it.
 type acceptedVm struct {
 	from     ident.SiteID
 	seq      uint64
 	item     ident.ItemID
 	amount   core.Value
-	rec      durable
 	creditTS tstamp.TS
+	lsn      uint64
+	w        *wire.Writer
 	hop      *obs.TxnTrace
 	hopStart time.Time
 }
 
 // processVm is the under-the-stripe half of accepting one Vm (§4.2,
-// §5). The Vm is credited at enqueue: its acceptance record takes its
-// place in the log, the channel's dedup set and the store take the
-// credit at that LSN, and the stripe is released and the waiter woken
-// without asking for a force — whatever the waiter logs next sits
-// behind the acceptance record, and the log is stable in LSN order, so
-// the record rides the waiter's force (or whichever comes first). What
-// must follow stability (the ack above all) goes onto the site's list
-// of pending acceptances for settleAccepts. A Vm with nothing to credit
-// — the zero-value answer a full read gets from a peer that holds
-// nothing — has its force waited for under the stripe (DESIGN §2.7). A
-// duplicate owes its sender an ack at once (owed); a deferral (item
-// locked by a non-waiting transaction) owes nothing; retransmission
-// will return. A waiting holder's parking record is a field of the
-// item's state, read under the stripe already held; its progress
-// fields are updated under the waiter's own lock.
+// §5), and it has one rule per state of the item. A duplicate owes its
+// sender an ack at once (owed). An item locked by a transaction the Vm
+// is not addressed to parks it; retransmission would return it anyway.
+// A Vm addressed to the transaction waiting on the item is held on that
+// waiter: its credit counts toward the waiter's adequacy and full reads
+// at once, and the store, the Vm channel and the log see it only when
+// the waiter's exit logs it — its commit record, or on a timeout an
+// acceptance record (exec.go). A crash drops it unacknowledged, and the
+// sender's retransmission brings it back. A Vm to a free item is an Rds
+// transaction of its own: its acceptance record is enqueued and the
+// credit applied at that LSN (acceptLogged), riding whatever force
+// comes next. Nothing here waits for a force.
 func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced Vm grows a vm-accept span here: the credit half of the
@@ -96,10 +96,10 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 		owed.add(from)
 		return
 	}
+	e := acceptedVm{from: from, seq: m.Seq, item: m.Item, amount: m.Amount, hop: hop, hopStart: hopStart}
 
-	var w *waiter
 	if st.holder != ident.NoTxn {
-		w = st.waiter
+		w := st.waiter
 		if w == nil || m.ReqTxn != w.ts {
 			// Locked by a transaction not in its waiting phase, or a
 			// Vm not addressed to the waiting holder (an unsolicited
@@ -117,65 +117,85 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 			hop.Finish("deferred")
 			return
 		}
-	}
-
-	// Accept: log first (the record is the acceptance), then credit.
-	rec := &wal.VmAcceptRec{
-		From:    from,
-		Seq:     m.Seq,
-		Actions: []wal.Action{{Item: m.Item, Delta: m.Amount}},
-	}
-	var creditTS tstamp.TS
-	if w != nil {
 		// The waiting transaction consumes the credit: it serializes
 		// inside that transaction, at its timestamp.
-		creditTS = w.ts
-	} else {
-		// Accepting into a free item is an Rds transaction of its own
-		// (§6): it draws a fresh timestamp and, under Conc1, stamps the
-		// value. Without the stamp a later full read could be admitted
-		// at a timestamp below the credit it already observed — ordered
-		// before it in the serial history, yet seeing its effect.
-		creditTS = s.lamport.Next()
-		if s.policy.StampOnLock() {
-			rec.Actions[0].SetTS = creditTS
+		e.creditTS = w.ts
+		if !w.hold(e) {
+			// A copy of a Vm already held. Its acceptance is the record
+			// the waiter's exit writes, and its ack follows that record's
+			// force: none is owed now.
+			stripe.Unlock()
+			s.obsm.forPeer(from).vmDups.Inc()
+			hop.Finish("duplicate")
+			return
 		}
-	}
-	if m.Amount == 0 {
-		// Zero-value Vm (a full-read "I hold nothing" response)
-		// still needs the acceptance record for dedup state.
-		rec.Actions = nil
-	}
-	d, err := s.enqueueApply(wal.RecVmAccept, rec.EncodeTo, rec.Actions,
-		func() { s.vm.MarkApplied(from, rec.Seq) })
-	if err == nil && len(rec.Actions) == 0 {
-		// Nothing to credit: the force is waited for here, under the
-		// stripe (the zero-actions exception, DESIGN §2.7); the
-		// handler's return settles it.
-		err = s.waitForce(&d)
-	}
-	if err != nil {
+		// Still under the stripe: from its release on, the waiter's
+		// exit may take the entry, and the hop with it.
+		hop.Step("hold", "")
+		st.mergeFlow(m.FlowVec)
 		stripe.Unlock()
-		hop.Finish("log-error")
+		w.wake()
 		return
 	}
-	st.mergeFlow(m.FlowVec)
+
+	// Accepting into a free item is an Rds transaction of its own (§6):
+	// it draws a fresh timestamp and, under Conc1, stamps the value.
+	// Without the stamp a later full read could be admitted at a
+	// timestamp below the credit it already observed — ordered before
+	// it in the serial history, yet seeing its effect.
+	e.creditTS = s.lamport.Next()
+	var stamp tstamp.TS
+	if s.policy.StampOnLock() {
+		stamp = e.creditTS
+	}
+	err := s.acceptLogged(e, stamp)
+	if err == nil {
+		st.mergeFlow(m.FlowVec)
+	}
 	stripe.Unlock()
-	hop.Step("apply", "")
-	// Pending before the waiter wakes, so the force its commit asks for
-	// settles this acceptance too; and before the handler lets go of
-	// lifeMu, so Crash, behind its fence, finds every one.
+	if err != nil {
+		hop.Finish("log-error")
+	}
+}
+
+// acceptLogged writes e's own acceptance record — log first (the record
+// is the acceptance), then credit: the record is enqueued, the Vm
+// marked applied on its channel and its value applied at the record's
+// LSN, stamped with stamp if nonzero. It asks for no force: whatever
+// the site logs next sits behind the record, and the log is stable in
+// LSN order, so it rides the next force anyone asks for, and e waits on
+// the pending list for settleAccepts. Caller holds lifeMu's read side
+// and the stripe of e's item.
+func (s *Site) acceptLogged(e acceptedVm, stamp tstamp.TS) error {
+	rec := &wal.VmAcceptRec{
+		From:    e.from,
+		Seq:     e.seq,
+		Actions: []wal.Action{{Item: e.item, Delta: e.amount, SetTS: stamp}},
+	}
+	d, err := s.enqueueApply(wal.RecVmAccept, rec.EncodeTo, rec.Actions,
+		func() { s.vm.MarkApplied(e.from, e.seq) })
+	if err != nil {
+		return err
+	}
+	e.w = d.w
+	s.pend(d.lsn, e)
+	return nil
+}
+
+// pend puts credits logged at lsn on the site's pending list, from
+// which settleAccepts takes them once lsn is stable. The caller still
+// holds lifeMu's read side, so Crash, behind its fence, finds every
+// one, and holds it before it wakes anyone whose commit could force
+// them.
+func (s *Site) pend(lsn uint64, es ...acceptedVm) {
 	s.acceptMu.Lock()
-	s.accepts = append(s.accepts, acceptedVm{
-		from: from, seq: m.Seq, item: m.Item, amount: m.Amount,
-		rec: d, creditTS: creditTS, hop: hop, hopStart: hopStart,
-	})
+	for _, e := range es {
+		e.lsn = lsn
+		e.hop.Step("apply", "")
+		s.accepts = append(s.accepts, e)
+	}
 	s.nAccepts.Store(int32(len(s.accepts)))
 	s.acceptMu.Unlock()
-	if w != nil {
-		w.noteAccept(m.Item, from)
-		w.wake()
-	}
 }
 
 // takeAccepts removes and returns the pending acceptances whose records
@@ -189,7 +209,7 @@ func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
 	var taken []acceptedVm
 	kept := s.accepts[:0]
 	for _, e := range s.accepts {
-		if e.rec.lsn <= upTo {
+		if e.lsn <= upTo {
 			taken = append(taken, e)
 		} else {
 			kept = append(kept, e)
@@ -206,16 +226,15 @@ func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
 // runs wherever that is learnt, holding no stripe: after every commit,
 // create and checkpoint force, at the return of every Vm handler and
 // redelivery (up to the log's DurableLSN, so a log without a queue
-// settles there at once — the zero-value acceptance's own force
-// included), and from the retransmission tick and Crash
+// settles there at once), and from the retransmission tick and Crash
 // (forceAccepts). Each one is counted, reported and made ackable; then
 // every peer owed an ack — for one of these, or for a duplicate in
 // owed — gets a single cumulative one, unless the site is going down.
 func (s *Site) settleAccepts(upTo uint64, owed acks) {
 	for _, e := range s.takeAccepts(upTo) {
-		wire.PutWriter(e.rec.w)
+		wire.PutWriter(e.w)
 		if e.hop != nil {
-			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.rec.lsn, e.amount, e.seq))
+			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.lsn, e.amount, e.seq))
 		}
 		s.reportRds(e.creditTS, e.item, e.amount)
 		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
@@ -251,7 +270,7 @@ func (s *Site) forceAccepts() {
 	var high uint64
 	s.acceptMu.Lock()
 	for _, e := range s.accepts {
-		high = max(high, e.rec.lsn)
+		high = max(high, e.lsn)
 	}
 	s.acceptMu.Unlock()
 	if high == 0 {
@@ -259,7 +278,7 @@ func (s *Site) forceAccepts() {
 	}
 	if err := s.cfg.Log.WaitDurable(high); err != nil {
 		for _, e := range s.takeAccepts(high) {
-			wire.PutWriter(e.rec.w)
+			wire.PutWriter(e.w)
 			e.hop.Finish("fail-stop")
 		}
 		s.failStop("accept-force", err)

@@ -146,11 +146,11 @@ func (s *Site) parkedCredits() int {
 // before it lets go of them — so Crash's sweep, which runs behind the
 // lifeMu fence, cannot miss it. The identity fields (id, ts, epoch,
 // needs, reads) are immutable after publication; the progress fields
-// (accepted, responded) are guarded by mu, which is only ever taken
-// while holding no other lock. The epoch tag lets Crash wake exactly
-// the waiters of the epoch it ends: a transaction parked across a
-// Crash/Restart boundary observes one SiteDown wake, and a stale sweep
-// never fails a waiter of a newer epoch.
+// (held, responded) are guarded by mu, which is only ever taken under
+// at most the stripe of the item a Vm is for. The epoch tag lets Crash
+// wake exactly the waiters of the epoch it ends: a transaction parked
+// across a Crash/Restart boundary observes one SiteDown wake, and a
+// stale sweep never fails a waiter of a newer epoch.
 type waiter struct {
 	id    ident.TxnID
 	ts    tstamp.TS
@@ -164,7 +164,11 @@ type waiter struct {
 	mu sync.Mutex
 	// responded tracks, per fully-read item, which peers have answered.
 	responded map[ident.ItemID]map[ident.SiteID]bool
-	accepted  int
+	// held are the credits of the Vm addressed to this transaction, in
+	// arrival order: counted by the adequacy and full-read checks, seen
+	// by nothing else — not the store, not the Vm channels, not a
+	// checkpoint — until an exit logs them (inbound_vm.go).
+	held []acceptedVm
 }
 
 // newWaiter builds a waiter for a transaction entering §5 step 3 in
@@ -190,23 +194,54 @@ func (w *waiter) wake() {
 	}
 }
 
-// noteAccept records one accepted Vm toward this waiter, marking the
-// responding peer for a full-read item.
-func (w *waiter) noteAccept(item ident.ItemID, from ident.SiteID) {
+// hold takes the credit e on this waiter, marking the responding peer
+// for a full-read item. It reports false, holding nothing, for a copy
+// of a Vm already held. Caller holds the stripe of e's item.
+func (w *waiter) hold(e acceptedVm) bool {
 	w.mu.Lock()
-	w.accepted++
-	if w.reads[item] {
-		w.responded[item][from] = true
+	defer w.mu.Unlock()
+	for _, h := range w.held {
+		if h.from == e.from && h.seq == e.seq {
+			return false
+		}
 	}
-	w.mu.Unlock()
+	w.held = append(w.held, e)
+	if w.reads[e.item] {
+		w.responded[e.item][e.from] = true
+	}
+	return true
 }
 
-// acceptedCount reads the accepted tally (a late Vm may still be
-// crediting concurrently; the count is a progress report, not a gate).
+// heldCredits returns the held credits; takeHeld also removes them. The
+// exit that logs them calls both under the stripes of every item they
+// are for, so nothing is held in between.
+func (w *waiter) heldCredits() []acceptedVm {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.held
+}
+
+func (w *waiter) takeHeld() []acceptedVm {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	held := w.held
+	w.held = nil
+	return held
+}
+
+// heldOn is what the held credits add to item's local quota.
+func (w *waiter) heldOn(item ident.ItemID) core.Value {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return creditOn(w.held, item)
+}
+
+// acceptedCount counts the Vm held so far (a late Vm may still be
+// arriving concurrently; the count is a progress report, not a gate).
 func (w *waiter) acceptedCount() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.accepted
+	return len(w.held)
 }
 
 // allResponded reports whether every listed peer has answered every
@@ -223,4 +258,15 @@ func (w *waiter) allResponded(peers []ident.SiteID) bool {
 		}
 	}
 	return true
+}
+
+// creditOn sums the credits in es that are for item.
+func creditOn(es []acceptedVm, item ident.ItemID) core.Value {
+	var v core.Value
+	for i := range es {
+		if es[i].item == item {
+			v += es[i].amount
+		}
+	}
+	return v
 }

@@ -19,10 +19,11 @@
 //     record — commit, Vm create, Vm accept, checkpoint — reaches the
 //     stable log: enqueued and applied under the stripe. A commit,
 //     create or checkpoint then asks for its force with waitForce after
-//     the stripe is released, and nothing leaves the site before it. A
-//     value-bearing acceptance asks for no force: it rides the next one
-//     somebody asks for, and whoever sees it stable settles it
-//     (inbound_vm.go).
+//     the stripe is released, and nothing leaves the site before it. An
+//     acceptance asks for no force: it rides the next one somebody asks
+//     for, and whoever sees it stable settles it (inbound_vm.go). A Vm
+//     the waiting transaction consumes is held on its waiter and
+//     accepted by that transaction's commit record.
 //   - item state (item.go): one itemState per item — no-wait lock
 //     holder, the holder's parked waiter, flow vector, demand cell,
 //     parked Vm — in one map per stripe, guarded by that stripe and
@@ -198,10 +199,11 @@ type Site struct {
 	// handler is mid-flight and the stable log is quiescent.
 	lifeMu sync.RWMutex
 
-	// accepts are the Vm acceptances credited at enqueue whose records
-	// nobody has yet seen stable, in the order they were made, and
-	// acceptMu guards them (inbound_vm.go). nAccepts mirrors their
-	// count so that a force with nothing to settle takes no lock.
+	// accepts are the Vm acceptances credited at enqueue — of their own
+	// acceptance record or of the commit record that consumed them —
+	// whose records nobody has yet seen stable, in the order they were
+	// made, and acceptMu guards them (inbound_vm.go). nAccepts mirrors
+	// their count so that a force with nothing to settle takes no lock.
 	acceptMu sync.Mutex
 	accepts  []acceptedVm
 	nAccepts atomic.Int32

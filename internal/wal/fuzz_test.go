@@ -10,6 +10,13 @@ import (
 // no panics, and accepted records re-encode losslessly.
 func FuzzDecodeRecords(f *testing.F) {
 	f.Add((&CommitRec{Txn: 42, Actions: []Action{{Item: "x", Delta: -1, SetTS: 42}}}).Encode())
+	// A shortfall commit that consumed two grants: its actions net them
+	// in, and its accepted list names them.
+	f.Add((&CommitRec{
+		Txn:      42,
+		Actions:  []Action{{Item: "x", Delta: 1}},
+		Accepted: []VmRef{{From: 2, Seq: 9}, {From: 3, Seq: 4}},
+	}).Encode())
 	f.Add((&VmCreateRec{
 		Actions: []Action{{Item: "x", Delta: -5}},
 		Msgs:    []VmOut{{To: 2, Seq: 1, Item: "x", Amount: 5}},

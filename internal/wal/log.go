@@ -33,8 +33,9 @@ const (
 	// RecVmAccept is the receiver-side record completing a Vm's
 	// lifespan: `[database-actions]` crediting the received value.
 	RecVmAccept
-	// RecCommit is the §5 step-5 record `[database-actions]`; its
-	// stability is the commit point of a transaction.
+	// RecCommit is the §5 step-5 record `[database-actions, accepted
+	// Vm]`; its stability is the commit point of a transaction and the
+	// acceptance of every Vm the transaction consumed.
 	RecCommit
 	// RecApplied is the §5 step-6 record noting the database changes
 	// have been carried out. Nothing writes it any more: the store's

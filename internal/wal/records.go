@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 
 	"dvp/internal/core"
@@ -33,9 +34,13 @@ func encodeActions(w *wire.Writer, as []Action) {
 	}
 }
 
+// maxCount bounds the count of actions, Vm and channels in one record.
+// A count above it is a decode error, never an empty section.
+const maxCount = 1 << 16
+
 func decodeActions(r *wire.Reader) []Action {
-	n := r.U64()
-	if r.Err() != nil || n == 0 || n > 1<<16 {
+	n := r.Count(maxCount)
+	if n == 0 {
 		return nil
 	}
 	as := make([]Action, 0, n)
@@ -70,40 +75,70 @@ type VmOut struct {
 	Trace wire.TraceCtx
 }
 
-func encodeVmOuts(w *wire.Writer, vs []VmOut) {
-	w.U64(uint64(len(vs)))
+// encodeVmOuts appends vs: their count shifted left one bit, then each
+// Vm. The low bit is set when every Vm's item is implied — it is the
+// one item the carrying create record's action is for — and then no Vm
+// spells its item out. implied is "" where nothing implies an item (a
+// checkpoint's pending list).
+func encodeVmOuts(w *wire.Writer, vs []VmOut, implied ident.ItemID) {
+	omit := implied != "" && len(vs) > 0
+	for _, v := range vs {
+		omit = omit && v.Item == implied
+	}
+	head := uint64(len(vs)) << 1
+	if omit {
+		head |= 1
+	}
+	w.U64(head)
 	for _, v := range vs {
 		w.U16(uint16(v.To))
 		w.U64(v.Seq)
-		w.String(string(v.Item))
+		if !omit {
+			w.String(string(v.Item))
+		}
 		w.I64(int64(v.Amount))
 		w.U64(uint64(v.ReqTxn))
 		wire.EncodeFlowVec(w, v.FlowVec)
 	}
 }
 
-func decodeVmOuts(r *wire.Reader) []VmOut {
-	n := r.U64()
-	if r.Err() != nil || n == 0 || n > 1<<16 {
+func decodeVmOuts(r *wire.Reader, implied ident.ItemID) []VmOut {
+	head := r.Count(maxCount<<1 | 1)
+	omit := head&1 == 1
+	if omit && implied == "" {
+		r.Fail(errors.New("vm items left out with no item to imply"))
+	}
+	n := head >> 1
+	if n == 0 || r.Err() != nil {
 		return nil
 	}
 	vs := make([]VmOut, 0, n)
 	for i := uint64(0); i < n; i++ {
-		vs = append(vs, VmOut{
-			To:      ident.SiteID(r.U16()),
-			Seq:     r.U64(),
-			Item:    ident.ItemID(r.String()),
-			Amount:  core.Value(r.I64()),
-			ReqTxn:  tstamp.TS(r.U64()),
-			FlowVec: wire.DecodeFlowVec(r),
-		})
+		v := VmOut{To: ident.SiteID(r.U16()), Seq: r.U64(), Item: implied}
+		if !omit {
+			v.Item = ident.ItemID(r.String())
+		}
+		v.Amount = core.Value(r.I64())
+		v.ReqTxn = tstamp.TS(r.U64())
+		v.FlowVec = wire.DecodeFlowVec(r)
+		vs = append(vs, v)
 	}
 	return vs
 }
 
+// impliedItem is the item a create record's Vm may leave out: that of
+// its one action, if it has exactly one.
+func impliedItem(as []Action) ident.ItemID {
+	if len(as) != 1 {
+		return ""
+	}
+	return as[0].Item
+}
+
 // VmCreateRec is the paper's `[database-actions, message-sequence]`
 // record (§4.2): the atomic unit that deducts local quota and brings
-// the corresponding virtual messages into existence.
+// the corresponding virtual messages into existence. A create with one
+// action names its item once: Vm for that same item leave it out.
 type VmCreateRec struct {
 	Actions []Action
 	Msgs    []VmOut
@@ -120,14 +155,15 @@ func (rec *VmCreateRec) Encode() []byte {
 // so hot-path callers can reuse a pooled Writer.
 func (rec *VmCreateRec) EncodeTo(w *wire.Writer) {
 	encodeActions(w, rec.Actions)
-	encodeVmOuts(w, rec.Msgs)
+	encodeVmOuts(w, rec.Msgs, impliedItem(rec.Actions))
 }
 
 // DecodeVmCreate parses a RecVmCreate payload.
 func DecodeVmCreate(data []byte) (*VmCreateRec, error) {
 	r := wire.NewReader(data)
-	rec := &VmCreateRec{Actions: decodeActions(r), Msgs: decodeVmOuts(r)}
-	if err := r.Err(); err != nil {
+	rec := &VmCreateRec{Actions: decodeActions(r)}
+	rec.Msgs = decodeVmOuts(r, impliedItem(rec.Actions))
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: vm-create: %w", err)
 	}
 	return rec, nil
@@ -135,7 +171,10 @@ func DecodeVmCreate(data []byte) (*VmCreateRec, error) {
 
 // VmAcceptRec completes a Vm's lifespan at the receiver (§4.2): the
 // `[database-actions]` record crediting the carried value, tagged with
-// the channel position so recovery can rebuild the dedup cursor.
+// the channel position so recovery can rebuild the dedup cursor. A Vm
+// consumed by the transaction it answers is accepted by that
+// transaction's CommitRec instead; this record is for a Vm accepted
+// into a free item, or held by a transaction that then timed out.
 type VmAcceptRec struct {
 	From    ident.SiteID
 	Seq     uint64
@@ -164,17 +203,37 @@ func DecodeVmAccept(data []byte) (*VmAcceptRec, error) {
 		Seq:     r.U64(),
 		Actions: decodeActions(r),
 	}
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: vm-accept: %w", err)
 	}
 	return rec, nil
 }
 
-// CommitRec is the §5 step-5 `[database-actions]` record whose
-// stability commits transaction Txn.
+// VmRef names one inbound Vm by its place on its channel: the sending
+// site and the Vm's sequence number on the sender→here channel.
+type VmRef struct {
+	From ident.SiteID
+	Seq  uint64
+}
+
+// CommitRec is the §5 step-5 record whose stability commits
+// transaction Txn: `[database-actions, accepted Vm]`. Actions are the
+// transaction's net changes — its own deltas plus the credits of the Vm
+// it consumed — and every one is stamped with Txn, so the encoding
+// states the stamp once: actions decode with SetTS = Txn, and whatever
+// SetTS they carried is not encoded (Txn 0, the initial placement's,
+// means no stamp). Accepted lists the Vm whose credits the actions
+// include: the record is their acceptance record too, and they are
+// accepted exactly when it is stable (§4.2).
+//
+// Layout: Txn, then the action count shifted left one bit with the low
+// bit set iff an accepted list follows, then that list — its count and
+// each (from, seq) — then each action as (item, delta). A commit that
+// accepted nothing pays no byte for the list.
 type CommitRec struct {
-	Txn     tstamp.TS
-	Actions []Action
+	Txn      tstamp.TS
+	Actions  []Action
+	Accepted []VmRef
 }
 
 // Encode serializes the record payload.
@@ -187,17 +246,79 @@ func (rec *CommitRec) Encode() []byte {
 // EncodeTo appends the record payload to w (byte-identical to Encode).
 func (rec *CommitRec) EncodeTo(w *wire.Writer) {
 	w.U64(uint64(rec.Txn))
-	encodeActions(w, rec.Actions)
+	head := uint64(len(rec.Actions)) << 1
+	if len(rec.Accepted) > 0 {
+		head |= 1
+	}
+	w.U64(head)
+	if len(rec.Accepted) > 0 {
+		w.U64(uint64(len(rec.Accepted)))
+		for _, v := range rec.Accepted {
+			w.U16(uint16(v.From))
+			w.U64(v.Seq)
+		}
+	}
+	for _, a := range rec.Actions {
+		w.String(string(a.Item))
+		w.I64(int64(a.Delta))
+	}
+}
+
+// decodeCommitHead reads a commit up to its actions: the Txn, the
+// action count and the accepted list.
+func decodeCommitHead(r *wire.Reader) (txn tstamp.TS, actions uint64, accepted []VmRef) {
+	txn = tstamp.TS(r.U64())
+	head := r.Count(maxCount<<1 | 1)
+	if head&1 == 1 {
+		n := r.Count(maxCount)
+		accepted = make([]VmRef, 0, n)
+		for i := uint64(0); i < n; i++ {
+			accepted = append(accepted, VmRef{From: ident.SiteID(r.U16()), Seq: r.U64()})
+		}
+	}
+	return txn, head >> 1, accepted
 }
 
 // DecodeCommit parses a RecCommit payload.
 func DecodeCommit(data []byte) (*CommitRec, error) {
 	r := wire.NewReader(data)
-	rec := &CommitRec{Txn: tstamp.TS(r.U64()), Actions: decodeActions(r)}
-	if err := r.Err(); err != nil {
+	rec := &CommitRec{}
+	var n uint64
+	rec.Txn, n, rec.Accepted = decodeCommitHead(r)
+	if n > 0 {
+		rec.Actions = make([]Action, 0, n)
+		for i := uint64(0); i < n; i++ {
+			rec.Actions = append(rec.Actions, Action{
+				Item:  ident.ItemID(r.String()),
+				Delta: core.Value(r.I64()),
+				SetTS: rec.Txn,
+			})
+		}
+	}
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: commit: %w", err)
 	}
 	return rec, nil
+}
+
+// Accepted returns the Vm whose acceptance r logs: the one a RecVmAccept
+// names, the list a RecCommit carries, none for any other kind. Redo and
+// every audit of what a log has accepted read acceptances through it.
+// It reads no further than they go — both records state them first —
+// and leaves checking the rest to the record's decoder.
+func Accepted(r Record) ([]VmRef, error) {
+	rd := wire.NewReader(r.Data)
+	var refs []VmRef
+	switch r.Kind {
+	case RecVmAccept:
+		refs = []VmRef{{From: ident.SiteID(rd.U16()), Seq: rd.U64()}}
+	case RecCommit:
+		_, _, refs = decodeCommitHead(rd)
+	}
+	if err := rd.Err(); err != nil {
+		return nil, fmt.Errorf("wal: %v: %w", r.Kind, err)
+	}
+	return refs, nil
 }
 
 // AppliedRec is the §5 step-6 record: the changes logged at CommitLSN
@@ -223,7 +344,7 @@ func (rec *AppliedRec) EncodeTo(w *wire.Writer) {
 func DecodeApplied(data []byte) (*AppliedRec, error) {
 	r := wire.NewReader(data)
 	rec := &AppliedRec{CommitLSN: r.U64()}
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: applied: %w", err)
 	}
 	return rec, nil
@@ -282,7 +403,7 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 		w.U16(uint16(ch.Peer))
 		w.U64(ch.OutSeq)
 		w.U64(ch.CumAck)
-		encodeVmOuts(w, ch.Pending)
+		encodeVmOuts(w, ch.Pending, "")
 		w.U64(ch.InLow)
 		w.U64(uint64(len(ch.InAbove)))
 		for _, s := range ch.InAbove {
@@ -296,40 +417,34 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 	r := wire.NewReader(data)
 	rec := &CheckpointRec{}
-	n := r.U64()
-	if r.Err() == nil && n <= 1<<20 {
-		rec.Items = make([]CheckpointItem, 0, n)
-		for i := uint64(0); i < n; i++ {
-			rec.Items = append(rec.Items, CheckpointItem{
-				Item:       ident.ItemID(r.String()),
-				Value:      core.Value(r.I64()),
-				TS:         tstamp.TS(r.U64()),
-				AppliedLSN: r.U64(),
-			})
-		}
+	n := r.Count(1 << 20)
+	rec.Items = make([]CheckpointItem, 0, n)
+	for i := uint64(0); i < n; i++ {
+		rec.Items = append(rec.Items, CheckpointItem{
+			Item:       ident.ItemID(r.String()),
+			Value:      core.Value(r.I64()),
+			TS:         tstamp.TS(r.U64()),
+			AppliedLSN: r.U64(),
+		})
 	}
-	m := r.U64()
-	if r.Err() == nil && m <= 1<<16 {
-		rec.Channels = make([]VmChannelState, 0, m)
-		for i := uint64(0); i < m; i++ {
-			ch := VmChannelState{
-				Peer:    ident.SiteID(r.U16()),
-				OutSeq:  r.U64(),
-				CumAck:  r.U64(),
-				Pending: decodeVmOuts(r),
-				InLow:   r.U64(),
-			}
-			k := r.U64()
-			if r.Err() == nil && k <= 1<<20 {
-				for j := uint64(0); j < k; j++ {
-					ch.InAbove = append(ch.InAbove, r.U64())
-				}
-			}
-			rec.Channels = append(rec.Channels, ch)
+	m := r.Count(maxCount)
+	rec.Channels = make([]VmChannelState, 0, m)
+	for i := uint64(0); i < m; i++ {
+		ch := VmChannelState{
+			Peer:    ident.SiteID(r.U16()),
+			OutSeq:  r.U64(),
+			CumAck:  r.U64(),
+			Pending: decodeVmOuts(r, ""),
+			InLow:   r.U64(),
 		}
+		k := r.Count(1 << 20)
+		for j := uint64(0); j < k; j++ {
+			ch.InAbove = append(ch.InAbove, r.U64())
+		}
+		rec.Channels = append(rec.Channels, ch)
 	}
 	rec.Clock = r.U64()
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	return rec, nil
@@ -359,7 +474,7 @@ func DecodePrepare(data []byte) (*PrepareRec, error) {
 		Coord:  ident.SiteID(r.U16()),
 		Writes: decodeActions(r),
 	}
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: prepare: %w", err)
 	}
 	return rec, nil
@@ -383,7 +498,7 @@ func (rec *DecisionRec) Encode() []byte {
 func DecodeDecision(data []byte) (*DecisionRec, error) {
 	r := wire.NewReader(data)
 	rec := &DecisionRec{Txn: tstamp.TS(r.U64()), Commit: r.Bool()}
-	if err := r.Err(); err != nil {
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: decision: %w", err)
 	}
 	return rec, nil

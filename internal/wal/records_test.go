@@ -8,6 +8,7 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/tstamp"
+	"dvp/internal/wire"
 )
 
 func TestVmCreateRoundTrip(t *testing.T) {
@@ -60,6 +61,7 @@ func TestCommitRoundTrip(t *testing.T) {
 			{Item: "a", Delta: -3, SetTS: tstamp.Make(12, 1)},
 			{Item: "b", Delta: 3, SetTS: tstamp.Make(12, 1)},
 		},
+		Accepted: []VmRef{{From: 2, Seq: 40}, {From: 3, Seq: 1 << 40}},
 	}
 	got, err := DecodeCommit(rec.Encode())
 	if err != nil {
@@ -182,15 +184,173 @@ func TestDecodersNeverPanicOnGarbage(t *testing.T) {
 }
 
 func TestCommitRoundTripProperty(t *testing.T) {
-	f := func(txn uint64, item string, delta int32, ts uint64) bool {
+	f := func(txn uint64, item string, delta int32, from uint16, seqs []uint64) bool {
 		rec := &CommitRec{
 			Txn:     tstamp.TS(txn),
-			Actions: []Action{{Item: ident.ItemID(item), Delta: core.Value(delta), SetTS: tstamp.TS(ts)}},
+			Actions: []Action{{Item: ident.ItemID(item), Delta: core.Value(delta), SetTS: tstamp.TS(txn)}},
+		}
+		for _, seq := range seqs {
+			rec.Accepted = append(rec.Accepted, VmRef{From: ident.SiteID(from), Seq: seq})
 		}
 		got, err := DecodeCommit(rec.Encode())
 		return err == nil && reflect.DeepEqual(got, rec)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A commit states its timestamp once: every action decodes stamped with
+// Txn whatever stamp it was encoded with, and Txn 0 (an initial
+// placement) means no stamp. The accepted list costs a commit that has
+// none no byte at all, and one that has some the list and nothing more.
+func TestCommitNamesItsStampOnce(t *testing.T) {
+	ts := tstamp.Make(70000, 1)
+	acts := []Action{{Item: "it/17", Delta: -1, SetTS: ts}}
+	plain := (&CommitRec{Txn: ts, Actions: acts}).Encode()
+	unstamped := (&CommitRec{Txn: ts, Actions: []Action{{Item: "it/17", Delta: -1}}}).Encode()
+	if !reflect.DeepEqual(plain, unstamped) {
+		t.Errorf("an action's stamp is encoded: %x vs %x", plain, unstamped)
+	}
+	got, err := DecodeCommit(unstamped)
+	if err != nil || got.Actions[0].SetTS != ts {
+		t.Fatalf("decoded %+v, %v; want the action stamped %v", got, err, ts)
+	}
+	// Txn, a one-byte head, "it/17" with its length, a one-byte delta.
+	if want := len(encodeU64(uint64(ts))) + 1 + 6 + 1; len(plain) != want {
+		t.Errorf("plain commit is %d bytes, want %d", len(plain), want)
+	}
+	placement, err := DecodeCommit((&CommitRec{Actions: []Action{{Item: "a", Delta: 5}}}).Encode())
+	if err != nil || !placement.Actions[0].SetTS.IsZero() {
+		t.Errorf("Txn 0 decoded %+v, %v; want an unstamped action", placement, err)
+	}
+	folded := (&CommitRec{Txn: ts, Actions: acts, Accepted: []VmRef{{From: 2, Seq: 41}, {From: 3, Seq: 7}}}).Encode()
+	// The list's count, then 2 bytes of site and 1 of seq per Vm.
+	if extra := len(folded) - len(plain); extra != 1+2*3 {
+		t.Errorf("a list of two Vm costs %d bytes, want 7", extra)
+	}
+}
+
+// A create with one action names its item once: a Vm for that item
+// leaves it out and decodes with it, a Vm for another item spells it.
+func TestVmCreateNamesItsItemOnce(t *testing.T) {
+	rec := func(vmItem ident.ItemID) *VmCreateRec {
+		return &VmCreateRec{
+			Actions: []Action{{Item: "it/17", Delta: -1, SetTS: 9}},
+			Msgs:    []VmOut{{To: 2, Seq: 4, Item: vmItem, Amount: 1, ReqTxn: 9}},
+		}
+	}
+	same, other := rec("it/17").Encode(), rec("it/18").Encode()
+	if len(other)-len(same) != 6 {
+		t.Errorf("a Vm for the action's item saves %d bytes, want its 6", len(other)-len(same))
+	}
+	for _, r := range []*VmCreateRec{rec("it/17"), rec("it/18")} {
+		got, err := DecodeVmCreate(r.Encode())
+		if err != nil || !reflect.DeepEqual(got, r) {
+			t.Errorf("round trip: %+v, %v; want %+v", got, err, r)
+		}
+	}
+}
+
+func encodeU64(v uint64) []byte {
+	var w wire.Writer
+	w.U64(v)
+	return w.Bytes()
+}
+
+// The acceptance accessor names the one Vm an acceptance record
+// accepts, the list a commit carries, and nothing for any other kind.
+func TestAccepted(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rec  Record
+		want []VmRef
+	}{
+		{"vm-accept", Record{Kind: RecVmAccept, Data: (&VmAcceptRec{From: 2, Seq: 9, Actions: []Action{{Item: "x", Delta: 1}}}).Encode()},
+			[]VmRef{{From: 2, Seq: 9}}},
+		{"folding commit", Record{Kind: RecCommit, Data: (&CommitRec{Txn: 5, Accepted: []VmRef{{From: 2, Seq: 3}, {From: 4, Seq: 1}}}).Encode()},
+			[]VmRef{{From: 2, Seq: 3}, {From: 4, Seq: 1}}},
+		{"plain commit", Record{Kind: RecCommit, Data: (&CommitRec{Txn: 5, Actions: []Action{{Item: "x", Delta: 1}}}).Encode()}, nil},
+		{"vm-create", Record{Kind: RecVmCreate, Data: (&VmCreateRec{}).Encode()}, nil},
+	} {
+		got, err := Accepted(tc.rec)
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: Accepted = %v, %v; want %v", tc.name, got, err, tc.want)
+		}
+	}
+	if _, err := Accepted(Record{Kind: RecCommit, Data: []byte{0xFF}}); err == nil {
+		t.Error("Accepted read a list out of a commit that does not decode")
+	}
+}
+
+// Every decoder refuses a count above its bound and a payload with
+// bytes left over, instead of decoding a record that says less than
+// its bytes do.
+func TestDecodersRejectMalformed(t *testing.T) {
+	enc := func(fn func(w *wire.Writer)) []byte {
+		var w wire.Writer
+		fn(&w)
+		return w.Bytes()
+	}
+	trailing := func(valid []byte) []byte { return append(append([]byte(nil), valid...), 1, 2, 3) }
+	decoders := map[string]func([]byte) error{
+		"vm-create":  func(b []byte) error { _, err := DecodeVmCreate(b); return err },
+		"vm-accept":  func(b []byte) error { _, err := DecodeVmAccept(b); return err },
+		"commit":     func(b []byte) error { _, err := DecodeCommit(b); return err },
+		"applied":    func(b []byte) error { _, err := DecodeApplied(b); return err },
+		"checkpoint": func(b []byte) error { _, err := DecodeCheckpoint(b); return err },
+		"prepare":    func(b []byte) error { _, err := DecodePrepare(b); return err },
+		"decision":   func(b []byte) error { _, err := DecodeDecision(b); return err },
+	}
+	const over = 70000
+	cases := []struct {
+		kind, name string
+		data       []byte
+	}{
+		{"vm-create", "actions over bound", enc(func(w *wire.Writer) { w.U64(over) })},
+		{"vm-create", "vm over bound", enc(func(w *wire.Writer) { w.U64(0); w.U64(over) })},
+		{"vm-create", "trailing", trailing((&VmCreateRec{Actions: []Action{{Item: "x", Delta: -1}}}).Encode())},
+		{"vm-create", "item implied by no action", enc(func(w *wire.Writer) {
+			w.U64(0)
+			w.U64(1<<1 | 1)
+			w.U16(2)
+			w.U64(1)
+			w.I64(1)
+			w.U64(0)
+			w.U64(0)
+		})},
+		{"vm-accept", "actions over bound", enc(func(w *wire.Writer) { w.U16(2); w.U64(1); w.U64(over) })},
+		{"vm-accept", "trailing", trailing((&VmAcceptRec{From: 2, Seq: 1}).Encode())},
+		{"commit", "actions over bound", enc(func(w *wire.Writer) { w.U64(9); w.U64(over << 1) })},
+		{"commit", "accepted over bound", enc(func(w *wire.Writer) { w.U64(9); w.U64(1); w.U64(over) })},
+		{"commit", "trailing", trailing((&CommitRec{Txn: 9, Actions: []Action{{Item: "x", Delta: 1}}}).Encode())},
+		{"applied", "trailing", trailing((&AppliedRec{CommitLSN: 4}).Encode())},
+		{"checkpoint", "items over bound", enc(func(w *wire.Writer) { w.U64(1<<20 + 1) })},
+		{"checkpoint", "channels over bound", enc(func(w *wire.Writer) { w.U64(0); w.U64(over) })},
+		{"checkpoint", "pending over bound", enc(func(w *wire.Writer) {
+			w.U64(0)
+			w.U64(1)
+			w.U16(2)
+			w.U64(0)
+			w.U64(0)
+			w.U64(over)
+		})},
+		{"checkpoint", "trailing", trailing((&CheckpointRec{Clock: 3}).Encode())},
+		{"checkpoint", "pending item implied", enc(func(w *wire.Writer) {
+			w.U64(0)
+			w.U64(1)
+			w.U16(2)
+			w.U64(0)
+			w.U64(0)
+			w.U64(1<<1 | 1)
+		})},
+		{"prepare", "writes over bound", enc(func(w *wire.Writer) { w.U64(9); w.U16(1); w.U64(over) })},
+		{"prepare", "trailing", trailing((&PrepareRec{Txn: 9, Coord: 1}).Encode())},
+		{"decision", "trailing", trailing((&DecisionRec{Txn: 9, Commit: true}).Encode())},
+	}
+	for _, c := range cases {
+		if err := decoders[c.kind](c.data); err == nil {
+			t.Errorf("%s, %s: decoded without error", c.kind, c.name)
+		}
 	}
 }

@@ -112,7 +112,10 @@ func (r *Reader) Err() error { return r.err }
 // Remaining returns the number of unconsumed bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 
-func (r *Reader) fail(err error) {
+// Fail records err as the decode error, unless one is recorded already:
+// the sticky error every read sets, and a decoder's own when it finds
+// its input well-formed byte by byte but inconsistent as a whole.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err = err
 	}
@@ -124,7 +127,7 @@ func (r *Reader) U8() uint8 {
 		return 0
 	}
 	if r.off >= len(r.buf) {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return 0
 	}
 	v := r.buf[r.off]
@@ -138,7 +141,7 @@ func (r *Reader) U16() uint16 {
 		return 0
 	}
 	if r.off+2 > len(r.buf) {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return 0
 	}
 	v := binary.BigEndian.Uint16(r.buf[r.off:])
@@ -152,7 +155,7 @@ func (r *Reader) U32() uint32 {
 		return 0
 	}
 	if r.off+4 > len(r.buf) {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return 0
 	}
 	v := binary.BigEndian.Uint32(r.buf[r.off:])
@@ -167,7 +170,7 @@ func (r *Reader) U64() uint64 {
 	}
 	v, n := binary.Uvarint(r.buf[r.off:])
 	if n <= 0 {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return 0
 	}
 	r.off += n
@@ -181,11 +184,32 @@ func (r *Reader) I64() int64 {
 	}
 	v, n := binary.Varint(r.buf[r.off:])
 	if n <= 0 {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return 0
 	}
 	r.off += n
 	return v
+}
+
+// Count reads a length prefix and fails the reader (ErrTooLong) if it
+// exceeds max, so that no decoder sizes an allocation from, or skips
+// past, a count it cannot honour.
+func (r *Reader) Count(max uint64) uint64 {
+	n := r.U64()
+	if r.err == nil && n > max {
+		r.Fail(fmt.Errorf("%w: count %d above %d", ErrTooLong, n, max))
+		return 0
+	}
+	return n
+}
+
+// Done returns the first decode error or, if there was none, an error
+// for any bytes left unconsumed: a payload decodes whole or not at all.
+func (r *Reader) Done() error {
+	if r.err == nil && r.off != len(r.buf) {
+		return fmt.Errorf("wire: %d trailing bytes", len(r.buf)-r.off)
+	}
+	return r.err
 }
 
 // Bool reads a boolean byte; any nonzero value is true.
@@ -198,11 +222,11 @@ func (r *Reader) String() string {
 		return ""
 	}
 	if n > maxStringLen {
-		r.fail(fmt.Errorf("%w: string of %d bytes", ErrTooLong, n))
+		r.Fail(fmt.Errorf("%w: string of %d bytes", ErrTooLong, n))
 		return ""
 	}
 	if r.off+int(n) > len(r.buf) {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return ""
 	}
 	s := string(r.buf[r.off : r.off+int(n)])
@@ -217,11 +241,11 @@ func (r *Reader) Bytes2() []byte {
 		return nil
 	}
 	if n > maxStringLen {
-		r.fail(fmt.Errorf("%w: blob of %d bytes", ErrTooLong, n))
+		r.Fail(fmt.Errorf("%w: blob of %d bytes", ErrTooLong, n))
 		return nil
 	}
 	if r.off+int(n) > len(r.buf) {
-		r.fail(ErrShort)
+		r.Fail(ErrShort)
 		return nil
 	}
 	b := make([]byte, n)

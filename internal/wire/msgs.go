@@ -233,8 +233,8 @@ func EncodeFlowVec(w *Writer, vec []FlowEntry) {
 
 // DecodeFlowVec parses a flow vector.
 func DecodeFlowVec(r *Reader) []FlowEntry {
-	n := r.U64()
-	if r.Err() != nil || n == 0 || n > 1<<16 {
+	n := r.Count(1 << 16)
+	if n == 0 {
 		return nil
 	}
 	out := make([]FlowEntry, 0, n)
@@ -269,9 +269,8 @@ func (m *VmBatch) Encode(w *Writer) {
 }
 
 func decodeVmBatch(r *Reader) *VmBatch {
-	n := r.U64()
-	if r.Err() != nil || n > maxVmBatch {
-		r.fail(ErrTooLong)
+	n := r.Count(maxVmBatch)
+	if r.Err() != nil {
 		return &VmBatch{}
 	}
 	out := make([]Vm, 0, n)
@@ -324,9 +323,8 @@ func (m *DemandAdvert) Encode(w *Writer) {
 }
 
 func decodeDemandAdvert(r *Reader) *DemandAdvert {
-	n := r.U64()
-	if r.Err() != nil || n > maxDemandEntries {
-		r.fail(ErrTooLong)
+	n := r.Count(maxDemandEntries)
+	if r.Err() != nil {
 		return &DemandAdvert{}
 	}
 	out := make([]DemandEntry, 0, n)
@@ -462,9 +460,8 @@ func encodeDeltas(w *Writer, ds []ItemDelta) {
 }
 
 func decodeDeltas(r *Reader) []ItemDelta {
-	n := r.U64()
-	if r.Err() != nil || n > maxStringLen {
-		r.fail(ErrTooLong)
+	n := r.Count(maxStringLen)
+	if r.Err() != nil {
 		return nil
 	}
 	ds := make([]ItemDelta, 0, n)
