@@ -70,8 +70,9 @@ echo "site-mutex gate: s.mu confined to lifecycle.go, $(echo $allowed_mutexes | 
 # trigger, the root package's even-share rebalancer, the ungrouped and
 # lingering site logs, the two-question resend rule and its site-side
 # cap, the optional trace tail, the record kind nobody wrote, the
-# waiter's accept tally and the test of a zero-value Vm forced under its
-# stripe) may not come back under their old names.
+# waiter's accept tally, the test of a zero-value Vm forced under its
+# stripe, and the file log's per-record frame header and locked second
+# scan loop) may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -98,7 +99,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 10
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -179,9 +180,10 @@ go test ./internal/wal -run='^$' -fuzz=FuzzFileLogRecovery -fuzztime=10s
 # item state, router, lifecycle),
 # the exactly-once channel (vmsg), the serializability machinery (cc),
 # the tracing/flight-recorder surface every failure dump depends on
-# (obs), the §7 restart path (recovery), and the peer-failure state
-# machine (tcpnet); their coverage must not regress below the level at
-# which the floors were recorded.
+# (obs), the §7 restart path (recovery), the stable log and its file
+# framing (wal), and the peer-failure state machine (tcpnet); their
+# coverage must not regress below the level at which the floors were
+# recorded.
 check_cover() {
 	pkg=$1
 	floor=$2
@@ -202,4 +204,5 @@ check_cover ./internal/vmsg 81
 check_cover ./internal/cc 97
 check_cover ./internal/obs 90
 check_cover ./internal/recovery 90
+check_cover ./internal/wal 91
 check_cover ./internal/tcpnet 85

@@ -102,8 +102,10 @@ func CaptureCorpus(seed int64, internalDir string) error {
 }
 
 // fileLogImages builds seed inputs for torn-tail recovery: a clean
-// file-log image containing real records, the same image with a torn
-// tail, and one with a flipped byte mid-file (CRC damage).
+// file-log image containing real records, its last three written as one
+// batch (one frame), then the same image with a torn tail, with a
+// flipped byte mid-file (CRC damage), and torn in the middle of that
+// batch.
 func fileLogImages(records []wal.Record) ([][]byte, error) {
 	dir, err := os.MkdirTemp("", "chaos-corpus-*")
 	if err != nil {
@@ -115,13 +117,26 @@ func fileLogImages(records []wal.Record) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, rec := range records {
+	defer l.Close()
+	split := max(len(records)-3, 0)
+	for _, rec := range records[:split] {
 		if _, err := l.Append(rec.Kind, rec.Data); err != nil {
-			l.Close()
 			return nil, err
 		}
 	}
-	l.Close()
+	fi, err := os.Stat(path)
+	if err != nil {
+		return nil, err
+	}
+	var batch []wal.BatchEntry
+	for _, rec := range records[split:] {
+		batch = append(batch, wal.BatchEntry{Kind: rec.Kind, Data: rec.Data})
+	}
+	if len(batch) > 0 {
+		if _, err := l.AppendBatch(batch); err != nil {
+			return nil, err
+		}
+	}
 	clean, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -133,6 +148,8 @@ func fileLogImages(records []wal.Record) ([][]byte, error) {
 		flipped := append([]byte(nil), clean...)
 		flipped[len(flipped)/2] ^= 0x40
 		images = append(images, flipped)
+		batchStart := int(fi.Size())
+		images = append(images, append([]byte(nil), clean[:batchStart+(len(clean)-batchStart)/2]...))
 	}
 	return images, nil
 }

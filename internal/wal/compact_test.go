@@ -103,6 +103,43 @@ func TestFileLogCompactSurvivesReopen(t *testing.T) {
 	}
 }
 
+// A compaction that keeps nothing leaves an empty frame stating the
+// next LSN, so a reopen neither rewinds LSNs below what the store has
+// applied nor reuses one.
+func TestFileLogCompactEverythingSurvivesReopen(t *testing.T) {
+	path := t.TempDir() + "/c.wal"
+	l, _ := OpenFileLog(path, FileLogOptions{})
+	for i := 0; i < 5; i++ {
+		l.Append(RecCommit, []byte{byte(i)})
+	}
+	if err := l.Compact(l.LastLSN()); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	l2, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.LastLSN() != 5 {
+		t.Fatalf("LastLSN after reopen = %d, want 5", l2.LastLSN())
+	}
+	if lsn, err := l2.Append(RecCommit, nil); err != nil || lsn != 6 {
+		t.Fatalf("append after reopen: lsn=%d err=%v, want 6", lsn, err)
+	}
+	l2.Close()
+	l3, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l3.Close()
+	var lsns []uint64
+	l3.Scan(1, func(r Record) error { lsns = append(lsns, r.LSN); return nil })
+	if len(lsns) != 1 || lsns[0] != 6 || l3.LastLSN() != 6 {
+		t.Errorf("second reopen: records %v, LastLSN %d; want [6], 6", lsns, l3.LastLSN())
+	}
+}
+
 func TestFileLogCompactThenCorruptTail(t *testing.T) {
 	path := t.TempDir() + "/c.wal"
 	l, _ := OpenFileLog(path, FileLogOptions{})

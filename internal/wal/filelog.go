@@ -1,11 +1,15 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math/bits"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,14 +18,17 @@ import (
 )
 
 // FileLog is an append-only file-backed stable log for real
-// deployments (cmd/dvpnode). Each record is framed as
+// deployments (cmd/dvpnode). The file is a 4-byte magic, then one frame
+// per AppendBatch, so the unit of framing is the unit of durability:
 //
-//	[u32 length][u32 crc32][u64 lsn][u8 kind][payload]
+//	frame = [uvarint n][u32 crc32c(body)][body]          n = len(body)
+//	body  = [uvarint firstLSN] ([u8 kind][uvarint len][payload])*
 //
-// where length covers lsn+kind+payload and crc32 (Castagnoli) covers
-// the same bytes. Open scans the file, verifies every frame, and
-// truncates a torn or corrupt tail — the standard contract of stable
-// storage built on a real disk.
+// Record i of a frame has LSN firstLSN+i, and a frame's firstLSN follows
+// the previous frame's last LSN; a frame with no records only states
+// the next LSN. Open truncates a torn or corrupt tail at a frame
+// boundary, so a torn batch is dropped whole, and refuses (without
+// touching it) a file that does not start with the magic.
 type FileLog struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -30,7 +37,7 @@ type FileLog struct {
 	size    int64
 	sync    bool
 	closed  bool
-	encBuf  []byte // reusable batch-encode scratch, guarded by mu
+	encBuf  []byte // reusable frame-encode scratch, guarded by mu
 
 	// Instrumentation (see Instrument); nil when not instrumented.
 	appendLat *metrics.Histogram
@@ -38,28 +45,29 @@ type FileLog struct {
 	recKind   map[RecordKind]*metrics.Counter
 }
 
-const fileHeaderLen = 4 + 4 + 8 + 1
+const fileMagic = "DVPw"
 
-// maxRetainedEncBuf bounds the batch-encode scratch kept across
-// appends; larger frames (checkpoints) are encoded into a one-shot
-// buffer instead of pinning the memory forever.
+// maxFrameBody bounds a frame's body for writer and reader alike:
+// AppendBatch refuses a larger batch, Open a larger length.
+const maxFrameBody = 1 << 24
+
+// maxRetainedEncBuf bounds the encode scratch kept across appends, so a
+// checkpoint's frame does not pin its memory forever.
 const maxRetainedEncBuf = 1 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // FileLogOptions configures OpenFileLog.
 type FileLogOptions struct {
-	// Sync forces an fsync after every append. Without it a crash of
-	// the host OS (not just the process) can lose the tail; the
-	// simulation's crash model only kills the process, so tests run
-	// with Sync off for speed. A site wraps the log in a GroupLog, so
-	// concurrent committers share one fsync per batch instead of
-	// paying one each — AppendBatch forces once for the whole group.
+	// Sync forces an fsync after every AppendBatch, which a GroupLog
+	// makes one per group. Without it a crash of the host OS (not just
+	// the process) can lose the tail; tests run without it for speed.
 	Sync bool
 }
 
 // OpenFileLog opens (creating if absent) the log at path, verifying
-// existing records and truncating any torn tail.
+// existing frames and truncating any torn tail. A file that is neither
+// a log nor the torn start of one is refused and not modified.
 func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
@@ -73,52 +81,103 @@ func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 	return l, nil
 }
 
-// recoverTail scans the file from the start, stopping at the first
-// invalid frame and truncating there.
+// recoverTail checks the magic, walks the frames and truncates the file
+// after the last valid one.
 func (l *FileLog) recoverTail() error {
-	var off int64
-	hdr := make([]byte, 8)
-	for {
-		n, err := l.f.ReadAt(hdr, off)
-		if err == io.EOF && n == 0 {
-			break
-		}
-		if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+	fi, err := l.f.Stat()
+	if err != nil {
+		return fmt.Errorf("wal: open %s: %w", l.path, err)
+	}
+	head := make([]byte, min(fi.Size(), int64(len(fileMagic))))
+	if _, err := l.f.ReadAt(head, 0); err != nil {
+		return fmt.Errorf("wal: open %s: %w", l.path, err)
+	}
+	if !bytes.HasPrefix([]byte(fileMagic), head) {
+		return fmt.Errorf("wal: %s is not a log file (no %q magic); refusing to open it", l.path, fileMagic)
+	}
+	end := int64(len(fileMagic))
+	if len(head) == len(fileMagic) {
+		if end, l.lastLSN, err = walkFrames(l.f, fi.Size(), func([]Record) error { return nil }); err != nil {
 			return fmt.Errorf("wal: scan %s: %w", l.path, err)
 		}
-		if n < 8 {
-			break // torn header
-		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		crc := binary.BigEndian.Uint32(hdr[4:8])
-		if length < 9 || length > 1<<24 {
-			break // corrupt length
-		}
-		body := make([]byte, length)
-		bn, _ := l.f.ReadAt(body, off+8)
-		if bn < int(length) {
-			break // torn body
-		}
-		if crc32.Checksum(body, crcTable) != crc {
-			break // corrupt body
-		}
-		lsn := binary.BigEndian.Uint64(body[0:8])
-		if l.lastLSN != 0 && lsn != l.lastLSN+1 {
-			break // LSN discontinuity: treat as corruption
-		}
-		// A compacted log legitimately starts at any LSN; only
-		// continuity after the first record is required.
-		l.lastLSN = lsn
-		off += 8 + int64(length)
+	} else if _, err := l.f.WriteAt([]byte(fileMagic), 0); err != nil { // new, or torn in its first write
+		return fmt.Errorf("wal: init %s: %w", l.path, err)
 	}
-	if err := l.f.Truncate(off); err != nil {
+	if err := l.f.Truncate(end); err != nil {
 		return fmt.Errorf("wal: truncate torn tail of %s: %w", l.path, err)
 	}
-	if _, err := l.f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	l.size = off
+	l.size = end
 	return nil
+}
+
+// appendFrame appends to buf the frame holding entries from LSN first
+// on. It refuses a body over maxFrameBody before growing buf.
+func appendFrame(buf []byte, first uint64, entries []BatchEntry) ([]byte, error) {
+	n := uvarintLen(first)
+	for _, e := range entries {
+		n += 1 + uvarintLen(uint64(len(e.Data))) + len(e.Data)
+	}
+	if n > maxFrameBody {
+		return buf, fmt.Errorf("wal: a batch of %d records needs a %d-byte frame, over the %d-byte bound", len(entries), n, maxFrameBody)
+	}
+	buf = slices.Grow(buf, binary.MaxVarintLen32+4+n)
+	buf = binary.AppendUvarint(buf, uint64(n))
+	crcOff := len(buf)
+	buf = binary.AppendUvarint(append(buf, 0, 0, 0, 0), first)
+	for _, e := range entries {
+		buf = binary.AppendUvarint(append(buf, byte(e.Kind)), uint64(len(e.Data)))
+		buf = append(buf, e.Data...)
+	}
+	binary.BigEndian.PutUint32(buf[crcOff:], crc32.Checksum(buf[crcOff+4:], crcTable))
+	return buf, nil
+}
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// walkFrames reads a log file's frames through one buffer and calls fn
+// with each frame's records, whose Data alias that buffer. It stops at
+// the end of the valid prefix — a frame that is torn, fails its
+// checksum, does not parse or does not follow the previous frame's
+// LSNs — and returns where it ends and its last LSN; err is I/O's or fn's.
+func walkFrames(f io.ReaderAt, size int64, fn func([]Record) error) (end int64, last uint64, err error) {
+	end = int64(len(fileMagic))
+	r := bufio.NewReaderSize(io.NewSectionReader(f, end, size-end), int(min(max(size-end, 16), 64<<10)))
+	var body []byte
+	var recs []Record
+	for {
+		hdr, err := r.Peek(int(min(binary.MaxVarintLen32+4, size-end)))
+		if err != nil && err != io.EOF {
+			return end, last, err
+		}
+		n, k := binary.Uvarint(hdr)
+		if k <= 0 || len(hdr) < k+4 || n > maxFrameBody || int64(n) > size-end-int64(k+4) {
+			return end, last, nil
+		}
+		crc := binary.BigEndian.Uint32(hdr[k:])
+		r.Discard(k + 4)
+		body = slices.Grow(body[:0], int(n))[:n]
+		if _, err := io.ReadFull(r, body); err != nil {
+			return end, last, err
+		}
+		first, p := binary.Uvarint(body)
+		if crc32.Checksum(body, crcTable) != crc || p <= 0 || first == 0 ||
+			(end > int64(len(fileMagic)) && first != last+1) {
+			return end, last, nil
+		}
+		for recs = recs[:0]; p < len(body); {
+			ln, m := binary.Uvarint(body[p+1:])
+			if m <= 0 || ln > uint64(len(body)-p-1-m) {
+				return end, last, nil
+			}
+			data := body[p+1+m : p+1+m+int(ln) : p+1+m+int(ln)]
+			recs = append(recs, Record{LSN: first + uint64(len(recs)), Kind: RecordKind(body[p]), Data: data})
+			p += 1 + m + int(ln)
+		}
+		if err := fn(recs); err != nil {
+			return end, last, err
+		}
+		end, last = end+int64(k+4)+int64(n), first+uint64(len(recs))-1
+	}
 }
 
 // Instrument registers this log's metrics with reg, under the given
@@ -153,9 +212,10 @@ func (l *FileLog) WaitDurable(uint64) error { return nil }
 // DurableLSN implements Log: every record is stable, so LastLSN.
 func (l *FileLog) DurableLSN() uint64 { return l.LastLSN() }
 
-// AppendBatch implements BatchAppender: the whole batch is framed into
-// one buffer, written with one WriteAt and made stable with one fsync —
-// the force-write amortization group commit is built on.
+// AppendBatch implements BatchAppender: the whole batch is one frame,
+// written with one WriteAt and made stable with one fsync — the
+// force-write amortization group commit is built on. A batch whose
+// frame would exceed the bound is refused whole; the log stays usable.
 func (l *FileLog) AppendBatch(entries []BatchEntry) (uint64, error) {
 	if len(entries) == 0 {
 		return 0, fmt.Errorf("wal: empty batch")
@@ -165,46 +225,20 @@ func (l *FileLog) AppendBatch(entries []BatchEntry) (uint64, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	var start time.Time
-	if l.appendLat != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	first := l.lastLSN + 1
-	total := 0
-	for _, e := range entries {
-		total += fileHeaderLen + len(e.Data)
+	buf, err := appendFrame(l.encBuf[:0], first, entries)
+	if err != nil {
+		return 0, err
 	}
-	// Frame the batch in place into the reusable encode buffer (guarded
-	// by l.mu): header placeholder, then body, then patch length+crc
-	// over the body subslice — no per-record intermediate allocation.
-	if cap(l.encBuf) < total {
-		l.encBuf = make([]byte, 0, total)
-	}
-	buf := l.encBuf[:0]
-	for i, e := range entries {
-		hdrOff := len(buf)
-		buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-		bodyOff := len(buf)
-		buf = binary.BigEndian.AppendUint64(buf, first+uint64(i))
-		buf = append(buf, byte(e.Kind))
-		buf = append(buf, e.Data...)
-		body := buf[bodyOff:]
-		binary.BigEndian.PutUint32(buf[hdrOff:hdrOff+4], uint32(len(body)))
-		binary.BigEndian.PutUint32(buf[hdrOff+4:hdrOff+8], crc32.Checksum(body, crcTable))
-	}
-	if cap(buf) <= maxRetainedEncBuf {
-		l.encBuf = buf[:0]
-	} else {
+	if l.encBuf = buf[:0]; cap(buf) > maxRetainedEncBuf {
 		l.encBuf = nil // don't pin a giant checkpoint frame
 	}
 	if _, err := l.f.WriteAt(buf, l.size); err != nil {
 		return 0, fmt.Errorf("wal: append to %s: %w", l.path, err)
 	}
 	if l.sync {
-		var syncStart time.Time
-		if l.fsyncLat != nil {
-			syncStart = time.Now()
-		}
+		syncStart := time.Now()
 		if err := l.f.Sync(); err != nil {
 			return 0, fmt.Errorf("wal: fsync %s: %w", l.path, err)
 		}
@@ -228,8 +262,8 @@ func (l *FileLog) AppendBatch(entries []BatchEntry) (uint64, error) {
 // Scan implements Log. It reads through a private read-only descriptor
 // opened under the lock, so a Compact racing the scan cannot swap the
 // file out from under it: rename leaves the old inode readable, and the
-// scan sees a consistent pre- or post-compaction image, never a torn
-// mix or a closed descriptor.
+// scan sees a consistent pre- or post-compaction image. Every frame is
+// read into one buffer, so a record's Data is valid until fn returns.
 func (l *FileLog) Scan(from uint64, fn func(Record) error) error {
 	l.mu.Lock()
 	if l.closed {
@@ -243,33 +277,28 @@ func (l *FileLog) Scan(from uint64, fn func(Record) error) error {
 		return fmt.Errorf("wal: scan %s: %w", l.path, err)
 	}
 	defer f.Close()
-	var off int64
-	hdr := make([]byte, 8)
-	for off < size {
-		if _, err := f.ReadAt(hdr, off); err != nil {
-			return fmt.Errorf("wal: scan %s: %w", l.path, err)
-		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		body := make([]byte, length)
-		if _, err := f.ReadAt(body, off+8); err != nil {
-			return fmt.Errorf("wal: scan %s: %w", l.path, err)
-		}
-		lsn := binary.BigEndian.Uint64(body[0:8])
-		if lsn >= from {
-			rec := Record{LSN: lsn, Kind: RecordKind(body[8]), Data: body[9:]}
-			if err := fn(rec); err != nil {
-				return err
+	end, _, err := walkFrames(f, size, func(recs []Record) error {
+		for _, r := range recs {
+			if r.LSN >= from {
+				if err := fn(r); err != nil {
+					return err
+				}
 			}
 		}
-		off += 8 + int64(length)
+		return nil
+	})
+	if err == nil && end != size {
+		err = fmt.Errorf("wal: scan %s: invalid frame at offset %d", l.path, end)
 	}
-	return nil
+	return err
 }
 
 // Compact implements Log: rewrite the file keeping only records with
-// LSN > upto. The rewrite goes through a temp file + rename so a crash
-// mid-compaction leaves either the old or the new log, never a torn
-// one.
+// LSN > upto, each frame's survivors as one frame (within the bound, as
+// a subset of a valid frame) or, if none survive, one empty frame that
+// states the next LSN. Callers keep their latest checkpoint, so the new
+// image is that and its suffix, built in memory; it replaces the file by
+// rename, so a crash mid-compaction leaves the old log or the new one.
 func (l *FileLog) Compact(upto uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -281,72 +310,42 @@ func (l *FileLog) Compact(upto uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact %s: %w", l.path, err)
 	}
-	var outOff int64
-	var lastKept uint64
-	err = l.scanLocked(upto+1, func(r Record) error {
-		body := make([]byte, 9+len(r.Data))
-		binary.BigEndian.PutUint64(body[0:8], r.LSN)
-		body[8] = byte(r.Kind)
-		copy(body[9:], r.Data)
-		frame := make([]byte, 8+len(body))
-		binary.BigEndian.PutUint32(frame[0:4], uint32(len(body)))
-		binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(body, crcTable))
-		copy(frame[8:], body)
-		if _, werr := out.WriteAt(frame, outOff); werr != nil {
-			return werr
+	img := []byte(fileMagic)
+	var kept []BatchEntry
+	end, _, err := walkFrames(l.f, l.size, func(recs []Record) error {
+		kept = kept[:0]
+		for _, r := range recs {
+			if r.LSN > upto {
+				kept = append(kept, BatchEntry{Kind: r.Kind, Data: r.Data})
+			}
 		}
-		outOff += int64(len(frame))
-		lastKept = r.LSN
+		if len(kept) > 0 {
+			img, _ = appendFrame(img, recs[len(recs)-len(kept)].LSN, kept)
+		}
 		return nil
 	})
+	if err == nil && end != l.size {
+		err = fmt.Errorf("invalid frame at offset %d", end)
+	}
+	if upto >= l.lastLSN { // nothing survives
+		img, _ = appendFrame(img, l.lastLSN+1, nil)
+	}
+	if err == nil {
+		_, err = out.Write(img)
+	}
+	if err == nil {
+		err = out.Sync()
+	}
+	if err == nil {
+		err = os.Rename(tmp, l.path)
+	}
 	if err != nil {
 		out.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: compact %s: %w", l.path, err)
 	}
-	if err := out.Sync(); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		out.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: compact rename: %w", err)
-	}
 	l.f.Close()
-	l.f = out
-	l.size = outOff
-	if lastKept > 0 {
-		l.lastLSN = lastKept
-	}
-	// If everything was dropped, lastLSN keeps its value so new
-	// appends continue the sequence.
-	return nil
-}
-
-// scanLocked is Scan with l.mu already held (Compact needs a stable
-// view while it rewrites).
-func (l *FileLog) scanLocked(from uint64, fn func(Record) error) error {
-	var off int64
-	hdr := make([]byte, 8)
-	for off < l.size {
-		if _, err := l.f.ReadAt(hdr, off); err != nil {
-			return err
-		}
-		length := binary.BigEndian.Uint32(hdr[0:4])
-		body := make([]byte, length)
-		if _, err := l.f.ReadAt(body, off+8); err != nil {
-			return err
-		}
-		lsn := binary.BigEndian.Uint64(body[0:8])
-		if lsn >= from {
-			if err := fn(Record{LSN: lsn, Kind: RecordKind(body[8]), Data: body[9:]}); err != nil {
-				return err
-			}
-		}
-		off += 8 + int64(length)
-	}
+	l.f, l.size = out, int64(len(img))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"os"
 	"testing"
 )
@@ -106,19 +107,162 @@ func TestFileLogEmptyFile(t *testing.T) {
 	}
 }
 
-func TestFileLogGarbageFile(t *testing.T) {
+// A file that does not start with the magic — the wrong path, or a log
+// in the per-record layout this one replaced — is refused and left
+// byte-identical; a prefix of the magic is a torn first write and opens
+// as an empty log.
+func TestFileLogRefusesForeignFile(t *testing.T) {
+	perRecord := []byte{0, 0, 0, 12, 0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 0, 0, 0, 0, 1, 3, 'x', 'y', 'z'}
+	for name, data := range map[string][]byte{
+		"text":       []byte("this is not a wal file at all"),
+		"per-record": perRecord,
+		"one byte":   {'x'},
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := t.TempDir() + "/wal.log"
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if l, err := OpenFileLog(path, FileLogOptions{}); err == nil {
+				l.Close()
+				t.Fatal("opened a file that is not a log")
+			}
+			if got, _ := os.ReadFile(path); !bytes.Equal(got, data) {
+				t.Errorf("refused file changed on disk: %q, was %q", got, data)
+			}
+		})
+	}
+	path := t.TempDir() + "/torn.log"
+	os.WriteFile(path, []byte(fileMagic[:2]), 0o644)
+	l, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatalf("torn first write: %v", err)
+	}
+	defer l.Close()
+	if lsn, err := l.Append(RecCommit, []byte("fresh")); err != nil || lsn != 1 {
+		t.Errorf("append after a torn first write: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// A batch is one frame: torn anywhere, it is dropped whole, and the
+// frames before it survive.
+func TestFileLogTornBatchDropsWholeBatch(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
-	os.WriteFile(path, []byte("this is not a wal file at all"), 0o644)
+	l, _ := OpenFileLog(path, FileLogOptions{})
+	l.Append(RecCommit, []byte("kept-1"))
+	l.Append(RecCommit, []byte("kept-2"))
+	if _, err := l.AppendBatch([]BatchEntry{
+		{Kind: RecCommit, Data: []byte("a")},
+		{Kind: RecVmCreate, Data: []byte("bb")},
+		{Kind: RecVmAccept, Data: []byte("ccc")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	truncateBy(t, path, 1)
+
+	l2, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.LastLSN() != 2 {
+		t.Fatalf("LastLSN = %d, want 2 (the torn batch of 3 dropped whole)", l2.LastLSN())
+	}
+	var payloads []string
+	l2.Scan(1, func(r Record) error { payloads = append(payloads, string(r.Data)); return nil })
+	if len(payloads) != 2 || payloads[0] != "kept-1" || payloads[1] != "kept-2" {
+		t.Errorf("payloads = %q", payloads)
+	}
+	if lsn, err := l2.Append(RecCommit, nil); err != nil || lsn != 3 {
+		t.Errorf("append after the torn batch: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// A frame whose first LSN does not follow the previous frame's last is
+// corruption: Open truncates there, however valid the frame is itself.
+func TestFileLogStopsAtLSNGap(t *testing.T) {
+	path := t.TempDir() + "/wal.log"
+	img, _ := appendFrame([]byte(fileMagic), 1, []BatchEntry{{Kind: RecCommit}, {Kind: RecCommit}})
+	good := len(img)
+	img, _ = appendFrame(img, 4, []BatchEntry{{Kind: RecCommit}})
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l, err := OpenFileLog(path, FileLogOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.LastLSN() != 0 {
-		t.Errorf("garbage file yielded LSN %d", l.LastLSN())
+	if fi, _ := os.Stat(path); l.LastLSN() != 2 || fi.Size() != int64(good) {
+		t.Errorf("LastLSN = %d, size %d; want 2, %d (the frame at LSN 4 cut off)", l.LastLSN(), fi.Size(), good)
 	}
-	if lsn, err := l.Append(RecCommit, []byte("fresh")); err != nil || lsn != 1 {
-		t.Errorf("append over garbage: lsn=%d err=%v", lsn, err)
+}
+
+// TestFileLogBytesPerBatch pins what framing costs on disk, at LSNs of
+// three varint bytes (2^14 to 2^21): a one-record batch costs its
+// payload + at most 10 B, and each further record in the same batch
+// 2 B more.
+func TestFileLogBytesPerBatch(t *testing.T) {
+	path := t.TempDir() + "/wal.log"
+	start, _ := appendFrame([]byte(fileMagic), 1<<20, nil) // an empty frame: next LSN 2^20
+	if err := os.WriteFile(path, start, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	size := func() int64 {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	payload := []byte("twelve bytes")
+	for _, k := range []int{1, 2, 5} {
+		entries := make([]BatchEntry, k)
+		for i := range entries {
+			entries[i] = BatchEntry{Kind: RecCommit, Data: payload}
+		}
+		before := size()
+		if first, err := l.AppendBatch(entries); err != nil || first < 1<<20 {
+			t.Fatalf("k=%d: first=%d err=%v", k, first, err)
+		}
+		framing := size() - before - int64(k*len(payload))
+		if k == 1 && framing > 10 {
+			t.Errorf("one record: %d B of framing, want ≤ 10", framing)
+		}
+		if framing > int64(8+2*k) {
+			t.Errorf("%d records in one batch: %d B of framing, want ≤ %d", k, framing, 8+2*k)
+		}
+	}
+}
+
+// Writer and reader share one frame bound: a batch over it is refused
+// whole, and the log keeps working and reopens intact.
+func TestFileLogRefusesOversizedBatch(t *testing.T) {
+	path := t.TempDir() + "/wal.log"
+	l, _ := OpenFileLog(path, FileLogOptions{})
+	l.Append(RecCommit, []byte("before"))
+	if _, err := l.Append(RecCheckpoint, make([]byte, maxFrameBody)); err == nil {
+		t.Error("a record over the frame bound was acknowledged")
+	}
+	if lsn, err := l.Append(RecCommit, []byte("after")); err != nil || lsn != 2 {
+		t.Fatalf("append after the refused batch: lsn=%d err=%v", lsn, err)
+	}
+	l.Close()
+	l2, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	var payloads []string
+	l2.Scan(1, func(r Record) error { payloads = append(payloads, string(r.Data)); return nil })
+	if l2.LastLSN() != 2 || len(payloads) != 2 || payloads[1] != "after" {
+		t.Errorf("after reopen: LastLSN=%d payloads=%q", l2.LastLSN(), payloads)
 	}
 }
 
@@ -134,7 +278,7 @@ func TestFileLogLargePayloads(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []byte
-	l.Scan(1, func(r Record) error { got = r.Data; return nil })
+	l.Scan(1, func(r Record) error { got = append([]byte(nil), r.Data...); return nil })
 	if len(got) != len(big) || got[12345] != big[12345] {
 		t.Error("large payload corrupted")
 	}

@@ -81,25 +81,54 @@ func FuzzDecodeRecords(f *testing.F) {
 }
 
 // FuzzFileLogRecovery writes arbitrary bytes as a log file and opens
-// it: torn-tail recovery must never panic or error, and the resulting
-// log must accept appends.
+// it twice. As given, the file is either refused and left unchanged on
+// disk (it neither starts with the magic nor is a torn start of it) or
+// opened. Behind the magic, so that the input is explored as frames,
+// torn-tail recovery must never fail. An opened log must accept appends
+// and reopen with them.
 func FuzzFileLogRecovery(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := t.TempDir() + "/f.wal"
-		if err := writeFile(path, data); err != nil {
+		dir := t.TempDir()
+		raw := dir + "/raw.wal"
+		if err := writeFile(raw, data); err != nil {
 			t.Skip()
 		}
-		l, err := OpenFileLog(path, FileLogOptions{})
+		if l, err := OpenFileLog(raw, FileLogOptions{}); err != nil {
+			if got, rerr := os.ReadFile(raw); rerr != nil || !bytes.Equal(got, data) {
+				t.Fatalf("refused file changed on disk (%v)", err)
+			}
+		} else {
+			appendAndReopen(t, l, raw)
+		}
+		framed := dir + "/framed.wal"
+		if err := writeFile(framed, append([]byte(fileMagic), data...)); err != nil {
+			t.Skip()
+		}
+		l, err := OpenFileLog(framed, FileLogOptions{})
 		if err != nil {
-			t.Fatalf("open over arbitrary bytes must recover, got %v", err)
+			t.Fatalf("open behind the magic must recover, got %v", err)
 		}
-		defer l.Close()
-		if _, err := l.Append(RecCommit, []byte("post")); err != nil {
-			t.Fatalf("append after recovery: %v", err)
-		}
+		appendAndReopen(t, l, framed)
 	})
+}
+
+func appendAndReopen(t *testing.T, l *FileLog, path string) {
+	t.Helper()
+	lsn, err := l.Append(RecCommit, []byte("post"))
+	if err != nil {
+		t.Fatalf("append after recovery: %v", err)
+	}
+	l.Close()
+	re, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	if re.LastLSN() != lsn {
+		t.Fatalf("reopen: LastLSN %d, want %d", re.LastLSN(), lsn)
+	}
 }
 
 func writeFile(path string, data []byte) error {

@@ -504,7 +504,7 @@ func TestFileLogAppendBatchFrames(t *testing.T) {
 			t.Errorf("record %d kind %v, want %v", i, kinds[i], want[i])
 		}
 	}
-	// A torn tail mid-batch is truncated at reopen like any tail.
+	// The batch is one frame: torn mid-batch, it is dropped whole.
 	raw, _ := os.ReadFile(path)
 	os.WriteFile(path, raw[:len(raw)-3], 0o644)
 	re2, err := OpenFileLog(path, FileLogOptions{})
@@ -512,8 +512,8 @@ func TestFileLogAppendBatchFrames(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re2.Close()
-	if re2.LastLSN() != 2 {
-		t.Errorf("after torn tail LastLSN = %d, want 2", re2.LastLSN())
+	if re2.LastLSN() != 0 {
+		t.Errorf("after torn tail LastLSN = %d, want 0", re2.LastLSN())
 	}
 }
 

@@ -8,9 +8,10 @@
 // Two devices are provided: MemLog, an in-memory stable log for
 // simulation (it survives simulated site crashes because crash only
 // discards volatile site state), and FileLog, a real append-only file
-// with CRC-protected framing and torn-tail recovery for the dvpnode
-// binary. A site's log is always a GroupLog over one device, so its
-// records are forced in groups, on demand, off the item's stripe.
+// for the dvpnode binary that writes each force as one CRC-protected
+// frame and drops a torn one whole at reopen. A site's log is always a
+// GroupLog over one device, so its records are forced in groups, on
+// demand, off the item's stripe.
 package wal
 
 import (
@@ -117,6 +118,7 @@ type Log interface {
 	Append(kind RecordKind, data []byte) (uint64, error)
 	// Scan calls fn for every record with LSN ≥ from, in LSN order.
 	// fn returning an error stops the scan and propagates the error.
+	// The record's Data is valid only until fn returns.
 	Scan(from uint64, fn func(Record) error) error
 	// LastLSN returns the LSN of the newest record (0 if empty).
 	LastLSN() uint64
