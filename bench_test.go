@@ -258,53 +258,6 @@ func BenchmarkMixedCommitParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalCommitParallelTracing measures the observability tax:
-// the same 8-committer grouped-commit workload with causal tracing and
-// the flight recorder fully on versus fully off. The traced/untraced
-// ratio is the acceptance number (≤ 1.05): spans are a handful of
-// allocations and atomic stores per transaction, invisible next to
-// the synced file log.
-func BenchmarkLocalCommitParallelTracing(b *testing.B) {
-	const committers = 8
-	run := func(b *testing.B, traceBuf, flightBuf int) {
-		c, err := dvp.NewCluster(dvp.Config{
-			Sites:      1,
-			Seed:       1,
-			FileLogDir: b.TempDir(),
-			TraceBuf:   traceBuf,
-			FlightBuf:  flightBuf,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		items := make([]string, committers)
-		for g := range items {
-			items[g] = fmt.Sprintf("bench/%d", g)
-			if err := c.CreateItem(items[g], dvp.Value(b.N)+1); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		var wg sync.WaitGroup
-		for g := 0; g < committers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := g; i < b.N; i += committers {
-					if res := c.At(1).Reserve(items[g], 1); !res.Committed() {
-						b.Errorf("parallel reserve aborted: %v", res.Status)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-	}
-	b.Run("untraced", func(b *testing.B) { run(b, -1, 0) })
-	b.Run("traced", func(b *testing.B) { run(b, 1024, 4096) })
-}
-
 // BenchmarkVmThroughput measures the Vm pipeline end to end: b.N
 // single-unit Rds transfers from site 1 to site 2 (log create → send →
 // accept → cumulative ack), timed until the receiver has accepted every

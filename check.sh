@@ -37,7 +37,7 @@ if [ -n "$mu_violations" ]; then
 	echo "$mu_violations" >&2
 	exit 1
 fi
-allowed_mutexes='site.go:stripes site.go:lifeMu site.go:acceptMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu obs.go:txnLatMu'
+allowed_mutexes='site.go:stripes site.go:lifeMu site.go:acceptMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu'
 for f in internal/site/*.go; do
 	case "$f" in *_test.go) continue ;; esac
 	if grep -q '^[[:space:]]*sync\.\(RW\)\{0,1\}Mutex' "$f"; then
@@ -60,6 +60,12 @@ if grep -n '"dvp/internal/lock"' internal/site/*.go | grep -v '_test\.go:'; then
 	exit 1
 fi
 echo "site-mutex gate: s.mu confined to lifecycle.go, $(echo $allowed_mutexes | wc -w) allow-listed mutexes, no lock table"
+# The Lamport clock is one atomic word: drawing a timestamp takes no
+# lock, so the clock package does not import sync.
+if grep -n '"sync"' internal/tstamp/*.go | grep -v '_test\.go:'; then
+	echo "site-mutex gate: internal/tstamp imports sync (the clock is one atomic word)" >&2
+	exit 1
+fi
 
 # Option gate. Every independently settable value doubles the
 # configurations tests and benchmarks must cover, so the option
@@ -71,8 +77,10 @@ echo "site-mutex gate: s.mu confined to lifecycle.go, $(echo $allowed_mutexes | 
 # lingering site logs, the two-question resend rule and its site-side
 # cap, the optional trace tail, the record kind nobody wrote, the
 # waiter's accept tally, the test of a zero-value Vm forced under its
-# stripe, and the file log's per-record frame header and locked second
-# scan loop) may not come back under their old names.
+# stripe, the file log's per-record frame header and locked second
+# scan loop, the per-label latency cache and its lock, the per-item
+# demand gauge, the trace-ring size and the tcpnet tuning knobs) may
+# not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -94,17 +102,17 @@ n_site=$(count_fields internal/site/site.go Config)
 n_rebal=$(count_fields internal/site/demand.go RebalanceConfig)
 n_tcp=$(count_fields internal/tcpnet/tcpnet.go Config)
 n_flags=$(grep -c '^[[:space:]]*fs\.[A-Za-z0-9]*Var(' cmd/dvpnode/main.go || true)
-check_options dvp.Config "$n_dvp" 19
+check_options dvp.Config "$n_dvp" 18
 check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
-check_options tcpnet.Config "$n_tcp" 10
+check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
 fi
-echo "option gate: dvp.Config $n_dvp/19, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/10, dvpnode flags $n_flags/14"
+echo "option gate: dvp.Config $n_dvp/18, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/5, dvpnode flags $n_flags/14"
 
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
@@ -129,9 +137,10 @@ go test -race -shuffle=on ./...
 # dropped by a crash, logged on a timeout, copies earning no ack) and
 # the per-op-kind count budget, the group log forcing on demand, and the
 # Vm resend schedule — vmsg's Due and a site pair driving it tick by
-# tick on virtual clocks — on one and two CPUs. CI runs this line
+# tick on virtual clocks — and the lock-free Lamport clock under mixed
+# draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashForcesPendingAccepts|TestVmCreditAtEnqueueAckAtDurability|TestZeroValueVmRidesTheCommit|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule' ./internal/site ./internal/wal ./internal/vmsg
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashForcesPendingAccepts|TestVmCreditAtEnqueueAckAtDurability|TestZeroValueVmRidesTheCommit|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500
@@ -140,8 +149,8 @@ go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChec
 go test -race -run 'TestDeadPeerDialRateBounded' -count=1 ./internal/tcpnet
 
 # Bench smoke: one iteration of the perf-bearing benchmarks, so the
-# synced-file group log, write-only, mixed, Vm, tracing-overhead and
-# recovery (full/* and checkpointed/* rows) benches stay runnable under
+# synced-file group log, write-only, mixed, Vm and recovery (full/*
+# and checkpointed/* rows) benches stay runnable under
 # `go test -bench` without paying full measurement time. -benchmem
 # keeps allocs/op visible wherever these run.
 go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWriteOnly|BenchmarkMixedCommitParallel|BenchmarkVmThroughput|BenchmarkRecover' -benchtime=1x -benchmem .

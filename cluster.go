@@ -41,14 +41,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Grant == nil {
 		cfg.Grant = GrantExact
 	}
-	traceBuf := cfg.TraceBuf
-	if traceBuf == 0 {
-		traceBuf = 1024
-	}
-	var traces *obs.Ring
-	if traceBuf > 0 {
-		traces = obs.NewRing(traceBuf)
-	}
 	var flight *obs.Flight
 	if cfg.FlightBuf > 0 {
 		flight = obs.NewFlight(cfg.FlightBuf)
@@ -56,7 +48,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		reg:    obs.NewRegistry(),
-		traces: traces,
+		traces: obs.NewRing(1024),
 		flight: flight,
 		net: simnet.New(simnet.Config{
 			Seed:            cfg.Seed,
@@ -336,9 +328,8 @@ func (c *Cluster) GroupLog(i int) *wal.GroupLog {
 // render them with Metrics().Render() or WritePrometheus.
 func (c *Cluster) Metrics() *obs.Registry { return c.reg }
 
-// Traces returns the cluster-wide transaction trace ring (most
-// recent transactions across all sites, in completion order). Nil
-// when Config.TraceBuf is negative.
+// Traces returns the cluster-wide transaction trace ring: the last
+// 1024 transactions across all sites, in completion order.
 func (c *Cluster) Traces() *obs.Ring { return c.traces }
 
 // Flight returns the cluster-wide flight recorder, or nil when

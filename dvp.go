@@ -149,10 +149,6 @@ type Config struct {
 	// happen only via Cluster.Checkpoint.
 	CheckpointEveryRecords int
 
-	// TraceBuf sizes the cluster-wide causal-trace ring (0 = default
-	// 1024 spans; negative disables tracing entirely — no root spans,
-	// no trace contexts on the wire).
-	TraceBuf int
 	// FlightBuf sizes the cluster-wide flight recorder, a bounded ring
 	// of structured events (lock conflicts, rebalancer decisions,
 	// group-commit flushes, demand adverts, crash/recovery edges) that

@@ -65,7 +65,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	finish := func(status txn.Status) *txn.Result {
 		res.Status = status
 		res.Latency = s.cfg.Clock.Now().Sub(start)
-		s.obsm.observeTxn(t.Label, status, res.Latency)
+		s.obsm.observeTxn(status, res.Latency)
 		tr.Finish(status.String())
 		return res
 	}

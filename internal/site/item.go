@@ -45,18 +45,15 @@ type itemState struct {
 }
 
 // itemAt returns item's state in the given stripe's map, creating it
-// on first touch (which also registers the item's demand gauge).
-// Entries are never removed — Crash clears them in place — so the
-// pointer stays valid for the site's lifetime; its fields may be read
-// or written only under the stripe, which the caller holds.
+// on first touch. Entries are never removed — Crash clears them in
+// place — so the pointer stays valid for the site's lifetime; its
+// fields may be read or written only under the stripe, which the
+// caller holds.
 func (s *Site) itemAt(stripe int, item ident.ItemID) *itemState {
 	st := s.items[stripe][item]
 	if st == nil {
 		st = &itemState{}
 		s.items[stripe][item] = st
-		s.obsm.reg.GaugeFunc("dvp_rebalance_demand",
-			func() float64 { return s.demandOf(item, s.cfg.Clock.Now()) },
-			"site", s.obsm.site, "item", string(item))
 	}
 	return st
 }

@@ -1,8 +1,6 @@
 package site
 
 import (
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"dvp/internal/ident"
@@ -30,17 +28,23 @@ type peerObs struct {
 	sendErrs *metrics.Counter
 }
 
-// siteObs bundles the site's resolved metric handles. With no registry
-// configured the handles are orphan (working but unregistered)
-// counters, so recording sites never branch.
+// siteObs bundles the site's metric handles, every one resolved at New:
+// recording never registers a series, so the series set is fixed by the
+// site and its peers — not by the items touched or the callers' labels.
+// With no registry configured the handles are orphan (working but
+// unregistered) counters, so recording sites never branch.
 type siteObs struct {
-	reg    *obs.Registry // nil disables dynamic per-label histograms
 	site   string
 	ring   *obs.Ring
 	flight *obs.Flight // nil disables flight recording
 
-	retx     *metrics.Counter
-	outcomes map[txn.Status]*metrics.Counter
+	retx *metrics.Counter
+	// outcomes and txnLat count each transaction decision and time it
+	// (dvp_site_txn_total, dvp_site_txn_seconds), indexed by txn.Status
+	// and keyed by site and outcome only: a transaction's label goes to
+	// its trace and flight events, never to a series.
+	outcomes [txn.StatusSiteDown + 1]*metrics.Counter
+	txnLat   [txn.StatusSiteDown + 1]*metrics.Histogram
 	peers    map[ident.SiteID]*peerObs
 	orphan   *peerObs // fallback for traffic from unconfigured peers
 
@@ -80,22 +84,6 @@ type siteObs struct {
 	// failStops counts the times the site stopped itself, by reason
 	// (dvp_site_failstop_total{reason=...}); see failStop.
 	failStops map[string]*metrics.Counter
-
-	// txnLat caches the per-(label, outcome) latency histograms so the
-	// commit path resolves dvp_site_txn_seconds through two map reads
-	// instead of a registry lookup (whose variadic labels allocate on
-	// every call). Keyed by label under an RWMutex — a sync.Map would
-	// box the string key on every Load, allocating on the hot path.
-	txnLatMu sync.RWMutex
-	txnLat   map[string]*txnLatSet
-}
-
-// txnLatSet holds one label's latency histograms indexed by outcome
-// status. Slots fill lazily with benign racing: the registry
-// deduplicates by name+labels, so concurrent resolvers store the same
-// handle.
-type txnLatSet struct {
-	byStatus [txn.StatusSiteDown + 1]atomic.Pointer[metrics.Histogram]
 }
 
 func newPeerObs(reg *obs.Registry, site, peer string) *peerObs {
@@ -114,57 +102,52 @@ func newPeerObs(reg *obs.Registry, site, peer string) *peerObs {
 // instruments the Vm manager. Called once from New.
 func (s *Site) initObs() {
 	o := &s.obsm
-	o.reg = s.cfg.Metrics
+	reg := s.cfg.Metrics
 	o.ring = s.cfg.Trace
 	o.flight = s.cfg.Flight
 	o.site = s.cfg.ID.String()
-	o.retx = o.reg.Counter("dvp_vmsg_retransmissions_total", "site", o.site)
+	o.retx = reg.Counter("dvp_vmsg_retransmissions_total", "site", o.site)
 	o.steps = make(map[string]*metrics.Histogram, 16)
 	for _, step := range []string{
 		"admit", "cc-check", "lock", "ask", "vm-accept", "wal-flush",
 		"apply", "rds-create", "vm-apply",
 	} {
-		o.steps[step] = o.reg.Histogram("dvp_step_seconds", "site", o.site, "step", step)
+		o.steps[step] = reg.Histogram("dvp_step_seconds", "site", o.site, "step", step)
 	}
 	// Parked foreign credits (the deferVm/ReqTxn gate): sampled at
 	// exposition time from the items' state, so crash-clearing needs
 	// no gauge bookkeeping.
-	o.reg.GaugeFunc("dvp_rebalance_parked_credits",
+	reg.GaugeFunc("dvp_rebalance_parked_credits",
 		func() float64 { return float64(s.parkedCredits()) }, "site", o.site)
-	o.outcomes = make(map[txn.Status]*metrics.Counter, 5)
-	for _, st := range []txn.Status{
-		txn.StatusCommitted, txn.StatusLockConflict, txn.StatusCCRejected,
-		txn.StatusTimeout, txn.StatusSiteDown,
-	} {
-		o.outcomes[st] = o.reg.Counter("dvp_site_txn_total",
-			"site", o.site, "outcome", st.String())
+	for st := txn.StatusCommitted; st <= txn.StatusSiteDown; st++ {
+		o.outcomes[st] = reg.Counter("dvp_site_txn_total", "site", o.site, "outcome", st.String())
+		o.txnLat[st] = reg.Histogram("dvp_site_txn_seconds", "site", o.site, "outcome", st.String())
 	}
-	o.advertsSent = o.reg.Counter("dvp_rebalance_adverts_sent_total", "site", o.site)
-	o.advertsRecv = o.reg.Counter("dvp_rebalance_adverts_recv_total", "site", o.site)
-	o.rebalTransfers = o.reg.Counter("dvp_rebalance_transfers_total", "site", o.site)
-	o.rebalMoved = o.reg.Counter("dvp_rebalance_value_moved_total", "site", o.site)
-	o.deficitAborts = o.reg.Counter("dvp_site_deficit_aborts_total", "site", o.site)
-	o.ckptTotal = o.reg.Counter("dvp_checkpoint_total", "site", o.site)
-	o.ckptBytes = o.reg.Counter("dvp_checkpoint_bytes", "site", o.site)
-	o.fastCommits = o.reg.Counter("dvp_fastpath_commits_total", "site", o.site)
-	o.fastFallbacks = o.reg.Counter("dvp_fastpath_fallback_total", "site", o.site)
+	o.advertsSent = reg.Counter("dvp_rebalance_adverts_sent_total", "site", o.site)
+	o.advertsRecv = reg.Counter("dvp_rebalance_adverts_recv_total", "site", o.site)
+	o.rebalTransfers = reg.Counter("dvp_rebalance_transfers_total", "site", o.site)
+	o.rebalMoved = reg.Counter("dvp_rebalance_value_moved_total", "site", o.site)
+	o.deficitAborts = reg.Counter("dvp_site_deficit_aborts_total", "site", o.site)
+	o.ckptTotal = reg.Counter("dvp_checkpoint_total", "site", o.site)
+	o.ckptBytes = reg.Counter("dvp_checkpoint_bytes", "site", o.site)
+	o.fastCommits = reg.Counter("dvp_fastpath_commits_total", "site", o.site)
+	o.fastFallbacks = reg.Counter("dvp_fastpath_fallback_total", "site", o.site)
 	o.failStops = make(map[string]*metrics.Counter, 8)
 	for _, reason := range []string{
 		"commit-force", "commit-apply", "create-force", "create-apply",
 		"accept-force", "accept-apply", "checkpoint-force", "endpoint-open",
 	} {
-		o.failStops[reason] = o.reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
+		o.failStops[reason] = reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
 	}
-	o.txnLat = make(map[string]*txnLatSet, 8)
-	o.recoverLat = o.reg.Histogram("dvp_recover_seconds", "site", o.site)
-	o.recoverRecords = o.reg.Counter("dvp_recover_records_replayed", "site", o.site)
+	o.recoverLat = reg.Histogram("dvp_recover_seconds", "site", o.site)
+	o.recoverRecords = reg.Counter("dvp_recover_records_replayed", "site", o.site)
 	o.peers = make(map[ident.SiteID]*peerObs, len(s.cfg.Peers))
 	for _, p := range s.peersExceptSelf() {
-		o.peers[p] = newPeerObs(o.reg, o.site, p.String())
+		o.peers[p] = newPeerObs(reg, o.site, p.String())
 	}
 	var nilReg *obs.Registry
 	o.orphan = newPeerObs(nilReg, "", "")
-	s.vm.Instrument(o.reg, o.site, s.peersExceptSelf())
+	s.vm.Instrument(reg, o.site, s.peersExceptSelf())
 }
 
 // forPeer returns the peer's counters, or inert orphans for a peer
@@ -177,51 +160,12 @@ func (o *siteObs) forPeer(p ident.SiteID) *peerObs {
 }
 
 // observeStep records one protocol-step segment duration into
-// dvp_step_seconds{step=...}. Known steps are pre-resolved; anything
-// else registers lazily (or is dropped with no registry).
-func (o *siteObs) observeStep(step string, d time.Duration) {
-	if h, ok := o.steps[step]; ok {
-		h.Record(d)
-		return
-	}
-	if o.reg != nil {
-		o.reg.Histogram("dvp_step_seconds", "site", o.site, "step", step).Record(d)
-	}
-}
+// dvp_step_seconds{step=...}; initObs resolves every step there is.
+func (o *siteObs) observeStep(step string, d time.Duration) { o.steps[step].Record(d) }
 
-// observeTxn records one transaction decision: the outcome counter and
-// the latency histogram partitioned by label and outcome. The
-// histogram handle is cached per (label, outcome) — the registry
-// lookup's variadic labels would otherwise allocate on every commit.
-func (o *siteObs) observeTxn(label string, status txn.Status, lat time.Duration) {
-	if c := o.outcomes[status]; c != nil {
-		c.Inc()
-	}
-	if o.reg == nil {
-		return
-	}
-	o.txnLatMu.RLock()
-	set := o.txnLat[label]
-	o.txnLatMu.RUnlock()
-	if set == nil {
-		o.txnLatMu.Lock()
-		if set = o.txnLat[label]; set == nil {
-			set = &txnLatSet{}
-			o.txnLat[label] = set
-		}
-		o.txnLatMu.Unlock()
-	}
-	idx := int(status)
-	if idx < 0 || idx >= len(set.byStatus) {
-		o.reg.Histogram("dvp_site_txn_seconds",
-			"site", o.site, "label", label, "outcome", status.String()).Record(lat)
-		return
-	}
-	h := set.byStatus[idx].Load()
-	if h == nil {
-		h = o.reg.Histogram("dvp_site_txn_seconds",
-			"site", o.site, "label", label, "outcome", status.String())
-		set.byStatus[idx].Store(h)
-	}
-	h.Record(lat)
+// observeTxn records one transaction decision: its outcome count and
+// its latency.
+func (o *siteObs) observeTxn(status txn.Status, lat time.Duration) {
+	o.outcomes[status].Inc()
+	o.txnLat[status].Record(lat)
 }

@@ -1,6 +1,9 @@
 package site
 
 import (
+	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -170,5 +173,56 @@ func TestMetricsRenderWhileLive(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %s", want)
 		}
+	}
+}
+
+// TestMetricsSeriesBounded pins the cardinality budget: the same
+// traffic over 4 items and 2 labels or over 256 items and 64 labels
+// leaves the same METRICS series set (names and labels, values and
+// histogram bucket bounds stripped). A series exists per site, peer,
+// outcome or step — never per item or per transaction label.
+func TestMetricsSeriesBounded(t *testing.T) {
+	le := regexp.MustCompile(`,?le="[^"]*"`)
+	series := func(items, labels int) []string {
+		tc, reg, _ := obsCluster(t, 2, simnet.Config{Seed: 11})
+		run := func(item ident.ItemID, m core.Value, label string) {
+			t.Helper()
+			res := tc.sites[0].Run(&txn.Txn{
+				Ops:   []txn.ItemOp{{Item: item, Op: core.Decr{M: m}}},
+				Ask:   txn.AskAll,
+				Label: label,
+			})
+			if !res.Committed() {
+				t.Fatalf("%s on %s: %v", label, item, res.Status)
+			}
+		}
+		for i := 0; i < items; i++ {
+			item := ident.ItemID(fmt.Sprintf("sku/%d", i))
+			tc.createItem(item, 20)
+			run(item, 1, fmt.Sprintf("label-%d", i%labels))
+		}
+		// One shortfall write: a request, a Vm and its acceptance.
+		run("sku/0", 15, "label-0")
+		tc.waitQuiescent("sku/0", 2*time.Second)
+		var keys []string
+		for _, line := range strings.Split(reg.Render(), "\n") {
+			if line == "" || strings.HasPrefix(line, "#") {
+				continue
+			}
+			keys = append(keys, le.ReplaceAllString(line[:strings.LastIndexByte(line, ' ')], ""))
+		}
+		slices.Sort(keys)
+		return slices.Compact(keys)
+	}
+	small, large := series(4, 2), series(256, 64)
+	if !slices.Equal(small, large) {
+		var extra []string
+		for _, k := range large {
+			if _, found := slices.BinarySearch(small, k); !found {
+				extra = append(extra, k)
+			}
+		}
+		t.Errorf("series grow with items or labels: %d series at 4 items / 2 labels, %d at 256 / 64; first extra: %v",
+			len(small), len(large), extra[:min(len(extra), 5)])
 	}
 }

@@ -47,22 +47,6 @@ type Config struct {
 	Listen string
 	// Peers maps every other site to its address.
 	Peers map[ident.SiteID]string
-	// DialTimeout bounds connection attempts (default 500ms).
-	DialTimeout time.Duration
-	// MaxFrame bounds accepted frame sizes (default 1 MiB).
-	MaxFrame uint32
-	// DialBackoffMin is the delay before the first redial after a
-	// failed dial or write (default 25ms). Consecutive failures double
-	// it up to DialBackoffMax, with ±50% jitter so peers redialing a
-	// recovered site don't arrive in lockstep.
-	DialBackoffMin time.Duration
-	// DialBackoffMax caps the redial backoff (default 2s).
-	DialBackoffMax time.Duration
-	// DownAfter is how many consecutive failures move a peer from
-	// suspect to down (default 3). A down peer's first successful dial
-	// runs a half-open probe — one frame, flushed alone — and only the
-	// probe's clean flush restores the peer to healthy.
-	DownAfter int
 	// Metrics, when set, registers per-peer traffic counters
 	// (dvp_net_{bytes,msgs}_{in,out}_total, dvp_net_dial_failures_total,
 	// dvp_net_flushes_total), the peer state gauge (dvp_net_peer_state:
@@ -75,6 +59,22 @@ type Config struct {
 	// into the flight recorder.
 	Flight *obs.Flight
 }
+
+// Connection limits. A dial attempt gives up after dialTimeout, and a
+// frame longer than maxFrame ends its connection. The first redial
+// after a failed dial or write waits dialBackoffMin; consecutive
+// failures double the wait up to dialBackoffMax, with ±50% jitter so
+// peers redialing a recovered site don't arrive in lockstep. downAfter
+// consecutive failures move a peer from suspect to down; a down peer's
+// first successful dial runs a half-open probe — one frame, flushed
+// alone — and only the probe's clean flush restores it to healthy.
+const (
+	dialTimeout    = 500 * time.Millisecond
+	maxFrame       = 1 << 20
+	dialBackoffMin = 25 * time.Millisecond
+	dialBackoffMax = 2 * time.Second
+	downAfter      = 3
+)
 
 // Peer connection states, exposed via the dvp_net_peer_state gauge and
 // PeerState.
@@ -273,21 +273,6 @@ type Endpoint struct {
 // New creates and opens an endpoint: it binds the listen address and
 // starts accepting peer connections.
 func New(cfg Config) (*Endpoint, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 500 * time.Millisecond
-	}
-	if cfg.MaxFrame == 0 {
-		cfg.MaxFrame = 1 << 20
-	}
-	if cfg.DialBackoffMin <= 0 {
-		cfg.DialBackoffMin = 25 * time.Millisecond
-	}
-	if cfg.DialBackoffMax <= 0 {
-		cfg.DialBackoffMax = 2 * time.Second
-	}
-	if cfg.DownAfter <= 0 {
-		cfg.DownAfter = 3
-	}
 	e := &Endpoint{
 		cfg:      cfg,
 		peerm:    make(map[ident.SiteID]*peerCounters, len(cfg.Peers)),
@@ -551,19 +536,19 @@ func (e *Endpoint) dropFrame(w *peerWriter, frame *wire.Writer, kind wire.Kind, 
 
 // noteFailure advances the peer state machine after a failed dial or a
 // write/flush error: consecutive failures escalate healthy → suspect →
-// down (at DownAfter) and stretch the redial backoff exponentially
-// with ±50% jitter, up to DialBackoffMax. Writer goroutine only.
+// down (at downAfter) and stretch the redial backoff exponentially
+// with ±50% jitter, up to dialBackoffMax. Writer goroutine only.
 func (e *Endpoint) noteFailure(w *peerWriter) {
 	w.failures++
 	prev := w.state.Load()
 	next := peerSuspect
-	if w.failures >= e.cfg.DownAfter {
+	if w.failures >= downAfter {
 		next = peerDown
 	}
 	w.state.Store(next)
-	backoff := e.cfg.DialBackoffMax
+	backoff := dialBackoffMax
 	if shift := w.failures - 1; shift < 20 {
-		if b := e.cfg.DialBackoffMin << shift; b < backoff {
+		if b := dialBackoffMin << shift; b < backoff {
 			backoff = b
 		}
 	}
@@ -625,7 +610,7 @@ func (e *Endpoint) writerLoop(w *peerWriter, stop <-chan struct{}) {
 				case <-t.C:
 				}
 			}
-			c, err := net.DialTimeout("tcp", w.addr, e.cfg.DialTimeout)
+			c, err := net.DialTimeout("tcp", w.addr, dialTimeout)
 			if err != nil {
 				if pc != nil {
 					pc.dialFailures.Inc()
@@ -758,7 +743,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr)
-		if n == 0 || n > e.cfg.MaxFrame {
+		if n == 0 || n > maxFrame {
 			return // corrupt or hostile peer
 		}
 		if cap(buf) < int(n) || cap(buf) > readBufRetain && int(n) <= readBufRetain {

@@ -438,11 +438,8 @@ func TestDeadPeerDialRateBounded(t *testing.T) {
 	reg := obs.NewRegistry()
 	e, err := New(Config{
 		Site: 1, Listen: "127.0.0.1:0",
-		Peers:          map[ident.SiteID]string{2: deadAddr},
-		Metrics:        reg,
-		DialBackoffMin: 10 * time.Millisecond,
-		DialBackoffMax: 80 * time.Millisecond,
-		DialTimeout:    100 * time.Millisecond,
+		Peers:   map[ident.SiteID]string{2: deadAddr},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -454,8 +451,9 @@ func TestDeadPeerDialRateBounded(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	dials := reg.CounterValue("dvp_net_dial_failures_total", "site", "s1", "peer", "s2")
-	// Jittered doubling from 10ms capped at 80ms: worst case ~16
-	// attempts in 500ms; 25 leaves room for scheduler noise.
+	// Jittered doubling from 25ms (half of it at the least) toward the
+	// 2s cap: at most ~7 attempts in 500ms; 25 leaves room for
+	// scheduler noise.
 	if dials < 1 || dials > 25 {
 		t.Errorf("backoff: %d dial attempts in 500ms toward a dead peer, want 1..25", dials)
 	}
@@ -463,9 +461,9 @@ func TestDeadPeerDialRateBounded(t *testing.T) {
 
 // TestDeadPeerGoesDownAndSheds drives the peer state machine to
 // "down" against a closed port and then checks the overflow policy
-// frame by frame: the writer parks holding one frame for the backoff
-// window, the queue fills, low-priority adverts are dropped (and
-// counted) on overflow, and a high-priority ack evicts the oldest
+// frame by frame: no dial succeeds, so the writer keeps holding the
+// one frame it popped while the queue fills, low-priority adverts are
+// dropped (and counted) on overflow, and a high-priority ack evicts the oldest
 // queued advert instead of being lost itself. Every drop must show up
 // in dvp_net_dropped_frames_total and (sampled) the flight recorder.
 func TestDeadPeerGoesDownAndSheds(t *testing.T) {
@@ -480,11 +478,9 @@ func TestDeadPeerGoesDownAndSheds(t *testing.T) {
 	flight := obs.NewFlight(128)
 	e, err := New(Config{
 		Site: 1, Listen: "127.0.0.1:0",
-		Peers:          map[ident.SiteID]string{2: deadAddr},
-		Metrics:        reg,
-		Flight:         flight,
-		DialBackoffMin: 5 * time.Second, // park the writer after one failed dial
-		DialTimeout:    100 * time.Millisecond,
+		Peers:   map[ident.SiteID]string{2: deadAddr},
+		Metrics: reg,
+		Flight:  flight,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -497,8 +493,8 @@ func TestDeadPeerGoesDownAndSheds(t *testing.T) {
 		}}
 	}
 
-	// First frame: the writer pops it, fails the dial, and parks for
-	// the 5s backoff window still holding it.
+	// First frame: the writer pops it, fails the dial, and keeps it
+	// through every backoff window after.
 	if err := e.Send(advert()); err != nil {
 		t.Fatal(err)
 	}
@@ -509,8 +505,8 @@ func TestDeadPeerGoesDownAndSheds(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if st := e.PeerState(2); st != "suspect" {
-		t.Errorf("after one failure peer state = %q, want suspect", st)
+	if st := e.PeerState(2); st != "suspect" && st != "down" {
+		t.Errorf("after a failed dial peer state = %q, want suspect or down", st)
 	}
 
 	// Fill the queue exactly, then overflow it with 5 more adverts.
@@ -565,11 +561,8 @@ func TestDeadPeerRecoversThroughProbe(t *testing.T) {
 	reg := obs.NewRegistry()
 	e1, err := New(Config{
 		Site: 1, Listen: "127.0.0.1:0",
-		Peers:          map[ident.SiteID]string{2: addr},
-		Metrics:        reg,
-		DialBackoffMin: 5 * time.Millisecond,
-		DialBackoffMax: 40 * time.Millisecond,
-		DialTimeout:    200 * time.Millisecond,
+		Peers:   map[ident.SiteID]string{2: addr},
+		Metrics: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

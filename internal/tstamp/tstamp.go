@@ -12,7 +12,7 @@ package tstamp
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"dvp/internal/ident"
 )
@@ -55,13 +55,13 @@ func (t TS) String() string {
 // the timestamp of a transaction "also serves as its identifier".
 func (t TS) Txn() ident.TxnID { return ident.TxnID(t) }
 
-// Clock is one site's Lamport clock. It is safe for concurrent use:
-// transactions draw timestamps while the message layer observes
+// Clock is one site's Lamport clock: one atomic word holding the last
+// drawn or observed counter, so drawing a timestamp takes no lock.
+// Transactions draw timestamps while the message layer observes
 // incoming ones.
 type Clock struct {
-	mu      sync.Mutex
 	site    ident.SiteID
-	counter uint64
+	counter atomic.Uint64
 }
 
 // NewClock returns a clock for the given site, starting at counter 0.
@@ -75,47 +75,30 @@ func (c *Clock) Site() ident.SiteID { return c.site }
 // Next draws a fresh timestamp strictly greater than every timestamp
 // previously drawn by or observed at this site.
 func (c *Clock) Next() TS {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counter++
-	return Make(c.counter, c.site)
+	return Make(c.counter.Add(1), c.site)
 }
 
 // Observe folds a remote timestamp into the clock (the Lamport
 // "receive" rule). After Observe(ts), Next() > ts. This is the §7
 // bump-up that heals a recovered site's outdated counter.
-func (c *Clock) Observe(ts TS) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if ctr := ts.Counter(); ctr > c.counter {
-		c.counter = ctr
-	}
-}
+func (c *Clock) Observe(ts TS) { c.Restore(ts.Counter()) }
 
 // Current returns the last drawn counter value (for introspection and
 // checkpointing; recovery restores it with Restore).
-func (c *Clock) Current() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.counter
-}
+func (c *Clock) Current() uint64 { return c.counter.Load() }
 
 // Reset rewinds the counter to zero — the volatile clock of a freshly
 // crashed site, before recovery re-learns durable timestamps via
 // Restore/Observe.
-func (c *Clock) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.counter = 0
-}
+func (c *Clock) Reset() { c.counter.Store(0) }
 
-// Restore sets the counter if the given value is larger; used when a
-// recovering site replays its log to re-learn the highest timestamp it
-// had drawn before the crash.
+// Restore raises the counter to the given value if it is larger (a
+// compare-and-swap max); used when a recovering site replays its log
+// to re-learn the highest timestamp it had drawn before the crash.
 func (c *Clock) Restore(counter uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if counter > c.counter {
-		c.counter = counter
+	for cur := c.counter.Load(); counter > cur; cur = c.counter.Load() {
+		if c.counter.CompareAndSwap(cur, counter) {
+			return
+		}
 	}
 }

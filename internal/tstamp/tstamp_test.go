@@ -1,6 +1,7 @@
 package tstamp
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -124,6 +125,54 @@ func TestClockConcurrentUniqueness(t *testing.T) {
 			out := make([]TS, per)
 			for i := range out {
 				out[i] = c.Next()
+			}
+			results[g] = out
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[TS]bool, goroutines*per)
+	for _, r := range results {
+		for _, ts := range r {
+			if seen[ts] {
+				t.Fatalf("duplicate timestamp %v drawn concurrently", ts)
+			}
+			seen[ts] = true
+		}
+	}
+}
+
+// TestClockConcurrent mixes Next, Observe and Restore across
+// goroutines: every drawn timestamp is distinct, and a Next drawn after
+// Observe(ts) or Restore(n) has returned lies above ts or n, however
+// the other goroutines' raises interleave.
+func TestClockConcurrent(t *testing.T) {
+	c := NewClock(3)
+	const goroutines, per = 8, 600
+	var wg sync.WaitGroup
+	results := make([][]TS, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(int64(g) + 1))
+			var out []TS
+			for i := 0; i < per; i++ {
+				var floor TS
+				switch i % 3 {
+				case 1:
+					floor = Make(c.Current()+uint64(r.Intn(8)), ident.SiteID(r.Intn(4)+1))
+					c.Observe(floor)
+				case 2:
+					n := c.Current() + uint64(r.Intn(8))
+					c.Restore(n)
+					floor = Make(n, siteMask)
+				}
+				ts := c.Next()
+				if ts <= floor {
+					t.Errorf("Next() = %v after raising the clock to %v", ts, floor)
+					return
+				}
+				out = append(out, ts)
 			}
 			results[g] = out
 		}(g)

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -314,5 +316,85 @@ func TestCompactConcurrentWithGroupFlush(t *testing.T) {
 	}
 	if d, last := g.DurableLSN(), g.LastLSN(); d != last {
 		t.Errorf("durable LSN %d != last LSN %d after join", d, last)
+	}
+}
+
+// TestDirectorySyncedOnCreateAndCompact checks that a synced FileLog fsyncs its
+// directory whenever an entry there changes: once when the first open
+// creates the file, once per Compact (whose rename replaces it), and
+// never on reopening an existing log or without Sync. Power loss itself
+// cannot be tested; the calls can.
+func TestDirectorySyncedOnCreateAndCompact(t *testing.T) {
+	var synced []string
+	prev := syncDir
+	syncDir = func(dir string) error {
+		synced = append(synced, dir)
+		return prev(dir)
+	}
+	t.Cleanup(func() { syncDir = prev })
+	dir := t.TempDir()
+	path := filepath.Join(dir, "site.wal")
+	want := func(n int, after string) {
+		t.Helper()
+		if len(synced) != n || slices.ContainsFunc(synced, func(d string) bool { return d != dir }) {
+			t.Fatalf("after %s: directory syncs %v, want %d of %s", after, synced, n, dir)
+		}
+	}
+
+	l, err := OpenFileLog(path, FileLogOptions{Sync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want(1, "the creating open")
+	for i := 0; i < 4; i++ {
+		if _, err := l.Append(RecCommit, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want(1, "appends")
+	for i, upto := range []uint64{2, 4} {
+		if err := l.Compact(upto); err != nil {
+			t.Fatal(err)
+		}
+		want(2+i, "a compaction")
+	}
+	l.Close()
+	if l, err = OpenFileLog(path, FileLogOptions{Sync: true}); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	want(3, "reopening the existing log")
+
+	u, err := OpenFileLog(filepath.Join(dir, "unsynced.wal"), FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u.Close()
+	u.Append(RecCommit, []byte{1})
+	if err := u.Compact(1); err != nil {
+		t.Fatal(err)
+	}
+	want(3, "an unsynced log's open and compaction")
+
+	// A failed directory sync is reported. A compaction's rename has
+	// already happened by then, so the log goes on with the new file.
+	syncDir = func(string) error { return os.ErrPermission }
+	if _, err := OpenFileLog(filepath.Join(dir, "new.wal"), FileLogOptions{Sync: true}); err == nil {
+		t.Error("creating open succeeded without its directory sync")
+	}
+	if l, err = OpenFileLog(path, FileLogOptions{Sync: true}); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Compact(4); err == nil {
+		t.Error("compaction succeeded without its directory sync")
+	}
+	if lsn, err := l.Append(RecCommit, []byte{9}); err != nil || lsn != 5 {
+		t.Fatalf("append after a failed directory sync: lsn=%d err=%v, want 5", lsn, err)
+	}
+	var lsns []uint64
+	l.Scan(1, func(r Record) error { lsns = append(lsns, r.LSN); return nil })
+	if !slices.Equal(lsns, []uint64{5}) {
+		t.Errorf("log after a failed directory sync holds LSNs %v, want [5]", lsns)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 	"math/bits"
 	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -100,8 +101,17 @@ func (l *FileLog) recoverTail() error {
 		if end, l.lastLSN, err = walkFrames(l.f, fi.Size(), func([]Record) error { return nil }); err != nil {
 			return fmt.Errorf("wal: scan %s: %w", l.path, err)
 		}
-	} else if _, err := l.f.WriteAt([]byte(fileMagic), 0); err != nil { // new, or torn in its first write
-		return fmt.Errorf("wal: init %s: %w", l.path, err)
+	} else { // new, or torn in its first write
+		if _, err := l.f.WriteAt([]byte(fileMagic), 0); err != nil {
+			return fmt.Errorf("wal: init %s: %w", l.path, err)
+		}
+		// Until its directory is fsynced a new file may vanish in a host
+		// crash, and with it every record fsynced into it.
+		if l.sync {
+			if err := syncDir(filepath.Dir(l.path)); err != nil {
+				return fmt.Errorf("wal: init %s: %w", l.path, err)
+			}
+		}
 	}
 	if err := l.f.Truncate(end); err != nil {
 		return fmt.Errorf("wal: truncate torn tail of %s: %w", l.path, err)
@@ -346,7 +356,25 @@ func (l *FileLog) Compact(upto uint64) error {
 	}
 	l.f.Close()
 	l.f, l.size = out, int64(len(img))
+	// Until the directory is fsynced a host crash may leave the path
+	// naming the old inode, losing appends fsynced into the new one.
+	if l.sync {
+		if err := syncDir(filepath.Dir(l.path)); err != nil {
+			return fmt.Errorf("wal: compact %s: %w", l.path, err)
+		}
+	}
 	return nil
+}
+
+// syncDir fsyncs a directory, making the entries created or renamed in
+// it durable. A variable so tests can count the calls.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // LastLSN implements Log.
