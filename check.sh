@@ -79,8 +79,9 @@ fi
 # waiter's accept tally, the test of a zero-value Vm forced under its
 # stripe, the file log's per-record frame header and locked second
 # scan loop, the per-label latency cache and its lock, the per-item
-# demand gauge, the trace-ring size and the tcpnet tuning knobs) may
-# not come back under their old names.
+# demand gauge, the trace-ring size, the tcpnet tuning knobs and the
+# fixed-width site id the compact codec replaced) may not come back
+# under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -107,7 +108,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\('
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -181,6 +182,7 @@ echo "alloc gate: local write-only commit ${allocs} allocs/op (ceiling ${alloc_c
 # internal`).
 go test ./internal/wire -run='^$' -fuzz=FuzzUnmarshal -fuzztime=10s
 go test ./internal/wire -run='^$' -fuzz=FuzzReusedWriter -fuzztime=10s
+go test ./internal/wire -run='^$' -fuzz=FuzzTSAndSite -fuzztime=10s
 go test ./internal/wal -run='^$' -fuzz=FuzzDecodeRecords -fuzztime=10s
 go test ./internal/wal -run='^$' -fuzz=FuzzFileLogRecovery -fuzztime=10s
 

@@ -18,7 +18,7 @@ type FlightEvent struct {
 	// Site is the site that recorded the event.
 	Site string `json:"site"`
 	// Kind classifies the event ("lock-conflict", "vm-defer",
-	// "rds-create", "vm-accept", "rebal-transfer", "wal-flush", ...).
+	// "rds-create", "vm-accept", "rebal-transfer", "wal-flush-err", ...).
 	Kind string `json:"kind"`
 	// Detail carries event-specific context, pre-rendered.
 	Detail string `json:"detail,omitempty"`

@@ -312,7 +312,7 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		if res := s.Run(reserve("local", 1)); !res.Committed() {
 			t.Fatalf("local write: %v", res.Status)
 		}
-	}), [3]cost{{1, 1, 12}, {}, {}})
+	}), [3]cost{{1, 1, 11}, {}, {}})
 
 	item := func(kind string, i int) ident.ItemID { return ident.ItemID(kind + "/" + string(rune('a'+i))) }
 	for i := 0; i < 5; i++ {
@@ -332,14 +332,14 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		if !res.Committed() || res.VmAccepted != 2 {
 			t.Fatalf("shortfall write: %v with %d accepted", res.Status, res.VmAccepted)
 		}
-	}), [3]cost{{1, 1, 12}, {1, 1, 23}, {1, 1, 23}})
+	}), [3]cost{{1, 1, 9}, {1, 1, 18}, {1, 1, 18}})
 
 	check("full read", measure(func(i int) {
 		res := s.Run(readItem(item("read", i)))
 		if !res.Committed() || res.Reads[item("read", i)] != 20 {
 			t.Fatalf("full read: %v, read %d", res.Status, res.Reads[item("read", i)])
 		}
-	}), [3]cost{{1, 1, 20}, {1, 1, 22}, {1, 1, 22}})
+	}), [3]cost{{1, 1, 17}, {1, 1, 17}, {1, 1, 17}})
 	if n := counters[0].underLock.Load(); n != 0 {
 		t.Errorf("%d forces at site 1 started with a stripe held across them", n)
 	}

@@ -730,16 +730,19 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		delete(e.accepted, conn)
 		e.mu.Unlock()
 	}()
-	// Both buffers live on the connection, not per frame: deliver
-	// decodes synchronously and wire.Unmarshal copies everything the
-	// handler retains, so the body buffer is free for the next frame as
-	// soon as deliver returns. It grows to the largest frame seen and
+	// Every buffer lives on the connection, not per frame. Reads go
+	// through one bufio.Reader, so a small frame's header and body
+	// arrive in one read syscall (often with the frames behind them).
+	// deliver decodes synchronously and wire.Unmarshal copies everything
+	// the handler retains, so the body buffer is free for the next frame
+	// as soon as deliver returns. It grows to the largest frame seen and
 	// is reallocated small again after an outsized one, so a single
 	// huge frame doesn't pin its memory for the connection's lifetime.
+	rd := bufio.NewReaderSize(conn, readBufSize)
 	hdr := make([]byte, 4)
 	var buf []byte
 	for {
-		if _, err := io.ReadFull(conn, hdr); err != nil {
+		if _, err := io.ReadFull(rd, hdr); err != nil {
 			return
 		}
 		n := binary.BigEndian.Uint32(hdr)
@@ -751,16 +754,19 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		} else {
 			buf = buf[:n]
 		}
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		if _, err := io.ReadFull(rd, buf); err != nil {
 			return
 		}
 		e.deliver(buf)
 	}
 }
 
-// readBufRetain bounds the per-connection read buffer kept across
-// frames; see readLoop.
-const readBufRetain = 64 << 10
+// readBufRetain bounds the per-connection body buffer kept across
+// frames, readBufSize is the connection's bufio buffer; see readLoop.
+const (
+	readBufRetain = 64 << 10
+	readBufSize   = 16 << 10
+)
 
 func (e *Endpoint) deliver(buf []byte) {
 	e.mu.Lock()

@@ -105,8 +105,8 @@ func TestFileLogCompactSurvivesReopen(t *testing.T) {
 	}
 }
 
-// A compaction that keeps nothing leaves an empty frame stating the
-// next LSN, so a reopen neither rewinds LSNs below what the store has
+// A compaction that keeps nothing leaves a header stating the next
+// LSN, so a reopen neither rewinds LSNs below what the store has
 // applied nor reuses one.
 func TestFileLogCompactEverythingSurvivesReopen(t *testing.T) {
 	path := t.TempDir() + "/c.wal"
@@ -396,5 +396,33 @@ func TestDirectorySyncedOnCreateAndCompact(t *testing.T) {
 	l.Scan(1, func(r Record) error { lsns = append(lsns, r.LSN); return nil })
 	if !slices.Equal(lsns, []uint64{5}) {
 		t.Errorf("log after a failed directory sync holds LSNs %v, want [5]", lsns)
+	}
+}
+
+// A compaction that keeps nothing writes a header alone, whose base is
+// the next LSN; compacting again below it keeps that base.
+func TestFileLogCompactEverythingIsAHeader(t *testing.T) {
+	path := t.TempDir() + "/c.wal"
+	l, _ := OpenFileLog(path, FileLogOptions{})
+	for i := 0; i < 4; i++ {
+		l.Append(RecCommit, []byte{byte(i)})
+	}
+	for _, upto := range []uint64{4, 2} {
+		if err := l.Compact(upto); err != nil {
+			t.Fatal(err)
+		}
+		img, _ := os.ReadFile(path)
+		if base, ok := parseHeader(img); len(img) != headerSize || !ok || base != 5 {
+			t.Fatalf("after Compact(%d): %d bytes, header base %d (valid %v); want a header alone, base 5", upto, len(img), base, ok)
+		}
+	}
+	l.Close()
+	l2, err := OpenFileLog(path, FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if lsn, err := l2.Append(RecCommit, nil); err != nil || lsn != 5 {
+		t.Errorf("append after reopen: lsn=%d err=%v, want 5", lsn, err)
 	}
 }

@@ -19,21 +19,26 @@ import (
 )
 
 // FileLog is an append-only file-backed stable log for real
-// deployments (cmd/dvpnode). The file is a 4-byte magic, then one frame
-// per AppendBatch, so the unit of framing is the unit of durability:
+// deployments (cmd/dvpnode). The file is a header stating the LSN of
+// its first record, then one frame per AppendBatch, so the unit of
+// framing is the unit of durability:
 //
-//	frame = [uvarint n][u32 crc32c(body)][body]          n = len(body)
-//	body  = [uvarint firstLSN] ([u8 kind][uvarint len][payload])*
+//	header = "DVPf" [u64 base][u32 crc32c(magic, base)]
+//	frame  = [uvarint n][u32 crc][body]                    n = len(body)
+//	body   = ([u8 kind][uvarint len][payload])+
 //
-// Record i of a frame has LSN firstLSN+i, and a frame's firstLSN follows
-// the previous frame's last LSN; a frame with no records only states
-// the next LSN. Open truncates a torn or corrupt tail at a frame
-// boundary, so a torn batch is dropped whole, and refuses (without
-// touching it) a file that does not start with the magic.
+// No frame states an LSN: the first frame's first record has LSN base,
+// and each frame's first follows the previous frame's last. The CRC is
+// crc32c(body) seeded with that first LSN, so a valid frame anywhere
+// but the place it was written fails its check. Open truncates a torn
+// or corrupt tail at a frame boundary, so a torn batch is dropped
+// whole, and refuses (without touching it) a file whose header is not
+// this format's — a log in an older format among them.
 type FileLog struct {
 	mu      sync.Mutex
 	f       *os.File
 	path    string
+	base    uint64 // the LSN of the file's first record, from its header
 	lastLSN uint64
 	size    int64
 	sync    bool
@@ -46,7 +51,13 @@ type FileLog struct {
 	recKind   map[RecordKind]*metrics.Counter
 }
 
-const fileMagic = "DVPw"
+// fileMagic opens the header. Each change of the file or record format
+// takes a new one, and there is no reader for an earlier format: such a
+// log is refused as foreign, not misread.
+const fileMagic = "DVPf"
+
+// headerSize is the header's length: magic, base LSN and CRC.
+const headerSize = len(fileMagic) + 8 + 4
 
 // maxFrameBody bounds a frame's body for writer and reader alike:
 // AppendBatch refuses a larger batch, Open a larger length.
@@ -82,27 +93,50 @@ func OpenFileLog(path string, opts FileLogOptions) (*FileLog, error) {
 	return l, nil
 }
 
-// recoverTail checks the magic, walks the frames and truncates the file
-// after the last valid one.
+// putHeader writes into h the header of a log whose first record has
+// LSN base.
+func putHeader(h []byte, base uint64) {
+	copy(h, fileMagic)
+	binary.BigEndian.PutUint64(h[len(fileMagic):], base)
+	binary.BigEndian.PutUint32(h[headerSize-4:], crc32.Checksum(h[:headerSize-4], crcTable))
+}
+
+// parseHeader returns the base LSN a file's first bytes state, and
+// whether they are a header: headerSize bytes, this format's magic, a
+// base of at least 1 and a matching CRC.
+func parseHeader(h []byte) (base uint64, ok bool) {
+	if len(h) < headerSize {
+		return 0, false
+	}
+	base = binary.BigEndian.Uint64(h[len(fileMagic):])
+	return base, string(h[:len(fileMagic)]) == fileMagic && base != 0 &&
+		binary.BigEndian.Uint32(h[headerSize-4:]) == crc32.Checksum(h[:headerSize-4], crcTable)
+}
+
+// recoverTail checks the header, walks the frames and truncates the
+// file after the last valid one.
 func (l *FileLog) recoverTail() error {
 	fi, err := l.f.Stat()
 	if err != nil {
 		return fmt.Errorf("wal: open %s: %w", l.path, err)
 	}
-	head := make([]byte, min(fi.Size(), int64(len(fileMagic))))
+	head := make([]byte, min(fi.Size(), int64(headerSize)))
 	if _, err := l.f.ReadAt(head, 0); err != nil {
 		return fmt.Errorf("wal: open %s: %w", l.path, err)
 	}
-	if !bytes.HasPrefix([]byte(fileMagic), head) {
-		return fmt.Errorf("wal: %s is not a log file (no %q magic); refusing to open it", l.path, fileMagic)
-	}
-	end := int64(len(fileMagic))
-	if len(head) == len(fileMagic) {
-		if end, l.lastLSN, err = walkFrames(l.f, fi.Size(), func([]Record) error { return nil }); err != nil {
+	fresh := make([]byte, headerSize)
+	putHeader(fresh, 1)
+	end := int64(headerSize)
+	var ok bool
+	if l.base, ok = parseHeader(head); ok {
+		if end, l.lastLSN, err = walkFrames(l.f, fi.Size(), l.base, func([]Record) error { return nil }); err != nil {
 			return fmt.Errorf("wal: scan %s: %w", l.path, err)
 		}
+	} else if !bytes.HasPrefix(fresh, head) {
+		return fmt.Errorf("wal: %s is not a log file (no valid %q header); refusing to open it", l.path, fileMagic)
 	} else { // new, or torn in its first write
-		if _, err := l.f.WriteAt([]byte(fileMagic), 0); err != nil {
+		l.base = 1
+		if _, err := l.f.WriteAt(fresh, 0); err != nil {
 			return fmt.Errorf("wal: init %s: %w", l.path, err)
 		}
 		// Until its directory is fsynced a new file may vanish in a host
@@ -123,7 +157,7 @@ func (l *FileLog) recoverTail() error {
 // appendFrame appends to buf the frame holding entries from LSN first
 // on. It refuses a body over maxFrameBody before growing buf.
 func appendFrame(buf []byte, first uint64, entries []BatchEntry) ([]byte, error) {
-	n := uvarintLen(first)
+	n := 0
 	for _, e := range entries {
 		n += 1 + uvarintLen(uint64(len(e.Data))) + len(e.Data)
 	}
@@ -133,24 +167,33 @@ func appendFrame(buf []byte, first uint64, entries []BatchEntry) ([]byte, error)
 	buf = slices.Grow(buf, binary.MaxVarintLen32+4+n)
 	buf = binary.AppendUvarint(buf, uint64(n))
 	crcOff := len(buf)
-	buf = binary.AppendUvarint(append(buf, 0, 0, 0, 0), first)
+	buf = append(buf, 0, 0, 0, 0)
 	for _, e := range entries {
 		buf = binary.AppendUvarint(append(buf, byte(e.Kind)), uint64(len(e.Data)))
 		buf = append(buf, e.Data...)
 	}
-	binary.BigEndian.PutUint32(buf[crcOff:], crc32.Checksum(buf[crcOff+4:], crcTable))
+	binary.BigEndian.PutUint32(buf[crcOff:], frameCRC(first, buf[crcOff+4:]))
 	return buf, nil
+}
+
+// frameCRC is the checksum of a frame whose first record has LSN first:
+// crc32c of the body, seeded with the LSN folded to 32 bits. A CRC's
+// seed shifts it by an invertible map, so the same body under another
+// LSN fails its check: the LSN is checked, not stored.
+func frameCRC(first uint64, body []byte) uint32 {
+	return crc32.Update(uint32(first)^uint32(first>>32), crcTable, body)
 }
 
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// walkFrames reads a log file's frames through one buffer and calls fn
-// with each frame's records, whose Data alias that buffer. It stops at
-// the end of the valid prefix — a frame that is torn, fails its
-// checksum, does not parse or does not follow the previous frame's
-// LSNs — and returns where it ends and its last LSN; err is I/O's or fn's.
-func walkFrames(f io.ReaderAt, size int64, fn func([]Record) error) (end int64, last uint64, err error) {
-	end = int64(len(fileMagic))
+// walkFrames reads the frames of a log file whose header states base
+// through one buffer and calls fn with each frame's records, whose Data
+// alias that buffer. It stops at the end of the valid prefix — a frame
+// that is torn or empty, does not parse, or fails its checksum at the
+// LSN that follows the previous frame's last — and returns where it
+// ends and its last LSN; err is I/O's or fn's.
+func walkFrames(f io.ReaderAt, size int64, base uint64, fn func([]Record) error) (end int64, last uint64, err error) {
+	end, last = int64(headerSize), base-1
 	r := bufio.NewReaderSize(io.NewSectionReader(f, end, size-end), int(min(max(size-end, 16), 64<<10)))
 	var body []byte
 	var recs []Record
@@ -160,7 +203,7 @@ func walkFrames(f io.ReaderAt, size int64, fn func([]Record) error) (end int64, 
 			return end, last, err
 		}
 		n, k := binary.Uvarint(hdr)
-		if k <= 0 || len(hdr) < k+4 || n > maxFrameBody || int64(n) > size-end-int64(k+4) {
+		if k <= 0 || len(hdr) < k+4 || n == 0 || n > maxFrameBody || int64(n) > size-end-int64(k+4) {
 			return end, last, nil
 		}
 		crc := binary.BigEndian.Uint32(hdr[k:])
@@ -169,12 +212,12 @@ func walkFrames(f io.ReaderAt, size int64, fn func([]Record) error) (end int64, 
 		if _, err := io.ReadFull(r, body); err != nil {
 			return end, last, err
 		}
-		first, p := binary.Uvarint(body)
-		if crc32.Checksum(body, crcTable) != crc || p <= 0 || first == 0 ||
-			(end > int64(len(fileMagic)) && first != last+1) {
+		first := last + 1
+		if frameCRC(first, body) != crc {
 			return end, last, nil
 		}
-		for recs = recs[:0]; p < len(body); {
+		recs = recs[:0]
+		for p := 0; p < len(body); {
 			ln, m := binary.Uvarint(body[p+1:])
 			if m <= 0 || ln > uint64(len(body)-p-1-m) {
 				return end, last, nil
@@ -280,14 +323,14 @@ func (l *FileLog) Scan(from uint64, fn func(Record) error) error {
 		l.mu.Unlock()
 		return ErrClosed
 	}
-	size := l.size
+	size, base := l.size, l.base
 	f, err := os.Open(l.path)
 	l.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("wal: scan %s: %w", l.path, err)
 	}
 	defer f.Close()
-	end, _, err := walkFrames(f, size, func(recs []Record) error {
+	end, _, err := walkFrames(f, size, base, func(recs []Record) error {
 		for _, r := range recs {
 			if r.LSN >= from {
 				if err := fn(r); err != nil {
@@ -305,8 +348,9 @@ func (l *FileLog) Scan(from uint64, fn func(Record) error) error {
 
 // Compact implements Log: rewrite the file keeping only records with
 // LSN > upto, each frame's survivors as one frame (within the bound, as
-// a subset of a valid frame) or, if none survive, one empty frame that
-// states the next LSN. Callers keep their latest checkpoint, so the new
+// a subset of a valid frame), behind a header whose base is the first
+// survivor's LSN or, if none survive, the next LSN. Callers keep their
+// latest checkpoint, so the new
 // image is that and its suffix, built in memory; it replaces the file by
 // rename, so a crash mid-compaction leaves the old log or the new one.
 func (l *FileLog) Compact(upto uint64) error {
@@ -320,9 +364,10 @@ func (l *FileLog) Compact(upto uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: compact %s: %w", l.path, err)
 	}
-	img := []byte(fileMagic)
+	img := make([]byte, headerSize)
+	base := l.lastLSN + 1 // unless a record survives
 	var kept []BatchEntry
-	end, _, err := walkFrames(l.f, l.size, func(recs []Record) error {
+	end, _, err := walkFrames(l.f, l.size, l.base, func(recs []Record) error {
 		kept = kept[:0]
 		for _, r := range recs {
 			if r.LSN > upto {
@@ -330,16 +375,16 @@ func (l *FileLog) Compact(upto uint64) error {
 			}
 		}
 		if len(kept) > 0 {
-			img, _ = appendFrame(img, recs[len(recs)-len(kept)].LSN, kept)
+			first := recs[len(recs)-len(kept)].LSN
+			base = min(base, first)
+			img, _ = appendFrame(img, first, kept)
 		}
 		return nil
 	})
 	if err == nil && end != l.size {
 		err = fmt.Errorf("invalid frame at offset %d", end)
 	}
-	if upto >= l.lastLSN { // nothing survives
-		img, _ = appendFrame(img, l.lastLSN+1, nil)
-	}
+	putHeader(img, base)
 	if err == nil {
 		_, err = out.Write(img)
 	}
@@ -355,7 +400,7 @@ func (l *FileLog) Compact(upto uint64) error {
 		return fmt.Errorf("wal: compact %s: %w", l.path, err)
 	}
 	l.f.Close()
-	l.f, l.size = out, int64(len(img))
+	l.f, l.size, l.base = out, int64(len(img)), base
 	// Until the directory is fsynced a host crash may leave the path
 	// naming the old inode, losing appends fsynced into the new one.
 	if l.sync {

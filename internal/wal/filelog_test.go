@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"testing"
 )
@@ -183,7 +185,7 @@ func TestFileLogTornBatchDropsWholeBatch(t *testing.T) {
 // corruption: Open truncates there, however valid the frame is itself.
 func TestFileLogStopsAtLSNGap(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
-	img, _ := appendFrame([]byte(fileMagic), 1, []BatchEntry{{Kind: RecCommit}, {Kind: RecCommit}})
+	img, _ := appendFrame(logImage(1), 1, []BatchEntry{{Kind: RecCommit}, {Kind: RecCommit}})
 	good := len(img)
 	img, _ = appendFrame(img, 4, []BatchEntry{{Kind: RecCommit}})
 	if err := os.WriteFile(path, img, 0o644); err != nil {
@@ -205,7 +207,7 @@ func TestFileLogStopsAtLSNGap(t *testing.T) {
 // 2 B more.
 func TestFileLogBytesPerBatch(t *testing.T) {
 	path := t.TempDir() + "/wal.log"
-	start, _ := appendFrame([]byte(fileMagic), 1<<20, nil) // an empty frame: next LSN 2^20
+	start := logImage(1 << 20) // a header alone: next LSN 2^20
 	if err := os.WriteFile(path, start, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -281,5 +283,126 @@ func TestFileLogLargePayloads(t *testing.T) {
 	l.Scan(1, func(r Record) error { got = append([]byte(nil), r.Data...); return nil })
 	if len(got) != len(big) || got[12345] != big[12345] {
 		t.Error("large payload corrupted")
+	}
+}
+
+// A one-record force costs 5 B of frame (a one-byte length and the
+// CRC) and 2 B of record (kind and a one-byte length) beyond its
+// payload, at any LSN: no frame states one. Each further record in the
+// same force costs its 2 B.
+func TestFileLogFramesAForceInFiveBytes(t *testing.T) {
+	for _, base := range []uint64{1, 1 << 20, 1 << 40} {
+		path := t.TempDir() + "/wal.log"
+		if err := os.WriteFile(path, logImage(base), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenFileLog(path, FileLogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := []byte("twelve bytes")
+		for _, k := range []int{1, 1, 3} {
+			fi, _ := os.Stat(path)
+			before := fi.Size()
+			entries := make([]BatchEntry, k)
+			for i := range entries {
+				entries[i] = BatchEntry{Kind: RecCommit, Data: payload}
+			}
+			if _, err := l.AppendBatch(entries); err != nil {
+				t.Fatal(err)
+			}
+			fi, _ = os.Stat(path)
+			if got, want := fi.Size()-before, int64(5+k*(2+len(payload))); got != want {
+				t.Errorf("base %d, %d records in one force: %d B on disk, want %d", base, k, got, want)
+			}
+		}
+		if want := base + 4; l.LastLSN() != want {
+			t.Errorf("base %d: LastLSN %d, want %d", base, l.LastLSN(), want)
+		}
+		l.Close()
+	}
+}
+
+// A frame is checked at the LSN it must carry, which the file states
+// nowhere: a valid frame found anywhere but where it was written — a
+// replayed tail, an earlier frame over a later one — ends the valid
+// prefix there.
+func TestFrameOutOfSequenceRejected(t *testing.T) {
+	write := func(t *testing.T) (path string, img []byte, ends []int) {
+		path = t.TempDir() + "/wal.log"
+		l, err := OpenFileLog(path, FileLogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = []int{headerSize}
+		for _, p := range []string{"frame-1", "frame-2", "frame-3"} {
+			l.Append(RecCommit, []byte(p))
+			fi, _ := os.Stat(path)
+			ends = append(ends, int(fi.Size()))
+		}
+		l.Close()
+		img, _ = os.ReadFile(path)
+		return path, img, ends
+	}
+	reopen := func(t *testing.T, path string, img []byte, wantLast uint64, wantSize int) {
+		t.Helper()
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenFileLog(path, FileLogOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if fi, _ := os.Stat(path); l.LastLSN() != wantLast || fi.Size() != int64(wantSize) {
+			t.Errorf("LastLSN %d, size %d; want %d, %d", l.LastLSN(), fi.Size(), wantLast, wantSize)
+		}
+	}
+	t.Run("replayed tail", func(t *testing.T) {
+		path, img, ends := write(t)
+		reopen(t, path, append(img, img[ends[2]:ends[3]]...), 3, ends[3])
+	})
+	t.Run("earlier frame over a later one", func(t *testing.T) {
+		path, img, ends := write(t)
+		copy(img[ends[1]:], img[ends[0]:ends[1]])
+		reopen(t, path, img, 1, ends[1])
+	})
+}
+
+// A log in the format before this one — "DVPw", each frame stating its
+// first LSN, fixed-width site ids — has no reader: it is refused, not
+// misread, and left byte for byte as it was.
+func TestOldFormatRefused(t *testing.T) {
+	body := []byte{1, byte(RecCommit), 3, 'o', 'l', 'd'} // firstLSN 1, one record
+	old := append([]byte("DVPw"), byte(len(body)))
+	old = binary.BigEndian.AppendUint32(old, crc32.Checksum(body, crcTable))
+	old = append(old, body...)
+	path := t.TempDir() + "/wal.log"
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenFileLog(path, FileLogOptions{}); err == nil {
+		l.Close()
+		t.Fatal("opened a log of the old format")
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+		t.Errorf("refused log changed on disk: %x, was %x", got, old)
+	}
+}
+
+// A header whose CRC does not match is not a log's: refused, untouched.
+func TestDamagedHeaderRefused(t *testing.T) {
+	img, _ := appendFrame(logImage(7), 7, []BatchEntry{{Kind: RecCommit, Data: []byte("x")}})
+	img[len(fileMagic)+7] ^= 1 // base 7 → 6
+	path := t.TempDir() + "/wal.log"
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenFileLog(path, FileLogOptions{}); err == nil {
+		l.Close()
+		t.Fatal("opened a log with a damaged header")
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, img) {
+		t.Error("refused log changed on disk")
 	}
 }

@@ -82,8 +82,9 @@ func FuzzDecodeRecords(f *testing.F) {
 
 // FuzzFileLogRecovery writes arbitrary bytes as a log file and opens
 // it twice. As given, the file is either refused and left unchanged on
-// disk (it neither starts with the magic nor is a torn start of it) or
-// opened. Behind the magic, so that the input is explored as frames,
+// disk (it neither starts with a valid header nor is a torn start of a
+// new log's) or opened. Behind a header, so that the input is explored
+// as frames,
 // torn-tail recovery must never fail. An opened log must accept appends
 // and reopen with them.
 func FuzzFileLogRecovery(f *testing.F) {
@@ -103,7 +104,7 @@ func FuzzFileLogRecovery(f *testing.F) {
 			appendAndReopen(t, l, raw)
 		}
 		framed := dir + "/framed.wal"
-		if err := writeFile(framed, append([]byte(fileMagic), data...)); err != nil {
+		if err := writeFile(framed, append(logImage(1), data...)); err != nil {
 			t.Skip()
 		}
 		l, err := OpenFileLog(framed, FileLogOptions{})
@@ -133,4 +134,12 @@ func appendAndReopen(t *testing.T, l *FileLog, path string) {
 
 func writeFile(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+// logImage is the header of a log whose first record has LSN base: the
+// start of a hand-built file image.
+func logImage(base uint64) []byte {
+	h := make([]byte, headerSize)
+	putHeader(h, base)
+	return h
 }

@@ -30,7 +30,7 @@ func encodeActions(w *wire.Writer, as []Action) {
 	for _, a := range as {
 		w.String(string(a.Item))
 		w.I64(int64(a.Delta))
-		w.U64(uint64(a.SetTS))
+		w.TS(a.SetTS)
 	}
 }
 
@@ -48,7 +48,7 @@ func decodeActions(r *wire.Reader) []Action {
 		as = append(as, Action{
 			Item:  ident.ItemID(r.String()),
 			Delta: core.Value(r.I64()),
-			SetTS: tstamp.TS(r.U64()),
+			SetTS: r.TS(),
 		})
 	}
 	return as
@@ -68,77 +68,97 @@ type VmOut struct {
 	FlowVec []wire.FlowEntry
 	// Trace is the causal-tracing context stamped on real messages
 	// carrying this Vm. Deliberately NOT persisted: traces are
-	// best-effort observability, and keeping the record encoding
-	// byte-stable protects the checked-in WAL fuzz corpus. A crash
+	// best-effort observability, not worth log bytes. A crash
 	// therefore drops the context — retransmitted Vm of a recovered
 	// site arrive untraced, which the stitcher tolerates.
 	Trace wire.TraceCtx
 }
 
-// encodeVmOuts appends vs: their count shifted left one bit, then each
-// Vm. The low bit is set when every Vm's item is implied — it is the
-// one item the carrying create record's action is for — and then no Vm
-// spells its item out. implied is "" where nothing implies an item (a
-// checkpoint's pending list).
-func encodeVmOuts(w *wire.Writer, vs []VmOut, implied ident.ItemID) {
-	omit := implied != "" && len(vs) > 0
-	for _, v := range vs {
-		omit = omit && v.Item == implied
+// The two low bits of a Vm list's head: set when every Vm leaves out
+// its item, or its ReqTxn, because the record's one action implies it.
+const (
+	impliedItem = 1 << iota
+	impliedReqTxn
+)
+
+// encodeVmOuts appends vs: their count shifted left two bits, then each
+// Vm. implied is the carrying create record's one action, nil where
+// nothing implies a field (a checkpoint's pending list, a create with
+// several actions). The impliedItem bit is set when every Vm is for
+// that action's item, the impliedReqTxn bit when every Vm's ReqTxn is
+// that action's SetTS — always so under Conc1, which stamps the item at
+// the requester's timestamp — and then no Vm spells that field out.
+func encodeVmOuts(w *wire.Writer, vs []VmOut, implied *Action) {
+	head := uint64(0)
+	if implied != nil && len(vs) > 0 {
+		head = impliedItem | impliedReqTxn
+		for _, v := range vs {
+			if v.Item != implied.Item {
+				head &^= impliedItem
+			}
+			if v.ReqTxn != implied.SetTS {
+				head &^= impliedReqTxn
+			}
+		}
 	}
-	head := uint64(len(vs)) << 1
-	if omit {
-		head |= 1
-	}
-	w.U64(head)
+	w.U64(uint64(len(vs))<<2 | head)
 	for _, v := range vs {
-		w.U16(uint16(v.To))
+		w.Site(v.To)
 		w.U64(v.Seq)
-		if !omit {
+		if head&impliedItem == 0 {
 			w.String(string(v.Item))
 		}
 		w.I64(int64(v.Amount))
-		w.U64(uint64(v.ReqTxn))
+		if head&impliedReqTxn == 0 {
+			w.TS(v.ReqTxn)
+		}
 		wire.EncodeFlowVec(w, v.FlowVec)
 	}
 }
 
-func decodeVmOuts(r *wire.Reader, implied ident.ItemID) []VmOut {
-	head := r.Count(maxCount<<1 | 1)
-	omit := head&1 == 1
-	if omit && implied == "" {
-		r.Fail(errors.New("vm items left out with no item to imply"))
+func decodeVmOuts(r *wire.Reader, implied *Action) []VmOut {
+	head := r.Count(maxCount<<2 | 3)
+	if head&3 != 0 && implied == nil {
+		r.Fail(errors.New("vm fields left out with no action to imply them"))
 	}
-	n := head >> 1
+	n := head >> 2
 	if n == 0 || r.Err() != nil {
 		return nil
 	}
 	vs := make([]VmOut, 0, n)
 	for i := uint64(0); i < n; i++ {
-		v := VmOut{To: ident.SiteID(r.U16()), Seq: r.U64(), Item: implied}
-		if !omit {
+		v := VmOut{To: r.Site(), Seq: r.U64()}
+		if head&impliedItem != 0 {
+			v.Item = implied.Item
+		} else {
 			v.Item = ident.ItemID(r.String())
 		}
 		v.Amount = core.Value(r.I64())
-		v.ReqTxn = tstamp.TS(r.U64())
+		if head&impliedReqTxn != 0 {
+			v.ReqTxn = implied.SetTS
+		} else {
+			v.ReqTxn = r.TS()
+		}
 		v.FlowVec = wire.DecodeFlowVec(r)
 		vs = append(vs, v)
 	}
 	return vs
 }
 
-// impliedItem is the item a create record's Vm may leave out: that of
-// its one action, if it has exactly one.
-func impliedItem(as []Action) ident.ItemID {
+// impliedBy is the action whose item and stamp a create record's Vm may
+// leave out: its one action, if it has exactly one.
+func impliedBy(as []Action) *Action {
 	if len(as) != 1 {
-		return ""
+		return nil
 	}
-	return as[0].Item
+	return &as[0]
 }
 
 // VmCreateRec is the paper's `[database-actions, message-sequence]`
 // record (§4.2): the atomic unit that deducts local quota and brings
 // the corresponding virtual messages into existence. A create with one
-// action names its item once: Vm for that same item leave it out.
+// action names its item and stamp once: Vm for that same item, or
+// prompted by the transaction that stamp names, leave them out.
 type VmCreateRec struct {
 	Actions []Action
 	Msgs    []VmOut
@@ -155,14 +175,14 @@ func (rec *VmCreateRec) Encode() []byte {
 // so hot-path callers can reuse a pooled Writer.
 func (rec *VmCreateRec) EncodeTo(w *wire.Writer) {
 	encodeActions(w, rec.Actions)
-	encodeVmOuts(w, rec.Msgs, impliedItem(rec.Actions))
+	encodeVmOuts(w, rec.Msgs, impliedBy(rec.Actions))
 }
 
 // DecodeVmCreate parses a RecVmCreate payload.
 func DecodeVmCreate(data []byte) (*VmCreateRec, error) {
 	r := wire.NewReader(data)
 	rec := &VmCreateRec{Actions: decodeActions(r)}
-	rec.Msgs = decodeVmOuts(r, impliedItem(rec.Actions))
+	rec.Msgs = decodeVmOuts(r, impliedBy(rec.Actions))
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: vm-create: %w", err)
 	}
@@ -190,7 +210,7 @@ func (rec *VmAcceptRec) Encode() []byte {
 
 // EncodeTo appends the record payload to w (byte-identical to Encode).
 func (rec *VmAcceptRec) EncodeTo(w *wire.Writer) {
-	w.U16(uint16(rec.From))
+	w.Site(rec.From)
 	w.U64(rec.Seq)
 	encodeActions(w, rec.Actions)
 }
@@ -199,7 +219,7 @@ func (rec *VmAcceptRec) EncodeTo(w *wire.Writer) {
 func DecodeVmAccept(data []byte) (*VmAcceptRec, error) {
 	r := wire.NewReader(data)
 	rec := &VmAcceptRec{
-		From:    ident.SiteID(r.U16()),
+		From:    r.Site(),
 		Seq:     r.U64(),
 		Actions: decodeActions(r),
 	}
@@ -245,7 +265,7 @@ func (rec *CommitRec) Encode() []byte {
 
 // EncodeTo appends the record payload to w (byte-identical to Encode).
 func (rec *CommitRec) EncodeTo(w *wire.Writer) {
-	w.U64(uint64(rec.Txn))
+	w.TS(rec.Txn)
 	head := uint64(len(rec.Actions)) << 1
 	if len(rec.Accepted) > 0 {
 		head |= 1
@@ -254,7 +274,7 @@ func (rec *CommitRec) EncodeTo(w *wire.Writer) {
 	if len(rec.Accepted) > 0 {
 		w.U64(uint64(len(rec.Accepted)))
 		for _, v := range rec.Accepted {
-			w.U16(uint16(v.From))
+			w.Site(v.From)
 			w.U64(v.Seq)
 		}
 	}
@@ -267,13 +287,13 @@ func (rec *CommitRec) EncodeTo(w *wire.Writer) {
 // decodeCommitHead reads a commit up to its actions: the Txn, the
 // action count and the accepted list.
 func decodeCommitHead(r *wire.Reader) (txn tstamp.TS, actions uint64, accepted []VmRef) {
-	txn = tstamp.TS(r.U64())
+	txn = r.TS()
 	head := r.Count(maxCount<<1 | 1)
 	if head&1 == 1 {
 		n := r.Count(maxCount)
 		accepted = make([]VmRef, 0, n)
 		for i := uint64(0); i < n; i++ {
-			accepted = append(accepted, VmRef{From: ident.SiteID(r.U16()), Seq: r.U64()})
+			accepted = append(accepted, VmRef{From: r.Site(), Seq: r.U64()})
 		}
 	}
 	return txn, head >> 1, accepted
@@ -311,7 +331,7 @@ func Accepted(r Record) ([]VmRef, error) {
 	var refs []VmRef
 	switch r.Kind {
 	case RecVmAccept:
-		refs = []VmRef{{From: ident.SiteID(rd.U16()), Seq: rd.U64()}}
+		refs = []VmRef{{From: rd.Site(), Seq: rd.U64()}}
 	case RecCommit:
 		_, _, refs = decodeCommitHead(rd)
 	}
@@ -395,15 +415,15 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 	for _, it := range rec.Items {
 		w.String(string(it.Item))
 		w.I64(int64(it.Value))
-		w.U64(uint64(it.TS))
+		w.TS(it.TS)
 		w.U64(it.AppliedLSN)
 	}
 	w.U64(uint64(len(rec.Channels)))
 	for _, ch := range rec.Channels {
-		w.U16(uint16(ch.Peer))
+		w.Site(ch.Peer)
 		w.U64(ch.OutSeq)
 		w.U64(ch.CumAck)
-		encodeVmOuts(w, ch.Pending, "")
+		encodeVmOuts(w, ch.Pending, nil)
 		w.U64(ch.InLow)
 		w.U64(uint64(len(ch.InAbove)))
 		for _, s := range ch.InAbove {
@@ -423,7 +443,7 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 		rec.Items = append(rec.Items, CheckpointItem{
 			Item:       ident.ItemID(r.String()),
 			Value:      core.Value(r.I64()),
-			TS:         tstamp.TS(r.U64()),
+			TS:         r.TS(),
 			AppliedLSN: r.U64(),
 		})
 	}
@@ -431,10 +451,10 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 	rec.Channels = make([]VmChannelState, 0, m)
 	for i := uint64(0); i < m; i++ {
 		ch := VmChannelState{
-			Peer:    ident.SiteID(r.U16()),
+			Peer:    r.Site(),
 			OutSeq:  r.U64(),
 			CumAck:  r.U64(),
-			Pending: decodeVmOuts(r, ""),
+			Pending: decodeVmOuts(r, nil),
 			InLow:   r.U64(),
 		}
 		k := r.Count(1 << 20)
@@ -460,8 +480,8 @@ type PrepareRec struct {
 // Encode serializes the record payload.
 func (rec *PrepareRec) Encode() []byte {
 	var w wire.Writer
-	w.U64(uint64(rec.Txn))
-	w.U16(uint16(rec.Coord))
+	w.TS(rec.Txn)
+	w.Site(rec.Coord)
 	encodeActions(&w, rec.Writes)
 	return w.Bytes()
 }
@@ -470,8 +490,8 @@ func (rec *PrepareRec) Encode() []byte {
 func DecodePrepare(data []byte) (*PrepareRec, error) {
 	r := wire.NewReader(data)
 	rec := &PrepareRec{
-		Txn:    tstamp.TS(r.U64()),
-		Coord:  ident.SiteID(r.U16()),
+		Txn:    r.TS(),
+		Coord:  r.Site(),
 		Writes: decodeActions(r),
 	}
 	if err := r.Done(); err != nil {
@@ -489,7 +509,7 @@ type DecisionRec struct {
 // Encode serializes the record payload.
 func (rec *DecisionRec) Encode() []byte {
 	var w wire.Writer
-	w.U64(uint64(rec.Txn))
+	w.TS(rec.Txn)
 	w.Bool(rec.Commit)
 	return w.Bytes()
 }
@@ -497,7 +517,7 @@ func (rec *DecisionRec) Encode() []byte {
 // DecodeDecision parses a RecDecision payload.
 func DecodeDecision(data []byte) (*DecisionRec, error) {
 	r := wire.NewReader(data)
-	rec := &DecisionRec{Txn: tstamp.TS(r.U64()), Commit: r.Bool()}
+	rec := &DecisionRec{Txn: r.TS(), Commit: r.Bool()}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: decision: %w", err)
 	}

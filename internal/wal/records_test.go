@@ -217,7 +217,7 @@ func TestCommitNamesItsStampOnce(t *testing.T) {
 		t.Fatalf("decoded %+v, %v; want the action stamped %v", got, err, ts)
 	}
 	// Txn, a one-byte head, "it/17" with its length, a one-byte delta.
-	if want := len(encodeU64(uint64(ts))) + 1 + 6 + 1; len(plain) != want {
+	if want := len(encodeTS(ts)) + 1 + 6 + 1; len(plain) != want {
 		t.Errorf("plain commit is %d bytes, want %d", len(plain), want)
 	}
 	placement, err := DecodeCommit((&CommitRec{Actions: []Action{{Item: "a", Delta: 5}}}).Encode())
@@ -225,9 +225,9 @@ func TestCommitNamesItsStampOnce(t *testing.T) {
 		t.Errorf("Txn 0 decoded %+v, %v; want an unstamped action", placement, err)
 	}
 	folded := (&CommitRec{Txn: ts, Actions: acts, Accepted: []VmRef{{From: 2, Seq: 41}, {From: 3, Seq: 7}}}).Encode()
-	// The list's count, then 2 bytes of site and 1 of seq per Vm.
-	if extra := len(folded) - len(plain); extra != 1+2*3 {
-		t.Errorf("a list of two Vm costs %d bytes, want 7", extra)
+	// The list's count, then 1 byte of site and 1 of seq per Vm.
+	if extra := len(folded) - len(plain); extra != 1+2*2 {
+		t.Errorf("a list of two Vm costs %d bytes, want 5", extra)
 	}
 }
 
@@ -252,9 +252,38 @@ func TestVmCreateNamesItsItemOnce(t *testing.T) {
 	}
 }
 
-func encodeU64(v uint64) []byte {
+// A create with one action states its stamp once: a Vm prompted by the
+// transaction that stamped the action (Conc1's every grant) leaves its
+// ReqTxn out and decodes with it; any other ReqTxn, on any Vm of the
+// record, is spelled out on each.
+func TestVmCreateNamesItsStampOnce(t *testing.T) {
+	ts := tstamp.Make(70000, 1)
+	rec := func(setTS tstamp.TS, reqs ...tstamp.TS) *VmCreateRec {
+		r := &VmCreateRec{Actions: []Action{{Item: "it/17", Delta: -1, SetTS: setTS}}}
+		for i, req := range reqs {
+			r.Msgs = append(r.Msgs, VmOut{To: 2, Seq: uint64(4 + i), Item: "it/17", Amount: 1, ReqTxn: req})
+		}
+		return r
+	}
+	same, other := rec(ts, ts).Encode(), rec(ts, ts+1).Encode()
+	if want := len(encodeTS(ts)); len(other)-len(same) != want {
+		t.Errorf("a grant at the action's stamp saves %d bytes, want its %d", len(other)-len(same), want)
+	}
+	for _, r := range []*VmCreateRec{
+		rec(ts, ts), rec(ts, ts+1), rec(ts, ts, ts), rec(ts, ts, 0), rec(0, 0), rec(0, ts),
+		{Actions: []Action{{Item: "a", SetTS: ts}, {Item: "b", SetTS: ts}},
+			Msgs: []VmOut{{To: 3, Seq: 1, Item: "a", ReqTxn: ts}}},
+	} {
+		got, err := DecodeVmCreate(r.Encode())
+		if err != nil || !reflect.DeepEqual(got, r) {
+			t.Errorf("round trip: %+v, %v; want %+v", got, err, r)
+		}
+	}
+}
+
+func encodeTS(ts tstamp.TS) []byte {
 	var w wire.Writer
-	w.U64(v)
+	w.TS(ts)
 	return w.Bytes()
 }
 
@@ -308,21 +337,21 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		data       []byte
 	}{
 		{"vm-create", "actions over bound", enc(func(w *wire.Writer) { w.U64(over) })},
-		{"vm-create", "vm over bound", enc(func(w *wire.Writer) { w.U64(0); w.U64(over) })},
+		{"vm-create", "vm over bound", enc(func(w *wire.Writer) { w.U64(0); w.U64(over << 2) })},
 		{"vm-create", "trailing", trailing((&VmCreateRec{Actions: []Action{{Item: "x", Delta: -1}}}).Encode())},
 		{"vm-create", "item implied by no action", enc(func(w *wire.Writer) {
 			w.U64(0)
-			w.U64(1<<1 | 1)
-			w.U16(2)
+			w.U64(1<<2 | 1)
+			w.Site(2)
 			w.U64(1)
 			w.I64(1)
-			w.U64(0)
+			w.TS(0)
 			w.U64(0)
 		})},
-		{"vm-accept", "actions over bound", enc(func(w *wire.Writer) { w.U16(2); w.U64(1); w.U64(over) })},
+		{"vm-accept", "actions over bound", enc(func(w *wire.Writer) { w.Site(2); w.U64(1); w.U64(over) })},
 		{"vm-accept", "trailing", trailing((&VmAcceptRec{From: 2, Seq: 1}).Encode())},
-		{"commit", "actions over bound", enc(func(w *wire.Writer) { w.U64(9); w.U64(over << 1) })},
-		{"commit", "accepted over bound", enc(func(w *wire.Writer) { w.U64(9); w.U64(1); w.U64(over) })},
+		{"commit", "actions over bound", enc(func(w *wire.Writer) { w.TS(9); w.U64(over << 1) })},
+		{"commit", "accepted over bound", enc(func(w *wire.Writer) { w.TS(9); w.U64(1); w.U64(over) })},
 		{"commit", "trailing", trailing((&CommitRec{Txn: 9, Actions: []Action{{Item: "x", Delta: 1}}}).Encode())},
 		{"applied", "trailing", trailing((&AppliedRec{CommitLSN: 4}).Encode())},
 		{"checkpoint", "items over bound", enc(func(w *wire.Writer) { w.U64(1<<20 + 1) })},
@@ -330,21 +359,21 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		{"checkpoint", "pending over bound", enc(func(w *wire.Writer) {
 			w.U64(0)
 			w.U64(1)
-			w.U16(2)
+			w.Site(2)
 			w.U64(0)
 			w.U64(0)
-			w.U64(over)
+			w.U64(over << 2)
 		})},
 		{"checkpoint", "trailing", trailing((&CheckpointRec{Clock: 3}).Encode())},
 		{"checkpoint", "pending item implied", enc(func(w *wire.Writer) {
 			w.U64(0)
 			w.U64(1)
-			w.U16(2)
+			w.Site(2)
 			w.U64(0)
 			w.U64(0)
-			w.U64(1<<1 | 1)
+			w.U64(1<<2 | 1)
 		})},
-		{"prepare", "writes over bound", enc(func(w *wire.Writer) { w.U64(9); w.U16(1); w.U64(over) })},
+		{"prepare", "writes over bound", enc(func(w *wire.Writer) { w.TS(9); w.Site(1); w.U64(over) })},
 		{"prepare", "trailing", trailing((&PrepareRec{Txn: 9, Coord: 1}).Encode())},
 		{"decision", "trailing", trailing((&DecisionRec{Txn: 9, Commit: true}).Encode())},
 	}

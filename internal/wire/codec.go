@@ -13,6 +13,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"dvp/internal/ident"
+	"dvp/internal/tstamp"
 )
 
 // ErrShort reports a truncated buffer during decode.
@@ -52,11 +55,6 @@ func (w *Writer) PatchU32(off int, v uint32) {
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
 
-// U16 appends a fixed-width big-endian uint16.
-func (w *Writer) U16(v uint16) {
-	w.buf = binary.BigEndian.AppendUint16(w.buf, v)
-}
-
 // U32 appends a fixed-width big-endian uint32.
 func (w *Writer) U32(v uint32) {
 	w.buf = binary.BigEndian.AppendUint32(w.buf, v)
@@ -70,6 +68,17 @@ func (w *Writer) U64(v uint64) {
 // I64 appends a zigzag-encoded signed varint.
 func (w *Writer) I64(v int64) {
 	w.buf = binary.AppendVarint(w.buf, v)
+}
+
+// Site appends a site id as one unsigned varint: 1 byte below 128.
+func (w *Writer) Site(s ident.SiteID) { w.U64(uint64(s)) }
+
+// TS appends a timestamp as its counter, then its site, each an
+// unsigned varint. A drawn timestamp at a counter below 2²¹ and a site
+// below 128 takes at most 4 bytes; the zero timestamp takes 2.
+func (w *Writer) TS(t tstamp.TS) {
+	w.U64(t.Counter())
+	w.Site(t.Site())
 }
 
 // Bool appends a boolean as one byte.
@@ -135,20 +144,6 @@ func (r *Reader) U8() uint8 {
 	return v
 }
 
-// U16 reads a fixed-width big-endian uint16.
-func (r *Reader) U16() uint16 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+2 > len(r.buf) {
-		r.Fail(ErrShort)
-		return 0
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v
-}
-
 // U32 reads a fixed-width big-endian uint32.
 func (r *Reader) U32() uint32 {
 	if r.err != nil {
@@ -189,6 +184,27 @@ func (r *Reader) I64() int64 {
 	}
 	r.off += n
 	return v
+}
+
+// maxSite is the largest site id (ident.SiteID's range); maxCounter the
+// largest timestamp counter (the bits of a TS above its site).
+const (
+	maxSite    = 1<<16 - 1
+	maxCounter = 1<<(64-tstamp.SiteBits) - 1
+)
+
+// Site reads a site id written by Writer.Site, failing the reader
+// (ErrTooLong) on a value above 65535.
+func (r *Reader) Site() ident.SiteID {
+	return ident.SiteID(r.Count(maxSite))
+}
+
+// TS reads a timestamp written by Writer.TS, failing the reader
+// (ErrTooLong) on a counter or site out of range, so every timestamp
+// has exactly one encoding.
+func (r *Reader) TS() tstamp.TS {
+	c := r.Count(maxCounter)
+	return tstamp.Make(c, r.Site())
 }
 
 // Count reads a length prefix and fails the reader (ErrTooLong) if it

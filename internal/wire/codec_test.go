@@ -9,7 +9,7 @@ import (
 func TestPrimitivesRoundTrip(t *testing.T) {
 	var w Writer
 	w.U8(0xAB)
-	w.U16(0xBEEF)
+	w.Site(0xBEEF)
 	w.U32(0xDEADBEEF)
 	w.U64(1 << 40)
 	w.I64(-123456789)
@@ -22,8 +22,8 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	if v := r.U8(); v != 0xAB {
 		t.Errorf("U8 = %#x", v)
 	}
-	if v := r.U16(); v != 0xBEEF {
-		t.Errorf("U16 = %#x", v)
+	if v := r.Site(); v != 0xBEEF {
+		t.Errorf("Site = %#x", v)
 	}
 	if v := r.U32(); v != 0xDEADBEEF {
 		t.Errorf("U32 = %#x", v)

@@ -24,8 +24,10 @@ type Envelope struct {
 	Msg     Msg
 }
 
-// envelopeMagic guards against framing bugs and foreign traffic.
-const envelopeMagic = 0xD7
+// envelopeMagic guards against framing bugs and foreign traffic,
+// including a peer that speaks an older encoding: each change of the
+// encoding takes a new magic.
+const envelopeMagic = 0xD8
 
 // Marshal encodes the envelope to a fresh byte slice.
 func (e *Envelope) Marshal() ([]byte, error) {
@@ -45,9 +47,9 @@ func (e *Envelope) MarshalInto(w *Writer) error {
 		return fmt.Errorf("wire: envelope without message")
 	}
 	w.U8(envelopeMagic)
-	w.U16(uint16(e.From))
-	w.U16(uint16(e.To))
-	w.U64(uint64(e.Lamport))
+	w.Site(e.From)
+	w.Site(e.To)
+	w.TS(e.Lamport)
 	w.U64(e.AckUpTo)
 	w.U8(uint8(e.Msg.Kind()))
 	e.Msg.Encode(w)
@@ -61,9 +63,9 @@ func Unmarshal(buf []byte) (*Envelope, error) {
 		return nil, fmt.Errorf("wire: bad magic byte 0x%02x", magic)
 	}
 	e := &Envelope{
-		From:    ident.SiteID(r.U16()),
-		To:      ident.SiteID(r.U16()),
-		Lamport: tstamp.TS(r.U64()),
+		From:    r.Site(),
+		To:      r.Site(),
+		Lamport: r.TS(),
 		AckUpTo: r.U64(),
 	}
 	kind := Kind(r.U8())

@@ -3,6 +3,7 @@ package wire
 import (
 	"testing"
 
+	"dvp/internal/ident"
 	"dvp/internal/tstamp"
 )
 
@@ -48,6 +49,63 @@ func FuzzUnmarshal(f *testing.F) {
 		}
 		if _, err := Unmarshal(buf); err != nil {
 			t.Fatalf("re-encoded envelope rejected: %v", err)
+		}
+	})
+}
+
+// FuzzTSAndSite: every timestamp — any counter below 2⁴⁸ at any site —
+// and every site id reads back exactly what was written; a site id
+// above 65535 and a counter of 2⁴⁸ or more are refused; bytes left
+// after the values make Done fail.
+func FuzzTSAndSite(f *testing.F) {
+	f.Add(uint64(0), uint16(0), uint64(0), []byte{})
+	f.Add(uint64(70000), uint16(1), uint64(65535), []byte{0})
+	f.Add(uint64(1<<48-1), uint16(65535), uint64(65536), []byte{0x80, 1})
+	f.Add(uint64(1<<48), uint16(3), uint64(1<<63), []byte{})
+	f.Fuzz(func(t *testing.T, counter uint64, site uint16, raw uint64, tail []byte) {
+		ts := tstamp.Make(counter&maxCounter, ident.SiteID(site))
+		var w Writer
+		w.TS(ts)
+		w.Site(ident.SiteID(site))
+		r := NewReader(w.Bytes())
+		if got := r.TS(); got != ts {
+			t.Fatalf("TS %v read back as %v", ts, got)
+		}
+		if got := r.Site(); got != ident.SiteID(site) {
+			t.Fatalf("site %d read back as %d", site, got)
+		}
+		if err := r.Done(); err != nil {
+			t.Fatalf("TS %v, site %d: %v", ts, site, err)
+		}
+		if len(tail) > 0 {
+			r := NewReader(append(w.Bytes(), tail...))
+			r.TS()
+			r.Site()
+			if r.Done() == nil {
+				t.Fatalf("%d trailing bytes accepted", len(tail))
+			}
+		}
+
+		var raws Writer
+		raws.U64(raw)
+		r = NewReader(raws.Bytes())
+		got := r.Site()
+		if raw > maxSite {
+			if r.Err() == nil {
+				t.Fatalf("site id %d accepted", raw)
+			}
+		} else if r.Done() != nil || got != ident.SiteID(raw) {
+			t.Fatalf("site id %d read as %d (%v)", raw, got, r.Err())
+		}
+		raws.U64(uint64(site))
+		r = NewReader(raws.Bytes())
+		gotTS := r.TS()
+		if raw > maxCounter {
+			if r.Err() == nil {
+				t.Fatalf("counter %d accepted", raw)
+			}
+		} else if r.Done() != nil || gotTS != tstamp.Make(raw, ident.SiteID(site)) {
+			t.Fatalf("counter %d at site %d read as %v (%v)", raw, site, gotTS, r.Err())
 		}
 	})
 }

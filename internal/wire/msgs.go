@@ -149,7 +149,7 @@ func (*Request) Kind() Kind { return KRequest }
 
 // Encode implements Msg.
 func (m *Request) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.I64(int64(m.Want))
 	w.Bool(m.FullRead)
@@ -158,7 +158,7 @@ func (m *Request) Encode(w *Writer) {
 
 func decodeRequest(r *Reader) *Request {
 	return &Request{
-		Txn:      tstamp.TS(r.U64()),
+		Txn:      r.TS(),
 		Item:     ident.ItemID(r.String()),
 		Want:     core.Value(r.I64()),
 		FullRead: r.Bool(),
@@ -205,7 +205,7 @@ func (m *Vm) Encode(w *Writer) {
 	w.U64(m.Seq)
 	w.String(string(m.Item))
 	w.I64(int64(m.Amount))
-	w.U64(uint64(m.ReqTxn))
+	w.TS(m.ReqTxn)
 	EncodeFlowVec(w, m.FlowVec)
 	encodeTraceCtx(w, m.Trace)
 }
@@ -215,7 +215,7 @@ func decodeVm(r *Reader) *Vm {
 		Seq:     r.U64(),
 		Item:    ident.ItemID(r.String()),
 		Amount:  core.Value(r.I64()),
-		ReqTxn:  tstamp.TS(r.U64()),
+		ReqTxn:  r.TS(),
 		FlowVec: DecodeFlowVec(r),
 		Trace:   decodeTraceCtx(r),
 	}
@@ -226,7 +226,7 @@ func decodeVm(r *Reader) *Vm {
 func EncodeFlowVec(w *Writer, vec []FlowEntry) {
 	w.U64(uint64(len(vec)))
 	for _, e := range vec {
-		w.U16(uint16(e.Site))
+		w.Site(e.Site)
 		w.U64(e.Count)
 	}
 }
@@ -239,7 +239,7 @@ func DecodeFlowVec(r *Reader) []FlowEntry {
 	}
 	out := make([]FlowEntry, 0, n)
 	for i := uint64(0); i < n; i++ {
-		out = append(out, FlowEntry{Site: ident.SiteID(r.U16()), Count: r.U64()})
+		out = append(out, FlowEntry{Site: r.Site(), Count: r.U64()})
 	}
 	return out
 }
@@ -386,14 +386,14 @@ func (*LockReq) Kind() Kind { return KLockReq }
 
 // Encode implements Msg.
 func (m *LockReq) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.U8(uint8(m.Mode))
 }
 
 func decodeLockReq(r *Reader) *LockReq {
 	return &LockReq{
-		Txn:  tstamp.TS(r.U64()),
+		Txn:  r.TS(),
 		Item: ident.ItemID(r.String()),
 		Mode: LockMode(r.U8()),
 	}
@@ -411,14 +411,14 @@ func (*LockReply) Kind() Kind { return KLockReply }
 
 // Encode implements Msg.
 func (m *LockReply) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.Bool(m.Granted)
 }
 
 func decodeLockReply(r *Reader) *LockReply {
 	return &LockReply{
-		Txn:     tstamp.TS(r.U64()),
+		Txn:     r.TS(),
 		Item:    ident.ItemID(r.String()),
 		Granted: r.Bool(),
 	}
@@ -443,12 +443,12 @@ func (*Write) Kind() Kind { return KWrite }
 
 // Encode implements Msg.
 func (m *Write) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	encodeDeltas(w, m.Writes)
 }
 
 func decodeWrite(r *Reader) *Write {
-	return &Write{Txn: tstamp.TS(r.U64()), Writes: decodeDeltas(r)}
+	return &Write{Txn: r.TS(), Writes: decodeDeltas(r)}
 }
 
 func encodeDeltas(w *Writer, ds []ItemDelta) {
@@ -486,12 +486,12 @@ func (*Prepare) Kind() Kind { return KPrepare }
 
 // Encode implements Msg.
 func (m *Prepare) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	encodeDeltas(w, m.Writes)
 }
 
 func decodePrepare(r *Reader) *Prepare {
-	return &Prepare{Txn: tstamp.TS(r.U64()), Writes: decodeDeltas(r)}
+	return &Prepare{Txn: r.TS(), Writes: decodeDeltas(r)}
 }
 
 // Vote is the 2PC phase-1 reply.
@@ -505,12 +505,12 @@ func (*Vote) Kind() Kind { return KVote }
 
 // Encode implements Msg.
 func (m *Vote) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.Bool(m.Yes)
 }
 
 func decodeVote(r *Reader) *Vote {
-	return &Vote{Txn: tstamp.TS(r.U64()), Yes: r.Bool()}
+	return &Vote{Txn: r.TS(), Yes: r.Bool()}
 }
 
 // Decision is the 2PC phase-2 message.
@@ -524,12 +524,12 @@ func (*Decision) Kind() Kind { return KDecision }
 
 // Encode implements Msg.
 func (m *Decision) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.Bool(m.Commit)
 }
 
 func decodeDecision(r *Reader) *Decision {
-	return &Decision{Txn: tstamp.TS(r.U64()), Commit: r.Bool()}
+	return &Decision{Txn: r.TS(), Commit: r.Bool()}
 }
 
 // DecisionAck completes 2PC phase 2 (lets the coordinator forget).
@@ -541,10 +541,10 @@ type DecisionAck struct {
 func (*DecisionAck) Kind() Kind { return KDecisionAck }
 
 // Encode implements Msg.
-func (m *DecisionAck) Encode(w *Writer) { w.U64(uint64(m.Txn)) }
+func (m *DecisionAck) Encode(w *Writer) { w.TS(m.Txn) }
 
 func decodeDecisionAck(r *Reader) *DecisionAck {
-	return &DecisionAck{Txn: tstamp.TS(r.U64())}
+	return &DecisionAck{Txn: r.TS()}
 }
 
 // ReadReq asks a replica holder for its copy's value and version.
@@ -558,12 +558,12 @@ func (*ReadReq) Kind() Kind { return KReadReq }
 
 // Encode implements Msg.
 func (m *ReadReq) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 }
 
 func decodeReadReq(r *Reader) *ReadReq {
-	return &ReadReq{Txn: tstamp.TS(r.U64()), Item: ident.ItemID(r.String())}
+	return &ReadReq{Txn: r.TS(), Item: ident.ItemID(r.String())}
 }
 
 // ReadReply returns a replica's value and version (for quorum reads,
@@ -581,7 +581,7 @@ func (*ReadReply) Kind() Kind { return KReadReply }
 
 // Encode implements Msg.
 func (m *ReadReply) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.I64(int64(m.Value))
 	w.U64(m.Version)
@@ -590,7 +590,7 @@ func (m *ReadReply) Encode(w *Writer) {
 
 func decodeReadReply(r *Reader) *ReadReply {
 	return &ReadReply{
-		Txn:     tstamp.TS(r.U64()),
+		Txn:     r.TS(),
 		Item:    ident.ItemID(r.String()),
 		Value:   core.Value(r.I64()),
 		Version: r.U64(),
@@ -613,7 +613,7 @@ func (*QWrite) Kind() Kind { return KQWrite }
 
 // Encode implements Msg.
 func (m *QWrite) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.I64(int64(m.Value))
 	w.U64(m.Version)
@@ -621,7 +621,7 @@ func (m *QWrite) Encode(w *Writer) {
 
 func decodeQWrite(r *Reader) *QWrite {
 	return &QWrite{
-		Txn:     tstamp.TS(r.U64()),
+		Txn:     r.TS(),
 		Item:    ident.ItemID(r.String()),
 		Value:   core.Value(r.I64()),
 		Version: r.U64(),
@@ -640,14 +640,14 @@ func (*QWriteAck) Kind() Kind { return KQWriteAck }
 
 // Encode implements Msg.
 func (m *QWriteAck) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.Bool(m.OK)
 }
 
 func decodeQWriteAck(r *Reader) *QWriteAck {
 	return &QWriteAck{
-		Txn:  tstamp.TS(r.U64()),
+		Txn:  r.TS(),
 		Item: ident.ItemID(r.String()),
 		OK:   r.Bool(),
 	}
@@ -668,7 +668,7 @@ func (*Forward) Kind() Kind { return KForward }
 
 // Encode implements Msg.
 func (m *Forward) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.I64(int64(m.Delta))
 	w.Bool(m.Read)
@@ -676,7 +676,7 @@ func (m *Forward) Encode(w *Writer) {
 
 func decodeForward(r *Reader) *Forward {
 	return &Forward{
-		Txn:   tstamp.TS(r.U64()),
+		Txn:   r.TS(),
 		Item:  ident.ItemID(r.String()),
 		Delta: core.Value(r.I64()),
 		Read:  r.Bool(),
@@ -696,7 +696,7 @@ func (*ForwardReply) Kind() Kind { return KForwardReply }
 
 // Encode implements Msg.
 func (m *ForwardReply) Encode(w *Writer) {
-	w.U64(uint64(m.Txn))
+	w.TS(m.Txn)
 	w.String(string(m.Item))
 	w.Bool(m.OK)
 	w.I64(int64(m.Value))
@@ -704,7 +704,7 @@ func (m *ForwardReply) Encode(w *Writer) {
 
 func decodeForwardReply(r *Reader) *ForwardReply {
 	return &ForwardReply{
-		Txn:   tstamp.TS(r.U64()),
+		Txn:   r.TS(),
 		Item:  ident.ItemID(r.String()),
 		OK:    r.Bool(),
 		Value: core.Value(r.I64()),

@@ -109,8 +109,8 @@ func TestDemandAdvertRoundTripProperty(t *testing.T) {
 func TestDemandAdvertHostileLength(t *testing.T) {
 	var w Writer
 	w.U8(envelopeMagic)
-	w.U16(1)
-	w.U16(2)
+	w.Site(1)
+	w.Site(2)
 	w.U64(0)
 	w.U64(0)
 	w.U8(uint8(KDemandAdvert))
@@ -174,8 +174,8 @@ func TestUnmarshalUnknownKind(t *testing.T) {
 	// Safer: craft a minimal envelope by hand.
 	var w Writer
 	w.U8(envelopeMagic)
-	w.U16(1)
-	w.U16(2)
+	w.Site(1)
+	w.Site(2)
 	w.U64(0)
 	w.U64(0)
 	w.U8(200) // unknown kind
@@ -260,5 +260,36 @@ func TestEnvelopeString(t *testing.T) {
 func TestLockModeString(t *testing.T) {
 	if LockShared.String() != "S" || LockExclusive.String() != "X" {
 		t.Error("lock mode strings wrong")
+	}
+}
+
+// TestEnvelopeBytes pins DESIGN §2.7's On the wire table at a counter
+// of 20 000, site ids below 128 and a seq of 300: an envelope is 8 B +
+// its ack + its body, and each body's fields take what the table says.
+func TestEnvelopeBytes(t *testing.T) {
+	ts := tstamp.Make(20000, 1) // 4 B
+	traced := TraceCtx{Origin: 1, TS: ts, Span: 1<<40 | 5}
+	vm := Vm{Seq: 300, Item: "it/17", Amount: 1, ReqTxn: ts}
+	tracedVm := vm
+	tracedVm.Trace = traced
+	for _, c := range []struct {
+		msg  Msg
+		body int
+	}{
+		{&Request{Txn: ts, Item: "it/17", Want: 1}, 7 + 5 + 4},
+		{&Request{Txn: ts, Item: "it/17", Want: 1, Trace: traced}, 7 + 5 + 11},
+		{&vm, 7 + 2 + 5 + 4},
+		{&tracedVm, 7 + 2 + 5 + 11},
+		{&Vm{Seq: 300, Item: "it/17", Amount: 1, ReqTxn: ts, FlowVec: []FlowEntry{{Site: 2, Count: 300}}}, 7 + 2 + 5 + 4 + 1 + 2},
+		{&VmAck{UpTo: 300}, 2},
+		{&VmBatch{Vms: []Vm{vm, vm}}, 1 + 2*(7+2+5+4)},
+	} {
+		buf, err := (&Envelope{From: 1, To: 2, Lamport: ts, AckUpTo: 300, Msg: c.msg}).Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 8 + 2 + c.body; len(buf) != want {
+			t.Errorf("%v: %d B on the wire, want %d", c.msg.Kind(), len(buf), want)
+		}
 	}
 }

@@ -10,7 +10,8 @@ import (
 // causal chain, TS that transaction's timestamp (the stitch key), and
 // Span the sender-side span id the receiver's spans point back to as
 // their parent. It is an ordinary field, encoded the same way wherever
-// it appears; a zero context costs 4 bytes.
+// it appears; a zero context costs 4 bytes (origin 1, the zero TS 2,
+// span 1).
 type TraceCtx struct {
 	Origin ident.SiteID
 	TS     tstamp.TS
@@ -22,15 +23,15 @@ type TraceCtx struct {
 func (c TraceCtx) Valid() bool { return c.TS != 0 }
 
 func encodeTraceCtx(w *Writer, c TraceCtx) {
-	w.U16(uint16(c.Origin))
-	w.U64(uint64(c.TS))
+	w.Site(c.Origin)
+	w.TS(c.TS)
 	w.U64(c.Span)
 }
 
 func decodeTraceCtx(r *Reader) TraceCtx {
 	return TraceCtx{
-		Origin: ident.SiteID(r.U16()),
-		TS:     tstamp.TS(r.U64()),
+		Origin: r.Site(),
+		TS:     r.TS(),
 		Span:   r.U64(),
 	}
 }

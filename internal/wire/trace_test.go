@@ -67,8 +67,8 @@ func TestTraceCtxRoundTripProperty(t *testing.T) {
 	}
 }
 
-// A zero context costs 4 bytes: a fixed 2-byte origin and two 1-byte
-// varints.
+// A zero context costs 4 bytes: a 1-byte origin, the 2-byte zero TS
+// and a 1-byte span.
 func TestZeroTraceCtxCostsFourBytes(t *testing.T) {
 	var w Writer
 	encodeTraceCtx(&w, TraceCtx{})
