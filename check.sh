@@ -37,7 +37,7 @@ if [ -n "$mu_violations" ]; then
 	echo "$mu_violations" >&2
 	exit 1
 fi
-allowed_mutexes='site.go:stripes site.go:lifeMu site.go:acceptMu site.go:ckptRunMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu'
+allowed_mutexes='site.go:stripes site.go:lifeMu site.go:acceptMu site.go:ckptHookMu site.go:mu item.go:mu demand.go:mu'
 for f in internal/site/*.go; do
 	case "$f" in *_test.go) continue ;; esac
 	if grep -q '^[[:space:]]*sync\.\(RW\)\{0,1\}Mutex' "$f"; then
@@ -79,9 +79,10 @@ fi
 # waiter's accept tally, the test of a zero-value Vm forced under its
 # stripe, the file log's per-record frame header and locked second
 # scan loop, the per-label latency cache and its lock, the per-item
-# demand gauge, the trace-ring size, the tcpnet tuning knobs and the
-# fixed-width site id the compact codec replaced) may not come back
-# under their old names.
+# demand gauge, the trace-ring size, the tcpnet tuning knobs, the
+# fixed-width site id the compact codec replaced, the per-item applied
+# LSN the one crash model made dead and dvpnode's own placement path)
+# may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
 		$0 ~ "^type " t " struct {" { in_s = 1; next }
@@ -108,7 +109,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\('
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -132,8 +133,8 @@ go test -race -shuffle=on ./...
 # the Rds lock held through dispatch, commits overlapping a held force,
 # a held Vm create, force and endpoint-open failures, the checkpoint cut
 # across held flushes, acceptances riding other forces (the answer not
-# held by a redelivery, the shortfall force budget, Crash forcing what
-# nobody waited for), credits held on a waiter until its commit record
+# held by a redelivery, the shortfall force budget, a crash dropping
+# what nobody forced), credits held on a waiter until its commit record
 # accepts them (acked at that force, a zero-value answer riding it,
 # dropped by a crash, logged on a timeout, copies earning no ack) and
 # the per-op-kind count budget, the group log forcing on demand, and the
@@ -141,7 +142,7 @@ go test -race -shuffle=on ./...
 # tick on virtual clocks — and the lock-free Lamport clock under mixed
 # draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashForcesPendingAccepts|TestVmCreditAtEnqueueAckAtDurability|TestZeroValueVmRidesTheCommit|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestZeroValueVmRidesTheCommit|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

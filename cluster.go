@@ -23,7 +23,6 @@ type Cluster struct {
 	net    *simnet.Net
 	sites  []*site.Site
 	logs   []*wal.GroupLog
-	dbs    []*store.Durable
 	peers  []ident.SiteID
 	reg    *obs.Registry
 	traces *obs.Ring
@@ -81,12 +80,11 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		log := wal.NewGroupLog(wal.NewSlowDevice(dev, cfg.LogAppendDelay), wal.GroupCommitOptions{})
 		log.Instrument(c.reg, "site", ident.SiteID(i).String())
 		log.SetFlight(flight, ident.SiteID(i).String())
-		db := store.New()
 		sc := site.Config{
 			ID:                     ident.SiteID(i),
 			Peers:                  c.peers,
 			Log:                    log,
-			DB:                     db,
+			DB:                     store.New(),
 			Endpoint:               c.net.Endpoint(ident.SiteID(i)),
 			CC:                     cc.New(cfg.CC),
 			Grant:                  cfg.Grant,
@@ -109,7 +107,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 		c.sites = append(c.sites, s)
 		c.logs = append(c.logs, log)
-		c.dbs = append(c.dbs, db)
 	}
 	for _, s := range c.sites {
 		s.Start()
@@ -147,14 +144,20 @@ func (c *Cluster) CreateItem(item string, total Value) error {
 	return c.CreateItemShares(item, core.EvenShares(total, len(c.sites)))
 }
 
-// CreateItemShares installs explicit per-site quotas (one per site).
+// CreateItemShares installs explicit per-site quotas (one per site),
+// each a placement record in its site's log, so a restart rebuilds it.
+// An item a site holds already is an error.
 func (c *Cluster) CreateItemShares(item string, shares []Value) error {
 	if len(shares) != len(c.sites) {
 		return fmt.Errorf("dvp: %d shares for %d sites", len(shares), len(c.sites))
 	}
 	for i, s := range c.sites {
-		if err := s.DB().Create(toItem(item), shares[i]); err != nil {
+		_, skipped, err := s.Place([]wal.Action{{Item: toItem(item), Delta: shares[i]}})
+		if err != nil {
 			return err
+		}
+		if len(skipped) != 0 {
+			return fmt.Errorf("dvp: item %q already exists at site %d", item, i+1)
 		}
 	}
 	return nil
@@ -207,11 +210,12 @@ func (c *Cluster) SetLoss(p float64) { c.net.SetLoss(p) }
 // SetDup adjusts the message-duplication probability at runtime.
 func (c *Cluster) SetDup(p float64) { c.net.SetDup(p) }
 
-// Crash kills site i: volatile state is lost; log and store survive.
-// In-progress transactions at the site abort with SiteDown.
+// Crash kills site i as a process kill would: everything but its
+// forced log records is lost, the store's contents and the log's queue
+// included. In-progress transactions at the site abort with SiteDown.
 func (c *Cluster) Crash(i int) { c.checkSite(i).Crash() }
 
-// Restart recovers site i from its stable log — independently, with
+// Restart rebuilds site i from its stable log — independently, with
 // no communication — and rejoins it to the network.
 func (c *Cluster) Restart(i int) error { return c.checkSite(i).Restart() }
 

@@ -29,7 +29,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -173,19 +172,12 @@ func main() {
 		self, rec.Elapsed, rec.CheckpointLSN, rec.CheckpointsSkipped,
 		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored)
 
+	// Before Start: a request arriving first would create the item.
 	if o.create != "" {
-		created, skipped, err := createShares(siteLog, db, o.create)
-		if err != nil {
+		if err := place(s, o.create); err != nil {
 			log.Fatal(err)
 		}
-		for _, a := range created {
-			log.Printf("created local share %s = %d", a.Item, a.Delta)
-		}
-		for _, item := range skipped {
-			log.Printf("item %s already in recovered state; -create skipped", item)
-		}
 	}
-
 	s.Start()
 	log.Printf("site %v serving peers on %s", self, ep.Addr())
 
@@ -243,9 +235,8 @@ func main() {
 		ctlSrv.Close()
 		s.Crash()
 	case <-s.FailStopped():
-		// Exit non-zero. The store here is volatile: the next start
-		// replays the log into an empty one, which is all the recovery
-		// a fail-stop needs.
+		// Exit non-zero: the next start recovers from the log, as an
+		// in-process restart would.
 		log.Fatal(s.FailStopErr())
 	}
 }
@@ -296,39 +287,29 @@ func parsePeers(arg string) ([]ident.SiteID, map[ident.SiteID]string, error) {
 	return ident.SortSites(peers), addrs, nil
 }
 
-// createShares installs this site's initial shares from a -create
-// spec (item=share,...): the items the recovered state does not hold
-// yet go into one commit record, appended and applied once, so a start
-// that crashes part-way leaves all of them or none. Unlike the
-// in-process simulation, where the store object survives crashes like
-// disk pages, a real process rebuilds its store from the WAL, so the
-// placement must itself be logged. It returns the actions logged and
-// the items skipped as already present (or listed twice).
-func createShares(l wal.Log, db *store.Durable, spec string) (created []wal.Action, skipped []ident.ItemID, err error) {
+// place logs this site's initial shares from a -create spec
+// (item=share,...) as one placement record (site.Place): on a restart,
+// the items recovered from the log are skipped.
+func place(s *site.Site, spec string) error {
+	var shares []wal.Action
 	for _, kv := range strings.Split(spec, ",") {
 		item, share, err := parseCreate(kv)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bad -create: %w", err)
+			return fmt.Errorf("bad -create: %w", err)
 		}
-		_, exists := db.Get(item)
-		if exists || slices.ContainsFunc(created, func(a wal.Action) bool { return a.Item == item }) {
-			skipped = append(skipped, item)
-			continue
-		}
-		created = append(created, wal.Action{Item: item, Delta: share})
+		shares = append(shares, wal.Action{Item: item, Delta: share})
 	}
-	if len(created) == 0 {
-		return nil, skipped, nil
-	}
-	rec := &wal.CommitRec{Actions: created}
-	lsn, err := l.Append(wal.RecCommit, rec.Encode())
+	placed, skipped, err := s.Place(shares)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
-	if _, err := db.ApplyAll(lsn, created); err != nil {
-		return nil, nil, err
+	for _, a := range placed {
+		log.Printf("created local share %s = %d", a.Item, a.Delta)
 	}
-	return created, skipped, nil
+	for _, item := range skipped {
+		log.Printf("item %s already in recovered state or listed twice; -create skipped", item)
+	}
+	return nil
 }
 
 // parseCreate parses "item=share".

@@ -13,10 +13,12 @@ import (
 	"testing"
 	"time"
 
+	"dvp"
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
-	"dvp/internal/recovery"
+	"dvp/internal/simnet"
+	"dvp/internal/site"
 	"dvp/internal/store"
 	"dvp/internal/wal"
 )
@@ -105,6 +107,38 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
+// nodeSite builds the site dvpnode runs over the log at path — a group
+// log over a file — without starting it.
+func nodeSite(t *testing.T, path string) *site.Site {
+	t.Helper()
+	fl, err := wal.OpenFileLog(path, wal.FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl := wal.NewGroupLog(fl, wal.GroupCommitOptions{})
+	t.Cleanup(func() { gl.Close() })
+	net := simnet.New(simnet.Config{})
+	t.Cleanup(net.Close)
+	s, err := site.New(site.Config{ID: 1, Peers: []ident.SiteID{1}, Log: gl, DB: store.New(), Endpoint: net.Endpoint(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// records returns the kinds and payloads of every record in l.
+func records(t *testing.T, l wal.Log) (kinds []wal.RecordKind, data [][]byte) {
+	t.Helper()
+	if err := l.Scan(1, func(r wal.Record) error {
+		kinds = append(kinds, r.Kind)
+		data = append(data, bytes.Clone(r.Data))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return kinds, data
+}
+
 // -create logs the whole initial placement as one record on a fresh
 // WAL, and nothing on a restart over it: recovery restores every item.
 func TestCreateLogsOnePlacementRecord(t *testing.T) {
@@ -112,45 +146,45 @@ func TestCreateLogsOnePlacementRecord(t *testing.T) {
 	const spec = "a=5, b=0,c=7,a=9"
 	want := map[ident.ItemID]core.Value{"a": 5, "b": 0, "c": 7}
 
-	l, err := wal.OpenFileLog(path, wal.FileLogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	db := store.New()
-	created, skipped, err := createShares(l, db, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := l.LastLSN(); n != 1 || len(created) != 3 || !reflect.DeepEqual(skipped, []ident.ItemID{"a"}) {
-		t.Errorf("fresh WAL: %d records, created %v, skipped %v; want 1 record of 3 shares, a listed twice skipped", n, created, skipped)
-	}
-	for item, v := range want {
-		if got := db.Value(item); got != v {
-			t.Errorf("fresh WAL: %s = %d, want %d", item, got, v)
+	for _, run := range []string{"fresh WAL", "restart"} {
+		s := nodeSite(t, path)
+		if err := place(s, spec); err != nil {
+			t.Fatal(err)
 		}
+		if kinds, _ := records(t, s.Log()); len(kinds) != 1 || kinds[0] != wal.RecCommit {
+			t.Errorf("%s: log holds %v, want the one placement record", run, kinds)
+		}
+		for item, v := range want {
+			if got := s.DB().Value(item); got != v {
+				t.Errorf("%s: %s = %d, want %d", run, item, got, v)
+			}
+		}
+		s.Log().Close()
 	}
-	l.Close()
+}
 
-	l, err = wal.OpenFileLog(path, wal.FileLogOptions{})
+// A placement is one record, whoever makes it: Cluster.CreateItemShares
+// and dvpnode -create write the same bytes for the same share.
+func TestClusterAndCreatePlaceAlike(t *testing.T) {
+	c, err := dvp.NewCluster(dvp.Config{Sites: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	db, _, _, err = recovery.Rebuild(l, 1)
-	if err != nil {
+	defer c.Close()
+	if err := c.CreateItemShares("flight/A", []dvp.Value{50, 7}); err != nil {
 		t.Fatal(err)
 	}
-	created, skipped, err = createShares(l, db, spec)
-	if err != nil {
+	s := nodeSite(t, filepath.Join(t.TempDir(), "s1.wal"))
+	if err := place(s, "flight/A=50"); err != nil {
 		t.Fatal(err)
 	}
-	if n := l.LastLSN(); n != 1 || len(created) != 0 || len(skipped) != 4 {
-		t.Errorf("restart: %d records, created %v, skipped %v; want still 1 record, nothing created", n, created, skipped)
+	ck, cd := records(t, c.SiteEngine(1).Log())
+	nk, nd := records(t, s.Log())
+	if !reflect.DeepEqual(ck, nk) || !reflect.DeepEqual(cd, nd) {
+		t.Errorf("Cluster placed %v %x, dvpnode -create %v %x", ck, cd, nk, nd)
 	}
-	for item, v := range want {
-		if got := db.Value(item); got != v {
-			t.Errorf("restart: %s = %d, want %d", item, got, v)
-		}
+	if want := (&wal.CommitRec{Actions: []wal.Action{{Item: "flight/A", Delta: 50}}}).Encode(); len(nd) != 1 || !bytes.Equal(nd[0], want) {
+		t.Errorf("placement record %x, want %x", nd, want)
 	}
 }
 

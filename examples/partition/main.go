@@ -68,7 +68,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		s.DB().Create("flight/A", 1_000_000)
+		if err := s.Create("flight/A", 1_000_000); err != nil {
+			log.Fatal(err)
+		}
 		tsites = append(tsites, s)
 	}
 	for _, s := range tsites {

@@ -165,8 +165,9 @@ func (s *Site) Start() {
 	go s.retryLoop(stop)
 }
 
-// Crash kills the site: volatile state (lock table, coordinator
-// windows) is lost; the log and replicas survive.
+// Crash kills the site: everything but its log is lost — lock table,
+// coordinator windows and, at Restart, the replicas' contents, which
+// recovery rebuilds from the log.
 func (s *Site) Crash() {
 	s.mu.Lock()
 	if !s.up {
@@ -192,37 +193,48 @@ func (s *Site) Restart() error {
 	return nil
 }
 
-// recover replays the log: committed decisions are re-applied
-// (idempotent via applied-LSN), and prepared-but-undecided
-// participations re-enter the in-doubt state with their locks
-// re-acquired — the blocking window survives crashes, which is rather
-// the point.
+// recover rebuilds the site from its log alone, in one pass: the
+// replicas start empty, and their placements and committed write sets
+// are re-applied in log order — a write set at its first commit
+// decision, which its prepare precedes and its locks kept ahead of
+// every conflicting prepare — so a decrement never lands before the
+// increment it needs.
+// Prepared-but-undecided participations re-enter the in-doubt state
+// with their locks re-acquired — the blocking window survives crashes,
+// which is rather the point.
 func (s *Site) recover() error {
 	s.clock.Reset()
-	type prep struct {
-		rec *wal.PrepareRec
-		lsn uint64
-	}
-	preps := make(map[ident.TxnID]prep)
-	decided := make(map[ident.TxnID]*wal.DecisionRec)
-	decLSN := make(map[ident.TxnID]uint64)
+	s.cfg.DB.RestoreCheckpoint(nil)
+	preps := make(map[ident.TxnID]*wal.PrepareRec)
+	decided := make(map[ident.TxnID]bool)
 	err := s.cfg.Log.Scan(1, func(r wal.Record) error {
 		switch r.Kind {
+		case wal.RecCommit: // a placement
+			rec, err := wal.DecodeCommit(r.Data)
+			if err != nil {
+				return err
+			}
+			_, err = s.cfg.DB.ApplyAll(r.LSN, rec.Actions)
+			return err
 		case wal.RecPrepare:
 			rec, err := wal.DecodePrepare(r.Data)
 			if err != nil {
 				return err
 			}
-			preps[rec.Txn.Txn()] = prep{rec, r.LSN}
+			preps[rec.Txn.Txn()] = rec
 			s.clock.Observe(rec.Txn)
 		case wal.RecDecision:
 			rec, err := wal.DecodeDecision(r.Data)
 			if err != nil {
 				return err
 			}
-			decided[rec.Txn.Txn()] = rec
-			decLSN[rec.Txn.Txn()] = r.LSN
 			s.clock.Observe(rec.Txn)
+			id := rec.Txn.Txn()
+			if p := preps[id]; p != nil && rec.Commit && !decided[id] {
+				_, err = s.cfg.DB.ApplyAll(r.LSN, p.Writes)
+			}
+			decided[id] = true // an abort may precede the prepare
+			return err
 		}
 		return nil
 	})
@@ -230,29 +242,36 @@ func (s *Site) recover() error {
 		return err
 	}
 	for id, p := range preps {
-		if d, ok := decided[id]; ok {
-			if d.Commit {
-				if _, err := s.cfg.DB.ApplyAll(decLSN[id], p.rec.Writes); err != nil {
-					return err
-				}
-			}
+		if decided[id] {
 			continue
 		}
 		// In doubt across the crash: re-lock and wait for a decision.
 		s.mu.Lock()
 		s.prepared[id] = &preparedState{
-			ts:     p.rec.Txn,
-			coord:  p.rec.Coord,
-			writes: p.rec.Writes,
+			ts:     p.Txn,
+			coord:  p.Coord,
+			writes: p.Writes,
 			since:  s.cfg.Clock.Now(),
 		}
 		s.stats.InDoubtTotal++
 		s.mu.Unlock()
-		for _, w := range p.rec.Writes {
+		for _, w := range p.Writes {
 			s.locks.Lock(id, w.Item, lock.Exclusive, 0)
 		}
 	}
 	return nil
+}
+
+// Create places a replica of item holding v, once per item: a commit
+// record in the log, applied once stable, which recovery replays like a
+// decided write set.
+func (s *Site) Create(item ident.ItemID, v core.Value) error {
+	rec := &wal.CommitRec{Actions: []wal.Action{{Item: item, Delta: v}}}
+	lsn, err := s.cfg.Log.Append(wal.RecCommit, rec.Encode())
+	if err == nil {
+		_, err = s.cfg.DB.ApplyAll(lsn, rec.Actions)
+	}
+	return err
 }
 
 // peers returns all sites (every site replicates every item).

@@ -62,7 +62,8 @@ type Options struct {
 	// checks while the cluster is still up and quiescent (corpus
 	// capture scans the stable logs here).
 	OnQuiescent func(c *dvp.Cluster)
-	// Sabotage, when set, runs right before the final round's barrier
+	// Sabotage, when set, runs inside the final round's barrier, once
+	// every site is up and drained, right before the invariant checks,
 	// and may mutate cluster state directly to force an invariant
 	// violation — it exists to test the violation artifacts themselves
 	// (the flight-recorder dump, the replay trace).
@@ -265,24 +266,11 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		}
 		r.initial[item] = sched.Total
 	}
-	// Initial checkpoint at every site: the checkpoint carries the
-	// store snapshot, so rebuild-from-log-alone (the idempotence
-	// invariant) covers the whole history. Also the first log
-	// compaction.
-	for i := 1; i <= sched.Sites; i++ {
-		if err := c.Checkpoint(i); err != nil {
-			return r.report, err
-		}
-	}
 
 	for round := 1; round <= sched.Rounds; round++ {
 		r.report.Rounds = round
 		r.tracef("round %d: begin (%d events)", round, len(r.sched.eventsIn(round)))
 		r.runRound(round)
-		if opt.Sabotage != nil && round == sched.Rounds {
-			opt.Sabotage(c)
-			r.tracef("round %d: sabotage injected before final barrier", round)
-		}
 		if err := r.barrier(round); err != nil {
 			r.captureFlight()
 			return r.report, fmt.Errorf("chaos seed %d round %d: %w", sched.Seed, round, err)
@@ -702,6 +690,10 @@ func (r *runner) barrier(round int) error {
 		return fmt.Errorf("failed to drain: %d Vm still pending after %v", n, quiesceBound)
 	}
 
+	if r.opt.Sabotage != nil && round == r.sched.Rounds {
+		r.opt.Sabotage(r.c)
+		r.tracef("r%d barrier: sabotage injected", round)
+	}
 	if err := r.checkInvariants(round); err != nil {
 		return err
 	}

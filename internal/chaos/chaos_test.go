@@ -73,7 +73,7 @@ func TestChaosSeeds(t *testing.T) {
 }
 
 // TestSabotageProducesFlightDump forces an invariant violation —
-// conjuring value out of thin air at one site right before the final
+// conjuring value out of thin air in one live site's store at the final
 // barrier — and checks the failure artifacts: the run must fail the
 // conservation check, and the report must carry a readable
 // flight-recorder dump of what the cluster was doing beforehand.

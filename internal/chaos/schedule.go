@@ -64,7 +64,8 @@ const (
 	// after the checkpoint record is stable but before the log is
 	// compacted behind it, so recovery sees a fresh checkpoint with the
 	// records it summarizes still present — the window where a restart
-	// must not double-apply (page-LSN idempotence) or lose state.
+	// must start from the image and replay only what follows it, not
+	// double-apply or lose state.
 	EvCrashInCheckpoint
 	// Retired: hint-skew, which corrupted the advisory quota-hint cache
 	// until the cache was deleted. The slot keeps later kinds' numbers.

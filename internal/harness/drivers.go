@@ -62,7 +62,7 @@ func newTwopcClusterDelay(n int, netCfg simnet.Config, appendDelay time.Duration
 func (c *twopcCluster) createItem(item ident.ItemID, total core.Value) error {
 	// Full replication: every site holds the whole value.
 	for _, s := range c.sites {
-		if err := s.DB().Create(item, total); err != nil {
+		if err := s.Create(item, total); err != nil {
 			return err
 		}
 	}

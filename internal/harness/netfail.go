@@ -154,11 +154,12 @@ func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 	// so survivors 1 and 3 must redistribute over the wire, and during
 	// the outage half the pool's supply is parked at a corpse.
 	for i := 0; i < n1Sites; i++ {
-		sites[i].DB().Create(n1Item(i+1), 1)
+		pool := core.Value(0)
 		if i%2 == 1 {
-			sites[i].DB().Create("n1/pool", 1<<30)
-		} else {
-			sites[i].DB().Create("n1/pool", 0)
+			pool = 1 << 30
+		}
+		if _, _, err := sites[i].Place([]wal.Action{{Item: n1Item(i + 1), Delta: 1}, {Item: "n1/pool", Delta: pool}}); err != nil {
+			return n1Stats{}, err
 		}
 	}
 

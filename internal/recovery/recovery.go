@@ -1,26 +1,27 @@
 // Package recovery implements the paper's §7 recovery algorithm. It
 // is deliberately *independent*: it takes only the recovering site's
-// own stable log and durable store — never a network handle — so the
-// type system itself enforces "other sites need not be queried to find
-// out any information to allow normal processing to begin".
+// own stable log and what it rebuilds — never a network handle — so
+// the type system itself enforces "other sites need not be queried to
+// find out any information to allow normal processing to begin".
 //
 // The algorithm:
 //
 //  1. Lock state is volatile and simply does not survive (the caller
 //     starts with an empty lock table) — §7 argues this is safe.
-//  2. Find the last *valid* checkpoint, restore Vm channel cursors and
-//     the Lamport counter from it. A checkpoint that fails to decode is
-//     skipped, falling back to the previous valid one, and finally to a
-//     full-log scan — a damaged checkpoint must degrade restart time,
-//     never correctness.
+//  2. Start from the last *valid* checkpoint's image — the store's
+//     contents, Vm channel cursors, Lamport counter — or from an empty
+//     store. A checkpoint that fails to decode is skipped, falling back
+//     to the previous valid one, and finally to a full-log scan — a
+//     damaged checkpoint must degrade restart time, never correctness.
 //  3. Replay the log suffix: every VmCreate / VmAccept / Commit
-//     record's database actions are redone idempotently (the store's
-//     per-item applied-LSN makes replay safe even if recovery itself
-//     crashes and reruns), Vm channel state is rebuilt — a commit
-//     accepts the Vm it lists, as an acceptance record accepts its
-//     one — and the highest transaction timestamp is folded into the
-//     clock.
-//  4. Outstanding Vm are NOT retransmitted here: they re-enter the
+//     record's database actions are redone, each once — the image
+//     holds exactly the records below the checkpoint — Vm channel
+//     state is rebuilt — a commit accepts the Vm it lists, as an
+//     acceptance record accepts its one — and every timestamp a record
+//     carries is folded into the clock.
+//  4. Raise every item's stamp to the recovered clock: the Conc1 lock
+//     stamps the crash lost are covered by it.
+//  5. Outstanding Vm are NOT retransmitted here: they re-enter the
 //     normal retransmission loop once the site is up ("the system
 //     eventually sends the outstanding Vm in the normal course of
 //     processing").
@@ -47,8 +48,7 @@ type Summary struct {
 	CheckpointsSkipped int
 	// RecordsScanned counts log records visited after the checkpoint.
 	RecordsScanned int
-	// ActionsRedone counts database actions actually re-applied (not
-	// skipped by the applied-LSN check).
+	// ActionsRedone counts database actions re-applied from the suffix.
 	ActionsRedone int
 	// VmRestored counts outbound Vm re-registered for retransmission.
 	VmRestored int
@@ -59,10 +59,10 @@ type Summary struct {
 	NetworkCalls int
 }
 
-// Recover rebuilds volatile state from the stable log. db, vm and
-// clock must be freshly constructed (or checkpoint-restored) empties;
-// the durable db may also carry pre-crash state — replay is idempotent
-// either way.
+// Recover rebuilds a site's state from its stable log alone, into the
+// objects it is given: db's contents are replaced — by the last valid
+// checkpoint's image, or by nothing — and vm and clock must be freshly
+// constructed or reset.
 func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock) (Summary, error) {
 	start := time.Now()
 	var sum Summary
@@ -86,36 +86,33 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 	if err != nil {
 		return sum, err
 	}
+	db.RestoreCheckpoint(nil)
 	if cp != nil {
 		sum.CheckpointLSN = cpLSN
 		vm.RestoreChannels(cp.Channels)
 		clock.Restore(cp.Clock)
-		// The durable store survives on its own; the checkpoint's
-		// item snapshot is only needed when rebuilding a store from
-		// the log alone (e.g. disk replacement).
-		if len(db.Items()) == 0 && len(cp.Items) > 0 {
-			db.RestoreCheckpoint(cp.Items)
-		}
+		db.RestoreCheckpoint(cp.Items)
 	}
 
 	// Pass 2: replay the suffix.
 	if err := replay(log, db, vm, clock, cpLSN+1, &sum); err != nil {
 		return sum, err
 	}
-
-	// Fold the durable store's own stamps into the clock: a timestamp
-	// this site issued (as a transaction TS or a Conc1 lock stamp)
-	// must never be reissued. Without this, a recovered site's first
-	// transactions would be cc-rejected even when purely local,
-	// contradicting §7's "write-only transactions could always be
-	// processed at the local site".
-	for _, item := range db.Items() {
-		if it, ok := db.Get(item); ok && it.TS.Site() == clock.Site() {
-			clock.Observe(it.TS)
-		}
-	}
+	raiseStamps(db, clock)
 	sum.Elapsed = time.Since(start)
 	return sum, nil
+}
+
+// raiseStamps raises every item's stamp to the recovered clock: a crash
+// can lose the Conc1 lock stamp of a committed full read that logged no
+// action on the item, which would admit a request stamped below that
+// read (DESIGN §2, decision 5). The clock covers every logged stamp, so
+// the raise lowers none.
+func raiseStamps(db *store.Durable, clock *tstamp.Clock) {
+	stamp := tstamp.Make(clock.Current(), clock.Site())
+	for _, item := range db.Items() {
+		db.SetTS(item, stamp)
+	}
 }
 
 // replay is the streaming single-pass redo of the suffix, in LSN
@@ -127,11 +124,10 @@ func replay(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Cloc
 	})
 }
 
-// redo replays one record: its database actions are re-applied (the
-// store's applied-LSN skips what it already holds), then Vm channel
-// state is rebuilt — what the record creates, and what it accepts, be
-// it a Vm acceptance or a commit that consumed Vm — and the record's
-// timestamps folded into the clock.
+// redo replays one record: its database actions are re-applied, then
+// Vm channel state is rebuilt — what the record creates, and what it
+// accepts, be it a Vm acceptance or a commit that consumed Vm — and
+// the record's timestamps folded into the clock.
 func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock, sum *Summary) error {
 	apply := func(actions []wal.Action) error {
 		n, err := db.ApplyAll(r.LSN, actions)
@@ -139,7 +135,9 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
 		sum.ActionsRedone += n
-		observeActions(clock, actions)
+		for _, a := range actions {
+			clock.Observe(a.SetTS) // a recovered site reissues no stamp it used
+		}
 		return nil
 	}
 	switch r.Kind {
@@ -171,9 +169,8 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 		}
 		clock.Observe(rec.Txn)
 	case wal.RecApplied, wal.RecCheckpoint:
-		// RecApplied appears only in logs written before sites stopped
-		// appending it; the store's applied-LSN already bounds redo,
-		// so there is nothing to do with one.
+		// RecApplied marks a commit applied, which replay needs no
+		// marker to know: nothing to do with one.
 		// Checkpoints were handled in pass 1 (including damaged ones,
 		// which the fallback ladder skipped).
 	case wal.RecPrepare, wal.RecDecision:
@@ -192,33 +189,15 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock
 	return nil
 }
 
-// Rebuild replays a site's stable log into brand-new volatile and
-// durable state, as if the site's disk (minus the log and its last
-// checkpoint) had been replaced. Invariant checkers use it to verify
-// WAL-replay idempotence: the rebuilt store must agree with the live
-// one on every item value, however many crashes interleaved the
-// history. The log is only read, never written.
-//
-// Note the rebuilt state reflects logged history only: the initial
-// quota placement and Conc1 lock stamps are not logged, so a rebuild
-// is exact only from the first checkpoint onward (checkpoints carry
-// the full store snapshot).
+// Rebuild replays a site's stable log into brand-new state — what a
+// restart rebuilds — leaving the log only read, never written.
+// Invariant checkers use it to hold a live store to its log: the
+// rebuilt store must agree with the live one on every item value,
+// however many crashes interleaved the history.
 func Rebuild(log wal.Log, site ident.SiteID) (*store.Durable, *vmsg.Manager, Summary, error) {
 	db := store.New()
 	vm := vmsg.NewManager()
 	clock := tstamp.NewClock(site)
 	sum, err := Recover(log, db, vm, clock)
 	return db, vm, sum, err
-}
-
-// observeActions folds the timestamps a record carries into the clock
-// so that a recovered site never reissues a timestamp it already used
-// durably (the §7 "outdated timestamps" are then healed further by the
-// Lamport bump on the first messages received).
-func observeActions(clock *tstamp.Clock, actions []wal.Action) {
-	for _, a := range actions {
-		if !a.SetTS.IsZero() {
-			clock.Observe(a.SetTS)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package site
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
+	"dvp/internal/recovery"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
 	"dvp/internal/vclock"
@@ -241,14 +243,6 @@ func TestVmBatchAcceptForces(t *testing.T) {
 		t.Run(by, func(t *testing.T) {
 			clock := vclock.NewVirtual(time.Unix(0, 0))
 			tc, gl := groupedCluster(t, 23, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
-			var forces, carried atomic.Int64
-			gl.SetFlushHook(func(n int) {
-				forces.Add(1)
-				carried.Add(int64(n))
-			})
-			var tap ackTap
-			tap.install(t, tc.net)
-
 			const n = 8
 			batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
 			for i := range batch.Vms {
@@ -256,6 +250,14 @@ func TestVmBatchAcceptForces(t *testing.T) {
 				tc.createItem(item, 0)
 				batch.Vms[i] = wire.Vm{Seq: uint64(i + 1), Item: item, Amount: 3}
 			}
+			tc.createItem("local", 20)
+			var forces, carried atomic.Int64
+			gl.SetFlushHook(func(n int) {
+				forces.Add(1)
+				carried.Add(int64(n))
+			})
+			var tap ackTap
+			tap.install(t, tc.net)
 			s := tc.sites[0]
 			s.handle(&wire.Envelope{From: 2, To: 1, Msg: batch})
 			tc.settle()
@@ -271,7 +273,6 @@ func TestVmBatchAcceptForces(t *testing.T) {
 			records := int64(n)
 			switch by {
 			case "commit":
-				tc.createItem("local", 20)
 				if res := s.Run(reserve("local", 1)); !res.Committed() {
 					t.Fatalf("local commit: %v", res.Status)
 				}
@@ -297,8 +298,9 @@ func TestVmBatchAcceptForces(t *testing.T) {
 
 // If the force behind an early credit fails — the retransmission tick
 // asks for it here, nobody else having done so — the site never acks
-// and never un-applies: it counts the stop, stops, and refuses to
-// restart over a store that is ahead of its log.
+// and never un-applies: it counts the stop and stops. It then restarts
+// like any other site, into the store its log holds: the credit whose
+// record never landed is gone, for the sender to send again.
 func TestAcceptForceFailureStopsTheSite(t *testing.T) {
 	inner := wal.NewMemLog()
 	reg := obs.NewRegistry()
@@ -334,8 +336,19 @@ func TestAcceptForceFailureStopsTheSite(t *testing.T) {
 	if s.VM().AckFor(2) != 0 || s.Stats().VmAccepted != 0 {
 		t.Errorf("AckFor = %d, VmAccepted = %d, want 0 and 0", s.VM().AckFor(2), s.Stats().VmAccepted)
 	}
-	if err := s.Restart(); err == nil {
-		t.Error("Restart succeeded over a store ahead of its log")
+	inner.SetAppendHook(nil)
+	if err := s.Restart(); err != nil {
+		t.Fatalf("restart after a fail-stop: %v", err)
+	}
+	rebuilt, _, _, err := recovery.Rebuild(inner, s.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live := s.DB().Snapshot(); !slices.Equal(live, rebuilt.Snapshot()) {
+		t.Errorf("restarted store %v, its log rebuilds %v", live, rebuilt.Snapshot())
+	}
+	if v := s.DB().Value(item); v != 10 {
+		t.Errorf("store after restart = %d, want site 1's own 10", v)
 	}
 }
 
@@ -415,6 +428,7 @@ func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 4, Item: item, Amount: 1}})
+	s.forceAccepts()
 	s.Crash()
 	if err := s.Restart(); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 package site
 
 import (
+	"fmt"
 	"math/bits"
+	"slices"
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
@@ -14,7 +16,8 @@ import (
 // (the only lock for state mutation), the scheme's admission check,
 // and the one durable-write path every record takes — Run's commit
 // (exec.go), a Vm's creation (rds.go) and acceptance (inbound_vm.go),
-// and Checkpoint. None of them touches the log or store any other way.
+// Checkpoint and Place. None of them touches the log or store any
+// other way.
 //
 // The path has two steps. enqueueApply, under the stripes of the
 // record's items, enqueues the record — its LSN is final — and applies
@@ -151,19 +154,18 @@ var recordName = map[wal.RecordKind]string{
 // record into a pooled buffer and Enqueue it, then run mark — the Vm
 // channel's bookkeeping for the record, if any — and apply actions at
 // the reserved LSN. The caller holds the stripes of every action's
-// item: the store's page-LSN idempotence needs same-item records
-// applied in LSN order, which is enqueue order only while the stripe is
-// held across enqueue and apply, and Checkpoint's cut, taken under
-// every stripe, then finds no record enqueued but not applied. It also
-// holds lifeMu's read side — from here through waitForce — unless it is
-// Checkpoint, whose record applies nothing. Every record but a
-// checkpoint feeds the automatic
-// checkpointer's growth count; a checkpoint record never re-arms the
-// trigger it clears. An enqueue error is returned as is. An apply that
-// fails, with the record already in the log's queue, stops the site
-// (<kind>-apply); the log keeps borrowing the buffer until the record
-// is forced or dropped, so it is not pooled again. actions is borrowed
-// for the call.
+// item, so same-item records apply in LSN order — enqueue order while
+// the stripe is held across enqueue and apply — and an item's state is
+// always what a replay of its log prefix rebuilds; Checkpoint's cut,
+// taken under every stripe, then finds no record enqueued but not
+// applied. It also holds lifeMu's read side from here through
+// waitForce, so a crash's fence waits it out. Every record but a
+// checkpoint feeds the automatic checkpointer's growth count; a
+// checkpoint record never re-arms the trigger it clears. An enqueue
+// error is returned as is. An apply that fails, with the record already
+// in the log's queue, stops the site (<kind>-apply); the log keeps
+// borrowing the buffer until the record is forced or dropped, so it is
+// not pooled again. actions is borrowed for the call.
 func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), actions []wal.Action, mark func()) (durable, error) {
 	w := wire.GetWriter()
 	encode(w)
@@ -188,15 +190,15 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 // waitForce is the second step: ask for d's record to be forced and
 // wait until it is stable, hand its buffer back to the pool, and stop
 // the site if the force failed (<kind>-force) — the record's effects
-// stay applied in a store that is now ahead of its log, and nothing
-// built on them may leave. Holding lifeMu's read side across the wait
-// keeps Crash's fence meaning "nothing applied is missing from the
-// log" (Crash forces the pending acceptances itself); no stripe is held
-// across it but by Checkpoint (every stripe). Pending acceptances ride
-// the force rather than ask for one of their own; once the caller holds
-// no stripe it settles
-// those the force covered (settleAccepts up to d's LSN), so their
-// OnRds hook never runs under one.
+// stay applied in a store now ahead of its log until the crash that
+// follows rebuilds it, and nothing built on them may leave. Holding
+// lifeMu's read side across the wait keeps Crash's fence meaning
+// "nobody waits on the log", so the crash may drop the log's queue; no
+// stripe is held across it but by Checkpoint (every stripe). Pending
+// acceptances ride the force rather than ask for one of their own; once
+// the caller holds no stripe it settles those the force covered
+// (settleAccepts up to d's LSN), so their OnRds hook never runs under
+// one.
 func (s *Site) waitForce(d *durable) error {
 	err := s.cfg.Log.WaitDurable(d.lsn)
 	wire.PutWriter(d.w)
@@ -205,4 +207,46 @@ func (s *Site) waitForce(d *durable) error {
 		s.failStop(recordName[d.kind]+"-force", err)
 	}
 	return err
+}
+
+// Place logs this site's initial shares (§3's initial distribution)
+// as one commit record with no timestamp, an action crediting each
+// share, through the one durable-write path: a restart rebuilds the
+// placement from the log, and a placement lands whole or not at all.
+// A share whose item the store holds already — recovered from the log —
+// or that an earlier share names is skipped, not logged. Call it before
+// Start, so that no request creates an item first, or while up.
+func (s *Site) Place(shares []wal.Action) (placed []wal.Action, skipped []ident.ItemID, err error) {
+	var stripes uint64
+	for _, a := range shares {
+		if a.Delta < 0 {
+			return nil, nil, fmt.Errorf("site %v: negative share %d of %q", s.cfg.ID, a.Delta, a.Item)
+		}
+		stripes |= 1 << uint(s.stripeOf(a.Item))
+	}
+	s.lifeMu.RLock()
+	defer s.lifeMu.RUnlock()
+	s.lockStripes(stripes)
+	for _, a := range shares {
+		_, held := s.cfg.DB.Get(a.Item)
+		if held || slices.ContainsFunc(placed, func(p wal.Action) bool { return p.Item == a.Item }) {
+			skipped = append(skipped, a.Item)
+		} else {
+			placed = append(placed, wal.Action{Item: a.Item, Delta: a.Delta})
+		}
+	}
+	if len(placed) == 0 {
+		s.unlockStripes(stripes)
+		return nil, skipped, nil
+	}
+	d, err := s.enqueueApply(wal.RecCommit, (&wal.CommitRec{Actions: placed}).EncodeTo, placed, nil)
+	s.unlockStripes(stripes)
+	if err == nil {
+		err = s.waitForce(&d)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	s.settleAccepts(d.lsn, nil)
+	return placed, skipped, nil
 }

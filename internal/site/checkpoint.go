@@ -22,15 +22,28 @@ const CheckpointStagePreCompact = "pre-compact"
 // the store snapshot, channel cursors, pending Vm and clock).
 //
 // Every stripe makes the cut exact: every enqueue+apply pair runs
-// under the stripes of its items, so with all of them held no record
-// is enqueued but unapplied — every record below the compaction horizon
-// is applied, every unapplied record survives compaction. The record
-// takes the one durable-write path; a force that fails stops the site
-// (checkpoint-force).
-func (s *Site) Checkpoint() error {
-	// Deferred first, so it runs once the stripes are let go: the
-	// acceptances the checkpoint's force carried are settled outside
-	// them.
+// under the stripes of its items, so with all of them held the image
+// is exactly the records below the checkpoint's LSN — every record
+// below the compaction horizon is in it, and replay starts into it. The
+// record takes the one durable-write path under lifeMu's read side, as
+// every writer that waits does; a force that fails stops the site
+// (checkpoint-force). A site that is down takes none.
+func (s *Site) Checkpoint() error { return s.checkpoint(false) }
+
+// checkpoint is Checkpoint, or with auto the automatic checkpointer's,
+// which a pause seen under lifeMu's read side skips.
+func (s *Site) checkpoint(auto bool) error {
+	s.lifeMu.RLock()
+	defer s.lifeMu.RUnlock()
+	if !s.Up() {
+		return fmt.Errorf("site %v: checkpoint while down", s.cfg.ID)
+	}
+	if auto && s.ckptPaused.Load() {
+		return nil // a later append past the threshold re-kicks
+	}
+	// Deferred before the stripes are taken, so it runs once they are
+	// let go: the acceptances the checkpoint's force carried are
+	// settled outside them.
 	var forced uint64
 	defer func() { s.settleAccepts(forced, nil) }()
 	all := uint64(1)<<len(s.stripes) - 1
@@ -97,31 +110,20 @@ func (s *Site) checkpointLoop(stop <-chan struct{}) {
 			return
 		case <-s.ckptKick:
 		}
-		if s.ckptPaused.Load() {
-			continue // a later append past the threshold re-kicks
-		}
-		s.ckptRunMu.Lock()
-		var err error
-		if !s.ckptPaused.Load() {
-			err = s.Checkpoint()
-		}
-		s.ckptRunMu.Unlock()
-		if err != nil {
+		if err := s.checkpoint(true); err != nil {
 			s.obsm.flight.Recordf(s.obsm.site, "checkpoint-failed", "err=%v", err)
 		}
 	}
 }
 
 // SetCheckpointPaused gates the automatic checkpointer. Pausing joins
-// any in-flight checkpoint before returning, so after the call no
-// background compaction is running or will start — fault harnesses
-// pause it across barrier audits that compare log and durable state.
-// Like the rebalance pause, the flag survives crash/restart cycles.
+// any checkpoint in flight, so after the call no background compaction
+// is running or will start — fault harnesses pause it across barrier
+// audits that compare log and store. The flag survives crashes.
 func (s *Site) SetCheckpointPaused(p bool) {
 	s.ckptPaused.Store(p)
 	if p {
-		s.ckptRunMu.Lock()
-		s.ckptRunMu.Unlock() // empty critical section joins an in-flight run (SA2001, excluded in staticcheck.conf)
+		s.fence()
 	}
 }
 

@@ -206,10 +206,15 @@ const maxAdvertItems = 256
 const minDemandSignal = 0.5
 
 // SetRebalancePaused pauses (true) or resumes (false) this site's
-// rebalancer ticks. The flag survives Crash/Restart — harness barriers
-// pause rebalancing around their quiescent invariant checks even while
-// they crash-cycle sites.
-func (s *Site) SetRebalancePaused(p bool) { s.rebalPaused.Store(p) }
+// rebalancer. Pausing joins a transfer in flight, so after the call
+// none is running or will start (harness barriers rely on it). The
+// flag survives crashes.
+func (s *Site) SetRebalancePaused(p bool) {
+	s.rebalPaused.Store(p)
+	if p {
+		s.fence()
+	}
+}
 
 // rebalanceLoop is the per-site rebalancer goroutine: each jittered
 // tick advertises local demand to every peer and ships at most one
@@ -314,7 +319,7 @@ func (s *Site) rebalanceTick() {
 		if !cooled {
 			continue
 		}
-		if err := s.SendValue(item, view[best].site, amount); err == nil {
+		if err := s.sendValue(item, view[best].site, amount, true); err == nil {
 			s.obsm.rebalTransfers.Inc()
 			s.obsm.rebalMoved.Add(uint64(amount))
 			s.obsm.flight.Recordf(s.obsm.site, "rebal-transfer",

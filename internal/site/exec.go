@@ -237,9 +237,9 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 
 	// Steps 5 and 6 — enqueue the commit record (its stability will
 	// commit t) and apply it, as one unit per item under the stripes;
-	// the force comes after they are let go. One record per commit: the
-	// store's per-item applied LSN already makes redo idempotent, so
-	// there is no separate "applied" record, and the record's actions
+	// the force comes after they are let go. One record per commit: a
+	// restart rebuilds the store from the log, so there is no separate
+	// "applied" record, and the record's actions
 	// net the credits t consumed, so it is their acceptance record too
 	// (§4.2's `[database-actions, message-sequence]`): it lists them,
 	// they are marked applied on their channels at its enqueue, and they

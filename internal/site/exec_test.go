@@ -14,10 +14,10 @@ import (
 )
 
 // countRecords tallies a log's records by kind.
-func countRecords(t *testing.T, log wal.Log) map[wal.RecordKind]int {
+func countRecords(t *testing.T, log wal.Log, from uint64) map[wal.RecordKind]int {
 	t.Helper()
 	n := make(map[wal.RecordKind]int)
-	if err := log.Scan(0, func(r wal.Record) error { n[r.Kind]++; return nil }); err != nil {
+	if err := log.Scan(from, func(r wal.Record) error { n[r.Kind]++; return nil }); err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	return n
@@ -150,6 +150,7 @@ func TestRunShapes(t *testing.T) {
 				tc.createItem(item, total)
 			}
 			s := tc.sites[0]
+			placed := tc.logs[0].LastLSN()
 
 			var res *txn.Result
 			switch {
@@ -171,7 +172,7 @@ func TestRunShapes(t *testing.T) {
 			case c.crash:
 				s.Crash()
 				res = s.Run(c.txn)
-				if lsn := tc.logs[0].LastLSN(); lsn != 0 {
+				if lsn := tc.logs[0].LastLSN(); lsn != placed {
 					t.Errorf("crashed site appended to its log (last LSN %d)", lsn)
 				}
 			default:
@@ -214,7 +215,7 @@ func TestRunShapes(t *testing.T) {
 					t.Errorf("site 1 %s = %d, want %d", item, got, want)
 				}
 			}
-			if got := countRecords(t, tc.logs[0])[wal.RecCommit]; got != c.commits {
+			if got := countRecords(t, tc.logs[0], placed+1)[wal.RecCommit]; got != c.commits {
 				t.Errorf("commit records in site 1's log = %d, want %d", got, c.commits)
 			}
 			for item, total := range c.totals {
@@ -240,16 +241,16 @@ func TestRunShapes(t *testing.T) {
 // durable fact.
 func TestOneRecordPerCommit(t *testing.T) {
 	tc := newTestCluster(t, 1, simnet.Config{Seed: 1}, nil)
-	tc.createItem("x", 100)
+	tc.createItem("x", 100) // the placement: LSN 1
 	const n = 25
 	for i := 0; i < n; i++ {
 		if res := tc.sites[0].Run(reserve("x", 1)); !res.Committed() {
 			t.Fatalf("reserve %d: %v", i, res.Status)
 		}
 	}
-	recs := countRecords(t, tc.logs[0])
-	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != n {
+	recs := countRecords(t, tc.logs[0], 2)
+	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != n+1 {
 		t.Errorf("after %d commits: %d commit records, %d applied records, last LSN %d; want %d, 0, %d",
-			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, n)
+			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, n+1)
 	}
 }

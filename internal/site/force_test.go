@@ -86,7 +86,7 @@ func TestHotItemCommitsOverlapTheForce(t *testing.T) {
 	if n := s.Stats().Committed; n != 2 {
 		t.Errorf("Committed = %d, want 2", n)
 	}
-	if recs := countRecords(t, gl); recs[wal.RecCommit] != 2 {
+	if recs := countRecords(t, gl, 2); recs[wal.RecCommit] != 2 { // after the placement
 		t.Errorf("stable log holds %d commit records, want 2", recs[wal.RecCommit])
 	}
 }
@@ -179,8 +179,9 @@ func TestHeldCreateIsOutstandingNotSent(t *testing.T) {
 // out: the transaction is not answered committed and not reported, and
 // the Vm is never sent. So does a failed force that only a checkpoint
 // waits on, or that only the retransmission tick asks for on behalf of
-// an acceptance: the log is failed for good, and a site that ran on
-// beside it would answer SiteDown forever while reporting itself up.
+// an acceptance: the log is failed until a crash resets it, and a site
+// that ran on beside it would answer SiteDown forever while reporting
+// itself up. The stopped site restarts from its log.
 func TestForceFailureStopsTheSite(t *testing.T) {
 	cases := []struct {
 		reason string
@@ -252,9 +253,21 @@ func TestForceFailureStopsTheSite(t *testing.T) {
 			if n := tap.sent.Load(); n != 0 {
 				t.Errorf("%d Vm envelope(s) sent by a site whose create record failed", n)
 			}
-			if err := s.Restart(); err == nil {
-				t.Error("Restart succeeded over a store ahead of its log")
+
+			// The site restarts like any other, into what its log holds;
+			// and a restarted site that fails again stops again.
+			inner.SetAppendHook(nil)
+			if err := s.Restart(); err != nil {
+				t.Fatalf("restart after a fail-stop: %v", err)
 			}
+			if v := s.DB().Value(item); v != 10 {
+				t.Errorf("store after restart = %d, want site 1's own 10", v)
+			}
+			inner.SetAppendHook(func(wal.Record) error { return errors.New("disk full") })
+			if res := s.Run(reserve(item, 1)); res.Status != txn.StatusSiteDown {
+				t.Errorf("commit over a failed force after restart: %v, want %v", res.Status, txn.StatusSiteDown)
+			}
+			waitUntil(t, 2*time.Second, "site down again", func() bool { return !s.Up() })
 		})
 	}
 }

@@ -80,14 +80,19 @@ func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int
 }
 
 // createItem splits total evenly across all sites (the §3 initial
-// distribution).
+// distribution), each share a logged placement.
 func (tc *testCluster) createItem(item ident.ItemID, total core.Value) {
 	tc.t.Helper()
-	shares := core.EvenShares(total, len(tc.sites))
-	for i, s := range tc.sites {
-		if err := s.DB().Create(item, shares[i]); err != nil {
-			tc.t.Fatalf("create %s at %v: %v", item, s.ID(), err)
-		}
+	for i, share := range core.EvenShares(total, len(tc.sites)) {
+		place(tc.t, tc.sites[i], item, share)
+	}
+}
+
+// place logs site s's share of item (Place), which must be new there.
+func place(t testing.TB, s *Site, item ident.ItemID, share core.Value) {
+	t.Helper()
+	if _, skipped, err := s.Place([]wal.Action{{Item: item, Delta: share}}); err != nil || len(skipped) != 0 {
+		t.Fatalf("place %s at %v: err %v, skipped %v", item, s.ID(), err, skipped)
 	}
 }
 

@@ -226,10 +226,11 @@ func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
 // runs wherever that is learnt, holding no stripe: after every commit,
 // create and checkpoint force, at the return of every Vm handler and
 // redelivery (up to the log's DurableLSN, so a log without a queue
-// settles there at once), and from the retransmission tick and Crash
-// (forceAccepts). Each one is counted, reported and made ackable; then
-// every peer owed an ack — for one of these, or for a duplicate in
-// owed — gets a single cumulative one, unless the site is going down.
+// settles there at once), from the retransmission tick (forceAccepts),
+// and in Crash, for those whose records the last flush landed. Each one
+// is counted, reported and made ackable; then every peer owed an ack —
+// for one of these, or for a duplicate in owed — gets a single
+// cumulative one, unless the site is going down.
 func (s *Site) settleAccepts(upTo uint64, owed acks) {
 	for _, e := range s.takeAccepts(upTo) {
 		wire.PutWriter(e.w)
@@ -258,11 +259,9 @@ func (s *Site) settleAccepts(upTo uint64, owed acks) {
 // forceAccepts asks for the force of every pending acceptance and
 // settles them: the share of acceptances no commit, create or
 // checkpoint force has carried. The retransmission tick calls it, so an
-// idle site acks at most one RetransmitEvery late, and so does Crash,
-// so that nothing applied is missing from the log once it returns. A
-// force that fails stops the site (accept-force): the acceptances it
-// covered are dropped unacknowledged, their credits left in a store
-// that is now ahead of its log.
+// idle site acks at most one RetransmitEvery late. A force that fails
+// stops the site (accept-force): the crash drops the acceptances
+// unacknowledged, and the restart rebuilds the store without them.
 func (s *Site) forceAccepts() {
 	if s.nAccepts.Load() == 0 {
 		return
@@ -277,11 +276,7 @@ func (s *Site) forceAccepts() {
 		return
 	}
 	if err := s.cfg.Log.WaitDurable(high); err != nil {
-		for _, e := range s.takeAccepts(high) {
-			wire.PutWriter(e.w)
-			e.hop.Finish("fail-stop")
-		}
-		s.failStop("accept-force", err)
+		s.failStop("accept-force", err) // its crash drops them
 		return
 	}
 	s.settleAccepts(high, nil)

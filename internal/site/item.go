@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the item-state layer: everything a site knows about an
-// item beyond its logged value. store.Durable is the durable half
-// (value, TS(d), applied LSN — what checkpoints and recovery see); the
+// item beyond its logged value. store.Durable is the logged half
+// (value and TS(d) — what checkpoints and recovery see); the
 // itemState below is the volatile half, one per item, kept in one map
 // per admission stripe and guarded by that stripe and nothing else.
 // Whoever touches an item — Run's admission and commit tail, every

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dvp/internal/recovery"
+	"dvp/internal/wire"
 )
 
 // This file is the lifecycle core: Start, Crash, Restart and the epoch
@@ -13,10 +14,10 @@ import (
 // the hot paths need about liveness is mirrored into epochUp and read
 // lock-free via currentEpoch/sameEpoch/Up below.
 
-// recover rebuilds volatile state from the stable log (§7). The
-// volatile objects are reset in place, never replaced. The per-item
-// state needs nothing here: it is mutated only while the site is up,
-// and Crash swept it (clearItems).
+// recover rebuilds the site from the stable log (§7): the clock, the
+// Vm manager, the demand cells and the store, each reset in place,
+// never replaced. The per-item state needs nothing here: it is mutated
+// only while the site is up, and Crash swept it (clearItems).
 func (s *Site) recover() error {
 	s.lamport.Reset()
 	s.vm.Reset()
@@ -93,36 +94,44 @@ func (s *Site) Start() {
 	s.obsm.flight.Recordf(s.obsm.site, "site-up", "epoch=%d", epoch)
 }
 
-// Crash kills the site: volatile state is lost, in-progress
-// transactions abort (as seen by their clients), the network handler
-// detaches. The stable log and durable store survive.
-func (s *Site) Crash() {
+// Crash kills the site the way a process kill does: everything that
+// is not in the forced log is lost (§7). In-progress transactions abort
+// (as seen by their clients), the network handler detaches, the log's
+// queue is dropped and Restart rebuilds the store from the log.
+func (s *Site) Crash() { s.crash(s.epochUp.Load() >> 1) }
+
+// crash ends epoch epoch, unless it has ended already.
+func (s *Site) crash(epoch uint64) {
 	s.mu.Lock()
-	if !s.up {
+	if !s.up || s.epoch != epoch {
 		s.mu.Unlock()
 		return
 	}
 	s.up = false
-	epoch := s.epoch
 	s.epochUp.Store(epoch << 1)
 	close(s.stop)
 	loops := s.loops
 	s.stop, s.loops = nil, nil
+	s.halted = make(chan struct{})
+	defer close(s.halted)
 	s.mu.Unlock()
 
 	s.cfg.Endpoint.Close()
-	// Fence: once the write lock is held, no message handler is
-	// mid-flight, so nothing further reaches the log or store.
-	s.lifeMu.Lock()
-	s.lifeMu.Unlock() // empty critical section is the fence (SA2001, excluded in staticcheck.conf)
+	// Once the fence is passed, no message handler is mid-flight, so
+	// nothing further reaches the log or store.
+	s.fence()
 	// Join the epoch's loops.
 	loops.Wait()
-	// Acceptances credited at enqueue ask for no force, and the fence
-	// does not wait for one that nobody asked for: ask for it here,
-	// where no new acceptance can be made, so that once Crash returns
-	// nothing applied is missing from the log (a failed force stops the
-	// site as accept-force).
-	s.forceAccepts()
+	// Nobody waits on the log now (every writer that waits holds
+	// lifeMu's read side), so its queue goes, as a process kill loses
+	// it. An acceptance whose record went with it is lost, for its
+	// sender to resend; one whose record landed is settled.
+	unforced := s.cfg.Log.Reset()
+	s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
+	for _, e := range s.takeAccepts(^uint64(0)) {
+		wire.PutWriter(e.w)
+		e.hop.Finish("site-down")
+	}
 	// The per-item volatile state is gone — lock holders, parked Vm
 	// (retransmission re-covers them), flow vectors, demand cells —
 	// and recovery starts clean (§7). The same sweep finds the
@@ -134,17 +143,24 @@ func (s *Site) Crash() {
 	for _, w := range ws {
 		w.wake()
 	}
-	// One flight event per epoch transition.
+	// One flight event per epoch transition, with the records it lost.
 	s.obsm.flight.Recordf(s.obsm.site, "site-down",
-		"epoch=%d waiters=%d parked_dropped=%d", epoch, len(ws), parked)
+		"epoch=%d waiters=%d parked_dropped=%d unforced_dropped=%d", epoch, len(ws), parked, unforced)
+}
+
+// fence waits out everyone holding lifeMu's read side: every handler,
+// transaction, transfer and checkpoint in flight.
+func (s *Site) fence() {
+	s.lifeMu.Lock()
+	s.lifeMu.Unlock() // empty critical section is the fence (SA2001, excluded in staticcheck.conf)
 }
 
 // failStop stops the site on an error it cannot run on beside: count
-// it, flight-record it, and crash through the lifecycle so §7 recovery
-// takes over — the paper's own failure model. The crash comes from a
-// fresh goroutine because callers sit under lifeMu's read side, which
-// Crash's fence waits out. A process restarts from its log (dvpnode
-// exits on FailStopped); this object does not restart, see Restart.
+// it, flight-record it, and crash the epoch it happened in through the
+// lifecycle, so §7 recovery takes over — the paper's own failure
+// model. The crash comes from a fresh goroutine because callers sit
+// under lifeMu's read side, which Crash's fence waits out. The site
+// then restarts like any other: from its log, into an emptied store.
 func (s *Site) failStop(reason string, err error) {
 	if c := s.obsm.failStops[reason]; c != nil {
 		c.Inc()
@@ -153,15 +169,19 @@ func (s *Site) failStop(reason string, err error) {
 	s.failOnce.Do(func() {
 		s.failErr = fmt.Errorf("site %v: fail-stop (%s): %w", s.cfg.ID, reason, err)
 		close(s.failed)
-		go s.Crash()
 	})
+	if epoch, up := s.currentEpoch(); up {
+		go s.crash(epoch)
+	}
 }
 
 // FailStopped is closed once the site has stopped itself on an
-// internal error; FailStopErr then says which.
+// internal error; FailStopErr then says which (the first, if a
+// restarted site stopped itself again).
 func (s *Site) FailStopped() <-chan struct{} { return s.failed }
 
-// FailStopErr returns the error the site stopped itself on, or nil.
+// FailStopErr returns the error the site first stopped itself on, or
+// nil.
 func (s *Site) FailStopErr() error {
 	select {
 	case <-s.failed:
@@ -172,22 +192,17 @@ func (s *Site) FailStopErr() error {
 }
 
 // Restart recovers from the stable log and rejoins the network,
-// without talking to any other site. A site that stopped itself does
-// not restart in place: in this model the store object survives the
-// crash like disk pages, and a fail-stop may have left it holding
-// credits whose acceptance records never reached the log — redo over
-// such a store would not reproduce what the log says. A real process
-// has no such store; it replays the log into an empty one.
+// without talking to any other site.
 func (s *Site) Restart() error {
-	if err := s.FailStopErr(); err != nil {
-		return fmt.Errorf("restart refused, store may be ahead of the log: %w", err)
-	}
 	s.mu.Lock()
-	if s.up {
-		s.mu.Unlock()
+	up, halted := s.up, s.halted
+	s.mu.Unlock()
+	if up {
 		return fmt.Errorf("site %v: restart while up", s.cfg.ID)
 	}
-	s.mu.Unlock()
+	if halted != nil {
+		<-halted // a crash a fail-stop began may still be running
+	}
 	if err := s.recover(); err != nil {
 		return err
 	}

@@ -24,6 +24,12 @@ import (
 // built on this (paper §8: "performance studies to find the best ways
 // to distribute the data ... are needed").
 func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value) error {
+	return s.sendValue(item, peer, amount, false)
+}
+
+// sendValue is SendValue, or with rebal the rebalancer's transfer,
+// which a pause seen under lifeMu's read side refuses.
+func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value, rebal bool) error {
 	if amount <= 0 {
 		return fmt.Errorf("site %v: non-positive transfer %d", s.cfg.ID, amount)
 	}
@@ -63,6 +69,9 @@ func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	defer s.lifeMu.RUnlock()
 	if !s.sameEpoch(epoch) {
 		return fmt.Errorf("site %v: down", s.cfg.ID)
+	}
+	if rebal && s.rebalPaused.Load() {
+		return fmt.Errorf("site %v: rebalancer paused", s.cfg.ID)
 	}
 	stripe, st := s.lockItem(item)
 	it, _ := s.cfg.DB.Get(item)

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
+	"dvp/internal/tstamp"
 	"dvp/internal/txn"
+	"dvp/internal/wire"
 )
 
 func TestCrashAbortsInFlightAndRecovers(t *testing.T) {
@@ -311,5 +314,78 @@ func TestSoakWithCrashes(t *testing.T) {
 	want := total + committedDelta
 	if got := tc.globalTotal("acct/x"); got != want {
 		t.Errorf("N = %d, want %d — value lost or duplicated across crashes", got, want)
+	}
+}
+
+// Conc1 stamps an item at lock time and logs the stamp only with an
+// action on the item, so a crash can lose it. Site 1 holds all of d; a
+// full read at site 1 gathers the zero-value answers of sites 2 and 3
+// and commits with no action on d, so the read's stamp on site 1's d
+// lives in the store alone. Site 1 crashes and restarts. Then a request
+// from site 3 stamped below the read — delayed past all of it, its
+// transaction long gone — arrives. Honouring it would deduct at a stamp
+// below a committed read of the value it deducts from: the history
+// would not be serializable in timestamp order. The restarted site
+// declines it, and the history checks serializable.
+func TestLostLockStampAdmitsNothingBelowACommit(t *testing.T) {
+	var mu sync.Mutex
+	var rds []RdsInfo
+	tc := newTestCluster(t, 3, simnet.Config{Seed: 61}, func(i int, c *Config) {
+		c.OnRds = func(r RdsInfo) {
+			mu.Lock()
+			rds = append(rds, r)
+			mu.Unlock()
+		}
+	})
+	const d = ident.ItemID("d")
+	for i, q := range []core.Value{10, 0, 0} {
+		place(t, tc.sites[i], d, q)
+	}
+	s := tc.sites[0]
+	for i := 0; i < 5; i++ {
+		s.lamport.Next() // the read draws a stamp above site 3's first
+	}
+	res := s.Run(&txn.Txn{Reads: []ident.ItemID{d}, Ask: txn.AskAll, Timeout: 2 * time.Second})
+	if !res.Committed() || res.Reads[d] != 10 {
+		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[d])
+	}
+	tc.waitQuiescent(d, 2*time.Second)
+	read := tc.committedTxns()[0].TS
+
+	s.Crash()
+	if err := s.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	below := tstamp.Make(1, 3)
+	if below >= read {
+		t.Fatalf("request stamp %v not below the read's %v", below, read)
+	}
+	s.handle(&wire.Envelope{From: 3, To: 1, Msg: &wire.Request{Txn: below, Item: d, Want: 1}})
+	tc.waitQuiescent(d, 2*time.Second)
+	if v := s.DB().Value(d); v != 10 {
+		t.Errorf("site 1 holds %d of d, want 10: it honoured a request stamped below a committed read", v)
+	}
+
+	txns := tc.committedTxns()
+	byTS := make(map[tstamp.TS]int)
+	for k := range txns {
+		txns[k].Deltas = maps.Clone(txns[k].Deltas)
+		byTS[txns[k].TS] = k
+	}
+	mu.Lock()
+	for _, e := range rds {
+		k, ok := byTS[e.TS]
+		if !ok {
+			txns = append(txns, cc.CommittedTxn{TS: e.TS, Site: e.Site, Deltas: map[ident.ItemID]core.Value{}})
+			k = len(txns) - 1
+			byTS[e.TS] = k
+		}
+		txns[k].Deltas[d] += e.Delta
+	}
+	mu.Unlock()
+	initial := map[ident.ItemID]core.Value{d: 10}
+	final := map[ident.ItemID]core.Value{d: tc.globalTotal(d)}
+	if err := cc.CheckSerializable(initial, final, txns); err != nil {
+		t.Errorf("history across the crash: %v", err)
 	}
 }

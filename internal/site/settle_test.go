@@ -1,6 +1,8 @@
 package site
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,6 +10,7 @@ import (
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
+	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
 	"dvp/internal/vclock"
@@ -136,18 +139,27 @@ func TestShortfallForceBudget(t *testing.T) {
 	}
 }
 
-// Crash forces what nobody waited for: acceptances credited at enqueue,
-// with no force asked for them, are in the log once Crash returns;
-// Restart credits each exactly once, and a retransmitted copy is a
-// counted duplicate.
-func TestCrashForcesPendingAccepts(t *testing.T) {
-	clock := vclock.NewVirtual(time.Unix(0, 0)) // no tick: only Crash asks
-	tc, gl := groupedCluster(t, 38, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+// A crash loses what nobody forced, as a process kill does: the three
+// acceptances credited at enqueue, with no force asked for them, are
+// not in the log once Crash returns, and the crash's flight event
+// counts them. Restart rebuilds the store the log holds, and the
+// sender's retransmitted copies are each credited once; a fourth copy
+// is a counted duplicate.
+func TestCrashDropsUnforcedAccepts(t *testing.T) {
+	clock := vclock.NewVirtual(time.Unix(0, 0)) // no tick: nobody asks for a force
+	flight := obs.NewFlight(64)
+	tc, gl := groupedCluster(t, 38, wal.NewMemLog(), func(c *Config) {
+		c.Clock = clock
+		c.Flight = flight
+	})
 	item := ident.ItemID("flight/K")
 	tc.createItem(item, 20) // 10 per site
 	s := tc.sites[0]
+	vm := func(seq uint64) *wire.Envelope {
+		return &wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: seq, Item: item, Amount: 2}}
+	}
 	for seq := uint64(1); seq <= 3; seq++ {
-		s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: seq, Item: item, Amount: 2}})
+		s.handle(vm(seq))
 	}
 	if n := gl.Waiters(); n != 3 {
 		t.Fatalf("%d records queued, want the 3 acceptances, unforced", n)
@@ -157,24 +169,35 @@ func TestCrashForcesPendingAccepts(t *testing.T) {
 	if n := gl.Waiters(); n != 0 {
 		t.Errorf("%d records still queued after Crash", n)
 	}
-	if recs := countRecords(t, gl); recs[wal.RecVmAccept] != 3 {
-		t.Fatalf("stable log holds %d acceptance records after Crash, want 3", recs[wal.RecVmAccept])
+	if recs := countRecords(t, gl, 1); recs[wal.RecVmAccept] != 0 {
+		t.Fatalf("stable log holds %d acceptance records after Crash, want none", recs[wal.RecVmAccept])
+	}
+	if ev := flight.Last(64); !slices.ContainsFunc(ev, func(e *obs.FlightEvent) bool {
+		return e.Kind == "site-down" && strings.Contains(e.Detail, "unforced_dropped=3")
+	}) {
+		t.Errorf("no site-down event reports the 3 dropped records: %v", ev)
 	}
 	if err := s.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if v := s.DB().Value(item); v != 16 {
-		t.Errorf("store after restart = %d, want 16: 10 + 3 × 2, each credited once", v)
+	if v := s.DB().Value(item); v != 10 {
+		t.Errorf("store after restart = %d, want 10: no credit reached the log", v)
 	}
-	if got := s.VM().AckFor(2); got != 3 {
-		t.Errorf("AckFor after restart = %d, want 3", got)
+	if got := s.VM().AckFor(2); got != 0 {
+		t.Errorf("AckFor after restart = %d, want 0", got)
+	}
+	for seq := uint64(1); seq <= 3; seq++ {
+		s.handle(vm(seq))
+	}
+	if v := s.DB().Value(item); v != 16 {
+		t.Errorf("store after the retransmissions = %d, want 16: 10 + 3 × 2, each credited once", v)
 	}
 	dups := s.Stats().VmDuplicates
-	s.handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 2, Item: item, Amount: 2}})
+	s.handle(vm(2))
 	if got := s.Stats().VmDuplicates; got != dups+1 {
-		t.Errorf("retransmitted copy: duplicates %d → %d, want one more", dups, got)
+		t.Errorf("a fourth copy: duplicates %d → %d, want one more", dups, got)
 	}
 	if v := s.DB().Value(item); v != 16 {
-		t.Errorf("store = %d after the retransmitted copy, want 16", v)
+		t.Errorf("store = %d after the fourth copy, want 16", v)
 	}
 }

@@ -2,12 +2,11 @@
 // transaction executes (§2's conclusion), holding its quota store,
 // stable log, per-item state, Vm channels and concurrency control.
 //
-// A Site is built from substrates that outlive crashes (wal.Log,
-// store.Durable, the network attachment) and volatile state that does
-// not (the per-item state — locks, waiters, parked Vm, flow vectors,
-// demand — the Vm manager, the Lamport clock). Crash discards the
-// volatile state; Restart rebuilds it from the log via
-// internal/recovery and resumes — with no communication, per §7.
+// A crash loses all a site holds but its forced log records: the
+// store's contents, the log's queue, the per-item state (locks,
+// waiters, parked Vm, flow vectors, demand), the Vm manager and the
+// clock. Restart rebuilds it all from the log via internal/recovery,
+// into the same objects — with no communication, per §7.
 //
 // The implementation is layered, with one rule per layer about what
 // may serialize on what:
@@ -62,9 +61,9 @@ type Config struct {
 	ID ident.SiteID
 	// Peers lists every site in the system, including this one.
 	Peers []ident.SiteID
-	// Log is the site's stable log (survives crashes).
+	// Log is the site's stable log: its forced records survive crashes.
 	Log wal.Log
-	// DB is the site's durable local database (survives crashes).
+	// DB is the site's local database, rebuilt from Log on restart.
 	DB *store.Durable
 	// Endpoint attaches the site to the network.
 	Endpoint wire.Endpoint
@@ -230,17 +229,14 @@ type Site struct {
 	// demand holds the freshest demand advert from each peer (the
 	// local per-item demand cells live in the items' state). Always
 	// non-nil; the rebalancer goroutine itself runs only when
-	// cfg.Rebalance.Enabled. rebalPaused gates ticks without stopping
-	// the goroutine and deliberately survives Crash/Restart (harness
-	// barriers rely on that while they crash-cycle sites).
+	// cfg.Rebalance.Enabled. rebalPaused gates its transfers without
+	// stopping the goroutine and deliberately survives Crash/Restart.
 	demand      *demandTracker
 	rebalPaused atomic.Bool
 
 	// Automatic checkpointer state: records appended since the last
 	// checkpoint (bumped by enqueueApply), a one-slot kick channel the
 	// threshold fires into, and a pause gate for harness barriers.
-	// ckptRunMu is held across each background checkpoint run, so
-	// SetCheckpointPaused can join an in-flight run by acquiring it.
 	// The checkpoint loop itself starts and stops with the site (see
 	// Start/Crash), like the retransmission loop. ckptHook, when set,
 	// is invoked at named stages inside Checkpoint — fault harnesses
@@ -249,7 +245,6 @@ type Site struct {
 	ckptRecs   atomic.Int64
 	ckptKick   chan struct{}
 	ckptPaused atomic.Bool
-	ckptRunMu  sync.Mutex
 	ckptHookMu sync.Mutex
 	ckptHook   func(stage string) error
 
@@ -261,7 +256,8 @@ type Site struct {
 
 	// mu is the lifecycle core's lock and nothing else's: it guards
 	// up, epoch and the epoch's loop stop channel and join across
-	// Start/Crash/Restart/epoch transitions. The per-txn commit path
+	// Start/Crash/Restart/epoch transitions, and halted, which the
+	// latest crash closes once it is done. The per-txn commit path
 	// and the per-message handler path never acquire it (check.sh's
 	// site-mutex gate greps for exactly this — the lock is taken only
 	// in lifecycle.go).
@@ -271,6 +267,7 @@ type Site struct {
 	epoch   uint64
 	stop    chan struct{}
 	loops   *sync.WaitGroup
+	halted  chan struct{}
 }
 
 // New assembles a site and runs recovery on its log (a brand-new site

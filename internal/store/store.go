@@ -1,18 +1,17 @@
-// Package store implements a site's local database: the durable
-// per-item quota values d_i with their concurrency-control timestamps
-// TS(d_i) (paper §6.1).
+// Package store implements a site's local database: the per-item quota
+// values d_i with their concurrency-control timestamps TS(d_i) (paper
+// §6.1).
 //
-// Durability model: the store plays the role of the database pages on
-// disk. A simulated site crash keeps the store (and the log) and
-// discards everything else. Each item records the LSN of the last log
-// record applied to it, updated atomically with the value — the
-// page-LSN technique — which is what makes the §7 redo pass idempotent
-// ("the redoing actions must be idempotent in view of the possibility
-// of a failure during the recovery phase").
+// Durability model: the store is volatile. Every change a site makes
+// to it is an action of a log record, but for Conc1's lock stamp
+// (SetTS); a crash loses the contents, and recovery rebuilds them from
+// the log — the last checkpoint's image, then the records after it.
 package store
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"dvp/internal/core"
@@ -21,20 +20,17 @@ import (
 	"dvp/internal/wal"
 )
 
-// Item is the durable state of one local data value.
+// Item is the state of one local data value.
 type Item struct {
 	// Val is the local quota d_i.
 	Val core.Value
 	// TS is the timestamp of the last transaction to have locked the
 	// value (Conc1's TS(d_j)).
 	TS tstamp.TS
-	// AppliedLSN is the LSN of the last log record whose action was
-	// applied to this item.
-	AppliedLSN uint64
 }
 
-// Durable is a site's stable local database. All methods are safe for
-// concurrent use.
+// Durable is a site's local database, rebuilt from its log at every
+// restart. All methods are safe for concurrent use.
 type Durable struct {
 	mu    sync.RWMutex
 	items map[ident.ItemID]Item
@@ -45,9 +41,9 @@ func New() *Durable {
 	return &Durable{items: make(map[ident.ItemID]Item)}
 }
 
-// Create installs an item with its initial quota (the DvP initial
-// distribution, e.g. 25 of 100 seats). Creating an existing item is an
-// error: initial placement happens exactly once.
+// Create installs an item with its initial quota without a log record,
+// for a store used on its own; a site logs its placement (site.Place).
+// Creating an existing item is an error.
 func (d *Durable) Create(item ident.ItemID, val core.Value) error {
 	if val < 0 {
 		return fmt.Errorf("store: %w: %d", core.ErrNegative, val)
@@ -91,45 +87,27 @@ func (d *Durable) SetTS(item ident.ItemID, ts tstamp.TS) {
 	d.items[item] = it
 }
 
-// Apply applies one logged action at the given LSN. It is idempotent:
-// actions at or below the item's AppliedLSN are skipped (reporting
-// false). A delta that would drive the quota negative is a protocol
-// violation and returns an error — the transaction layer must have
-// checked effectiveness under the lock.
-func (d *Durable) Apply(lsn uint64, a wal.Action) (bool, error) {
+// ApplyAll applies a record's actions, in order; lsn names the record
+// in errors. A delta that would drive a quota negative is a protocol
+// violation — the transaction layer must have checked effectiveness
+// under the lock — and stops the record there with an error, leaving
+// that item unchanged. It returns the count of actions applied.
+func (d *Durable) ApplyAll(lsn uint64, actions []wal.Action) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	it := d.items[a.Item]
-	if lsn <= it.AppliedLSN {
-		return false, nil
-	}
-	nv := it.Val + a.Delta
-	if nv < 0 {
-		return false, fmt.Errorf("store: applying %+d to %q (=%d) would go negative", a.Delta, a.Item, it.Val)
-	}
-	it.Val = nv
-	if a.SetTS > it.TS {
-		it.TS = a.SetTS
-	}
-	it.AppliedLSN = lsn
-	d.items[a.Item] = it
-	return true, nil
-}
-
-// ApplyAll applies a record's actions; the count of actions actually
-// applied (not skipped) is returned.
-func (d *Durable) ApplyAll(lsn uint64, actions []wal.Action) (int, error) {
-	applied := 0
-	for _, a := range actions {
-		ok, err := d.Apply(lsn, a)
-		if err != nil {
-			return applied, err
+	for i, a := range actions {
+		it := d.items[a.Item]
+		nv := it.Val + a.Delta
+		if nv < 0 {
+			return i, fmt.Errorf("store: LSN %d: applying %+d to %q (=%d) would go negative", lsn, a.Delta, a.Item, it.Val)
 		}
-		if ok {
-			applied++
+		it.Val = nv
+		if a.SetTS > it.TS {
+			it.TS = a.SetTS
 		}
+		d.items[a.Item] = it
 	}
-	return applied, nil
+	return len(actions), nil
 }
 
 // Items returns the ids of all known items (sorted, for deterministic
@@ -144,32 +122,26 @@ func (d *Durable) Items() []ident.ItemID {
 	return ident.SortItems(out)
 }
 
-// Snapshot captures every item for a checkpoint record.
+// Snapshot captures every item for a checkpoint record, sorted by id.
 func (d *Durable) Snapshot() []wal.CheckpointItem {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	ids := make([]ident.ItemID, 0, len(d.items))
-	for id := range d.items {
-		ids = append(ids, id)
+	out := make([]wal.CheckpointItem, 0, len(d.items))
+	for id, it := range d.items {
+		out = append(out, wal.CheckpointItem{Item: id, Value: it.Val, TS: it.TS})
 	}
-	out := make([]wal.CheckpointItem, 0, len(ids))
-	for _, id := range ident.SortItems(ids) {
-		it := d.items[id]
-		out = append(out, wal.CheckpointItem{
-			Item: id, Value: it.Val, TS: it.TS, AppliedLSN: it.AppliedLSN,
-		})
-	}
+	slices.SortFunc(out, func(a, b wal.CheckpointItem) int { return cmp.Compare(a.Item, b.Item) })
 	return out
 }
 
-// RestoreCheckpoint loads a checkpoint snapshot, replacing current
-// contents. Used when recovery starts from a checkpoint record.
+// RestoreCheckpoint replaces the store's contents with a checkpoint
+// image — with nothing, given none. Recovery starts every rebuild here.
 func (d *Durable) RestoreCheckpoint(items []wal.CheckpointItem) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.items = make(map[ident.ItemID]Item, len(items))
 	for _, ci := range items {
-		d.items[ci.Item] = Item{Val: ci.Value, TS: ci.TS, AppliedLSN: ci.AppliedLSN}
+		d.items[ci.Item] = Item{Val: ci.Value, TS: ci.TS}
 	}
 }
 

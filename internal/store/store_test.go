@@ -1,6 +1,7 @@
 package store
 
 import (
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestCreateAndGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	it, ok := d.Get("flight/A")
-	if !ok || it.Val != 25 || it.TS != 0 || it.AppliedLSN != 0 {
+	if !ok || it.Val != 25 || it.TS != 0 {
 		t.Errorf("Get = %+v ok=%v", it, ok)
 	}
 	if err := d.Create("flight/A", 10); err == nil {
@@ -38,47 +39,30 @@ func TestApplyAdvancesValueTSAndLSN(t *testing.T) {
 	d := New()
 	d.Create("a", 10)
 	ts := tstamp.Make(5, 2)
-	ok, err := d.Apply(3, wal.Action{Item: "a", Delta: -4, SetTS: ts})
-	if err != nil || !ok {
-		t.Fatalf("Apply: ok=%v err=%v", ok, err)
+	n, err := d.ApplyAll(3, []wal.Action{{Item: "a", Delta: -4, SetTS: ts}})
+	if err != nil || n != 1 {
+		t.Fatalf("ApplyAll: n=%d err=%v", n, err)
 	}
 	it, _ := d.Get("a")
-	if it.Val != 6 || it.TS != ts || it.AppliedLSN != 3 {
+	if it.Val != 6 || it.TS != ts {
 		t.Errorf("after apply: %+v", it)
 	}
-}
-
-func TestApplyIdempotentByLSN(t *testing.T) {
-	d := New()
-	d.Create("a", 10)
-	a := wal.Action{Item: "a", Delta: -4}
-	d.Apply(3, a)
-	// Redo of the same record must be a no-op.
-	ok, err := d.Apply(3, a)
-	if err != nil || ok {
-		t.Fatalf("redo applied twice: ok=%v err=%v", ok, err)
-	}
-	if d.Value("a") != 6 {
-		t.Errorf("value = %d after redo, want 6", d.Value("a"))
-	}
-	// An older record must also be skipped.
-	if ok, _ := d.Apply(2, wal.Action{Item: "a", Delta: -1}); ok {
-		t.Error("older LSN applied")
-	}
-	// A newer record applies.
-	if ok, _ := d.Apply(4, wal.Action{Item: "a", Delta: 1}); !ok {
-		t.Error("newer LSN skipped")
-	}
-	if d.Value("a") != 7 {
-		t.Errorf("value = %d, want 7", d.Value("a"))
+	// An older stamp does not regress the item's.
+	d.ApplyAll(4, []wal.Action{{Item: "a", Delta: 1, SetTS: tstamp.Make(2, 1)}})
+	if it, _ := d.Get("a"); it.Val != 7 || it.TS != ts {
+		t.Errorf("after an older stamp: %+v", it)
 	}
 }
 
 func TestApplyRejectsNegativeResult(t *testing.T) {
 	d := New()
 	d.Create("a", 3)
-	if _, err := d.Apply(1, wal.Action{Item: "a", Delta: -5}); err == nil {
+	_, err := d.ApplyAll(12, []wal.Action{{Item: "a", Delta: -5}})
+	if err == nil {
 		t.Fatal("negative quota must be rejected")
+	}
+	if !strings.Contains(err.Error(), "LSN 12") {
+		t.Errorf("error %q does not name the record", err)
 	}
 	if d.Value("a") != 3 {
 		t.Error("failed apply must not change the value")
@@ -88,33 +72,34 @@ func TestApplyRejectsNegativeResult(t *testing.T) {
 func TestApplyCreatesUnknownItem(t *testing.T) {
 	d := New()
 	// A Vm can deliver quota for an item this site never held.
-	ok, err := d.Apply(1, wal.Action{Item: "new", Delta: 7})
-	if err != nil || !ok {
-		t.Fatalf("ok=%v err=%v", ok, err)
+	if _, err := d.ApplyAll(1, []wal.Action{{Item: "new", Delta: 7}}); err != nil {
+		t.Fatal(err)
 	}
 	if d.Value("new") != 7 {
 		t.Errorf("value = %d", d.Value("new"))
 	}
 }
 
+// Every action of a record applies, each once: the LSN names the
+// record and skips nothing.
 func TestApplyAllCountsApplied(t *testing.T) {
 	d := New()
 	d.Create("a", 10)
 	d.Create("b", 10)
-	d.Apply(5, wal.Action{Item: "a", Delta: -1})
-	// Record 5 replayed: a skipped, b applied.
-	n, err := d.ApplyAll(5, []wal.Action{
-		{Item: "a", Delta: -1},
-		{Item: "b", Delta: -2},
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		n, err := d.ApplyAll(5, []wal.Action{
+			{Item: "a", Delta: -1},
+			{Item: "b", Delta: -2},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != 2 {
+			t.Errorf("applied %d, want 2", n)
+		}
 	}
-	if n != 1 {
-		t.Errorf("applied %d, want 1", n)
-	}
-	if d.Value("a") != 9 || d.Value("b") != 8 {
-		t.Errorf("a=%d b=%d", d.Value("a"), d.Value("b"))
+	if d.Value("a") != 8 || d.Value("b") != 6 {
+		t.Errorf("a=%d b=%d, want 8 and 6", d.Value("a"), d.Value("b"))
 	}
 }
 
@@ -173,10 +158,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	d := New()
 	d.Create("a", 10)
 	d.Create("b", 20)
-	d.Apply(7, wal.Action{Item: "a", Delta: -3, SetTS: tstamp.Make(2, 1)})
+	d.ApplyAll(7, []wal.Action{{Item: "a", Delta: -3, SetTS: tstamp.Make(2, 1)}})
 	snap := d.Snapshot()
 
 	d2 := New()
+	d2.Create("stale", 4)
 	d2.RestoreCheckpoint(snap)
 	for _, id := range []ident.ItemID{"a", "b"} {
 		i1, _ := d.Get(id)
@@ -185,9 +171,13 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Errorf("%s: %+v vs %+v", id, i1, i2)
 		}
 	}
-	// After restore, idempotence continues to hold.
-	if ok, _ := d2.Apply(7, wal.Action{Item: "a", Delta: -3}); ok {
-		t.Error("restored store re-applied an old record")
+	// The image replaces the contents; no image empties the store.
+	if _, ok := d2.Get("stale"); ok {
+		t.Error("an item outside the image survived the restore")
+	}
+	d2.RestoreCheckpoint(nil)
+	if n := len(d2.Items()); n != 0 {
+		t.Errorf("%d items after restoring no image", n)
 	}
 }
 
@@ -214,7 +204,7 @@ func TestConcurrentAppliesConserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				lsn := uint64(w*per + i + 1)
-				if _, err := d.Apply(lsn, wal.Action{Item: "hot", Delta: 1}); err != nil {
+				if _, err := d.ApplyAll(lsn, []wal.Action{{Item: "hot", Delta: 1}}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -222,12 +212,7 @@ func TestConcurrentAppliesConserve(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	// LSN ordering means some appliers were "skipped" if they ran
-	// after a higher LSN; with increasing LSNs per worker but
-	// interleaved workers, total applied is at least per (the max
-	// contiguous) — conservation here means value equals the count of
-	// applies that reported true.
-	if v := d.Value("hot"); v < core.Value(per) || v > workers*per {
-		t.Errorf("value = %d out of bounds", v)
+	if v := d.Value("hot"); v != core.Value(workers*per) {
+		t.Errorf("value = %d, want %d", v, workers*per)
 	}
 }

@@ -23,7 +23,7 @@ import (
 // its first record, then one frame per AppendBatch, so the unit of
 // framing is the unit of durability:
 //
-//	header = "DVPf" [u64 base][u32 crc32c(magic, base)]
+//	header = "DVPg" [u64 base][u32 crc32c(magic, base)]
 //	frame  = [uvarint n][u32 crc][body]                    n = len(body)
 //	body   = ([u8 kind][uvarint len][payload])+
 //
@@ -54,7 +54,7 @@ type FileLog struct {
 // fileMagic opens the header. Each change of the file or record format
 // takes a new one, and there is no reader for an earlier format: such a
 // log is refused as foreign, not misread.
-const fileMagic = "DVPf"
+const fileMagic = "DVPg"
 
 // headerSize is the header's length: magic, base LSN and CRC.
 const headerSize = len(fileMagic) + 8 + 4
@@ -264,6 +264,9 @@ func (l *FileLog) WaitDurable(uint64) error { return nil }
 
 // DurableLSN implements Log: every record is stable, so LastLSN.
 func (l *FileLog) DurableLSN() uint64 { return l.LastLSN() }
+
+// Reset implements Log: a device has no volatile half.
+func (l *FileLog) Reset() int { return 0 }
 
 // AppendBatch implements BatchAppender: the whole batch is one frame,
 // written with one WriteAt and made stable with one fsync — the

@@ -369,24 +369,30 @@ func TestFrameOutOfSequenceRejected(t *testing.T) {
 	})
 }
 
-// A log in the format before this one — "DVPw", each frame stating its
-// first LSN, fixed-width site ids — has no reader: it is refused, not
-// misread, and left byte for byte as it was.
+// A log in an earlier format has no reader: it is refused, not
+// misread, and left byte for byte as it was. "DVPw" frames stated
+// their first LSN; "DVPf" logs had the header this one has, and
+// checkpoint items that carried an applied LSN.
 func TestOldFormatRefused(t *testing.T) {
 	body := []byte{1, byte(RecCommit), 3, 'o', 'l', 'd'} // firstLSN 1, one record
-	old := append([]byte("DVPw"), byte(len(body)))
-	old = binary.BigEndian.AppendUint32(old, crc32.Checksum(body, crcTable))
-	old = append(old, body...)
-	path := t.TempDir() + "/wal.log"
-	if err := os.WriteFile(path, old, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if l, err := OpenFileLog(path, FileLogOptions{}); err == nil {
-		l.Close()
-		t.Fatal("opened a log of the old format")
-	}
-	if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
-		t.Errorf("refused log changed on disk: %x, was %x", got, old)
+	dvpw := append([]byte("DVPw"), byte(len(body)))
+	dvpw = binary.BigEndian.AppendUint32(dvpw, crc32.Checksum(body, crcTable))
+	dvpw = append(dvpw, body...)
+	dvpf := binary.BigEndian.AppendUint64([]byte("DVPf"), 1)
+	dvpf = binary.BigEndian.AppendUint32(dvpf, crc32.Checksum(dvpf, crcTable))
+	dvpf = append(dvpf, body[1:]...)
+	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf} {
+		path := t.TempDir() + "/wal.log"
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := OpenFileLog(path, FileLogOptions{}); err == nil {
+			l.Close()
+			t.Fatalf("opened a %s log", name)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, old) {
+			t.Errorf("refused %s log changed on disk: %x, was %x", name, got, old)
+		}
 	}
 }
 

@@ -35,12 +35,11 @@ type GroupCommitOptions struct {
 // every later Enqueue — because "a later force succeeded" must imply
 // "every earlier enqueued record is stable": a caller may act on a
 // reserved LSN before its force (a site credits a Vm that way) and
-// relies on any later record's stability covering it. Recovery is a
-// new GroupLog over the inner log.
+// relies on any later record's stability covering it. Reset, which a
+// crash calls, clears the failure with the queue.
 //
-// The GroupLog itself is volatile (the queue is process state): a
-// crash loses queued-but-unflushed records, which is safe because
-// nobody was told they were stable.
+// The queue is the log's volatile half: a crash loses the records in
+// it (Reset), which is safe because nobody was told they were stable.
 type GroupLog struct {
 	inner Device
 	opts  GroupCommitOptions
@@ -233,6 +232,21 @@ func (g *GroupLog) DurableLSN() uint64 {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.durable
+}
+
+// Reset implements Log: wait out the flush in flight, then drop the
+// queue, the failure and every demand. The flusher keeps running.
+func (g *GroupLog) Reset() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.inFlight > 0 {
+		g.stable.Wait()
+	}
+	dropped := len(g.queue)
+	g.queue, g.failed = nil, nil
+	g.durable = g.inner.LastLSN()
+	g.next, g.demand = g.durable+1, g.durable
+	return dropped
 }
 
 // Waiters reports how many records are queued or riding an in-progress

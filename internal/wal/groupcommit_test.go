@@ -130,7 +130,7 @@ func TestGroupLogMaxBatch(t *testing.T) {
 
 // A flush error fails the log for good: the LSNs behind the failed
 // group were handed out already and can no longer become stable in
-// order. Recovery is a new GroupLog over the inner log.
+// order. A crash's Reset clears the failure with the queue.
 func TestGroupLogErrorFailsWholeGroup(t *testing.T) {
 	inner := NewMemLog()
 	boom := errors.New("disk full")
@@ -149,10 +149,85 @@ func TestGroupLogErrorFailsWholeGroup(t *testing.T) {
 		t.Fatalf("failed log still counts %d queued records", n)
 	}
 
-	g2 := NewGroupLog(inner, GroupCommitOptions{})
-	defer g2.Close()
-	if lsn, err := g2.Append(RecCommit, nil); err != nil || lsn != 1 {
-		t.Fatalf("new GroupLog over the inner log: lsn=%d err=%v", lsn, err)
+	if n := g.Reset(); n != 0 {
+		t.Errorf("Reset dropped %d records from a failed log's empty queue", n)
+	}
+	if lsn, err := g.Append(RecCommit, nil); err != nil || lsn != 1 {
+		t.Fatalf("append after Reset: lsn=%d err=%v", lsn, err)
+	}
+}
+
+// Reset is a crash of the log's volatile half: the records nobody
+// asked to force are gone, the LSNs they held are handed out again,
+// and the log goes on as a log over the device's records alone.
+func TestGroupLogResetDropsTheQueue(t *testing.T) {
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{})
+	defer g.Close()
+	if _, err := g.Append(RecCommit, []byte("a")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := g.Enqueue(RecVmAccept, []byte("b")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := g.Reset(); n != 3 {
+		t.Fatalf("Reset dropped %d records, want the 3 unforced", n)
+	}
+	if n := g.Waiters(); n != 0 {
+		t.Errorf("%d records queued after Reset", n)
+	}
+	if l, d := g.LastLSN(), g.DurableLSN(); l != 1 || d != 1 {
+		t.Errorf("after Reset: LastLSN %d, DurableLSN %d, want 1 and 1", l, d)
+	}
+	lsn, err := g.Append(RecCommit, []byte("c"))
+	if err != nil || lsn != 2 {
+		t.Fatalf("append after Reset: lsn=%d err=%v, want LSN 2", lsn, err)
+	}
+	var kinds []RecordKind
+	g.Scan(1, func(r Record) error { kinds = append(kinds, r.Kind); return nil })
+	if len(kinds) != 2 || kinds[0] != RecCommit || kinds[1] != RecCommit {
+		t.Errorf("log holds %v, want the two commits", kinds)
+	}
+}
+
+// The flush in flight when Reset comes lands, as a write already
+// issued to the disk would: Reset waits it out, and drops only what
+// queued behind it.
+func TestGroupLogResetLandsTheFlushInFlight(t *testing.T) {
+	inner := NewMemLog()
+	g := NewGroupLog(inner, GroupCommitOptions{})
+	defer g.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	g.SetFlushHook(func(int) {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	})
+	first, _ := g.Enqueue(RecCommit, []byte("a"))
+	waited := make(chan error, 1)
+	go func() { waited <- g.WaitDurable(first) }()
+	<-entered
+	g.Enqueue(RecVmAccept, []byte("b"))
+	reset := make(chan int, 1)
+	go func() { reset <- g.Reset() }()
+	select {
+	case <-reset:
+		t.Fatal("Reset returned with a flush in flight")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if n := <-reset; n != 1 {
+		t.Errorf("Reset dropped %d records, want the 1 queued behind the flush", n)
+	}
+	if err := <-waited; err != nil {
+		t.Errorf("waiter on the landed flush: %v", err)
+	}
+	if l := inner.LastLSN(); l != first {
+		t.Errorf("device holds %d records, want the %d of the landed flush", l, first)
 	}
 }
 

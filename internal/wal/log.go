@@ -6,8 +6,8 @@
 // (§5 step 5).
 //
 // Two devices are provided: MemLog, an in-memory stable log for
-// simulation (it survives simulated site crashes because crash only
-// discards volatile site state), and FileLog, a real append-only file
+// simulation (its records survive a simulated site crash, which loses
+// everything else), and FileLog, a real append-only file
 // for the dvpnode binary that writes each force as one CRC-protected
 // frame and drops a torn one whole at reopen. A site's log is always a
 // GroupLog over one device, so its records are forced in groups, on
@@ -39,9 +39,9 @@ const (
 	// acceptance of every Vm the transaction consumed.
 	RecCommit
 	// RecApplied is the §5 step-6 record noting the database changes
-	// have been carried out. Nothing writes it any more: the store's
-	// per-item applied LSN bounds redo without it. The kind stays so
-	// that logs written while it existed still decode.
+	// have been carried out. Nothing writes it any more: a restart
+	// rebuilds the store from the log, so redo needs no marker. The
+	// kind stays so that its number is not reused.
 	RecApplied
 	// RecCheckpoint snapshots store state to bound log scans (§7:
 	// "by using checkpointing mechanisms, the number of redo actions
@@ -127,6 +127,11 @@ type Log interface {
 	// record, which recovery needs. LSNs are never renumbered: the
 	// log simply starts later.
 	Compact(upto uint64) error
+	// Reset is what a crash does to the log: the force in flight lands,
+	// the records still queued and any failure are dropped, and the log
+	// resumes at LastLSN()+1. It returns the records dropped; a Device
+	// has no queue and drops none. Nobody may wait on the log across it.
+	Reset() int
 	// Close releases resources. Appends after Close fail.
 	Close() error
 }

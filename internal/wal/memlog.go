@@ -33,6 +33,9 @@ func (l *MemLog) WaitDurable(uint64) error { return nil }
 // DurableLSN implements Log: every record is stable, so LastLSN.
 func (l *MemLog) DurableLSN() uint64 { return l.LastLSN() }
 
+// Reset implements Log: a device has no volatile half.
+func (l *MemLog) Reset() int { return 0 }
+
 // Enqueue implements Log.
 func (l *MemLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 	l.mu.Lock()

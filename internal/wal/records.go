@@ -15,10 +15,11 @@ import (
 // value's timestamp to SetTS (committed transactions leave "correctly
 // updated timestamps", §7).
 //
-// Redo idempotence (§7: "the redoing actions must be idempotent") is
-// achieved with the record's LSN: the durable store remembers, per
-// item, the LSN of the last applied action, and redo skips records at
-// or below it.
+// Redo idempotence (§7: "the redoing actions must be idempotent") comes
+// from the replay's starting point, not from the action: a restart
+// replays the log into the last checkpoint's image, or into an empty
+// store, so every action is applied exactly once whatever crashed
+// before.
 type Action struct {
 	Item  ident.ItemID
 	Delta core.Value
@@ -372,10 +373,9 @@ func DecodeApplied(data []byte) (*AppliedRec, error) {
 
 // CheckpointItem is one item's durable state inside a checkpoint.
 type CheckpointItem struct {
-	Item       ident.ItemID
-	Value      core.Value
-	TS         tstamp.TS
-	AppliedLSN uint64
+	Item  ident.ItemID
+	Value core.Value
+	TS    tstamp.TS
 }
 
 // VmChannelState is the complete per-peer Vm channel state inside a
@@ -416,7 +416,6 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 		w.String(string(it.Item))
 		w.I64(int64(it.Value))
 		w.TS(it.TS)
-		w.U64(it.AppliedLSN)
 	}
 	w.U64(uint64(len(rec.Channels)))
 	for _, ch := range rec.Channels {
@@ -441,10 +440,9 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 	rec.Items = make([]CheckpointItem, 0, n)
 	for i := uint64(0); i < n; i++ {
 		rec.Items = append(rec.Items, CheckpointItem{
-			Item:       ident.ItemID(r.String()),
-			Value:      core.Value(r.I64()),
-			TS:         r.TS(),
-			AppliedLSN: r.U64(),
+			Item:  ident.ItemID(r.String()),
+			Value: core.Value(r.I64()),
+			TS:    r.TS(),
 		})
 	}
 	m := r.Count(maxCount)

@@ -83,11 +83,23 @@ func TestAppliedRoundTrip(t *testing.T) {
 	}
 }
 
+// A checkpoint item is its name, value and stamp, and nothing else:
+// "flight/A" = 25 at stamp (9, site 2) takes 1+8 B of name, 1 B of
+// value and 2 B of stamp. It carries no applied LSN: the image holds
+// exactly the records below the checkpoint, and replay starts into it.
+func TestCheckpointItemSize(t *testing.T) {
+	empty := len((&CheckpointRec{}).Encode())
+	one := len((&CheckpointRec{Items: []CheckpointItem{{Item: "flight/A", Value: 25, TS: tstamp.Make(9, 2)}}}).Encode())
+	if got := one - empty; got != 12 {
+		t.Errorf("one checkpoint item takes %d B, want 12", got)
+	}
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
 	rec := &CheckpointRec{
 		Items: []CheckpointItem{
-			{Item: "flight/A", Value: 25, TS: tstamp.Make(9, 2), AppliedLSN: 40},
-			{Item: "acct/z", Value: 0, TS: 0, AppliedLSN: 0},
+			{Item: "flight/A", Value: 25, TS: tstamp.Make(9, 2)},
+			{Item: "acct/z", Value: 0, TS: 0},
 		},
 		Channels: []VmChannelState{
 			{
@@ -365,6 +377,15 @@ func TestDecodersRejectMalformed(t *testing.T) {
 			w.U64(over << 2)
 		})},
 		{"checkpoint", "trailing", trailing((&CheckpointRec{Clock: 3}).Encode())},
+		{"checkpoint", "item with an applied LSN", enc(func(w *wire.Writer) {
+			w.U64(1)
+			w.String("x")
+			w.I64(1)
+			w.TS(9)
+			w.U64(40) // the field the format no longer has: read as 40 channels
+			w.U64(0)
+			w.U64(3)
+		})},
 		{"checkpoint", "pending item implied", enc(func(w *wire.Writer) {
 			w.U64(0)
 			w.U64(1)

@@ -57,6 +57,9 @@ func (l *slowDevice) WaitDurable(uint64) error { return nil }
 // DurableLSN implements Log: every record is stable, so LastLSN.
 func (l *slowDevice) DurableLSN() uint64 { return l.LastLSN() }
 
+// Reset implements Log: a device has no volatile half.
+func (l *slowDevice) Reset() int { return 0 }
+
 // AppendBatch implements BatchAppender: the latency models the
 // force-write, so a batched flush pays it once for the whole batch —
 // that per-flush (not per-record) cost is exactly the win group commit
