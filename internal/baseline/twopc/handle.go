@@ -1,6 +1,8 @@
 package twopc
 
 import (
+	"fmt"
+
 	"dvp/internal/ident"
 	"dvp/internal/lock"
 	"dvp/internal/wal"
@@ -136,7 +138,12 @@ func (s *Site) onVote(from ident.SiteID, m *wire.Vote) {
 	if m.Txn.Site() != s.cfg.ID {
 		return
 	}
-	commit, found := s.decisionFromLog(m.Txn)
+	commit, found, err := s.decisionFromLog(m.Txn)
+	if err != nil {
+		// A log that cannot be read says nothing, presumed abort least
+		// of all: the participant stays in doubt and asks again.
+		return
+	}
 	if !found {
 		commit = false // presumed abort
 	}
@@ -199,23 +206,24 @@ func (s *Site) onDecisionAck(from ident.SiteID, m *wire.DecisionAck) {
 }
 
 // decisionFromLog scans for a decision record (termination protocol
-// after coordinator recovery).
-func (s *Site) decisionFromLog(ts interface{ Txn() ident.TxnID }) (commit, found bool) {
+// after coordinator recovery). A scan that fails, or a decision record
+// that does not decode, is an error, not "no decision".
+func (s *Site) decisionFromLog(ts interface{ Txn() ident.TxnID }) (commit, found bool, err error) {
 	want := ts.Txn()
-	_ = s.cfg.Log.Scan(1, func(r wal.Record) error {
+	err = s.cfg.Log.Scan(1, func(r wal.Record) error {
 		if r.Kind != wal.RecDecision {
 			return nil
 		}
 		rec, err := wal.DecodeDecision(r.Data)
 		if err != nil {
-			return nil
+			return fmt.Errorf("twopc: LSN %d: %w", r.LSN, err)
 		}
 		if rec.Txn.Txn() == want {
 			commit, found = rec.Commit, true
 		}
 		return nil
 	})
-	return commit, found
+	return commit, found, err
 }
 
 // retryLoop drives decision retransmission (coordinator side) and the

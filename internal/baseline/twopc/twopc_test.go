@@ -2,6 +2,7 @@ package twopc
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
 	"dvp/internal/store"
+	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
@@ -383,5 +385,38 @@ func TestRestartReplaysWriteSetsInLogOrder(t *testing.T) {
 	}
 	if x, y := s.Value("x"), s.Value("y"); x != 0 || y != 3 {
 		t.Errorf("after restart x = %d, y = %d, want 0 and 3", x, y)
+	}
+}
+
+// The termination protocol reads the coordinator's decision from its
+// log, and a log it cannot read answers nothing: not a decision record
+// that does not decode, and not a scan that fails. The in-doubt
+// participant that asked stays in doubt — its vote is re-sent — rather
+// than hear "presumed abort" of a transaction that may have committed.
+func TestDecisionFromAnUnreadableLog(t *testing.T) {
+	coordLog := wal.NewMemLog()
+	c := newClusterOnLogs(t, simnet.Config{Seed: 11}, []wal.Log{coordLog, wal.NewMemLog()})
+	var decisions atomic.Int64
+	c.net.SetTap(func(from, _ ident.SiteID, kind wire.Kind, _ []byte) {
+		if from == 1 && kind == wire.KDecision {
+			decisions.Add(1)
+		}
+	})
+	coord, ts := c.sites[0], tstamp.Make(5, 1)
+	if _, err := coordLog.Append(wal.RecDecision, []byte{0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	if _, found, err := coord.decisionFromLog(ts); err == nil {
+		t.Errorf("a decision record that does not decode read as found=%v", found)
+	}
+	coord.onVote(2, &wire.Vote{Txn: ts, Yes: true})
+	c.net.Quiesce()
+	if n := decisions.Load(); n != 0 {
+		t.Errorf("coordinator answered %d decision(s) from a log it could not read", n)
+	}
+
+	coordLog.Close()
+	if _, found, err := coord.decisionFromLog(ts); err == nil {
+		t.Errorf("a failed scan read as found=%v", found)
 	}
 }

@@ -225,3 +225,68 @@ func TestRunFromDecodedSchedule(t *testing.T) {
 		t.Errorf("replayed run crashes=%d partitions=%d, want ≥1 each", rep.Crashes, rep.Partitions)
 	}
 }
+
+// The durability audit checks a commit by its record and a read that
+// wrote none by its fence: an acknowledged commit must name a commit
+// record still in the log, and a recordless read the record — of any
+// kind — it waited to see stable.
+func TestDurabilityChecksRecordlessReadsByTheirFence(t *testing.T) {
+	c, err := dvp.NewCluster(dvp.Config{Sites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.CreateItem("item/0", 10); err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[wal.RecordKind]uint64)
+	if err := c.SiteEngine(1).Log().Scan(1, func(r wal.Record) error {
+		kinds[r.Kind] = r.LSN
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	commit, clock := kinds[wal.RecCommit], kinds[wal.RecClock]
+	if commit == 0 || clock == 0 {
+		t.Fatalf("site 1 logged %v, want a placement and a clock reservation", kinds)
+	}
+	last := c.SiteEngine(1).LogLastLSN()
+	for _, tc := range []struct {
+		name string
+		ci   dvp.CommitInfo
+		ok   bool
+	}{
+		{"commit by its record", dvp.CommitInfo{CommitLSN: commit}, true},
+		{"read fenced on a reservation", dvp.CommitInfo{CommitLSN: clock, Recordless: true}, true},
+		{"read with nothing to fence", dvp.CommitInfo{Recordless: true}, true},
+		{"commit at a reservation", dvp.CommitInfo{CommitLSN: clock}, false},
+		{"read fenced past the log", dvp.CommitInfo{CommitLSN: last + 1, Recordless: true}, false},
+	} {
+		tc.ci.Site = 1
+		r := &runner{sched: &Schedule{Sites: 1}, c: c, committed: []dvp.CommitInfo{tc.ci}}
+		if err := r.checkDurability(); (err == nil) != tc.ok {
+			t.Errorf("%s: audit returned %v", tc.name, err)
+		}
+	}
+}
+
+// A corpus capture that cannot read a site's log fails rather than
+// capture what it could: here a commit whose accepted list does not
+// decode.
+func TestCaptureFailsOnAnUnreadableLog(t *testing.T) {
+	c, err := dvp.NewCluster(dvp.Config{Sites: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	payloads := make(map[string][]wal.Record)
+	if err := capturePayloads(c, 1, payloads); err != nil || len(payloads["clock"]) != 1 {
+		t.Fatalf("capture of a sound log: %v, %d reservation(s)", err, len(payloads["clock"]))
+	}
+	if _, err := c.SiteEngine(1).Log().Append(wal.RecCommit, []byte{0, 1, 0xFF}); err != nil {
+		t.Fatal(err)
+	}
+	if err := capturePayloads(c, 1, payloads); err == nil {
+		t.Error("capture read past a commit record it cannot decode")
+	}
+}

@@ -31,10 +31,10 @@ import (
 func CaptureCorpus(seed int64, internalDir string) error {
 	sched := Build(seed)
 
-	const perKind = 3
 	var mu sync.Mutex
 	frames := make(map[wire.Kind][][]byte)
 	payloads := make(map[string][]wal.Record)
+	var scanErr error
 
 	rep, err := Run(sched, Options{
 		Tap: func(from, to ident.SiteID, kind wire.Kind, frame []byte) {
@@ -45,23 +45,18 @@ func CaptureCorpus(seed int64, internalDir string) error {
 			}
 		},
 		OnQuiescent: func(c *dvp.Cluster) {
-			for i := 1; i <= sched.Sites; i++ {
-				_ = c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
-					shape := rec.Kind.String()
-					if acc, _ := wal.Accepted(rec); rec.Kind == wal.RecCommit && len(acc) > 0 {
-						shape = "commit-accepts"
-					}
-					if len(payloads[shape]) < perKind {
-						payloads[shape] = append(payloads[shape],
-							wal.Record{Kind: rec.Kind, Data: append([]byte(nil), rec.Data...)})
-					}
-					return nil
-				})
+			mu.Lock()
+			defer mu.Unlock()
+			if err := capturePayloads(c, sched.Sites, payloads); err != nil && scanErr == nil {
+				scanErr = err
 			}
 		},
 	})
 	if err != nil {
 		return fmt.Errorf("chaos corpus run: %w", err)
+	}
+	if scanErr != nil {
+		return fmt.Errorf("chaos corpus capture: %w", scanErr)
 	}
 	fmt.Printf("corpus capture: %s\n", rep)
 
@@ -96,6 +91,40 @@ func CaptureCorpus(seed int64, internalDir string) error {
 		name := fmt.Sprintf("chaos-filelog-%d", i)
 		if err := writeCorpusFile(filepath.Join(logDir, name), img); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// perKind bounds the corpus entries captured of each envelope kind and
+// record shape.
+const perKind = 3
+
+// capturePayloads adds to payloads up to perKind record payloads of
+// each shape from the stable logs of sites 1..sites — by kind, with
+// commits that accept Vm apart from those that do not. A log it cannot
+// read, or a commit whose accepted list does not decode, is an error.
+func capturePayloads(c *dvp.Cluster, sites int, payloads map[string][]wal.Record) error {
+	for i := 1; i <= sites; i++ {
+		err := c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
+			shape := rec.Kind.String()
+			if rec.Kind == wal.RecCommit {
+				acc, err := wal.Accepted(rec)
+				if err != nil {
+					return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+				}
+				if len(acc) > 0 {
+					shape = "commit-accepts"
+				}
+			}
+			if len(payloads[shape]) < perKind {
+				payloads[shape] = append(payloads[shape],
+					wal.Record{Kind: rec.Kind, Data: append([]byte(nil), rec.Data...)})
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("site %d log: %w", i, err)
 		}
 	}
 	return nil

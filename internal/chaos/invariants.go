@@ -66,9 +66,10 @@ func (r *runner) eventViolation() error {
 // checkReplyAfterLog is the durability family's "no reply ahead of the
 // log", checked inside the OnCommit hook — the moment the site reports
 // the commit, alongside its reply: the site's durable watermark must
-// already cover the commit record. A site enqueues and applies the
-// record under the item's stripe and forces it after letting go; this
-// is the check that it answers only after the force.
+// already cover the commit record, or for a read that wrote none, its
+// fence. A site enqueues and applies the record under the item's stripe
+// and forces it after letting go; this is the check that it answers
+// only after the force.
 func (r *runner) checkReplyAfterLog(ci dvp.CommitInfo) {
 	if d := r.c.GroupLog(int(ci.Site)).DurableLSN(); d < ci.CommitLSN {
 		r.violated(fmt.Errorf(
@@ -406,16 +407,22 @@ func (r *runner) checkNoAckAheadOfLog() error {
 // of the commit record that acknowledged it, and that record must
 // still exist in the site's stable log — whatever crashes (including
 // crash-in-flush, which kills the site with committers parked
-// mid-batch) the schedule injected. Records older than the log's
+// mid-batch) the schedule injected. A read that wrote no record is
+// checked by its fence instead: the record it waited to see stable,
+// of whatever kind, must still be there. Records older than the log's
 // compaction horizon (a checkpoint subsumed them) are exempt. The
 // pipeline itself must also be drained at a barrier: no parked
 // committers, durable watermark caught up with the last assigned LSN.
 func (r *runner) checkDurability() error {
+	type acked struct {
+		lsn   uint64
+		fence bool
+	}
 	r.mu.Lock()
-	ackedBySite := make(map[ident.SiteID][]uint64)
+	ackedBySite := make(map[ident.SiteID][]acked)
 	for _, ci := range r.committed {
 		if ci.CommitLSN > 0 {
-			ackedBySite[ci.Site] = append(ackedBySite[ci.Site], ci.CommitLSN)
+			ackedBySite[ci.Site] = append(ackedBySite[ci.Site], acked{ci.CommitLSN, ci.Recordless})
 		}
 	}
 	r.mu.Unlock()
@@ -433,24 +440,29 @@ func (r *runner) checkDurability() error {
 			continue
 		}
 		var horizon uint64 // first retained LSN
-		commits := make(map[uint64]bool)
+		kinds := make(map[uint64]wal.RecordKind)
 		err := r.c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
 			if horizon == 0 || rec.LSN < horizon {
 				horizon = rec.LSN
 			}
-			if rec.Kind == wal.RecCommit {
-				commits[rec.LSN] = true
-			}
+			kinds[rec.LSN] = rec.Kind
 			return nil
 		})
 		if err != nil {
 			return fmt.Errorf("durability: site %d log scan: %w", i, err)
 		}
-		for _, lsn := range acked {
-			if lsn >= horizon && !commits[lsn] {
+		for _, a := range acked {
+			kind, ok := kinds[a.lsn]
+			switch {
+			case a.lsn < horizon:
+			case a.fence && !ok:
+				return fmt.Errorf(
+					"durability: site %d answered a read fenced at LSN %d but the record is gone from the stable log (retained from LSN %d) — a read outlived what it saw",
+					i, a.lsn, horizon)
+			case !a.fence && kind != wal.RecCommit:
 				return fmt.Errorf(
 					"durability: site %d acknowledged a commit at LSN %d but the record is gone from the stable log (retained from LSN %d) — an acked commit was lost",
-					i, lsn, horizon)
+					i, a.lsn, horizon)
 			}
 		}
 	}

@@ -184,56 +184,6 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 	}
 }
 
-// A Vm with nothing to credit — the answer a full read gets from a peer
-// that holds nothing — is held on the reader like any other, and the
-// reader's commit record accepts it: with that record's flush held open,
-// it is the only record in the pipeline, the item's stripe is free, and
-// the read is not answered. No force is waited for under a stripe.
-func TestZeroValueVmRidesTheCommit(t *testing.T) {
-	tc, gl := groupedCluster(t, 22, wal.NewMemLog(), nil)
-	item := ident.ItemID("flight/B")
-	if err := tc.sites[0].DB().Create(item, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := tc.sites[1].DB().Create(item, 0); err != nil {
-		t.Fatal(err)
-	}
-	entered, release := holdFirstFlush(gl)
-	defer release()
-
-	s := tc.sites[0]
-	done := make(chan *txn.Result, 1)
-	go func() {
-		done <- s.Run(&txn.Txn{Reads: []ident.ItemID{item}, Timeout: 5 * time.Second})
-	}()
-	select {
-	case <-entered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no flush at site 1: the zero-value answer never arrived")
-	}
-	if n := gl.Waiters(); n != 1 {
-		t.Fatalf("%d records in the pipeline, want the commit alone", n)
-	}
-	stripe := &s.stripes[s.stripeOf(item)]
-	if !stripe.TryLock() {
-		t.Fatal("the item's stripe is held across the force")
-	}
-	stripe.Unlock()
-	select {
-	case res := <-done:
-		t.Fatalf("full read returned %v before its record was stable", res.Status)
-	default:
-	}
-
-	release()
-	if res := <-done; !res.Committed() || res.Reads[item] != 10 {
-		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[item])
-	}
-	if got := acceptedBy(t, gl); len(got) != 1 || got[0].kind != wal.RecCommit || got[0].ref.From != 2 {
-		t.Errorf("the log accepts %v, want site 2's answer by the commit record alone", got)
-	}
-}
-
 // A VmBatch of 8 value Vm is credited whole at enqueue and asks for no
 // force: nothing is forced, counted or acknowledged until somebody asks
 // — a commit, or on an idle site the retransmission tick — and then one
@@ -344,7 +294,10 @@ func TestAcceptForceFailureStopsTheSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if live := s.DB().Snapshot(); !slices.Equal(live, rebuilt.Snapshot()) {
+	// Values alike; stamps may not be: the restart reserved the clock
+	// past the one it raised them to, and the rebuild raises them to that.
+	sameValue := func(a, b wal.CheckpointItem) bool { return a.Item == b.Item && a.Value == b.Value }
+	if live := s.DB().Snapshot(); !slices.EqualFunc(live, rebuilt.Snapshot(), sameValue) {
 		t.Errorf("restarted store %v, its log rebuilds %v", live, rebuilt.Snapshot())
 	}
 	if v := s.DB().Value(item); v != 10 {

@@ -148,6 +148,7 @@ var recordName = map[wal.RecordKind]string{
 	wal.RecVmCreate:   "create",
 	wal.RecVmAccept:   "accept",
 	wal.RecCheckpoint: "checkpoint",
+	wal.RecClock:      "clock",
 }
 
 // enqueueApply is the first step of every durable write: encode the
@@ -165,7 +166,10 @@ var recordName = map[wal.RecordKind]string{
 // error is returned as is. An apply that fails, with the record already
 // in the log's queue, stops the site (<kind>-apply); the log keeps
 // borrowing the buffer until the record is forced or dropped, so it is
-// not pooled again. actions is borrowed for the call.
+// not pooled again. Each action's item remembers the record's LSN as
+// the last one applied to it: what a read that writes no record must
+// see stable before it answers (Run, handleRequest). actions is
+// borrowed for the call.
 func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), actions []wal.Action, mark func()) (durable, error) {
 	w := wire.GetWriter()
 	encode(w)
@@ -183,6 +187,9 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 	if _, err := s.cfg.DB.ApplyAll(lsn, actions); err != nil {
 		s.failStop(recordName[kind]+"-apply", err)
 		return durable{}, err
+	}
+	for _, a := range actions {
+		s.itemAt(s.stripeOf(a.Item), a.Item).logged = lsn
 	}
 	return durable{kind: kind, lsn: lsn, w: w}, nil
 }
@@ -205,6 +212,42 @@ func (s *Site) waitForce(d *durable) error {
 	d.w = nil
 	if err != nil {
 		s.failStop(recordName[d.kind]+"-force", err)
+	}
+	return err
+}
+
+// draw is Lamport's Next for every stamp but an acceptance's (which
+// is drawn under a stripe, processVm): a stamp above the clock's
+// reservation waits for a new one (reserve) before anything can carry
+// it off the site. Caller holds lifeMu's read side and no stripe.
+func (s *Site) draw() (tstamp.TS, error) {
+	ts := s.lamport.Next()
+	return ts, s.reserve(ts.Counter())
+}
+
+// reserve makes counter n safe to send: unless the clock's stable
+// reservation covers it, it logs a RecClock reaching Stride past n and
+// waits for its force. Racing reservers each log their own — a few
+// bytes once per Stride — and none waits on another's record. A force
+// that fails stops the site (clock-force). Caller holds lifeMu's read
+// side and no stripe.
+func (s *Site) reserve(n uint64) error {
+	if n <= s.lamport.Bound() {
+		return nil
+	}
+	b := s.lamport.Claim(n)
+	if err := s.logReservation(b); err != nil {
+		return err
+	}
+	s.lamport.Reserve(b)
+	return nil
+}
+
+// logReservation logs a RecClock of bound b and waits for its force.
+func (s *Site) logReservation(b uint64) error {
+	d, err := s.enqueueApply(wal.RecClock, (&wal.ClockRec{Bound: b}).EncodeTo, nil, nil)
+	if err == nil {
+		err = s.waitForce(&d)
 	}
 	return err
 }

@@ -52,7 +52,7 @@ func (s *Site) checkpoint(auto bool) error {
 	rec := &wal.CheckpointRec{
 		Items:    s.cfg.DB.Snapshot(),
 		Channels: s.vm.SnapshotChannels(),
-		Clock:    s.lamport.Current(),
+		Clock:    s.lamport.Claimed(),
 	}
 	d, err := s.enqueueApply(wal.RecCheckpoint, rec.EncodeTo, nil, nil)
 	if err != nil {
@@ -63,6 +63,14 @@ func (s *Site) checkpoint(auto bool) error {
 		return err
 	}
 	forced = d.lsn
+	// A reservation claimed after the cut read the clock may have
+	// enqueued its record below the checkpoint, where the compaction
+	// would drop it: it is logged again above, before that can happen.
+	if b := s.lamport.Claimed(); b > rec.Clock {
+		if err := s.logReservation(b); err != nil {
+			return err
+		}
+	}
 	// The record is durable: restart the growth counter even if the
 	// compaction below is skipped or fails — recovery can already use
 	// this checkpoint.

@@ -29,7 +29,10 @@ const inlineItems = 8
 // read — releases the stripes and lifeMu (neither is ever held across
 // a network wait), asks, waits, re-fences on the epoch and falls into
 // the same commit tail. The tail lets go of the locks and the stripes
-// before the record's force, and answers only after it (admission.go).
+// before the record's force, and answers only after it (admission.go);
+// a transaction that changes nothing and consumed no Vm writes no
+// record and answers once the log is stable up to the last record
+// applied to its items.
 // Either way the calling goroutine blocks for at most the
 // transaction's timeout plus local processing and always gets a
 // decision: the protocol is non-blocking by construction.
@@ -40,8 +43,8 @@ const inlineItems = 8
 // read side waits on our stripe). Holding one
 // read side across liveness check, enqueue and force is the crash
 // atomicity: once Crash returns, no stale-epoch commit record can
-// still reach the log — recovery's scan would miss it and could
-// reissue its timestamp — and none that was applied is missing.
+// still reach the log — recovery's scan would miss it — and none that
+// was applied is missing.
 func (s *Site) Run(t *txn.Txn) *txn.Result {
 	start := s.cfg.Clock.Now()
 	tr := s.obsm.ring.Begin(s.obsm.site, t.Label)
@@ -85,7 +88,11 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 
 	// Draw TS(t): timestamp and identity in one (§6.1).
-	ts := s.lamport.Next()
+	ts, err := s.draw()
+	if err != nil {
+		s.lifeMu.RUnlock()
+		return finish(txn.StatusSiteDown)
+	}
 	res.TS = ts
 	id := ts.Txn()
 	tr.SetTS(uint64(ts))
@@ -244,28 +251,42 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// (§4.2's `[database-actions, message-sequence]`): it lists them,
 	// they are marked applied on their channels at its enqueue, and they
 	// settle — reported, counted, acked — on its force.
-	rec := wal.CommitRec{Txn: ts, Actions: actions}
-	var mark func()
-	if len(held) > 0 {
-		rec.Accepted = make([]wal.VmRef, len(held))
-		for i, e := range held {
-			rec.Accepted[i] = wal.VmRef{From: e.from, Seq: e.seq}
+	//
+	// A transaction that changes nothing and consumed no Vm — a full
+	// read whose donors all answered NoShare, most often — writes no
+	// record: redo would find nothing in it, and its stamp is covered
+	// by the clock's reservation. Its commit point is instead the
+	// stability of what it observed: its fence, the last record applied
+	// to any of its items, waited for below as a record's force is.
+	var d durable
+	recordless := len(actions) == 0 && len(held) == 0
+	if recordless {
+		for _, st := range sts {
+			d.lsn = max(d.lsn, st.logged)
 		}
-		mark = func() {
-			for _, e := range held {
-				s.vm.MarkApplied(e.from, e.seq)
+	} else {
+		rec := wal.CommitRec{Txn: ts, Actions: actions}
+		var mark func()
+		if len(held) > 0 {
+			rec.Accepted = make([]wal.VmRef, len(held))
+			for i, e := range held {
+				rec.Accepted[i] = wal.VmRef{From: e.from, Seq: e.seq}
+			}
+			mark = func() {
+				for _, e := range held {
+					s.vm.MarkApplied(e.from, e.seq)
+				}
 			}
 		}
-	}
-	d, err := s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, mark)
-	if err != nil {
-		s.unlockStripes(stripes)
-		s.lifeMu.RUnlock()
-		return finish(txn.StatusSiteDown)
-	}
-	if len(held) > 0 {
-		w.takeHeld()
-		s.pend(d.lsn, held...)
+		if d, err = s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, mark); err != nil {
+			s.unlockStripes(stripes)
+			s.lifeMu.RUnlock()
+			return finish(txn.StatusSiteDown)
+		}
+		if len(held) > 0 {
+			w.takeHeld()
+			s.pend(d.lsn, held...)
+		}
 	}
 
 	// Step 7. The items' volatile state is brought up to date while
@@ -289,7 +310,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 				WriterIdx: make(map[ident.ItemID]uint64, len(actions)),
 				ReadVec:   make(map[ident.ItemID]map[ident.SiteID]uint64, len(t.Reads)),
 			},
-			Label: t.Label, CommitLSN: d.lsn,
+			Label: t.Label, CommitLSN: d.lsn, Recordless: recordless,
 		}
 		for _, item := range t.Reads {
 			ci.ReadVec[item] = sts[indexOf(items, item)].flowSnapshot()
@@ -309,12 +330,16 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	s.unlockStripes(stripes)
 	step("apply", "")
 
-	// Step 5's commit point: the record's stability. Nothing about t —
-	// reply, hook, counters — leaves the site before it; if the force
-	// fails, the site stops and t is not reported committed. The
-	// acceptances the force carried — those t's own record lists, and
-	// any logged before it — are acked from here.
-	err = s.waitForce(&d)
+	// Step 5's commit point: the record's stability, or the fence's.
+	// Nothing about t — reply, hook, counters — leaves the site before
+	// it; if the force fails, the site stops and t is not reported
+	// committed. The acceptances the force carried — those t's own
+	// record lists, and any logged before it — are acked from here.
+	if recordless {
+		err = s.cfg.Log.WaitDurable(d.lsn) // the fenced record's writer stops the site if this fails
+	} else {
+		err = s.waitForce(&d)
+	}
 	if err == nil {
 		s.settleAccepts(d.lsn, nil)
 	}

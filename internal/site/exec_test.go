@@ -241,16 +241,17 @@ func TestRunShapes(t *testing.T) {
 // durable fact.
 func TestOneRecordPerCommit(t *testing.T) {
 	tc := newTestCluster(t, 1, simnet.Config{Seed: 1}, nil)
-	tc.createItem("x", 100) // the placement: LSN 1
+	tc.createItem("x", 100)
+	placed := tc.logs[0].LastLSN() // Start's clock reservation, then the placement
 	const n = 25
 	for i := 0; i < n; i++ {
 		if res := tc.sites[0].Run(reserve("x", 1)); !res.Committed() {
 			t.Fatalf("reserve %d: %v", i, res.Status)
 		}
 	}
-	recs := countRecords(t, tc.logs[0], 2)
-	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != n+1 {
+	recs := countRecords(t, tc.logs[0], placed+1)
+	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != placed+n {
 		t.Errorf("after %d commits: %d commit records, %d applied records, last LSN %d; want %d, 0, %d",
-			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, n+1)
+			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, placed+n)
 	}
 }

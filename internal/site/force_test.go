@@ -38,6 +38,7 @@ func TestHotItemCommitsOverlapTheForce(t *testing.T) {
 	tc, gl := groupedCluster(t, 31, wal.NewMemLog(), nil)
 	item := ident.ItemID("hot/0")
 	tc.createItem(item, 100) // 50 per site
+	placed := gl.LastLSN()
 	entered, release := holdFirstFlush(gl)
 	defer release()
 
@@ -86,7 +87,7 @@ func TestHotItemCommitsOverlapTheForce(t *testing.T) {
 	if n := s.Stats().Committed; n != 2 {
 		t.Errorf("Committed = %d, want 2", n)
 	}
-	if recs := countRecords(t, gl, 2); recs[wal.RecCommit] != 2 { // after the placement
+	if recs := countRecords(t, gl, placed+1); recs[wal.RecCommit] != 2 {
 		t.Errorf("stable log holds %d commit records, want 2", recs[wal.RecCommit])
 	}
 }
@@ -209,9 +210,9 @@ func TestForceFailureStopsTheSite(t *testing.T) {
 			}
 		}},
 		{"accept-force", func(t *testing.T, tc *testCluster, item ident.ItemID) {
-			// The "I hold nothing" answer to a full read, arriving at a
-			// free item: nobody waits on its record, so the tick asks.
-			tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 1, Item: item}})
+			// A grant arriving at a free item: nobody waits on its
+			// record, so the tick asks.
+			tc.sites[0].handle(&wire.Envelope{From: 2, To: 1, Msg: &wire.Vm{Seq: 1, Item: item, Amount: 1}})
 		}},
 	}
 	for _, c := range cases {

@@ -219,12 +219,20 @@ type logCounter struct {
 //   - a shortfall write, needing a grant from each donor: each donor
 //     logs and forces its create, and site 1's one commit record
 //     accepts both grants;
-//   - a full read, one donor holding nothing: each donor logs and forces
-//     its create, site 1 logs one commit record, and no force at site 1
-//     starts with one of its stripes held.
+//   - a full read, one donor holding nothing: the donor that holds some
+//     logs and forces its create, the other answers NoShare and logs
+//     nothing, site 1 logs one commit record accepting the grant, and
+//     no force at site 1 starts with one of its stripes held;
+//   - a full read of an item site 1 holds all of: both donors answer
+//     NoShare, and nobody logs or forces anything — the wire carries
+//     the two requests and the two answers, and nothing else;
+//   - a Lamport draw that crosses the clock's reservation: one
+//     reservation record and one force at site 1; a draw below it costs
+//     nothing.
 //
-// The byte ceilings are the measured sizes plus one byte, room for a
-// timestamp's varint to grow and none for a field per action.
+// No site ever logs a Vm with nothing to carry. The byte ceilings are
+// the measured sizes plus one byte, room for a timestamp's varint to
+// grow and none for a field per action.
 func TestCountBudgetPerOpKind(t *testing.T) {
 	counters := make([]*logCounter, 3)
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 44}, func(i int, c *Config) {
@@ -235,6 +243,8 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		c.DefaultTimeout = 5 * time.Second
 	})
 	s := tc.sites[0]
+	tap := new(kindTap)
+	tap.install(tc.net)
 	for i := 1; i < 3; i++ {
 		c := counters[i]
 		c.gl.SetFlushHook(func(int) { c.forces.Add(1) })
@@ -326,6 +336,11 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		for k, q := range []core.Value{20, 0, 0} {
+			if err := tc.sites[k].DB().Create(item("all", i), q); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	check("shortfall write", measure(func(i int) {
 		res := s.Run(&txn.Txn{Ops: []txn.ItemOp{{Item: item("short", i), Op: core.Decr{M: 2}}}, Ask: txn.AskAll})
@@ -339,8 +354,80 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		if !res.Committed() || res.Reads[item("read", i)] != 20 {
 			t.Fatalf("full read: %v, read %d", res.Status, res.Reads[item("read", i)])
 		}
-	}), [3]cost{{1, 1, 17}, {1, 1, 17}, {1, 1, 17}})
+	}), [3]cost{{1, 1, 15}, {1, 1, 17}, {}})
 	if n := counters[0].underLock.Load(); n != 0 {
 		t.Errorf("%d forces at site 1 started with a stripe held across them", n)
+	}
+
+	var sent [3][wire.KNoShare + 1]int64
+	for k := range sent {
+		for kind := range sent[k] {
+			sent[k][kind] = tap.sent(ident.SiteID(k+1), wire.Kind(kind))
+		}
+	}
+	check("zero-share full read", measure(func(i int) {
+		res := s.Run(readItem(item("all", i)))
+		if !res.Committed() || res.Reads[item("all", i)] != 20 {
+			t.Fatalf("zero-share full read: %v, read %d", res.Status, res.Reads[item("all", i)])
+		}
+	}), [3]cost{{}, {}, {}})
+	tc.settle()
+	for k := range sent {
+		for kind := range sent[k] {
+			want := int64(0)
+			switch {
+			case k == 0 && wire.Kind(kind) == wire.KRequest:
+				want = 2 * 5
+			case k > 0 && wire.Kind(kind) == wire.KNoShare:
+				want = 5
+			}
+			if got := tap.sent(ident.SiteID(k+1), wire.Kind(kind)) - sent[k][kind]; got != want {
+				t.Errorf("zero-share full reads: site %d sent %d %v envelopes over 5 reads, want %d", k+1, got, wire.Kind(kind), want)
+			}
+		}
+	}
+
+	draw := func(cross bool) func(int) {
+		return func(int) {
+			if cross {
+				s.lamport.Restore(s.lamport.Bound())
+			}
+			s.lifeMu.RLock()
+			_, err := s.draw()
+			s.lifeMu.RUnlock()
+			if err != nil {
+				t.Fatalf("draw: %v", err)
+			}
+		}
+	}
+	check("draw crossing the reservation", measure(draw(true)), [3]cost{{1, 1, 4}, {}, {}})
+	check("draw below the reservation", measure(draw(false)), [3]cost{{}, {}, {}})
+
+	for k, c := range counters {
+		noEmptyVm(t, ident.SiteID(k+1), c.gl)
+	}
+}
+
+// noEmptyVm fails the test if log holds a Vm with nothing to carry: a
+// full read's donor that holds none of the item answers NoShare, and
+// every other Vm carries what was asked for or offered.
+func noEmptyVm(t *testing.T, site ident.SiteID, log wal.Log) {
+	t.Helper()
+	if err := log.Scan(1, func(r wal.Record) error {
+		if r.Kind != wal.RecVmCreate {
+			return nil
+		}
+		rec, err := wal.DecodeVmCreate(r.Data)
+		if err != nil {
+			return err
+		}
+		for _, v := range rec.Msgs {
+			if v.Amount <= 0 {
+				t.Errorf("site %v logged Vm %d to %v carrying %d of %s at LSN %d", site, v.Seq, v.To, v.Amount, v.Item, r.LSN)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -56,6 +56,7 @@ type acceptedVm struct {
 	item     ident.ItemID
 	amount   core.Value
 	creditTS tstamp.TS
+	bound    uint64 // the clock reservation queued ahead of its record, if any
 	lsn      uint64
 	w        *wire.Writer
 	hop      *obs.TxnTrace
@@ -142,13 +143,18 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	// it draws a fresh timestamp and, under Conc1, stamps the value.
 	// Without the stamp a later full read could be admitted at a
 	// timestamp below the credit it already observed — ordered before
-	// it in the serial history, yet seeing its effect.
+	// it in the serial history, yet seeing its effect. The one draw
+	// made under a stripe waits for no force: a reservation it needs is
+	// queued ahead of the acceptance record, stable whenever that is.
 	e.creditTS = s.lamport.Next()
 	var stamp tstamp.TS
 	if s.policy.StampOnLock() {
 		stamp = e.creditTS
 	}
-	err := s.acceptLogged(e, stamp)
+	err := s.queueReserve(&e)
+	if err == nil {
+		err = s.acceptLogged(e, stamp)
+	}
 	if err == nil {
 		st.mergeFlow(m.FlowVec)
 	}
@@ -156,6 +162,26 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	if err != nil {
 		hop.Finish("log-error")
 	}
+}
+
+// queueReserve enqueues the clock reservation e's creditTS needs, if
+// it needs one, without waiting for it: it is stable once e's record,
+// enqueued behind it, is, and e takes its bound to the clock when it
+// settles. Until then send caps the clock it piggybacks at the stable
+// reservation. The record's buffer is left to the collector: the log
+// borrows it until the force, and nobody waits on this record to hand
+// it back. Caller holds lifeMu's read side and e's item's stripe.
+func (s *Site) queueReserve(e *acceptedVm) error {
+	n := e.creditTS.Counter()
+	if n <= s.lamport.Bound() {
+		return nil
+	}
+	rec := wal.ClockRec{Bound: s.lamport.Claim(n)}
+	if _, err := s.enqueueApply(wal.RecClock, rec.EncodeTo, nil, nil); err != nil {
+		return err
+	}
+	e.bound = rec.Bound
+	return nil
 }
 
 // acceptLogged writes e's own acceptance record — log first (the record
@@ -241,6 +267,7 @@ func (s *Site) settleAccepts(upTo uint64, owed acks) {
 		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
 		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.item, e.amount, e.seq)
 		s.obsm.forPeer(e.from).vmAccepted.Inc()
+		s.lamport.Reserve(e.bound)
 		// Ackable last: any envelope may piggyback the cursor from here
 		// on, and a sender that sees its Vm retired may take the
 		// acceptance as counted and reported.

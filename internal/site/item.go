@@ -33,6 +33,11 @@ type itemState struct {
 	flow FlowVec
 	// demand is the rebalancer's demand cell (demand.go).
 	demand itemDemand
+	// logged is the LSN of the last record applied to the item: a read
+	// that writes no record — a full read's NoShare answer, or a
+	// transaction that changes nothing — answers only once the log is
+	// stable up to it.
+	logged uint64
 	// deferred parks inbound Vm that found the item locked by a
 	// transaction they are not addressed to. §4.2 allows dropping them
 	// ("it will eventually be sent again anyway"), but an item locked
@@ -206,6 +211,18 @@ func (w *waiter) hold(e acceptedVm) bool {
 	if w.reads[e.item] {
 		w.responded[e.item][e.from] = true
 	}
+	return true
+}
+
+// respond marks peer's NoShare answer for the full-read item, and
+// reports whether the item is one this waiter reads.
+func (w *waiter) respond(item ident.ItemID, peer ident.SiteID) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if !w.reads[item] {
+		return false
+	}
+	w.responded[item][peer] = true
 	return true
 }
 

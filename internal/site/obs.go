@@ -135,7 +135,7 @@ func (s *Site) initObs() {
 	o.failStops = make(map[string]*metrics.Counter, 8)
 	for _, reason := range []string{
 		"commit-force", "commit-apply", "create-force", "create-apply",
-		"accept-force", "accept-apply", "checkpoint-force", "endpoint-open",
+		"accept-force", "accept-apply", "checkpoint-force", "clock-force", "endpoint-open",
 	} {
 		o.failStops[reason] = reg.Counter("dvp_site_failstop_total", "site", o.site, "reason", reason)
 	}

@@ -36,14 +36,28 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if peer == s.cfg.ID {
 		return fmt.Errorf("site %v: self transfer", s.cfg.ID)
 	}
-	epoch, up := s.currentEpoch()
-	if !up {
+	// Lock order: lifeMu.RLock ≺ stripe. The lifeMu fence keeps the
+	// append and its force inside the site's lifetime, like the commit
+	// path: once Crash returns, no rds record can still reach the log.
+	// Vm parked behind our lock are redelivered once it is let go, after
+	// the fence (redelivery takes it again).
+	var parked []deferredVm
+	defer func() { s.redeliver(parked) }()
+	s.lifeMu.RLock()
+	defer s.lifeMu.RUnlock()
+	if !s.Up() {
 		return fmt.Errorf("site %v: down", s.cfg.ID)
+	}
+	if rebal && s.rebalPaused.Load() {
+		return fmt.Errorf("site %v: rebalancer paused", s.cfg.ID)
 	}
 
 	// Rds transactions are transactions: they draw a timestamp and
 	// take the lock like anyone else (§6 treats them uniformly).
-	ts := s.lamport.Next()
+	ts, err := s.draw()
+	if err != nil {
+		return fmt.Errorf("site %v: clock reservation: %w", s.cfg.ID, err)
+	}
 
 	// A proactive transfer is its own causal root: it gets an "rds"
 	// span stitched by its own TS, and the Vm it creates carries the
@@ -57,22 +71,6 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	}
 	outcome := "aborted"
 	defer func() { hop.Finish(outcome) }()
-
-	// Lock order: lifeMu.RLock ≺ stripe. The lifeMu fence keeps the
-	// append and its force inside the site's lifetime, like the commit
-	// path: once Crash returns, no rds record can still reach the log.
-	// Vm parked behind our lock are redelivered once it is let go, after
-	// the fence (redelivery takes it again).
-	var parked []deferredVm
-	defer func() { s.redeliver(parked) }()
-	s.lifeMu.RLock()
-	defer s.lifeMu.RUnlock()
-	if !s.sameEpoch(epoch) {
-		return fmt.Errorf("site %v: down", s.cfg.ID)
-	}
-	if rebal && s.rebalPaused.Load() {
-		return fmt.Errorf("site %v: rebalancer paused", s.cfg.ID)
-	}
 	stripe, st := s.lockItem(item)
 	it, _ := s.cfg.DB.Get(item)
 	if !s.policy.AllowLock(ts, it.TS) {

@@ -319,9 +319,9 @@ func TestSoakWithCrashes(t *testing.T) {
 
 // Conc1 stamps an item at lock time and logs the stamp only with an
 // action on the item, so a crash can lose it. Site 1 holds all of d; a
-// full read at site 1 gathers the zero-value answers of sites 2 and 3
-// and commits with no action on d, so the read's stamp on site 1's d
-// lives in the store alone. Site 1 crashes and restarts. Then a request
+// full read at site 1 gathers the NoShare answers of sites 2 and 3 and
+// commits writing no record at all, so the read's stamp on site 1's d
+// lives in the store alone, and only the clock reservation covers it. Site 1 crashes and restarts. Then a request
 // from site 3 stamped below the read — delayed past all of it, its
 // transaction long gone — arrives. Honouring it would deduct at a stamp
 // below a committed read of the value it deducts from: the history
@@ -345,9 +345,13 @@ func TestLostLockStampAdmitsNothingBelowACommit(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		s.lamport.Next() // the read draws a stamp above site 3's first
 	}
+	logged := tc.logs[0].LastLSN()
 	res := s.Run(&txn.Txn{Reads: []ident.ItemID{d}, Ask: txn.AskAll, Timeout: 2 * time.Second})
 	if !res.Committed() || res.Reads[d] != 10 {
 		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[d])
+	}
+	if got := tc.logs[0].LastLSN(); got != logged {
+		t.Fatalf("the full read logged %d record(s) at site 1, want none", got-logged)
 	}
 	tc.waitQuiescent(d, 2*time.Second)
 	read := tc.committedTxns()[0].TS

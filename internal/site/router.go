@@ -16,8 +16,11 @@ import (
 
 // handle is the network entry point. It folds the piggybacked Lamport
 // clock and Vm acknowledgement into local state (§4.2), then
-// dispatches by message kind. Each handler serializes on the target
-// item's admission stripe — per-item arrival order, which is all
+// dispatches by message kind. A clock raised past its reservation is
+// reserved anew first, so every stamp a handler may store or pass on —
+// a request's, stamped on the item it asks for — is covered by a
+// stable record before the handler runs. Each handler serializes on the
+// target item's admission stripe — per-item arrival order, which is all
 // Conc1 needs; under Conc2 the single stripe restores the paper's
 // whole-site "processed in the order of their arrival" model.
 func (s *Site) handle(env *wire.Envelope) {
@@ -28,11 +31,16 @@ func (s *Site) handle(env *wire.Envelope) {
 	}
 
 	s.lamport.Observe(env.Lamport)
+	if s.reserve(s.lamport.Current()) != nil {
+		return
+	}
 	s.vm.OnAck(env.From, env.AckUpTo)
 
 	switch m := env.Msg.(type) {
 	case *wire.Request:
 		s.handleRequest(env.From, m)
+	case *wire.NoShare:
+		s.handleNoShare(env.From, m)
 	case *wire.Vm:
 		s.handleVm(env.From, m)
 	case *wire.VmBatch:
@@ -55,11 +63,14 @@ func (s *Site) handle(env *wire.Envelope) {
 }
 
 // send stamps and dispatches one message with piggybacked Lamport
-// clock and cumulative Vm ack (§4.2).
+// clock and cumulative Vm ack (§4.2). The clock it piggybacks is capped
+// at the stable reservation: an acceptance's stamp may run past it
+// until its reservation rides the next force (processVm), and no
+// counter above the reservation leaves the site.
 func (s *Site) send(to ident.SiteID, msg wire.Msg) {
 	env := &wire.Envelope{
 		To:      to,
-		Lamport: tstamp.Make(s.lamport.Current(), s.cfg.ID),
+		Lamport: tstamp.Make(min(s.lamport.Current(), s.lamport.Bound()), s.cfg.ID),
 		AckUpTo: s.vm.AckFor(to),
 		Msg:     msg,
 	}
@@ -85,11 +96,9 @@ func wireVm(v wal.VmOut) wire.Vm {
 	}
 }
 
-// reportRds fires the OnRds hook for one redistribution half. Zero
-// deltas (full-read "I hold nothing" responses) are not halves of
-// anything and are skipped.
+// reportRds fires the OnRds hook for one redistribution half.
 func (s *Site) reportRds(ts tstamp.TS, item ident.ItemID, delta core.Value) {
-	if s.cfg.OnRds != nil && delta != 0 {
+	if s.cfg.OnRds != nil {
 		s.cfg.OnRds(RdsInfo{TS: ts, Site: s.cfg.ID, Item: item, Delta: delta})
 	}
 }

@@ -15,18 +15,23 @@
 //     for state mutation — check+lock+stamp and every enqueue+apply
 //     pair serialize per data item, nothing serializes site-wide.
 //   - durability (admission.go): enqueueApply is the one way any
-//     record — commit, Vm create, Vm accept, checkpoint — reaches the
-//     stable log: enqueued and applied under the stripe. A commit,
-//     create or checkpoint then asks for its force with waitForce after
-//     the stripe is released, and nothing leaves the site before it. An
-//     acceptance asks for no force: it rides the next one somebody asks
-//     for, and whoever sees it stable settles it (inbound_vm.go). A Vm
-//     the waiting transaction consumes is held on its waiter and
-//     accepted by that transaction's commit record.
+//     record — commit, Vm create, Vm accept, checkpoint, clock
+//     reservation — reaches the stable log: enqueued and applied under
+//     the stripe. A commit, create, checkpoint or reservation then asks
+//     for its force with waitForce after the stripe is released, and
+//     nothing leaves the site before it. An acceptance asks for no
+//     force: it rides the next one somebody asks for, and whoever sees
+//     it stable settles it (inbound_vm.go). A Vm the waiting
+//     transaction consumes is held on its waiter and accepted by that
+//     transaction's commit record. A read that changes nothing and
+//     consumed no Vm writes no record, and a donor with nothing to give
+//     a full read answers NoShare: each waits instead for the log to be
+//     stable up to the last record applied to what it read.
 //   - item state (item.go): one itemState per item — no-wait lock
 //     holder, the holder's parked waiter, flow vector, demand cell,
-//     parked Vm — in one map per stripe, guarded by that stripe and
-//     nothing else; store.Durable stays the durable half.
+//     parked Vm, last logged LSN — in one map per stripe, guarded by
+//     that stripe and nothing else; store.Durable stays the durable
+//     half.
 //   - router (router.go, inbound_*.go, retransmit.go): per-kind
 //     message handlers touching only stripes, item state and atomics.
 //   - lifecycle (lifecycle.go): s.mu is demoted to Start / Crash /
@@ -132,7 +137,12 @@ type CommitInfo struct {
 	// it against the log: an acknowledged commit is either still in
 	// the log or behind the compaction horizon, never lost.
 	CommitLSN uint64
-	Label     string
+	// Recordless marks a transaction that wrote no record: it changed
+	// nothing and consumed no Vm. CommitLSN is then its fence, the last
+	// record applied to its items (0 if none), which it saw stable
+	// before it answered.
+	Recordless bool
+	Label      string
 }
 
 // RdsInfo describes one half of a redistribution to the OnRds hook: a

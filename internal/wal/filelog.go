@@ -23,7 +23,7 @@ import (
 // its first record, then one frame per AppendBatch, so the unit of
 // framing is the unit of durability:
 //
-//	header = "DVPg" [u64 base][u32 crc32c(magic, base)]
+//	header = "DVPh" [u64 base][u32 crc32c(magic, base)]
 //	frame  = [uvarint n][u32 crc][body]                    n = len(body)
 //	body   = ([u8 kind][uvarint len][payload])+
 //
@@ -54,7 +54,7 @@ type FileLog struct {
 // fileMagic opens the header. Each change of the file or record format
 // takes a new one, and there is no reader for an earlier format: such a
 // log is refused as foreign, not misread.
-const fileMagic = "DVPg"
+const fileMagic = "DVPh"
 
 // headerSize is the header's length: magic, base LSN and CRC.
 const headerSize = len(fileMagic) + 8 + 4
@@ -243,7 +243,7 @@ func (l *FileLog) Instrument(reg *obs.Registry, labels ...string) {
 	l.appendLat = reg.Histogram("dvp_wal_append_seconds", labels...)
 	l.fsyncLat = reg.Histogram("dvp_wal_fsync_seconds", labels...)
 	l.recKind = make(map[RecordKind]*metrics.Counter)
-	for k := RecVmCreate; k <= RecDecision; k++ {
+	for k := RecVmCreate; k <= RecClock; k++ {
 		l.recKind[k] = reg.Counter("dvp_wal_records_total",
 			append([]string{"kind", k.String()}, labels...)...)
 	}
@@ -377,12 +377,14 @@ func (l *FileLog) Compact(upto uint64) error {
 				kept = append(kept, BatchEntry{Kind: r.Kind, Data: r.Data})
 			}
 		}
-		if len(kept) > 0 {
-			first := recs[len(recs)-len(kept)].LSN
-			base = min(base, first)
-			img, _ = appendFrame(img, first, kept)
+		if len(kept) == 0 {
+			return nil
 		}
-		return nil
+		first := recs[len(recs)-len(kept)].LSN
+		base = min(base, first)
+		var err error
+		img, err = appendFrame(img, first, kept)
+		return err
 	})
 	if err == nil && end != l.size {
 		err = fmt.Errorf("invalid frame at offset %d", end)

@@ -372,7 +372,9 @@ func TestFrameOutOfSequenceRejected(t *testing.T) {
 // A log in an earlier format has no reader: it is refused, not
 // misread, and left byte for byte as it was. "DVPw" frames stated
 // their first LSN; "DVPf" logs had the header this one has, and
-// checkpoint items that carried an applied LSN.
+// checkpoint items that carried an applied LSN; "DVPg" logs had this
+// framing whole but no clock reservations, so a restart from one could
+// not resume the clock.
 func TestOldFormatRefused(t *testing.T) {
 	body := []byte{1, byte(RecCommit), 3, 'o', 'l', 'd'} // firstLSN 1, one record
 	dvpw := append([]byte("DVPw"), byte(len(body)))
@@ -381,7 +383,10 @@ func TestOldFormatRefused(t *testing.T) {
 	dvpf := binary.BigEndian.AppendUint64([]byte("DVPf"), 1)
 	dvpf = binary.BigEndian.AppendUint32(dvpf, crc32.Checksum(dvpf, crcTable))
 	dvpf = append(dvpf, body[1:]...)
-	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf} {
+	dvpg := binary.BigEndian.AppendUint64([]byte("DVPg"), 1)
+	dvpg = binary.BigEndian.AppendUint32(dvpg, crc32.Checksum(dvpg, crcTable))
+	dvpg, _ = appendFrame(dvpg, 1, []BatchEntry{{Kind: RecCommit, Data: []byte("old")}})
+	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf, "DVPg": dvpg} {
 		path := t.TempDir() + "/wal.log"
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)

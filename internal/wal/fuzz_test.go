@@ -43,6 +43,7 @@ func FuzzDecodeRecords(f *testing.F) {
 		},
 		Clock: 1 << 40,
 	}).Encode())
+	f.Add((&ClockRec{Bound: 3<<16 + 9}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if rec, err := DecodeCommit(data); err == nil {
@@ -72,6 +73,11 @@ func FuzzDecodeRecords(f *testing.F) {
 			}
 			if !bytes.Equal(rec2.Encode(), enc) {
 				t.Fatalf("checkpoint codec is not a fixpoint")
+			}
+		}
+		if rec, err := DecodeClock(data); err == nil {
+			if got, err := DecodeClock(rec.Encode()); err != nil || *got != *rec {
+				t.Fatalf("clock re-decode: %v, %v", got, err)
 			}
 		}
 		_, _ = DecodeApplied(data)

@@ -55,6 +55,11 @@ const (
 	// RecDecision is the baseline coordinator/participant decision
 	// record.
 	RecDecision
+
+	// RecClock reserves Lamport counters: no counter above its bound
+	// leaves the site before the record is stable, and a restart
+	// resumes the clock from the highest bound its log holds.
+	RecClock
 )
 
 func (k RecordKind) String() string {
@@ -73,6 +78,8 @@ func (k RecordKind) String() string {
 		return "prepare"
 	case RecDecision:
 		return "decision"
+	case RecClock:
+		return "clock"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

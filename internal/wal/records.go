@@ -398,7 +398,9 @@ type VmChannelState struct {
 type CheckpointRec struct {
 	Items    []CheckpointItem
 	Channels []VmChannelState
-	// Clock is the Lamport counter at checkpoint time.
+	// Clock is the clock reservation at the cut: the highest bound a
+	// reservation had been begun for, which covers every stamp the
+	// image holds.
 	Clock uint64
 }
 
@@ -461,9 +463,37 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 		}
 		rec.Channels = append(rec.Channels, ch)
 	}
-	rec.Clock = r.U64()
+	rec.Clock = r.Count(tstamp.MaxCounter)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: checkpoint: %w", err)
+	}
+	return rec, nil
+}
+
+// ClockRec is a clock reservation (RecClock): every Lamport counter up
+// to Bound is covered, so a restart resumes the clock at Bound and
+// raises every item's stamp to it (DESIGN §2, decision 5).
+type ClockRec struct {
+	Bound uint64
+}
+
+// Encode serializes the record payload.
+func (rec *ClockRec) Encode() []byte {
+	var w wire.Writer
+	rec.EncodeTo(&w)
+	return w.Bytes()
+}
+
+// EncodeTo appends the record payload to w (byte-identical to Encode).
+func (rec *ClockRec) EncodeTo(w *wire.Writer) { w.U64(rec.Bound) }
+
+// DecodeClock parses a RecClock payload. A bound no timestamp can hold
+// is a decode error.
+func DecodeClock(data []byte) (*ClockRec, error) {
+	r := wire.NewReader(data)
+	rec := &ClockRec{Bound: r.Count(tstamp.MaxCounter)}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("wal: clock: %w", err)
 	}
 	return rec, nil
 }

@@ -131,6 +131,21 @@ func TestCheckpointEmpty(t *testing.T) {
 	}
 }
 
+// A reservation is its bound alone: one varint, 3 B for a bound near
+// the first stride.
+func TestClockRoundTrip(t *testing.T) {
+	for _, b := range []uint64{0, 1 << 16, 5<<16 + 7, tstamp.MaxCounter} {
+		rec := &ClockRec{Bound: b}
+		got, err := DecodeClock(rec.Encode())
+		if err != nil || *got != *rec {
+			t.Errorf("bound %d: round trip %+v, %v", b, got, err)
+		}
+	}
+	if n := len((&ClockRec{Bound: 1<<16 + 1}).Encode()); n != 3 {
+		t.Errorf("a reservation near the first stride takes %d B, want 3", n)
+	}
+}
+
 func TestPrepareDecisionRoundTrip(t *testing.T) {
 	p := &PrepareRec{
 		Txn:    tstamp.Make(4, 2),
@@ -342,6 +357,7 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		"checkpoint": func(b []byte) error { _, err := DecodeCheckpoint(b); return err },
 		"prepare":    func(b []byte) error { _, err := DecodePrepare(b); return err },
 		"decision":   func(b []byte) error { _, err := DecodeDecision(b); return err },
+		"clock":      func(b []byte) error { _, err := DecodeClock(b); return err },
 	}
 	const over = 70000
 	cases := []struct {
@@ -397,6 +413,10 @@ func TestDecodersRejectMalformed(t *testing.T) {
 		{"prepare", "writes over bound", enc(func(w *wire.Writer) { w.TS(9); w.Site(1); w.U64(over) })},
 		{"prepare", "trailing", trailing((&PrepareRec{Txn: 9, Coord: 1}).Encode())},
 		{"decision", "trailing", trailing((&DecisionRec{Txn: 9, Commit: true}).Encode())},
+		{"clock", "bound over the largest counter", enc(func(w *wire.Writer) { w.U64(tstamp.MaxCounter + 1) })},
+		{"clock", "trailing", trailing((&ClockRec{Bound: 1 << 16}).Encode())},
+		{"clock", "empty", nil},
+		{"checkpoint", "clock over the largest counter", enc(func(w *wire.Writer) { w.U64(0); w.U64(0); w.U64(tstamp.MaxCounter + 1) })},
 	}
 	for _, c := range cases {
 		if err := decoders[c.kind](c.data); err == nil {

@@ -71,6 +71,11 @@ const (
 	// interval resends), so it needs no ack or retransmission state.
 	// Appended at the enum tail like KVmBatch.
 	KDemandAdvert
+
+	// KNoShare answers a full-read request from a site that holds none
+	// of the item and has no Vm carrying it away: an unlogged reply in
+	// place of a Vm with nothing to carry.
+	KNoShare
 )
 
 func (k Kind) String() string {
@@ -115,6 +120,8 @@ func (k Kind) String() string {
 		return "vmbatch"
 	case KDemandAdvert:
 		return "demandadvert"
+	case KNoShare:
+		return "noshare"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -340,6 +347,31 @@ func decodeDemandAdvert(r *Reader) *DemandAdvert {
 		out = append(out, e)
 	}
 	return &DemandAdvert{Entries: out}
+}
+
+// NoShare is a site's answer to a full-read Request (Txn, Item) when it
+// holds none of Item and no Vm of its own still carries Item away: the
+// read has gathered everything the site had, which was nothing, so no
+// value moves and nothing is logged. FlowVec is the sender's flow
+// vector for Item, merged by the reader as a Vm's would be.
+type NoShare struct {
+	Txn     tstamp.TS
+	Item    ident.ItemID
+	FlowVec []FlowEntry
+}
+
+// Kind implements Msg.
+func (*NoShare) Kind() Kind { return KNoShare }
+
+// Encode implements Msg.
+func (m *NoShare) Encode(w *Writer) {
+	w.TS(m.Txn)
+	w.String(string(m.Item))
+	EncodeFlowVec(w, m.FlowVec)
+}
+
+func decodeNoShare(r *Reader) *NoShare {
+	return &NoShare{Txn: r.TS(), Item: ident.ItemID(r.String()), FlowVec: DecodeFlowVec(r)}
 }
 
 // VmAck acknowledges all Vm with Seq ≤ UpTo on the sender→receiver
@@ -804,6 +836,8 @@ func DecodeMsg(kind Kind, r *Reader) (Msg, error) {
 		m = decodeVmBatch(r)
 	case KDemandAdvert:
 		m = decodeDemandAdvert(r)
+	case KNoShare:
+		m = decodeNoShare(r)
 	default:
 		return nil, fmt.Errorf("wire: unknown message kind %d", kind)
 	}
