@@ -27,7 +27,7 @@ type Envelope struct {
 // envelopeMagic guards against framing bugs and foreign traffic,
 // including a peer that speaks an older encoding: each change of the
 // encoding takes a new magic.
-const envelopeMagic = 0xD8
+const envelopeMagic = 0xD9
 
 // Marshal encodes the envelope to a fresh byte slice.
 func (e *Envelope) Marshal() ([]byte, error) {
