@@ -82,7 +82,9 @@ fi
 # scan loop, the per-label latency cache and its lock, the per-item
 # demand gauge, the trace-ring size, the tcpnet tuning knobs, the
 # fixed-width site id the compact codec replaced, the per-item applied
-# LSN the one crash model made dead and dvpnode's own placement path)
+# LSN the one crash model made dead, dvpnode's own placement path, and
+# the stamp loop recovery ran over the store and the store's stamp
+# write, now that an item's stamp lives in its state)
 # may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
@@ -110,7 +112,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -142,13 +144,14 @@ go test -race -shuffle=on ./...
 # fenced force fails), the clock reservation (no stamp above it on the
 # wire or in a log, a restarted donor declining below a read it
 # answered, a reservation racing a checkpoint, one record per stride,
-# an acceptance queueing its own)
+# an acceptance queueing its own, and a stamp that names no item — on
+# the cluster and at a restarted donor that never held it)
 # and the per-op-kind count budget, the group log forcing on demand, and the
 # Vm resend schedule — vmsg's Due and a site pair driving it tick by
 # tick on virtual clocks — and the lock-free Lamport clock under mixed
 # draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' . ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

@@ -168,11 +168,11 @@ func main() {
 		log.Fatal(err)
 	}
 	rec := s.LastRecovery()
-	log.Printf("site %v recovered in %s: checkpoint lsn %d (%d skipped), %d records scanned, %d actions redone, %d vm restored",
+	log.Printf("site %v recovered in %s: checkpoint lsn %d (%d skipped), %d records scanned, %d actions redone, %d vm restored, clock=%d",
 		self, rec.Elapsed, rec.CheckpointLSN, rec.CheckpointsSkipped,
-		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored)
+		rec.RecordsScanned, rec.ActionsRedone, rec.VmRestored, rec.Clock)
 
-	// Before Start: a request arriving first would create the item.
+	// Before Start: a Vm's credit arriving first would name the item.
 	if o.create != "" {
 		if err := place(s, o.create); err != nil {
 			log.Fatal(err)

@@ -1,11 +1,14 @@
 package dvp
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dvp/internal/wal"
 )
 
 func mustCluster(t *testing.T, cfg Config) *Cluster {
@@ -320,6 +323,53 @@ func TestDefaultClusterForcesOffTheStripe(t *testing.T) {
 		if res := <-results; !res.Committed() {
 			t.Errorf("reserve %d: %v, want committed", i+1, res.Status)
 		}
+	}
+}
+
+// A Conc1 stamp names no item: neither the lock stamp of a transaction
+// that times out on an item no site holds, nor the stamp a donor's
+// NoShare puts on it. Neither writes a record, so no store lists the
+// item, no checkpoint carries it, and creating it afterwards succeeds.
+func TestStampNamesNoItem(t *testing.T) {
+	c := mustCluster(t, Config{Sites: 3, Seed: 41})
+	if res := c.At(1).Run(NewTxn().Sub("late", 1).Timeout(20 * time.Millisecond)); res.Status != Timeout {
+		t.Fatalf("reserve of an item nobody holds: %v, want a timeout", res.Status)
+	}
+	// The read commits only once both donors, holding nothing, have
+	// answered it with a NoShare.
+	if res := c.At(1).Run(NewTxn().Read("late").Timeout(5 * time.Second)); !res.Committed() || res.Reads["late"] != 0 {
+		t.Fatalf("full read of an item nobody holds: %v, read %d; want committed and 0", res.Status, res.Reads["late"])
+	}
+	for i := 1; i <= c.Sites(); i++ {
+		if items := c.sites[i-1].DB().Items(); slices.Contains(items, "late") {
+			t.Errorf("site %d's store lists the stamped item: %v", i, items)
+		}
+		if err := c.Checkpoint(i); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.logs[i-1].Scan(1, func(r wal.Record) error {
+			if r.Kind != wal.RecCheckpoint {
+				return nil
+			}
+			rec, err := wal.DecodeCheckpoint(r.Data)
+			if err != nil {
+				return err
+			}
+			for _, it := range rec.Items {
+				if it.Item == "late" {
+					t.Errorf("site %d's checkpoint carries the stamped item: %+v", i, it)
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.CreateItemShares("late", []Value{1, 2, 3}); err != nil {
+		t.Fatalf("creating the stamped item: %v", err)
+	}
+	if got := c.Quota(3, "late"); got != 3 {
+		t.Errorf("site 3 holds %d of the created item, want 3", got)
 	}
 }
 

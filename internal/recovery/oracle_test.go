@@ -272,16 +272,6 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			if got := snapshotBytes(g.db, g.vm, g.clock); !bytes.Equal(got, ref) {
 				t.Fatalf("generator state diverges from replay of its own log")
 			}
-			// Replay leaves no stamp above the reservation, so recovery
-			// needs no pass folding the store's stamps in.
-			for _, it := range refDB.Snapshot() {
-				if it.TS.Counter() > refClock.Current() {
-					t.Errorf("%s carries stamp %v above the reservation %d", it.Item, it.TS, refClock.Current())
-				}
-			}
-			raiseStamps(refDB, refClock)
-			ref = snapshotBytes(refDB, refVM, refClock)
-
 			// The store a crash leaves behind: the writer's, and more.
 			db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
 			db.RestoreCheckpoint(g.db.Snapshot())
@@ -296,6 +286,9 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			}
 			if sum.CheckpointLSN == 0 {
 				t.Errorf("checkpoint not used (history has %d)", g.checkpoints)
+			}
+			if sum.Clock != refClock.Current() {
+				t.Errorf("summary names reservation %d, want %d", sum.Clock, refClock.Current())
 			}
 			if sum.NetworkCalls != 0 {
 				t.Errorf("recovery made network calls")
@@ -338,7 +331,7 @@ func TestReservationRacingACheckpoint(t *testing.T) {
 			{Kind: wal.RecCommit, Data: (&wal.CommitRec{Txn: ts, Actions: []wal.Action{{Item: "a", Delta: 5, SetTS: ts}}}).Encode()},
 			{Kind: wal.RecClock, Data: (&wal.ClockRec{Bound: 70}).Encode()}, // the race
 			{Kind: wal.RecCheckpoint, Data: (&wal.CheckpointRec{
-				Items: []wal.CheckpointItem{{Item: "a", Value: 5, TS: ts}}, Clock: 10,
+				Items: []wal.CheckpointItem{{Item: "a", Value: 5}}, Clock: 10,
 			}).Encode()},
 		} {
 			if _, err := l.Append(r.Kind, r.Data); err != nil {
@@ -361,8 +354,8 @@ func TestReservationRacingACheckpoint(t *testing.T) {
 		if sum.CheckpointLSN != 4 || db.Value("a") != 5 {
 			t.Fatalf("recovered from checkpoint %d with a = %d, want 4 and 5", sum.CheckpointLSN, db.Value("a"))
 		}
-		if it, _ := db.Get("a"); it.TS != tstamp.Ceil(clock.Current()) {
-			t.Errorf("a stamped %v, want the clock %d", it.TS, clock.Current())
+		if sum.Clock != clock.Current() {
+			t.Errorf("summary names reservation %d, want the clock %d", sum.Clock, clock.Current())
 		}
 		return clock
 	}
@@ -413,7 +406,6 @@ func TestRecoverFallsBackToEarlierCheckpoint(t *testing.T) {
 		g.step()
 	}
 
-	raiseStamps(g.db, g.clock)
 	ref := snapshotBytes(g.db, g.vm, g.clock)
 	db, vm, clock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
 	sum, err := Recover(g.log, db, vm, clock)

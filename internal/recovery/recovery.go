@@ -19,9 +19,10 @@
 //     state is rebuilt — a commit accepts the Vm it lists, as an
 //     acceptance record accepts its one.
 //  4. Resume the clock at the highest reservation the log holds — a
-//     RecClock anywhere in it, or the checkpoint's — and raise every
-//     item's stamp to it: no stamp the site used lies above it, the
-//     Conc1 lock stamps the crash lost among them.
+//     RecClock anywhere in it, or the checkpoint's — and report it
+//     (Summary.Clock): no stamp the site used lies above it, the Conc1
+//     lock stamps the crash lost among them, so the site floors every
+//     item's stamp there, items no record names included.
 //  5. Outstanding Vm are NOT retransmitted here: they re-enter the
 //     normal retransmission loop once the site is up ("the system
 //     eventually sends the outstanding Vm in the normal course of
@@ -58,6 +59,9 @@ type Summary struct {
 	// NetworkCalls is always zero; it exists so the independence
 	// claim is an explicit, asserted output rather than a comment.
 	NetworkCalls int
+	// Clock is the clock reservation recovery resumed from: no counter
+	// the site used before the crash lies above it.
+	Clock uint64
 }
 
 // Recover rebuilds a site's state from its stable log alone, into the
@@ -110,23 +114,9 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 	}
 	clock.Restore(bound)
 	clock.Reserve(bound)
-	raiseStamps(db, clock)
+	sum.Clock = bound
 	sum.Elapsed = time.Since(start)
 	return sum, nil
-}
-
-// raiseStamps raises every item's stamp to the recovered reservation: a
-// crash can lose the Conc1 lock stamp of a committed full read that
-// logged no action on the item, which would admit a request stamped
-// below that read (DESIGN §2, decision 5). No counter the site used lies
-// above the reservation, but a stamp it took from a peer may sit at the
-// reservation's own counter with a higher site id: the raise goes to
-// the largest stamp at that counter, so it covers every one it lost.
-func raiseStamps(db *store.Durable, clock *tstamp.Clock) {
-	stamp := tstamp.Ceil(clock.Current())
-	for _, item := range db.Items() {
-		db.SetTS(item, stamp)
-	}
 }
 
 // replay is the streaming single-pass redo of the suffix, in LSN

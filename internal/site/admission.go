@@ -96,37 +96,36 @@ const (
 )
 
 // admitLocked runs the admission check over items under their held
-// stripes: the scheme's per-item AllowLock test and the local-adequacy
-// test against needs (parallel to items). One DB.Get per item serves
-// both. Caller holds every item's stripe; the stripes exclude all
-// mutators of these items, so the values cannot move between check and
-// the caller's lock+stamp. A CC rejection on any item outranks a
-// shortfall on another.
-func (s *Site) admitLocked(ts tstamp.TS, items []ident.ItemID, needs []core.Value) admitVerdict {
+// stripes: the scheme's per-item AllowLock test against the item's
+// stamp (sts are the states of items, in order) and the local-adequacy
+// test against needs (also parallel to items). Caller holds every
+// item's stripe; the stripes exclude all mutators of these items, so
+// stamps and values cannot move between check and the caller's
+// lock+stamp. A CC rejection on any item outranks a shortfall on
+// another.
+func (s *Site) admitLocked(ts tstamp.TS, items []ident.ItemID, sts []*itemState, needs []core.Value) admitVerdict {
 	verdict := admitOK
 	for i, item := range items {
-		it, _ := s.cfg.DB.Get(item)
-		if !s.policy.AllowLock(ts, it.TS) {
+		if !s.policy.AllowLock(ts, s.stampOf(sts[i])) {
 			return admitCCRejected
 		}
-		if it.Val < needs[i] {
+		if s.cfg.DB.Value(item) < needs[i] {
 			verdict = admitShort
 		}
 	}
 	return verdict
 }
 
-// lockAndStamp takes the transaction's no-wait locks (sts are the
-// states of items, in order) and, under a StampOnLock scheme (Conc1),
-// stamps the items — §5 step 1's lock+stamp half. Caller holds the
-// items' stripes.
-func (s *Site) lockAndStamp(ts tstamp.TS, items []ident.ItemID, sts []*itemState) bool {
+// lockAndStamp takes the transaction's no-wait locks on the items whose
+// states are sts and, under a StampOnLock scheme (Conc1), stamps them —
+// §5 step 1's lock+stamp half. Caller holds the items' stripes.
+func (s *Site) lockAndStamp(ts tstamp.TS, sts []*itemState) bool {
 	if !tryLockItems(ts.Txn(), sts) {
 		return false
 	}
 	if s.policy.StampOnLock() {
-		for _, item := range items {
-			s.cfg.DB.SetTS(item, ts)
+		for _, st := range sts {
+			st.ts = ts
 		}
 	}
 	return true
@@ -167,9 +166,10 @@ var recordName = map[wal.RecordKind]string{
 // in the log's queue, stops the site (<kind>-apply); the log keeps
 // borrowing the buffer until the record is forced or dropped, so it is
 // not pooled again. Each action's item remembers the record's LSN as
-// the last one applied to it: what a read that writes no record must
-// see stable before it answers (Run, handleRequest). actions is
-// borrowed for the call.
+// the last one applied to it — what a read that writes no record must
+// see stable before it answers (Run, handleRequest) — and takes the
+// action's SetTS as its stamp if that is higher. actions is borrowed
+// for the call.
 func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), actions []wal.Action, mark func()) (durable, error) {
 	w := wire.GetWriter()
 	encode(w)
@@ -189,7 +189,8 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 		return durable{}, err
 	}
 	for _, a := range actions {
-		s.itemAt(s.stripeOf(a.Item), a.Item).logged = lsn
+		st := s.itemAt(s.stripeOf(a.Item), a.Item)
+		st.logged, st.ts = lsn, max(st.ts, a.SetTS)
 	}
 	return durable{kind: kind, lsn: lsn, w: w}, nil
 }
@@ -256,9 +257,10 @@ func (s *Site) logReservation(b uint64) error {
 // as one commit record with no timestamp, an action crediting each
 // share, through the one durable-write path: a restart rebuilds the
 // placement from the log, and a placement lands whole or not at all.
-// A share whose item the store holds already — recovered from the log —
-// or that an earlier share names is skipped, not logged. Call it before
-// Start, so that no request creates an item first, or while up.
+// A share whose item a record has named already — a placement recovered
+// from the log, or a Vm's credit; a stamp names none — or that an
+// earlier share names is skipped, not logged. Call it before Start, so
+// that no credit names an item first, or while up.
 func (s *Site) Place(shares []wal.Action) (placed []wal.Action, skipped []ident.ItemID, err error) {
 	var stripes uint64
 	for _, a := range shares {

@@ -107,19 +107,19 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// abort, it selects the redistribution below.
 	stripes := s.stripeMask(items)
 	s.lockStripes(stripes)
-	verdict := s.admitLocked(ts, items, needs)
+	var stBuf [inlineItems]*itemState
+	sts := stBuf[:0] // the items' volatile state, parallel to items
+	for _, item := range items {
+		sts = append(sts, s.itemAt(s.stripeOf(item), item))
+	}
+	verdict := s.admitLocked(ts, items, sts, needs)
 	if verdict == admitCCRejected {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusCCRejected)
 	}
 	step("cc-check", "")
-	var stBuf [inlineItems]*itemState
-	sts := stBuf[:0] // the items' volatile state, parallel to items
-	for _, item := range items {
-		sts = append(sts, s.itemAt(s.stripeOf(item), item))
-	}
-	if !s.lockAndStamp(ts, items, sts) {
+	if !s.lockAndStamp(ts, sts) {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", ts, t.Label, len(items))

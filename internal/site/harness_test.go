@@ -10,6 +10,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
 	"dvp/internal/store"
+	"dvp/internal/tstamp"
 	"dvp/internal/wal"
 )
 
@@ -171,6 +172,13 @@ func lockHeld(s *Site, item ident.ItemID) bool {
 	held := false
 	peekItem(s, item, func(st *itemState) { held = st.holder != ident.NoTxn })
 	return held
+}
+
+// stampAt is item's stamp TS(d) at s, as AllowLock reads it.
+func stampAt(s *Site, item ident.ItemID) tstamp.TS {
+	var ts tstamp.TS
+	peekItem(s, item, func(st *itemState) { ts = s.stampOf(st) })
+	return ts
 }
 
 // parkedOn counts the Vm parked behind item's lock at s.

@@ -44,11 +44,10 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 	// Concurrency control admission (§6.1): honor only if
 	// TS(t) > TS(d_j) under Conc1.
-	it, _ := s.cfg.DB.Get(req.Item)
-	if !s.policy.AllowLock(req.Txn, it.TS) {
+	if !s.policy.AllowLock(req.Txn, s.stampOf(st)) {
 		decline("cc")
 		// The requester's clock lags the item's stamp — by up to a
-		// Stride once a restart raised it — and an ack carries this
+		// Stride once a restart floored it — and an ack carries this
 		// site's clock back, so its next request draws above the stamp.
 		s.send(from, &wire.VmAck{UpTo: s.vm.AckFor(from)})
 		return
@@ -86,7 +85,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		// the receiver's vm-accept and our own eventual vm-ack span.
 		v.Trace = wire.TraceCtx{Origin: req.Trace.Origin, TS: req.Trace.TS, Span: hopSpan}
 	}
-	applied, err := s.createVm(stripe, st, it.TS, req.Txn, ident.NoTxn, &v, hop)
+	applied, err := s.createVm(stripe, st, req.Txn, ident.NoTxn, &v, hop)
 	if !applied {
 		decline("log-error")
 		return
@@ -105,16 +104,16 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 // with no Vm of its own carrying it away: the read has everything this
 // site had, so no value moves and nothing is logged. Under Conc1 the
 // item is stamped at the reader's timestamp, as a grant's creation
-// would stamp it; the stamp lives in the store alone, and the clock's
-// reservation, stable before the request was handled (handle), covers
-// it across a crash. The answer waits for the log to be stable up to
-// the last record applied to the item: an unforced record that left the
-// item empty would otherwise be seen by a read that outlives it. The
-// caller holds lifeMu's read side and the item's stripe, which this
-// releases.
+// would stamp it; the stamp lives in the item's state alone, and the
+// clock's reservation, stable before the request was handled (handle),
+// covers it across a crash. The answer waits for the log to be stable
+// up to the last record applied to the item: an unforced record that
+// left the item empty would otherwise be seen by a read that outlives
+// it. The caller holds lifeMu's read side and the item's stripe, which
+// this releases.
 func (s *Site) answerNoShare(stripe *sync.Mutex, st *itemState, from ident.SiteID, req *wire.Request, hop *obs.TxnTrace) {
 	if s.policy.StampOnLock() {
-		s.cfg.DB.SetTS(req.Item, req.Txn)
+		st.ts = req.Txn
 	}
 	fence := st.logged
 	m := &wire.NoShare{Txn: req.Txn, Item: req.Item, FlowVec: st.flow.Entries()}

@@ -10,21 +10,26 @@ import (
 )
 
 // This file is the item-state layer: everything a site knows about an
-// item beyond its logged value. store.Durable is the logged half
-// (value and TS(d) — what checkpoints and recovery see); the
-// itemState below is the volatile half, one per item, kept in one map
-// per admission stripe and guarded by that stripe and nothing else.
-// Whoever touches an item — Run's admission and commit tail, every
-// message handler, SendValue, the rebalancer — holds its stripe
-// already, so there is no second lock, table or key to find the state
-// by. Crash clears all of it in one sweep: §7 starts recovery from the
-// log alone.
+// item beyond its logged value. store.Durable is the logged half (the
+// value alone — what checkpoints and recovery see); the itemState below
+// is the volatile half, Conc1's stamp TS(d) among it, one per item,
+// kept in one map per admission stripe and guarded by that stripe and
+// nothing else. Whoever touches an item — Run's admission and commit
+// tail, every message handler, SendValue, the rebalancer — holds its
+// stripe already, so there is no second lock, table or key to find the
+// state by. Crash clears all of it in one sweep: §7 starts recovery
+// from the log alone, and the site's stamp floor stands in for every
+// stamp the sweep lost (stampOf).
 
 // itemState is the volatile half of one item's state at this site.
 type itemState struct {
 	// holder is §5's no-wait lock: the transaction that has locked the
 	// item, or NoTxn. Anyone who finds it taken aborts or declines.
 	holder ident.TxnID
+	// ts is the item's stamp TS(d) this epoch (§6.1): Conc1's lock
+	// stamp, and the stamp of every action applied to the item. Read it
+	// through stampOf.
+	ts tstamp.TS
 	// waiter is the holder's §5 step-3 parking record while it awaits
 	// Vm, nil when the holder is not waiting (or there is none). A Vm
 	// handler reads it under the stripe it already holds.
@@ -61,6 +66,14 @@ func (s *Site) itemAt(stripe int, item ident.ItemID) *itemState {
 		s.items[stripe][item] = st
 	}
 	return st
+}
+
+// stampOf is the item's stamp TS(d), what every AllowLock test reads:
+// its stamp this epoch, floored at the reservation the site restarted
+// from. A crash loses every stamp, but none lay above that reservation
+// (DESIGN §2, decision 5). Caller holds the item's stripe.
+func (s *Site) stampOf(st *itemState) tstamp.TS {
+	return max(st.ts, s.floor)
 }
 
 // lockItem takes item's stripe and returns it with the item's state —

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"dvp/internal/recovery"
+	"dvp/internal/tstamp"
 	"dvp/internal/wire"
 )
 
@@ -16,8 +17,9 @@ import (
 
 // recover rebuilds the site from the stable log (§7): the clock, the
 // Vm manager, the demand cells and the store, each reset in place,
-// never replaced. The per-item state needs nothing here: it is mutated
-// only while the site is up, and Crash swept it (clearItems).
+// never replaced, and the stamp floor, set at the reservation recovery
+// resumed from. The per-item state needs nothing else here: it is
+// mutated only while the site is up, and Crash swept it (clearItems).
 func (s *Site) recover() error {
 	s.lamport.Reset()
 	s.vm.Reset()
@@ -29,12 +31,13 @@ func (s *Site) recover() error {
 	if sum.NetworkCalls != 0 {
 		return fmt.Errorf("site %v: recovery made %d network calls", s.cfg.ID, sum.NetworkCalls)
 	}
+	s.floor = tstamp.Ceil(sum.Clock)
 	s.obsm.recoverLat.Record(sum.Elapsed)
 	s.obsm.recoverRecords.Add(uint64(sum.RecordsScanned))
 	s.obsm.flight.Recordf(s.obsm.site, "recover",
-		"cp=%d skipped=%d scanned=%d redone=%d elapsed=%s",
+		"cp=%d skipped=%d scanned=%d redone=%d clock=%d elapsed=%s",
 		sum.CheckpointLSN, sum.CheckpointsSkipped, sum.RecordsScanned,
-		sum.ActionsRedone, sum.Elapsed)
+		sum.ActionsRedone, sum.Clock, sum.Elapsed)
 	s.mu.Lock()
 	s.lastRec = sum
 	s.mu.Unlock()
@@ -101,7 +104,7 @@ func (s *Site) Start() {
 			loop(stop)
 		}()
 	}
-	// Recovery raised every item's stamp to the reservation it resumed
+	// Recovery floored every item's stamp at the reservation it resumed
 	// from, and a peer whose clock lags it has its requests declined
 	// until it hears from this site: a cumulative ack to every peer
 	// carries the clock to them. A peer that misses it loses one

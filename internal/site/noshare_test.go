@@ -120,7 +120,7 @@ func tookRequest(s *Site) bool { return s.lamport.Current() > 100 }
 // it, site 2 stops without a NoShare on the wire, and the read times
 // out rather than report a total its donor's log never held. Once site
 // 2 restarts, its share is back, and a read gathers all of it: the
-// restart raised site 2's stamps to its reservation, far past site 1's
+// restart floored site 2's stamps at its reservation, far past site 1's
 // clock, and its start acked site 1, carrying its clock there, so site
 // 1's next read is admitted.
 func TestNoShareLostWithItsFence(t *testing.T) {
@@ -218,51 +218,68 @@ func TestRecordlessReadWaitsForTheFence(t *testing.T) {
 // a request stamped below the read it answered. The read's stamp is
 // far above anything site 2 drew, so only the reservation site 2 logged
 // on observing it — before it answered — covers it: the restart
-// resumes the clock there and raises the item to it.
+// resumes the clock there and floors every stamp at it. The floor
+// covers an item no record at site 2 names as well: never placed there,
+// d is not in the store the restart rebuilds.
 func TestNoShareDonorCrashDeclinesBelow(t *testing.T) {
-	tc := newTestCluster(t, 3, simnet.Config{Seed: 25}, nil)
-	tap := new(kindTap)
-	tap.install(tc.net)
-	const d = ident.ItemID("d")
-	for i, q := range []core.Value{10, 0, 0} {
-		place(t, tc.sites[i], d, q)
-	}
-	tc.sites[0].lamport.Restore(3 * tstamp.Stride)
-	res := tc.sites[0].Run(readItem(d))
-	if !res.Committed() || res.Reads[d] != 10 {
-		t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[d])
-	}
-	if n := tap.sent(2, wire.KNoShare); n != 1 {
-		t.Fatalf("site 2 sent %d NoShare, want 1", n)
-	}
-	donor := tc.sites[1]
-	if b := donor.lamport.Bound(); b < res.TS.Counter() {
-		t.Fatalf("site 2 answered with its reservation at %d, below the read's %v", b, res.TS)
-	}
-	donor.Crash()
-	if err := donor.Restart(); err != nil {
-		t.Fatal(err)
-	}
-	if it, _ := donor.DB().Get(d); it.TS < res.TS {
-		t.Errorf("site 2's d stamped %v after the restart, below the read's %v", it.TS, res.TS)
-	}
-	declined := donor.Stats().RequestsDeclined
-	below := tstamp.Make(res.TS.Counter()-1, 3)
-	donor.handle(&wire.Envelope{From: 3, To: 2, Lamport: below, Msg: &wire.Request{Txn: below, Item: d, FullRead: true}})
-	tc.settle()
-	if got := donor.Stats().RequestsDeclined; got != declined+1 {
-		t.Errorf("declined %d → %d, want the request below the read declined", declined, got)
-	}
-	if n := tap.sent(2, wire.KNoShare); n != 1 {
-		t.Errorf("site 2 answered a request stamped below the read it answered before its crash")
+	for _, c := range []struct {
+		name   string
+		shares []core.Value // d's share per site; -1 places none
+	}{
+		{"placed", []core.Value{10, 0, 0}},
+		{"never placed", []core.Value{10, -1, 0}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tc := newTestCluster(t, 3, simnet.Config{Seed: 25}, nil)
+			tap := new(kindTap)
+			tap.install(tc.net)
+			const d = ident.ItemID("d")
+			for i, q := range c.shares {
+				if q >= 0 {
+					place(t, tc.sites[i], d, q)
+				}
+			}
+			tc.sites[0].lamport.Restore(3 * tstamp.Stride)
+			res := tc.sites[0].Run(readItem(d))
+			if !res.Committed() || res.Reads[d] != 10 {
+				t.Fatalf("full read: %v, read %d, want committed and 10", res.Status, res.Reads[d])
+			}
+			if n := tap.sent(2, wire.KNoShare); n != 1 {
+				t.Fatalf("site 2 sent %d NoShare, want 1", n)
+			}
+			donor := tc.sites[1]
+			if b := donor.lamport.Bound(); b < res.TS.Counter() {
+				t.Fatalf("site 2 answered with its reservation at %d, below the read's %v", b, res.TS)
+			}
+			donor.Crash()
+			if err := donor.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if _, held := donor.DB().Get(d); held != (c.shares[1] >= 0) {
+				t.Fatalf("site 2's rebuilt store holds d: %v, want %v", held, c.shares[1] >= 0)
+			}
+			if ts := stampAt(donor, d); ts < res.TS {
+				t.Errorf("site 2's d stamped %v after the restart, below the read's %v", ts, res.TS)
+			}
+			declined := donor.Stats().RequestsDeclined
+			below := tstamp.Make(res.TS.Counter()-1, 3)
+			donor.handle(&wire.Envelope{From: 3, To: 2, Lamport: below, Msg: &wire.Request{Txn: below, Item: d, FullRead: true}})
+			tc.settle()
+			if got := donor.Stats().RequestsDeclined; got != declined+1 {
+				t.Errorf("declined %d → %d, want the request below the read declined", declined, got)
+			}
+			if n := tap.sent(2, wire.KNoShare); n != 1 {
+				t.Errorf("site 2 answered a request stamped below the read it answered before its crash")
+			}
+		})
 	}
 }
 
 // A stamp a donor takes from a reader can sit at the donor's
 // reservation's own counter, with a site id above the donor's. Here
 // site 1's reservation is B, site 3 reads at B, and site 1 answers with
-// a NoShare that stamps d at (B, site 3) in its store alone, logging no
-// reservation. After site 1's crash the stamp is gone, and the raise
+// a NoShare that stamps d at (B, site 3) in d's state alone, logging no
+// reservation. After site 1's crash the stamp is gone, and the floor
 // must still cover it: a request stamped (B, site 2), between the two,
 // is declined.
 func TestNoShareDonorCrashDeclinesAtTheTie(t *testing.T) {
@@ -281,15 +298,15 @@ func TestNoShareDonorCrashDeclinesAtTheTie(t *testing.T) {
 		t.Fatalf("full read: %v at %v, read %d; want committed at %v and 10", res.Status, res.TS, res.Reads[d], tstamp.Make(b, 3))
 	}
 	tc.settle()
-	if it, _ := donor.DB().Get(d); it.TS != res.TS || donor.lamport.Bound() != b {
-		t.Fatalf("site 1 stamped d %v with its reservation at %d; want the read's %v and %d", it.TS, donor.lamport.Bound(), res.TS, b)
+	if ts := stampAt(donor, d); ts != res.TS || donor.lamport.Bound() != b {
+		t.Fatalf("site 1 stamped d %v with its reservation at %d; want the read's %v and %d", ts, donor.lamport.Bound(), res.TS, b)
 	}
 	donor.Crash()
 	if err := donor.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	if it, _ := donor.DB().Get(d); it.TS < res.TS {
-		t.Errorf("site 1's d stamped %v after the restart, below the read's %v", it.TS, res.TS)
+	if ts := stampAt(donor, d); ts < res.TS {
+		t.Errorf("site 1's d stamped %v after the restart, below the read's %v", ts, res.TS)
 	}
 	declined, answered := donor.Stats().RequestsDeclined, tap.sent(1, wire.KNoShare)
 	tie := tstamp.Make(b, 2)
@@ -304,7 +321,7 @@ func TestNoShareDonorCrashDeclinesAtTheTie(t *testing.T) {
 }
 
 // A peer that misses a restarted site's start ack loses one request,
-// not a stride of them. Site 2's restart raises its stamps far past
+// not a stride of them. Site 2's restart floors its stamps far past
 // site 1's clock and its ack to site 1 is dropped: site 1's first read
 // is declined under Conc1, the decline answers with an ack carrying
 // site 2's clock, and site 1's next read is admitted.
@@ -323,8 +340,8 @@ func TestDeclineCarriesARestartedClock(t *testing.T) {
 	}
 	tc.settle()
 	tc.net.SetFilter(nil)
-	if it, _ := donor.DB().Get(d); tc.sites[0].lamport.Current() >= it.TS.Counter() {
-		t.Fatalf("site 1's clock %d has seen site 2's stamp %v: the start ack was not lost", tc.sites[0].lamport.Current(), it.TS)
+	if ts := stampAt(donor, d); tc.sites[0].lamport.Current() >= ts.Counter() {
+		t.Fatalf("site 1's clock %d has seen site 2's stamp %v: the start ack was not lost", tc.sites[0].lamport.Current(), ts)
 	}
 	acks := tap.sent(2, wire.KVmAck)
 	if res := tc.sites[0].Run(readItem(d)); res.Committed() {

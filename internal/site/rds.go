@@ -72,8 +72,7 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	outcome := "aborted"
 	defer func() { hop.Finish(outcome) }()
 	stripe, st := s.lockItem(item)
-	it, _ := s.cfg.DB.Get(item)
-	if !s.policy.AllowLock(ts, it.TS) {
+	if !s.policy.AllowLock(ts, s.stampOf(st)) {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: cc rejected rds on %q", s.cfg.ID, item)
 	}
@@ -101,7 +100,7 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	if hopSpan != 0 {
 		v.Trace = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: hopSpan}
 	}
-	applied, err := s.createVm(stripe, st, it.TS, ts, ts.Txn(), &v, hop)
+	applied, err := s.createVm(stripe, st, ts, ts.Txn(), &v, hop)
 	if !applied {
 		stripe.Unlock()
 		return fmt.Errorf("site %v: rds log append: %w", s.cfg.ID, err)
@@ -118,23 +117,24 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 // a request honored (handleRequest) or a proactive transfer
 // (SendValue): an Rds transaction acting at this site (§6), whose lock
 // is the stripe hold it runs in. It stamps the item at ts under a
-// StampOnLock scheme (cur is TS(d) before it), takes the Vm's sequence
-// number and builds the [database-actions, message-sequence] record —
-// *v, which names destination, item, amount, ReqTxn and trace context,
-// gains the sequence number and the item's flow vector — then enqueues
-// and applies it: from here the Vm is outstanding, so a full read
-// declines. holder, unless NoTxn, takes the item's no-wait lock as the
-// stripe is let go. Only once the record is stable is the Vm real
-// (§4.2): it enters the retransmission set, is reported and sent.
+// StampOnLock scheme (the deduct is reported at the item's stamp),
+// takes the Vm's sequence number and builds the [database-actions,
+// message-sequence] record — *v, which names destination, item, amount,
+// ReqTxn and trace context, gains the sequence number and the item's
+// flow vector — then enqueues and applies it: from here the Vm is
+// outstanding, so a full read declines. holder, unless NoTxn, takes the
+// item's no-wait lock as the stripe is let go. Only once the record is
+// stable is the Vm real (§4.2): it enters the retransmission set, is
+// reported and sent.
 //
 // The caller holds lifeMu's read side and the item's stripe. applied
 // reports whether the record was enqueued and applied: if not, err is
 // the log's or the store's error and the stripe is still held; if so,
 // the stripe is released and err is the force's (the site is stopping).
-func (s *Site) createVm(stripe *sync.Mutex, st *itemState, cur, ts tstamp.TS, holder ident.TxnID, v *wal.VmOut, hop *obs.TxnTrace) (applied bool, err error) {
+func (s *Site) createVm(stripe *sync.Mutex, st *itemState, ts tstamp.TS, holder ident.TxnID, v *wal.VmOut, hop *obs.TxnTrace) (applied bool, err error) {
+	cur := s.stampOf(st)
 	if s.policy.StampOnLock() {
-		s.cfg.DB.SetTS(v.Item, ts)
-		cur = ts
+		st.ts, cur = ts, ts
 	}
 	v.Seq = s.vm.AllocSeq(v.To)
 	v.FlowVec = st.flow.Entries()

@@ -9,7 +9,6 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
-	"dvp/internal/tstamp"
 	"dvp/internal/wire"
 )
 
@@ -52,8 +51,8 @@ func TestVmAcceptIntoFreeItemStampsAndReports(t *testing.T) {
 		return len(events) == 2
 	})
 
-	it, _ := tc.sites[1].DB().Get(ident.ItemID("x"))
-	if it.TS == 0 {
+	stamp := stampAt(tc.sites[1], "x")
+	if stamp == 0 {
 		t.Error("free-item Vm accept left the value unstamped: a later reader can serialize below the credit")
 	}
 
@@ -83,8 +82,8 @@ func TestVmAcceptIntoFreeItemStampsAndReports(t *testing.T) {
 	if credit.TS <= deduct.TS {
 		t.Errorf("credit TS %v not after deduct TS %v — the in-flight window has no serial extent", credit.TS, deduct.TS)
 	}
-	if got := tstamp.TS(it.TS); got != credit.TS {
-		t.Errorf("value stamped %v but credit reported %v — checker and store disagree on the serial position", got, credit.TS)
+	if stamp != credit.TS {
+		t.Errorf("value stamped %v but credit reported %v — checker and site disagree on the serial position", stamp, credit.TS)
 	}
 }
 

@@ -27,11 +27,11 @@
 //     consumed no Vm writes no record, and a donor with nothing to give
 //     a full read answers NoShare: each waits instead for the log to be
 //     stable up to the last record applied to what it read.
-//   - item state (item.go): one itemState per item — no-wait lock
-//     holder, the holder's parked waiter, flow vector, demand cell,
-//     parked Vm, last logged LSN — in one map per stripe, guarded by
-//     that stripe and nothing else; store.Durable stays the durable
-//     half.
+//   - item state (item.go): one itemState per item — Conc1 stamp,
+//     no-wait lock holder, the holder's parked waiter, flow vector,
+//     demand cell, parked Vm, last logged LSN — in one map per stripe,
+//     guarded by that stripe and nothing else; store.Durable stays the
+//     durable half, the value alone.
 //   - router (router.go, inbound_*.go, retransmit.go): per-kind
 //     message handlers touching only stripes, item state and atomics.
 //   - lifecycle (lifecycle.go): s.mu is demoted to Start / Crash /
@@ -202,6 +202,12 @@ type Site struct {
 	items   []map[ident.ItemID]*itemState
 	lamport *tstamp.Clock
 	vm      *vmsg.Manager
+	// floor is the least stamp any item has (stampOf): the largest
+	// stamp at the counter of the reservation the last recovery resumed
+	// from, since a stamp taken from a peer may sit at that counter
+	// with a higher site id. recover sets it while the site is down,
+	// before Start publishes the epoch.
+	floor tstamp.TS
 
 	// lifeMu fences message handling against Crash: handlers hold the
 	// read side, so when Crash returns holding the write side, no

@@ -1,11 +1,12 @@
 // Package store implements a site's local database: the per-item quota
-// values d_i with their concurrency-control timestamps TS(d_i) (paper
-// §6.1).
+// values d_i (paper §3). Conc1's timestamps TS(d_i) are not kept here:
+// they are volatile item state at the site, under the item's stripe.
 //
-// Durability model: the store is volatile. Every change a site makes
-// to it is an action of a log record, but for Conc1's lock stamp
-// (SetTS); a crash loses the contents, and recovery rebuilds them from
-// the log — the last checkpoint's image, then the records after it.
+// Durability model: the store is volatile, and every change a site
+// makes to it is an action of a log record: a crash loses the
+// contents, and recovery rebuilds them from the log — the last
+// checkpoint's image, then the records after it. An item is in the
+// store once a record has named it, and only then.
 package store
 
 import (
@@ -16,29 +17,20 @@ import (
 
 	"dvp/internal/core"
 	"dvp/internal/ident"
-	"dvp/internal/tstamp"
 	"dvp/internal/wal"
 )
 
-// Item is the state of one local data value.
-type Item struct {
-	// Val is the local quota d_i.
-	Val core.Value
-	// TS is the timestamp of the last transaction to have locked the
-	// value (Conc1's TS(d_j)).
-	TS tstamp.TS
-}
-
-// Durable is a site's local database, rebuilt from its log at every
-// restart. All methods are safe for concurrent use.
+// Durable is a site's local database — each item's local quota d_i —
+// rebuilt from its log at every restart. All methods are safe for
+// concurrent use.
 type Durable struct {
 	mu    sync.RWMutex
-	items map[ident.ItemID]Item
+	items map[ident.ItemID]core.Value
 }
 
 // New returns an empty durable store.
 func New() *Durable {
-	return &Durable{items: make(map[ident.ItemID]Item)}
+	return &Durable{items: make(map[ident.ItemID]core.Value)}
 }
 
 // Create installs an item with its initial quota without a log record,
@@ -53,16 +45,17 @@ func (d *Durable) Create(item ident.ItemID, val core.Value) error {
 	if _, ok := d.items[item]; ok {
 		return fmt.Errorf("store: item %q already exists", item)
 	}
-	d.items[item] = Item{Val: val}
+	d.items[item] = val
 	return nil
 }
 
-// Get returns the durable state of item.
-func (d *Durable) Get(item ident.ItemID) (Item, bool) {
+// Get returns the local quota of item, and whether a record has named
+// the item — placed it, or credited or debited it.
+func (d *Durable) Get(item ident.ItemID) (core.Value, bool) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	it, ok := d.items[item]
-	return it, ok
+	v, ok := d.items[item]
+	return v, ok
 }
 
 // Value returns the local quota of item (zero if unknown; a site that
@@ -70,42 +63,26 @@ func (d *Durable) Get(item ident.ItemID) (Item, bool) {
 func (d *Durable) Value(item ident.ItemID) core.Value {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.items[item].Val
-}
-
-// SetTS advances the concurrency-control timestamp of item (Conc1
-// locks and stamps in one atomic step; the store write is the stamp).
-// Unknown items are created with zero quota: a request for an item can
-// reach a site before any value of it does.
-func (d *Durable) SetTS(item ident.ItemID, ts tstamp.TS) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	it := d.items[item]
-	if ts > it.TS {
-		it.TS = ts
-	}
-	d.items[item] = it
+	return d.items[item]
 }
 
 // ApplyAll applies a record's actions, in order; lsn names the record
 // in errors. A delta that would drive a quota negative is a protocol
 // violation — the transaction layer must have checked effectiveness
 // under the lock — and stops the record there with an error, leaving
-// that item unchanged. It returns the count of actions applied.
+// that item unchanged. An action names its item into the store, at
+// zero before its delta: a Vm can credit an item this site never held.
+// An action's stamp is the site's to keep, not the store's. It returns
+// the count of actions applied.
 func (d *Durable) ApplyAll(lsn uint64, actions []wal.Action) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for i, a := range actions {
-		it := d.items[a.Item]
-		nv := it.Val + a.Delta
-		if nv < 0 {
-			return i, fmt.Errorf("store: LSN %d: applying %+d to %q (=%d) would go negative", lsn, a.Delta, a.Item, it.Val)
+		v := d.items[a.Item]
+		if v+a.Delta < 0 {
+			return i, fmt.Errorf("store: LSN %d: applying %+d to %q (=%d) would go negative", lsn, a.Delta, a.Item, v)
 		}
-		it.Val = nv
-		if a.SetTS > it.TS {
-			it.TS = a.SetTS
-		}
-		d.items[a.Item] = it
+		d.items[a.Item] = v + a.Delta
 	}
 	return len(actions), nil
 }
@@ -127,8 +104,8 @@ func (d *Durable) Snapshot() []wal.CheckpointItem {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]wal.CheckpointItem, 0, len(d.items))
-	for id, it := range d.items {
-		out = append(out, wal.CheckpointItem{Item: id, Value: it.Val, TS: it.TS})
+	for id, v := range d.items {
+		out = append(out, wal.CheckpointItem{Item: id, Value: v})
 	}
 	slices.SortFunc(out, func(a, b wal.CheckpointItem) int { return cmp.Compare(a.Item, b.Item) })
 	return out
@@ -139,9 +116,9 @@ func (d *Durable) Snapshot() []wal.CheckpointItem {
 func (d *Durable) RestoreCheckpoint(items []wal.CheckpointItem) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.items = make(map[ident.ItemID]Item, len(items))
+	d.items = make(map[ident.ItemID]core.Value, len(items))
 	for _, ci := range items {
-		d.items[ci.Item] = Item{Val: ci.Value, TS: ci.TS}
+		d.items[ci.Item] = ci.Value
 	}
 }
 
@@ -152,7 +129,7 @@ func (d *Durable) Total(items ...ident.ItemID) core.Value {
 	defer d.mu.RUnlock()
 	var sum core.Value
 	for _, id := range items {
-		sum += d.items[id].Val
+		sum += d.items[id]
 	}
 	return sum
 }

@@ -16,9 +16,8 @@ func TestCreateAndGet(t *testing.T) {
 	if err := d.Create("flight/A", 25); err != nil {
 		t.Fatal(err)
 	}
-	it, ok := d.Get("flight/A")
-	if !ok || it.Val != 25 || it.TS != 0 {
-		t.Errorf("Get = %+v ok=%v", it, ok)
+	if v, ok := d.Get("flight/A"); !ok || v != 25 {
+		t.Errorf("Get = %d ok=%v", v, ok)
 	}
 	if err := d.Create("flight/A", 10); err == nil {
 		t.Error("double create must fail")
@@ -35,22 +34,19 @@ func TestValueUnknownIsZero(t *testing.T) {
 	}
 }
 
-func TestApplyAdvancesValueTSAndLSN(t *testing.T) {
+func TestApplyAdvancesValue(t *testing.T) {
 	d := New()
 	d.Create("a", 10)
-	ts := tstamp.Make(5, 2)
-	n, err := d.ApplyAll(3, []wal.Action{{Item: "a", Delta: -4, SetTS: ts}})
+	n, err := d.ApplyAll(3, []wal.Action{{Item: "a", Delta: -4, SetTS: tstamp.Make(5, 2)}})
 	if err != nil || n != 1 {
 		t.Fatalf("ApplyAll: n=%d err=%v", n, err)
 	}
-	it, _ := d.Get("a")
-	if it.Val != 6 || it.TS != ts {
-		t.Errorf("after apply: %+v", it)
+	if v := d.Value("a"); v != 6 {
+		t.Errorf("after apply: %d, want 6", v)
 	}
-	// An older stamp does not regress the item's.
-	d.ApplyAll(4, []wal.Action{{Item: "a", Delta: 1, SetTS: tstamp.Make(2, 1)}})
-	if it, _ := d.Get("a"); it.Val != 7 || it.TS != ts {
-		t.Errorf("after an older stamp: %+v", it)
+	// The stamp is the site's: the store's image is the value alone.
+	if snap := d.Snapshot(); len(snap) != 1 || snap[0] != (wal.CheckpointItem{Item: "a", Value: 6}) {
+		t.Errorf("snapshot %+v, want a = 6", snap)
 	}
 }
 
@@ -118,28 +114,6 @@ func TestApplyAllStopsOnError(t *testing.T) {
 	}
 }
 
-func TestSetTSMonotone(t *testing.T) {
-	d := New()
-	d.Create("a", 5)
-	hi := tstamp.Make(9, 1)
-	lo := tstamp.Make(3, 1)
-	d.SetTS("a", hi)
-	d.SetTS("a", lo) // must not regress
-	it, _ := d.Get("a")
-	if it.TS != hi {
-		t.Errorf("TS = %v, want %v", it.TS, hi)
-	}
-}
-
-func TestSetTSCreatesItem(t *testing.T) {
-	d := New()
-	d.SetTS("ghost", tstamp.Make(1, 1))
-	it, ok := d.Get("ghost")
-	if !ok || it.Val != 0 {
-		t.Errorf("ghost item: %+v ok=%v", it, ok)
-	}
-}
-
 func TestItemsSorted(t *testing.T) {
 	d := New()
 	d.Create("z", 1)
@@ -165,10 +139,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	d2.Create("stale", 4)
 	d2.RestoreCheckpoint(snap)
 	for _, id := range []ident.ItemID{"a", "b"} {
-		i1, _ := d.Get(id)
-		i2, _ := d2.Get(id)
-		if i1 != i2 {
-			t.Errorf("%s: %+v vs %+v", id, i1, i2)
+		if v1, v2 := d.Value(id), d2.Value(id); v1 != v2 {
+			t.Errorf("%s: %d vs %d", id, v1, v2)
 		}
 	}
 	// The image replaces the contents; no image empties the store.

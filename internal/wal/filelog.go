@@ -23,7 +23,7 @@ import (
 // its first record, then one frame per AppendBatch, so the unit of
 // framing is the unit of durability:
 //
-//	header = "DVPh" [u64 base][u32 crc32c(magic, base)]
+//	header = "DVPi" [u64 base][u32 crc32c(magic, base)]
 //	frame  = [uvarint n][u32 crc][body]                    n = len(body)
 //	body   = ([u8 kind][uvarint len][payload])+
 //
@@ -54,7 +54,7 @@ type FileLog struct {
 // fileMagic opens the header. Each change of the file or record format
 // takes a new one, and there is no reader for an earlier format: such a
 // log is refused as foreign, not misread.
-const fileMagic = "DVPh"
+const fileMagic = "DVPi"
 
 // headerSize is the header's length: magic, base LSN and CRC.
 const headerSize = len(fileMagic) + 8 + 4

@@ -374,7 +374,8 @@ func TestFrameOutOfSequenceRejected(t *testing.T) {
 // their first LSN; "DVPf" logs had the header this one has, and
 // checkpoint items that carried an applied LSN; "DVPg" logs had this
 // framing whole but no clock reservations, so a restart from one could
-// not resume the clock.
+// not resume the clock; "DVPh" logs had reservations, but checkpoint
+// items that carried a stamp.
 func TestOldFormatRefused(t *testing.T) {
 	body := []byte{1, byte(RecCommit), 3, 'o', 'l', 'd'} // firstLSN 1, one record
 	dvpw := append([]byte("DVPw"), byte(len(body)))
@@ -386,7 +387,10 @@ func TestOldFormatRefused(t *testing.T) {
 	dvpg := binary.BigEndian.AppendUint64([]byte("DVPg"), 1)
 	dvpg = binary.BigEndian.AppendUint32(dvpg, crc32.Checksum(dvpg, crcTable))
 	dvpg, _ = appendFrame(dvpg, 1, []BatchEntry{{Kind: RecCommit, Data: []byte("old")}})
-	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf, "DVPg": dvpg} {
+	dvph := binary.BigEndian.AppendUint64([]byte("DVPh"), 1)
+	dvph = binary.BigEndian.AppendUint32(dvph, crc32.Checksum(dvph, crcTable))
+	dvph, _ = appendFrame(dvph, 1, []BatchEntry{{Kind: RecCheckpoint, Data: []byte("old")}})
+	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf, "DVPg": dvpg, "DVPh": dvph} {
 		path := t.TempDir() + "/wal.log"
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)

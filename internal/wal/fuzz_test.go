@@ -24,13 +24,12 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add((&VmAcceptRec{From: 3, Seq: 9, Actions: []Action{{Item: "x", Delta: 5}}}).Encode())
 	f.Add((&CheckpointRec{Clock: 7}).Encode())
 	// A checkpoint the shape the automatic checkpointer actually
-	// writes: multiple items with stamps, and channel
-	// state with a pending retransmission set and a sparse inbound
-	// acceptance tail.
+	// writes: multiple items, and channel state with a pending
+	// retransmission set and a sparse inbound acceptance tail.
 	f.Add((&CheckpointRec{
 		Items: []CheckpointItem{
-			{Item: "flight/A", Value: 40, TS: 512},
-			{Item: "flight/B", Value: 0, TS: 3},
+			{Item: "flight/A", Value: 40},
+			{Item: "flight/B", Value: 0},
 		},
 		Channels: []VmChannelState{
 			{

@@ -371,11 +371,12 @@ func DecodeApplied(data []byte) (*AppliedRec, error) {
 	return rec, nil
 }
 
-// CheckpointItem is one item's durable state inside a checkpoint.
+// CheckpointItem is one item's durable state inside a checkpoint: its
+// local quota. The item's Conc1 stamp is not durable state: a restart
+// floors every stamp at the clock reservation instead.
 type CheckpointItem struct {
 	Item  ident.ItemID
 	Value core.Value
-	TS    tstamp.TS
 }
 
 // VmChannelState is the complete per-peer Vm channel state inside a
@@ -417,7 +418,6 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 	for _, it := range rec.Items {
 		w.String(string(it.Item))
 		w.I64(int64(it.Value))
-		w.TS(it.TS)
 	}
 	w.U64(uint64(len(rec.Channels)))
 	for _, ch := range rec.Channels {
@@ -444,7 +444,6 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 		rec.Items = append(rec.Items, CheckpointItem{
 			Item:  ident.ItemID(r.String()),
 			Value: core.Value(r.I64()),
-			TS:    r.TS(),
 		})
 	}
 	m := r.Count(maxCount)
@@ -472,7 +471,7 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 
 // ClockRec is a clock reservation (RecClock): every Lamport counter up
 // to Bound is covered, so a restart resumes the clock at Bound and
-// raises every item's stamp to it (DESIGN §2, decision 5).
+// floors every item's stamp there (DESIGN §2, decision 5).
 type ClockRec struct {
 	Bound uint64
 }

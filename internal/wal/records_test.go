@@ -83,23 +83,24 @@ func TestAppliedRoundTrip(t *testing.T) {
 	}
 }
 
-// A checkpoint item is its name, value and stamp, and nothing else:
-// "flight/A" = 25 at stamp (9, site 2) takes 1+8 B of name, 1 B of
-// value and 2 B of stamp. It carries no applied LSN: the image holds
-// exactly the records below the checkpoint, and replay starts into it.
+// A checkpoint item is its name and value, and nothing else:
+// "flight/A" = 25 takes 1+8 B of name and 1 B of value. It carries no
+// applied LSN — the image holds exactly the records below the
+// checkpoint, and replay starts into it — and no stamp: a restart
+// floors every stamp at the clock reservation.
 func TestCheckpointItemSize(t *testing.T) {
 	empty := len((&CheckpointRec{}).Encode())
-	one := len((&CheckpointRec{Items: []CheckpointItem{{Item: "flight/A", Value: 25, TS: tstamp.Make(9, 2)}}}).Encode())
-	if got := one - empty; got != 12 {
-		t.Errorf("one checkpoint item takes %d B, want 12", got)
+	one := len((&CheckpointRec{Items: []CheckpointItem{{Item: "flight/A", Value: 25}}}).Encode())
+	if got := one - empty; got != 10 {
+		t.Errorf("one checkpoint item takes %d B, want 10", got)
 	}
 }
 
 func TestCheckpointRoundTrip(t *testing.T) {
 	rec := &CheckpointRec{
 		Items: []CheckpointItem{
-			{Item: "flight/A", Value: 25, TS: tstamp.Make(9, 2)},
-			{Item: "acct/z", Value: 0, TS: 0},
+			{Item: "flight/A", Value: 25},
+			{Item: "acct/z", Value: 0},
 		},
 		Channels: []VmChannelState{
 			{
