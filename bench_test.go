@@ -375,9 +375,12 @@ func BenchmarkFileWalAppend(b *testing.B) {
 // --- recovery benches --------------------------------------------------------
 
 // buildRecoveryLog writes n multi-action commit records across 64
-// items. With ckptSuffix > 0 it embeds a consistent checkpoint record
-// leaving exactly ckptSuffix records after it, so recovery replays a
-// fixed-length suffix however long the total history is.
+// items, as a site writes them: each item named once, by a RecName
+// ahead of its first commit, and referred to by ordinal after it. With
+// ckptSuffix > 0 it embeds a consistent checkpoint record, its items
+// with their ordinals, leaving exactly ckptSuffix commits after it, so
+// recovery replays a fixed-length suffix however long the total
+// history is.
 func buildRecoveryLog(b *testing.B, n, ckptSuffix int) *wal.MemLog {
 	b.Helper()
 	l := wal.NewMemLog()
@@ -385,6 +388,19 @@ func buildRecoveryLog(b *testing.B, n, ckptSuffix int) *wal.MemLog {
 	vm := vmsg.NewManager()
 	clock := tstamp.NewClock(1)
 	const items = 64
+	ords := make(map[ident.ItemID]uint64, items)
+	action := func(k int, delta dvp.Value, ts tstamp.TS) wal.Action {
+		item := ident.ItemID(fmt.Sprintf("item/%d", k%items))
+		ord, ok := ords[item]
+		if !ok {
+			ord = uint64(len(ords) + 1)
+			if _, err := l.Append(wal.RecName, (&wal.NameRec{Ord: ord, Item: item}).Encode()); err != nil {
+				b.Fatal(err)
+			}
+			ords[item] = ord
+		}
+		return wal.Action{Item: item, Delta: delta, SetTS: ts, Ord: ord}
+	}
 	for i := 0; i < n; i++ {
 		if ckptSuffix > 0 && i == n-ckptSuffix {
 			cp := &wal.CheckpointRec{
@@ -392,15 +408,16 @@ func buildRecoveryLog(b *testing.B, n, ckptSuffix int) *wal.MemLog {
 				Channels: vm.SnapshotChannels(),
 				Clock:    clock.Current(),
 			}
+			for j := range cp.Items {
+				cp.Items[j].Ord = ords[cp.Items[j].Item]
+			}
 			if _, err := l.Append(wal.RecCheckpoint, cp.Encode()); err != nil {
 				b.Fatal(err)
 			}
 		}
 		ts := tstamp.Make(uint64(i)+1, 1)
 		rec := &wal.CommitRec{Txn: ts, Actions: []wal.Action{
-			{Item: ident.ItemID(fmt.Sprintf("item/%d", i%items)), Delta: 1, SetTS: ts},
-			{Item: ident.ItemID(fmt.Sprintf("item/%d", (i+7)%items)), Delta: 2, SetTS: ts},
-			{Item: ident.ItemID(fmt.Sprintf("item/%d", (i+13)%items)), Delta: 3, SetTS: ts},
+			action(i, 1, ts), action(i+7, 2, ts), action(i+13, 3, ts),
 		}}
 		lsn, err := l.Append(wal.RecCommit, rec.Encode())
 		if err != nil {

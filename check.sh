@@ -188,8 +188,8 @@ echo "alloc gate: local write-only commit ${allocs} allocs/op (ceiling ${alloc_c
 
 # Fuzz smoke: a short randomized pass per target on top of the
 # checked-in seed corpus (which includes envelopes and WAL records
-# captured from chaos runs — regenerate with `dvpsim chaos -corpus
-# internal`).
+# captured from chaos runs — regenerate with `dvpsim chaos -seed 7
+# -corpus internal`, a schedule that checkpoints).
 go test ./internal/wire -run='^$' -fuzz=FuzzUnmarshal -fuzztime=10s
 go test ./internal/wire -run='^$' -fuzz=FuzzReusedWriter -fuzztime=10s
 go test ./internal/wire -run='^$' -fuzz=FuzzTSAndSite -fuzztime=10s

@@ -318,6 +318,9 @@ func parseCreate(kv string) (ident.ItemID, core.Value, error) {
 	if len(parts) != 2 {
 		return "", 0, fmt.Errorf("entry %q is not item=share", kv)
 	}
+	if parts[0] == "" {
+		return "", 0, fmt.Errorf("entry %q names no item", kv)
+	}
 	share, err := strconv.ParseInt(parts[1], 10, 64)
 	if err != nil || share < 0 {
 		return "", 0, fmt.Errorf("bad share %q", parts[1])

@@ -145,7 +145,8 @@ func records(t *testing.T, l wal.Log, only ...wal.RecordKind) (kinds []wal.Recor
 }
 
 // -create logs the whole initial placement as one record on a fresh
-// WAL, and nothing on a restart over it: recovery restores every item.
+// WAL, behind the name of each item it places, and nothing on a restart
+// over it: recovery restores every item.
 func TestCreateLogsOnePlacementRecord(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s1.wal")
 	const spec = "a=5, b=0,c=7,a=9"
@@ -156,8 +157,9 @@ func TestCreateLogsOnePlacementRecord(t *testing.T) {
 		if err := place(s, spec); err != nil {
 			t.Fatal(err)
 		}
-		if kinds, _ := records(t, s.Log()); len(kinds) != 1 || kinds[0] != wal.RecCommit {
-			t.Errorf("%s: log holds %v, want the one placement record", run, kinds)
+		placed := []wal.RecordKind{wal.RecName, wal.RecName, wal.RecName, wal.RecCommit}
+		if kinds, _ := records(t, s.Log()); !reflect.DeepEqual(kinds, placed) {
+			t.Errorf("%s: log holds %v, want three names and the one placement record", run, kinds)
 		}
 		for item, v := range want {
 			if got := s.DB().Value(item); got != v {
@@ -168,10 +170,10 @@ func TestCreateLogsOnePlacementRecord(t *testing.T) {
 	}
 }
 
-// A placement is one record, whoever makes it: Cluster.CreateItemShares
-// and dvpnode -create write the same bytes for the same share. (The
-// Cluster's site has started, so its log also holds the clock
-// reservation Start writes.)
+// A placement is one record behind its items' names, whoever makes it:
+// Cluster.CreateItemShares and dvpnode -create write the same bytes for
+// the same share. (The Cluster's site has started, so its log also
+// holds the clock reservation Start writes.)
 func TestClusterAndCreatePlaceAlike(t *testing.T) {
 	c, err := dvp.NewCluster(dvp.Config{Sites: 2})
 	if err != nil {
@@ -185,13 +187,17 @@ func TestClusterAndCreatePlaceAlike(t *testing.T) {
 	if err := place(s, "flight/A=50"); err != nil {
 		t.Fatal(err)
 	}
-	ck, cd := records(t, c.SiteEngine(1).Log(), wal.RecCommit)
-	nk, nd := records(t, s.Log(), wal.RecCommit)
+	ck, cd := records(t, c.SiteEngine(1).Log(), wal.RecName, wal.RecCommit)
+	nk, nd := records(t, s.Log(), wal.RecName, wal.RecCommit)
 	if !reflect.DeepEqual(ck, nk) || !reflect.DeepEqual(cd, nd) {
 		t.Errorf("Cluster placed %v %x, dvpnode -create %v %x", ck, cd, nk, nd)
 	}
-	if want := (&wal.CommitRec{Actions: []wal.Action{{Item: "flight/A", Delta: 50}}}).Encode(); len(nd) != 1 || !bytes.Equal(nd[0], want) {
-		t.Errorf("placement record %x, want %x", nd, want)
+	want := [][]byte{
+		(&wal.NameRec{Ord: 1, Item: "flight/A"}).Encode(),
+		(&wal.CommitRec{Actions: []wal.Action{{Item: "flight/A", Delta: 50, Ord: 1}}}).Encode(),
+	}
+	if !reflect.DeepEqual(nd, want) {
+		t.Errorf("placement records %x, want %x", nd, want)
 	}
 }
 
@@ -232,6 +238,8 @@ func TestParseCreate(t *testing.T) {
 		{kv: "flight/A=40", item: "flight/A", share: 40},
 		{kv: " it/0=0", item: "it/0", share: 0},
 		{kv: "flight/A", wantErr: "not item=share"},
+		{kv: "=5", wantErr: "names no item"},
+		{kv: " =5", wantErr: "names no item"},
 		{kv: "flight/A=-1", wantErr: `bad share "-1"`},
 		{kv: "flight/A=lots", wantErr: `bad share "lots"`},
 	} {

@@ -67,6 +67,18 @@ func TestCreateItemShapes(t *testing.T) {
 	}
 }
 
+// No item has an empty name: creating one is refused, and no site
+// holds it.
+func TestCreateItemRefusesAnEmptyName(t *testing.T) {
+	c := mustCluster(t, Config{Sites: 2, Seed: 2})
+	if err := c.CreateItem("", 30); err == nil {
+		t.Error(`CreateItem("", 30) accepted`)
+	}
+	if got := c.GlobalTotal(""); got != 0 {
+		t.Errorf(`item "" holds %d`, got)
+	}
+}
+
 func TestRedistributionAcrossSites(t *testing.T) {
 	c := mustCluster(t, Config{Sites: 4, Seed: 3, MaxDelay: time.Millisecond})
 	c.CreateItemShares("flight/A", []Value{2, 3, 10, 15})

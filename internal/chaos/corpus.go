@@ -26,8 +26,9 @@ import (
 //     internal/wal/testdata/fuzz/FuzzFileLogRecovery
 //
 // internalDir is the repository's internal/ directory (regenerate with
-// `dvpsim chaos -corpus internal` from the repo root). Entries are
-// named chaos-* and overwrite previous captures.
+// `dvpsim chaos -seed 7 -corpus internal` from the repo root: seed 7's
+// schedule checkpoints, so its logs hold checkpoint records). Entries
+// are named chaos-* and overwrite previous captures.
 func CaptureCorpus(seed int64, internalDir string) error {
 	sched := Build(seed)
 
@@ -103,10 +104,28 @@ const perKind = 3
 // capturePayloads adds to payloads up to perKind record payloads of
 // each shape from the stable logs of sites 1..sites — by kind, with
 // commits that accept Vm apart from those that do not. A log it cannot
-// read, or a commit whose accepted list does not decode, is an error.
+// read, or a record that does not decode with the names its log defined
+// before it, is an error.
 func capturePayloads(c *dvp.Cluster, sites int, payloads map[string][]wal.Record) error {
 	for i := 1; i <= sites; i++ {
+		var names wal.Names
 		err := c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
+			var err error
+			switch rec.Kind {
+			case wal.RecName:
+				_, err = names.DecodeName(rec.Data)
+			case wal.RecCheckpoint:
+				_, err = names.DecodeCheckpoint(rec.Data)
+			case wal.RecCommit:
+				_, err = names.DecodeCommit(rec.Data)
+			case wal.RecVmCreate:
+				_, err = names.DecodeVmCreate(rec.Data)
+			case wal.RecVmAccept:
+				_, err = names.DecodeVmAccept(rec.Data)
+			}
+			if err != nil {
+				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+			}
 			shape := rec.Kind.String()
 			if rec.Kind == wal.RecCommit {
 				acc, err := wal.Accepted(rec)

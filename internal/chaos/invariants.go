@@ -94,8 +94,9 @@ type createIndex struct {
 }
 
 type siteCreates struct {
-	next uint64
-	vm   map[chanKey]bool
+	next  uint64
+	vm    map[chanKey]bool
+	names wal.Names // the log's item table, fed up to next
 }
 
 // checkVmAfterLog is the exactly-once family's "no Vm on the wire
@@ -154,8 +155,12 @@ func (sc *siteCreates) scan(log wal.Log) error {
 	return log.Scan(sc.next, func(rec wal.Record) error {
 		sc.next = rec.LSN + 1
 		switch rec.Kind {
+		case wal.RecName:
+			if _, err := sc.names.DecodeName(rec.Data); err != nil {
+				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+			}
 		case wal.RecVmCreate:
-			cr, err := wal.DecodeVmCreate(rec.Data)
+			cr, err := sc.names.DecodeVmCreate(rec.Data)
 			if err != nil {
 				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
 			}
@@ -163,7 +168,7 @@ func (sc *siteCreates) scan(log wal.Log) error {
 				sc.vm[chanKey{m.To, m.Seq}] = true
 			}
 		case wal.RecCheckpoint:
-			cp, err := wal.DecodeCheckpoint(rec.Data)
+			cp, err := sc.names.DecodeCheckpoint(rec.Data)
 			if err != nil {
 				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
 			}
@@ -298,12 +303,22 @@ func (r *runner) checkExactlyOnce() error {
 		log := r.c.SiteEngine(i).Log()
 		sentOnce := make(map[chanKey]bool)
 		acceptedOnce := make(map[chanKey]bool)
+		var names wal.Names
 		err := log.Scan(1, func(rec wal.Record) error {
-			if rec.Kind == wal.RecVmCreate {
-				cr, err := wal.DecodeVmCreate(rec.Data)
-				if err != nil {
-					return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
-				}
+			var cr *wal.VmCreateRec
+			var err error
+			switch rec.Kind {
+			case wal.RecName:
+				_, err = names.DecodeName(rec.Data)
+			case wal.RecCheckpoint:
+				_, err = names.DecodeCheckpoint(rec.Data)
+			case wal.RecVmCreate:
+				cr, err = names.DecodeVmCreate(rec.Data)
+			}
+			if err != nil {
+				return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
+			}
+			if cr != nil {
 				for _, m := range cr.Msgs {
 					k := chanKey{m.To, m.Seq}
 					if sentOnce[k] {
@@ -370,9 +385,15 @@ func (r *runner) checkNoAckAheadOfLog() error {
 		// What the stable log accepts is what recovery would rebuild
 		// from it: the same two calls, into a scratch manager.
 		logged := vmsg.NewManager()
+		var names wal.Names
 		err := r.c.SiteEngine(j).Log().Scan(1, func(rec wal.Record) error {
-			if rec.Kind == wal.RecCheckpoint {
-				cp, err := wal.DecodeCheckpoint(rec.Data)
+			switch rec.Kind {
+			case wal.RecName:
+				if _, err := names.DecodeName(rec.Data); err != nil {
+					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
+				}
+			case wal.RecCheckpoint:
+				cp, err := names.DecodeCheckpoint(rec.Data)
 				if err != nil {
 					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
 				}

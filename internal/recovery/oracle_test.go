@@ -3,12 +3,15 @@ package recovery
 // The recovery-equivalence oracle: for randomized histories containing
 // checkpoints at arbitrary positions (including between a commit and
 // its applied marker, and between a Vm's creation and its acceptance),
-// and commits that accept the Vm they consumed beside acceptance
-// records,
+// commits that accept the Vm they consumed beside acceptance records,
+// and items named by ordinal — defined by a RecName ahead of the first
+// record that refers to them, restated by every checkpoint — beside
+// items spelled out inline,
 // recovering from the latest checkpoint plus the log suffix must
 // produce state byte-identical to a scan of the entire log that
 // ignores checkpoints — whatever the store held before, since recovery
-// replaces its contents. The comparison is on the encoded checkpoint
+// replaces its contents — and so must recovering once the log is
+// compacted up to that checkpoint. The comparison is on the encoded checkpoint
 // payload of the final state, which covers every item's value and
 // timestamp, every Vm channel's cursors, pending set and acceptance
 // set, and the Lamport counter. The clock is the highest reservation
@@ -60,6 +63,8 @@ type histGen struct {
 	outSeq      map[ident.SiteID]uint64 // per-peer outbound Vm seq
 	inSeq       map[ident.SiteID]uint64 // per-peer inbound Vm seq
 	lastCommit  uint64                  // LSN of the last commit record
+	ords        map[ident.ItemID]uint64 // the ordinals the log defines
+	names       *wal.Names              // the writer's replay table
 	checkpoints int
 	// noCheckpoints stops step from writing checkpoints: a suffix that
 	// must not supersede the checkpoint a test damaged.
@@ -77,6 +82,8 @@ func newHistGen(t *testing.T, seed int64) *histGen {
 		clock:  tstamp.NewClock(1),
 		outSeq: make(map[ident.SiteID]uint64),
 		inSeq:  make(map[ident.SiteID]uint64),
+		ords:   make(map[ident.ItemID]uint64),
+		names:  new(wal.Names),
 	}
 	// Enough distinct items that multi-item commits overlap.
 	n := 6 + g.rng.Intn(10)
@@ -93,13 +100,31 @@ func (g *histGen) appendData(kind wal.RecordKind, payload []byte) uint64 {
 	if err != nil {
 		g.t.Fatal(err)
 	}
-	if err := redo(wal.Record{LSN: lsn, Kind: kind, Data: payload}, g.db, g.vm, &g.sum); err != nil {
+	if err := redo(wal.Record{LSN: lsn, Kind: kind, Data: payload}, g.db, g.vm, g.names, &g.sum); err != nil {
 		g.t.Fatalf("generator produced a record replay rejects: %v", err)
 	}
 	return lsn
 }
 
-// checkpoint writes the writer state as a checkpoint record.
+// refer gives each action its item's ordinal, as a site's writer does:
+// an item with none is defined by a RecName first — or, now and then,
+// spelled out inline and left without one, as a placement appended
+// outside the site is.
+func (g *histGen) refer(acts []wal.Action) []wal.Action {
+	for i := range acts {
+		ord, ok := g.ords[acts[i].Item]
+		if !ok && g.rng.Float64() < 0.8 {
+			ord = uint64(len(g.ords) + 1)
+			g.appendData(wal.RecName, (&wal.NameRec{Ord: ord, Item: acts[i].Item}).Encode())
+			g.ords[acts[i].Item] = ord
+		}
+		acts[i].Ord = ord
+	}
+	return acts
+}
+
+// checkpoint writes the writer state as a checkpoint record, each item
+// with its ordinal.
 func (g *histGen) checkpoint() {
 	if g.noCheckpoints {
 		return
@@ -108,6 +133,9 @@ func (g *histGen) checkpoint() {
 		Items:    g.db.Snapshot(),
 		Channels: g.vm.SnapshotChannels(),
 		Clock:    g.bound,
+	}
+	for i := range cp.Items {
+		cp.Items[i].Ord = g.ords[cp.Items[i].Item]
 	}
 	if _, err := g.log.Append(wal.RecCheckpoint, cp.Encode()); err != nil {
 		g.t.Fatal(err)
@@ -184,7 +212,7 @@ func (g *histGen) step() {
 				acts[0].Delta += core.Value(1 + g.rng.Intn(5))
 			}
 		}
-		g.lastCommit = g.appendData(wal.RecCommit, (&wal.CommitRec{Txn: ts, Actions: acts, Accepted: accepted}).Encode())
+		g.lastCommit = g.appendData(wal.RecCommit, (&wal.CommitRec{Txn: ts, Actions: g.refer(acts), Accepted: accepted}).Encode())
 	case p < 0.70: // grant quota away as a Vm
 		item := g.items[g.rng.Intn(len(g.items))]
 		amt := core.Value(1 + g.rng.Intn(4))
@@ -194,7 +222,7 @@ func (g *histGen) step() {
 		to := ident.SiteID(2 + g.rng.Intn(3))
 		g.outSeq[to]++
 		g.appendData(wal.RecVmCreate, (&wal.VmCreateRec{
-			Actions: []wal.Action{{Item: item, Delta: -amt, SetTS: g.stamp()}},
+			Actions: g.refer([]wal.Action{{Item: item, Delta: -amt, SetTS: g.stamp()}}),
 			Msgs: []wal.VmOut{{
 				To: to, Seq: g.outSeq[to], Item: item,
 				Amount: amt, ReqTxn: tstamp.Make(g.ctr, to),
@@ -206,7 +234,7 @@ func (g *histGen) step() {
 		g.inSeq[from]++
 		g.appendData(wal.RecVmAccept, (&wal.VmAcceptRec{
 			From: from, Seq: g.inSeq[from],
-			Actions: []wal.Action{{Item: item, Delta: core.Value(1 + g.rng.Intn(4))}},
+			Actions: g.refer([]wal.Action{{Item: item, Delta: core.Value(1 + g.rng.Intn(4))}}),
 		}).Encode())
 	case p < 0.88:
 		g.racedCheckpoint()
@@ -232,7 +260,7 @@ func (g *histGen) build() {
 		ts := g.stamp()
 		g.appendData(wal.RecCommit, (&wal.CommitRec{
 			Txn:     ts,
-			Actions: []wal.Action{{Item: item, Delta: core.Value(20 + g.rng.Intn(100)), SetTS: ts}},
+			Actions: g.refer([]wal.Action{{Item: item, Delta: core.Value(20 + g.rng.Intn(100)), SetTS: ts}}),
 		}).Encode())
 	}
 	steps := 80 + g.rng.Intn(160)
@@ -261,7 +289,7 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			// the highest reservation in it.
 			refDB, refVM, refClock := store.New(), vmsg.NewManager(), tstamp.NewClock(1)
 			var refSum Summary
-			if err := replay(g.log, refDB, refVM, 1, &refSum); err != nil {
+			if err := replay(g.log, refDB, refVM, new(wal.Names), 1, &refSum); err != nil {
 				t.Fatalf("reference replay: %v", err)
 			}
 			refClock.Restore(highestReservation(t, g.log))
@@ -293,7 +321,39 @@ func TestRecoveryEquivalenceOracle(t *testing.T) {
 			if sum.NetworkCalls != 0 {
 				t.Errorf("recovery made network calls")
 			}
+			checkNames(t, sum.Names, g.ords)
+
+			// Compacted up to the checkpoint, the log still defines
+			// every ordinal its suffix refers to.
+			if err := g.log.Compact(sum.CheckpointLSN - 1); err != nil {
+				t.Fatal(err)
+			}
+			db, vm, clock = store.New(), vmsg.NewManager(), tstamp.NewClock(1)
+			sum, err = Recover(g.log, db, vm, clock)
+			if err != nil {
+				t.Fatalf("recovery of the compacted log: %v", err)
+			}
+			if got := snapshotBytes(db, vm, clock); !bytes.Equal(got, ref) {
+				t.Errorf("recovered state of the compacted log differs from full-log replay")
+			}
+			checkNames(t, sum.Names, g.ords)
 		})
+	}
+}
+
+// checkNames fails the test unless names defines exactly the ordinals
+// the writer gave.
+func checkNames(t *testing.T, names *wal.Names, want map[ident.ItemID]uint64) {
+	t.Helper()
+	got := make(map[ident.ItemID]uint64)
+	names.Each(func(ord uint64, item ident.ItemID) { got[item] = ord })
+	if len(got) != len(want) {
+		t.Errorf("recovery found %d ordinals, the writer gave %d", len(got), len(want))
+	}
+	for item, ord := range want {
+		if got[item] != ord {
+			t.Errorf("%s: recovered ordinal %d, the writer gave %d", item, got[item], ord)
+		}
 	}
 }
 
@@ -397,11 +457,11 @@ func TestRecoverFallsBackToEarlierCheckpoint(t *testing.T) {
 	}
 	// A few more records, then a checkpoint that cannot decode, then a
 	// suffix the fallback path must replay from the earlier cut.
+	g.noCheckpoints = true
 	g.step()
 	if _, err := g.log.Append(wal.RecCheckpoint, []byte{0xDE, 0xAD, 0xBE}); err != nil {
 		t.Fatal(err)
 	}
-	g.noCheckpoints = true
 	for i := 0; i < 10; i++ {
 		g.step()
 	}

@@ -17,7 +17,10 @@
 //     record's database actions are redone, each once — the image
 //     holds exactly the records below the checkpoint — and Vm channel
 //     state is rebuilt — a commit accepts the Vm it lists, as an
-//     acceptance record accepts its one.
+//     acceptance record accepts its one. Records refer to items by the
+//     ordinals the checkpoint and the suffix's RecName records define,
+//     read in LSN order (wal.Names); a reference to any other ordinal
+//     fails the recovery.
 //  4. Resume the clock at the highest reservation the log holds — a
 //     RecClock anywhere in it, or the checkpoint's — and report it
 //     (Summary.Clock): no stamp the site used lies above it, the Conc1
@@ -62,6 +65,9 @@ type Summary struct {
 	// Clock is the clock reservation recovery resumed from: no counter
 	// the site used before the crash lies above it.
 	Clock uint64
+	// Names is the log's item table as the replay left it: every
+	// ordinal the log defines, by the checkpoint or behind it.
+	Names *wal.Names
 }
 
 // Recover rebuilds a site's state from its stable log alone, into the
@@ -79,15 +85,17 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 	// checkpoint → earlier valid checkpoint → full scan.
 	var cpLSN, bound uint64
 	var cp *wal.CheckpointRec
+	names := new(wal.Names)
 	err := log.Scan(1, func(r wal.Record) error {
 		switch r.Kind {
 		case wal.RecCheckpoint:
-			rec, err := wal.DecodeCheckpoint(r.Data)
+			n := new(wal.Names)
+			rec, err := n.DecodeCheckpoint(r.Data)
 			if err != nil {
 				sum.CheckpointsSkipped++
 				return nil
 			}
-			cp, cpLSN = rec, r.LSN
+			cp, cpLSN, names = rec, r.LSN, n
 		case wal.RecClock:
 			rec, err := wal.DecodeClock(r.Data)
 			if err != nil {
@@ -108,8 +116,9 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 		db.RestoreCheckpoint(cp.Items)
 	}
 
-	// Pass 2: replay the suffix.
-	if err := replay(log, db, vm, cpLSN+1, &sum); err != nil {
+	// Pass 2: replay the suffix, its names defined by the checkpoint.
+	sum.Names = names
+	if err := replay(log, db, vm, names, cpLSN+1, &sum); err != nil {
 		return sum, err
 	}
 	clock.Restore(bound)
@@ -121,17 +130,18 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 
 // replay is the streaming single-pass redo of the suffix, in LSN
 // order, never buffering it.
-func replay(log wal.Log, db *store.Durable, vm *vmsg.Manager, from uint64, sum *Summary) error {
+func replay(log wal.Log, db *store.Durable, vm *vmsg.Manager, names *wal.Names, from uint64, sum *Summary) error {
 	return log.Scan(from, func(r wal.Record) error {
 		sum.RecordsScanned++
-		return redo(r, db, vm, sum)
+		return redo(r, db, vm, names, sum)
 	})
 }
 
-// redo replays one record: its database actions are re-applied, then
-// Vm channel state is rebuilt — what the record creates, and what it
-// accepts, be it a Vm acceptance or a commit that consumed Vm.
-func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, sum *Summary) error {
+// redo replays one record: a RecName defines its ordinal in names; any
+// other record's database actions are re-applied, then Vm channel state
+// is rebuilt — what the record creates, and what it accepts, be it a Vm
+// acceptance or a commit that consumed Vm.
+func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, names *wal.Names, sum *Summary) error {
 	apply := func(actions []wal.Action) error {
 		n, err := db.ApplyAll(r.LSN, actions)
 		if err != nil {
@@ -142,7 +152,7 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, sum *Summary) error
 	}
 	switch r.Kind {
 	case wal.RecVmCreate:
-		rec, err := wal.DecodeVmCreate(r.Data)
+		rec, err := names.DecodeVmCreate(r.Data)
 		if err != nil {
 			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
@@ -152,7 +162,7 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, sum *Summary) error
 		vm.Created(rec.Msgs)
 		sum.VmRestored += len(rec.Msgs)
 	case wal.RecVmAccept:
-		rec, err := wal.DecodeVmAccept(r.Data)
+		rec, err := names.DecodeVmAccept(r.Data)
 		if err != nil {
 			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
@@ -160,12 +170,16 @@ func redo(r wal.Record, db *store.Durable, vm *vmsg.Manager, sum *Summary) error
 			return err
 		}
 	case wal.RecCommit:
-		rec, err := wal.DecodeCommit(r.Data)
+		rec, err := names.DecodeCommit(r.Data)
 		if err != nil {
 			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
 		if err := apply(rec.Actions); err != nil {
 			return err
+		}
+	case wal.RecName:
+		if _, err := names.DecodeName(r.Data); err != nil {
+			return fmt.Errorf("recovery: LSN %d: %w", r.LSN, err)
 		}
 	case wal.RecApplied, wal.RecCheckpoint, wal.RecClock:
 		// RecApplied marks a commit applied, which replay needs no

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"dvp/internal/ident"
 	"dvp/internal/store"
 	"dvp/internal/tstamp"
 	"dvp/internal/vmsg"
@@ -304,4 +305,64 @@ func TestRecoverRejectsNegativeAndUnknownKind(t *testing.T) {
 			t.Errorf("unknown record kind accepted: %v", err)
 		}
 	})
+}
+
+// A record that refers to an ordinal its log has not defined before it
+// fails the recovery — whatever its kind, and a checkpoint that gave
+// its items no ordinals before a compaction leaves every reference
+// behind it undefined — and so do a RecName that names no ordinal and
+// one that renames an ordinal. None of them becomes an action on an
+// empty name.
+func TestUndefinedOrdinalFailsRecovery(t *testing.T) {
+	ts := tstamp.Make(4, 1)
+	name := func(ord uint64, item string) wal.Record {
+		return wal.Record{Kind: wal.RecName, Data: (&wal.NameRec{Ord: ord, Item: ident.ItemID(item)}).Encode()}
+	}
+	ref := func(ord uint64) []wal.Action { return []wal.Action{{Item: "a", Delta: 1, SetTS: ts, Ord: ord}} }
+	placed := []wal.Record{
+		name(1, "a"),
+		{Kind: wal.RecCommit, Data: (&wal.CommitRec{Txn: ts, Actions: ref(1)}).Encode()},
+	}
+	for _, c := range []struct {
+		name    string
+		compact bool
+		recs    []wal.Record
+	}{
+		{"commit", false, []wal.Record{{Kind: wal.RecCommit, Data: (&wal.CommitRec{Txn: ts, Actions: ref(2)}).Encode()}}},
+		{"create", false, []wal.Record{{Kind: wal.RecVmCreate, Data: (&wal.VmCreateRec{
+			Actions: []wal.Action{{Item: "b", Delta: -1, Ord: 2}},
+			Msgs:    []wal.VmOut{{To: 2, Seq: 1, Item: "b", Amount: 1}},
+		}).Encode()}}},
+		{"accept", false, []wal.Record{{Kind: wal.RecVmAccept, Data: (&wal.VmAcceptRec{From: 2, Seq: 1, Actions: ref(2)}).Encode()}}},
+		{"reference ahead of its name", false, []wal.Record{
+			{Kind: wal.RecCommit, Data: (&wal.CommitRec{Txn: ts, Actions: ref(2)}).Encode()},
+			name(2, "b"),
+		}},
+		{"ordinal 0 named", false, []wal.Record{name(0, "b")}},
+		{"ordinal renamed", false, []wal.Record{name(1, "b")}},
+		{"checkpoint with no ordinals, compacted", true, []wal.Record{
+			{Kind: wal.RecCheckpoint, Data: (&wal.CheckpointRec{Items: []wal.CheckpointItem{{Item: "a", Value: 1}}}).Encode()},
+			{Kind: wal.RecCommit, Data: (&wal.CommitRec{Txn: ts, Actions: ref(1)}).Encode()},
+		}},
+	} {
+		l := wal.NewMemLog()
+		for _, r := range append(slices.Clone(placed), c.recs...) {
+			if _, err := l.Append(r.Kind, r.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.compact {
+			if err := l.Compact(uint64(len(placed))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := store.New()
+		_, err := Recover(l, db, vmsg.NewManager(), tstamp.NewClock(1))
+		if err == nil {
+			t.Errorf("%s: recovered", c.name)
+		}
+		if _, held := db.Get(""); held {
+			t.Errorf("%s: the store holds the empty name", c.name)
+		}
+	}
 }

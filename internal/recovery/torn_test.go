@@ -179,3 +179,65 @@ func TestTornCheckpointImageMatchesCorpusShape(t *testing.T) {
 		t.Error("tear dropped the whole log, not just the torn record")
 	}
 }
+
+// A batch that holds a RecName and the reference behind it is one frame
+// on disk, so a tear drops the two together: what survives refers to no
+// ordinal it does not define, and recovers. Tearing anywhere in the
+// second batch leaves the first whole; the log then takes the dropped
+// ordinal again, for another item.
+func TestTornBatchDropsANameWithItsReference(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "site.wal")
+	l, err := wal.OpenFileLog(path, wal.FileLogOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := func(ord uint64, item ident.ItemID, delta core.Value) []wal.BatchEntry {
+		return []wal.BatchEntry{
+			{Kind: wal.RecName, Data: (&wal.NameRec{Ord: ord, Item: item}).Encode()},
+			{Kind: wal.RecCommit, Data: (&wal.CommitRec{Actions: []wal.Action{{Item: item, Delta: delta, Ord: ord}}}).Encode()},
+		}
+	}
+	if _, err := l.AppendBatch(named(1, "a", 7)); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := int(fi.Size())
+	if _, err := l.AppendBatch(named(2, "b", 5)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	img, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := first + 1; cut < len(img); cut++ {
+		torn := filepath.Join(dir, fmt.Sprintf("torn-%d.wal", cut))
+		if err := os.WriteFile(torn, img[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := wal.OpenFileLog(torn, wal.FileLogOptions{})
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		db := store.New()
+		sum, err := Recover(l, db, vmsg.NewManager(), tstamp.NewClock(1))
+		if err != nil || l.LastLSN() != 2 {
+			t.Fatalf("cut=%d: recovered to LSN %d, %v; want the first batch whole", cut, l.LastLSN(), err)
+		}
+		if _, held := db.Get("b"); held || db.Value("a") != 7 {
+			t.Errorf("cut=%d: a=%d, b held %v; want 7 and no b", cut, db.Value("a"), held)
+		}
+		if _, err := l.AppendBatch(named(2, "c", 1)); err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if _, err := Recover(l, db, vmsg.NewManager(), tstamp.NewClock(1)); err != nil || db.Value("c") != 1 {
+			t.Errorf("cut=%d: ordinal 2 taken again: c=%d, %v", cut, db.Value("c"), err)
+		}
+		checkNames(t, sum.Names, map[ident.ItemID]uint64{"a": 1})
+		l.Close()
+	}
+}

@@ -168,9 +168,15 @@ var recordName = map[wal.RecordKind]string{
 // not pooled again. Each action's item remembers the record's LSN as
 // the last one applied to it — what a read that writes no record must
 // see stable before it answers (Run, handleRequest) — and takes the
-// action's SetTS as its stamp if that is higher. actions is borrowed
-// for the call.
+// action's SetTS as its stamp if that is higher. actions is the
+// record's own action slice, borrowed for the call: before encode runs,
+// each action takes its item's ordinal (name).
 func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), actions []wal.Action, mark func()) (durable, error) {
+	for i := range actions {
+		if err := s.name(&actions[i]); err != nil {
+			return durable{}, err
+		}
+	}
 	w := wire.GetWriter()
 	encode(w)
 	lsn, err := s.cfg.Log.Enqueue(kind, w.Bytes())
@@ -193,6 +199,29 @@ func (s *Site) enqueueApply(kind wal.RecordKind, encode func(*wire.Writer), acti
 		st.logged, st.ts = lsn, max(st.ts, a.SetTS)
 	}
 	return durable{kind: kind, lsn: lsn, w: w}, nil
+}
+
+// name gives a its item's ordinal in the site's log. An item this log
+// has not named yet takes the next one, and a RecName defining it is
+// enqueued first: it precedes every reference in LSN order, and rides
+// the force of the record that needs it. Nobody waits on it, so its
+// buffer is left to the collector. The ordinal lives in the item's
+// state, which a crash sweeps; a restart takes it from the log again
+// (recover). Caller holds the stripe of a's item.
+func (s *Site) name(a *wal.Action) error {
+	st := s.itemAt(s.stripeOf(a.Item), a.Item)
+	if st.ord == 0 {
+		if a.Item == "" {
+			return fmt.Errorf("site %v: an item needs a name", s.cfg.ID)
+		}
+		ord := s.ords.Add(1)
+		if _, err := s.enqueueApply(wal.RecName, (&wal.NameRec{Ord: ord, Item: a.Item}).EncodeTo, nil, nil); err != nil {
+			return err
+		}
+		st.ord = ord
+	}
+	a.Ord = st.ord
+	return nil
 }
 
 // waitForce is the second step: ask for d's record to be forced and
@@ -264,6 +293,9 @@ func (s *Site) logReservation(b uint64) error {
 func (s *Site) Place(shares []wal.Action) (placed []wal.Action, skipped []ident.ItemID, err error) {
 	var stripes uint64
 	for _, a := range shares {
+		if a.Item == "" {
+			return nil, nil, fmt.Errorf("site %v: a share of an item with no name", s.cfg.ID)
+		}
 		if a.Delta < 0 {
 			return nil, nil, fmt.Errorf("site %v: negative share %d of %q", s.cfg.ID, a.Delta, a.Item)
 		}

@@ -54,6 +54,13 @@ func (s *Site) checkpoint(auto bool) error {
 		Channels: s.vm.SnapshotChannels(),
 		Clock:    s.lamport.Claimed(),
 	}
+	// Each item carries its ordinal, so that the compaction below leaves
+	// every ordinal the log refers to defined.
+	for i := range rec.Items {
+		if st := s.items[s.stripeOf(rec.Items[i].Item)][rec.Items[i].Item]; st != nil {
+			rec.Items[i].Ord = st.ord
+		}
+	}
 	d, err := s.enqueueApply(wal.RecCheckpoint, rec.EncodeTo, nil, nil)
 	if err != nil {
 		return err

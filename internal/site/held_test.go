@@ -230,7 +230,9 @@ type logCounter struct {
 //     reservation record and one force at site 1; a draw below it costs
 //     nothing.
 //
-// No site ever logs a Vm with nothing to carry. The byte ceilings are
+// No site ever logs a Vm with nothing to carry, and each log names
+// every item once (namedOnce): the items are placed first, so every
+// record counted refers to its item by ordinal. The byte ceilings are
 // the measured sizes plus one byte, room for a timestamp's varint to
 // grow and none for a field per action.
 func TestCountBudgetPerOpKind(t *testing.T) {
@@ -313,33 +315,27 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		}
 	}
 
+	// Every item is placed, so each site's log has named it before the
+	// operations are counted.
 	for k, q := range []core.Value{1000, 0, 0} {
-		if err := tc.sites[k].DB().Create("local", q); err != nil {
-			t.Fatal(err)
-		}
+		place(t, tc.sites[k], "local", q)
 	}
 	check("local write", measure(func(int) {
 		if res := s.Run(reserve("local", 1)); !res.Committed() {
 			t.Fatalf("local write: %v", res.Status)
 		}
-	}), [3]cost{{1, 1, 11}, {}, {}})
+	}), [3]cost{{1, 1, 6}, {}, {}})
 
 	item := func(kind string, i int) ident.ItemID { return ident.ItemID(kind + "/" + string(rune('a'+i))) }
 	for i := 0; i < 5; i++ {
 		for k, q := range []core.Value{0, 1, 1} {
-			if err := tc.sites[k].DB().Create(item("short", i), q); err != nil {
-				t.Fatal(err)
-			}
+			place(t, tc.sites[k], item("short", i), q)
 		}
 		for k, q := range []core.Value{10, 10, 0} {
-			if err := tc.sites[k].DB().Create(item("read", i), q); err != nil {
-				t.Fatal(err)
-			}
+			place(t, tc.sites[k], item("read", i), q)
 		}
 		for k, q := range []core.Value{20, 0, 0} {
-			if err := tc.sites[k].DB().Create(item("all", i), q); err != nil {
-				t.Fatal(err)
-			}
+			place(t, tc.sites[k], item("all", i), q)
 		}
 	}
 	check("shortfall write", measure(func(i int) {
@@ -347,14 +343,14 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 		if !res.Committed() || res.VmAccepted != 2 {
 			t.Fatalf("shortfall write: %v with %d accepted", res.Status, res.VmAccepted)
 		}
-	}), [3]cost{{1, 1, 9}, {1, 1, 18}, {1, 1, 18}})
+	}), [3]cost{{1, 1, 9}, {1, 1, 11}, {1, 1, 11}})
 
 	check("full read", measure(func(i int) {
 		res := s.Run(readItem(item("read", i)))
 		if !res.Committed() || res.Reads[item("read", i)] != 20 {
 			t.Fatalf("full read: %v, read %d", res.Status, res.Reads[item("read", i)])
 		}
-	}), [3]cost{{1, 1, 15}, {1, 1, 17}, {}})
+	}), [3]cost{{1, 1, 9}, {1, 1, 11}, {}})
 	if n := counters[0].underLock.Load(); n != 0 {
 		t.Errorf("%d forces at site 1 started with a stripe held across them", n)
 	}
@@ -405,6 +401,7 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 
 	for k, c := range counters {
 		noEmptyVm(t, ident.SiteID(k+1), c.gl)
+		namedOnce(t, ident.SiteID(k+1), c.gl)
 	}
 }
 
@@ -413,11 +410,20 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 // every other Vm carries what was asked for or offered.
 func noEmptyVm(t *testing.T, site ident.SiteID, log wal.Log) {
 	t.Helper()
+	var names wal.Names
 	if err := log.Scan(1, func(r wal.Record) error {
-		if r.Kind != wal.RecVmCreate {
+		switch r.Kind {
+		case wal.RecName:
+			_, err := names.DecodeName(r.Data)
+			return err
+		case wal.RecCheckpoint:
+			_, err := names.DecodeCheckpoint(r.Data)
+			return err
+		case wal.RecVmCreate:
+		default:
 			return nil
 		}
-		rec, err := wal.DecodeVmCreate(r.Data)
+		rec, err := names.DecodeVmCreate(r.Data)
 		if err != nil {
 			return err
 		}
@@ -429,5 +435,72 @@ func noEmptyVm(t *testing.T, site ident.SiteID, log wal.Log) {
 		return nil
 	}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// namedOnce fails the test unless log names each item once: a RecName
+// gives an item no ordinal has named an ordinal no record has defined,
+// and from there on no record spells the item out — an action and a
+// checkpoint item refer to it by that ordinal — and none refers to an
+// ordinal not defined before it (a decode error). A checkpoint item
+// restates its ordinal, and defines it in a log compacted up to it.
+func namedOnce(t *testing.T, site ident.SiteID, log wal.Log) {
+	t.Helper()
+	var names wal.Names
+	ords := make(map[ident.ItemID]uint64)
+	ref := func(lsn, ord uint64, item ident.ItemID) {
+		if have, ok := ords[item]; ok && ord != have {
+			t.Errorf("site %v LSN %d refers to %q as %d, which ordinal %d names", site, lsn, item, ord, have)
+		}
+	}
+	actions := func(lsn uint64, as []wal.Action) {
+		for _, a := range as {
+			ref(lsn, a.Ord, a.Item)
+		}
+	}
+	if err := log.Scan(1, func(r wal.Record) error {
+		switch r.Kind {
+		case wal.RecName:
+			rec, err := names.DecodeName(r.Data)
+			if err != nil {
+				return err
+			}
+			if have, ok := ords[rec.Item]; ok {
+				t.Errorf("site %v LSN %d names %q again, as %d: ordinal %d names it", site, r.LSN, rec.Item, rec.Ord, have)
+			}
+			ords[rec.Item] = rec.Ord
+		case wal.RecCommit:
+			rec, err := names.DecodeCommit(r.Data)
+			if err != nil {
+				return err
+			}
+			actions(r.LSN, rec.Actions)
+		case wal.RecVmCreate:
+			rec, err := names.DecodeVmCreate(r.Data)
+			if err != nil {
+				return err
+			}
+			actions(r.LSN, rec.Actions)
+		case wal.RecVmAccept:
+			rec, err := names.DecodeVmAccept(r.Data)
+			if err != nil {
+				return err
+			}
+			actions(r.LSN, rec.Actions)
+		case wal.RecCheckpoint:
+			rec, err := names.DecodeCheckpoint(r.Data)
+			if err != nil {
+				return err
+			}
+			for _, it := range rec.Items {
+				ref(r.LSN, it.Ord, it.Item)
+				if _, ok := ords[it.Item]; !ok && it.Ord != 0 {
+					ords[it.Item] = it.Ord
+				}
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Errorf("site %v: %v", site, err)
 	}
 }

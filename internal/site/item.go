@@ -38,6 +38,11 @@ type itemState struct {
 	flow FlowVec
 	// demand is the rebalancer's demand cell (demand.go).
 	demand itemDemand
+	// ord is the item's ordinal in the site's log, 0 until a record of
+	// this epoch or the log recovery read has named it (admission.go:
+	// name). It comes from the site's own records alone: a store can
+	// hold an item no record of this log has named.
+	ord uint64
 	// logged is the LSN of the last record applied to the item: a read
 	// that writes no record — a full read's NoShare answer, or a
 	// transaction that changes nothing — answers only once the log is

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"dvp/internal/ident"
 	"dvp/internal/recovery"
 	"dvp/internal/tstamp"
 	"dvp/internal/wire"
@@ -17,9 +18,11 @@ import (
 
 // recover rebuilds the site from the stable log (§7): the clock, the
 // Vm manager, the demand cells and the store, each reset in place,
-// never replaced, and the stamp floor, set at the reservation recovery
-// resumed from. The per-item state needs nothing else here: it is
-// mutated only while the site is up, and Crash swept it (clearItems).
+// never replaced, the stamp floor, set at the reservation recovery
+// resumed from, and the item ordinals, as the log defines them, with
+// the counter above the highest. The rest of the per-item state needs
+// nothing here: it is mutated only while the site is up, and Crash
+// swept it (clearItems).
 func (s *Site) recover() error {
 	s.lamport.Reset()
 	s.vm.Reset()
@@ -32,6 +35,14 @@ func (s *Site) recover() error {
 		return fmt.Errorf("site %v: recovery made %d network calls", s.cfg.ID, sum.NetworkCalls)
 	}
 	s.floor = tstamp.Ceil(sum.Clock)
+	var top uint64
+	sum.Names.Each(func(ord uint64, item ident.ItemID) {
+		stripe, st := s.lockItem(item)
+		st.ord = ord
+		stripe.Unlock()
+		top = max(top, ord)
+	})
+	s.ords.Store(top)
 	s.obsm.recoverLat.Record(sum.Elapsed)
 	s.obsm.recoverRecords.Add(uint64(sum.RecordsScanned))
 	s.obsm.flight.Recordf(s.obsm.site, "recover",

@@ -37,8 +37,9 @@ func envelopeStamps(env *wire.Envelope) []tstamp.TS {
 }
 
 // recordStamps lists every timestamp a record holds, and the clock
-// reservation it makes (0 if none).
-func recordStamps(r wal.Record) (ts []tstamp.TS, reserves uint64, err error) {
+// reservation it makes (0 if none). names is the log's item table, fed
+// up to r.
+func recordStamps(r wal.Record, names *wal.Names) (ts []tstamp.TS, reserves uint64, err error) {
 	actions := func(as []wal.Action) {
 		for _, a := range as {
 			ts = append(ts, a.SetTS)
@@ -46,14 +47,14 @@ func recordStamps(r wal.Record) (ts []tstamp.TS, reserves uint64, err error) {
 	}
 	switch r.Kind {
 	case wal.RecCommit:
-		rec, err := wal.DecodeCommit(r.Data)
+		rec, err := names.DecodeCommit(r.Data)
 		if err != nil {
 			return nil, 0, err
 		}
 		ts = append(ts, rec.Txn)
 		actions(rec.Actions)
 	case wal.RecVmCreate:
-		rec, err := wal.DecodeVmCreate(r.Data)
+		rec, err := names.DecodeVmCreate(r.Data)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -62,17 +63,20 @@ func recordStamps(r wal.Record) (ts []tstamp.TS, reserves uint64, err error) {
 			ts = append(ts, v.ReqTxn)
 		}
 	case wal.RecVmAccept:
-		rec, err := wal.DecodeVmAccept(r.Data)
+		rec, err := names.DecodeVmAccept(r.Data)
 		if err != nil {
 			return nil, 0, err
 		}
 		actions(rec.Actions)
 	case wal.RecCheckpoint:
-		rec, err := wal.DecodeCheckpoint(r.Data)
+		rec, err := names.DecodeCheckpoint(r.Data)
 		if err != nil {
 			return nil, 0, err
 		}
 		return nil, rec.Clock, nil
+	case wal.RecName:
+		_, err := names.DecodeName(r.Data)
+		return nil, 0, err
 	case wal.RecClock:
 		rec, err := wal.DecodeClock(r.Data)
 		if err != nil {
@@ -90,8 +94,9 @@ func recordStamps(r wal.Record) (ts []tstamp.TS, reserves uint64, err error) {
 func stampsCovered(t *testing.T, site ident.SiteID, log wal.Log) {
 	t.Helper()
 	var bound uint64
+	var names wal.Names
 	if err := log.Scan(1, func(r wal.Record) error {
-		ts, b, err := recordStamps(r)
+		ts, b, err := recordStamps(r, &names)
 		if err != nil {
 			return err
 		}
@@ -189,6 +194,7 @@ func TestNoStampAboveTheReservation(t *testing.T) {
 	for i, s := range tc.sites {
 		stampsCovered(t, s.ID(), tc.logs[i])
 		noEmptyVm(t, s.ID(), tc.logs[i])
+		namedOnce(t, s.ID(), tc.logs[i])
 	}
 }
 
@@ -364,4 +370,5 @@ func TestAcceptanceQueuesItsReservation(t *testing.T) {
 		t.Errorf("bound %d once the acceptance settled, want %d", b, bound+1+tstamp.Stride)
 	}
 	stampsCovered(t, 1, gl)
+	namedOnce(t, 1, gl)
 }

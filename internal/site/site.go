@@ -208,6 +208,9 @@ type Site struct {
 	// with a higher site id. recover sets it while the site is down,
 	// before Start publishes the epoch.
 	floor tstamp.TS
+	// ords hands out item ordinals (admission.go: name): the highest
+	// one given so far, in this epoch or in the log recovery read.
+	ords atomic.Uint64
 
 	// lifeMu fences message handling against Crash: handlers hold the
 	// read side, so when Crash returns holding the write side, no

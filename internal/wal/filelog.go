@@ -23,7 +23,7 @@ import (
 // its first record, then one frame per AppendBatch, so the unit of
 // framing is the unit of durability:
 //
-//	header = "DVPi" [u64 base][u32 crc32c(magic, base)]
+//	header = "DVPj" [u64 base][u32 crc32c(magic, base)]
 //	frame  = [uvarint n][u32 crc][body]                    n = len(body)
 //	body   = ([u8 kind][uvarint len][payload])+
 //
@@ -54,7 +54,7 @@ type FileLog struct {
 // fileMagic opens the header. Each change of the file or record format
 // takes a new one, and there is no reader for an earlier format: such a
 // log is refused as foreign, not misread.
-const fileMagic = "DVPi"
+const fileMagic = "DVPj"
 
 // headerSize is the header's length: magic, base LSN and CRC.
 const headerSize = len(fileMagic) + 8 + 4
@@ -243,7 +243,7 @@ func (l *FileLog) Instrument(reg *obs.Registry, labels ...string) {
 	l.appendLat = reg.Histogram("dvp_wal_append_seconds", labels...)
 	l.fsyncLat = reg.Histogram("dvp_wal_fsync_seconds", labels...)
 	l.recKind = make(map[RecordKind]*metrics.Counter)
-	for k := RecVmCreate; k <= RecClock; k++ {
+	for k := RecVmCreate; k <= RecName; k++ {
 		l.recKind[k] = reg.Counter("dvp_wal_records_total",
 			append([]string{"kind", k.String()}, labels...)...)
 	}

@@ -375,7 +375,8 @@ func TestFrameOutOfSequenceRejected(t *testing.T) {
 // checkpoint items that carried an applied LSN; "DVPg" logs had this
 // framing whole but no clock reservations, so a restart from one could
 // not resume the clock; "DVPh" logs had reservations, but checkpoint
-// items that carried a stamp.
+// items that carried a stamp; "DVPi" logs spelled out an item's name in
+// every record that mentions it.
 func TestOldFormatRefused(t *testing.T) {
 	body := []byte{1, byte(RecCommit), 3, 'o', 'l', 'd'} // firstLSN 1, one record
 	dvpw := append([]byte("DVPw"), byte(len(body)))
@@ -390,7 +391,10 @@ func TestOldFormatRefused(t *testing.T) {
 	dvph := binary.BigEndian.AppendUint64([]byte("DVPh"), 1)
 	dvph = binary.BigEndian.AppendUint32(dvph, crc32.Checksum(dvph, crcTable))
 	dvph, _ = appendFrame(dvph, 1, []BatchEntry{{Kind: RecCheckpoint, Data: []byte("old")}})
-	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf, "DVPg": dvpg, "DVPh": dvph} {
+	dvpi := binary.BigEndian.AppendUint64([]byte("DVPi"), 1)
+	dvpi = binary.BigEndian.AppendUint32(dvpi, crc32.Checksum(dvpi, crcTable))
+	dvpi, _ = appendFrame(dvpi, 1, []BatchEntry{{Kind: RecCommit, Data: []byte{4, 2, 1, 'x', 1}}})
+	for name, old := range map[string][]byte{"DVPw": dvpw, "DVPf": dvpf, "DVPg": dvpg, "DVPh": dvph, "DVPi": dvpi} {
 		path := t.TempDir() + "/wal.log"
 		if err := os.WriteFile(path, old, 0o644); err != nil {
 			t.Fatal(err)

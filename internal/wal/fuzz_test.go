@@ -2,14 +2,40 @@ package wal
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
+
+	"dvp/internal/ident"
 )
 
-// FuzzDecodeRecords drives every record decoder with arbitrary bytes:
+// fuzzOrdinals is how many ordinals fuzzNames defines: more than a
+// chaos run's logs give, so the captured records' references resolve.
+const fuzzOrdinals = 64
+
+// fuzzNames is a log's item table that defines ordinals 1 to
+// fuzzOrdinals.
+func fuzzNames() *Names {
+	n := new(Names)
+	for ord := uint64(1); ord <= fuzzOrdinals; ord++ {
+		if _, err := n.DecodeName((&NameRec{Ord: ord, Item: ident.ItemID(fmt.Sprintf("it/%d", ord))}).Encode()); err != nil {
+			panic(err)
+		}
+	}
+	return n
+}
+
+// FuzzDecodeRecords drives every record decoder with arbitrary bytes,
+// with no item table and with one that defines fuzzOrdinals ordinals:
 // no panics, and accepted records re-encode losslessly.
 func FuzzDecodeRecords(f *testing.F) {
 	f.Add((&CommitRec{Txn: 42, Actions: []Action{{Item: "x", Delta: -1, SetTS: 42}}}).Encode())
+	// The same commit referring to its item by a defined ordinal, and
+	// by one no table defines.
+	f.Add((&CommitRec{Txn: 42, Actions: []Action{{Item: "it/3", Delta: -1, Ord: 3}}}).Encode())
+	f.Add((&CommitRec{Txn: 42, Actions: []Action{{Item: "x", Delta: -1, Ord: fuzzOrdinals + 1}}}).Encode())
+	f.Add((&NameRec{Ord: 3, Item: "it/3"}).Encode())
+	f.Add((&VmAcceptRec{From: 3, Seq: 9, Actions: []Action{{Item: "it/5", Delta: 5, Ord: 5}}}).Encode())
 	// A shortfall commit that consumed two grants: its actions net them
 	// in, and its accepted list names them.
 	f.Add((&CommitRec{
@@ -42,9 +68,44 @@ func FuzzDecodeRecords(f *testing.F) {
 		},
 		Clock: 1 << 40,
 	}).Encode())
+	// A checkpoint that defines its items' ordinals, its pending Vm
+	// referring to them.
+	f.Add((&CheckpointRec{
+		Items: []CheckpointItem{{Item: "flight/A", Value: 40, Ord: 1}, {Item: "flight/B", Value: 1}},
+		Channels: []VmChannelState{{Peer: 2, OutSeq: 2, Pending: []VmOut{
+			{To: 2, Seq: 1, Item: "flight/A", Amount: 4, ReqTxn: 99},
+			{To: 2, Seq: 2, Item: "flight/B", Amount: 1, ReqTxn: 99},
+		}}},
+	}).Encode())
 	f.Add((&ClockRec{Bound: 3<<16 + 9}).Encode())
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		names := fuzzNames()
+		if rec, err := names.DecodeCommit(data); err == nil {
+			if got, err := names.DecodeCommit(rec.Encode()); err != nil || !bytes.Equal(got.Encode(), rec.Encode()) {
+				t.Fatalf("commit re-decode with names: %v", err)
+			}
+		}
+		if rec, err := names.DecodeVmCreate(data); err == nil {
+			if _, err := names.DecodeVmCreate(rec.Encode()); err != nil {
+				t.Fatalf("vm-create re-decode with names: %v", err)
+			}
+		}
+		if rec, err := names.DecodeVmAccept(data); err == nil {
+			if _, err := names.DecodeVmAccept(rec.Encode()); err != nil {
+				t.Fatalf("vm-accept re-decode with names: %v", err)
+			}
+		}
+		if rec, err := fuzzNames().DecodeName(data); err == nil {
+			if got, err := DecodeName(rec.Encode()); err != nil || *got != *rec {
+				t.Fatalf("name re-decode: %+v, %v", got, err)
+			}
+		}
+		if rec, err := fuzzNames().DecodeCheckpoint(data); err == nil {
+			if _, err := fuzzNames().DecodeCheckpoint(rec.Encode()); err != nil {
+				t.Fatalf("checkpoint re-decode with names: %v", err)
+			}
+		}
 		if rec, err := DecodeCommit(data); err == nil {
 			if _, err := DecodeCommit(rec.Encode()); err != nil {
 				t.Fatalf("commit re-decode: %v", err)

@@ -173,7 +173,7 @@ func (g *GroupLog) flusher() {
 		want := g.next - uint64(rest) - uint64(n)
 		g.inFlight = n
 		hook := g.hook
-		flushLat := g.flushLat
+		flushLat, batchHist, flushes, records := g.flushLat, g.batchHist, g.flushes, g.records
 		flight, flightSite := g.flight, g.flightSite
 		g.mu.Unlock()
 
@@ -192,9 +192,6 @@ func (g *GroupLog) flusher() {
 			flushLat.Record(time.Since(start))
 			// The batch-size histogram reuses the duration histogram's
 			// log-spaced buckets by encoding size n as n microseconds.
-			g.mu.Lock()
-			batchHist, flushes, records := g.batchHist, g.flushes, g.records
-			g.mu.Unlock()
 			batchHist.Record(time.Duration(n) * time.Microsecond)
 			flushes.Inc()
 			records.Add(uint64(n))

@@ -60,6 +60,9 @@ const (
 	// leaves the site before the record is stable, and a restart
 	// resumes the clock from the highest bound its log holds.
 	RecClock
+	// RecName gives an item its ordinal in the log: every later record
+	// refers to the item by it (names.go).
+	RecName
 )
 
 func (k RecordKind) String() string {
@@ -80,6 +83,8 @@ func (k RecordKind) String() string {
 		return "decision"
 	case RecClock:
 		return "clock"
+	case RecName:
+		return "name"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

@@ -11,9 +11,16 @@ import (
 )
 
 // Action is one database change within a log record: apply Delta to
-// the local quota of Item and, when SetTS is nonzero, advance the
-// value's timestamp to SetTS (committed transactions leave "correctly
-// updated timestamps", §7).
+// the local quota of Item. SetTS is the stamp the change carries: the
+// live site raises the item's Conc1 stamp to it as it applies the
+// record, and recovery ignores it (a restart floors every stamp at the
+// clock reservation instead).
+//
+// Ord is the ordinal Item has in the log the record is written to, or
+// 0: a log names an item once (RecName) and every later record refers
+// to it by ordinal, while an action with Ord 0 spells its item out. A
+// site's writer sets it as it enqueues the record; decoding sets it to
+// what the record carried.
 //
 // Redo idempotence (§7: "the redoing actions must be idempotent") comes
 // from the replay's starting point, not from the action: a restart
@@ -24,12 +31,13 @@ type Action struct {
 	Item  ident.ItemID
 	Delta core.Value
 	SetTS tstamp.TS
+	Ord   uint64
 }
 
 func encodeActions(w *wire.Writer, as []Action) {
 	w.U64(uint64(len(as)))
 	for _, a := range as {
-		w.String(string(a.Item))
+		writeItem(w, a.Ord, a.Item)
 		w.I64(int64(a.Delta))
 		w.TS(a.SetTS)
 	}
@@ -39,18 +47,17 @@ func encodeActions(w *wire.Writer, as []Action) {
 // A count above it is a decode error, never an empty section.
 const maxCount = 1 << 16
 
-func decodeActions(r *wire.Reader) []Action {
+func decodeActions(r *wire.Reader, names *Names) []Action {
 	n := r.Count(maxCount)
 	if n == 0 {
 		return nil
 	}
 	as := make([]Action, 0, n)
 	for i := uint64(0); i < n; i++ {
-		as = append(as, Action{
-			Item:  ident.ItemID(r.String()),
-			Delta: core.Value(r.I64()),
-			SetTS: r.TS(),
-		})
+		var a Action
+		a.Ord, a.Item = readItem(r, names)
+		a.Delta, a.SetTS = core.Value(r.I64()), r.TS()
+		as = append(as, a)
 	}
 	return as
 }
@@ -88,8 +95,10 @@ const (
 // several actions). The impliedItem bit is set when every Vm is for
 // that action's item, the impliedReqTxn bit when every Vm's ReqTxn is
 // that action's SetTS — always so under Conc1, which stamps the item at
-// the requester's timestamp — and then no Vm spells that field out.
-func encodeVmOuts(w *wire.Writer, vs []VmOut, implied *Action) {
+// the requester's timestamp — and then no Vm spells that field out. A
+// Vm that does writes its item as a reference to the ordinal ords gives
+// it, inline where ords gives none.
+func encodeVmOuts(w *wire.Writer, vs []VmOut, implied *Action, ords map[ident.ItemID]uint64) {
 	head := uint64(0)
 	if implied != nil && len(vs) > 0 {
 		head = impliedItem | impliedReqTxn
@@ -107,7 +116,7 @@ func encodeVmOuts(w *wire.Writer, vs []VmOut, implied *Action) {
 		w.Site(v.To)
 		w.U64(v.Seq)
 		if head&impliedItem == 0 {
-			w.String(string(v.Item))
+			writeItem(w, ords[v.Item], v.Item)
 		}
 		w.I64(int64(v.Amount))
 		if head&impliedReqTxn == 0 {
@@ -117,7 +126,7 @@ func encodeVmOuts(w *wire.Writer, vs []VmOut, implied *Action) {
 	}
 }
 
-func decodeVmOuts(r *wire.Reader, implied *Action) []VmOut {
+func decodeVmOuts(r *wire.Reader, implied *Action, names *Names) []VmOut {
 	head := r.Count(maxCount<<2 | 3)
 	if head&3 != 0 && implied == nil {
 		r.Fail(errors.New("vm fields left out with no action to imply them"))
@@ -132,7 +141,7 @@ func decodeVmOuts(r *wire.Reader, implied *Action) []VmOut {
 		if head&impliedItem != 0 {
 			v.Item = implied.Item
 		} else {
-			v.Item = ident.ItemID(r.String())
+			_, v.Item = readItem(r, names)
 		}
 		v.Amount = core.Value(r.I64())
 		if head&impliedReqTxn != 0 {
@@ -176,14 +185,18 @@ func (rec *VmCreateRec) Encode() []byte {
 // so hot-path callers can reuse a pooled Writer.
 func (rec *VmCreateRec) EncodeTo(w *wire.Writer) {
 	encodeActions(w, rec.Actions)
-	encodeVmOuts(w, rec.Msgs, impliedBy(rec.Actions))
+	encodeVmOuts(w, rec.Msgs, impliedBy(rec.Actions), nil)
 }
 
-// DecodeVmCreate parses a RecVmCreate payload.
-func DecodeVmCreate(data []byte) (*VmCreateRec, error) {
+// DecodeVmCreate parses a RecVmCreate payload that spells out every
+// item it names; a reference to an ordinal is a decode error.
+func DecodeVmCreate(data []byte) (*VmCreateRec, error) { return (*Names)(nil).DecodeVmCreate(data) }
+
+// DecodeVmCreate parses a RecVmCreate payload of n's log.
+func (n *Names) DecodeVmCreate(data []byte) (*VmCreateRec, error) {
 	r := wire.NewReader(data)
-	rec := &VmCreateRec{Actions: decodeActions(r)}
-	rec.Msgs = decodeVmOuts(r, impliedBy(rec.Actions))
+	rec := &VmCreateRec{Actions: decodeActions(r, n)}
+	rec.Msgs = decodeVmOuts(r, impliedBy(rec.Actions), n)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: vm-create: %w", err)
 	}
@@ -216,13 +229,17 @@ func (rec *VmAcceptRec) EncodeTo(w *wire.Writer) {
 	encodeActions(w, rec.Actions)
 }
 
-// DecodeVmAccept parses a RecVmAccept payload.
-func DecodeVmAccept(data []byte) (*VmAcceptRec, error) {
+// DecodeVmAccept parses a RecVmAccept payload that spells out every
+// item it names; a reference to an ordinal is a decode error.
+func DecodeVmAccept(data []byte) (*VmAcceptRec, error) { return (*Names)(nil).DecodeVmAccept(data) }
+
+// DecodeVmAccept parses a RecVmAccept payload of n's log.
+func (n *Names) DecodeVmAccept(data []byte) (*VmAcceptRec, error) {
 	r := wire.NewReader(data)
 	rec := &VmAcceptRec{
 		From:    r.Site(),
 		Seq:     r.U64(),
-		Actions: decodeActions(r),
+		Actions: decodeActions(r, n),
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: vm-accept: %w", err)
@@ -249,8 +266,9 @@ type VmRef struct {
 //
 // Layout: Txn, then the action count shifted left one bit with the low
 // bit set iff an accepted list follows, then that list — its count and
-// each (from, seq) — then each action as (item, delta). A commit that
-// accepted nothing pays no byte for the list.
+// each (from, seq) — then each action as (item reference, delta). A
+// commit that accepted nothing pays no byte for the list, and one that
+// refers to its item by ordinal pays one byte for it.
 type CommitRec struct {
 	Txn      tstamp.TS
 	Actions  []Action
@@ -280,7 +298,7 @@ func (rec *CommitRec) EncodeTo(w *wire.Writer) {
 		}
 	}
 	for _, a := range rec.Actions {
-		w.String(string(a.Item))
+		writeItem(w, a.Ord, a.Item)
 		w.I64(int64(a.Delta))
 	}
 }
@@ -300,20 +318,23 @@ func decodeCommitHead(r *wire.Reader) (txn tstamp.TS, actions uint64, accepted [
 	return txn, head >> 1, accepted
 }
 
-// DecodeCommit parses a RecCommit payload.
-func DecodeCommit(data []byte) (*CommitRec, error) {
+// DecodeCommit parses a RecCommit payload that spells out every item
+// it names; a reference to an ordinal is a decode error.
+func DecodeCommit(data []byte) (*CommitRec, error) { return (*Names)(nil).DecodeCommit(data) }
+
+// DecodeCommit parses a RecCommit payload of n's log.
+func (n *Names) DecodeCommit(data []byte) (*CommitRec, error) {
 	r := wire.NewReader(data)
 	rec := &CommitRec{}
-	var n uint64
-	rec.Txn, n, rec.Accepted = decodeCommitHead(r)
-	if n > 0 {
-		rec.Actions = make([]Action, 0, n)
-		for i := uint64(0); i < n; i++ {
-			rec.Actions = append(rec.Actions, Action{
-				Item:  ident.ItemID(r.String()),
-				Delta: core.Value(r.I64()),
-				SetTS: rec.Txn,
-			})
+	var c uint64
+	rec.Txn, c, rec.Accepted = decodeCommitHead(r)
+	if c > 0 {
+		rec.Actions = make([]Action, 0, c)
+		for i := uint64(0); i < c; i++ {
+			a := Action{SetTS: rec.Txn}
+			a.Ord, a.Item = readItem(r, n)
+			a.Delta = core.Value(r.I64())
+			rec.Actions = append(rec.Actions, a)
 		}
 	}
 	if err := r.Done(); err != nil {
@@ -344,7 +365,8 @@ func Accepted(r Record) ([]VmRef, error) {
 
 // AppliedRec is the §5 step-6 record: the changes logged at CommitLSN
 // have been carried out against the database. Sites no longer write
-// it (see RecApplied); the codec stays for the logs that contain it.
+// it (see RecApplied), and no log this build opens holds one: the codec
+// stays only because the benchmark harness still names it.
 type AppliedRec struct {
 	CommitLSN uint64
 }
@@ -373,10 +395,14 @@ func DecodeApplied(data []byte) (*AppliedRec, error) {
 
 // CheckpointItem is one item's durable state inside a checkpoint: its
 // local quota. The item's Conc1 stamp is not durable state: a restart
-// floors every stamp at the clock reservation instead.
+// floors every stamp at the clock reservation instead. Ord is the
+// item's ordinal in the log, or 0 if the log has given it none: the
+// checkpoint defines it again, so that a log compacted up to the
+// checkpoint still defines every ordinal the rest of it refers to.
 type CheckpointItem struct {
 	Item  ident.ItemID
 	Value core.Value
+	Ord   uint64
 }
 
 // VmChannelState is the complete per-peer Vm channel state inside a
@@ -395,7 +421,10 @@ type VmChannelState struct {
 
 // CheckpointRec snapshots store and Vm state so recovery can bound its
 // log scan (§7: "by using checkpointing mechanisms, the number of redo
-// actions required can be reduced in the usual manner").
+// actions required can be reduced in the usual manner"). Each item is
+// written as (ordinal, name); a pending Vm refers to its item by the
+// ordinal the checkpoint's own items give it, so a checkpoint decodes
+// alone.
 type CheckpointRec struct {
 	Items    []CheckpointItem
 	Channels []VmChannelState
@@ -415,16 +444,24 @@ func (rec *CheckpointRec) Encode() []byte {
 // EncodeTo appends the record payload to w (byte-identical to Encode).
 func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 	w.U64(uint64(len(rec.Items)))
+	var ords map[ident.ItemID]uint64
 	for _, it := range rec.Items {
+		w.U64(it.Ord)
 		w.String(string(it.Item))
 		w.I64(int64(it.Value))
+		if it.Ord != 0 {
+			if ords == nil {
+				ords = make(map[ident.ItemID]uint64)
+			}
+			ords[it.Item] = it.Ord
+		}
 	}
 	w.U64(uint64(len(rec.Channels)))
 	for _, ch := range rec.Channels {
 		w.Site(ch.Peer)
 		w.U64(ch.OutSeq)
 		w.U64(ch.CumAck)
-		encodeVmOuts(w, ch.Pending, nil)
+		encodeVmOuts(w, ch.Pending, nil, ords)
 		w.U64(ch.InLow)
 		w.U64(uint64(len(ch.InAbove)))
 		for _, s := range ch.InAbove {
@@ -434,17 +471,23 @@ func (rec *CheckpointRec) EncodeTo(w *wire.Writer) {
 	w.U64(rec.Clock)
 }
 
-// DecodeCheckpoint parses a RecCheckpoint payload.
-func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
+// DecodeCheckpoint parses a RecCheckpoint payload on its own.
+func DecodeCheckpoint(data []byte) (*CheckpointRec, error) { return new(Names).DecodeCheckpoint(data) }
+
+// DecodeCheckpoint parses a RecCheckpoint payload of n's log and
+// defines in n the ordinal of each item it carries.
+func (n *Names) DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 	r := wire.NewReader(data)
 	rec := &CheckpointRec{}
-	n := r.Count(1 << 20)
-	rec.Items = make([]CheckpointItem, 0, n)
-	for i := uint64(0); i < n; i++ {
-		rec.Items = append(rec.Items, CheckpointItem{
-			Item:  ident.ItemID(r.String()),
-			Value: core.Value(r.I64()),
-		})
+	c := r.Count(1 << 20)
+	rec.Items = make([]CheckpointItem, 0, c)
+	for i := uint64(0); i < c; i++ {
+		it := CheckpointItem{Ord: r.U64(), Item: ident.ItemID(r.String()), Value: core.Value(r.I64())}
+		checkName(r, it.Item)
+		if it.Ord != 0 && r.Err() == nil {
+			n.define(r, it.Ord, it.Item)
+		}
+		rec.Items = append(rec.Items, it)
 	}
 	m := r.Count(maxCount)
 	rec.Channels = make([]VmChannelState, 0, m)
@@ -453,7 +496,7 @@ func DecodeCheckpoint(data []byte) (*CheckpointRec, error) {
 			Peer:    r.Site(),
 			OutSeq:  r.U64(),
 			CumAck:  r.U64(),
-			Pending: decodeVmOuts(r, nil),
+			Pending: decodeVmOuts(r, nil, n),
 			InLow:   r.U64(),
 		}
 		k := r.Count(1 << 20)
@@ -519,7 +562,7 @@ func DecodePrepare(data []byte) (*PrepareRec, error) {
 	rec := &PrepareRec{
 		Txn:    r.TS(),
 		Coord:  r.Site(),
-		Writes: decodeActions(r),
+		Writes: decodeActions(r, nil),
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("wal: prepare: %w", err)

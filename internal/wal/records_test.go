@@ -83,16 +83,16 @@ func TestAppliedRoundTrip(t *testing.T) {
 	}
 }
 
-// A checkpoint item is its name and value, and nothing else:
-// "flight/A" = 25 takes 1+8 B of name and 1 B of value. It carries no
-// applied LSN — the image holds exactly the records below the
-// checkpoint, and replay starts into it — and no stamp: a restart
-// floors every stamp at the clock reservation.
+// A checkpoint item is its ordinal, name and value, and nothing else:
+// "flight/A" = 25 at ordinal 3 takes 1 B of ordinal, 1+8 B of name and
+// 1 B of value. It carries no applied LSN — the image holds exactly the
+// records below the checkpoint, and replay starts into it — and no
+// stamp: a restart floors every stamp at the clock reservation.
 func TestCheckpointItemSize(t *testing.T) {
 	empty := len((&CheckpointRec{}).Encode())
-	one := len((&CheckpointRec{Items: []CheckpointItem{{Item: "flight/A", Value: 25}}}).Encode())
-	if got := one - empty; got != 10 {
-		t.Errorf("one checkpoint item takes %d B, want 10", got)
+	one := len((&CheckpointRec{Items: []CheckpointItem{{Item: "flight/A", Value: 25, Ord: 3}}}).Encode())
+	if got := one - empty; got != 11 {
+		t.Errorf("one checkpoint item takes %d B, want 11", got)
 	}
 }
 
@@ -221,6 +221,9 @@ func TestCommitRoundTripProperty(t *testing.T) {
 			rec.Accepted = append(rec.Accepted, VmRef{From: ident.SiteID(from), Seq: seq})
 		}
 		got, err := DecodeCommit(rec.Encode())
+		if item == "" { // no item has an empty name
+			return err != nil
+		}
 		return err == nil && reflect.DeepEqual(got, rec)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -244,9 +247,15 @@ func TestCommitNamesItsStampOnce(t *testing.T) {
 	if err != nil || got.Actions[0].SetTS != ts {
 		t.Fatalf("decoded %+v, %v; want the action stamped %v", got, err, ts)
 	}
-	// Txn, a one-byte head, "it/17" with its length, a one-byte delta.
-	if want := len(encodeTS(ts)) + 1 + 6 + 1; len(plain) != want {
+	// Txn, a one-byte head, ordinal 0 and "it/17" with its length, a
+	// one-byte delta; with the item's ordinal in place of its name, the
+	// 7 B a site writes for a local commit.
+	if want := len(encodeTS(ts)) + 1 + 1 + 6 + 1; len(plain) != want {
 		t.Errorf("plain commit is %d bytes, want %d", len(plain), want)
+	}
+	ref := (&CommitRec{Txn: ts, Actions: []Action{{Item: "it/17", Delta: -1, Ord: 5}}}).Encode()
+	if want := len(encodeTS(ts)) + 1 + 1 + 1; len(ref) != want || want != 7 {
+		t.Errorf("commit referring to its item is %d bytes, want %d = 7", len(ref), want)
 	}
 	placement, err := DecodeCommit((&CommitRec{Actions: []Action{{Item: "a", Delta: 5}}}).Encode())
 	if err != nil || !placement.Actions[0].SetTS.IsZero() {
@@ -269,8 +278,8 @@ func TestVmCreateNamesItsItemOnce(t *testing.T) {
 		}
 	}
 	same, other := rec("it/17").Encode(), rec("it/18").Encode()
-	if len(other)-len(same) != 6 {
-		t.Errorf("a Vm for the action's item saves %d bytes, want its 6", len(other)-len(same))
+	if len(other)-len(same) != 7 {
+		t.Errorf("a Vm for the action's item saves %d bytes, want its 7 (ordinal 0 and the name)", len(other)-len(same))
 	}
 	for _, r := range []*VmCreateRec{rec("it/17"), rec("it/18")} {
 		got, err := DecodeVmCreate(r.Encode())
