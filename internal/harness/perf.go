@@ -89,9 +89,10 @@ func expP1() Experiment {
 			return &Result{ID: "P1", Title: "group-commit throughput", Table: table,
 				Notes: []string{
 					"expected shape: one force covers the whole batch, so tps scales with",
-					"committers; the device forces one write at a time, so committers split",
-					"between two alternating forces and mean-batch is about half their count.",
-					"Sites scale throughput linearly — each site owns its log.",
+					"committers; each force holds for the committers the last one released,",
+					"so most of them share it: mean-batch approaches the committer count",
+					"(not half of it, as when forces alternated). Sites scale throughput",
+					"linearly — each site owns its log.",
 				}}, nil
 		},
 	}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -85,8 +86,20 @@ func TestRunP1Quick(t *testing.T) {
 	}
 	res := runQuick(t, "P1")
 	// Quick sweep: 2 site counts × 2 committer counts.
-	if got := len(res.Table.Rows()); got != 4 {
-		t.Errorf("P1 rows = %d, want 4", got)
+	rows := res.Table.Rows()
+	if got := len(rows); got != 4 {
+		t.Fatalf("P1 rows = %d, want 4", got)
+	}
+	// A count, not a rate: eight committers on one site share forces
+	// because each force holds for the cohort the last one released,
+	// instead of splitting between two alternating forces (≈ 4).
+	for _, row := range rows {
+		if row[0] != "1" || row[1] != "8" {
+			continue
+		}
+		if batch, err := strconv.ParseFloat(row[3], 64); err != nil || batch < 6 {
+			t.Errorf("P1 at 1 site × 8 committers: mean-batch %s, want ≥ 6", row[3])
+		}
 	}
 }
 

@@ -29,23 +29,23 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 
 	stripe, st := s.lockItem(req.Item)
 
-	decline := func(reason string) {
+	decline := func(reason declineReason) {
 		stripe.Unlock()
-		s.obsm.forPeer(from).declined.Inc()
-		s.obsm.flight.Recordf(s.obsm.site, "rds-decline", "from=%v item=%s txn=%v reason=%s", from, req.Item, req.Txn, reason)
-		hop.Finish("declined:" + reason)
+		s.obsm.forPeer(from).declined[reason].Inc()
+		s.obsm.flight.Recordf(s.obsm.site, "rds-decline", "from=%v item=%s txn=%v reason=%v", from, req.Item, req.Txn, reason)
+		hop.Finish("declined:" + reason.String())
 	}
 
 	// "If there is currently a lock on d_j, site s_j can simply
 	// decide not to honor the request" (§5).
 	if st.holder != ident.NoTxn {
-		decline("locked")
+		decline(declineLocked)
 		return
 	}
 	// Concurrency control admission (§6.1): honor only if
 	// TS(t) > TS(d_j) under Conc1.
 	if !s.policy.AllowLock(req.Txn, s.stampOf(st)) {
-		decline("cc")
+		decline(declineCC)
 		// The requester's clock lags the item's stamp — by up to a
 		// Stride once a restart floored it — and an ack carries this
 		// site's clock back, so its next request draws above the stamp.
@@ -55,7 +55,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	// Full reads require the complete local share: no outstanding Vm
 	// may still carry this item away from us (§5).
 	if req.FullRead && s.vm.HasOutstanding(req.Item) {
-		decline("outstanding-vm")
+		decline(declineOutstanding)
 		return
 	}
 	have := s.cfg.DB.Value(req.Item)
@@ -71,7 +71,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		if grant <= 0 {
 			// Nothing useful to give; ignoring the request is
 			// always safe — the requester's timeout bounds it.
-			decline("no-grant")
+			decline(declineNoGrant)
 			return
 		}
 	}
@@ -87,7 +87,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 	applied, err := s.createVm(stripe, st, req.Txn, ident.NoTxn, &v, hop)
 	if !applied {
-		decline("log-error")
+		decline(declineLogError)
 		return
 	}
 	if err != nil {
@@ -120,8 +120,8 @@ func (s *Site) answerNoShare(stripe *sync.Mutex, st *itemState, from ident.SiteI
 	stripe.Unlock()
 	if err := s.cfg.Log.WaitDurable(fence); err != nil || !s.Up() {
 		// The fenced record's writer stops the site; the read times out.
-		s.obsm.forPeer(from).declined.Inc()
-		hop.Finish("declined:log-error")
+		s.obsm.forPeer(from).declined[declineLogError].Inc()
+		hop.Finish("declined:" + declineLogError.String())
 		return
 	}
 	s.send(from, m)

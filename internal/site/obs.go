@@ -14,9 +14,10 @@ type peerObs struct {
 	// asksSent counts §5 step-2 quota requests we sent to the peer.
 	asksSent *metrics.Counter
 	// honored / declined count requests *from* the peer by our
-	// decision — honored/(honored+declined) is the honor rate.
+	// decision — honored/(honored+declined) is the honor rate; a
+	// decline is counted under its reason.
 	honored  *metrics.Counter
-	declined *metrics.Counter
+	declined [len(declineReasons)]*metrics.Counter
 	// vmCreated counts Vm we created toward the peer; vmAccepted and
 	// vmDups count inbound Vm from the peer accepted exactly-once vs
 	// dropped as duplicates.
@@ -87,16 +88,36 @@ type siteObs struct {
 }
 
 func newPeerObs(reg *obs.Registry, site, peer string) *peerObs {
-	return &peerObs{
+	po := &peerObs{
 		asksSent:   reg.Counter("dvp_site_quota_asks_total", "site", site, "peer", peer),
 		honored:    reg.Counter("dvp_site_requests_honored_total", "site", site, "peer", peer),
-		declined:   reg.Counter("dvp_site_requests_declined_total", "site", site, "peer", peer),
 		vmCreated:  reg.Counter("dvp_vmsg_created_total", "site", site, "peer", peer),
 		vmAccepted: reg.Counter("dvp_vmsg_accepted_total", "site", site, "peer", peer),
 		vmDups:     reg.Counter("dvp_vmsg_dup_drops_total", "site", site, "peer", peer),
 		sendErrs:   reg.Counter("dvp_site_send_errors_total", "site", site, "peer", peer),
 	}
+	for r, reason := range declineReasons {
+		po.declined[r] = reg.Counter("dvp_site_requests_declined_total", "site", site, "peer", peer, "reason", reason)
+	}
+	return po
 }
+
+// declineReason is why handleRequest declined a peer's request.
+type declineReason uint8
+
+const (
+	declineLocked      declineReason = iota // the item is locked (§5)
+	declineCC                               // TS(t) ≤ TS(d_j) under Conc1 (§6.1)
+	declineOutstanding                      // a full read meets an outstanding Vm
+	declineNoGrant                          // the grant policy gives nothing
+	declineLogError                         // the log refused the create, or the fence's force failed
+)
+
+// declineReasons names each declineReason, in its order: the values of
+// dvp_site_requests_declined_total's reason label.
+var declineReasons = [...]string{"locked", "cc", "outstanding-vm", "no-grant", "log-error"}
+
+func (r declineReason) String() string { return declineReasons[r] }
 
 // initObs resolves the site's metric handles against cfg.Metrics and
 // instruments the Vm manager. Called once from New.

@@ -1,6 +1,7 @@
 package site
 
 import (
+	"errors"
 	"fmt"
 	"regexp"
 	"slices"
@@ -12,7 +13,9 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/simnet"
+	"dvp/internal/tstamp"
 	"dvp/internal/txn"
+	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
@@ -225,4 +228,75 @@ func TestMetricsSeriesBounded(t *testing.T) {
 		t.Errorf("series grow with items or labels: %d series at 4 items / 2 labels, %d at 256 / 64; first extra: %v",
 			len(small), len(large), extra[:min(len(extra), 5)])
 	}
+}
+
+// Every reason handleRequest declines for moves its own series of
+// dvp_site_requests_declined_total, and only that one. Site 2 asks site
+// 1, which is handed each request directly; the link back to site 2 is
+// down, so a Vm site 1 grants stays outstanding.
+func TestDeclineReasonsCountApart(t *testing.T) {
+	tc, reg, _ := obsCluster(t, 2, simnet.Config{Seed: 44})
+	donor := tc.sites[0]
+	tc.net.SetLink(1, 2, false)
+	const empty, held, granted = ident.ItemID("empty"), ident.ItemID("held"), ident.ItemID("granted")
+	place(t, donor, empty, 0)
+	place(t, donor, held, 10)
+	place(t, donor, granted, 10)
+	counter := donor.lamport.Bound() + 1
+	ask := func(item ident.ItemID, fullRead bool, ts tstamp.TS) {
+		t.Helper()
+		donor.handle(&wire.Envelope{From: 2, To: 1, Lamport: ts, Msg: &wire.Request{Txn: ts, Item: item, Want: 1, FullRead: fullRead}})
+	}
+	next := func() tstamp.TS {
+		counter++
+		return tstamp.Make(counter, 2)
+	}
+	declined := func() map[string]uint64 {
+		m := make(map[string]uint64, len(declineReasons))
+		for _, r := range declineReasons {
+			m[r] = reg.CounterValue("dvp_site_requests_declined_total", "site", "s1", "peer", "s2", "reason", r)
+		}
+		return m
+	}
+	expect := func(reason string, do func()) {
+		t.Helper()
+		before := declined()
+		do()
+		after := declined()
+		for _, r := range declineReasons {
+			want := before[r]
+			if r == reason {
+				want++
+			}
+			if after[r] != want {
+				t.Errorf("after a %s decline: reason=%q reads %d, want %d", reason, r, after[r], want)
+			}
+		}
+	}
+
+	expect("no-grant", func() { ask(empty, false, next()) })
+	expect("locked", func() {
+		stripe, st := donor.lockItem(held)
+		st.holder = 99
+		stripe.Unlock()
+		ask(held, false, next())
+		stripe, st = donor.lockItem(held)
+		st.holder = ident.NoTxn
+		stripe.Unlock()
+	})
+	// A grant stamps the item at its requester's timestamp and leaves a
+	// Vm outstanding: a request below the stamp fails Conc1, and a full
+	// read above it meets the Vm.
+	stamp := next()
+	honored := donor.Stats().RequestsHonored
+	ask(granted, false, stamp)
+	if donor.Stats().RequestsHonored != honored+1 {
+		t.Fatal("site 1 did not honor the request that leaves a Vm outstanding")
+	}
+	expect("cc", func() { ask(granted, false, tstamp.Make(stamp.Counter()-1, 2)) })
+	expect("outstanding-vm", func() { ask(granted, true, next()) })
+	expect("log-error", func() {
+		tc.logs[0].SetAppendHook(func(wal.Record) error { return errors.New("disk full") })
+		ask(held, false, next())
+	})
 }

@@ -379,7 +379,9 @@ func (s *Site) Stats() Stats {
 	addPeer := func(po *peerObs) {
 		st.RequestsSent += po.asksSent.Value()
 		st.RequestsHonored += po.honored.Value()
-		st.RequestsDeclined += po.declined.Value()
+		for _, c := range po.declined {
+			st.RequestsDeclined += c.Value()
+		}
 		st.VmCreated += po.vmCreated.Value()
 		st.VmAccepted += po.vmAccepted.Value()
 		st.VmDuplicates += po.vmDups.Value()

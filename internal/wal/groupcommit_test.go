@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -495,6 +496,16 @@ func TestGroupLogInstrument(t *testing.T) {
 	}
 	if h := reg.Histogram("dvp_wal_group_batch", "site", "1"); h.Count() == 0 {
 		t.Error("batch size histogram empty")
+	}
+	text := reg.Render()
+	for _, series := range []string{
+		`dvp_wal_group_holds_total{outcome="joined",site="1"} 0`,
+		`dvp_wal_group_holds_total{outcome="timeout",site="1"} 0`,
+		`dvp_wal_group_hold_seconds_count{site="1"} 0`,
+	} {
+		if !strings.Contains(text, series) {
+			t.Errorf("exposition lacks %s:\n%s", series, text)
+		}
 	}
 }
 

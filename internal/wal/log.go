@@ -11,7 +11,9 @@
 // for the dvpnode binary that writes each force as one CRC-protected
 // frame and drops a torn one whole at reopen. A site's log is always a
 // GroupLog over one device, so its records are forced in groups, on
-// demand, off the item's stripe.
+// demand, off the item's stripe. When a force starts is the GroupLog's
+// policy alone: it may hold one for the committers the previous force
+// released, judged by what the log measures (see GroupLog).
 package wal
 
 import (
