@@ -74,8 +74,9 @@ fi
 # options and second paths the knob audit deleted (parallel replay, the
 # pre-hardening transport, the batch fallback, the byte checkpoint
 # trigger, the root package's even-share rebalancer, the ungrouped and
-# lingering site logs, the two-question resend rule and its site-side
-# cap, the optional trace tail, the record kind nobody wrote, the
+# lingering site logs, the group log's batch-size option, the
+# two-question resend rule and its site-side cap, the optional trace
+# tail, the record kind nobody wrote, the
 # waiter's accept tally, the tests of a zero-value Vm forced under its
 # stripe and of one riding its reader's commit (a full read's donor that
 # holds nothing answers NoShare now), the file log's per-record frame header and locked second
@@ -112,7 +113,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS|MaxBatch:'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -150,12 +151,17 @@ go test -race -shuffle=on ./...
 # holding a force for the committers it released (a pair sharing forces,
 # no hold for a lone committer or for returns slower than a force, one
 # timed-out hold for a committer that never returns, Reset and Close
-# cutting a hold short), and the
+# cutting a hold short), committers running their own forces where a
+# force costs less than waking the flusher (one hand-off for a lone
+# committer, none on a slow device, forces serial and in LSN order
+# under a race with the flusher, Reset, Close and a failed force over
+# a committer's force, and a chaos crash-in-flush trap firing from
+# one), and the
 # Vm resend schedule — vmsg's Due and a site pair driving it tick by
 # tick on virtual clocks — and the lock-free Lamport clock under mixed
 # draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' . ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp
+go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogInline|TestCrashInFlushFiresInline|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' . ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp ./internal/chaos
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

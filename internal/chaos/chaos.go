@@ -438,10 +438,11 @@ func (r *runner) apply(round int, e Event) {
 		}
 		site := e.Site
 		var once sync.Once
-		// The hook runs on the flusher goroutine at the start of a
-		// flush window (before the force-write); the kill must come
+		// The hook runs at the start of a flush window (before the
+		// force-write) on the goroutine running the force — the
+		// flusher, or a committer forcing inline; the kill must come
 		// from a fresh goroutine — Crash blocks on the lifecycle fence
-		// until parked committers drain, which needs the flusher free.
+		// until parked committers drain, which needs the force done.
 		gl.SetFlushHook(func(batch int) {
 			once.Do(func() {
 				r.mu.Lock()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dvp"
+	"dvp/internal/ident"
 	"dvp/internal/wal"
 )
 
@@ -161,6 +162,51 @@ func TestCrashInCheckpointFires(t *testing.T) {
 	}
 	if rep.InvariantChecks != sched.Rounds {
 		t.Errorf("invariant checks = %d, want %d", rep.InvariantChecks, sched.Rounds)
+	}
+}
+
+// TestCrashInFlushFiresInline arms a crash-in-flush trap on a site
+// whose committers run most of its forces themselves (the chaos
+// cluster's logs are memory logs, cheaper to force than to hand to the
+// flusher), so the trap most likely fires inside a committer's force:
+// the crash it starts on a fresh goroutine must not deadlock on that
+// committer, and the site recovers with every invariant holding.
+func TestCrashInFlushFiresInline(t *testing.T) {
+	sched := &Schedule{
+		Seed:    98,
+		Sites:   3,
+		Items:   2,
+		Total:   180,
+		Rounds:  2,
+		RoundMS: 120,
+		Events: []Event{
+			{Round: 1, AtMS: 40, Kind: EvCrashInFlush, Site: 2},
+			{Round: 2, AtMS: 30, Kind: EvPartition, Groups: [][]int{{1}, {2, 3}}},
+			{Round: 2, AtMS: 70, Kind: EvHeal},
+		},
+	}
+	var byCommitter, byFlusher uint64
+	rep, err := Run(sched, Options{OnQuiescent: func(c *dvp.Cluster) {
+		byCommitter = c.Metrics().SumCounters("dvp_wal_group_flushes_total", "site", ident.SiteID(2).String(), "by", "committer")
+		byFlusher = c.Metrics().SumCounters("dvp_wal_group_flushes_total", "site", ident.SiteID(2).String(), "by", "flusher")
+	}})
+	if err != nil {
+		t.Fatalf("%v\ntrace:\n%s\nflight recorder:\n%s",
+			err, rep.TraceString(), rep.FlightString())
+	}
+	if rep.FlushCrashes != 1 {
+		t.Fatalf("flush crashes = %d, want 1 (trap on an up site must fire)\ntrace:\n%s",
+			rep.FlushCrashes, rep.TraceString())
+	}
+	if rep.Restarts < rep.Crashes {
+		t.Errorf("crashes=%d restarts=%d — the trapped site never recovered",
+			rep.Crashes, rep.Restarts)
+	}
+	if rep.InvariantChecks != sched.Rounds {
+		t.Errorf("invariant checks = %d, want %d", rep.InvariantChecks, sched.Rounds)
+	}
+	if byCommitter <= byFlusher {
+		t.Errorf("site 2's committers ran %d forces and its flusher %d: want most of them run inline", byCommitter, byFlusher)
 	}
 }
 

@@ -363,13 +363,19 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 // acceptance record of its own (acceptLogged) — unless its epoch ended,
 // Crash having dropped them, or a commit that failed to apply already
 // accepted one — and frees its locks, taking the Vm parked behind them:
-// a Vm held up to the release is not lost. Like a Vm handler it asks
-// for no force, and settles on its way out what the log holds stable.
+// a Vm held up to the release is not lost. On its way out it settles
+// what the log holds stable; it asks for a force only if it logged a
+// credit. Until that credit is acked, its sender holds the Vm
+// outstanding and declines every full read of the item — a retry of
+// this very transaction among them, each decline costing the reader
+// its whole timeout. Forced and settled here, the ack rides the
+// retry's own requests, and the sender reads it before the request.
 // w is nil for a transaction that never waited.
 func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, w *waiter) []deferredVm {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	s.lockStripes(stripes)
+	logged := false
 	if w != nil && s.sameEpoch(epoch) {
 		for _, e := range w.takeHeld() {
 			if !s.vm.ShouldAccept(e.from, e.seq) {
@@ -377,12 +383,18 @@ func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, 
 			}
 			if err := s.acceptLogged(e, 0); err != nil {
 				e.hop.Finish("log-error")
+				continue
 			}
+			logged = true
 		}
 	}
 	parked := releaseItems(id, sts)
 	s.unlockStripes(stripes)
-	s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
+	if logged {
+		s.forceAccepts()
+	} else {
+		s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
+	}
 	return parked
 }
 

@@ -8,6 +8,7 @@ import (
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
+	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
 	"dvp/internal/vclock"
@@ -97,8 +98,10 @@ func TestCrashWhileHeldDropsTheCredit(t *testing.T) {
 // A transaction that times out holding a credit degenerates to an Rds
 // transaction (§6): nothing of the credit is logged or applied while it
 // is held, and the exit writes its own acceptance record, credited at
-// enqueue, that asks for no force. The ack waits for the force the
-// retransmission tick asks for, and then covers it.
+// enqueue, and asks for its force. The ack is due before the
+// transaction returns, with no retransmission tick (an hour away here):
+// the sender holds the Vm outstanding until then, and would decline a
+// retried full read of the item for it.
 func TestTimeoutLogsHeldCredit(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0))
 	tc, gl := groupedCluster(t, 42, wal.NewMemLog(), func(c *Config) {
@@ -126,15 +129,12 @@ func TestTimeoutLogsHeldCredit(t *testing.T) {
 	if v := s.DB().Value(item); v != 12 {
 		t.Errorf("store = %d after the timeout, want 12: the held credit stays", v)
 	}
-	if n := gl.Waiters(); n != 1 {
-		t.Errorf("%d records queued, want the one acceptance, unforced", n)
+	if n := gl.Waiters(); n != 0 {
+		t.Errorf("%d records queued after the timeout, want none: the exit forces its acceptance", n)
 	}
-	tc.settle()
-	if up := tap.covered.Load(); up >= seq || s.VM().AckFor(2) >= seq || s.Stats().VmAccepted != 0 {
-		t.Fatalf("acked up to %d (AckFor %d, accepted %d) with the acceptance record unforced", up, s.VM().AckFor(2), s.Stats().VmAccepted)
+	if ack := s.VM().AckFor(2); ack < seq {
+		t.Errorf("AckFor(2) = %d when the transaction returned, want %d: the exit acks what it forced", ack, seq)
 	}
-
-	clock.Advance(time.Hour) // the tick asks for the force
 	waitUntil(t, 2*time.Second, "the acceptance acknowledged", func() bool { return tap.covered.Load() >= seq })
 	if got := acceptedBy(t, gl); len(got) != 1 || got[0] != (acceptance{wal.RecVmAccept, wal.VmRef{From: 2, Seq: seq}}) {
 		t.Errorf("the log accepts %v, want seq %d by one acceptance record", got, seq)
@@ -205,8 +205,16 @@ func TestHeldDuplicateEarnsNoAck(t *testing.T) {
 // started while a stripe of the site was held across them.
 type logCounter struct {
 	gl        *wal.GroupLog
+	reg       *obs.Registry
 	forces    atomic.Int64
 	underLock atomic.Int64
+}
+
+// forcedBy reads the log's forces per runner: the flusher goroutine, or
+// a committer inside WaitDurable.
+func (c *logCounter) forcedBy() (flusher, committer int64) {
+	return int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "flusher")),
+		int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "committer"))
 }
 
 // TestCountBudgetPerOpKind pins, for each kind of operation, the
@@ -234,13 +242,18 @@ type logCounter struct {
 // every item once (namedOnce): the items are placed first, so every
 // record counted refers to its item by ordinal. The byte ceilings are
 // the measured sizes plus one byte, room for a timestamp's varint to
-// grow and none for a field per action.
+// grow and none for a field per action. Each op kind's forces, split by
+// who ran them (the flusher or a committer), add up to its budget;
+// which of the two runs a force is the log's measured choice, and on a
+// memory log under the race detector the two costs are too close for
+// the split itself to be pinned.
 func TestCountBudgetPerOpKind(t *testing.T) {
 	counters := make([]*logCounter, 3)
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 44}, func(i int, c *Config) {
 		gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
 		t.Cleanup(func() { gl.Close() })
-		counters[i] = &logCounter{gl: gl}
+		counters[i] = &logCounter{gl: gl, reg: obs.NewRegistry()}
+		gl.Instrument(counters[i].reg)
 		c.Log = gl
 		c.DefaultTimeout = 5 * time.Second
 	})
@@ -273,10 +286,11 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 	type cost struct{ records, forces, bytes int64 }
 	measure := func(op func(i int)) (per [3]cost) {
 		const n = 5
-		type mark struct{ lsn, forces int64 }
+		type mark struct{ lsn, forces, flusher, committer int64 }
 		var before [3]mark
 		for k, c := range counters {
-			before[k] = mark{int64(c.gl.LastLSN()), c.forces.Load()}
+			f, cm := c.forcedBy()
+			before[k] = mark{int64(c.gl.LastLSN()), c.forces.Load(), f, cm}
 		}
 		for i := 0; i < n; i++ {
 			op(i)
@@ -300,6 +314,11 @@ func TestCountBudgetPerOpKind(t *testing.T) {
 			recs := int64(c.gl.LastLSN()) - before[k].lsn
 			if recs%n != 0 || (c.forces.Load()-before[k].forces)%n != 0 {
 				t.Errorf("site %d: %d records, %d forces over %d operations: not the same for each", k+1, recs, c.forces.Load()-before[k].forces, n)
+			}
+			f, cm := c.forcedBy()
+			f, cm = f-before[k].flusher, cm-before[k].committer
+			if f+cm != c.forces.Load()-before[k].forces {
+				t.Errorf("site %d: %d forces by the flusher and %d by committers, but the hook saw %d", k+1, f, cm, c.forces.Load()-before[k].forces)
 			}
 			per[k] = cost{recs / n, (c.forces.Load() - before[k].forces) / n, (bytes + n - 1) / n}
 		}

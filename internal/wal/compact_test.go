@@ -187,7 +187,7 @@ func TestCompactConcurrentWithGroupFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 32})
+	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 
 	const appenders = 6

@@ -10,26 +10,36 @@ import (
 	"dvp/internal/obs"
 )
 
-// GroupCommitOptions configures a GroupLog.
-type GroupCommitOptions struct {
-	// MaxBatch bounds how many records one flush may carry
-	// (default 128).
-	MaxBatch int
-}
+// GroupCommitOptions configures a GroupLog. It has no fields left;
+// callers pass GroupCommitOptions{}.
+type GroupCommitOptions struct{}
+
+// maxBatch bounds how many records one force may carry.
+const maxBatch = 128
 
 // GroupLog is the group-commit pipeline: a Log whose Enqueue reserves
 // the record's LSN and queues it, and nothing more. A force is asked
 // for: WaitDurable on an LSN not yet durable adds it to the set of
-// waited-for LSNs and wakes a dedicated flusher goroutine, which drains
-// the whole queue — the waited-for record, everything before it and
-// everything after it that has queued by then — into a single
-// AppendBatch on the inner log: one write, one force, many commit
-// points (§5 step 5: stability of the record is the commit point;
-// *whose* fsync made it stable is immaterial). A record nobody waits
-// for rides the next force somebody asks for, or Close's. WaitDurable
-// parks on the durable watermark, and Append is the two in sequence, so
-// it keeps the Log contract exactly: when it returns nil, the record is
-// stable.
+// waited-for LSNs, and one force drains the whole queue — the
+// waited-for record, everything before it and everything after it that
+// has queued by then — into a single AppendBatch on the inner log: one
+// write, one force, many commit points (§5 step 5: stability of the
+// record is the commit point; *whose* fsync made it stable is
+// immaterial). A record nobody waits for rides the next force somebody
+// asks for, or Close's. WaitDurable parks on the durable watermark, and
+// Append is the two in sequence, so it keeps the Log contract exactly:
+// when it returns nil, the record is stable.
+//
+// Who runs a force is a question of cost. Handing it to the dedicated
+// flusher goroutine costs two wake-ups (committer → flusher →
+// committer), which is nothing beside an fsync and more than a
+// page-cache write. So the log measures both: the force time, and the
+// hand-off time from a waiter's signal to the flusher running again.
+// WaitDurable runs the force itself when no force is in flight, the
+// hold below would not hold now, and the measured force is cheaper than
+// the measured hand-off; otherwise it signals the flusher. Both callers
+// run the same force, one at a time and in LSN order. Until a hand-off
+// has been measured, every force goes to the flusher.
 //
 // The flusher may hold a force for the committers the last one
 // released. A force releases a cohort: the distinct waited-for LSNs it
@@ -41,17 +51,17 @@ type GroupCommitOptions struct {
 // release) have been waited for than the cohort had, (b) the measured
 // time from a release to the first such wait is below the measured
 // force time, and (c) less than one measured force time has passed
-// since the release. Both measurements are EWMAs of gain 1/ewmaGain.
-// An arrival that completes the cohort ends the hold ("joined"), and
-// a timer at the end of (c) does too ("timeout"); Reset and Close cut
-// it short. A committer already queued at the release is not an
-// arrival: it was not released. The rule reads only what the log
+// since the release. All three measurements are EWMAs of gain
+// 1/ewmaGain. An arrival that completes the cohort ends the hold
+// ("joined"), and a timer at the end of (c) does too ("timeout"); Reset
+// and Close cut it short. A committer already queued at the release is
+// not an arrival: it was not released. The rule reads only what the log
 // measures, so a log whose forces are cheaper than its committers'
 // round trips (no fsync, or a committer that waits on a peer) almost
 // never holds, and a lone committer never does.
 //
 // The LSN is reserved under the queue lock, so queue order is LSN
-// order and the watermark only ever moves over a dense prefix. A flush
+// order and the watermark only ever moves over a dense prefix. A force
 // error therefore fails the log for good — every queued record and
 // every later Enqueue — because "a later force succeeded" must imply
 // "every earlier enqueued record is stable": a caller may act on a
@@ -63,35 +73,41 @@ type GroupCommitOptions struct {
 // it (Reset), which is safe because nobody was told they were stable.
 type GroupLog struct {
 	inner Device
-	opts  GroupCommitOptions
 
 	mu       sync.Mutex
-	work     *sync.Cond   // the flusher parks here for a wait or a hold's end
+	work     *sync.Cond   // the flusher parks here for a wait, a hold's end or a force's
 	stable   *sync.Cond   // WaitDurable parks here for the watermark
 	queue    []BatchEntry // entry i holds LSN next-len(queue)+i
 	next     uint64       // the LSN the next Enqueue gets
-	inFlight int
+	inFlight int          // records of the force under way, whoever runs it
 	durable  uint64
 	wants    []uint64 // distinct LSNs above durable that WaitDurable waits on, ascending
-	failed   error    // first flush error; sticky
+	failed   error    // first force error; sticky
 	closed   bool
 	done     chan struct{}
 
-	// The hold (see GroupLog). The flusher writes the release and the
-	// force time; WaitDurable counts the arrivals and times the first.
+	// Who forces (see GroupLog). The flusher samples a hand-off when it
+	// wakes to a signal it was parked for; a force that starts first
+	// takes the signal's place, and the wake measures nothing.
+	forceEWMA   time.Duration // measured force time
+	handoffEWMA time.Duration // measured signal-to-flusher-running time; 0 until measured
+	parked      bool          // the flusher waits on work
+	signalled   time.Time     // when a waiter signalled the parked flusher; zero if none did
+
+	// The hold (see GroupLog). A force writes the release; WaitDurable
+	// counts the arrivals and times the first.
 	cohort     int           // distinct waited-for LSNs the last force covered
 	released   time.Time     // when that force landed
 	mark       uint64        // next at the release: an arrival waits at or above it
 	returned   int           // distinct LSNs at or above mark waited for since
-	forceEWMA  time.Duration // measured force time
 	returnEWMA time.Duration // measured release-to-first-arrival time; 0 until measured
 	holdStart  time.Time     // zero unless the flusher is holding
 	holdTimer  *time.Timer   // ends a hold at (c); created by the first hold
 
-	hook func(batch int) // test/chaos observation of each flush
+	hook func(batch int) // test/chaos observation of each force
 
-	// entryScratch is the flusher's reusable batch-assembly buffer;
-	// only the flusher goroutine touches it.
+	// entryScratch is the reusable batch-assembly buffer of the force
+	// under way; forces are serial, so one goroutine at a time uses it.
 	entryScratch []BatchEntry
 
 	// Flight recording (see SetFlight); nil when not recording.
@@ -99,16 +115,17 @@ type GroupLog struct {
 	flightSite string
 
 	// Instrumentation (see Instrument); nil when not instrumented.
-	flushLat     *metrics.Histogram
-	batchHist    *metrics.Histogram
-	flushes      *metrics.Counter
-	records      *metrics.Counter
-	holdLat      *metrics.Histogram
-	holdsJoined  *metrics.Counter
-	holdsTimeout *metrics.Counter
+	flushLat         *metrics.Histogram
+	batchHist        *metrics.Histogram
+	flushesFlusher   *metrics.Counter
+	flushesCommitter *metrics.Counter
+	records          *metrics.Counter
+	holdLat          *metrics.Histogram
+	holdsJoined      *metrics.Counter
+	holdsTimeout     *metrics.Counter
 }
 
-// ewmaGain is the inverse weight of a new sample in the hold's moving
+// ewmaGain is the inverse weight of a new sample in the log's moving
 // averages, TCP's smoothed-RTT gain.
 const ewmaGain = 8
 
@@ -122,13 +139,9 @@ func ewma(avg, sample time.Duration) time.Duration {
 // NewGroupLog wraps inner with a group-commit flusher. Close stops the
 // flusher and closes inner. Nothing else may append to inner while the
 // GroupLog is open: it hands out inner's LSNs ahead of the write.
-func NewGroupLog(inner Device, opts GroupCommitOptions) *GroupLog {
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 128
-	}
+func NewGroupLog(inner Device, _ GroupCommitOptions) *GroupLog {
 	g := &GroupLog{
 		inner:   inner,
-		opts:    opts,
 		durable: inner.LastLSN(),
 		next:    inner.LastLSN() + 1,
 		done:    make(chan struct{}),
@@ -140,8 +153,8 @@ func NewGroupLog(inner Device, opts GroupCommitOptions) *GroupLog {
 }
 
 // Append implements Log. data stays borrowed, not copied: the caller
-// is parked in WaitDurable until the flusher has handed the record to
-// the inner log (or the log has failed and dropped its queue), so
+// is parked in WaitDurable (or runs the force itself) until the record
+// is in the inner log (or the log has failed and dropped its queue), so
 // committers encode into pooled scratch and return it right after.
 func (g *GroupLog) Append(kind RecordKind, data []byte) (uint64, error) {
 	return appendDurably(g, kind, data)
@@ -166,14 +179,16 @@ func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 }
 
 // WaitDurable implements Log: ask for a force covering lsn if the
-// watermark is short of it, then park until the watermark covers lsn,
-// or the log fails or closes short of it.
+// watermark is short of it — run it here when that is the cheaper way
+// (see GroupLog), or else wake the flusher — then park until the
+// watermark covers lsn, or the log fails or closes short of it.
 func (g *GroupLog) WaitDurable(lsn uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.durable < lsn {
-		g.want(lsn)
+	if g.durable >= lsn {
+		return nil
 	}
+	ask := g.want(lsn)
 	for g.durable < lsn {
 		if g.failed != nil {
 			return g.failed
@@ -181,21 +196,32 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 		if g.closed && len(g.queue)+g.inFlight == 0 {
 			return ErrClosed
 		}
+		if g.forceHere() {
+			g.force(false)
+			continue
+		}
+		if ask {
+			if g.parked && g.signalled.IsZero() {
+				g.signalled = time.Now()
+			}
+			g.work.Signal()
+			ask = false
+		}
 		g.stable.Wait()
 	}
 	return nil
 }
 
-// want adds lsn, above the watermark, to the waited-for set and wakes
-// the flusher. A new LSN at or above the last release's mark is an
-// arrival; the first one times the release's round trip.
-func (g *GroupLog) want(lsn uint64) {
+// want adds lsn, above the watermark, to the waited-for set and reports
+// whether it was new there. A new LSN at or above the last release's
+// mark is an arrival; the first one times the release's round trip.
+func (g *GroupLog) want(lsn uint64) bool {
 	i := len(g.wants)
 	for i > 0 && g.wants[i-1] >= lsn {
 		i--
 	}
 	if i < len(g.wants) && g.wants[i] == lsn {
-		return
+		return false
 	}
 	g.wants = slices.Insert(g.wants, i, lsn)
 	if g.cohort > 0 && lsn >= g.mark {
@@ -204,26 +230,50 @@ func (g *GroupLog) want(lsn uint64) {
 		}
 		g.returned++
 	}
-	g.work.Signal()
+	return true
 }
 
-// awaitForce parks the flusher, under g.mu, until a force is due: a
-// queued record somebody waits for and no hold (see GroupLog), or the
-// log closing.
+// forceHere reports whether a waiter should run the force itself: the
+// log is open, no force is in flight, the flusher neither holds nor
+// would start a hold now, and the measured force is cheaper than the
+// measured hand-off.
+func (g *GroupLog) forceHere() bool {
+	if g.closed || g.inFlight > 0 || len(g.queue) == 0 || !g.holdStart.IsZero() ||
+		g.handoffEWMA == 0 || g.forceEWMA >= g.handoffEWMA {
+		return false
+	}
+	return !g.holdApplies() || !time.Now().Before(g.released.Add(g.forceEWMA))
+}
+
+// holdApplies reports conditions (a) and (b) of the hold (see
+// GroupLog): the last cohort has not all come back, and it measurably
+// comes back faster than a force takes.
+func (g *GroupLog) holdApplies() bool {
+	return g.returned < g.cohort && g.returnEWMA != 0 && g.returnEWMA < g.forceEWMA
+}
+
+// awaitForce parks the flusher, under g.mu, until it is due to force:
+// no force is in flight and either the log is closing or a queued
+// record is waited for and no hold applies (see GroupLog).
 func (g *GroupLog) awaitForce() {
-	for !g.closed {
+	for {
+		if g.inFlight > 0 {
+			g.park() // a waiter's force: forces stay serial
+			continue
+		}
+		if g.closed {
+			return
+		}
 		if len(g.queue) == 0 || len(g.wants) == 0 {
-			g.work.Wait()
+			g.park()
 			continue
 		}
 		holding := !g.holdStart.IsZero()
-		if g.returned >= g.cohort {
-			if holding {
-				g.endHold(g.holdsJoined)
-			}
+		if !holding && !g.holdApplies() {
 			return
 		}
-		if !holding && (g.returnEWMA == 0 || g.returnEWMA >= g.forceEWMA) {
+		if holding && g.returned >= g.cohort {
+			g.endHold(g.holdsJoined)
 			return
 		}
 		now := time.Now()
@@ -242,7 +292,19 @@ func (g *GroupLog) awaitForce() {
 		} else {
 			g.holdTimer.Reset(deadline.Sub(now))
 		}
-		g.work.Wait()
+		g.park()
+	}
+}
+
+// park waits on work and, if a waiter's signal woke the flusher,
+// samples the hand-off.
+func (g *GroupLog) park() {
+	g.parked = true
+	g.work.Wait()
+	g.parked = false
+	if !g.signalled.IsZero() {
+		g.handoffEWMA = ewma(g.handoffEWMA, time.Since(g.signalled))
+		g.signalled = time.Time{}
 	}
 }
 
@@ -275,15 +337,14 @@ func (g *GroupLog) forget() {
 	}
 }
 
-// flusher is the dedicated group-commit goroutine: wait until someone
-// waits on a queued LSN and no hold remains (or the log closes), then
-// force the whole queue with one inner AppendBatch and move the
-// watermark over it. Records queued by then, and arrivals during an
-// in-progress flush, ride the same or the next force.
+// flusher is the dedicated group-commit goroutine: wait until a force
+// is due (see awaitForce), then run it. It returns once the log is
+// closed and drained.
 func (g *GroupLog) flusher() {
 	defer close(g.done)
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	for {
-		g.mu.Lock()
 		g.awaitForce()
 		if len(g.queue) == 0 {
 			// Closed and drained (a failed log has no queue either).
@@ -291,80 +352,94 @@ func (g *GroupLog) flusher() {
 				g.holdTimer.Stop()
 			}
 			g.stable.Broadcast()
-			g.mu.Unlock()
 			return
 		}
-		n := len(g.queue)
-		if n > g.opts.MaxBatch {
-			n = g.opts.MaxBatch
-		}
-		// The group moves into the flusher's own scratch, reused across
-		// flushes; both it and the queue's vacated tail are cleared once
-		// done with, so neither pins an appender's pooled data buffer.
-		entries := append(g.entryScratch[:0], g.queue[:n]...)
-		rest := copy(g.queue, g.queue[n:])
-		clear(g.queue[rest:])
-		g.queue = g.queue[:rest]
-		want := g.next - uint64(rest) - uint64(n)
-		g.inFlight = n
-		hook := g.hook
-		flushLat, batchHist, flushes, records := g.flushLat, g.batchHist, g.flushes, g.records
-		flight, flightSite := g.flight, g.flightSite
-		g.mu.Unlock()
-
-		if hook != nil {
-			hook(n)
-		}
-		start := time.Now()
-		first, err := g.inner.AppendBatch(entries)
-		end := time.Now()
-		if err == nil && first != want {
-			err = fmt.Errorf("wal: group log reserved LSN %d but the inner log wrote %d: something else appends to it", want, first)
-		}
-		if flushLat != nil {
-			flushLat.Record(end.Sub(start))
-			// The batch-size histogram reuses the duration histogram's
-			// log-spaced buckets by encoding size n as n microseconds.
-			batchHist.Record(time.Duration(n) * time.Microsecond)
-			flushes.Inc()
-			records.Add(uint64(n))
-		}
-		clear(entries)
-		g.entryScratch = entries[:0]
-
-		// A flush that succeeds is no event: one per force would push
-		// every rare event out of the recorder within a second. Its
-		// size is dvp_wal_group_batch's.
-		if err != nil {
-			flight.Recordf(flightSite, "wal-flush-err", "records=%d err=%v", n, err)
-		}
-
-		g.mu.Lock()
-		g.inFlight = 0
-		if err == nil {
-			g.durable = want + uint64(n) - 1
-			covered := 0
-			for covered < len(g.wants) && g.wants[covered] <= g.durable {
-				covered++
-			}
-			g.wants = append(g.wants[:0], g.wants[covered:]...)
-			g.cohort, g.returned = covered, 0
-			g.released, g.mark = end, g.next
-			g.forceEWMA = ewma(g.forceEWMA, end.Sub(start))
-		} else {
-			// Everything queued behind the failed group holds an LSN
-			// that can no longer become stable in order: drop it.
-			g.failed = err
-			clear(g.queue)
-			g.queue = g.queue[:0]
-			g.forget()
-		}
-		g.stable.Broadcast()
-		g.mu.Unlock()
+		g.force(true)
 	}
 }
 
-// DurableLSN implements Log: the highest LSN the flusher has made
+// force writes up to maxBatch queued records with one inner
+// AppendBatch and moves the watermark over them, or fails the log. It
+// runs under g.mu, with records queued and no force in flight, and
+// releases g.mu around the write. byFlusher says which goroutine runs
+// it. Records queued meanwhile ride the next force.
+func (g *GroupLog) force(byFlusher bool) {
+	g.signalled = time.Time{}
+	n := min(len(g.queue), maxBatch)
+	// The group moves into the shared scratch, reused across forces;
+	// both it and the queue's vacated tail are cleared once done with,
+	// so neither pins an appender's pooled data buffer.
+	entries := append(g.entryScratch[:0], g.queue[:n]...)
+	rest := copy(g.queue, g.queue[n:])
+	clear(g.queue[rest:])
+	g.queue = g.queue[:rest]
+	want := g.next - uint64(rest) - uint64(n)
+	g.inFlight = n
+	hook := g.hook
+	flushes := g.flushesCommitter
+	if byFlusher {
+		flushes = g.flushesFlusher
+	}
+	flushLat, batchHist, records := g.flushLat, g.batchHist, g.records
+	flight, flightSite := g.flight, g.flightSite
+	g.mu.Unlock()
+
+	if hook != nil {
+		hook(n)
+	}
+	start := time.Now()
+	first, err := g.inner.AppendBatch(entries)
+	end := time.Now()
+	if err == nil && first != want {
+		err = fmt.Errorf("wal: group log reserved LSN %d but the inner log wrote %d: something else appends to it", want, first)
+	}
+	if flushLat != nil {
+		flushLat.Record(end.Sub(start))
+		// The batch-size histogram reuses the duration histogram's
+		// log-spaced buckets by encoding size n as n microseconds.
+		batchHist.Record(time.Duration(n) * time.Microsecond)
+		flushes.Inc()
+		records.Add(uint64(n))
+	}
+	clear(entries)
+
+	// A force that succeeds is no event: one per force would push
+	// every rare event out of the recorder within a second. Its size
+	// is dvp_wal_group_batch's.
+	if err != nil {
+		flight.Recordf(flightSite, "wal-flush-err", "records=%d err=%v", n, err)
+	}
+
+	g.mu.Lock()
+	g.entryScratch = entries[:0]
+	g.inFlight = 0
+	if err == nil {
+		g.durable = want + uint64(n) - 1
+		covered := 0
+		for covered < len(g.wants) && g.wants[covered] <= g.durable {
+			covered++
+		}
+		g.wants = append(g.wants[:0], g.wants[covered:]...)
+		g.cohort, g.returned = covered, 0
+		g.released, g.mark = end, g.next
+		g.forceEWMA = ewma(g.forceEWMA, end.Sub(start))
+	} else {
+		// Everything queued behind the failed group holds an LSN
+		// that can no longer become stable in order: drop it.
+		g.failed = err
+		clear(g.queue)
+		g.queue = g.queue[:0]
+		g.forget()
+	}
+	// A flusher parked behind a waiter's force is due to force what is
+	// still waited for, or to drain a closing log.
+	if !byFlusher && (len(g.wants) > 0 || g.closed) {
+		g.work.Signal()
+	}
+	g.stable.Broadcast()
+}
+
+// DurableLSN implements Log: the highest LSN a force has made
 // stable, read without asking for a force. At a quiescent point it
 // equals LastLSN(); mid-flush it trails it.
 func (g *GroupLog) DurableLSN() uint64 {
@@ -373,7 +448,7 @@ func (g *GroupLog) DurableLSN() uint64 {
 	return g.durable
 }
 
-// Reset implements Log: wait out the flush in flight, then drop the
+// Reset implements Log: wait out the force in flight, then drop the
 // queue, the failure, every wait and the last release, cutting short
 // any hold. The flusher keeps running.
 func (g *GroupLog) Reset() int {
@@ -391,7 +466,7 @@ func (g *GroupLog) Reset() int {
 }
 
 // Waiters reports how many records are queued or riding an in-progress
-// flush — the enqueued/durable boundary the chaos harness audits: a
+// force — the enqueued/durable boundary the chaos harness audits: a
 // record is either durable (LSN ≤ DurableLSN) or still counted here,
 // never acknowledged-but-lost.
 func (g *GroupLog) Waiters() int {
@@ -400,17 +475,19 @@ func (g *GroupLog) Waiters() int {
 	return len(g.queue) + g.inFlight
 }
 
-// SetFlushHook installs fn to be called at the start of every flush
-// with the batch size. Chaos uses it to land a crash inside the
-// group-commit window; fn must not call back into the GroupLog's
-// appenders synchronously (crash the site from a fresh goroutine).
+// SetFlushHook installs fn to be called at the start of every force
+// with the batch size, on the goroutine that runs the force: the
+// flusher, or a committer inside WaitDurable. Chaos uses it to land a
+// crash inside the group-commit window; fn must not call back into the
+// GroupLog or wait for its committers synchronously (crash the site
+// from a fresh goroutine).
 func (g *GroupLog) SetFlushHook(fn func(batch int)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.hook = fn
 }
 
-// SetFlight attaches a flight recorder: every failed flush is recorded
+// SetFlight attaches a flight recorder: every failed force is recorded
 // as a structured event under the given site label.
 func (g *GroupLog) SetFlight(f *obs.Flight, site string) {
 	g.mu.Lock()
@@ -423,7 +500,9 @@ func (g *GroupLog) SetFlight(f *obs.Flight, site string) {
 // given extra k,v label pairs (conventionally site=<id>):
 // dvp_wal_flush_seconds (force-write latency per flush) and
 // dvp_wal_group_batch (batch size, encoded as n microseconds in the
-// duration histogram), flush/record counters, and the holds:
+// duration histogram), the record counter, the flush counter
+// dvp_wal_group_flushes_total{by="flusher"|"committer"} split by the
+// goroutine that ran the force, and the holds:
 // dvp_wal_group_holds_total{outcome="joined"|"timeout"} and
 // dvp_wal_group_hold_seconds (time held per hold).
 func (g *GroupLog) Instrument(reg *obs.Registry, labels ...string) {
@@ -431,7 +510,8 @@ func (g *GroupLog) Instrument(reg *obs.Registry, labels ...string) {
 	defer g.mu.Unlock()
 	g.flushLat = reg.Histogram("dvp_wal_flush_seconds", labels...)
 	g.batchHist = reg.Histogram("dvp_wal_group_batch", labels...)
-	g.flushes = reg.Counter("dvp_wal_group_flushes_total", labels...)
+	g.flushesFlusher = reg.Counter("dvp_wal_group_flushes_total", slices.Concat(labels, []string{"by", "flusher"})...)
+	g.flushesCommitter = reg.Counter("dvp_wal_group_flushes_total", slices.Concat(labels, []string{"by", "committer"})...)
 	g.records = reg.Counter("dvp_wal_group_records_total", labels...)
 	g.holdLat = reg.Histogram("dvp_wal_group_hold_seconds", labels...)
 	g.holdsJoined = reg.Counter("dvp_wal_group_holds_total", slices.Concat(labels, []string{"outcome", "joined"})...)

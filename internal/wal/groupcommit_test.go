@@ -89,40 +89,36 @@ func TestGroupLogBatchesConcurrentAppends(t *testing.T) {
 	}
 }
 
+// One force carries at most maxBatch records: a wait on the last of
+// more than two batches' worth of queued records writes them as full
+// frames and a remainder, in LSN order.
 func TestGroupLogMaxBatch(t *testing.T) {
 	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 4})
+	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
-
-	release := make(chan struct{})
-	var gateOnce sync.Once
-	var maxSeen atomic.Int64
-	g.SetFlushHook(func(batch int) {
-		if int64(batch) > maxSeen.Load() {
-			maxSeen.Store(int64(batch))
-		}
-		gateOnce.Do(func() { <-release })
+	var mu sync.Mutex
+	var frames []int
+	g.SetFlushHook(func(n int) {
+		mu.Lock()
+		frames = append(frames, n)
+		mu.Unlock()
 	})
-
-	const k = 19
-	var wg sync.WaitGroup
+	const k = 2*maxBatch + 5
+	var last uint64
 	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := g.Append(RecCommit, nil); err != nil {
-				t.Error(err)
-			}
-		}()
+		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last = lsn
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for g.Waiters() < k-1 && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
+	if err := g.WaitDurable(last); err != nil {
+		t.Fatal(err)
 	}
-	close(release)
-	wg.Wait()
-	if maxSeen.Load() > 4 {
-		t.Errorf("flush carried %d records, MaxBatch is 4", maxSeen.Load())
+	mu.Lock()
+	defer mu.Unlock()
+	if len(frames) != 3 || frames[0] != maxBatch || frames[1] != maxBatch || frames[2] != 5 {
+		t.Errorf("%d queued records went out in frames of %v, want [%d %d 5]", k, frames, maxBatch, maxBatch)
 	}
 	if g.LastLSN() != k {
 		t.Errorf("LastLSN = %d, want %d", g.LastLSN(), k)
@@ -237,7 +233,7 @@ func TestGroupLogResetLandsTheFlushInFlight(t *testing.T) {
 func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 	inner := NewMemLog()
 	boom := errors.New("disk full")
-	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 1})
+	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 
 	// Hold the first flush — the one a waiter on the first record asks
@@ -291,7 +287,7 @@ func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 func TestGroupLogEnqueueDenseFinalInQueueOrder(t *testing.T) {
 	const enqueuers, each = 8, 50
 	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 7})
+	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 
 	got := make([][]uint64, enqueuers)
@@ -350,17 +346,17 @@ func TestGroupLogEnqueueDenseFinalInQueueOrder(t *testing.T) {
 // up to l is in the inner log, whoever enqueued it.
 func TestGroupLogWaitDurableCoversPrefix(t *testing.T) {
 	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{MaxBatch: 3})
+	g := NewGroupLog(inner, GroupCommitOptions{})
 	defer g.Close()
 	var lsns []uint64
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 3*maxBatch; i++ {
 		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		lsns = append(lsns, lsn)
 	}
-	for _, l := range []uint64{lsns[4], lsns[11], lsns[19]} {
+	for _, l := range []uint64{lsns[4], lsns[maxBatch+11], lsns[3*maxBatch-1]} {
 		if err := g.WaitDurable(l); err != nil {
 			t.Fatal(err)
 		}
@@ -375,8 +371,8 @@ func TestGroupLogWaitDurableCoversPrefix(t *testing.T) {
 			t.Fatalf("WaitDurable(%d) returned with the inner log dense only up to %d", l, seen)
 		}
 	}
-	if g.DurableLSN() != lsns[19] || g.Waiters() != 0 {
-		t.Fatalf("durable=%d waiters=%d after the last wait, want %d and 0", g.DurableLSN(), g.Waiters(), lsns[19])
+	if g.DurableLSN() != lsns[3*maxBatch-1] || g.Waiters() != 0 {
+		t.Fatalf("durable=%d waiters=%d after the last wait, want %d and 0", g.DurableLSN(), g.Waiters(), lsns[3*maxBatch-1])
 	}
 }
 
@@ -485,10 +481,19 @@ func TestGroupLogInstrument(t *testing.T) {
 	defer g.Close()
 	g.Instrument(reg, "site", "1")
 	g.Append(RecCommit, nil)
-	if n := reg.CounterValue("dvp_wal_group_flushes_total", "site", "1"); n == 0 {
-		t.Error("flush counter did not move")
+	// The first force goes to the flusher: no hand-off is measured yet.
+	if n := reg.CounterValue("dvp_wal_group_flushes_total", "site", "1", "by", "flusher"); n != 1 {
+		t.Errorf("flusher's flush counter = %d, want 1", n)
 	}
-	if n := reg.CounterValue("dvp_wal_group_records_total", "site", "1"); n != 1 {
+	primeInline(g)
+	g.Append(RecCommit, nil)
+	if n := reg.CounterValue("dvp_wal_group_flushes_total", "site", "1", "by", "committer"); n != 1 {
+		t.Errorf("committer's flush counter = %d, want 1", n)
+	}
+	if n := reg.SumCounters("dvp_wal_group_flushes_total", "site", "1"); n != 2 {
+		t.Errorf("flushes summed over who ran them = %d, want 2", n)
+	}
+	if n := reg.CounterValue("dvp_wal_group_records_total", "site", "1"); n != 2 {
 		t.Errorf("records counter = %d", n)
 	}
 	if h := reg.Histogram("dvp_wal_flush_seconds", "site", "1"); h.Count() == 0 {
@@ -499,6 +504,8 @@ func TestGroupLogInstrument(t *testing.T) {
 	}
 	text := reg.Render()
 	for _, series := range []string{
+		`dvp_wal_group_flushes_total{by="committer",site="1"} 1`,
+		`dvp_wal_group_flushes_total{by="flusher",site="1"} 1`,
 		`dvp_wal_group_holds_total{outcome="joined",site="1"} 0`,
 		`dvp_wal_group_holds_total{outcome="timeout",site="1"} 0`,
 		`dvp_wal_group_hold_seconds_count{site="1"} 0`,
