@@ -30,35 +30,14 @@ const maxBatch = 128
 // Append is the two in sequence, so it keeps the Log contract exactly:
 // when it returns nil, the record is stable.
 //
-// Who runs a force is a question of cost. Handing it to the dedicated
-// flusher goroutine costs two wake-ups (committer → flusher →
-// committer), which is nothing beside an fsync and more than a
-// page-cache write. So the log measures both: the force time, and the
-// hand-off time from a waiter's signal to the flusher running again.
-// WaitDurable runs the force itself when no force is in flight, the
-// hold below would not hold now, and the measured force is cheaper than
-// the measured hand-off; otherwise it signals the flusher. Both callers
-// run the same force, one at a time and in LSN order. Until a hand-off
-// has been measured, every force goes to the flusher.
-//
-// The flusher may hold a force for the committers the last one
-// released. A force releases a cohort: the distinct waited-for LSNs it
-// covered. Closed-loop committers come back with their next record,
-// and a force that starts on the first arrival leaves the others to
-// the force after it, so two committers alternate between forces of
-// one record each. The next force therefore holds while (a) fewer
-// distinct LSNs at or above the release's mark (the next LSN at the
-// release) have been waited for than the cohort had, (b) the measured
-// time from a release to the first such wait is below the measured
-// force time, and (c) less than one measured force time has passed
-// since the release. All three measurements are EWMAs of gain
-// 1/ewmaGain. An arrival that completes the cohort ends the hold
-// ("joined"), and a timer at the end of (c) does too ("timeout"); Reset
-// and Close cut it short. A committer already queued at the release is
-// not an arrival: it was not released. The rule reads only what the log
-// measures, so a log whose forces are cheaper than its committers'
-// round trips (no fsync, or a committer that waits on a peer) almost
-// never holds, and a lone committer never does.
+// A force has two runners, one at a time and in LSN order: the
+// dedicated flusher goroutine, and WaitDurable in the waiter's own
+// goroutine. When a force starts, and which of the two runs it, is the
+// forcePolicy's decision; the log tells it what happens, with the
+// instants it reads, and asks it. The flusher may hold a due force on
+// one reusable timer until the policy's instant. A hold that ends with
+// the cohort back counts as joined, any other as timed out; Reset and
+// Close cut it short and count it as neither.
 //
 // The LSN is reserved under the queue lock, so queue order is LSN
 // order and the watermark only ever moves over a dense prefix. A force
@@ -86,23 +65,10 @@ type GroupLog struct {
 	closed   bool
 	done     chan struct{}
 
-	// Who forces (see GroupLog). The flusher samples a hand-off when it
-	// wakes to a signal it was parked for; a force that starts first
-	// takes the signal's place, and the wake measures nothing.
-	forceEWMA   time.Duration // measured force time
-	handoffEWMA time.Duration // measured signal-to-flusher-running time; 0 until measured
-	parked      bool          // the flusher waits on work
-	signalled   time.Time     // when a waiter signalled the parked flusher; zero if none did
-
-	// The hold (see GroupLog). A force writes the release; WaitDurable
-	// counts the arrivals and times the first.
-	cohort     int           // distinct waited-for LSNs the last force covered
-	released   time.Time     // when that force landed
-	mark       uint64        // next at the release: an arrival waits at or above it
-	returned   int           // distinct LSNs at or above mark waited for since
-	returnEWMA time.Duration // measured release-to-first-arrival time; 0 until measured
-	holdStart  time.Time     // zero unless the flusher is holding
-	holdTimer  *time.Timer   // ends a hold at (c); created by the first hold
+	policy    forcePolicy
+	parked    bool        // the flusher waits on work
+	holdStart time.Time   // zero unless the flusher is holding
+	holdTimer *time.Timer // wakes the flusher at a hold's end; stopped unless it holds
 
 	hook func(batch int) // test/chaos observation of each force
 
@@ -125,17 +91,6 @@ type GroupLog struct {
 	holdsTimeout     *metrics.Counter
 }
 
-// ewmaGain is the inverse weight of a new sample in the log's moving
-// averages, TCP's smoothed-RTT gain.
-const ewmaGain = 8
-
-func ewma(avg, sample time.Duration) time.Duration {
-	if avg == 0 {
-		return sample
-	}
-	return avg + (sample-avg)/ewmaGain
-}
-
 // NewGroupLog wraps inner with a group-commit flusher. Close stops the
 // flusher and closes inner. Nothing else may append to inner while the
 // GroupLog is open: it hands out inner's LSNs ahead of the write.
@@ -148,6 +103,8 @@ func NewGroupLog(inner Device, _ GroupCommitOptions) *GroupLog {
 	}
 	g.work = sync.NewCond(&g.mu)
 	g.stable = sync.NewCond(&g.mu)
+	g.holdTimer = time.AfterFunc(time.Hour, g.wake)
+	g.holdTimer.Stop()
 	go g.flusher()
 	return g
 }
@@ -179,8 +136,8 @@ func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 }
 
 // WaitDurable implements Log: ask for a force covering lsn if the
-// watermark is short of it — run it here when that is the cheaper way
-// (see GroupLog), or else wake the flusher — then park until the
+// watermark is short of it — run it here when the policy says the
+// waiter should, or else wake the flusher — then park until the
 // watermark covers lsn, or the log fails or closes short of it.
 func (g *GroupLog) WaitDurable(lsn uint64) error {
 	g.mu.Lock()
@@ -188,7 +145,8 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 	if g.durable >= lsn {
 		return nil
 	}
-	ask := g.want(lsn)
+	now := time.Now()
+	ask := g.want(lsn, now)
 	for g.durable < lsn {
 		if g.failed != nil {
 			return g.failed
@@ -196,116 +154,74 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 		if g.closed && len(g.queue)+g.inFlight == 0 {
 			return ErrClosed
 		}
-		if g.forceHere() {
-			g.force(false)
-			continue
+		if !g.closed && g.inFlight == 0 && len(g.queue) > 0 && g.holdStart.IsZero() && g.policy.committerForces() {
+			if now.IsZero() { // woken: the entry's instant is stale
+				now = time.Now()
+			}
+			if g.policy.holdUntil(now).IsZero() {
+				now = g.force(false)
+				continue
+			}
 		}
 		if ask {
-			if g.parked && g.signalled.IsZero() {
-				g.signalled = time.Now()
+			if g.parked {
+				g.policy.signal(now)
 			}
 			g.work.Signal()
 			ask = false
 		}
 		g.stable.Wait()
+		now = time.Time{}
 	}
 	return nil
 }
 
-// want adds lsn, above the watermark, to the waited-for set and reports
-// whether it was new there. A new LSN at or above the last release's
-// mark is an arrival; the first one times the release's round trip.
-func (g *GroupLog) want(lsn uint64) bool {
-	i := len(g.wants)
-	for i > 0 && g.wants[i-1] >= lsn {
-		i--
-	}
-	if i < len(g.wants) && g.wants[i] == lsn {
+// want adds lsn, above the watermark, to the waited-for set at now and
+// reports whether it was new there; a new one is the policy's event.
+func (g *GroupLog) want(lsn uint64, now time.Time) bool {
+	i, found := slices.BinarySearch(g.wants, lsn)
+	if found {
 		return false
 	}
 	g.wants = slices.Insert(g.wants, i, lsn)
-	if g.cohort > 0 && lsn >= g.mark {
-		if g.returned == 0 {
-			g.returnEWMA = ewma(g.returnEWMA, time.Since(g.released))
-		}
-		g.returned++
-	}
+	g.policy.waited(lsn, now)
 	return true
 }
 
-// forceHere reports whether a waiter should run the force itself: the
-// log is open, no force is in flight, the flusher neither holds nor
-// would start a hold now, and the measured force is cheaper than the
-// measured hand-off.
-func (g *GroupLog) forceHere() bool {
-	if g.closed || g.inFlight > 0 || len(g.queue) == 0 || !g.holdStart.IsZero() ||
-		g.handoffEWMA == 0 || g.forceEWMA >= g.handoffEWMA {
-		return false
-	}
-	return !g.holdApplies() || !time.Now().Before(g.released.Add(g.forceEWMA))
-}
-
-// holdApplies reports conditions (a) and (b) of the hold (see
-// GroupLog): the last cohort has not all come back, and it measurably
-// comes back faster than a force takes.
-func (g *GroupLog) holdApplies() bool {
-	return g.returned < g.cohort && g.returnEWMA != 0 && g.returnEWMA < g.forceEWMA
-}
-
 // awaitForce parks the flusher, under g.mu, until it is due to force:
-// no force is in flight and either the log is closing or a queued
-// record is waited for and no hold applies (see GroupLog).
+// no force is in flight and either the log is closing, or a queued
+// record is waited for and the policy does not hold the force. A hold
+// parks until the policy's instant, on the hold timer.
 func (g *GroupLog) awaitForce() {
+	now := time.Now()
 	for {
-		if g.inFlight > 0 {
-			g.park() // a waiter's force: forces stay serial
-			continue
-		}
-		if g.closed {
+		switch {
+		case g.inFlight > 0: // a waiter's force: forces stay serial
+		case g.closed:
 			return
-		}
-		if len(g.queue) == 0 || len(g.wants) == 0 {
-			g.park()
-			continue
-		}
-		holding := !g.holdStart.IsZero()
-		if !holding && !g.holdApplies() {
-			return
-		}
-		if holding && g.returned >= g.cohort {
-			g.endHold(g.holdsJoined)
-			return
-		}
-		now := time.Now()
-		deadline := g.released.Add(g.forceEWMA)
-		if !now.Before(deadline) {
-			if holding {
-				g.endHold(g.holdsTimeout)
+		case len(g.queue) > 0 && len(g.wants) > 0:
+			until := g.policy.holdUntil(now)
+			if until.IsZero() {
+				g.endHold(now)
+				return
 			}
-			return
+			if g.holdStart.IsZero() {
+				g.holdStart = now
+			}
+			g.holdTimer.Reset(until.Sub(now))
 		}
-		if !holding {
-			g.holdStart = now
-		}
-		if g.holdTimer == nil {
-			g.holdTimer = time.AfterFunc(deadline.Sub(now), g.wake)
-		} else {
-			g.holdTimer.Reset(deadline.Sub(now))
-		}
-		g.park()
+		now = g.park()
 	}
 }
 
-// park waits on work and, if a waiter's signal woke the flusher,
-// samples the hand-off.
-func (g *GroupLog) park() {
+// park waits on work and tells the policy when the flusher woke.
+func (g *GroupLog) park() time.Time {
 	g.parked = true
 	g.work.Wait()
 	g.parked = false
-	if !g.signalled.IsZero() {
-		g.handoffEWMA = ewma(g.handoffEWMA, time.Since(g.signalled))
-		g.signalled = time.Time{}
-	}
+	now := time.Now()
+	g.policy.woke(now)
+	return now
 }
 
 // wake is the hold timer's callback.
@@ -315,24 +231,33 @@ func (g *GroupLog) wake() {
 	g.mu.Unlock()
 }
 
-// endHold ends the flusher's hold with the given outcome. A nil
-// outcome — a hold Reset or Close cut short, or a log not instrumented
-// — is counted nowhere.
-func (g *GroupLog) endHold(outcome *metrics.Counter) {
-	if outcome != nil {
-		g.holdLat.Record(time.Since(g.holdStart))
-		outcome.Inc()
+// endHold ends the flusher's hold, if it holds, at now: joined if the
+// cohort came back, timed out if not.
+func (g *GroupLog) endHold(now time.Time) {
+	if g.holdStart.IsZero() {
+		return
+	}
+	if g.holdLat != nil {
+		g.holdLat.Record(now.Sub(g.holdStart))
+		if g.policy.cohortOut() {
+			g.holdsTimeout.Inc()
+		} else {
+			g.holdsJoined.Inc()
+		}
 	}
 	g.holdStart = time.Time{}
+	g.holdTimer.Stop()
 }
 
-// forget drops the waited-for set and the last release, cutting short
-// any hold: nothing the log held for can arrive any more.
+// forget drops the waited-for set and the policy's last release,
+// cutting short any hold uncounted: nothing the log held for can arrive
+// any more.
 func (g *GroupLog) forget() {
 	g.wants = g.wants[:0]
-	g.cohort, g.returned = 0, 0
+	g.policy.forget()
 	if !g.holdStart.IsZero() {
-		g.endHold(nil)
+		g.holdStart = time.Time{}
+		g.holdTimer.Stop()
 		g.work.Signal()
 	}
 }
@@ -348,9 +273,6 @@ func (g *GroupLog) flusher() {
 		g.awaitForce()
 		if len(g.queue) == 0 {
 			// Closed and drained (a failed log has no queue either).
-			if g.holdTimer != nil {
-				g.holdTimer.Stop()
-			}
 			g.stable.Broadcast()
 			return
 		}
@@ -362,9 +284,10 @@ func (g *GroupLog) flusher() {
 // AppendBatch and moves the watermark over them, or fails the log. It
 // runs under g.mu, with records queued and no force in flight, and
 // releases g.mu around the write. byFlusher says which goroutine runs
-// it. Records queued meanwhile ride the next force.
-func (g *GroupLog) force(byFlusher bool) {
-	g.signalled = time.Time{}
+// it. Records queued meanwhile ride the next force. It returns the
+// instant the write ended.
+func (g *GroupLog) force(byFlusher bool) time.Time {
+	g.policy.forceStarts()
 	n := min(len(g.queue), maxBatch)
 	// The group moves into the shared scratch, reused across forces;
 	// both it and the queue's vacated tail are cleared once done with,
@@ -420,9 +343,7 @@ func (g *GroupLog) force(byFlusher bool) {
 			covered++
 		}
 		g.wants = append(g.wants[:0], g.wants[covered:]...)
-		g.cohort, g.returned = covered, 0
-		g.released, g.mark = end, g.next
-		g.forceEWMA = ewma(g.forceEWMA, end.Sub(start))
+		g.policy.landed(covered, start, end, g.next)
 	} else {
 		// Everything queued behind the failed group holds an LSN
 		// that can no longer become stable in order: drop it.
@@ -437,6 +358,7 @@ func (g *GroupLog) force(byFlusher bool) {
 		g.work.Signal()
 	}
 	g.stable.Broadcast()
+	return end
 }
 
 // DurableLSN implements Log: the highest LSN a force has made

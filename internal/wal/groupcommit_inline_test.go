@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -28,26 +27,13 @@ func instrumented(inner Device) (*GroupLog, *obs.Registry) {
 	return g, reg
 }
 
-// primeInline makes the log believe a hand-off costs an hour, so every
-// force a waiter may run (none in flight, no hold), it runs itself.
-func primeInline(g *GroupLog) {
+// preferCommitter makes the log's policy measure a hand-off dearer than
+// its force, so a waiter runs every force it may (none in flight, no
+// hold) itself.
+func preferCommitter(g *GroupLog) {
 	g.mu.Lock()
-	g.handoffEWMA = time.Hour
+	g.policy.handoffEWMA = time.Hour
 	g.mu.Unlock()
-}
-
-// gateFirstForce parks the first force in the flush hook until release
-// is closed; entered is closed when a force gets there.
-func gateFirstForce(g *GroupLog) (entered, release chan struct{}) {
-	entered, release = make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	g.SetFlushHook(func(int) {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
-	})
-	return entered, release
 }
 
 // A lone committer's first force goes to the flusher, which measures
@@ -65,7 +51,7 @@ func TestGroupLogInlineLoneCommitter(t *testing.T) {
 	if f, c := forcedBy(reg); f != 1 || c != 0 {
 		t.Fatalf("first force: %d by the flusher, %d by the committer; want 1 and 0", f, c)
 	}
-	primeInline(g)
+	preferCommitter(g)
 	const n = 50
 	for i := 1; i < n; i++ {
 		if _, err := g.Append(RecCommit, []byte{byte(i)}); err != nil {
@@ -74,22 +60,6 @@ func TestGroupLogInlineLoneCommitter(t *testing.T) {
 	}
 	if f, c := forcedBy(reg); f != 1 || c != n-1 {
 		t.Errorf("%d forces of a lone committer: %d by the flusher, %d by the committer; want 1 and %d", n, f, c, n-1)
-	}
-}
-
-// A force slower than a wake-up stays on the flusher: on a slow device
-// no committer ever runs one.
-func TestGroupLogInlineNeverOnASlowDevice(t *testing.T) {
-	g, reg := instrumented(NewSlowDevice(NewMemLog(), 10*time.Millisecond))
-	defer g.Close()
-	const n = 10
-	for i := 0; i < n; i++ {
-		if _, err := g.Append(RecCommit, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if f, c := forcedBy(reg); f != n || c != 0 {
-		t.Errorf("%d forces on a slow device: %d by the flusher, %d by a committer; want %d and 0", n, f, c, n)
 	}
 }
 
@@ -118,7 +88,7 @@ func TestGroupLogInlineForcesStaySerial(t *testing.T) {
 	inner := NewMemLog()
 	g, reg := instrumented(&serialDevice{Device: inner, t: t})
 	defer g.Close()
-	primeInline(g)
+	preferCommitter(g)
 	const committers, each = 8, 100
 	var wg sync.WaitGroup
 	owner := make([][]uint64, committers)
@@ -162,122 +132,5 @@ func TestGroupLogInlineForcesStaySerial(t *testing.T) {
 	}
 	if f, c := forcedBy(reg); f == 0 || c == 0 {
 		t.Errorf("forces: %d by the flusher, %d by committers; want both to have run some", f, c)
-	}
-}
-
-// Reset waits out a force a committer runs, as it does the flusher's,
-// and drops only what queued behind it.
-func TestGroupLogInlineResetWaitsForTheForce(t *testing.T) {
-	inner := NewMemLog()
-	g, reg := instrumented(inner)
-	defer g.Close()
-	primeInline(g)
-	entered, release := gateFirstForce(g)
-	first, _ := g.Enqueue(RecCommit, []byte("a"))
-	waited := make(chan error, 1)
-	go func() { waited <- g.WaitDurable(first) }()
-	<-entered
-	g.Enqueue(RecVmAccept, []byte("b"))
-	reset := make(chan int, 1)
-	go func() { reset <- g.Reset() }()
-	select {
-	case <-reset:
-		t.Fatal("Reset returned with a committer's force in flight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	if n := <-reset; n != 1 {
-		t.Errorf("Reset dropped %d records, want the 1 queued behind the force", n)
-	}
-	if err := <-waited; err != nil {
-		t.Errorf("the committer that forced: %v", err)
-	}
-	if l := inner.LastLSN(); l != first {
-		t.Errorf("device holds %d records, want the %d of the landed force", l, first)
-	}
-	if f, c := forcedBy(reg); f != 0 || c != 1 {
-		t.Errorf("forces: %d by the flusher, %d by a committer; want 0 and 1", f, c)
-	}
-}
-
-// Close during a committer's force waits for it, then drains the queue
-// behind it on the flusher.
-func TestGroupLogInlineCloseDrains(t *testing.T) {
-	inner := NewMemLog()
-	g, reg := instrumented(inner)
-	primeInline(g)
-	entered, release := gateFirstForce(g)
-	first, _ := g.Enqueue(RecCommit, []byte("a"))
-	waited := make(chan error, 1)
-	go func() { waited <- g.WaitDurable(first) }()
-	<-entered
-	g.Enqueue(RecVmAccept, []byte("b"))
-	last, _ := g.Enqueue(RecVmAccept, []byte("c"))
-	closed := make(chan error, 1)
-	go func() { closed <- g.Close() }()
-	select {
-	case <-closed:
-		t.Fatal("Close returned with a committer's force in flight")
-	case <-time.After(20 * time.Millisecond):
-	}
-	close(release)
-	if err := <-closed; err != nil {
-		t.Fatal(err)
-	}
-	if err := <-waited; err != nil {
-		t.Errorf("the committer that forced: %v", err)
-	}
-	if l := inner.LastLSN(); l != last {
-		t.Errorf("device holds %d records after Close, want all %d", l, last)
-	}
-	if f, c := forcedBy(reg); f != 1 || c != 1 {
-		t.Errorf("forces: %d by the flusher, %d by a committer; want 1 (the drain) and 1", f, c)
-	}
-}
-
-// A committer's failed force fails the log as the flusher's does: its
-// own record, every queued one and every later one.
-func TestGroupLogInlineErrorFailsQueuedAndLater(t *testing.T) {
-	inner := NewMemLog()
-	boom := errors.New("disk full")
-	g, reg := instrumented(inner)
-	defer g.Close()
-	primeInline(g)
-	entered, release := gateFirstForce(g)
-	var lsns []uint64
-	firstWait := make(chan error, 1)
-	for i := 0; i < 4; i++ {
-		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
-		if i == 0 {
-			go func() { firstWait <- g.WaitDurable(lsn) }()
-			<-entered
-		}
-	}
-	inner.SetAppendHook(func(Record) error { return boom })
-	close(release)
-	if err := <-firstWait; !errors.Is(err, boom) {
-		t.Errorf("the forcing WaitDurable(%d) = %v, want %v", lsns[0], err, boom)
-	}
-	for _, lsn := range lsns {
-		if err := g.WaitDurable(lsn); !errors.Is(err, boom) {
-			t.Errorf("WaitDurable(%d) = %v, want %v", lsn, err, boom)
-		}
-	}
-	inner.SetAppendHook(nil)
-	if _, err := g.Enqueue(RecCommit, nil); !errors.Is(err, boom) {
-		t.Errorf("later Enqueue = %v, want %v", err, boom)
-	}
-	if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
-		t.Errorf("later Append = %v, want %v", err, boom)
-	}
-	if inner.LastLSN() != 0 {
-		t.Errorf("inner log holds %d records; none was to be written", inner.LastLSN())
-	}
-	if f, c := forcedBy(reg); f != 0 || c != 1 {
-		t.Errorf("forces: %d by the flusher, %d by a committer; want 0 and 1", f, c)
 	}
 }

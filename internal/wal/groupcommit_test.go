@@ -93,16 +93,8 @@ func TestGroupLogBatchesConcurrentAppends(t *testing.T) {
 // more than two batches' worth of queued records writes them as full
 // frames and a remainder, in LSN order.
 func TestGroupLogMaxBatch(t *testing.T) {
-	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{})
-	defer g.Close()
-	var mu sync.Mutex
-	var frames []int
-	g.SetFlushHook(func(n int) {
-		mu.Lock()
-		frames = append(frames, n)
-		mu.Unlock()
-	})
+	r := newFlushRig(t, NewMemLog())
+	g := r.g
 	const k = 2*maxBatch + 5
 	var last uint64
 	for i := 0; i < k; i++ {
@@ -115,10 +107,8 @@ func TestGroupLogMaxBatch(t *testing.T) {
 	if err := g.WaitDurable(last); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(frames) != 3 || frames[0] != maxBatch || frames[1] != maxBatch || frames[2] != 5 {
-		t.Errorf("%d queued records went out in frames of %v, want [%d %d 5]", k, frames, maxBatch, maxBatch)
+	if frames := r.flushes(); len(frames) != 3 || frames[0] != maxBatch || frames[1] != maxBatch || frames[2] != 5 {
+		t.Errorf("%d queued records went out in frames of %v, want [%d %d 5]", k, r.flushes(), maxBatch, maxBatch)
 	}
 	if g.LastLSN() != k {
 		t.Errorf("LastLSN = %d, want %d", g.LastLSN(), k)
@@ -189,56 +179,72 @@ func TestGroupLogResetDropsTheQueue(t *testing.T) {
 	}
 }
 
-// The flush in flight when Reset comes lands, as a write already
-// issued to the disk would: Reset waits it out, and drops only what
-// queued behind it.
-func TestGroupLogResetLandsTheFlushInFlight(t *testing.T) {
-	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{})
-	defer g.Close()
-	entered, release := make(chan struct{}), make(chan struct{})
-	var once sync.Once
-	g.SetFlushHook(func(int) {
-		once.Do(func() {
-			close(entered)
-			<-release
-		})
+// flushRig is an instrumented group log that records every flush's
+// batch size.
+type flushRig struct {
+	g   *GroupLog
+	reg *obs.Registry
+
+	mu      sync.Mutex
+	batches []int
+}
+
+func newFlushRig(t *testing.T, dev Device) *flushRig {
+	r := &flushRig{reg: obs.NewRegistry()}
+	r.g = NewGroupLog(dev, GroupCommitOptions{})
+	r.g.Instrument(r.reg, "site", "1")
+	r.g.SetFlushHook(func(n int) {
+		r.mu.Lock()
+		r.batches = append(r.batches, n)
+		r.mu.Unlock()
 	})
-	first, _ := g.Enqueue(RecCommit, []byte("a"))
-	waited := make(chan error, 1)
-	go func() { waited <- g.WaitDurable(first) }()
-	<-entered
-	g.Enqueue(RecVmAccept, []byte("b"))
-	reset := make(chan int, 1)
-	go func() { reset <- g.Reset() }()
-	select {
-	case <-reset:
-		t.Fatal("Reset returned with a flush in flight")
-	case <-time.After(20 * time.Millisecond):
+	t.Cleanup(func() { r.g.Close() })
+	return r
+}
+
+func (r *flushRig) flushes() []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]int(nil), r.batches...)
+}
+
+// runner says who runs a waiter's force: the flusher, or the waiter
+// itself once the policy prefers it. A test that holds a force in
+// flight runs once with each.
+type runner struct {
+	name      string
+	committer bool
+}
+
+var runners = []runner{{"flusher", false}, {"committer", true}}
+
+// log returns an instrumented group log over inner whose waiters' forces
+// the runner runs.
+func (r runner) log(inner Device) (*GroupLog, *obs.Registry) {
+	g, reg := instrumented(inner)
+	if r.committer {
+		preferCommitter(g)
 	}
-	close(release)
-	if n := <-reset; n != 1 {
-		t.Errorf("Reset dropped %d records, want the 1 queued behind the flush", n)
+	return g, reg
+}
+
+// checkForces checks that n forces ran on the runner and drains more on
+// the flusher.
+func (r runner) checkForces(t *testing.T, reg *obs.Registry, n, drains uint64) {
+	t.Helper()
+	wantF, wantC := n+drains, uint64(0)
+	if r.committer {
+		wantF, wantC = drains, n
 	}
-	if err := <-waited; err != nil {
-		t.Errorf("waiter on the landed flush: %v", err)
-	}
-	if l := inner.LastLSN(); l != first {
-		t.Errorf("device holds %d records, want the %d of the landed flush", l, first)
+	if f, c := forcedBy(reg); f != wantF || c != wantC {
+		t.Errorf("forces: %d by the flusher, %d by a committer; want %d and %d", f, c, wantF, wantC)
 	}
 }
 
-// Every queued record and every later append fails once a flush has:
-// none of them may be reported stable behind a hole.
-func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
-	inner := NewMemLog()
-	boom := errors.New("disk full")
-	g := NewGroupLog(inner, GroupCommitOptions{})
-	defer g.Close()
-
-	// Hold the first flush — the one a waiter on the first record asks
-	// for — so the rest queue up behind it.
-	entered, release := make(chan struct{}), make(chan struct{})
+// gateFirstForce parks the first force in the flush hook until release
+// is closed; entered is closed when a force gets there.
+func gateFirstForce(g *GroupLog) (entered, release chan struct{}) {
+	entered, release = make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	g.SetFlushHook(func(int) {
 		once.Do(func() {
@@ -246,38 +252,93 @@ func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
 			<-release
 		})
 	})
-	var lsns []uint64
-	firstWait := make(chan error, 1)
-	for i := 0; i < 4; i++ {
-		lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		lsns = append(lsns, lsn)
-		if i == 0 {
-			go func() { firstWait <- g.WaitDurable(lsn) }()
+	return entered, release
+}
+
+// The force in flight when Reset comes lands, as a write already
+// issued to the disk would, whoever runs it: Reset waits it out, and
+// drops only what queued behind it.
+func TestGroupLogResetLandsTheFlushInFlight(t *testing.T) {
+	for _, run := range runners {
+		t.Run(run.name, func(t *testing.T) {
+			inner := NewMemLog()
+			g, reg := run.log(inner)
+			defer g.Close()
+			entered, release := gateFirstForce(g)
+			first, _ := g.Enqueue(RecCommit, []byte("a"))
+			waited := make(chan error, 1)
+			go func() { waited <- g.WaitDurable(first) }()
 			<-entered
-		}
+			g.Enqueue(RecVmAccept, []byte("b"))
+			reset := make(chan int, 1)
+			go func() { reset <- g.Reset() }()
+			select {
+			case <-reset:
+				t.Fatal("Reset returned with a force in flight")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			if n := <-reset; n != 1 {
+				t.Errorf("Reset dropped %d records, want the 1 queued behind the force", n)
+			}
+			if err := <-waited; err != nil {
+				t.Errorf("waiter on the landed force: %v", err)
+			}
+			if l := inner.LastLSN(); l != first {
+				t.Errorf("device holds %d records, want the %d of the landed force", l, first)
+			}
+			run.checkForces(t, reg, 1, 0)
+		})
 	}
-	inner.SetAppendHook(func(Record) error { return boom })
-	close(release)
-	if err := <-firstWait; !errors.Is(err, boom) {
-		t.Errorf("the demanding WaitDurable(%d) = %v, want %v", lsns[0], err, boom)
-	}
-	for _, lsn := range lsns {
-		if err := g.WaitDurable(lsn); !errors.Is(err, boom) {
-			t.Errorf("WaitDurable(%d) = %v, want %v", lsn, err, boom)
-		}
-	}
-	inner.SetAppendHook(nil)
-	if _, err := g.Enqueue(RecCommit, nil); !errors.Is(err, boom) {
-		t.Errorf("later Enqueue = %v, want %v", err, boom)
-	}
-	if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
-		t.Errorf("later Append = %v, want %v", err, boom)
-	}
-	if inner.LastLSN() != 0 {
-		t.Errorf("inner log holds %d records; none was to be written", inner.LastLSN())
+}
+
+// Every queued record and every later append fails once a force has,
+// whoever ran it: none of them may be reported stable behind a hole.
+func TestGroupLogErrorFailsQueuedAndLater(t *testing.T) {
+	for _, run := range runners {
+		t.Run(run.name, func(t *testing.T) {
+			inner := NewMemLog()
+			boom := errors.New("disk full")
+			g, reg := run.log(inner)
+			defer g.Close()
+			// Hold the first force — the one a waiter on the first
+			// record asks for — so the rest queue up behind it.
+			entered, release := gateFirstForce(g)
+			var lsns []uint64
+			firstWait := make(chan error, 1)
+			for i := 0; i < 4; i++ {
+				lsn, err := g.Enqueue(RecCommit, []byte{byte(i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				lsns = append(lsns, lsn)
+				if i == 0 {
+					go func() { firstWait <- g.WaitDurable(lsn) }()
+					<-entered
+				}
+			}
+			inner.SetAppendHook(func(Record) error { return boom })
+			close(release)
+			if err := <-firstWait; !errors.Is(err, boom) {
+				t.Errorf("the demanding WaitDurable(%d) = %v, want %v", lsns[0], err, boom)
+			}
+			for _, lsn := range lsns {
+				if err := g.WaitDurable(lsn); !errors.Is(err, boom) {
+					t.Errorf("WaitDurable(%d) = %v, want %v", lsn, err, boom)
+				}
+			}
+			inner.SetAppendHook(nil)
+			if _, err := g.Enqueue(RecCommit, nil); !errors.Is(err, boom) {
+				t.Errorf("later Enqueue = %v, want %v", err, boom)
+			}
+			if _, err := g.Append(RecCommit, nil); !errors.Is(err, boom) {
+				t.Errorf("later Append = %v, want %v", err, boom)
+			}
+			if inner.LastLSN() != 0 {
+				t.Errorf("inner log holds %d records; none was to be written", inner.LastLSN())
+			}
+			run.checkForces(t, reg, 1, 0)
+		})
 	}
 }
 
@@ -382,21 +443,8 @@ func TestGroupLogWaitDurableCoversPrefix(t *testing.T) {
 // nothing more.
 func TestGroupLogForcesOnDemand(t *testing.T) {
 	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{})
-	defer g.Close()
-	var mu sync.Mutex
-	var batches []int
-	g.SetFlushHook(func(n int) {
-		mu.Lock()
-		batches = append(batches, n)
-		mu.Unlock()
-	})
-	flushed := func() []int {
-		mu.Lock()
-		defer mu.Unlock()
-		return append([]int(nil), batches...)
-	}
-
+	r := newFlushRig(t, inner)
+	g, flushed := r.g, r.flushes
 	a, err := g.Enqueue(RecVmAccept, []byte("a"))
 	if err != nil {
 		t.Fatal(err)
@@ -442,19 +490,46 @@ func TestGroupLogCloseForcesUnwaited(t *testing.T) {
 	}
 }
 
+// Close during a force waits for it, whoever runs it, then drains the
+// queue behind it on the flusher; later appends are refused, and Close
+// is idempotent.
 func TestGroupLogCloseDrainsThenRejects(t *testing.T) {
-	inner := NewMemLog()
-	g := NewGroupLog(inner, GroupCommitOptions{})
-	g.Append(RecCommit, nil)
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Append(RecCommit, nil); !errors.Is(err, ErrClosed) {
-		t.Fatalf("append after close: %v", err)
-	}
-	// Close is idempotent.
-	if err := g.Close(); err != nil {
-		t.Fatal(err)
+	for _, run := range runners {
+		t.Run(run.name, func(t *testing.T) {
+			inner := NewMemLog()
+			g, reg := run.log(inner)
+			entered, release := gateFirstForce(g)
+			first, _ := g.Enqueue(RecCommit, []byte("a"))
+			waited := make(chan error, 1)
+			go func() { waited <- g.WaitDurable(first) }()
+			<-entered
+			g.Enqueue(RecVmAccept, []byte("b"))
+			last, _ := g.Enqueue(RecVmAccept, []byte("c"))
+			closed := make(chan error, 1)
+			go func() { closed <- g.Close() }()
+			select {
+			case <-closed:
+				t.Fatal("Close returned with a force in flight")
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(release)
+			if err := <-closed; err != nil {
+				t.Fatal(err)
+			}
+			if err := <-waited; err != nil {
+				t.Errorf("waiter on the landed force: %v", err)
+			}
+			if l := inner.LastLSN(); l != last {
+				t.Errorf("device holds %d records after Close, want all %d", l, last)
+			}
+			run.checkForces(t, reg, 1, 1)
+			if _, err := g.Append(RecCommit, nil); !errors.Is(err, ErrClosed) {
+				t.Fatalf("append after close: %v", err)
+			}
+			if err := g.Close(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -485,7 +560,7 @@ func TestGroupLogInstrument(t *testing.T) {
 	if n := reg.CounterValue("dvp_wal_group_flushes_total", "site", "1", "by", "flusher"); n != 1 {
 		t.Errorf("flusher's flush counter = %d, want 1", n)
 	}
-	primeInline(g)
+	preferCommitter(g)
 	g.Append(RecCommit, nil)
 	if n := reg.CounterValue("dvp_wal_group_flushes_total", "site", "1", "by", "committer"); n != 1 {
 		t.Errorf("committer's flush counter = %d, want 1", n)

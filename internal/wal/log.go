@@ -12,10 +12,10 @@
 // frame and drops a torn one whole at reopen. A site's log is always a
 // GroupLog over one device, so its records are forced in groups, on
 // demand, off the item's stripe. When a force starts and who runs it
-// are the GroupLog's policy alone, judged by what the log measures (see
-// GroupLog): it may hold one for the committers the previous force
-// released, and a waiter runs a force itself when that costs less than
-// waking the flusher.
+// are one rule, forcePolicy, judged by what the log measures: it may
+// hold one for the committers the previous force released, and a
+// waiter runs a force itself when that costs less than waking the
+// flusher.
 package wal
 
 import (
