@@ -65,8 +65,9 @@ type Options struct {
 	// Sabotage, when set, runs inside the final round's barrier, once
 	// every site is up and drained, right before the invariant checks,
 	// and may mutate cluster state directly to force an invariant
-	// violation — it exists to test the violation artifacts themselves
-	// (the flight-recorder dump, the replay trace).
+	// violation — it exists to test that each invariant family can fail
+	// and the violation artifacts themselves (the flight-recorder dump,
+	// the replay trace).
 	Sabotage func(c *dvp.Cluster)
 }
 
@@ -101,7 +102,7 @@ type Report struct {
 	RebalanceTransfers int
 
 	// InvariantChecks counts completed barrier passes (each pass runs
-	// all five invariant families).
+	// all seven invariant families).
 	InvariantChecks int
 
 	// Trace is the full event trace, replayable alongside the
@@ -216,7 +217,7 @@ func Run(sched *Schedule, opt Options) (*Report, error) {
 		// the checkpointer compacts logs behind the workload's back,
 		// and every crash-recovery cycle the schedule forces replays
 		// the suffix the way a deployed node does. The barrier pauses
-		// the checkpointer only across its audits.
+		// the checkpointer only across its checks.
 		CheckpointEveryRecords: 256,
 		// The demand rebalancer gossips adverts and ships surplus over
 		// the same faulty network the workload runs on; the barrier's
@@ -431,96 +432,43 @@ func (r *runner) apply(round int, e Event) {
 			applied = false
 		}
 	case EvCrashInFlush:
-		gl := r.c.GroupLog(e.Site)
 		if !r.c.SiteUp(e.Site) {
 			applied = false
 			break
 		}
-		site := e.Site
-		var once sync.Once
 		// The hook runs at the start of a flush window (before the
-		// force-write) on the goroutine running the force — the
-		// flusher, or a committer forcing inline; the kill must come
-		// from a fresh goroutine — Crash blocks on the lifecycle fence
-		// until parked committers drain, which needs the force done.
-		gl.SetFlushHook(func(batch int) {
-			once.Do(func() {
-				r.mu.Lock()
-				live := r.hooksLive
-				if live {
-					r.crashWG.Add(1)
-				}
-				r.mu.Unlock()
-				if !live {
-					return
-				}
-				go func() {
-					defer r.crashWG.Done()
-					if !r.c.SiteUp(site) {
-						return
-					}
-					r.c.Crash(site)
-					r.count(func(rep *Report) {
-						rep.Crashes++
-						rep.FlushCrashes++
-					})
-					r.tracef("r%d crash-in-flush fired: site %d killed inside a %d-record flush window",
-						round, site, batch)
-				}()
-			})
+		// force-write) on the goroutine running the force — the flusher,
+		// or a committer forcing inline — which the crash's lifecycle
+		// fence waits for: it may only launch the crash.
+		fire := r.crashTrap(e.Site, func(rep *Report) { rep.FlushCrashes++ })
+		r.c.GroupLog(e.Site).SetFlushHook(func(batch int) {
+			fire("r%d crash-in-flush fired: site %d killed inside a %d-record flush window",
+				round, e.Site, batch)
 		})
 	case EvCrashInCheckpoint:
 		if !r.c.SiteUp(e.Site) {
 			applied = false
 			break
 		}
-		site := e.Site
-		eng := r.c.SiteEngine(site)
-		var once sync.Once
 		// The hook runs inside Checkpoint — checkpoint record stable,
 		// compaction not yet done — on whichever goroutine triggered it
-		// (here, or the site's own checkpointer loop). The kill must
-		// come from a fresh goroutine: Crash's lifecycle fence can wait
-		// on handlers parked on the admission stripes Checkpoint holds,
-		// so the hook only launches the crash and returns an error,
-		// which makes Checkpoint skip the compaction — exactly the
-		// state a real crash in that window leaves behind.
-		eng.SetCheckpointHook(func(stage string) error {
-			fired := false
-			once.Do(func() {
-				r.mu.Lock()
-				live := r.hooksLive
-				if live {
-					r.crashWG.Add(1)
-				}
-				r.mu.Unlock()
-				if !live {
-					return
-				}
-				fired = true
-				go func() {
-					defer r.crashWG.Done()
-					if !r.c.SiteUp(site) {
-						return
-					}
-					r.c.Crash(site)
-					r.count(func(rep *Report) {
-						rep.Crashes++
-						rep.CheckpointCrashes++
-					})
-					r.tracef("r%d crash-in-checkpoint fired: site %d killed at %s, checkpoint written but not compacted",
-						round, site, stage)
-				}()
-			})
-			if fired {
+		// (here, or the site's own checkpointer loop), holding the
+		// admission stripes the crash's lifecycle fence may wait on. So
+		// it only launches the crash and returns an error, which makes
+		// Checkpoint skip the compaction — exactly the state a real crash
+		// in that window leaves behind.
+		fire := r.crashTrap(e.Site, func(rep *Report) { rep.CheckpointCrashes++ })
+		r.c.SiteEngine(e.Site).SetCheckpointHook(func(stage string) error {
+			if fire("r%d crash-in-checkpoint fired: site %d killed at %s, checkpoint written but not compacted",
+				round, e.Site, stage) {
 				return fmt.Errorf("chaos: crash-in-checkpoint trap fired")
 			}
 			return nil
 		})
-		// Trigger a checkpoint now rather than waiting for the byte
+		// Trigger a checkpoint now rather than waiting for the record
 		// threshold, so the trap fires deterministically mid-round. The
 		// trap's error surfacing here is the expected outcome.
-		if err := r.c.Checkpoint(site); err != nil {
+		if err := r.c.Checkpoint(e.Site); err != nil {
 			r.tracef("r%d %s: checkpoint cut short by trap: %v", round, e, err)
 		}
 	case EvPeerDown:
@@ -564,6 +512,43 @@ func (r *runner) apply(round int, e Event) {
 		r.tracef("r%d +%dms %s", round, e.AtMS, e)
 	} else {
 		r.tracef("r%d +%dms %s (no-op)", round, e.AtMS, e)
+	}
+}
+
+// crashTrap returns a one-shot trap that crashes site from inside a
+// hook. The first time it fires while the round's hooks are live, it
+// launches the crash on a fresh goroutine the barrier joins — the hook's
+// own goroutine holds what the crash waits for — which counts the crash
+// with tally and traces it, and it reports true. Any later call does
+// nothing and reports false.
+func (r *runner) crashTrap(site int, tally func(*Report)) func(format string, args ...any) bool {
+	var once sync.Once
+	return func(format string, args ...any) bool {
+		fired := false
+		once.Do(func() {
+			r.mu.Lock()
+			fired = r.hooksLive
+			if fired {
+				r.crashWG.Add(1)
+			}
+			r.mu.Unlock()
+			if !fired {
+				return
+			}
+			go func() {
+				defer r.crashWG.Done()
+				if !r.c.SiteUp(site) {
+					return
+				}
+				r.c.Crash(site)
+				r.count(func(rep *Report) {
+					rep.Crashes++
+					tally(rep)
+				})
+				r.tracef(format, args...)
+			}()
+		})
+		return fired
 	}
 }
 
@@ -652,6 +637,14 @@ func (r *runner) barrier(round int) error {
 		}
 	}
 
+	// Freeze the automatic checkpointers (joining any in-flight run)
+	// before the first log audit: the audits compare logs against live
+	// state and group-commit waiter counts, and recovery's rebuild reads
+	// a log twice — a checkpoint appending a record or compacting the
+	// log in between would move them under the audit.
+	r.c.SetCheckpointPaused(true)
+	defer r.c.SetCheckpointPaused(false)
+
 	// A barrier crossed mid-outage is degraded: the drain and the
 	// invariant families need the full mesh (global conservation sums
 	// every site's quota; the drain retransmits into a black hole), so
@@ -659,7 +652,11 @@ func (r *runner) barrier(round int) error {
 	// the one audit that needs neither — no ack ahead of the log — are
 	// this barrier's whole check.
 	if stillHeld > 0 {
-		if err := r.checkNoAckAheadOfLog(); err != nil {
+		audits, err := r.auditLogs()
+		if err != nil {
+			return err
+		}
+		if err := r.checkNoAckAheadOfLog(audits); err != nil {
 			return err
 		}
 		r.count(func(rep *Report) { rep.DegradedBarriers++ })
@@ -669,7 +666,7 @@ func (r *runner) barrier(round int) error {
 
 	// Anti-thrash invariant: with faults healed and the workload
 	// stopped, the demand rebalancers must go quiet on their own —
-	// still-live, before anything is paused. Only then freeze them so
+	// still live, before they are paused. Only then freeze them so
 	// the remaining checks read stable quota snapshots (the defer keeps
 	// the pause scoped to this barrier).
 	if err := r.checkRebalanceQuiet(round); err != nil {
@@ -677,12 +674,6 @@ func (r *runner) barrier(round int) error {
 	}
 	r.c.SetRebalancePaused(true)
 	defer r.c.SetRebalancePaused(false)
-	// Freeze the automatic checkpointers too (joining any in-flight
-	// run): the audits compare logs against durable state and group-
-	// commit waiter counts, and a background checkpoint appending a
-	// record or compacting a log mid-audit would move both under them.
-	r.c.SetCheckpointPaused(true)
-	defer r.c.SetCheckpointPaused(false)
 
 	// Drain: all in-flight traffic delivered, no Vm awaiting
 	// retransmission anywhere.
@@ -695,7 +686,7 @@ func (r *runner) barrier(round int) error {
 		r.opt.Sabotage(r.c)
 		r.tracef("r%d barrier: sabotage injected", round)
 	}
-	if err := r.checkInvariants(round); err != nil {
+	if err := r.checkInvariants(); err != nil {
 		return err
 	}
 	r.count(func(rep *Report) { rep.InvariantChecks++ })

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ var seedCount = flag.Int("chaos.seeds", 0, "number of chaos seeds to run (0 = fi
 
 // TestChaosSeeds is the main gate: every seed builds a distinct
 // crash/partition schedule, runs it against a concurrent randomized
-// workload, and checks all five global invariants at every round
+// workload, and checks all seven invariant families at every round
 // barrier. A failure prints the seed, the exact replay commands, the
 // full schedule and the event trace.
 func TestChaosSeeds(t *testing.T) {
@@ -73,48 +74,120 @@ func TestChaosSeeds(t *testing.T) {
 	}
 }
 
-// TestSabotageProducesFlightDump forces an invariant violation —
-// conjuring value out of thin air in one live site's store at the final
-// barrier — and checks the failure artifacts: the run must fail the
-// conservation check, and the report must carry a readable
-// flight-recorder dump of what the cluster was doing beforehand.
+// TestSabotageProducesFlightDump forces one invariant violation per
+// row at the final barrier of one schedule, once every site is up and
+// drained, and checks the failure artifacts: the run must fail the
+// row's own family — conservation, and each family that reads the
+// logs — and the report must carry a readable flight-recorder dump of
+// what the cluster was doing beforehand.
 func TestSabotageProducesFlightDump(t *testing.T) {
-	sched := Build(7)
-	rep, err := Run(sched, Options{
-		Sabotage: func(c *dvp.Cluster) {
-			s := c.SiteEngine(1)
-			// Inject 7 phantom units of item/0 directly into site 1's
-			// store, bypassing the WAL: no transaction explains them,
-			// so Γ-conservation must fail at the barrier.
-			if _, err := s.DB().ApplyAll(s.LogLastLSN()+1_000_000, []wal.Action{{Item: "item/0", Delta: 7}}); err != nil {
-				t.Fatalf("sabotage apply: %v", err)
-			}
+	for _, tc := range []struct {
+		name     string
+		want     string // the violation, after "chaos seed 7 round N: "
+		sabotage func(t *testing.T, c *dvp.Cluster)
+	}{{
+		// 7 phantom units of item/0 in site 1's store, bypassing the
+		// log: no transaction explains them.
+		name:     "conservation",
+		want:     `conservation: item item/0 global total`,
+		sabotage: func(t *testing.T, c *dvp.Cluster) { applyUnlogged(t, c, 1, 7) },
+	}, {
+		// A copy of a record that accepts a Vm, appended to the same
+		// log: the stable history accepts that Vm twice.
+		name:     "exactly-once",
+		want:     `exactly-once: site \d+ log accepts Vm \(from=\S+ seq=\d+\) twice`,
+		sabotage: copyAcceptance,
+	}, {
+		// Site 1 takes an ack from site 2 one past anything site 2's
+		// log accepts from it.
+		name: "no ack ahead of the log",
+		want: `exactly-once: site \S+ holds a cumulative ack of \d+ from site 2, .* an ack ran ahead of the log`,
+		sabotage: func(t *testing.T, c *dvp.Cluster) {
+			vm := c.SiteEngine(1).VM()
+			vm.OnAck(2, vm.CumAck(2)+1)
 		},
-	})
-	if err == nil {
-		t.Fatal("sabotaged run passed its barriers — invariant checking is broken")
+	}, {
+		// 3 units of item/0 move from the site holding most of it to
+		// another, in both stores and in neither log: conservation
+		// holds, and the two stores no longer match their logs.
+		name: "idempotence",
+		want: `idempotence: site \d+ item/0 rebuilt-from-log=\d+ live=\d+`,
+		sabotage: func(t *testing.T, c *dvp.Cluster) {
+			from := 1
+			for i := 2; i <= c.Sites(); i++ {
+				if c.Quota(i, "item/0") > c.Quota(from, "item/0") {
+					from = i
+				}
+			}
+			applyUnlogged(t, c, from, -3)
+			applyUnlogged(t, c, from%c.Sites()+1, 3)
+		},
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := Run(Build(7), Options{Sabotage: func(c *dvp.Cluster) { tc.sabotage(t, c) }})
+			if err == nil {
+				t.Fatal("sabotaged run passed its barriers — invariant checking is broken")
+			}
+			if !regexp.MustCompile(`^chaos seed 7 round \d+: ` + tc.want).MatchString(err.Error()) {
+				t.Errorf("expected a violation matching %q, got: %v", tc.want, err)
+			}
+			if len(rep.FlightDump) == 0 {
+				t.Fatal("violation produced no flight-recorder dump")
+			}
+			dump := rep.FlightString()
+			// Readability: every line is "HH:MM:SS.micros site kind detail".
+			for i, line := range rep.FlightDump {
+				if !flightLineRE.MatchString(line) {
+					t.Fatalf("flight line %d unreadable: %q", i, line)
+				}
+			}
+			// The dump must show real cluster activity, not just be
+			// non-empty: every site's recovery and start are present in a
+			// chaos run.
+			for _, kind := range []string{"recover", "site-up"} {
+				if !strings.Contains(dump, kind) {
+					t.Errorf("flight dump missing %q events:\n%s", kind, clip(dump, 2000))
+				}
+			}
+		})
 	}
-	if !strings.Contains(err.Error(), "conservation") {
-		t.Errorf("expected a conservation violation, got: %v", err)
+}
+
+// applyUnlogged adds delta to item/0 in site i's live store, bypassing
+// the log.
+func applyUnlogged(t *testing.T, c *dvp.Cluster, i int, delta dvp.Value) {
+	t.Helper()
+	s := c.SiteEngine(i)
+	if _, err := s.DB().ApplyAll(s.LogLastLSN()+1_000_000, []wal.Action{{Item: "item/0", Delta: delta}}); err != nil {
+		t.Fatalf("sabotage apply: %v", err)
 	}
-	if len(rep.FlightDump) == 0 {
-		t.Fatal("violation produced no flight-recorder dump")
-	}
-	dump := rep.FlightString()
-	// Readability: every line is "HH:MM:SS.micros site kind detail".
-	for i, line := range rep.FlightDump {
-		if !flightLineRE.MatchString(line) {
-			t.Fatalf("flight line %d unreadable: %q", i, line)
+}
+
+// copyAcceptance appends to a site's log a copy of the last record in
+// it that accepts a Vm.
+func copyAcceptance(t *testing.T, c *dvp.Cluster) {
+	t.Helper()
+	for i := 1; i <= c.Sites(); i++ {
+		log := c.SiteEngine(i).Log()
+		var last *wal.Record
+		if err := log.Scan(1, func(rec wal.Record) error {
+			if refs, err := wal.Accepted(rec); err != nil || len(refs) == 0 {
+				return err
+			}
+			last = &wal.Record{Kind: rec.Kind, Data: slices.Clone(rec.Data)}
+			return nil
+		}); err != nil {
+			t.Fatalf("sabotage scan: %v", err)
+		}
+		if last != nil {
+			if _, err := log.Append(last.Kind, last.Data); err != nil {
+				t.Fatalf("sabotage append: %v", err)
+			}
+			return
 		}
 	}
-	// The dump must show real cluster activity, not just be non-empty:
-	// every site's recovery and start are present in a chaos run.
-	for _, kind := range []string{"recover", "site-up"} {
-		if !strings.Contains(dump, kind) {
-			t.Errorf("flight dump missing %q events:\n%s", kind, clip(dump, 2000))
-		}
-	}
-	t.Logf("flight dump: %d events captured", len(rep.FlightDump))
+	t.Fatal("sabotage: no site's log accepts a Vm")
 }
 
 var flightLineRE = regexp.MustCompile(`^\d{2}:\d{2}:\d{2}\.\d{6} s\d+\s+[a-z-]+`)
@@ -297,6 +370,10 @@ func TestDurabilityChecksRecordlessReadsByTheirFence(t *testing.T) {
 		t.Fatalf("site 1 logged %v, want a placement and a clock reservation", kinds)
 	}
 	last := c.SiteEngine(1).LogLastLSN()
+	audits, err := (&runner{sched: &Schedule{Sites: 1}, c: c}).auditLogs()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		ci   dvp.CommitInfo
@@ -310,7 +387,7 @@ func TestDurabilityChecksRecordlessReadsByTheirFence(t *testing.T) {
 	} {
 		tc.ci.Site = 1
 		r := &runner{sched: &Schedule{Sites: 1}, c: c, committed: []dvp.CommitInfo{tc.ci}}
-		if err := r.checkDurability(); (err == nil) != tc.ok {
+		if err := r.checkDurability(audits); (err == nil) != tc.ok {
 			t.Errorf("%s: audit returned %v", tc.name, err)
 		}
 	}

@@ -12,16 +12,24 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/recovery"
+	"dvp/internal/store"
 	"dvp/internal/tstamp"
 	"dvp/internal/vmsg"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
-// checkInvariants runs every global invariant family at a quiescent,
-// fully-up, fully-connected barrier.
-func (r *runner) checkInvariants(round int) error {
-	if err := r.checkDurability(); err != nil {
+// checkInvariants runs the barrier's invariant families at a
+// quiescent, fully-up, fully-connected barrier: durability,
+// conservation, non-negativity, exactly-once, serializability and
+// idempotence (the seventh, anti-thrash, runs before the drain). The
+// families that check the stable logs read one audit of each.
+func (r *runner) checkInvariants() error {
+	audits, err := r.auditLogs()
+	if err != nil {
+		return err
+	}
+	if err := r.checkDurability(audits); err != nil {
 		return err
 	}
 	if err := r.checkConservation(); err != nil {
@@ -30,20 +38,101 @@ func (r *runner) checkInvariants(round int) error {
 	if err := r.checkNonNegative(); err != nil {
 		return err
 	}
-	if err := r.checkExactlyOnce(); err != nil {
-		return err
-	}
-	if err := r.checkDurability(); err != nil {
+	if err := r.checkExactlyOnce(audits); err != nil {
 		return err
 	}
 	if err := r.checkSerializability(); err != nil {
 		return err
 	}
-	if err := r.checkIdempotence(round); err != nil {
+	if err := r.checkIdempotence(audits); err != nil {
 		return err
 	}
 	// The drain above sent and acknowledged too.
 	return r.eventViolation()
+}
+
+// logAudit is one site's stable log as a barrier reads it: one scan for
+// what its records are, and one rebuild for the state a restart would
+// have. The log plus recovery is the reference every family that
+// checks the logs holds the live cluster to.
+type logAudit struct {
+	// acked holds, by sender, the cumulative ack each sender has from
+	// the site, read before the log: both only grow, so an ack above
+	// what the log accepts ran ahead of it.
+	acked   []uint64
+	horizon uint64                    // first retained LSN
+	kinds   map[uint64]wal.RecordKind // every retained record's kind, by LSN
+	dup     string                    // the first Vm the log creates or accepts twice
+	db      *store.Durable            // the store recovery rebuilds from the log
+	vm      *vmsg.Manager             // and the Vm channels
+}
+
+// auditLogs audits every site's log, indexed by site, each after
+// reading its senders' ack cursors. The automatic checkpointers must be
+// paused: a checkpoint and compaction between the rebuild's two passes
+// would drop records from its replay.
+func (r *runner) auditLogs() ([]*logAudit, error) {
+	n := r.sched.Sites
+	audits := make([]*logAudit, n+1)
+	for j := 1; j <= n; j++ {
+		a := &logAudit{acked: make([]uint64, n+1), kinds: make(map[uint64]wal.RecordKind)}
+		for i := 1; i <= n; i++ {
+			if i != j {
+				a.acked[i] = r.c.SiteEngine(i).VM().CumAck(ident.SiteID(j))
+			}
+		}
+		eng := r.c.SiteEngine(j)
+		if err := a.scan(eng.Log()); err != nil {
+			return nil, fmt.Errorf("log audit: site %d scan: %w", j, err)
+		}
+		var err error
+		if a.db, a.vm, _, err = recovery.Rebuild(eng.Log(), eng.ID()); err != nil {
+			return nil, fmt.Errorf("log audit: site %d rebuild: %w", j, err)
+		}
+		audits[j] = a
+	}
+	return audits, nil
+}
+
+// scan reads the log once: its horizon, each record's kind, and the
+// first Vm it creates twice — by VmCreate records, not a checkpoint's
+// pending entries, which repeat them — or accepts twice, by an
+// acceptance record or in a commit record's list.
+func (a *logAudit) scan(log wal.Log) error {
+	created := make(map[chanKey]bool)
+	accepted := make(map[chanKey]bool)
+	var names wal.Names
+	return log.Scan(1, func(rec wal.Record) error {
+		if a.horizon == 0 {
+			a.horizon = rec.LSN
+		}
+		a.kinds[rec.LSN] = rec.Kind
+		vms, pending, err := createdBy(&names, rec)
+		if err != nil {
+			return err
+		}
+		if pending {
+			vms = nil
+		}
+		refs, err := wal.Accepted(rec)
+		if err != nil {
+			return fmt.Errorf("LSN %d: %w", rec.LSN, err)
+		}
+		for _, k := range vms {
+			if created[k] && a.dup == "" {
+				a.dup = fmt.Sprintf("creates Vm (to=%v seq=%d) twice", k.peer, k.seq)
+			}
+			created[k] = true
+		}
+		for _, v := range refs {
+			k := chanKey{v.From, v.Seq}
+			if accepted[k] && a.dup == "" {
+				a.dup = fmt.Sprintf("accepts Vm (from=%v seq=%d) twice", v.From, v.Seq)
+			}
+			accepted[k] = true
+		}
+		return nil
+	})
 }
 
 // violated records err as an event-time violation unless an earlier
@@ -154,32 +243,45 @@ func (r *runner) checkVmAfterLog(from ident.SiteID, kind wire.Kind, frame []byte
 func (sc *siteCreates) scan(log wal.Log) error {
 	return log.Scan(sc.next, func(rec wal.Record) error {
 		sc.next = rec.LSN + 1
-		switch rec.Kind {
-		case wal.RecName:
-			if _, err := sc.names.DecodeName(rec.Data); err != nil {
-				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
-			}
-		case wal.RecVmCreate:
-			cr, err := sc.names.DecodeVmCreate(rec.Data)
-			if err != nil {
-				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
-			}
+		vms, _, err := createdBy(&sc.names, rec)
+		for _, k := range vms {
+			sc.vm[k] = true
+		}
+		return err
+	})
+}
+
+// createdBy reads rec into names, the log's item table, and returns the
+// Vm the record shows created: a VmCreate record's messages, or, with
+// pending set, the Vm a checkpoint still holds unacknowledged, whose
+// create records compaction may have dropped. It is the one decoding of
+// Vm creation both log audits share.
+func createdBy(names *wal.Names, rec wal.Record) (vms []chanKey, pending bool, err error) {
+	switch rec.Kind {
+	case wal.RecName:
+		_, err = names.DecodeName(rec.Data)
+	case wal.RecVmCreate:
+		var cr *wal.VmCreateRec
+		if cr, err = names.DecodeVmCreate(rec.Data); err == nil {
 			for _, m := range cr.Msgs {
-				sc.vm[chanKey{m.To, m.Seq}] = true
+				vms = append(vms, chanKey{m.To, m.Seq})
 			}
-		case wal.RecCheckpoint:
-			cp, err := sc.names.DecodeCheckpoint(rec.Data)
-			if err != nil {
-				return fmt.Errorf("LSN %d: %w", rec.LSN, err)
-			}
+		}
+	case wal.RecCheckpoint:
+		var cp *wal.CheckpointRec
+		if cp, err = names.DecodeCheckpoint(rec.Data); err == nil {
+			pending = true
 			for _, ch := range cp.Channels {
 				for _, v := range ch.Pending {
-					sc.vm[chanKey{ch.Peer, v.Seq}] = true
+					vms = append(vms, chanKey{ch.Peer, v.Seq})
 				}
 			}
 		}
-		return nil
-	})
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("LSN %d: %w", rec.LSN, err)
+	}
+	return vms, pending, nil
 }
 
 // checkRebalanceQuiet is the anti-thrash invariant on the demand
@@ -278,14 +380,13 @@ func (r *runner) checkNonNegative() error {
 //     (duplicate deliveries were detected, counted and discarded).
 //     Neither counter is bumped by recovery replay, so the identity
 //     spans crashes.
-//  2. WAL audit: no sender's log creates the same (to, seq) twice; no
-//     receiver's log accepts the same (from, seq) twice, whether by an
-//     acceptance record or in a commit record's list. The stable
+//  2. Log audit: no sender's log creates the same (to, seq) twice; no
+//     receiver's log accepts the same (from, seq) twice. The stable
 //     history itself contains no double-spend.
 //  3. Channel cursors: no receiver has cumulatively acked past what
 //     its sender ever allocated, and no sender has been acked past what
 //     its receiver's stable log accepts (checkNoAckAheadOfLog).
-func (r *runner) checkExactlyOnce() error {
+func (r *runner) checkExactlyOnce(audits []*logAudit) error {
 	var created, accepted, dups uint64
 	for i := 1; i <= r.sched.Sites; i++ {
 		st := r.c.SiteStats(i)
@@ -298,55 +399,11 @@ func (r *runner) checkExactlyOnce() error {
 			"exactly-once: ΣVmCreated=%d but ΣVmAccepted=%d (dups discarded: %d) at quiescence",
 			created, accepted, dups)
 	}
-
 	for i := 1; i <= r.sched.Sites; i++ {
-		log := r.c.SiteEngine(i).Log()
-		sentOnce := make(map[chanKey]bool)
-		acceptedOnce := make(map[chanKey]bool)
-		var names wal.Names
-		err := log.Scan(1, func(rec wal.Record) error {
-			var cr *wal.VmCreateRec
-			var err error
-			switch rec.Kind {
-			case wal.RecName:
-				_, err = names.DecodeName(rec.Data)
-			case wal.RecCheckpoint:
-				_, err = names.DecodeCheckpoint(rec.Data)
-			case wal.RecVmCreate:
-				cr, err = names.DecodeVmCreate(rec.Data)
-			}
-			if err != nil {
-				return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
-			}
-			if cr != nil {
-				for _, m := range cr.Msgs {
-					k := chanKey{m.To, m.Seq}
-					if sentOnce[k] {
-						return fmt.Errorf(
-							"exactly-once: site %d log creates Vm (to=%v seq=%d) twice", i, m.To, m.Seq)
-					}
-					sentOnce[k] = true
-				}
-			}
-			accepted, err := wal.Accepted(rec)
-			if err != nil {
-				return fmt.Errorf("site %d LSN %d: %w", i, rec.LSN, err)
-			}
-			for _, v := range accepted {
-				k := chanKey{v.From, v.Seq}
-				if acceptedOnce[k] {
-					return fmt.Errorf(
-						"exactly-once: site %d log accepts Vm (from=%v seq=%d) twice", i, v.From, v.Seq)
-				}
-				acceptedOnce[k] = true
-			}
-			return nil
-		})
-		if err != nil {
-			return err
+		if d := audits[i].dup; d != "" {
+			return fmt.Errorf("exactly-once: site %d log %s", i, d)
 		}
 	}
-
 	for i := 1; i <= r.sched.Sites; i++ {
 		for j := 1; j <= r.sched.Sites; j++ {
 			if i == j {
@@ -361,59 +418,26 @@ func (r *runner) checkExactlyOnce() error {
 			}
 		}
 	}
-	return r.checkNoAckAheadOfLog()
+	return r.checkNoAckAheadOfLog(audits)
 }
 
 // checkNoAckAheadOfLog is the exactly-once family's "no ack ahead of
 // the log" audit: on every channel, the sender's cumulative ack is at
-// most the highest contiguous sequence whose acceptance the receiver's
-// stable log holds — as a RecVmAccept, in a RecCommit's accepted list,
-// or inside a checkpoint's channel state once compaction has dropped
-// the record. A receiver credits a Vm when the record accepting it is
-// enqueued; this is the check that it never acknowledged one before
-// that record was stable.
-// It needs no quiescence (the sender's cursor is read before the
-// receiver's log, and both only grow), so degraded barriers run it too.
-func (r *runner) checkNoAckAheadOfLog() error {
+// most the highest contiguous sequence the receiver's rebuilt channels
+// accept — what its stable log holds, by an acceptance record, in a
+// commit record's list, or in a checkpoint's channel state once
+// compaction has dropped the record. A receiver credits a Vm when the
+// record accepting it is enqueued; this is the check that it never
+// acknowledged one before that record was stable.
+// It needs no quiescence (the audit reads the senders' cursors before
+// the receiver's log, and both only grow), so degraded barriers run it
+// too.
+func (r *runner) checkNoAckAheadOfLog(audits []*logAudit) error {
 	for j := 1; j <= r.sched.Sites; j++ {
-		acked := make(map[ident.SiteID]uint64, r.sched.Sites)
-		for i := 1; i <= r.sched.Sites; i++ {
-			if i != j {
-				acked[ident.SiteID(i)] = r.c.SiteEngine(i).VM().CumAck(ident.SiteID(j))
-			}
-		}
-		// What the stable log accepts is what recovery would rebuild
-		// from it: the same two calls, into a scratch manager.
-		logged := vmsg.NewManager()
-		var names wal.Names
-		err := r.c.SiteEngine(j).Log().Scan(1, func(rec wal.Record) error {
-			switch rec.Kind {
-			case wal.RecName:
-				if _, err := names.DecodeName(rec.Data); err != nil {
-					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
-				}
-			case wal.RecCheckpoint:
-				cp, err := names.DecodeCheckpoint(rec.Data)
-				if err != nil {
-					return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
-				}
-				logged.RestoreChannels(cp.Channels)
-			}
-			accepted, err := wal.Accepted(rec)
-			if err != nil {
-				return fmt.Errorf("site %d LSN %d: %w", j, rec.LSN, err)
-			}
-			for _, v := range accepted {
-				logged.MarkAccepted(v.From, v.Seq)
-			}
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("exactly-once: site %d log scan: %w", j, err)
-		}
+		a := audits[j]
 		for i := 1; i <= r.sched.Sites; i++ {
 			from := ident.SiteID(i)
-			if ack, stable := acked[from], logged.AckFor(from); ack > stable {
+			if ack, stable := a.acked[i], a.vm.AckFor(from); ack > stable {
 				return fmt.Errorf(
 					"exactly-once: site %v holds a cumulative ack of %d from site %d, whose stable log accepts contiguously only up to %d — an ack ran ahead of the log",
 					from, ack, j, stable)
@@ -434,7 +458,7 @@ func (r *runner) checkNoAckAheadOfLog() error {
 // compaction horizon (a checkpoint subsumed them) are exempt. The
 // pipeline itself must also be drained at a barrier: no parked
 // committers, durable watermark caught up with the last assigned LSN.
-func (r *runner) checkDurability() error {
+func (r *runner) checkDurability(audits []*logAudit) error {
 	type acked struct {
 		lsn   uint64
 		fence bool
@@ -456,23 +480,8 @@ func (r *runner) checkDurability() error {
 		if d, l := gl.DurableLSN(), gl.LastLSN(); d != l {
 			return fmt.Errorf("durability: site %d durable watermark %d behind last LSN %d at a quiescent barrier", i, d, l)
 		}
-		acked := ackedBySite[ident.SiteID(i)]
-		if len(acked) == 0 {
-			continue
-		}
-		var horizon uint64 // first retained LSN
-		kinds := make(map[uint64]wal.RecordKind)
-		err := r.c.SiteEngine(i).Log().Scan(1, func(rec wal.Record) error {
-			if horizon == 0 || rec.LSN < horizon {
-				horizon = rec.LSN
-			}
-			kinds[rec.LSN] = rec.Kind
-			return nil
-		})
-		if err != nil {
-			return fmt.Errorf("durability: site %d log scan: %w", i, err)
-		}
-		for _, a := range acked {
+		horizon, kinds := audits[i].horizon, audits[i].kinds
+		for _, a := range ackedBySite[ident.SiteID(i)] {
 			kind, ok := kinds[a.lsn]
 			switch {
 			case a.lsn < horizon:
@@ -544,27 +553,13 @@ func (r *runner) checkSerializability() error {
 	return nil
 }
 
-// checkIdempotence holds each chosen site's store to its log (one
-// rotating site per round; every site at the final barrier): replaying
-// the stable log into brand-new state, as a restart does, must agree
-// with the live store on every item.
-func (r *runner) checkIdempotence(round int) error {
-	var sites []int
-	if round == r.sched.Rounds {
-		for i := 1; i <= r.sched.Sites; i++ {
-			sites = append(sites, i)
-		}
-	} else {
-		sites = []int{(round-1)%r.sched.Sites + 1}
-	}
-	for _, i := range sites {
-		eng := r.c.SiteEngine(i)
-		db, _, _, err := recovery.Rebuild(eng.Log(), eng.ID())
-		if err != nil {
-			return fmt.Errorf("idempotence: site %d rebuild: %w", i, err)
-		}
+// checkIdempotence holds every site's live store to its log: the
+// store recovery rebuilds from the stable log alone, as a restart
+// does, must agree with the live one on every item.
+func (r *runner) checkIdempotence(audits []*logAudit) error {
+	for i := 1; i <= r.sched.Sites; i++ {
 		for _, item := range r.items {
-			if rebuilt, live := db.Value(ident.ItemID(item)), r.c.Quota(i, item); rebuilt != live {
+			if rebuilt, live := audits[i].db.Value(ident.ItemID(item)), r.c.Quota(i, item); rebuilt != live {
 				return fmt.Errorf(
 					"idempotence: site %d %s rebuilt-from-log=%d live=%d",
 					i, item, rebuilt, live)

@@ -8,9 +8,10 @@ import (
 )
 
 // expC1 runs the seeded chaos harness as an experiment: each seed is a
-// distinct crash/partition schedule whose five global invariants —
-// conservation, non-negativity, exactly-once Vm application,
-// WAL-replay idempotence, serializability — are checked at every round
+// distinct crash/partition schedule whose seven invariant families —
+// durability, conservation, non-negativity, exactly-once Vm
+// application, serializability, idempotence against recovery's rebuild
+// and the rebalancer's anti-thrash — are checked at every round
 // barrier. The "result" is the fault coverage achieved with zero
 // violations.
 func expC1() Experiment {
@@ -36,7 +37,7 @@ func expC1() Experiment {
 			}
 			return &Result{ID: "C1", Title: "chaos invariants", Table: table,
 				Notes: []string{
-					fmt.Sprintf("all 5 invariant families held at all %d barriers across %d seeds: PASS", totalChecks, n),
+					fmt.Sprintf("all 7 invariant families held at all %d barriers across %d seeds: PASS", totalChecks, n),
 				}}, nil
 		},
 	}

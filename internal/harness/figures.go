@@ -489,10 +489,3 @@ func f3Dvp(o Options, clients, perClient int, work time.Duration) (float64, erro
 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

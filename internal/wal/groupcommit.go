@@ -63,6 +63,7 @@ type GroupLog struct {
 	wants    []uint64 // distinct LSNs above durable that WaitDurable waits on, ascending
 	failed   error    // first force error; sticky
 	closed   bool
+	gen      *generation // the waits since the last Reset
 	done     chan struct{}
 
 	policy    forcePolicy
@@ -91,6 +92,15 @@ type GroupLog struct {
 	holdsTimeout     *metrics.Counter
 }
 
+// generation is the stretch of a log between two Resets. A wait belongs
+// to the generation it started in: once a Reset ends that generation,
+// the wait is answered by the watermark it ended at, never by a later
+// record that reuses a dropped record's LSN.
+type generation struct {
+	over    bool
+	durable uint64 // the watermark the Reset left, once over
+}
+
 // NewGroupLog wraps inner with a group-commit flusher. Close stops the
 // flusher and closes inner. Nothing else may append to inner while the
 // GroupLog is open: it hands out inner's LSNs ahead of the write.
@@ -100,6 +110,7 @@ func NewGroupLog(inner Device, _ GroupCommitOptions) *GroupLog {
 		durable: inner.LastLSN(),
 		next:    inner.LastLSN() + 1,
 		done:    make(chan struct{}),
+		gen:     new(generation),
 	}
 	g.work = sync.NewCond(&g.mu)
 	g.stable = sync.NewCond(&g.mu)
@@ -138,7 +149,8 @@ func (g *GroupLog) Enqueue(kind RecordKind, data []byte) (uint64, error) {
 // WaitDurable implements Log: ask for a force covering lsn if the
 // watermark is short of it — run it here when the policy says the
 // waiter should, or else wake the flusher — then park until the
-// watermark covers lsn, or the log fails or closes short of it.
+// watermark covers lsn, or the log fails or closes short of it, or a
+// Reset drops the record (ErrReset).
 func (g *GroupLog) WaitDurable(lsn uint64) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -147,6 +159,7 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 	}
 	now := time.Now()
 	ask := g.want(lsn, now)
+	gen := g.gen
 	for g.durable < lsn {
 		if g.failed != nil {
 			return g.failed
@@ -171,6 +184,9 @@ func (g *GroupLog) WaitDurable(lsn uint64) error {
 			ask = false
 		}
 		g.stable.Wait()
+		if gen.over && lsn > gen.durable {
+			return ErrReset
+		}
 		now = time.Time{}
 	}
 	return nil
@@ -372,7 +388,8 @@ func (g *GroupLog) DurableLSN() uint64 {
 
 // Reset implements Log: wait out the force in flight, then drop the
 // queue, the failure, every wait and the last release, cutting short
-// any hold. The flusher keeps running.
+// any hold, and end the generation: a wait on a record it dropped
+// returns ErrReset. The flusher keeps running.
 func (g *GroupLog) Reset() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -384,6 +401,9 @@ func (g *GroupLog) Reset() int {
 	g.durable = g.inner.LastLSN()
 	g.next = g.durable + 1
 	g.forget()
+	g.gen.over, g.gen.durable = true, g.durable
+	g.gen = new(generation)
+	g.stable.Broadcast()
 	return dropped
 }
 

@@ -129,14 +129,33 @@ func TestGroupLogHoldCutByReset(t *testing.T) {
 	if err := r.g.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-errc; !errors.Is(err, ErrClosed) {
-		t.Errorf("the dropped record's wait returned %v, want ErrClosed", err)
+	if err := <-errc; !errors.Is(err, ErrReset) {
+		t.Errorf("the dropped record's wait returned %v, want ErrReset", err)
 	}
 	if f := r.flushes(); len(f) != 0 {
 		t.Errorf("flushes after Reset: %v, want none", f)
 	}
 	if j, to := r.holds(); j != 0 || to != 0 {
 		t.Errorf("the cut hold counted %d joined and %d timed out, want neither", j, to)
+	}
+}
+
+// A wait across a Reset on a record the Reset dropped fails with
+// ErrReset: the dropped record's LSN goes to the next Append, and that
+// record's force must not answer the old wait.
+func TestGroupLogResetFailsItsWaiters(t *testing.T) {
+	r := newFlushRig(t, NewMemLog())
+	first := r.heldAppend(t)
+	r.g.Reset()
+	lsn, err := r.g.Append(RecCommit, []byte("second"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn != 1 {
+		t.Fatalf("the Append after Reset got LSN %d, want the dropped record's 1", lsn)
+	}
+	if err := <-first; !errors.Is(err, ErrReset) {
+		t.Errorf("the dropped record's wait returned %v, want ErrReset", err)
 	}
 }
 

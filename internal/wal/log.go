@@ -146,7 +146,8 @@ type Log interface {
 	// Reset is what a crash does to the log: the force in flight lands,
 	// the records still queued and any failure are dropped, and the log
 	// resumes at LastLSN()+1. It returns the records dropped; a Device
-	// has no queue and drops none. Nobody may wait on the log across it.
+	// has no queue and drops none. A wait across it on a record it
+	// dropped returns ErrReset, even once a later record takes the LSN.
 	Reset() int
 	// Close releases resources. Appends after Close fail.
 	Close() error
@@ -154,6 +155,9 @@ type Log interface {
 
 // ErrClosed reports use of a closed log.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrReset reports a wait on a record that a Reset dropped.
+var ErrReset = errors.New("wal: record dropped by a reset")
 
 // BatchEntry is one record of a batched append: the same (kind, data)
 // pair Append takes, minus the LSN, which the log assigns densely in
