@@ -72,6 +72,12 @@ if grep -nE '"sync|time\.(Now|Since|AfterFunc|Sleep)' internal/wal/forcepolicy.g
 	echo "purity gate: internal/wal/forcepolicy.go locks or reads a clock (the log passes it instants)" >&2
 	exit 1
 fi
+# A trace takes every instant from its caller, which read it from its
+# site's clock for its histograms: the trace reads no clock of its own.
+if grep -n 'time\.\(Now\|Since\)' internal/obs/trace.go; then
+	echo "purity gate: internal/obs/trace.go reads the wall clock (its callers pass instants)" >&2
+	exit 1
+fi
 
 # Option gate. Every independently settable value doubles the
 # configurations tests and benchmarks must cover, so the option
@@ -91,7 +97,8 @@ fi
 # fixed-width site id the compact codec replaced, the per-item applied
 # LSN the one crash model made dead, dvpnode's own placement path, and
 # the stamp loop recovery ran over the store and the store's stamp
-# write, now that an item's stamp lives in its state)
+# write, now that an item's stamp lives in its state, and the baseline
+# write message nothing sent)
 # may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
@@ -119,7 +126,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS|MaxBatch:|forceHere|holdApplies|primeInline'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS|MaxBatch:|forceHere|holdApplies|primeInline|KWrite|decodeWrite'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -175,10 +182,10 @@ go test -race -run 'TestDeadPeerDialRateBounded' -count=1 ./internal/tcpnet
 
 # Bench smoke: one iteration of the perf-bearing benchmarks, so the
 # synced-file group log, write-only, mixed, Vm and recovery (full/*
-# and checkpointed/* rows) benches stay runnable under
-# `go test -bench` without paying full measurement time. -benchmem
-# keeps allocs/op visible wherever these run.
-go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWriteOnly|BenchmarkMixedCommitParallel|BenchmarkVmThroughput|BenchmarkRecover' -benchtime=1x -benchmem .
+# and checkpointed/* rows) benches and the control port's RESERVE
+# stay runnable under `go test -bench` without paying full measurement
+# time. -benchmem keeps allocs/op visible wherever these run.
+go test -run='^$' -bench='BenchmarkLocalCommitParallel|BenchmarkLocalCommitWriteOnly|BenchmarkMixedCommitParallel|BenchmarkVmThroughput|BenchmarkRecover|BenchmarkServeReserve' -benchtime=1x -benchmem . ./internal/ctl
 
 # Allocation-regression gate: a local write-only commit (8 committers,
 # memory group log) must not allocate more per op than the measured
@@ -199,6 +206,24 @@ if [ "$allocs" -gt "$alloc_ceiling" ]; then
 	exit 1
 fi
 echo "alloc gate: local write-only commit ${allocs} allocs/op (ceiling ${alloc_ceiling})"
+# The same gate on the control path: one RESERVE through the control
+# server — line read, parse, local commit, reply — on a memory group
+# log. Measured: 6 allocs/op — the item's name and the op slice, the
+# commit's result and trace, and the memory log's copies of the record.
+# The reply is appended to a per-connection buffer, so no formatting
+# allocates.
+ctl_alloc_ceiling=8
+allocs=$(go test -run='^$' -bench='BenchmarkServeReserve' -benchtime=1000x -benchmem ./internal/ctl |
+	awk '/BenchmarkServeReserve/ { print $(NF-1) }')
+if [ -z "$allocs" ]; then
+	echo "alloc gate: could not read allocs/op from the control-path bench" >&2
+	exit 1
+fi
+if [ "$allocs" -gt "$ctl_alloc_ceiling" ]; then
+	echo "alloc gate: BenchmarkServeReserve at ${allocs} allocs/op, ceiling ${ctl_alloc_ceiling}" >&2
+	exit 1
+fi
+echo "alloc gate: control-path RESERVE ${allocs} allocs/op (ceiling ${ctl_alloc_ceiling})"
 
 # Fuzz smoke: a short randomized pass per target on top of the
 # checked-in seed corpus (which includes envelopes and WAL records

@@ -58,13 +58,15 @@ func Do(addr, cmd string, timeout time.Duration) ([]string, error) {
 	return nil, fmt.Errorf("ctl %s: reply truncated (no terminator)", addr)
 }
 
-// multiLine reports whether cmd's reply is "." terminated.
+// multiLine reports whether cmd's reply is "." terminated. It reads
+// the verb as the server does.
 func multiLine(cmd string) bool {
-	f := strings.Fields(cmd)
-	if len(f) == 0 {
+	f, n := fields([]byte(cmd))
+	if n == 0 {
 		return false
 	}
-	switch strings.ToUpper(f[0]) {
+	var buf verbBuf
+	switch string(upper(&buf, f[0])) {
 	case "METRICS", "TRACE", "FLIGHT":
 		return true
 	}

@@ -2,6 +2,7 @@ package ctl
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"testing"
@@ -359,5 +360,28 @@ func TestTraceTSCommandValidation(t *testing.T) {
 	}
 	if _, err := Do(addr, "FLIGHT", ctlTimeout); err == nil {
 		t.Error("FLIGHT with no recorder should ERR")
+	}
+}
+
+// fields splits an ASCII line as strings.Fields does, keeping the
+// first maxFields and counting the rest.
+func TestFieldsMatchesStringsFields(t *testing.T) {
+	const alphabet = "aZ/0 \t\r\n\v\f"
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		line := make([]byte, rng.Intn(24))
+		for j := range line {
+			line[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		want := strings.Fields(string(line))
+		f, n := fields(line)
+		if n != len(want) {
+			t.Fatalf("fields(%q) counted %d, strings.Fields %d", line, n, len(want))
+		}
+		for k := 0; k < min(n, maxFields); k++ {
+			if string(f[k]) != want[k] {
+				t.Fatalf("fields(%q)[%d] = %q, want %q", line, k, f[k], want[k])
+			}
+		}
 	}
 }

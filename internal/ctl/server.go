@@ -7,8 +7,9 @@ package ctl
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
-	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -100,158 +101,250 @@ func (c *Server) Close() {
 func (c *Server) serve(conn net.Conn) {
 	defer c.wg.Done()
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
-	for sc.Scan() {
-		reply := c.handle(strings.Fields(sc.Text()))
-		if _, err := fmt.Fprintln(conn, reply); err != nil {
+	// A line, its newline included, must fit the reader's buffer of
+	// 64 KiB; a longer one ends the connection.
+	rd := bufio.NewReaderSize(conn, bufio.MaxScanTokenSize)
+	var out []byte
+	for {
+		line, err := rd.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			return
+		}
+		if len(line) > 0 {
+			out = c.handle(out[:0], line)
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-func (c *Server) handle(args []string) string {
-	if len(args) == 0 {
-		return "ERR empty command"
-	}
-	switch strings.ToUpper(args[0]) {
-	case "PING":
-		return "OK pong"
-	case "QUOTA":
-		if len(args) != 2 {
-			return "ERR usage: QUOTA <item>"
+// maxFields is the most fields a command takes: TRANSFER's four. A
+// line with more is a usage error, so fields past it are counted, not
+// kept.
+const maxFields = 4
+
+// isSpace marks the ASCII white space that separates fields. The
+// protocol is ASCII: any other byte belongs to a field.
+var isSpace = [256]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// fields splits line at runs of white space into views of the line,
+// keeping the first maxFields; n counts them all.
+func fields(line []byte) (f [maxFields][]byte, n int) {
+	for i := 0; i < len(line); {
+		if isSpace[line[i]] {
+			i++
+			continue
 		}
-		return fmt.Sprintf("OK %d", c.DB.Value(ident.ItemID(args[1])))
+		j := i
+		for j < len(line) && !isSpace[line[j]] {
+			j++
+		}
+		if n < maxFields {
+			f[n] = line[i:j]
+		}
+		n++
+		i = j
+	}
+	return f, n
+}
+
+// verbBuf holds a verb in upper case: the longest, TRANSFER, fills it.
+type verbBuf [len("TRANSFER")]byte
+
+// upper returns verb in ASCII upper case, in buf; a verb longer than
+// buf names no command and comes back as it is.
+func upper(buf *verbBuf, verb []byte) []byte {
+	if len(verb) > len(buf) {
+		return verb
+	}
+	for i, b := range verb {
+		if 'a' <= b && b <= 'z' {
+			b -= 'a' - 'A'
+		}
+		buf[i] = b
+	}
+	return buf[:len(verb)]
+}
+
+// handle runs one command line and appends its reply, newline
+// included, to out.
+func (c *Server) handle(out, line []byte) []byte {
+	f, n := fields(line)
+	if n == 0 {
+		return append(out, "ERR empty command\n"...)
+	}
+	var buf verbBuf
+	verb := upper(&buf, f[0])
+	switch string(verb) {
+	case "PING":
+		return append(out, "OK pong\n"...)
+	case "QUOTA":
+		if n != 2 {
+			return append(out, "ERR usage: QUOTA <item>\n"...)
+		}
+		out = strconv.AppendInt(append(out, "OK "...), int64(c.DB.Value(ident.ItemID(f[1]))), 10)
+		return append(out, '\n')
 	case "STATS":
 		st := c.Site.Stats()
 		// Abort reasons reported separately so partition experiments
 		// can tell timeout aborts from CC rejections; aborts= keeps
 		// the total for script compatibility.
-		return fmt.Sprintf("OK committed=%d aborts=%d abort_lock=%d abort_cc=%d abort_timeout=%d abort_down=%d honored=%d vm-accepted=%d retransmits=%d",
-			st.Committed,
-			st.AbortLockConflict+st.AbortCCRejected+st.AbortTimeout+st.AbortSiteDown,
-			st.AbortLockConflict, st.AbortCCRejected, st.AbortTimeout, st.AbortSiteDown,
-			st.RequestsHonored, st.VmAccepted, st.Retransmissions)
+		out = appendUint(out, "OK committed=", st.Committed)
+		out = appendUint(out, " aborts=", st.AbortLockConflict+st.AbortCCRejected+st.AbortTimeout+st.AbortSiteDown)
+		out = appendUint(out, " abort_lock=", st.AbortLockConflict)
+		out = appendUint(out, " abort_cc=", st.AbortCCRejected)
+		out = appendUint(out, " abort_timeout=", st.AbortTimeout)
+		out = appendUint(out, " abort_down=", st.AbortSiteDown)
+		out = appendUint(out, " honored=", st.RequestsHonored)
+		out = appendUint(out, " vm-accepted=", st.VmAccepted)
+		out = appendUint(out, " retransmits=", st.Retransmissions)
+		return append(out, '\n')
 	case "RECOVERY":
 		r := c.Site.LastRecovery()
-		return fmt.Sprintf("OK checkpoint_lsn=%d checkpoints_skipped=%d records_scanned=%d actions_redone=%d vm_restored=%d elapsed_us=%d network_calls=%d",
-			r.CheckpointLSN, r.CheckpointsSkipped, r.RecordsScanned,
-			r.ActionsRedone, r.VmRestored,
-			r.Elapsed.Microseconds(), r.NetworkCalls)
+		out = appendUint(out, "OK checkpoint_lsn=", r.CheckpointLSN)
+		out = appendInt(out, " checkpoints_skipped=", int64(r.CheckpointsSkipped))
+		out = appendInt(out, " records_scanned=", int64(r.RecordsScanned))
+		out = appendInt(out, " actions_redone=", int64(r.ActionsRedone))
+		out = appendInt(out, " vm_restored=", int64(r.VmRestored))
+		out = appendInt(out, " elapsed_us=", r.Elapsed.Microseconds())
+		out = appendInt(out, " network_calls=", int64(r.NetworkCalls))
+		return append(out, '\n')
 	case "METRICS":
 		if c.Metrics == nil {
-			return "ERR metrics disabled"
+			return append(out, "ERR metrics disabled\n"...)
 		}
-		return strings.TrimRight(c.Metrics.Render(), "\n") + "\n."
+		out = append(out, strings.TrimRight(c.Metrics.Render(), "\n")...)
+		return append(out, "\n.\n"...)
 	case "TRACE":
 		if c.Traces == nil {
-			return "ERR tracing disabled"
+			return append(out, "ERR tracing disabled\n"...)
 		}
-		if len(args) == 3 && strings.EqualFold(args[1], "TS") {
-			ts, err := strconv.ParseUint(args[2], 10, 64)
+		if n == 3 && bytes.EqualFold(f[1], []byte("TS")) {
+			ts, err := strconv.ParseUint(string(f[2]), 10, 64)
 			if err != nil || ts == 0 {
-				return "ERR usage: TRACE TS <ts>"
+				return append(out, "ERR usage: TRACE TS <ts>\n"...)
 			}
-			spans := c.Traces.ByTS(ts)
-			if len(spans) == 0 {
-				return "."
-			}
-			var sb strings.Builder
-			enc := json.NewEncoder(&sb)
-			for _, t := range spans {
-				if err := enc.Encode(t); err != nil {
-					return "ERR " + err.Error()
+			return appendBlock(out, func(w io.Writer) error {
+				enc := json.NewEncoder(w)
+				for _, t := range c.Traces.ByTS(ts) {
+					if err := enc.Encode(t); err != nil {
+						return err
+					}
 				}
-			}
-			return strings.TrimRight(sb.String(), "\n") + "\n."
+				return nil
+			})
 		}
-		n := 10
-		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
-			if err != nil || v <= 0 {
-				return "ERR usage: TRACE [n] | TRACE TS <ts>"
-			}
-			n = v
-		} else if len(args) > 2 {
-			return "ERR usage: TRACE [n] | TRACE TS <ts>"
+		k, ok := optCount(f, n, 10)
+		if !ok {
+			return append(out, "ERR usage: TRACE [n] | TRACE TS <ts>\n"...)
 		}
-		var sb strings.Builder
-		if err := c.Traces.DumpJSON(&sb, n); err != nil {
-			return "ERR " + err.Error()
-		}
-		if sb.Len() == 0 {
-			return "."
-		}
-		return strings.TrimRight(sb.String(), "\n") + "\n."
+		return appendBlock(out, func(w io.Writer) error { return c.Traces.DumpJSON(w, k) })
 	case "FLIGHT":
 		if c.Flight == nil {
-			return "ERR flight recorder disabled"
+			return append(out, "ERR flight recorder disabled\n"...)
 		}
-		n := 100
-		if len(args) == 2 {
-			v, err := strconv.Atoi(args[1])
-			if err != nil || v <= 0 {
-				return "ERR usage: FLIGHT [n]"
-			}
-			n = v
-		} else if len(args) > 2 {
-			return "ERR usage: FLIGHT [n]"
+		k, ok := optCount(f, n, 100)
+		if !ok {
+			return append(out, "ERR usage: FLIGHT [n]\n"...)
 		}
-		var sb strings.Builder
-		if err := c.Flight.WriteText(&sb, n); err != nil {
-			return "ERR " + err.Error()
-		}
-		if sb.Len() == 0 {
-			return "."
-		}
-		return strings.TrimRight(sb.String(), "\n") + "\n."
+		return appendBlock(out, func(w io.Writer) error { return c.Flight.WriteText(w, k) })
 	case "RESERVE", "CANCEL":
-		if len(args) != 3 {
-			return "ERR usage: " + args[0] + " <item> <n>"
+		if n != 3 {
+			out = append(append(out, "ERR usage: "...), f[0]...)
+			return append(out, " <item> <n>\n"...)
 		}
-		n, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil || n < 0 {
-			return "ERR bad amount"
+		m, ok := amount(f[2])
+		if !ok {
+			return append(out, "ERR bad amount\n"...)
 		}
-		var op core.Op = core.Decr{M: core.Value(n)}
-		if strings.EqualFold(args[0], "CANCEL") {
-			op = core.Incr{M: core.Value(n)}
-		}
-		res := c.runRetry(&txn.Txn{
-			Ops:   []txn.ItemOp{{Item: ident.ItemID(args[1]), Op: op}},
+		t := txn.Txn{
+			Ops:   []txn.ItemOp{{Item: ident.ItemID(f[1]), Op: core.Decr{M: m}}},
 			Ask:   txn.AskAll,
-			Label: strings.ToLower(args[0]),
-		})
-		return txnReply(res, "")
+			Label: "reserve",
+		}
+		if string(verb) == "CANCEL" {
+			t.Ops[0].Op, t.Label = core.Incr{M: m}, "cancel"
+		}
+		return appendTxnReply(out, c.runRetry(&t))
 	case "TRANSFER":
-		if len(args) != 4 {
-			return "ERR usage: TRANSFER <from> <to> <n>"
+		if n != 4 {
+			return append(out, "ERR usage: TRANSFER <from> <to> <n>\n"...)
 		}
-		n, err := strconv.ParseInt(args[3], 10, 64)
-		if err != nil || n < 0 {
-			return "ERR bad amount"
+		m, ok := amount(f[3])
+		if !ok {
+			return append(out, "ERR bad amount\n"...)
 		}
-		res := c.runRetry(&txn.Txn{
+		return appendTxnReply(out, c.runRetry(&txn.Txn{
 			Ops: []txn.ItemOp{
-				{Item: ident.ItemID(args[1]), Op: core.Decr{M: core.Value(n)}},
-				{Item: ident.ItemID(args[2]), Op: core.Incr{M: core.Value(n)}},
+				{Item: ident.ItemID(f[1]), Op: core.Decr{M: m}},
+				{Item: ident.ItemID(f[2]), Op: core.Incr{M: m}},
 			},
 			Ask:   txn.AskAll,
 			Label: "transfer",
-		})
-		return txnReply(res, "")
+		}))
 	case "READ":
-		if len(args) != 2 {
-			return "ERR usage: READ <item>"
+		if n != 2 {
+			return append(out, "ERR usage: READ <item>\n"...)
 		}
-		item := ident.ItemID(args[1])
+		item := ident.ItemID(f[1])
 		res := c.runRetry(&txn.Txn{Reads: []ident.ItemID{item}, Ask: txn.AskAll, Label: "read"})
-		if res.Committed() {
-			return fmt.Sprintf("OK %d ts=%d", res.Reads[item], uint64(res.TS))
+		if !res.Committed() {
+			return appendTxnReply(out, res)
 		}
-		return txnReply(res, "")
+		out = strconv.AppendInt(append(out, "OK "...), int64(res.Reads[item]), 10)
+		out = appendUint(out, " ts=", uint64(res.TS))
+		return append(out, '\n')
 	default:
-		return "ERR unknown command " + args[0]
+		out = append(append(out, "ERR unknown command "...), f[0]...)
+		return append(out, '\n')
 	}
+}
+
+// amount parses a transaction's amount: a non-negative decimal.
+func amount(field []byte) (core.Value, bool) {
+	m, err := strconv.ParseInt(string(field), 10, 64)
+	return core.Value(m), err == nil && m >= 0
+}
+
+// optCount reads the optional positive count of TRACE [n] and
+// FLIGHT [n], def when it is absent.
+func optCount(f [maxFields][]byte, n, def int) (int, bool) {
+	switch n {
+	case 1:
+		return def, true
+	case 2:
+		v, err := strconv.Atoi(string(f[1]))
+		return v, err == nil && v > 0
+	}
+	return 0, false
+}
+
+// appendBlock appends a multi-line reply: what write writes, its
+// trailing newlines trimmed, then a lone "." line. A write that writes
+// nothing leaves the "." alone; one that fails leaves an ERR line.
+func appendBlock(out []byte, write func(io.Writer) error) []byte {
+	start := len(out)
+	body := bytes.NewBuffer(out)
+	if err := write(body); err != nil {
+		return append(append(append(out[:start], "ERR "...), err.Error()...), '\n')
+	}
+	out = bytes.TrimRight(body.Bytes(), "\n")
+	if len(out) == start {
+		return append(out, ".\n"...)
+	}
+	return append(out, "\n.\n"...)
+}
+
+func appendUint(out []byte, key string, v uint64) []byte {
+	return strconv.AppendUint(append(out, key...), v, 10)
+}
+
+func appendInt(out []byte, key string, v int64) []byte {
+	return strconv.AppendInt(append(out, key...), v, 10)
 }
 
 // runRetry is the application-level retry loop the paper assumes
@@ -269,10 +362,12 @@ func (c *Server) runRetry(t *txn.Txn) *txn.Result {
 	return res
 }
 
-func txnReply(res *txn.Result, extra string) string {
-	if res.Committed() {
-		return strings.TrimSpace(fmt.Sprintf("OK committed in %.2fms ts=%d %s",
-			float64(res.Latency.Microseconds())/1000, uint64(res.TS), extra))
+// appendTxnReply appends a transaction's one-line reply.
+func appendTxnReply(out []byte, res *txn.Result) []byte {
+	if !res.Committed() {
+		return append(append(append(out, "ABORT "...), res.Status.String()...), '\n')
 	}
-	return "ABORT " + res.Status.String()
+	out = strconv.AppendFloat(append(out, "OK committed in "...), float64(res.Latency.Microseconds())/1000, 'f', 2, 64)
+	out = appendUint(out, "ms ts=", uint64(res.TS))
+	return append(out, '\n')
 }

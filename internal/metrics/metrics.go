@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -50,17 +51,49 @@ const (
 	growth = 1.1
 )
 
+// bucketLow[b] is the smallest whole number of microseconds that falls
+// in bucket b ≥ 1: the first us with ⌊ln(us)/ln(growth)⌋ ≥ b. Each is
+// found once, by that very formula, so bucketFor's table search puts
+// every duration in the bucket the formula would.
+var bucketLow = func() (low [bucketCount]int64) {
+	for b := 1; b < bucketCount; b++ {
+		lo, hi := max(low[b-1], 1), int64(math.Pow(growth, float64(b)))+2
+		for lo < hi { // the formula is monotone in us
+			mid := lo + (hi-lo)/2
+			if int(math.Log(float64(mid))/math.Log(growth)) >= b {
+				hi = mid
+			} else {
+				lo = mid + 1
+			}
+		}
+		low[b] = lo
+	}
+	return low
+}()
+
+// bucketAtBits[n] is the highest bucket whose bucketLow has at most n
+// bits: where bucketFor's search starts for a count of n bits.
+var bucketAtBits = func() (at [64]uint8) {
+	for n := range at {
+		for b := 1; b < bucketCount && bits.Len64(uint64(bucketLow[b])) <= n; b++ {
+			at[n] = uint8(b)
+		}
+	}
+	return at
+}()
+
+// bucketFor is ⌊ln(us)/ln(growth)⌋ for a duration of us whole
+// microseconds, clamped to the buckets: the bucket the table of lower
+// bounds puts it in, searched from the highest bucket that starts below
+// us's top bit — at most the eight buckets one power of two spans.
 func bucketFor(d time.Duration) int {
-	us := float64(d.Microseconds())
+	us := d.Microseconds()
 	if us < 1 {
 		return 0
 	}
-	b := int(math.Log(us) / math.Log(growth))
-	if b < 0 {
-		b = 0
-	}
-	if b >= bucketCount {
-		b = bucketCount - 1
+	b := int(bucketAtBits[bits.Len64(uint64(us))-1])
+	for b+1 < bucketCount && bucketLow[b+1] <= us {
+		b++
 	}
 	return b
 }

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -142,5 +144,50 @@ func TestTableRowsIsCopy(t *testing.T) {
 	rows[0][0] = "mutated"
 	if tb.Rows()[0][0] != "v" {
 		t.Error("Rows must return a copy")
+	}
+}
+
+// logBucket is the formula that defines the buckets: bucketFor's
+// reference.
+func logBucket(d time.Duration) int {
+	us := float64(d.Microseconds())
+	if us < 1 {
+		return 0
+	}
+	b := int(math.Log(us) / math.Log(growth))
+	if b < 0 {
+		b = 0
+	}
+	if b >= bucketCount {
+		b = bucketCount - 1
+	}
+	return b
+}
+
+// TestBucketForMatchesLog checks the table search against the formula
+// at every bucket bound, a microsecond either side of it, and over a
+// seeded spread of durations from nanoseconds to days.
+func TestBucketForMatchesLog(t *testing.T) {
+	check := func(d time.Duration) {
+		t.Helper()
+		if got, want := bucketFor(d), logBucket(d); got != want {
+			t.Fatalf("bucketFor(%v) = %d, the formula says %d", d, got, want)
+		}
+	}
+	for _, d := range []time.Duration{-time.Second, 0, 1, 999, time.Microsecond, math.MaxInt64} {
+		check(d)
+	}
+	for b := 0; b < bucketCount; b++ {
+		for _, us := range []int64{bucketLow[b], bucketUpper(b).Microseconds()} {
+			for delta := int64(-1); delta <= 1; delta++ {
+				check(time.Duration(us+delta) * time.Microsecond)
+				check(time.Duration(us+delta)*time.Microsecond + 999) // sub-microsecond remainders truncate
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200_000; i++ {
+		// Log-uniform over 1 ns .. ~3 days, so every bucket is visited.
+		check(time.Duration(math.Exp(rng.Float64() * math.Log(3*24*float64(time.Hour)))))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightNilSafe(t *testing.T) {
@@ -122,16 +123,17 @@ func TestRingByTS(t *testing.T) {
 	if r.ByTS(0) != nil {
 		t.Error("ByTS(0) must return nil (zero TS is no identity)")
 	}
-	tt := r.Begin("s1", "transfer")
+	now := time.Now()
+	tt := r.Begin(now, "s1", "transfer")
 	tt.SetTS(7)
 	tt.SetSpan(101)
-	tt.Step("admit", "")
-	tt.Finish("committed")
-	hop := r.BeginSpan("s2", "rds-create", "s1", 7, 202, 101)
-	hop.Finish("honored")
-	other := r.Begin("s3", "noise")
+	tt.Step(now, "admit", "")
+	tt.Finish(now, "committed")
+	hop := r.BeginSpan(now, "s2", "rds-create", "s1", 7, 202, 101)
+	hop.Finish(now, "honored")
+	other := r.Begin(now, "s3", "noise")
 	other.SetTS(8)
-	other.Finish("committed")
+	other.Finish(now, "committed")
 
 	got := r.ByTS(7)
 	if len(got) != 2 {
@@ -147,10 +149,11 @@ func TestRingByTS(t *testing.T) {
 
 func TestBeginSpanNilRing(t *testing.T) {
 	var r *Ring
-	hop := r.BeginSpan("s1", "vm-accept", "s2", 9, 1, 2)
-	hop.Step("wal-flush", "lsn=1") // must all be no-ops
+	now := time.Now()
+	hop := r.BeginSpan(now, "s1", "vm-accept", "s2", 9, 1, 2)
+	hop.Step(now, "wal-flush", "lsn=1") // must all be no-ops
 	hop.SetSpan(5)
-	hop.Finish("accepted")
+	hop.Finish(now, "accepted")
 	if r.Published() != 0 {
 		t.Error("nil ring published a span")
 	}

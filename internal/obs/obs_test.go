@@ -194,11 +194,12 @@ func TestRingConcurrentPublish(t *testing.T) {
 
 func TestTxnTraceLifecycle(t *testing.T) {
 	r := NewRing(16)
-	tt := r.Begin("s1", "transfer")
+	t0 := time.Unix(1_700_000_000, 0)
+	tt := r.Begin(t0, "s1", "transfer")
 	tt.SetTS(42)
-	tt.Step("admit", "")
-	tt.Step("ask", "requests=2")
-	tt.Finish("committed")
+	tt.Step(t0.Add(3*time.Microsecond), "admit", "")
+	tt.Step(t0.Add(40*time.Microsecond), "ask", "requests=2")
+	tt.Finish(t0.Add(125*time.Microsecond), "committed")
 
 	last := r.Last(1)
 	if len(last) != 1 {
@@ -210,6 +211,11 @@ func TestTxnTraceLifecycle(t *testing.T) {
 	}
 	if len(tr.Steps) != 2 || tr.Steps[1].Detail != "requests=2" {
 		t.Fatalf("steps = %+v", tr.Steps)
+	}
+	// Every instant is the caller's: offsets and latency are measured
+	// from the one Begin was given.
+	if tr.StartUnixNano != t0.UnixNano() || tr.Steps[0].AtMicros != 3 || tr.Steps[1].AtMicros != 40 || tr.LatencyMicros != 125 {
+		t.Fatalf("instants = start %d, steps %+v, latency %d", tr.StartUnixNano, tr.Steps, tr.LatencyMicros)
 	}
 
 	var sb strings.Builder
@@ -223,10 +229,11 @@ func TestTxnTraceLifecycle(t *testing.T) {
 
 func TestNilTraceSafe(t *testing.T) {
 	var r *Ring
-	tt := r.Begin("s1", "x")
+	now := time.Now()
+	tt := r.Begin(now, "s1", "x")
 	tt.SetTS(1)
-	tt.Step("admit", "")
-	tt.Finish("committed")
+	tt.Step(now, "admit", "")
+	tt.Finish(now, "committed")
 	if r.Last(5) != nil || r.Published() != 0 {
 		t.Fatal("nil ring must be inert")
 	}

@@ -147,7 +147,9 @@ func (r *Ring) DumpJSON(w io.Writer, n int) error {
 // TxnTrace accumulates one transaction's steps. It is built by one
 // goroutine at a time — the one running the transaction, or the one it
 // hands the span to — and published to the ring on Finish; a nil
-// TxnTrace (tracing disabled) ignores every call.
+// TxnTrace (tracing disabled) ignores every call. It reads no clock:
+// each call takes its instant from the caller, which has read it from
+// its own clock for its histograms.
 type TxnTrace struct {
 	ring  *Ring
 	start time.Time
@@ -161,40 +163,38 @@ type TxnTrace struct {
 // run with a redistribution is seven steps.
 const inlineSteps = 8
 
-// Begin starts a trace for a transaction executing at site. Returns
-// nil (a valid no-op trace) when the ring is nil.
-func (r *Ring) Begin(site, label string) *TxnTrace {
+// Begin starts, at the instant at, a trace for a transaction executing
+// at site. Returns nil (a valid no-op trace) when the ring is nil.
+func (r *Ring) Begin(at time.Time, site, label string) *TxnTrace {
 	if r == nil {
 		return nil
 	}
-	now := time.Now()
 	tt := &TxnTrace{
 		ring:  r,
-		start: now,
+		start: at,
 		t: Trace{
 			Site:          site,
 			Origin:        site,
 			Kind:          "txn",
 			Label:         label,
-			StartUnixNano: now.UnixNano(),
+			StartUnixNano: at.UnixNano(),
 		},
 	}
 	tt.t.Steps = tt.steps[:0]
 	return tt
 }
 
-// BeginSpan starts a remote-hop span of kind, recorded at site, for
-// the causal chain rooted at origin's transaction ts. parent is the
-// sender-side span id this hop follows. Returns nil (a valid no-op
-// trace) when the ring is nil.
-func (r *Ring) BeginSpan(site, kind, origin string, ts, span, parent uint64) *TxnTrace {
+// BeginSpan starts, at the instant at, a remote-hop span of kind,
+// recorded at site, for the causal chain rooted at origin's transaction
+// ts. parent is the sender-side span id this hop follows. Returns nil
+// (a valid no-op trace) when the ring is nil.
+func (r *Ring) BeginSpan(at time.Time, site, kind, origin string, ts, span, parent uint64) *TxnTrace {
 	if r == nil {
 		return nil
 	}
-	now := time.Now()
 	tt := &TxnTrace{
 		ring:  r,
-		start: now,
+		start: at,
 		t: Trace{
 			TS:            ts,
 			Site:          site,
@@ -202,7 +202,7 @@ func (r *Ring) BeginSpan(site, kind, origin string, ts, span, parent uint64) *Tx
 			Kind:          kind,
 			Span:          span,
 			Parent:        parent,
-			StartUnixNano: now.UnixNano(),
+			StartUnixNano: at.UnixNano(),
 		},
 	}
 	tt.t.Steps = tt.steps[:0]
@@ -226,24 +226,25 @@ func (tt *TxnTrace) SetSpan(span uint64) {
 	tt.t.Span = span
 }
 
-// Step records one named protocol step at the current instant.
-func (tt *TxnTrace) Step(name, detail string) {
+// Step records one named protocol step, reached at the instant at.
+func (tt *TxnTrace) Step(at time.Time, name, detail string) {
 	if tt == nil {
 		return
 	}
 	tt.t.Steps = append(tt.t.Steps, TraceStep{
 		Name:     name,
-		AtMicros: time.Since(tt.start).Microseconds(),
+		AtMicros: at.Sub(tt.start).Microseconds(),
 		Detail:   detail,
 	})
 }
 
-// Finish seals the trace with its outcome and publishes it.
-func (tt *TxnTrace) Finish(outcome string) {
+// Finish seals the trace with its outcome, decided at the instant at,
+// and publishes it.
+func (tt *TxnTrace) Finish(at time.Time, outcome string) {
 	if tt == nil {
 		return
 	}
 	tt.t.Outcome = outcome
-	tt.t.LatencyMicros = time.Since(tt.start).Microseconds()
+	tt.t.LatencyMicros = at.Sub(tt.start).Microseconds()
 	tt.ring.Publish(&tt.t)
 }

@@ -47,29 +47,31 @@ const inlineItems = 8
 // was applied is missing.
 func (s *Site) Run(t *txn.Txn) *txn.Result {
 	start := s.cfg.Clock.Now()
-	tr := s.obsm.ring.Begin(s.obsm.site, t.Label)
+	tr := s.obsm.ring.Begin(start, s.obsm.site, t.Label)
 	var rootSpan uint64
 	if tr != nil {
 		rootSpan = s.newSpan()
 		tr.SetSpan(rootSpan)
 	}
 	// step records one protocol-step boundary: the trace step plus its
-	// segment duration into dvp_step_seconds{step=...}. Details are
-	// formatted at the call site, and only when someone is tracing.
+	// segment duration into dvp_step_seconds{step=...}, both at one
+	// reading of the site's clock. Details are formatted at the call
+	// site, and only when someone is tracing.
 	segStart := start
-	step := func(name, detail string) {
+	step := func(st stepID, detail string) {
 		now := s.cfg.Clock.Now()
-		s.obsm.observeStep(name, now.Sub(segStart))
+		s.obsm.observeStep(st, now.Sub(segStart))
 		segStart = now
-		tr.Step(name, detail)
+		tr.Step(now, st.String(), detail)
 	}
 	var detail string
 	res := &txn.Result{}
 	finish := func(status txn.Status) *txn.Result {
+		now := s.cfg.Clock.Now()
 		res.Status = status
-		res.Latency = s.cfg.Clock.Now().Sub(start)
+		res.Latency = now.Sub(start)
 		s.obsm.observeTxn(status, res.Latency)
-		tr.Finish(status.String())
+		tr.Finish(now, status.String())
 		return res
 	}
 
@@ -96,7 +98,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	res.TS = ts
 	id := ts.Txn()
 	tr.SetTS(uint64(ts))
-	step("admit", "")
+	step(stepAdmit, "")
 
 	// Step 1 — atomically lock the local values of A(t), with the
 	// scheme's admission check, stamping under Conc1. The stripes
@@ -118,14 +120,14 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		s.lifeMu.RUnlock()
 		return finish(txn.StatusCCRejected)
 	}
-	step("cc-check", "")
+	step(stepCCCheck, "")
 	if !s.lockAndStamp(ts, sts) {
 		s.unlockStripes(stripes)
 		s.lifeMu.RUnlock()
 		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", ts, t.Label, len(items))
 		return finish(txn.StatusLockConflict)
 	}
-	step("lock", "")
+	step(stepLock, "")
 
 	// One exit for everything below. Releasing the locks and taking the
 	// Vm parked behind them is one step under the stripes (the commit
@@ -185,7 +187,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		if tr != nil {
 			detail = fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask)
 		}
-		step("ask", detail)
+		step(stepAsk, detail)
 
 		// Step 3 — await the requisite Vm or the timeout.
 		status := s.await(w, epoch, t.Timeout)
@@ -196,7 +198,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 		if tr != nil {
 			detail = fmt.Sprintf("accepted=%d", res.VmAccepted)
 		}
-		step("vm-accept", detail)
+		step(stepVmAccept, detail)
 		if status == txn.StatusTimeout {
 			// §5 step 3: "declare an abort and then release the
 			// locks". Quota already received stays — the aborted
@@ -328,7 +330,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 	parked, locked = releaseItems(id, sts), false
 	s.unlockStripes(stripes)
-	step("apply", "")
+	step(stepApply, "")
 
 	// Step 5's commit point: the record's stability, or the fence's.
 	// Nothing about t — reply, hook, counters — leaves the site before
@@ -347,7 +349,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	if err != nil {
 		return finish(txn.StatusSiteDown)
 	}
-	step("wal-flush", "")
+	step(stepWalFlush, "")
 
 	if writeOnly && verdict == admitOK {
 		s.obsm.fastCommits.Inc()
@@ -382,7 +384,7 @@ func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, 
 				continue
 			}
 			if err := s.acceptLogged(e, 0); err != nil {
-				e.hop.Finish("log-error")
+				s.endHop(e.hop, "log-error")
 				continue
 			}
 			logged = true

@@ -23,7 +23,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	var hopSpan uint64
 	if req.Trace.Valid() && s.obsm.ring != nil {
 		hopSpan = s.newSpan()
-		hop = s.obsm.ring.BeginSpan(s.obsm.site, "rds-create",
+		hop = s.obsm.ring.BeginSpan(hopStart, s.obsm.site, "rds-create",
 			req.Trace.Origin.String(), uint64(req.Trace.TS), hopSpan, req.Trace.Span)
 	}
 
@@ -33,7 +33,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		stripe.Unlock()
 		s.obsm.forPeer(from).declined[reason].Inc()
 		s.obsm.flight.Recordf(s.obsm.site, "rds-decline", "from=%v item=%s txn=%v reason=%v", from, req.Item, req.Txn, reason)
-		hop.Finish("declined:" + reason.String())
+		s.endHop(hop, "declined:"+reason.String())
 	}
 
 	// "If there is currently a lock on d_j, site s_j can simply
@@ -91,13 +91,14 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		return
 	}
 	if err != nil {
-		hop.Finish("fail-stop")
+		s.endHop(hop, "fail-stop")
 		return
 	}
-	s.obsm.observeStep("rds-create", s.cfg.Clock.Now().Sub(hopStart))
+	now := s.cfg.Clock.Now()
+	s.obsm.observeStep(stepRdsCreate, now.Sub(hopStart))
 	s.obsm.flight.Recordf(s.obsm.site, "rds-create", "to=%v item=%s amount=%d seq=%d", from, req.Item, grant, v.Seq)
 	s.obsm.forPeer(from).honored.Inc()
-	hop.Finish("honored")
+	hop.Finish(now, "honored")
 }
 
 // answerNoShare answers a full read of an item this site holds none of,
@@ -121,12 +122,12 @@ func (s *Site) answerNoShare(stripe *sync.Mutex, st *itemState, from ident.SiteI
 	if err := s.cfg.Log.WaitDurable(fence); err != nil || !s.Up() {
 		// The fenced record's writer stops the site; the read times out.
 		s.obsm.forPeer(from).declined[declineLogError].Inc()
-		hop.Finish("declined:" + declineLogError.String())
+		s.endHop(hop, "declined:"+declineLogError.String())
 		return
 	}
 	s.send(from, m)
 	s.obsm.forPeer(from).honored.Inc()
-	hop.Finish("noshare")
+	s.endHop(hop, "noshare")
 }
 
 // handleNoShare takes a NoShare answer for the full read waiting on the

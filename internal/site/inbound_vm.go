@@ -82,7 +82,7 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	// redistribution, parented on the sender's rds-create span.
 	var hop *obs.TxnTrace
 	if m.Trace.Valid() && s.obsm.ring != nil {
-		hop = s.obsm.ring.BeginSpan(s.obsm.site, "vm-accept",
+		hop = s.obsm.ring.BeginSpan(hopStart, s.obsm.site, "vm-accept",
 			m.Trace.Origin.String(), uint64(m.Trace.TS), s.newSpan(), m.Trace.Span)
 	}
 
@@ -91,7 +91,7 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	if !s.vm.ShouldAccept(from, m.Seq) {
 		stripe.Unlock()
 		s.obsm.forPeer(from).vmDups.Inc()
-		hop.Finish("duplicate")
+		s.endHop(hop, "duplicate")
 		// Duplicate: re-ack so the sender can retire it (the ack covers
 		// it only once its acceptance record is stable).
 		owed.add(from)
@@ -115,7 +115,7 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 			// Vm is parked and redelivered when the lock releases.
 			s.deferVm(st, from, m)
 			stripe.Unlock()
-			hop.Finish("deferred")
+			s.endHop(hop, "deferred")
 			return
 		}
 		// The waiting transaction consumes the credit: it serializes
@@ -127,12 +127,12 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 			// force: none is owed now.
 			stripe.Unlock()
 			s.obsm.forPeer(from).vmDups.Inc()
-			hop.Finish("duplicate")
+			s.endHop(hop, "duplicate")
 			return
 		}
 		// Still under the stripe: from its release on, the waiter's
 		// exit may take the entry, and the hop with it.
-		hop.Step("hold", "")
+		s.stepHop(hop, "hold", "")
 		st.mergeFlow(m.FlowVec)
 		stripe.Unlock()
 		w.wake()
@@ -160,7 +160,7 @@ func (s *Site) processVm(owed *acks, from ident.SiteID, m *wire.Vm) {
 	}
 	stripe.Unlock()
 	if err != nil {
-		hop.Finish("log-error")
+		s.endHop(hop, "log-error")
 	}
 }
 
@@ -217,7 +217,7 @@ func (s *Site) pend(lsn uint64, es ...acceptedVm) {
 	s.acceptMu.Lock()
 	for _, e := range es {
 		e.lsn = lsn
-		e.hop.Step("apply", "")
+		s.stepHop(e.hop, "apply", "")
 		s.accepts = append(s.accepts, e)
 	}
 	s.nAccepts.Store(int32(len(s.accepts)))
@@ -260,11 +260,12 @@ func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
 func (s *Site) settleAccepts(upTo uint64, owed acks) {
 	for _, e := range s.takeAccepts(upTo) {
 		wire.PutWriter(e.w)
+		now := s.cfg.Clock.Now()
 		if e.hop != nil {
-			e.hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.lsn, e.amount, e.seq))
+			e.hop.Step(now, "wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", e.lsn, e.amount, e.seq))
 		}
 		s.reportRds(e.creditTS, e.item, e.amount)
-		s.obsm.observeStep("vm-apply", s.cfg.Clock.Now().Sub(e.hopStart))
+		s.obsm.observeStep(stepVmApply, now.Sub(e.hopStart))
 		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.item, e.amount, e.seq)
 		s.obsm.forPeer(e.from).vmAccepted.Inc()
 		s.lamport.Reserve(e.bound)
@@ -272,7 +273,7 @@ func (s *Site) settleAccepts(upTo uint64, owed acks) {
 		// on, and a sender that sees its Vm retired may take the
 		// acceptance as counted and reported.
 		s.vm.MarkStable(e.from, e.seq)
-		e.hop.Finish("accepted")
+		e.hop.Finish(now, "accepted")
 		owed.add(e.from)
 	}
 	if !s.Up() {

@@ -164,7 +164,7 @@ func (s *Site) crash(epoch uint64) {
 	s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
 	for _, e := range s.takeAccepts(^uint64(0)) {
 		wire.PutWriter(e.w)
-		e.hop.Finish("site-down")
+		s.endHop(e.hop, "site-down")
 	}
 	// The per-item volatile state is gone — lock holders, parked Vm
 	// (retransmission re-covers them), flow vectors, demand cells —

@@ -50,9 +50,8 @@ type siteObs struct {
 	orphan   *peerObs // fallback for traffic from unconfigured peers
 
 	// steps holds the pre-resolved per-protocol-step latency
-	// histograms (dvp_step_seconds{step=...}): the §5 steps of the
-	// local protocol run plus the remote-hop segments.
-	steps map[string]*metrics.Histogram
+	// histograms (dvp_step_seconds{step=...}), indexed by stepID.
+	steps [numSteps]*metrics.Histogram
 
 	// Demand-driven rebalancing series: advert gossip volume in both
 	// directions, transfers shipped (count and value moved), and
@@ -102,6 +101,32 @@ func newPeerObs(reg *obs.Registry, site, peer string) *peerObs {
 	return po
 }
 
+// stepID names one segment of dvp_step_seconds: a §5 step of the local
+// protocol run, or a remote-hop segment.
+type stepID uint8
+
+const (
+	stepAdmit stepID = iota
+	stepCCCheck
+	stepLock
+	stepAsk
+	stepVmAccept
+	stepApply
+	stepWalFlush
+	stepRdsCreate // a request honored, from its arrival to its Vm's dispatch
+	stepVmApply   // a Vm accepted, from its arrival to its settling
+	numSteps
+)
+
+// stepNames names each stepID, in its order: the values of
+// dvp_step_seconds's step label, and the step names of a trace.
+var stepNames = [numSteps]string{
+	"admit", "cc-check", "lock", "ask", "vm-accept", "apply", "wal-flush",
+	"rds-create", "vm-apply",
+}
+
+func (st stepID) String() string { return stepNames[st] }
+
 // declineReason is why handleRequest declined a peer's request.
 type declineReason uint8
 
@@ -128,12 +153,8 @@ func (s *Site) initObs() {
 	o.flight = s.cfg.Flight
 	o.site = s.cfg.ID.String()
 	o.retx = reg.Counter("dvp_vmsg_retransmissions_total", "site", o.site)
-	o.steps = make(map[string]*metrics.Histogram, 16)
-	for _, step := range []string{
-		"admit", "cc-check", "lock", "ask", "vm-accept", "wal-flush",
-		"apply", "rds-create", "vm-apply",
-	} {
-		o.steps[step] = reg.Histogram("dvp_step_seconds", "site", o.site, "step", step)
+	for st, name := range stepNames {
+		o.steps[st] = reg.Histogram("dvp_step_seconds", "site", o.site, "step", name)
 	}
 	// Parked foreign credits (the deferVm/ReqTxn gate): sampled at
 	// exposition time from the items' state, so crash-clearing needs
@@ -181,8 +202,24 @@ func (o *siteObs) forPeer(p ident.SiteID) *peerObs {
 }
 
 // observeStep records one protocol-step segment duration into
-// dvp_step_seconds{step=...}; initObs resolves every step there is.
-func (o *siteObs) observeStep(step string, d time.Duration) { o.steps[step].Record(d) }
+// dvp_step_seconds{step=...}.
+func (o *siteObs) observeStep(st stepID, d time.Duration) { o.steps[st].Record(d) }
+
+// stepHop records a step of hop, if there is one, at the site clock's
+// current instant: an untraced hop reads no clock.
+func (s *Site) stepHop(hop *obs.TxnTrace, name, detail string) {
+	if hop != nil {
+		hop.Step(s.cfg.Clock.Now(), name, detail)
+	}
+}
+
+// endHop seals hop, if there is one, at the site clock's current
+// instant: an untraced hop reads no clock.
+func (s *Site) endHop(hop *obs.TxnTrace, outcome string) {
+	if hop != nil {
+		hop.Finish(s.cfg.Clock.Now(), outcome)
+	}
+}
 
 // observeTxn records one transaction decision: its outcome count and
 // its latency.

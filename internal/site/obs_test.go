@@ -6,6 +6,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,6 +16,7 @@ import (
 	"dvp/internal/simnet"
 	"dvp/internal/tstamp"
 	"dvp/internal/txn"
+	"dvp/internal/vclock"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
@@ -299,4 +301,57 @@ func TestDeclineReasonsCountApart(t *testing.T) {
 		tc.logs[0].SetAppendHook(func(wal.Record) error { return errors.New("disk full") })
 		ask(held, false, next())
 	})
+}
+
+// countingClock counts its Now calls, and each call reads one
+// microsecond later than the one before; its timers are the wall
+// clock's.
+type countingClock struct {
+	vclock.Real
+	nows atomic.Int64
+}
+
+var countingEpoch = time.Unix(1_700_000_000, 0)
+
+func (c *countingClock) Now() time.Time {
+	return countingEpoch.Add(time.Duration(c.nows.Add(1)) * time.Microsecond)
+}
+
+// A traced local write-only commit reads the site's clock once per
+// step boundary — its start, five steps and its decision — and its
+// trace takes those same instants: seven reads, and the trace's start,
+// step offsets and latency are the ones they returned.
+func TestLocalCommitReadsTheClockSevenTimes(t *testing.T) {
+	clock := &countingClock{}
+	ring := obs.NewRing(16)
+	tc := newTestCluster(t, 1, simnet.Config{}, func(_ int, c *Config) {
+		c.Clock = clock
+		c.Metrics = obs.NewRegistry()
+		c.Trace = ring
+		c.RetransmitEvery = time.Hour // no tick reads the clock meanwhile
+	})
+	tc.createItem("it/0", 10)
+	for i := 0; i < 3; i++ {
+		before := clock.nows.Load()
+		res := tc.sites[0].Run(&txn.Txn{
+			Ops:   []txn.ItemOp{{Item: "it/0", Op: core.Decr{M: 1}}},
+			Label: "reserve",
+		})
+		if !res.Committed() {
+			t.Fatalf("reserve %d: %v", i, res.Status)
+		}
+		if got := clock.nows.Load() - before; got != 7 {
+			t.Errorf("reserve %d read the site clock %d times, want 7", i, got)
+		}
+		tr := ring.Last(1)[0]
+		var at []int64
+		for _, st := range tr.Steps {
+			at = append(at, st.AtMicros)
+		}
+		start := countingEpoch.Add(time.Duration(before+1) * time.Microsecond).UnixNano()
+		if tr.StartUnixNano != start || !slices.Equal(at, []int64{1, 2, 3, 4, 5}) || tr.LatencyMicros != 6 {
+			t.Errorf("reserve %d: trace starts at %d with steps at %v µs and latency %d µs, want %d, [1 2 3 4 5] and 6",
+				i, tr.StartUnixNano, at, tr.LatencyMicros, start)
+		}
+	}
 }

@@ -67,10 +67,10 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	var hopSpan uint64
 	if s.obsm.ring != nil {
 		hopSpan = s.newSpan()
-		hop = s.obsm.ring.BeginSpan(s.obsm.site, "rds", s.obsm.site, uint64(ts), hopSpan, 0)
+		hop = s.obsm.ring.BeginSpan(s.cfg.Clock.Now(), s.obsm.site, "rds", s.obsm.site, uint64(ts), hopSpan, 0)
 	}
 	outcome := "aborted"
-	defer func() { hop.Finish(outcome) }()
+	defer func() { s.endHop(hop, outcome) }()
 	stripe, st := s.lockItem(item)
 	if !s.policy.AllowLock(ts, s.stampOf(st)) {
 		stripe.Unlock()
@@ -149,13 +149,13 @@ func (s *Site) createVm(stripe *sync.Mutex, st *itemState, ts tstamp.TS, holder 
 	}
 	st.holder = holder
 	stripe.Unlock()
-	hop.Step("apply", "")
+	s.stepHop(hop, "apply", "")
 	if err := s.waitForce(&d); err != nil {
 		return true, err
 	}
 	s.vm.CreateStable(rec.Msgs)
 	if hop != nil {
-		hop.Step("wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", d.lsn, v.Amount, v.Seq))
+		hop.Step(s.cfg.Clock.Now(), "wal-flush", fmt.Sprintf("lsn=%d amount=%d seq=%d", d.lsn, v.Amount, v.Seq))
 	}
 	s.reportRds(cur, v.Item, -v.Amount)
 	s.obsm.forPeer(v.To).vmCreated.Inc()

@@ -338,10 +338,11 @@ func New(cfg Config) (*Site, error) {
 			if !v.Trace.Valid() {
 				return
 			}
-			hop := s.obsm.ring.BeginSpan(s.obsm.site, "vm-ack",
+			now := s.cfg.Clock.Now()
+			hop := s.obsm.ring.BeginSpan(now, s.obsm.site, "vm-ack",
 				v.Trace.Origin.String(), uint64(v.Trace.TS), s.newSpan(), v.Trace.Span)
-			hop.Step("retire", fmt.Sprintf("peer=%v seq=%d item=%s", peer, v.Seq, v.Item))
-			hop.Finish("acked")
+			hop.Step(now, "retire", fmt.Sprintf("peer=%v seq=%d item=%s", peer, v.Seq, v.Item))
+			hop.Finish(now, "acked")
 		})
 	}
 	if err := s.recover(); err != nil {

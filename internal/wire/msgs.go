@@ -31,9 +31,10 @@ const (
 	// KLockReq / KLockReply: baseline replica lock traffic.
 	KLockReq
 	KLockReply
-	// KWrite ships a baseline write to a replica holder (applied at
-	// commit, after 2PC decides).
-	KWrite
+	// Kind 6 is reserved: it numbered a baseline write message that
+	// nothing sent. Kinds are numbered by position, so the gap keeps
+	// every later kind's number, and the envelope magic with it.
+	_
 	// KPrepare / KVote / KDecision / KDecisionAck: two-phase commit.
 	KPrepare
 	KVote
@@ -90,8 +91,6 @@ func (k Kind) String() string {
 		return "lockreq"
 	case KLockReply:
 		return "lockreply"
-	case KWrite:
-		return "write"
 	case KPrepare:
 		return "prepare"
 	case KVote:
@@ -463,26 +462,6 @@ type ItemDelta struct {
 	Delta core.Value
 }
 
-// Write ships a pending write set to a replica holder for Txn; the
-// participant applies it only when the commit decision arrives.
-type Write struct {
-	Txn    tstamp.TS
-	Writes []ItemDelta
-}
-
-// Kind implements Msg.
-func (*Write) Kind() Kind { return KWrite }
-
-// Encode implements Msg.
-func (m *Write) Encode(w *Writer) {
-	w.TS(m.Txn)
-	encodeDeltas(w, m.Writes)
-}
-
-func decodeWrite(r *Reader) *Write {
-	return &Write{Txn: r.TS(), Writes: decodeDeltas(r)}
-}
-
 func encodeDeltas(w *Writer, ds []ItemDelta) {
 	w.U64(uint64(len(ds)))
 	for _, d := range ds {
@@ -806,8 +785,6 @@ func DecodeMsg(kind Kind, r *Reader) (Msg, error) {
 		m = decodeLockReq(r)
 	case KLockReply:
 		m = decodeLockReply(r)
-	case KWrite:
-		m = decodeWrite(r)
 	case KPrepare:
 		m = decodePrepare(r)
 	case KVote:
