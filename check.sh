@@ -133,6 +133,19 @@ if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.benc
 fi
 echo "option gate: dvp.Config $n_dvp/18, site.Config $n_site/17, RebalanceConfig $n_rebal/5, tcpnet.Config $n_tcp/5, dvpnode flags $n_flags/14"
 
+# One-assembly gate: site.Open builds every DvP site's group log and
+# store. Outside the packages that own them (site, wal, recovery), the
+# baselines and their 2PC assemblies, and bench/, no program builds
+# either by hand.
+assembly=$(grep -rnE 'wal\.NewGroupLog\(|store\.New\(\)' --include='*.go' --exclude='*_test.go' --exclude-dir=bench --exclude-dir=.bench_build . |
+	grep -vE '^\./internal/(site|wal|recovery|baseline)/|^\./internal/harness/drivers\.go:|^\./examples/partition/main\.go:' || true)
+if [ -n "$assembly" ]; then
+	echo "assembly gate: a site log or store is built outside site.Open:" >&2
+	echo "$assembly" >&2
+	exit 1
+fi
+echo "assembly gate: every DvP site is built by site.Open"
+
 go build ./...
 # bench/ is a module of its own (dvp/bench), which ./... does not
 # descend into: vet and build it here so that an internal/ API change
@@ -172,7 +185,18 @@ go test -race -shuffle=on ./...
 # tick on virtual clocks — and the lock-free Lamport clock under mixed
 # draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-go test -race -count=20 -cpu=1,2 -run 'TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestForcePolicy|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogInline|TestGroupLogResetLandsTheFlushInFlight|TestGroupLogResetFailsItsWaiters|TestGroupLogCloseDrainsThenRejects|TestCrashInFlushFiresInline|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent' . ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp ./internal/chaos
+stress_run='TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestForcePolicy|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogInline|TestGroupLogResetLandsTheFlushInFlight|TestGroupLogResetFailsItsWaiters|TestGroupLogCloseDrainsThenRejects|TestCrashInFlushFiresInline|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestClockConcurrent'
+stress_pkgs='. ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp ./internal/chaos'
+# A renamed test would drop out of the line silently: every name in it
+# must match a test in its packages.
+stress_tests=$(go test -list . $stress_pkgs)
+for name in $(echo "$stress_run" | tr '|' ' '); do
+	if ! echo "$stress_tests" | grep -qE -- "$name"; then
+		echo "stress gate: $name matches no test in $stress_pkgs" >&2
+		exit 1
+	fi
+done
+go test -race -count=20 -cpu=1,2 -run "$stress_run" $stress_pkgs
 
 # Dead-peer regression: the dial-rate bound against a closed port must
 # hold under race. This is the PR-9 storm fix's dedicated gate — 500

@@ -12,18 +12,14 @@ import (
 	"dvp/internal/recovery"
 	"dvp/internal/simnet"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/wal"
 )
 
 // Cluster is a set of DvP sites over a fault-injectable simulated
 // network. All methods are safe for concurrent use.
 type Cluster struct {
-	cfg    Config
 	net    *simnet.Net
 	sites  []*site.Site
-	logs   []*wal.GroupLog
-	peers  []ident.SiteID
 	reg    *obs.Registry
 	traces *obs.Ring
 	flight *obs.Flight
@@ -40,15 +36,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Grant == nil {
 		cfg.Grant = GrantExact
 	}
-	var flight *obs.Flight
-	if cfg.FlightBuf > 0 {
-		flight = obs.NewFlight(cfg.FlightBuf)
-	}
 	c := &Cluster{
-		cfg:    cfg,
 		reg:    obs.NewRegistry(),
 		traces: obs.NewRing(1024),
-		flight: flight,
 		net: simnet.New(simnet.Config{
 			Seed:            cfg.Seed,
 			MinDelay:        cfg.MinDelay,
@@ -58,33 +48,26 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			OrderPreserving: cfg.OrderPreserving,
 		}),
 	}
-	for i := 1; i <= cfg.Sites; i++ {
-		c.peers = append(c.peers, ident.SiteID(i))
+	if cfg.FlightBuf > 0 {
+		c.flight = obs.NewFlight(cfg.FlightBuf)
+	}
+	peers := make([]ident.SiteID, cfg.Sites)
+	for i := range peers {
+		peers[i] = ident.SiteID(i + 1)
 	}
 	for i := 1; i <= cfg.Sites; i++ {
-		var dev wal.Device
+		var dev wal.Device = wal.NewMemLog()
 		if cfg.FileLogDir != "" {
-			fl, err := wal.OpenFileLog(
-				filepath.Join(cfg.FileLogDir, fmt.Sprintf("site%d.wal", i)),
-				wal.FileLogOptions{Sync: true})
+			fl, err := wal.OpenFileLog(filepath.Join(cfg.FileLogDir, fmt.Sprintf("site%d.wal", i)), wal.FileLogOptions{Sync: true})
 			if err != nil {
+				c.Close()
 				return nil, err
 			}
 			dev = fl
-		} else {
-			dev = wal.NewMemLog()
 		}
-		// A site's log is a group log over one device: simulated forces
-		// serialize, so commit cost under concurrency is realistic, and
-		// one force covers a whole group, as the real fsync path does.
-		log := wal.NewGroupLog(wal.NewSlowDevice(dev, cfg.LogAppendDelay), wal.GroupCommitOptions{})
-		log.Instrument(c.reg, "site", ident.SiteID(i).String())
-		log.SetFlight(flight, ident.SiteID(i).String())
 		sc := site.Config{
 			ID:                     ident.SiteID(i),
-			Peers:                  c.peers,
-			Log:                    log,
-			DB:                     store.New(),
+			Peers:                  peers,
 			Endpoint:               c.net.Endpoint(ident.SiteID(i)),
 			CC:                     cc.New(cfg.CC),
 			Grant:                  cfg.Grant,
@@ -101,12 +84,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// Each site jitters from its own stream: lockstep rounds are
 		// exactly what the jitter exists to break.
 		sc.Rebalance.Seed = cfg.Seed*1000003 + int64(i)*7919 + 1
-		s, err := site.New(sc)
+		// The device is paced: simulated forces serialize, so commit
+		// cost under concurrency is realistic, and one force covers a
+		// whole group, as the real fsync path does.
+		s, err := site.Open(wal.NewSlowDevice(dev, cfg.LogAppendDelay), sc)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
 		c.sites = append(c.sites, s)
-		c.logs = append(c.logs, log)
 	}
 	for _, s := range c.sites {
 		s.Start()
@@ -117,12 +103,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 // Close shuts the cluster down. In-flight messages are dropped.
 func (c *Cluster) Close() {
 	for _, s := range c.sites {
-		s.Crash()
+		s.Close()
 	}
 	c.net.Close()
-	for _, l := range c.logs {
-		l.Close()
-	}
 }
 
 // Sites returns the number of sites.
@@ -323,8 +306,7 @@ func (c *Cluster) SiteEngine(i int) *site.Site { return c.checkSite(i) }
 // one. Chaos schedules hook its flush windows; invariant checkers audit
 // its waiter/durable-LSN boundary.
 func (c *Cluster) GroupLog(i int) *wal.GroupLog {
-	c.checkSite(i)
-	return c.logs[i-1]
+	return c.checkSite(i).Log().(*wal.GroupLog)
 }
 
 // Metrics returns the cluster-wide metrics registry. Every site

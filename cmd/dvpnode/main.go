@@ -40,7 +40,6 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/tcpnet"
 	"dvp/internal/vmsg"
 	"dvp/internal/wal"
@@ -130,16 +129,6 @@ func main() {
 	traces := obs.NewRing(traceBuf)
 	flight := obs.NewFlight(flightBuf)
 
-	logFile, err := wal.OpenFileLog(o.wal, wal.FileLogOptions{Sync: o.sync})
-	if err != nil {
-		log.Fatal(err)
-	}
-	logFile.Instrument(reg, "site", self.String())
-	siteLog := wal.NewGroupLog(logFile, wal.GroupCommitOptions{})
-	siteLog.Instrument(reg, "site", self.String())
-	siteLog.SetFlight(flight, self.String())
-	defer siteLog.Close()
-
 	ep, err := tcpnet.New(tcpnet.Config{
 		Site: self, Listen: o.listen, Peers: addrs,
 		Metrics: reg,
@@ -150,10 +139,8 @@ func main() {
 	}
 	defer ep.Close()
 
-	db := store.New()
-	s, err := site.New(site.Config{
+	s, err := openNode(o.wal, o.sync, site.Config{
 		ID: self, Peers: peers,
-		Log: siteLog, DB: db,
 		Endpoint:               ep,
 		CC:                     cc.New(scheme),
 		DefaultTimeout:         o.timeout,
@@ -181,7 +168,7 @@ func main() {
 	s.Start()
 	log.Printf("site %v serving peers on %s", self, ep.Addr())
 
-	ctlSrv := &ctl.Server{Site: s, DB: db, Metrics: reg, Traces: traces, Flight: flight}
+	ctlSrv := &ctl.Server{Site: s, DB: s.DB(), Metrics: reg, Traces: traces, Flight: flight}
 	if err := ctlSrv.Listen(o.ctl); err != nil {
 		log.Fatal(err)
 	}
@@ -233,12 +220,23 @@ func main() {
 	case <-sig:
 		log.Printf("shutting down")
 		ctlSrv.Close()
-		s.Crash()
+		s.Close()
 	case <-s.FailStopped():
 		// Exit non-zero: the next start recovers from the log, as an
 		// in-process restart would.
 		log.Fatal(s.FailStopErr())
 	}
+}
+
+// openNode opens the site dvpnode runs over the log file at path, the
+// file's own write and fsync series beside those site.Open registers.
+func openNode(path string, sync bool, cfg site.Config) (*site.Site, error) {
+	fl, err := wal.OpenFileLog(path, wal.FileLogOptions{Sync: sync})
+	if err != nil {
+		return nil, err
+	}
+	fl.Instrument(cfg.Metrics, "site", cfg.ID.String())
+	return site.Open(fl, cfg)
 }
 
 // queryN reads a positive ?n= query parameter, with a default.

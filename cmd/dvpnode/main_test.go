@@ -18,9 +18,9 @@ import (
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
+	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/wal"
 )
 
@@ -108,23 +108,51 @@ func TestFlagSurface(t *testing.T) {
 	}
 }
 
-// nodeSite builds the site dvpnode runs over the log at path — a group
-// log over a file — without starting it.
-func nodeSite(t *testing.T, path string) *site.Site {
+// nodeSite builds the site dvpnode runs over the log at path, with reg
+// as its registry (nil for none), without starting it.
+func nodeSite(t *testing.T, path string, reg *obs.Registry) *site.Site {
 	t.Helper()
-	fl, err := wal.OpenFileLog(path, wal.FileLogOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gl := wal.NewGroupLog(fl, wal.GroupCommitOptions{})
-	t.Cleanup(func() { gl.Close() })
 	net := simnet.New(simnet.Config{})
 	t.Cleanup(net.Close)
-	s, err := site.New(site.Config{ID: 1, Peers: []ident.SiteID{1}, Log: gl, DB: store.New(), Endpoint: net.Endpoint(1)})
+	s, err := openNode(path, false, site.Config{ID: 1, Peers: []ident.SiteID{1}, Endpoint: net.Endpoint(1), Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
+}
+
+// TestNodeLogSeries pins the log series a node registers, by name and
+// labels (a histogram by its _count line): the file's write, fsync and
+// per-kind record counts beside the group log's forces, batches, holds
+// and records. bench/ reads five of them by name.
+func TestNodeLogSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	nodeSite(t, filepath.Join(t.TempDir(), "s1.wal"), reg)
+	var got []string
+	for _, line := range strings.Split(reg.Render(), "\n") {
+		if series, _, _ := strings.Cut(line, " "); strings.HasPrefix(series, "dvp_wal_") && !strings.Contains(series, "_bucket{") && !strings.Contains(series, "_sum{") {
+			got = append(got, series)
+		}
+	}
+	want := []string{
+		`dvp_wal_append_seconds_count{site="s1"}`,
+		`dvp_wal_flush_seconds_count{site="s1"}`,
+		`dvp_wal_fsync_seconds_count{site="s1"}`,
+		`dvp_wal_group_batch_count{site="s1"}`,
+		`dvp_wal_group_flushes_total{by="committer",site="s1"}`,
+		`dvp_wal_group_flushes_total{by="flusher",site="s1"}`,
+		`dvp_wal_group_hold_seconds_count{site="s1"}`,
+		`dvp_wal_group_holds_total{outcome="joined",site="s1"}`,
+		`dvp_wal_group_holds_total{outcome="timeout",site="s1"}`,
+		`dvp_wal_group_records_total{site="s1"}`,
+	}
+	for _, k := range []string{"applied", "checkpoint", "clock", "commit", "decision", "name", "prepare", "vm-accept", "vm-create"} {
+		want = append(want, `dvp_wal_records_total{kind="`+k+`",site="s1"}`)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("log series:\n got %q\nwant %q", got, want)
+	}
 }
 
 // records returns the kinds and payloads of every record in l, or with
@@ -153,7 +181,7 @@ func TestCreateLogsOnePlacementRecord(t *testing.T) {
 	want := map[ident.ItemID]core.Value{"a": 5, "b": 0, "c": 7}
 
 	for _, run := range []string{"fresh WAL", "restart"} {
-		s := nodeSite(t, path)
+		s := nodeSite(t, path, nil)
 		if err := place(s, spec); err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +194,7 @@ func TestCreateLogsOnePlacementRecord(t *testing.T) {
 				t.Errorf("%s: %s = %d, want %d", run, item, got, v)
 			}
 		}
-		s.Log().Close()
+		s.Close()
 	}
 }
 
@@ -183,7 +211,7 @@ func TestClusterAndCreatePlaceAlike(t *testing.T) {
 	if err := c.CreateItemShares("flight/A", []dvp.Value{50, 7}); err != nil {
 		t.Fatal(err)
 	}
-	s := nodeSite(t, filepath.Join(t.TempDir(), "s1.wal"))
+	s := nodeSite(t, filepath.Join(t.TempDir(), "s1.wal"), nil)
 	if err := place(s, "flight/A=50"); err != nil {
 		t.Fatal(err)
 	}

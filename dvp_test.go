@@ -1,6 +1,9 @@
 package dvp
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -227,6 +230,24 @@ func TestFileBackedLogs(t *testing.T) {
 	}
 }
 
+// A cluster that fails to build leaves nothing running: the sites built
+// before the failing one are closed, their logs' flushers with them.
+func TestNewClusterFailureLeavesNothingRunning(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "site2.wal"), []byte("not a log file, no header"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if _, err := NewCluster(Config{Sites: 3, FileLogDir: dir}); err == nil {
+		t.Fatal("a cluster over a site log with a bad header was built")
+	}
+	for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(end) {
+			t.Fatalf("goroutines %d → %d after the failed build", before, runtime.NumGoroutine())
+		}
+	}
+}
+
 func TestLossyNetworkStillConserves(t *testing.T) {
 	c := mustCluster(t, Config{
 		Sites: 4, Seed: 10, LossProb: 0.25, DupProb: 0.15,
@@ -359,7 +380,7 @@ func TestStampNamesNoItem(t *testing.T) {
 		if err := c.Checkpoint(i); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.logs[i-1].Scan(1, func(r wal.Record) error {
+		if err := c.sites[i-1].Log().Scan(1, func(r wal.Record) error {
 			if r.Kind != wal.RecCheckpoint {
 				return nil
 			}

@@ -13,7 +13,6 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/tcpnet"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
@@ -157,10 +156,8 @@ func cluster(t *testing.T, n int) []*tnode {
 		reg := obs.NewRegistry()
 		ring := obs.NewRing(256)
 		flight := obs.NewFlight(256)
-		db := store.New()
-		s, err := site.New(site.Config{
+		s, err := site.Open(wal.NewMemLog(), site.Config{
 			ID: id, Peers: peers,
-			Log: wal.NewMemLog(), DB: db,
 			Endpoint:        eps[i],
 			CC:              cc.New(cc.Conc1),
 			RetransmitEvery: 10 * time.Millisecond,
@@ -172,12 +169,12 @@ func cluster(t *testing.T, n int) []*tnode {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv := &Server{Site: s, DB: db, Metrics: reg, Traces: ring, Flight: flight}
+		srv := &Server{Site: s, DB: s.DB(), Metrics: reg, Traces: ring, Flight: flight}
 		nodes[i] = &tnode{site: s, ring: ring, flight: flight, ctl: startServer(t, srv)}
 	}
 	for _, nd := range nodes {
 		nd.site.Start()
-		t.Cleanup(nd.site.Crash)
+		t.Cleanup(func() { nd.site.Close() })
 	}
 	return nodes
 }

@@ -15,7 +15,6 @@ import (
 	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/vclock"
 	"dvp/internal/wal"
 )
@@ -29,11 +28,8 @@ func oneSite(tb testing.TB, clock vclock.Clock) (*Server, *site.Site) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(16)
 	flight := obs.NewFlight(64)
-	db := store.New()
-	log := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-	s, err := site.New(site.Config{
+	s, err := site.Open(wal.NewMemLog(), site.Config{
 		ID: 1, Peers: []ident.SiteID{1},
-		Log: log, DB: db,
 		Endpoint:        net.Endpoint(1),
 		Clock:           clock,
 		CC:              cc.New(cc.Conc1),
@@ -47,8 +43,8 @@ func oneSite(tb testing.TB, clock vclock.Clock) (*Server, *site.Site) {
 		tb.Fatal(err)
 	}
 	s.Start()
-	tb.Cleanup(s.Crash)
-	return &Server{Site: s, DB: db, Metrics: reg, Traces: ring, Flight: flight}, s
+	tb.Cleanup(func() { s.Close() })
+	return &Server{Site: s, DB: s.DB(), Metrics: reg, Traces: ring, Flight: flight}, s
 }
 
 // exchange is one command line and the reply it must draw. want holds

@@ -11,7 +11,6 @@ import (
 	"dvp/internal/metrics"
 	"dvp/internal/obs"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/tcpnet"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
@@ -109,25 +108,16 @@ func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 		}
 	}()
 
-	// Each site runs on the group log every deployment runs, over a
-	// memory device.
-	sites := make([]*site.Site, n1Sites)
-	logs := make([]*wal.GroupLog, n1Sites)
+	// Each site is the one a deployment runs, over a memory device.
+	sites := make([]*site.Site, 0, n1Sites)
 	defer func() {
-		for i, s := range sites {
-			if s != nil && s.Up() {
-				s.Crash()
-			}
-			if logs[i] != nil {
-				logs[i].Close()
-			}
+		for _, s := range sites {
+			s.Close()
 		}
 	}()
 	for i := 0; i < n1Sites; i++ {
-		logs[i] = wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-		s, err := site.New(site.Config{
+		s, err := site.Open(wal.NewMemLog(), site.Config{
 			ID: ident.SiteID(i + 1), Peers: peers,
-			Log: logs[i], DB: store.New(),
 			Endpoint:        eps[i],
 			CC:              cc.New(cc.Conc1),
 			RetransmitEvery: 5 * time.Millisecond,
@@ -146,7 +136,7 @@ func runN1(o Options, baseline, outage time.Duration) (n1Stats, error) {
 			return n1Stats{}, err
 		}
 		s.Start()
-		sites[i] = s
+		sites = append(sites, s)
 	}
 
 	// Stock: each site fully owns its local item (the all-local

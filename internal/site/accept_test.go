@@ -19,22 +19,17 @@ import (
 	"dvp/internal/wire"
 )
 
-// groupedCluster is a 2-site test cluster whose site 1 logs through a
-// GroupLog over inner, so a test can hold site 1's flush window open
-// (SetFlushHook) or fail it (inner's append hook).
-func groupedCluster(t *testing.T, seed int64, inner wal.Device, mutate func(c *Config)) (*testCluster, *wal.GroupLog) {
+// groupedCluster is a 2-site test cluster and site 1's group log, to
+// hold its flush open (SetFlushHook) or fail it (tc.logs[0]'s append
+// hook); mutate edits site 1's config.
+func groupedCluster(t *testing.T, seed int64, mutate func(c *Config)) (*testCluster, *wal.GroupLog) {
 	t.Helper()
-	gl := wal.NewGroupLog(inner, wal.GroupCommitOptions{})
-	t.Cleanup(func() { gl.Close() })
 	tc := newTestCluster(t, 2, simnet.Config{Seed: seed}, func(i int, c *Config) {
-		if i == 0 {
-			c.Log = gl
-			if mutate != nil {
-				mutate(c)
-			}
+		if i == 0 && mutate != nil {
+			mutate(c)
 		}
 	})
-	return tc, gl
+	return tc, tc.sites[0].Log().(*wal.GroupLog)
 }
 
 // holdFirstFlush parks the GroupLog's first flush until the returned
@@ -95,7 +90,7 @@ func (a *ackTap) install(t *testing.T, net *simnet.Net) {
 // lands; then the ack goes out and a retransmitted copy is a counted
 // duplicate.
 func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
-	tc, gl := groupedCluster(t, 21, wal.NewMemLog(), nil)
+	tc, gl := groupedCluster(t, 21, nil)
 	item := ident.ItemID("flight/A")
 	tc.createItem(item, 20) // 10 per site
 	var tap ackTap
@@ -192,7 +187,7 @@ func TestVmBatchAcceptForces(t *testing.T) {
 	for _, by := range []string{"commit", "tick"} {
 		t.Run(by, func(t *testing.T) {
 			clock := vclock.NewVirtual(time.Unix(0, 0))
-			tc, gl := groupedCluster(t, 23, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+			tc, gl := groupedCluster(t, 23, func(c *Config) { c.Clock = clock })
 			const n = 8
 			batch := &wire.VmBatch{Vms: make([]wire.Vm, n)}
 			for i := range batch.Vms {
@@ -252,9 +247,9 @@ func TestVmBatchAcceptForces(t *testing.T) {
 // like any other site, into the store its log holds: the credit whose
 // record never landed is gone, for the sender to send again.
 func TestAcceptForceFailureStopsTheSite(t *testing.T) {
-	inner := wal.NewMemLog()
 	reg := obs.NewRegistry()
-	tc, _ := groupedCluster(t, 24, inner, func(c *Config) { c.Metrics = reg })
+	tc, _ := groupedCluster(t, 24, func(c *Config) { c.Metrics = reg })
+	inner := tc.logs[0]
 	item := ident.ItemID("flight/C")
 	tc.createItem(item, 20)
 	var tap ackTap
@@ -367,7 +362,7 @@ func TestApplyFailureStopsTheSite(t *testing.T) {
 // checkpoint's channel state restores the dedup set and the ackable
 // cursor alike.
 func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
-	tc, _ := groupedCluster(t, 25, wal.NewMemLog(), nil)
+	tc, _ := groupedCluster(t, 25, nil)
 	item := ident.ItemID("flight/D")
 	tc.createItem(item, 20)
 	s := tc.sites[0]
@@ -396,8 +391,8 @@ func TestCheckpointedRestartRestoresAckCursor(t *testing.T) {
 // what the store was credited and debited — the commit nets in the grant
 // it consumed — is never missing from the log recovery reads.
 func TestCrashInsideUnforcedAccept(t *testing.T) {
-	inner := wal.NewMemLog()
-	tc, gl := groupedCluster(t, 26, inner, nil)
+	tc, gl := groupedCluster(t, 26, nil)
+	inner := tc.logs[0]
 	item := ident.ItemID("flight/E")
 	tc.createItem(item, 20)
 	entered, release := holdFirstFlush(gl)

@@ -31,14 +31,10 @@ import (
 func TestCheckpointCutAcrossHeldFlushes(t *testing.T) {
 	for _, scheme := range []cc.Scheme{cc.Conc1, cc.Conc2} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-			t.Cleanup(func() { gl.Close() })
 			tc := newTestCluster(t, 2, simnet.Config{Seed: 35}, func(i int, c *Config) {
 				c.CC = cc.New(scheme)
-				if i == 0 {
-					c.Log = gl
-				}
 			})
+			gl := tc.sites[0].Log().(*wal.GroupLog)
 			const rounds = 3
 			// Every item is placed, by a logged record, before the
 			// first checkpoint.

@@ -19,9 +19,7 @@ import (
 
 // TestLogIsCompleteRecord rebuilds a site's store purely from its log
 // into a fresh Durable and compares with the live store: the log must
-// be a complete record of all durable state (modulo the initial quota
-// placement, which the simulation installs out-of-band — so we start
-// the replica from the same initial placement).
+// be a complete record of all durable state, the placement included.
 func TestLogIsCompleteRecord(t *testing.T) {
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 40, MaxDelay: time.Millisecond}, nil)
 	tc.createItem("a", 90)
@@ -46,8 +44,6 @@ func TestLogIsCompleteRecord(t *testing.T) {
 
 	for i, s := range tc.sites {
 		replica := store.New()
-		replica.Create("a", core.EvenShares(90, 3)[i])
-		replica.Create("b", core.EvenShares(30, 3)[i])
 		vm := vmsg.NewManager()
 		clk := tstamp.NewClock(s.ID())
 		if _, err := recovery.Recover(tc.logs[i], replica, vm, clk); err != nil {

@@ -7,7 +7,6 @@ import (
 	"dvp/internal/obs"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
-	"dvp/internal/wal"
 )
 
 // TestFlightKeepsRareEventsUnderLoad: a busy site's flight recorder
@@ -17,13 +16,9 @@ import (
 func TestFlightKeepsRareEventsUnderLoad(t *testing.T) {
 	flight := obs.NewFlight(1024)
 	tc := newTestCluster(t, 2, simnet.Config{Seed: 61}, func(i int, c *Config) {
-		gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-		t.Cleanup(func() { gl.Close() })
 		if i == 0 {
-			gl.SetFlight(flight, c.ID.String())
 			c.Flight = flight
 		}
-		c.Log = gl
 	})
 	tc.createItem("hot", 0)
 	tc.createItem("local", 10_000)

@@ -176,16 +176,16 @@ func (h *heldNet) take(t *testing.T, from, to ident.SiteID, kind wire.Kind) *wir
 // TestFlowCheckerFullReadRacingVm pins, deterministically, what a full
 // read returns when a Vm is in flight as it gathers. Site 3 has sent 2
 // units toward site 2. The read's request reaches site 2 first, which
-// answers with its whole holding; then the Vm lands at site 2 and is
-// acknowledged, so by the time the request reaches site 3 nothing is
-// outstanding there and it answers too. Every peer has responded, no
-// site has a Vm outstanding, and 2 units sit outside the gather: the
-// read commits N − 2, not §5's "all of Π⁻¹(d)". That is serializable
-// subject to redistribution — each Rds half is its own transaction
-// (§6), the deduct before the read and the credit after it — and the
-// timestamp-order checker, fed both OnRds halves, accepts it. The flow
-// checker has no such window and rejects it. This test asserts what
-// the site does today; it does not say the protocol should.
+// answers with its whole holding; then the Vm lands at site 2, whose
+// acceptance is forced and acked, so by the time the request reaches
+// site 3 nothing is outstanding there and it answers too. Every peer
+// has responded, no site has a Vm outstanding, and 2 units sit outside
+// the gather: the read commits N − 2, not §5's "all of Π⁻¹(d)". That
+// is serializable subject to redistribution — each Rds half is its own
+// transaction (§6), the deduct before the read and the credit after it
+// — and the timestamp-order checker, fed both OnRds halves, accepts it.
+// The flow checker has no such window and rejects it. This test asserts
+// what the site does today; it does not say the protocol should.
 func TestFlowCheckerFullReadRacingVm(t *testing.T) {
 	var rdsMu sync.Mutex
 	var rds []RdsInfo
@@ -220,7 +220,8 @@ func TestFlowCheckerFullReadRacingVm(t *testing.T) {
 
 	peer.handle(net.take(t, 1, 2, wire.KRequest)) // the peer answers: all 10
 	peer.handle(inFlight)                         // then accepts the Vm
-	sender.handle(net.take(t, 2, 3, wire.KVmAck)) // whose ack retires it
+	peer.forceAccepts()                           // forced as a tick would be
+	sender.handle(net.take(t, 2, 3, wire.KVmAck)) // and its ack retires it
 	if sender.VM().HasOutstanding("x") {
 		t.Fatal("sender still has the Vm outstanding after its ack")
 	}

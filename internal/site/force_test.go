@@ -35,7 +35,7 @@ func (v *vmTap) install(net *simnet.Net, from ident.SiteID) {
 // applies it — two records in the pipeline — and neither is answered,
 // nor reported to the hook, before the force.
 func TestHotItemCommitsOverlapTheForce(t *testing.T) {
-	tc, gl := groupedCluster(t, 31, wal.NewMemLog(), nil)
+	tc, gl := groupedCluster(t, 31, nil)
 	item := ident.ItemID("hot/0")
 	tc.createItem(item, 100) // 50 per site
 	placed := gl.LastLSN()
@@ -101,7 +101,7 @@ func TestHotItemCommitsOverlapTheForce(t *testing.T) {
 func TestHeldCreateIsOutstandingNotSent(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0))
 	flight := obs.NewFlight(64)
-	tc, gl := groupedCluster(t, 32, wal.NewMemLog(), func(c *Config) {
+	tc, gl := groupedCluster(t, 32, func(c *Config) {
 		c.Clock = clock
 		c.Flight = flight
 	})
@@ -217,13 +217,13 @@ func TestForceFailureStopsTheSite(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.reason, func(t *testing.T) {
-			inner := wal.NewMemLog()
 			reg := obs.NewRegistry()
 			var rds atomic.Int64
-			tc, _ := groupedCluster(t, 33, inner, func(cfg *Config) {
+			tc, _ := groupedCluster(t, 33, func(cfg *Config) {
 				cfg.Metrics = reg
 				cfg.OnRds = func(RdsInfo) { rds.Add(1) }
 			})
+			inner := tc.logs[0]
 			item := ident.ItemID("flight/G")
 			tc.createItem(item, 20)
 			var tap vmTap

@@ -9,7 +9,6 @@ import (
 	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
-	"dvp/internal/store"
 	"dvp/internal/tstamp"
 	"dvp/internal/wal"
 )
@@ -19,15 +18,17 @@ type testCluster struct {
 	t     *testing.T
 	net   *simnet.Net
 	sites []*Site
-	logs  []*wal.MemLog
-	dbs   []*store.Durable
+	// logs are the sites' devices, the durable half of each group log.
+	logs []*wal.MemLog
 
 	mu      sync.Mutex
 	commits []CommitInfo
 }
 
-// newTestCluster builds an n-site cluster; cfg mutates the base
-// per-site config (nil for defaults).
+// newTestCluster builds an n-site cluster through Open, each site over
+// a memory device; mutate edits the base per-site config (nil for
+// defaults) and may wrap cfg.Log, the device Open gets. A config that
+// mutate gives a store is built with New, straight over the device.
 func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int, c *Config)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t, net: simnet.New(netCfg)}
@@ -38,12 +39,10 @@ func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int
 	for i := 0; i < n; i++ {
 		id := peers[i]
 		log := wal.NewMemLog()
-		db := store.New()
 		cfg := Config{
 			ID:              id,
 			Peers:           peers,
 			Log:             log,
-			DB:              db,
 			Endpoint:        tc.net.Endpoint(id),
 			CC:              cc.New(cc.Conc1),
 			RetransmitEvery: 5 * time.Millisecond,
@@ -57,13 +56,16 @@ func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int
 		if mutate != nil {
 			mutate(i, &cfg)
 		}
-		s, err := New(cfg)
+		open := func() (*Site, error) { return Open(cfg.Log.(wal.Device), cfg) }
+		if cfg.DB != nil {
+			open = func() (*Site, error) { return New(cfg) }
+		}
+		s, err := open()
 		if err != nil {
 			t.Fatalf("site %v: %v", id, err)
 		}
 		tc.sites = append(tc.sites, s)
 		tc.logs = append(tc.logs, log)
-		tc.dbs = append(tc.dbs, db)
 	}
 	for _, s := range tc.sites {
 		s.Start()
@@ -73,7 +75,7 @@ func newTestCluster(t *testing.T, n int, netCfg simnet.Config, mutate func(i int
 	// tickers that starve later tests' 80 ms timeouts.
 	t.Cleanup(func() {
 		for _, s := range tc.sites {
-			s.Crash()
+			s.Close()
 		}
 		tc.net.Close()
 	})

@@ -104,7 +104,7 @@ func TestCrashWhileHeldDropsTheCredit(t *testing.T) {
 // retried full read of the item for it.
 func TestTimeoutLogsHeldCredit(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0))
-	tc, gl := groupedCluster(t, 42, wal.NewMemLog(), func(c *Config) {
+	tc, gl := groupedCluster(t, 42, func(c *Config) {
 		c.Clock = clock
 		c.RetransmitEvery = time.Hour
 	})
@@ -150,14 +150,10 @@ func TestTimeoutLogsHeldCredit(t *testing.T) {
 // none covers them until the commit's force lands. (Conc2, so that site
 // 2 may honour a second request at the same timestamp.)
 func TestHeldDuplicateEarnsNoAck(t *testing.T) {
-	gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-	t.Cleanup(func() { gl.Close() })
 	tc := newTestCluster(t, 2, simnet.Config{Seed: 43}, func(i int, c *Config) {
 		c.CC = cc.New(cc.Conc2)
-		if i == 0 {
-			c.Log = gl
-		}
 	})
+	gl := tc.sites[0].Log().(*wal.GroupLog)
 	var tap ackTap
 	tap.install(t, tc.net)
 	item := ident.ItemID("held/C")
@@ -206,6 +202,7 @@ func TestHeldDuplicateEarnsNoAck(t *testing.T) {
 type logCounter struct {
 	gl        *wal.GroupLog
 	reg       *obs.Registry
+	site      string
 	forces    atomic.Int64
 	underLock atomic.Int64
 }
@@ -213,8 +210,8 @@ type logCounter struct {
 // forcedBy reads the log's forces per runner: the flusher goroutine, or
 // a committer inside WaitDurable.
 func (c *logCounter) forcedBy() (flusher, committer int64) {
-	return int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "flusher")),
-		int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "committer"))
+	return int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "flusher", "site", c.site)),
+		int64(c.reg.CounterValue("dvp_wal_group_flushes_total", "by", "committer", "site", c.site))
 }
 
 // TestCountBudgetPerOpKind pins, for each kind of operation, the
@@ -248,15 +245,15 @@ func (c *logCounter) forcedBy() (flusher, committer int64) {
 // memory log under the race detector the two costs are too close for
 // the split itself to be pinned.
 func TestCountBudgetPerOpKind(t *testing.T) {
-	counters := make([]*logCounter, 3)
+	reg := obs.NewRegistry()
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 44}, func(i int, c *Config) {
-		gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-		t.Cleanup(func() { gl.Close() })
-		counters[i] = &logCounter{gl: gl, reg: obs.NewRegistry()}
-		gl.Instrument(counters[i].reg)
-		c.Log = gl
+		c.Metrics = reg
 		c.DefaultTimeout = 5 * time.Second
 	})
+	counters := make([]*logCounter, 3)
+	for i, x := range tc.sites {
+		counters[i] = &logCounter{gl: x.Log().(*wal.GroupLog), reg: reg, site: x.ID().String()}
+	}
 	s := tc.sites[0]
 	tap := new(kindTap)
 	tap.install(tc.net)

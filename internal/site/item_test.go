@@ -13,6 +13,7 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/simnet"
+	"dvp/internal/store"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
@@ -233,6 +234,11 @@ func TestDeferredVmRedeliveredByRelease(t *testing.T) {
 			tc := newTestCluster(t, 3, simnet.Config{Seed: 33}, func(i int, cfg *Config) {
 				// Retransmission must not be the delivery path here.
 				cfg.RetransmitEvery = 10 * time.Second
+				if c.failCommit && i == 0 {
+					// A bare device fails the commit's append alone; a group log
+					// fails every record after a failed force, the credit's too.
+					cfg.DB = store.New()
+				}
 			})
 			tc.createItem(item, 30) // 10 per site
 			s := tc.sites[0]

@@ -228,20 +228,33 @@ func (s *Site) FailStopErr() error {
 // Restart recovers from the stable log and rejoins the network,
 // without talking to any other site.
 func (s *Site) Restart() error {
-	s.mu.Lock()
-	up, halted := s.up, s.halted
-	s.mu.Unlock()
-	if up {
+	if s.awaitDown() {
 		return fmt.Errorf("site %v: restart while up", s.cfg.ID)
-	}
-	if halted != nil {
-		<-halted // a crash a fail-stop began may still be running
 	}
 	if err := s.recover(); err != nil {
 		return err
 	}
 	s.Start()
 	return nil
+}
+
+// Close stops the site for good: it crashes it and closes its log.
+func (s *Site) Close() error {
+	s.Crash()
+	s.awaitDown()
+	return s.cfg.Log.Close()
+}
+
+// awaitDown reports whether the site is up and, if it is not, waits
+// out the latest crash: one a fail-stop began may still be running.
+func (s *Site) awaitDown() (up bool) {
+	s.mu.Lock()
+	up, halted := s.up, s.halted
+	s.mu.Unlock()
+	if !up && halted != nil {
+		<-halted
+	}
+	return up
 }
 
 // Up reports whether the site is currently running (lock-free: the

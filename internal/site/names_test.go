@@ -33,7 +33,7 @@ func sameAsLog(t *testing.T, s *Site, log wal.Log) {
 // names no item twice; the next item takes the ordinal above the
 // highest the log holds.
 func TestRestartKeepsTheLogsOrdinals(t *testing.T) {
-	tc, gl := groupedCluster(t, 81, wal.NewMemLog(), nil)
+	tc, gl := groupedCluster(t, 81, nil)
 	s := tc.sites[0]
 	place(t, s, "a", 10)
 	place(t, s, "b", 10)
@@ -83,7 +83,7 @@ func TestRestartKeepsTheLogsOrdinals(t *testing.T) {
 // the wrong one.
 func TestCrashDropsAnUnforcedName(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0)) // no retransmission tick forces anything
-	tc, gl := groupedCluster(t, 82, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+	tc, gl := groupedCluster(t, 82, func(c *Config) { c.Clock = clock })
 	s := tc.sites[0]
 	place(t, s, "placed", 5)
 	// A Vm for an item the log has never named: its acceptance is
@@ -110,7 +110,7 @@ func TestCrashDropsAnUnforcedName(t *testing.T) {
 // No item has an empty name: a placement of one is refused before
 // anything is logged.
 func TestPlaceRefusesAnEmptyName(t *testing.T) {
-	tc, gl := groupedCluster(t, 83, wal.NewMemLog(), nil)
+	tc, gl := groupedCluster(t, 83, nil)
 	s := tc.sites[0]
 	before := gl.LastLSN()
 	_, _, err := s.Place([]wal.Action{{Item: "ok", Delta: 1}, {Item: "", Delta: 5}})

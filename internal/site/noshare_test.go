@@ -31,26 +31,19 @@ func (k *kindTap) install(net *simnet.Net) {
 
 func (k *kindTap) sent(from ident.SiteID, kind wire.Kind) int64 { return k.n[from][kind].Load() }
 
-// donorCluster is a 2-site cluster whose site 2 — the donor — logs
-// through a GroupLog over inner, so a test can hold or fail the
-// donor's force. Site 1 holds 10 of item, site 2 holds 3, and site 1's
-// clock runs ahead, so that its reads are admitted at site 2 whatever
-// site 2 stamped.
-func donorCluster(t *testing.T, seed int64, inner wal.Device, item ident.ItemID) (*testCluster, *wal.GroupLog, *kindTap) {
+// donorCluster is a 2-site cluster and the group log of its site 2,
+// the donor, so a test can hold or fail the donor's force. Site 1
+// holds 10 of item, site 2 holds 3, and site 1's clock runs ahead, so
+// that its reads are admitted at site 2 whatever site 2 stamped.
+func donorCluster(t *testing.T, seed int64, item ident.ItemID) (*testCluster, *wal.GroupLog, *kindTap) {
 	t.Helper()
-	gl := wal.NewGroupLog(inner, wal.GroupCommitOptions{})
-	t.Cleanup(func() { gl.Close() })
-	tc := newTestCluster(t, 2, simnet.Config{Seed: seed}, func(i int, c *Config) {
-		if i == 1 {
-			c.Log = gl
-		}
-	})
+	tc := newTestCluster(t, 2, simnet.Config{Seed: seed}, nil)
 	place(t, tc.sites[0], item, 10)
 	place(t, tc.sites[1], item, 3)
 	tc.sites[0].lamport.Restore(100)
 	tap := new(kindTap)
 	tap.install(tc.net)
-	return tc, gl, tap
+	return tc, tc.sites[1].Log().(*wal.GroupLog), tap
 }
 
 // A donor that holds none of an item answers a full read with NoShare,
@@ -61,7 +54,7 @@ func donorCluster(t *testing.T, seed int64, inner wal.Device, item ident.ItemID)
 // what site 1 holds, and neither site logged anything for it.
 func TestNoShareWaitsForTheFence(t *testing.T) {
 	item := ident.ItemID("flight/B")
-	tc, gl, tap := donorCluster(t, 22, wal.NewMemLog(), item)
+	tc, gl, tap := donorCluster(t, 22, item)
 	entered, release := holdFirstFlush(gl)
 	defer release()
 
@@ -125,8 +118,8 @@ func tookRequest(s *Site) bool { return s.lamport.Current() > 100 }
 // 1's next read is admitted.
 func TestNoShareLostWithItsFence(t *testing.T) {
 	item := ident.ItemID("flight/B")
-	inner := wal.NewMemLog()
-	tc, gl, tap := donorCluster(t, 23, inner, item)
+	tc, gl, tap := donorCluster(t, 23, item)
+	inner := tc.logs[1]
 	gate := make(chan struct{})
 	inner.SetAppendHook(func(wal.Record) error {
 		<-gate
@@ -174,7 +167,7 @@ func TestNoShareLostWithItsFence(t *testing.T) {
 // own.
 func TestRecordlessReadWaitsForTheFence(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0)) // no retransmission tick forces the acceptance
-	tc, gl := groupedCluster(t, 24, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+	tc, gl := groupedCluster(t, 24, func(c *Config) { c.Clock = clock })
 	item := ident.ItemID("flight/R")
 	place(t, tc.sites[0], item, 10)
 	place(t, tc.sites[1], item, 0)

@@ -1,7 +1,6 @@
 package site
 
 import (
-	"errors"
 	"fmt"
 	"regexp"
 	"slices"
@@ -17,7 +16,6 @@ import (
 	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/vclock"
-	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
@@ -297,8 +295,9 @@ func TestDeclineReasonsCountApart(t *testing.T) {
 	}
 	expect("cc", func() { ask(granted, false, tstamp.Make(stamp.Counter()-1, 2)) })
 	expect("outstanding-vm", func() { ask(granted, true, next()) })
+	// A closed group log refuses records at their enqueue, the site up.
 	expect("log-error", func() {
-		tc.logs[0].SetAppendHook(func(wal.Record) error { return errors.New("disk full") })
+		tc.sites[0].Log().Close()
 		ask(held, false, next())
 	})
 }

@@ -321,7 +321,7 @@ func TestReservationStride(t *testing.T) {
 // acceptance settles, the bound covers the acceptance's stamp.
 func TestAcceptanceQueuesItsReservation(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0)) // no retransmission tick forces anything
-	tc, gl := groupedCluster(t, 74, wal.NewMemLog(), func(c *Config) { c.Clock = clock })
+	tc, gl := groupedCluster(t, 74, func(c *Config) { c.Clock = clock })
 	s := tc.sites[0]
 	item := ident.ItemID("flight/Q")
 	place(t, s, item, 0)

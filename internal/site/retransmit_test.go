@@ -31,14 +31,9 @@ import (
 func TestRetransmitSchedule(t *testing.T) {
 	const base = 5 * time.Millisecond
 	clocks := []*vclock.Virtual{vclock.NewVirtual(time.Unix(0, 0)), vclock.NewVirtual(time.Unix(0, 0))}
-	gl := wal.NewGroupLog(wal.NewMemLog(), wal.GroupCommitOptions{})
-	t.Cleanup(func() { gl.Close() })
 	tc := newTestCluster(t, 2, simnet.Config{Seed: 41}, func(i int, c *Config) {
 		c.Clock = clocks[i]
 		c.RetransmitEvery = base
-		if i == 1 {
-			c.Log = gl
-		}
 	})
 	s1, s2 := tc.sites[0], tc.sites[1]
 	item := ident.ItemID("flight/R")

@@ -26,7 +26,7 @@ import (
 // waited for the redelivered acceptance would never return.
 func TestRedeliveryDoesNotHoldTheAnswer(t *testing.T) {
 	var committed atomic.Bool
-	tc, gl := groupedCluster(t, 36, wal.NewMemLog(), func(c *Config) {
+	tc, gl := groupedCluster(t, 36, func(c *Config) {
 		c.OnCommit = func(CommitInfo) { committed.Store(true) }
 	})
 	item := ident.ItemID("flight/H")
@@ -96,17 +96,11 @@ func TestRedeliveryDoesNotHoldTheAnswer(t *testing.T) {
 // no retransmission tick to speak of: only the transactions ask.
 func TestShortfallForceBudget(t *testing.T) {
 	const n = 20
-	var flushes atomic.Int64
+	reg := obs.NewRegistry()
 	tc := newTestCluster(t, 3, simnet.Config{Seed: 37}, func(i int, c *Config) {
-		var dev wal.Device = wal.NewMemLog()
 		if i == 0 {
-			dev = wal.NewSlowDevice(dev, 500*time.Microsecond)
-		}
-		gl := wal.NewGroupLog(dev, wal.GroupCommitOptions{})
-		t.Cleanup(func() { gl.Close() })
-		c.Log = gl
-		if i == 0 {
-			gl.SetFlushHook(func(int) { flushes.Add(1) })
+			c.Log = wal.NewSlowDevice(c.Log.(wal.Device), 500*time.Microsecond)
+			c.Metrics = reg
 			c.RetransmitEvery = time.Hour
 		}
 	})
@@ -131,7 +125,7 @@ func TestShortfallForceBudget(t *testing.T) {
 		// timestamp, so Conc1 never sees that credit's stamp ahead of it.
 		waitUntil(t, 2*time.Second, "the second grant credited", func() bool { return s.DB().Value(item) == 1 })
 	}
-	if f := flushes.Load(); f > n+2 {
+	if f := reg.SumCounters("dvp_wal_group_flushes_total"); f > n+2 {
 		t.Errorf("%d shortfall transactions cost the requester %d flushes, want at most %d", n, f, n+2)
 	}
 	if acc := s.Stats().VmAccepted; acc < n {
@@ -148,7 +142,7 @@ func TestShortfallForceBudget(t *testing.T) {
 func TestCrashDropsUnforcedAccepts(t *testing.T) {
 	clock := vclock.NewVirtual(time.Unix(0, 0)) // no tick: nobody asks for a force
 	flight := obs.NewFlight(64)
-	tc, gl := groupedCluster(t, 38, wal.NewMemLog(), func(c *Config) {
+	tc, gl := groupedCluster(t, 38, func(c *Config) {
 		c.Clock = clock
 		c.Flight = flight
 	})

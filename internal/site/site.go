@@ -289,8 +289,9 @@ type Site struct {
 	halted  chan struct{}
 }
 
-// New assembles a site and runs recovery on its log (a brand-new site
-// has an empty log and recovers to an empty state). Call Start to
+// New assembles a site over cfg.Log and cfg.DB, for a caller that
+// decorates the log itself (Open is the assembly every site runs), and
+// recovers it from the log, empty for a brand-new site. Call Start to
 // attach to the network.
 func New(cfg Config) (*Site, error) {
 	if cfg.Clock == nil {
@@ -349,6 +350,22 @@ func New(cfg Config) (*Site, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// Open assembles the site a deployment runs: a group log over dev, with
+// its metrics and flight events under site=<id>, and a fresh store,
+// recovered from the log (Open sets cfg.Log and cfg.DB). The site owns
+// dev: Close, or a failed Open, closes it. Call Start to attach it.
+func Open(dev wal.Device, cfg Config) (*Site, error) {
+	log := wal.NewGroupLog(dev, wal.GroupCommitOptions{})
+	log.Instrument(cfg.Metrics, "site", cfg.ID.String())
+	log.SetFlight(cfg.Flight, cfg.ID.String())
+	cfg.Log, cfg.DB = log, store.New()
+	s, err := New(cfg)
+	if err != nil {
+		log.Close()
+	}
+	return s, err
 }
 
 // newSpan allocates a site-unique span id for the tracing layer (the

@@ -10,7 +10,6 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/site"
-	"dvp/internal/store"
 	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
@@ -301,30 +300,34 @@ func TestConcurrentSendersShareWriterPool(t *testing.T) {
 	}
 }
 
+// dvpSite opens the DvP site engine over a memory log on ep, one of the
+// pair, with share of flight/A, and starts it.
+func dvpSite(t *testing.T, ep *Endpoint, id ident.SiteID, share core.Value, rebalance site.RebalanceConfig) *site.Site {
+	t.Helper()
+	rebalance.Seed = int64(id)
+	s, err := site.Open(wal.NewMemLog(), site.Config{
+		ID: id, Peers: []ident.SiteID{1, 2},
+		Endpoint:        ep,
+		CC:              cc.New(cc.Conc1),
+		RetransmitEvery: 10 * time.Millisecond,
+		DefaultTimeout:  500 * time.Millisecond,
+		Rebalance:       rebalance,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	s.DB().Create("flight/A", share)
+	s.Start()
+	return s
+}
+
 // TestDvpSitesOverTCP runs the full DvP site engine over real sockets:
 // the §3 redistribution flow end to end on localhost.
 func TestDvpSitesOverTCP(t *testing.T) {
 	e1, e2 := pair(t)
-	peers := []ident.SiteID{1, 2}
-	mk := func(ep *Endpoint, id ident.SiteID) *site.Site {
-		s, err := site.New(site.Config{
-			ID: id, Peers: peers,
-			Log: wal.NewMemLog(), DB: store.New(),
-			Endpoint:        ep,
-			CC:              cc.New(cc.Conc1),
-			RetransmitEvery: 10 * time.Millisecond,
-			DefaultTimeout:  500 * time.Millisecond,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start()
-		return s
-	}
-	s1 := mk(e1, 1)
-	s2 := mk(e2, 2)
-	s1.DB().Create("flight/A", 2)
-	s2.DB().Create("flight/A", 20)
+	s1 := dvpSite(t, e1, 1, 2, site.RebalanceConfig{})
+	s2 := dvpSite(t, e2, 2, 20, site.RebalanceConfig{})
 
 	// Needs redistribution over real TCP.
 	res := s1.Run(&txn.Txn{
@@ -372,32 +375,14 @@ func TestDemandAdvertOverTCP(t *testing.T) {
 // surplus follows — with no transaction ever asking for it.
 func TestDemandRebalanceOverTCP(t *testing.T) {
 	e1, e2 := pair(t)
-	peers := []ident.SiteID{1, 2}
-	mk := func(ep *Endpoint, id ident.SiteID, share core.Value) *site.Site {
-		s, err := site.New(site.Config{
-			ID: id, Peers: peers,
-			Log: wal.NewMemLog(), DB: store.New(),
-			Endpoint:        ep,
-			CC:              cc.New(cc.Conc1),
-			RetransmitEvery: 10 * time.Millisecond,
-			DefaultTimeout:  500 * time.Millisecond,
-			Rebalance: site.RebalanceConfig{
-				Enabled:     true,
-				Interval:    5 * time.Millisecond,
-				HalfLife:    200 * time.Millisecond,
-				AdvertStale: 25 * time.Millisecond,
-				Seed:        int64(id),
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.DB().Create("flight/A", share)
-		s.Start()
-		return s
+	rebalance := site.RebalanceConfig{
+		Enabled:     true,
+		Interval:    5 * time.Millisecond,
+		HalfLife:    200 * time.Millisecond,
+		AdvertStale: 25 * time.Millisecond,
 	}
-	mk(e1, 1, 30)
-	s2 := mk(e2, 2, 30)
+	dvpSite(t, e1, 1, 30, rebalance)
+	s2 := dvpSite(t, e2, 2, 30, rebalance)
 
 	// All consumption happens at site 2 (purely local commits). Its
 	// demand EWMA rises; site 1's stays zero; quota should drift to
