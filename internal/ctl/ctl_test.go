@@ -289,21 +289,20 @@ func TestTraceStitchEndToEnd(t *testing.T) {
 		}
 	}
 
-	// The flight recorder on a granting site saw the hop too.
-	for _, nd := range nodes[1:] {
+	// A granting site's flight recorder, read over its control port,
+	// holds its lifecycle but not the grant: the hop lives in the trace
+	// ring above, and an event per grant would push every rare one out
+	// of the recorder.
+	for i, nd := range nodes[1:] {
 		lines, err := Do(nd.ctl, "FLIGHT", ctlTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(lines) == 0 {
-			continue
-		}
 		joined := strings.Join(lines, "\n")
-		if strings.Contains(joined, "rds-create") {
-			return // at least one granter logged the create
+		if !strings.Contains(joined, "site-up") || strings.Contains(joined, "rds-create") {
+			t.Errorf("site %d FLIGHT output %q: want its site-up and no rds-create", i+2, joined)
 		}
 	}
-	t.Error("no granting site's FLIGHT output mentions rds-create")
 }
 
 // complete reports whether the span set already contains the full hop

@@ -6,19 +6,27 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"dvp/internal/vclock"
 )
 
 // FlightEvent is one structured entry in the flight recorder: a
-// protocol-level state transition worth replaying after a failure
-// (lock conflicts, Vm parking, rebalancer decisions, group-commit
-// flushes, demand adverts, site lifecycle).
+// rare protocol-level state transition worth replaying after a failure
+// (lock conflicts, declined requests, timeouts, Vm parking, rebalancer
+// decisions, failed flushes, checkpoints, site lifecycle, peer links).
+// Per-operation events — a force, a grant, an acceptance — are not
+// recorded: at a few thousand a second they would push every rare one
+// out of the ring within a second, and the trace ring and the metrics
+// already count them.
 type FlightEvent struct {
-	// AtUnixNano is the wall-clock instant of the event.
+	// AtUnixNano is the instant of the event on the recorder's clock
+	// (SetClock).
 	AtUnixNano int64 `json:"at_unix_nano"`
 	// Site is the site that recorded the event.
 	Site string `json:"site"`
-	// Kind classifies the event ("lock-conflict", "vm-defer",
-	// "rds-create", "vm-accept", "rebal-transfer", "wal-flush-err", ...).
+	// Kind classifies the event ("lock-conflict", "rds-decline",
+	// "txn-timeout", "vm-defer", "vm-redeliver", "rebal-transfer",
+	// "wal-flush-err", "checkpoint", "recover", "site-up", ...).
 	Kind string `json:"kind"`
 	// Detail carries event-specific context, pre-rendered.
 	Detail string `json:"detail,omitempty"`
@@ -45,16 +53,30 @@ type Flight struct {
 	mask  uint64
 	next  atomic.Uint64
 	slots []atomic.Pointer[FlightEvent]
+	clock atomic.Pointer[vclock.Clock]
 }
 
 // NewFlight creates a recorder holding the last capacity events
-// (rounded up to a power of two, minimum 64).
+// (rounded up to a power of two, minimum 64), on the real clock.
 func NewFlight(capacity int) *Flight {
 	n := 64
 	for n < capacity {
 		n <<= 1
 	}
-	return &Flight{mask: uint64(n - 1), slots: make([]atomic.Pointer[FlightEvent], n)}
+	f := &Flight{mask: uint64(n - 1), slots: make([]atomic.Pointer[FlightEvent], n)}
+	f.SetClock(vclock.Real{})
+	return f
+}
+
+// SetClock makes c the recorder's clock: every event's instant is read
+// from it. A site passes its own, the clock its traces and histograms
+// read, so that one dump keeps one timeline; sites that share a
+// recorder share a clock. Safe beside concurrent Records.
+func (f *Flight) SetClock(c vclock.Clock) {
+	if f == nil {
+		return
+	}
+	f.clock.Store(&c)
 }
 
 // Record appends one event.
@@ -63,7 +85,7 @@ func (f *Flight) Record(site, kind, detail string) {
 		return
 	}
 	e := &FlightEvent{
-		AtUnixNano: time.Now().UnixNano(),
+		AtUnixNano: (*f.clock.Load()).Now().UnixNano(),
 		Site:       site,
 		Kind:       kind,
 		Detail:     detail,

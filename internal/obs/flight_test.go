@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"dvp/internal/vclock"
 )
 
 func TestFlightNilSafe(t *testing.T) {
@@ -98,6 +100,15 @@ func TestFlightWraps(t *testing.T) {
 func TestFlightConcurrentRecord(t *testing.T) {
 	f := NewFlight(128)
 	var wg sync.WaitGroup
+	// A site built beside a recording transport sets the clock while
+	// events are recorded.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			f.SetClock(vclock.NewVirtual(time.Unix(int64(i), 0)))
+		}
+	}()
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {

@@ -57,7 +57,8 @@ type Summary struct {
 	ActionsRedone int
 	// VmRestored counts outbound Vm re-registered for retransmission.
 	VmRestored int
-	// Elapsed is the wall-clock duration of the whole recovery.
+	// Elapsed is the duration of the whole recovery, on the clock of
+	// the Vm manager it rebuilds (vmsg.Manager.SetClock): the site's.
 	Elapsed time.Duration
 	// NetworkCalls is always zero; it exists so the independence
 	// claim is an explicit, asserted output rather than a comment.
@@ -73,9 +74,10 @@ type Summary struct {
 // Recover rebuilds a site's state from its stable log alone, into the
 // objects it is given: db's contents are replaced — by the last valid
 // checkpoint's image, or by nothing — and vm and clock must be freshly
-// constructed or reset.
+// constructed or reset. vm's clock times it.
 func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clock) (Summary, error) {
-	start := time.Now()
+	timer := vm.Clock()
+	start := timer.Now()
 	var sum Summary
 
 	// Pass 1: locate the last checkpoint that decodes, and the highest
@@ -124,7 +126,7 @@ func Recover(log wal.Log, db *store.Durable, vm *vmsg.Manager, clock *tstamp.Clo
 	clock.Restore(bound)
 	clock.Reserve(bound)
 	sum.Clock = bound
-	sum.Elapsed = time.Since(start)
+	sum.Elapsed = timer.Now().Sub(start)
 	return sum, nil
 }
 

@@ -182,7 +182,8 @@ func TestVmCreditAtEnqueueAckAtDurability(t *testing.T) {
 // A VmBatch of 8 value Vm is credited whole at enqueue and asks for no
 // force: nothing is forced, counted or acknowledged until somebody asks
 // — a commit, or on an idle site the retransmission tick — and then one
-// flush carries all 8 and one cumulative ack follows it.
+// flush carries all 8. One cumulative ack follows at the tick: a local
+// commit sends nothing toward the sender that could carry it.
 func TestVmBatchAcceptForces(t *testing.T) {
 	for _, by := range []string{"commit", "tick"} {
 		t.Run(by, func(t *testing.T) {
@@ -222,10 +223,13 @@ func TestVmBatchAcceptForces(t *testing.T) {
 					t.Fatalf("local commit: %v", res.Status)
 				}
 				records++
-			case "tick":
-				waitUntil(t, 2*time.Second, "retransmit loop parked", func() bool { return clock.PendingTimers() == 1 })
-				clock.Advance(5 * time.Millisecond)
+				tc.settle()
+				if f, a, acc := forces.Load(), tap.covered.Load(), s.Stats().VmAccepted; f != 1 || a != 0 || acc != n {
+					t.Fatalf("after the commit: %d forces, acked up to %d, %d accepted; want 1, 0 and %d", f, a, acc, n)
+				}
 			}
+			waitUntil(t, 2*time.Second, "retransmit loop parked", func() bool { return clock.PendingTimers() == 1 })
+			clock.Advance(5 * time.Millisecond)
 			waitUntil(t, 2*time.Second, "the batch acknowledged", func() bool { return tap.covered.Load() == n })
 			tc.settle()
 			if f, c := forces.Load(), carried.Load(); f != 1 || c != records {

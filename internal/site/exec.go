@@ -370,8 +370,9 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 // credit. Until that credit is acked, its sender holds the Vm
 // outstanding and declines every full read of the item — a retry of
 // this very transaction among them, each decline costing the reader
-// its whole timeout. Forced and settled here, the ack rides the
-// retry's own requests, and the sender reads it before the request.
+// its whole timeout. Forced and settled here, the ack leaves at once
+// (forceAccepts sends the VmAck no envelope has carried yet), ahead of
+// the retry's own requests.
 // w is nil for a transaction that never waited.
 func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, w *waiter) []deferredVm {
 	s.lifeMu.RLock()

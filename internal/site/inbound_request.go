@@ -49,7 +49,7 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		// The requester's clock lags the item's stamp — by up to a
 		// Stride once a restart floored it — and an ack carries this
 		// site's clock back, so its next request draws above the stamp.
-		s.send(from, &wire.VmAck{UpTo: s.vm.AckFor(from)})
+		s.sendAck(from)
 		return
 	}
 	// Full reads require the complete local share: no outstanding Vm
@@ -96,7 +96,6 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	}
 	now := s.cfg.Clock.Now()
 	s.obsm.observeStep(stepRdsCreate, now.Sub(hopStart))
-	s.obsm.flight.Recordf(s.obsm.site, "rds-create", "to=%v item=%s amount=%d seq=%d", from, req.Item, grant, v.Seq)
 	s.obsm.forPeer(from).honored.Inc()
 	hop.Finish(now, "honored")
 }

@@ -26,7 +26,7 @@ func (s *Site) handleVm(from ident.SiteID, m *wire.Vm) {
 
 // handleVmBatch accepts each carried Vm independently — the receiving
 // half of Vm piggybacking: one envelope, many Vm; their records ride
-// one force, and whoever settles them sends one ack envelope back.
+// one force, and one cumulative ack covers them all.
 func (s *Site) handleVmBatch(from ident.SiteID, b *wire.VmBatch) {
 	var owed acks
 	for i := range b.Vms {
@@ -35,7 +35,8 @@ func (s *Site) handleVmBatch(from ident.SiteID, b *wire.VmBatch) {
 	s.settleAccepts(s.cfg.Log.DurableLSN(), owed)
 }
 
-// acks lists the peers owed a cumulative ack, each once.
+// acks lists the peers owed a cumulative ack at once, each once: the
+// senders of duplicates, which have already retransmitted.
 type acks []ident.SiteID
 
 func (a *acks) add(to ident.SiteID) {
@@ -254,9 +255,11 @@ func (s *Site) takeAccepts(upTo uint64) []acceptedVm {
 // redelivery (up to the log's DurableLSN, so a log without a queue
 // settles there at once), from the retransmission tick (forceAccepts),
 // and in Crash, for those whose records the last flush landed. Each one
-// is counted, reported and made ackable; then every peer owed an ack —
-// for one of these, or for a duplicate in owed — gets a single
-// cumulative one, unless the site is going down.
+// is counted, reported and made ackable: the next envelope toward its
+// sender piggybacks the advanced cursor, and if none leaves before the
+// tick, forceAccepts sends a VmAck then. Only the peers in owed — the
+// senders of duplicates — get a standalone ack here, unless the site is
+// going down.
 func (s *Site) settleAccepts(upTo uint64, owed acks) {
 	for _, e := range s.takeAccepts(upTo) {
 		wire.PutWriter(e.w)
@@ -266,7 +269,6 @@ func (s *Site) settleAccepts(upTo uint64, owed acks) {
 		}
 		s.reportRds(e.creditTS, e.item, e.amount)
 		s.obsm.observeStep(stepVmApply, now.Sub(e.hopStart))
-		s.obsm.flight.Recordf(s.obsm.site, "vm-accept", "from=%v item=%s amount=%d seq=%d", e.from, e.item, e.amount, e.seq)
 		s.obsm.forPeer(e.from).vmAccepted.Inc()
 		s.lamport.Reserve(e.bound)
 		// Ackable last: any envelope may piggyback the cursor from here
@@ -274,40 +276,46 @@ func (s *Site) settleAccepts(upTo uint64, owed acks) {
 		// acceptance as counted and reported.
 		s.vm.MarkStable(e.from, e.seq)
 		e.hop.Finish(now, "accepted")
-		owed.add(e.from)
 	}
 	if !s.Up() {
 		return
 	}
 	for _, p := range owed {
-		s.send(p, &wire.VmAck{UpTo: s.vm.AckFor(p)})
+		s.sendAck(p)
 	}
 }
 
-// forceAccepts asks for the force of every pending acceptance and
-// settles them: the share of acceptances no commit, create or
-// checkpoint force has carried. The retransmission tick calls it, so an
-// idle site acks at most one RetransmitEvery late. A force that fails
-// stops the site (accept-force): the crash drops the acceptances
-// unacknowledged, and the restart rebuilds the store without them.
+// forceAccepts is the acks' last resort. It asks for the force of
+// every pending acceptance no commit, create or checkpoint force has
+// carried and settles them, then sends one VmAck to each peer whose
+// cumulative ack is still ahead of what an envelope carried to it. The
+// retransmission tick calls it, so a quiet link is acked at most one
+// RetransmitEvery late, and so does abandon once it logged a credit. A
+// force that fails stops the site (accept-force): the crash drops the
+// acceptances unacknowledged, and the restart rebuilds the store
+// without them.
 func (s *Site) forceAccepts() {
-	if s.nAccepts.Load() == 0 {
-		return
-	}
 	var high uint64
-	s.acceptMu.Lock()
-	for _, e := range s.accepts {
-		high = max(high, e.lsn)
+	if s.nAccepts.Load() != 0 {
+		s.acceptMu.Lock()
+		for _, e := range s.accepts {
+			high = max(high, e.lsn)
+		}
+		s.acceptMu.Unlock()
 	}
-	s.acceptMu.Unlock()
-	if high == 0 {
+	if high != 0 {
+		if err := s.cfg.Log.WaitDurable(high); err != nil {
+			s.failStop("accept-force", err) // its crash drops them
+			return
+		}
+		s.settleAccepts(high, nil)
+	}
+	if !s.Up() {
 		return
 	}
-	if err := s.cfg.Log.WaitDurable(high); err != nil {
-		s.failStop("accept-force", err) // its crash drops them
-		return
+	for _, p := range s.vm.Uncarried() {
+		s.sendAck(p)
 	}
-	s.settleAccepts(high, nil)
 }
 
 // deferredVm is one parked inbound Vm awaiting its item's unlock.

@@ -122,7 +122,7 @@ func (s *Site) Start() {
 	// request, whose decline is answered with an ack (handleRequest).
 	if recovered {
 		for _, p := range s.peersExceptSelf() {
-			s.send(p, &wire.VmAck{UpTo: s.vm.AckFor(p)})
+			s.sendAck(p)
 		}
 	}
 	s.obsm.flight.Recordf(s.obsm.site, "site-up", "epoch=%d", epoch)

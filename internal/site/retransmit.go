@@ -16,9 +16,11 @@ const maxVmPerEnvelope = 64
 // VmBatch envelopes: the retransmission tick fires them together
 // anyway, so one frame (and one piggybacked ack back) carries the lot.
 //
-// The tick is also the force of last resort for the receiving side:
-// an acceptance nobody's force has carried yet is forced and acked
-// here (forceAccepts), so an idle site acks at most one tick late.
+// The tick is also the receiving side's last resort: an acceptance
+// nobody's force has carried yet is forced here, and a cumulative ack
+// that no envelope has piggybacked since it advanced leaves in a VmAck
+// of its own (forceAccepts), so a quiet link is acked at most one tick
+// late.
 func (s *Site) retransmitLoop(stop <-chan struct{}) {
 	base := s.cfg.RetransmitEvery
 	for {

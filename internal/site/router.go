@@ -66,12 +66,14 @@ func (s *Site) handle(env *wire.Envelope) {
 // clock and cumulative Vm ack (§4.2). The clock it piggybacks is capped
 // at the stable reservation: an acceptance's stamp may run past it
 // until its reservation rides the next force (processVm), and no
-// counter above the reservation leaves the site.
+// counter above the reservation leaves the site. The ack is taken
+// through the channel's carried cursor (CarryAck): what this envelope
+// carries, no standalone VmAck need repeat (forceAccepts).
 func (s *Site) send(to ident.SiteID, msg wire.Msg) {
 	env := &wire.Envelope{
 		To:      to,
 		Lamport: tstamp.Make(min(s.lamport.Current(), s.lamport.Bound()), s.cfg.ID),
-		AckUpTo: s.vm.AckFor(to),
+		AckUpTo: s.vm.CarryAck(to),
 		Msg:     msg,
 	}
 	// A send error is indistinguishable from message loss to the
@@ -80,6 +82,12 @@ func (s *Site) send(to ident.SiteID, msg wire.Msg) {
 	if err := s.cfg.Endpoint.Send(env); err != nil {
 		s.obsm.forPeer(to).sendErrs.Inc()
 	}
+}
+
+// sendAck sends to a standalone cumulative ack, for a peer that cannot
+// wait for the next envelope to carry it.
+func (s *Site) sendAck(to ident.SiteID) {
+	s.send(to, &wire.VmAck{UpTo: s.vm.AckFor(to)})
 }
 
 // sendVm transmits one real message for a virtual message.

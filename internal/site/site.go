@@ -123,7 +123,7 @@ type Config struct {
 	Trace *obs.Ring
 	// Flight, when set, records structured protocol events (lock
 	// conflicts, parked Vm, rebalancer decisions, site lifecycle) into
-	// the bounded flight recorder for post-failure dumps.
+	// the bounded flight recorder for post-failure dumps, on Clock.
 	Flight *obs.Flight
 }
 
@@ -330,6 +330,7 @@ func New(cfg Config) (*Site, error) {
 		s.items[i] = make(map[ident.ItemID]*itemState)
 	}
 	s.vm.SetClock(cfg.Clock)
+	cfg.Flight.SetClock(cfg.Clock)
 	s.initObs()
 	if s.obsm.ring != nil {
 		// Ack retirement completes a Vm's lifespan: record the

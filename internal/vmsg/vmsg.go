@@ -28,7 +28,10 @@
 //     cumulative ack to piggyback. A site credits a Vm when its
 //     acceptance record is enqueued and acknowledges it only once that
 //     record is stable, so the stable set trails the applied one by
-//     the records still in the log's queue.
+//     the records still in the log's queue — and the highest cursor
+//     an envelope toward the peer has carried (CarryAck), so that a
+//     site sends a standalone ack only to a peer no traffic has
+//     carried the cursor to (Uncarried).
 //
 // The Manager holds protocol state only; logging, database effects,
 // and actual sends belong to the site layer, which makes the state
@@ -39,6 +42,7 @@
 package vmsg
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -98,6 +102,7 @@ type outChannel struct {
 type inChannel struct {
 	applied seqSet // credited: never accept again
 	stable  seqSet // acceptance record stable: may be acknowledged
+	carried uint64 // highest cumulative ack an envelope to the peer carried
 }
 
 // seqSet is a set of sequence numbers dense from 1: everything up to
@@ -155,6 +160,14 @@ func (m *Manager) SetClock(c vclock.Clock) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.clock = c
+}
+
+// Clock returns the manager's clock (SetClock): recovery times itself
+// on it, the site's.
+func (m *Manager) Clock() vclock.Clock {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.clock
 }
 
 // Reset discards all channel state — the volatile state of a crashed
@@ -450,9 +463,12 @@ const RetransmitCap = 8
 // A Vm is old enough once it was sent at least the seed gap before
 // now — max(base, 2× the ack-RTT EWMA), the time an ack of a delivered
 // Vm should take to come back — so without loss nothing is ever
-// resent. The send instant is the first send's, so a Vm stays old
-// enough until acknowledged; one restored from a checkpoint has none
-// and is old enough at once.
+// resent. The seed gap is capped at RetransmitCap × base, as the sweep
+// gap is: the EWMA takes in each Vm's whole lifespan, so one Vm acked
+// only after an outage would otherwise hold the next one's first resend
+// back by twice the outage. The send instant is the first send's, so a
+// Vm stays old enough until acknowledged; one restored from a
+// checkpoint has none and is old enough at once.
 //
 // The first sweep after a channel gains something to resend — or after
 // a cumulative ack advanced it (a heal) — fires at once; each fired
@@ -469,7 +485,7 @@ func (m *Manager) Due(peer ident.SiteID, now time.Time, base time.Duration) []wa
 	if !ok || now.Before(c.retxAt) {
 		return nil
 	}
-	seed := max(base, 2*c.rttEWMA)
+	seed := min(max(base, 2*c.rttEWMA), RetransmitCap*base)
 	due := sortedVm(c.pending, func(seq uint64) bool { return now.Sub(c.sentAt[seq]) >= seed })
 	if len(due) == 0 {
 		return nil
@@ -547,6 +563,36 @@ func (m *Manager) AckFor(peer ident.SiteID) uint64 {
 		return c.stable.low
 	}
 	return 0
+}
+
+// CarryAck is AckFor for an envelope about to leave toward peer: it
+// returns the cumulative acknowledgement and remembers that an envelope
+// carried it, so Uncarried leaves peer out until the cursor moves on.
+func (m *Manager) CarryAck(peer ident.SiteID) uint64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.in[peer]
+	if !ok {
+		return 0
+	}
+	c.carried = max(c.carried, c.stable.low)
+	return c.stable.low
+}
+
+// Uncarried returns, in canonical order, the peers whose cumulative
+// acknowledgement is ahead of the highest one an envelope carried to
+// them (CarryAck): the acks no traffic has piggybacked yet.
+func (m *Manager) Uncarried() []ident.SiteID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []ident.SiteID
+	for p, c := range m.in {
+		if c.stable.low > c.carried {
+			out = append(out, p)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Accepted reports whether (from, seq) has been credited — the

@@ -166,13 +166,14 @@ func TestCreateEnqueuedThenStable(t *testing.T) {
 		t.Error("acked Vm still outstanding")
 	}
 	// The 7ms round trip, read on the manager's clock from the send
-	// instant, seeds a 14ms gap: a Vm sent now is resent at 14ms, not
-	// before.
+	// instant, seeds a 14ms gap (inside the cap at a 2ms base): a Vm
+	// sent now is resent at 14ms, not before.
+	const base = 2 * time.Millisecond
 	v2 := created(m, "b")
-	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond-1), time.Millisecond); len(d) != 0 {
+	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond-1), base); len(d) != 0 {
 		t.Errorf("resent inside the 14ms seed gap: %v", d)
 	}
-	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond), time.Millisecond); !slices.Equal(d, []uint64{v2.Seq}) {
+	if d := dueSeqs(m, clock.Now().Add(14*time.Millisecond), base); !slices.Equal(d, []uint64{v2.Seq}) {
 		t.Errorf("at the 14ms seed gap: due = %v, want [%d]", d, v2.Seq)
 	}
 }
@@ -407,6 +408,16 @@ func TestConcurrentChannelUse(t *testing.T) {
 			_ = m.PendingAll()
 		}
 	}()
+	// The sending path carries the receiver's cursor meanwhile, and the
+	// tick asks which peers it has not reached.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 500; i++ {
+			_ = m.CarryAck(7)
+			_ = m.Uncarried()
+		}
+	}()
 	wg.Wait()
 }
 
@@ -623,5 +634,67 @@ func TestAckCursorTrailsAppliedSet(t *testing.T) {
 	}
 	if m2.ShouldAccept(1, 5) || !m2.ShouldAccept(1, 6) {
 		t.Error("restored dedup set does not match the snapshot")
+	}
+}
+
+// A Vm acknowledged only at the heal of a 10 s outage feeds its whole
+// lifespan into the ack-RTT EWMA, which a first sample takes outright.
+// The next Vm, lost on the healed link, is still resent within
+// RetransmitCap × base of its send — the sweep gap's cap — not twice
+// the outage later.
+func TestDueSeedCappedAfterOutage(t *testing.T) {
+	m := NewManager()
+	clock := vclock.NewVirtual(time.Unix(1000, 0))
+	m.SetClock(clock)
+	const base = 15 * time.Millisecond
+	v1 := created(m, "a")
+	clock.Advance(10 * time.Second)
+	m.OnAck(2, v1.Seq)
+	v2 := created(m, "a")
+	sent := clock.Now()
+	if d := dueSeqs(m, sent.Add(RetransmitCap*base-1), base); len(d) != 0 {
+		t.Errorf("resent %v inside the capped seed gap", d)
+	}
+	if d := dueSeqs(m, sent.Add(RetransmitCap*base), base); !slices.Equal(d, []uint64{v2.Seq}) {
+		t.Errorf("at RetransmitCap × base after the send: due = %v, want [%d]", d, v2.Seq)
+	}
+}
+
+// The carried cursor: a peer is owed a standalone ack (Uncarried) only
+// while its cumulative ack is ahead of the highest one an envelope has
+// carried to it (CarryAck). A cursor stuck behind a gap owes nothing,
+// and Reset forgets what was carried along with the rest.
+func TestCarryAck(t *testing.T) {
+	m := NewManager()
+	if got := m.CarryAck(1); got != 0 || len(m.Uncarried()) != 0 {
+		t.Fatalf("fresh manager: CarryAck = %d, Uncarried = %v", got, m.Uncarried())
+	}
+	m.MarkAccepted(3, 1)
+	m.MarkAccepted(1, 1)
+	m.MarkAccepted(1, 3) // behind a gap: not ackable yet
+	if got := m.Uncarried(); !slices.Equal(got, []ident.SiteID{1, 3}) {
+		t.Fatalf("Uncarried = %v, want [1 3] in canonical order", got)
+	}
+	if got := m.CarryAck(1); got != 1 {
+		t.Fatalf("CarryAck(1) = %d, want 1", got)
+	}
+	if got := m.Uncarried(); !slices.Equal(got, []ident.SiteID{3}) {
+		t.Fatalf("Uncarried after carrying peer 1's ack = %v, want [3]", got)
+	}
+	m.MarkAccepted(1, 2) // fills the gap: the cursor moves to 3
+	if got := m.Uncarried(); !slices.Equal(got, []ident.SiteID{1, 3}) {
+		t.Fatalf("Uncarried after peer 1's cursor moved = %v, want [1 3]", got)
+	}
+	if got := m.CarryAck(1); got != 3 || m.AckFor(1) != 3 {
+		t.Fatalf("CarryAck(1) = %d, AckFor(1) = %d, want 3 and 3", got, m.AckFor(1))
+	}
+	m.CarryAck(3)
+	if got := m.Uncarried(); len(got) != 0 {
+		t.Fatalf("Uncarried with every cursor carried = %v", got)
+	}
+	m.Reset()
+	m.RestoreChannels([]wal.VmChannelState{{Peer: 1, InLow: 3}})
+	if got := m.Uncarried(); !slices.Equal(got, []ident.SiteID{1}) {
+		t.Fatalf("Uncarried after a restart = %v, want [1]: no envelope has carried the restored cursor", got)
 	}
 }

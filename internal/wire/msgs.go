@@ -22,9 +22,11 @@ const (
 	// KVm carries value between sites: the real message realizing a
 	// virtual message (paper §4.2).
 	KVm
-	// KVmAck is a standalone cumulative acknowledgement; normally
-	// acks ride piggybacked in the Envelope, this exists for idle
-	// links (paper §4.2 assumes piggybacked acks plus standard
+	// KVmAck is a standalone cumulative acknowledgement. Acks ride
+	// piggybacked in the Envelope's AckUpTo; a site sends a VmAck only
+	// where no envelope has carried its cursor by the retransmission
+	// tick, and at once for a duplicate, a cc decline and a restart
+	// (paper §4.2 assumes piggybacked acks plus standard
 	// window-protocol machinery).
 	KVmAck
 
