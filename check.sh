@@ -72,6 +72,14 @@ if grep -nE '"sync|time\.(Now|Since|AfterFunc|Sleep)' internal/wal/forcepolicy.g
 	echo "purity gate: internal/wal/forcepolicy.go locks or reads a clock (the log passes it instants)" >&2
 	exit 1
 fi
+# The site's protocol rules (§5's donor and requester) are pure values
+# too: they take what the mechanism read under its locks and answer, so
+# rules.go takes no lock, reads no clock, touches no log, store, channel
+# or network, holds no *Site and sends nothing.
+if grep -nE '"(sync|time)"|"dvp/internal/(wal|obs|vmsg|store|simnet|tcpnet)"|\*Site\b|\.(Now|Since|After|NewTimer|Sleep)\(|(^|[^A-Za-z])send[A-Za-z]*\(' internal/site/rules.go; then
+	echo "purity gate: internal/site/rules.go locks, reads a clock, holds the site or sends (the mechanism carries its rules out)" >&2
+	exit 1
+fi
 # A trace takes every instant from its caller, which read it from its
 # site's clock for its histograms: the trace reads no clock of its own.
 # The flight recorder and recovery read the site's clock (Flight's
@@ -102,7 +110,7 @@ done
 # LSN the one crash model made dead, dvpnode's own placement path, and
 # the stamp loop recovery ran over the store and the store's stamp
 # write, now that an item's stamp lives in its state, and the baseline
-# write message nothing sent)
+# write message and the quota query nothing sent)
 # may not come back under their old names.
 count_fields() { # file, struct type: exported field names, comma lists counted per name
 	awk -v t="$2" '
@@ -130,7 +138,7 @@ check_options site.Config "$n_site" 17
 check_options site.RebalanceConfig "$n_rebal" 5
 check_options tcpnet.Config "$n_tcp" 5
 check_options 'cmd/dvpnode flags' "$n_flags" 14
-deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS|MaxBatch:|forceHere|holdApplies|primeInline|KWrite|decodeWrite'
+deleted='RecoverOpts|RecoveryWorkers|replayParallel|NewScratch|NoShedPriority|appendBatchFallback|CheckpointEveryBytes|AdmissionStripes|GroupCommitMaxBatch|RetransmitMax|StartRebalancer|rebalanceOnce|MinTransfer|\.Rebalance\(|ckptMu|commitLocked|vmCreateLocked|vmCreateStable|vmAcceptLocked|acceptRun|oweAck|GroupCommitLinger|FileLogSync|NewSlowLog|GroupCommit:|Linger:|DueRetransmit|RetxStats|Overdue\(|AckRTT\(|retransmitCapFactor|encodeTraceTail|decodeTraceTail|encodeBase|decodeVmBase|RecBaseApplied|noteAccept|ZeroValueVmWaitsForItsForce|ZeroValueVmRidesTheCommit|fileHeaderLen|scanLocked|txnLatMu|txnLatSet|TraceBuf|DialBackoffMin|DialBackoffMax|DownAfter|MaxFrame|dvp_rebalance_demand|\.U16\(|AppliedLSN|createShares|raiseStamps|DB\.SetTS|MaxBatch:|forceHere|holdApplies|primeInline|KWrite|decodeWrite|QuotaQuery|QuotaReply'
 if grep -rnE "$deleted" --include='*.go' --exclude-dir=bench --exclude-dir=.bench_build .; then
 	echo "option gate: a deleted option or path is named again (see above)" >&2
 	exit 1
@@ -188,11 +196,13 @@ go test -race -shuffle=on ./...
 # Vm resend schedule — vmsg's Due, its seed gap capped after an outage,
 # and a site pair driving it tick by tick on virtual clocks — the
 # cumulative ack riding the next request on a busy link and leaving at
-# the tick on a quiet one, the flight recorder keeping its rare events
+# the tick on a quiet one, a gathering read's ack leaving at once, a
+# waiter's timer stopped as it returns, a transaction's requests leaving
+# in fold order, the flight recorder keeping its rare events
 # under local and shortfall load, and the lock-free Lamport clock under
 # mixed draws and raises, on one and two CPUs. CI runs this line
 # through this script; it lives nowhere else.
-stress_run='TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestForcePolicy|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogInline|TestGroupLogResetLandsTheFlushInFlight|TestGroupLogResetFailsItsWaiters|TestGroupLogCloseDrainsThenRejects|TestCrashInFlushFiresInline|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestDueSeedCappedAfterOutage|TestAckRidesTheNextRequest|TestQuietLinkAckedAtTheTick|TestFlightKeepsRareEventsUnderLoad|TestClockConcurrent'
+stress_run='TestRunShapes|TestCrashWakes|TestFlowChecker|TestDeferred|TestVmBatchAcceptForces|TestSendValueHoldsLockThroughDispatch|TestHotItemCommitsOverlapTheForce|TestHeldCreateIsOutstandingNotSent|TestForceFailureStopsTheSite|TestEndpointOpenFailureStopsTheSite|TestCheckpointCutAcrossHeldFlushes|TestRedeliveryDoesNotHoldTheAnswer|TestShortfallForceBudget|TestCrashDropsUnforcedAccepts|TestVmCreditAtEnqueueAckAtDurability|TestNoShareWaitsForTheFence|TestNoShareLostWithItsFence|TestRecordlessReadWaitsForTheFence|TestNoShareDonorCrashDeclinesBelow|TestStampNamesNoItem|TestNoShareDonorCrashDeclinesAtTheTie|TestDeclineCarriesARestartedClock|TestNoStampAboveTheReservation|TestCheckpointRelogsARacingReservation|TestReservationStride|TestAcceptanceQueuesItsReservation|TestCrashInsideUnforcedAccept|TestCrashWhileHeldDropsTheCredit|TestTimeoutLogsHeldCredit|TestHeldDuplicateEarnsNoAck|TestCountBudgetPerOpKind|TestForcePolicy|TestGroupLogForcesOnDemand|TestGroupLogHold|TestGroupLogInline|TestGroupLogResetLandsTheFlushInFlight|TestGroupLogResetFailsItsWaiters|TestGroupLogCloseDrainsThenRejects|TestCrashInFlushFiresInline|TestGroupLogCloseForcesUnwaited|TestGroupLogErrorFailsQueuedAndLater|TestOverdueByAge|TestDueBacksOffAndCaps|TestDueNoPending|TestAckResetsRetransmitBackoff|TestAckRTTEWMA|TestResetClearsRetxState|TestRetransmitSchedule|TestDueSeedCappedAfterOutage|TestAckRidesTheNextRequest|TestQuietLinkAckedAtTheTick|TestGatheredReadAcksAtOnce|TestAwaitStopsItsTimer|TestRequestsLeaveInFoldOrder|TestFlightKeepsRareEventsUnderLoad|TestClockConcurrent'
 stress_pkgs='. ./internal/site ./internal/wal ./internal/vmsg ./internal/tstamp ./internal/chaos'
 # A renamed test would drop out of the line silently: every name in it
 # must match a test in its packages.

@@ -220,7 +220,7 @@ func (s *Site) SetRebalancePaused(p bool) {
 // tick advertises local demand to every peer and ships at most one
 // surplus transfer per item toward the largest observed deficit.
 // Mirrors retransmitLoop's lifecycle (started by Start, joined by
-// Crash).
+// Crash, which stops its pending tick).
 func (s *Site) rebalanceLoop(stop <-chan struct{}) {
 	cfg := s.cfg.Rebalance
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -229,10 +229,12 @@ func (s *Site) rebalanceLoop(stop <-chan struct{}) {
 		// concurrent sites' rounds drift apart instead of racing each
 		// other's quota reads in lockstep.
 		d := cfg.Interval/2 + time.Duration(rng.Int63n(int64(cfg.Interval)))
+		tick := s.cfg.Clock.NewTimer(d)
 		select {
 		case <-stop:
+			tick.Stop()
 			return
-		case <-s.cfg.Clock.After(d):
+		case <-tick.C():
 		}
 		if s.rebalPaused.Load() {
 			continue
@@ -336,13 +338,13 @@ func (s *Site) rebalanceTick() {
 // recorded by the commit itself under the stripes it holds). Recording
 // the unmet need, not just consumption, is what pulls quota toward
 // sites whose demand exceeds their holding.
-func (s *Site) recordDeficit(needs map[ident.ItemID]core.Value) {
+func (s *Site) recordDeficit(needs []itemNeed) {
 	now := s.cfg.Clock.Now()
 	counted := false
-	for item, need := range needs {
-		stripe, st := s.lockItem(item)
-		if have := s.cfg.DB.Value(item); have < need {
-			st.demand.add(need-have, now, s.cfg.Rebalance.HalfLife)
+	for _, n := range needs {
+		stripe, st := s.lockItem(n.item)
+		if have := s.cfg.DB.Value(n.item); have < n.need {
+			st.demand.add(n.need-have, now, s.cfg.Rebalance.HalfLife)
 			counted = true
 		}
 		stripe.Unlock()

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"dvp/internal/core"
-	"dvp/internal/ident"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
 	"dvp/internal/wire"
@@ -129,7 +128,7 @@ func TestRebalancerShipsTowardDeficit(t *testing.T) {
 	tc := rebalCluster(t)
 	// Site 3 cannot serve its demand (it holds nothing): feed the
 	// tracker the deficit signal a timed-out transaction leaves behind.
-	tc.sites[2].recordDeficit(map[ident.ItemID]core.Value{"x": 60})
+	tc.sites[2].recordDeficit([]itemNeed{{"x", 60}})
 	waitUntil(t, 2*time.Second, "surplus shipped to the deficit site", func() bool {
 		return tc.sites[2].DB().Value("x") >= 40
 	})
@@ -164,7 +163,7 @@ func TestRebalancerPauseResume(t *testing.T) {
 	for _, s := range tc.sites {
 		s.SetRebalancePaused(true)
 	}
-	tc.sites[2].recordDeficit(map[ident.ItemID]core.Value{"x": 60})
+	tc.sites[2].recordDeficit([]itemNeed{{"x", 60}})
 	time.Sleep(60 * time.Millisecond) // ~12 ticks, all skipped
 	if v := tc.sites[2].DB().Value("x"); v != 0 {
 		t.Fatalf("paused rebalancer moved %d to site 3", v)
@@ -187,7 +186,7 @@ func TestRebalancerSkipsUnreachablePeers(t *testing.T) {
 	tc.net.SetLink(2, 3, false)
 	tc.net.SetLink(3, 2, false)
 	time.Sleep(30 * time.Millisecond) // > AdvertStale: pre-cut adverts age out
-	tc.sites[2].recordDeficit(map[ident.ItemID]core.Value{"x": 60})
+	tc.sites[2].recordDeficit([]itemNeed{{"x", 60}})
 	time.Sleep(60 * time.Millisecond)
 	if n := tc.sites[0].Stats().VmCreated; n != 0 {
 		t.Errorf("site 1 created %d Vm toward an unreachable peer", n)

@@ -7,6 +7,7 @@ import (
 	"dvp/internal/cc"
 	"dvp/internal/core"
 	"dvp/internal/ident"
+	"dvp/internal/obs"
 	"dvp/internal/tstamp"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
@@ -19,21 +20,21 @@ import (
 const inlineItems = 8
 
 // Run executes one transaction entirely at this site: the paper's §5
-// seven steps, once. The op list is folded into per-item (need, delta)
-// pairs; under lifeMu's read side and the items' stripes the
-// transaction is admitted, locked and stamped, and the authoritative
-// local values decide what happens next. A write-only transaction
-// whose items are all adequate enqueues and applies its commit record
-// right there, stripes still held — §5's "the initial steps of data
-// redistribution can be ignored". Anything else — a shortfall, a full
-// read — releases the stripes and lifeMu (neither is ever held across
-// a network wait), asks, waits, re-fences on the epoch and falls into
-// the same commit tail. The tail lets go of the locks and the stripes
-// before the record's force, and answers only after it (admission.go);
-// a transaction that changes nothing and consumed no Vm writes no
-// record and answers once the log is stable up to the last record
-// applied to its items.
-// Either way the calling goroutine blocks for at most the
+// seven steps, once, as admit → ask → await → commit, or abandon. The
+// op list is folded into per-item (need, delta) pairs; under lifeMu's
+// read side and the items' stripes the transaction is admitted, locked
+// and stamped, and the authoritative local values decide what happens
+// next. A write-only transaction whose items are all adequate enqueues
+// and applies its commit record right there, stripes still held — §5's
+// "the initial steps of data redistribution can be ignored". Anything
+// else — a shortfall, a full read — releases the stripes and lifeMu
+// (neither is ever held across a network wait), asks, waits, re-fences
+// on the epoch and falls into the same commit tail. The tail lets go of
+// the locks and the stripes before the record's force, and answers only
+// after it (admission.go); a transaction that changes nothing and
+// consumed no Vm writes no record and answers once the log is stable up
+// to the last record applied to its items. What the steps decide is
+// rules.go's. Either way the calling goroutine blocks for at most the
 // transaction's timeout plus local processing and always gets a
 // decision: the protocol is non-blocking by construction.
 //
@@ -46,181 +47,259 @@ const inlineItems = 8
 // still reach the log — recovery's scan would miss it — and none that
 // was applied is missing.
 func (s *Site) Run(t *txn.Txn) *txn.Result {
-	start := s.cfg.Clock.Now()
-	tr := s.obsm.ring.Begin(start, s.obsm.site, t.Label)
-	var rootSpan uint64
-	if tr != nil {
-		rootSpan = s.newSpan()
-		tr.SetSpan(rootSpan)
-	}
-	// step records one protocol-step boundary: the trace step plus its
-	// segment duration into dvp_step_seconds{step=...}, both at one
-	// reading of the site's clock. Details are formatted at the call
-	// site, and only when someone is tracing.
-	segStart := start
-	step := func(st stepID, detail string) {
-		now := s.cfg.Clock.Now()
-		s.obsm.observeStep(st, now.Sub(segStart))
-		segStart = now
-		tr.Step(now, st.String(), detail)
-	}
-	var detail string
-	res := &txn.Result{}
-	finish := func(status txn.Status) *txn.Result {
-		now := s.cfg.Clock.Now()
-		res.Status = status
-		res.Latency = now.Sub(start)
-		s.obsm.observeTxn(status, res.Latency)
-		tr.Finish(now, status.String())
-		return res
-	}
-
 	var (
 		itemBuf           [inlineItems]ident.ItemID
 		needBuf, deltaBuf [inlineItems]core.Value
+		stBuf             [inlineItems]*itemState
 	)
-	items, needs, deltas := fold(t, itemBuf[:0], needBuf[:0], deltaBuf[:0])
-	writeOnly := len(t.Reads) == 0
-
-	s.lifeMu.RLock()
-	epoch, up := s.currentEpoch()
-	if !up {
-		s.lifeMu.RUnlock()
-		return finish(txn.StatusSiteDown)
+	r := txnRun{res: &txn.Result{}, start: s.cfg.Clock.Now()}
+	r.segStart = r.start
+	r.tr = s.obsm.ring.Begin(r.start, s.obsm.site, t.Label)
+	if r.tr != nil {
+		r.rootSpan = s.newSpan()
+		r.tr.SetSpan(r.rootSpan)
+	}
+	a := accessSet{t: t}
+	a.items, a.needs, a.deltas = fold(t, itemBuf[:0], needBuf[:0], deltaBuf[:0])
+	if n := len(a.items); n <= inlineItems {
+		a.sts = stBuf[:n]
+	} else {
+		a.sts = make([]*itemState, n)
 	}
 
+	// Once finish has reported the decision, a transaction that still
+	// holds its items' locks lets go of them in abandon; the Vm parked
+	// behind the locks then get their redelivery shot at the unlocked
+	// window, after everything is let go (redelivery takes lifeMu again).
+	defer func() {
+		if r.locked {
+			r.parked = s.abandon(r.ts.Txn(), r.epoch, r.stripes, a.sts, r.w)
+		}
+		s.redeliver(r.parked)
+	}()
+
+	status := s.admit(&r, &a)
+	if status == undecided && (r.verdict == admitShort || len(t.Reads) > 0) {
+		s.ask(&r, &a)
+		status = s.await(&r, &a)
+	}
+	if status == undecided {
+		status = s.commit(&r, &a)
+	}
+	return s.finish(&r, &a, status)
+}
+
+// undecided is what a step of Run returns when the next one is to run.
+const undecided txn.Status = 0
+
+// accessSet is the transaction t and A(t) as fold lists it, with the
+// items' state (admit fills sts in), on the caller's and Run's stack.
+// It is apart from txnRun, whose fields reach the heap, because escape
+// analysis does not tell a struct's fields apart; for the same reason
+// no step stores a slice into it.
+type accessSet struct {
+	t             *txn.Txn
+	items         []ident.ItemID
+	needs, deltas []core.Value
+	sts           []*itemState
+}
+
+// txnRun is one execution of Run, carried from step to step; segStart
+// is the last step boundary's reading of the clock.
+type txnRun struct {
+	res             *txn.Result
+	tr              *obs.TxnTrace
+	rootSpan        uint64
+	start, segStart time.Time
+
+	ts      tstamp.TS
+	epoch   uint64
+	verdict admitVerdict
+	stripes uint64
+	w       *waiter // nil for a transaction that never waited
+
+	// What it holds: lifeMu's read side, the stripes, the no-wait locks.
+	fenced, striped, locked bool
+	parked                  []deferredVm
+}
+
+// step records one protocol-step boundary — the trace step and its
+// segment into dvp_step_seconds{step=...} — at one reading of the clock.
+// Callers format details only when someone is tracing.
+func (s *Site) step(r *txnRun, st stepID, detail string) {
+	now := s.cfg.Clock.Now()
+	s.obsm.observeStep(st, now.Sub(r.segStart))
+	r.segStart = now
+	r.tr.Step(now, st.String(), detail)
+}
+
+// finish is Run's one exit: it lets go of lifeMu's read side and the
+// stripes, if still held, and reports status.
+func (s *Site) finish(r *txnRun, a *accessSet, status txn.Status) *txn.Result {
+	if r.striped {
+		s.unlockStripes(r.stripes)
+	}
+	if r.fenced {
+		s.lifeMu.RUnlock()
+	}
+	if status == txn.StatusLockConflict {
+		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", r.ts, a.t.Label, len(a.items))
+	}
+	now := s.cfg.Clock.Now()
+	r.res.Status = status
+	r.res.Latency = now.Sub(r.start)
+	s.obsm.observeTxn(status, r.res.Latency)
+	r.tr.Finish(now, status.String())
+	return r.res
+}
+
+// admit is §5 step 1: atomically lock the local values of A(t), with
+// the scheme's admission check, stamping under Conc1. The stripes
+// covering A(t) make check+lock+stamp one atomic step against message
+// handling on those items. The same pass reads each item's quota
+// against its need: a shortfall selects the redistribution (ask).
+// Undecided, it returns holding the fence, the stripes and the locks.
+func (s *Site) admit(r *txnRun, a *accessSet) txn.Status {
+	s.lifeMu.RLock()
+	r.fenced = true
+	epoch, up := s.currentEpoch()
+	if !up {
+		return txn.StatusSiteDown
+	}
+	r.epoch = epoch
 	// Draw TS(t): timestamp and identity in one (§6.1).
 	ts, err := s.draw()
 	if err != nil {
-		s.lifeMu.RUnlock()
-		return finish(txn.StatusSiteDown)
+		return txn.StatusSiteDown
 	}
-	res.TS = ts
-	id := ts.Txn()
-	tr.SetTS(uint64(ts))
-	step(stepAdmit, "")
+	r.ts, r.res.TS = ts, ts
+	r.tr.SetTS(uint64(ts))
+	s.step(r, stepAdmit, "")
 
-	// Step 1 — atomically lock the local values of A(t), with the
-	// scheme's admission check, stamping under Conc1. The stripes
-	// covering A(t) make check+lock+stamp one atomic step against
-	// message handling on those items; transactions on disjoint
-	// stripes admit concurrently. The same pass reads each item's
-	// authoritative quota against its need: a shortfall is not an
-	// abort, it selects the redistribution below.
-	stripes := s.stripeMask(items)
-	s.lockStripes(stripes)
-	var stBuf [inlineItems]*itemState
-	sts := stBuf[:0] // the items' volatile state, parallel to items
-	for _, item := range items {
-		sts = append(sts, s.itemAt(s.stripeOf(item), item))
+	r.stripes = s.stripeMask(a.items)
+	s.lockStripes(r.stripes)
+	r.striped = true
+	for i, item := range a.items {
+		a.sts[i] = s.itemAt(s.stripeOf(item), item)
 	}
-	verdict := s.admitLocked(ts, items, sts, needs)
-	if verdict == admitCCRejected {
-		s.unlockStripes(stripes)
-		s.lifeMu.RUnlock()
-		return finish(txn.StatusCCRejected)
+	if r.verdict = s.admitLocked(ts, a.items, a.sts, a.needs); r.verdict == admitCCRejected {
+		return txn.StatusCCRejected
 	}
-	step(stepCCCheck, "")
-	if !s.lockAndStamp(ts, sts) {
-		s.unlockStripes(stripes)
-		s.lifeMu.RUnlock()
-		s.obsm.flight.Recordf(s.obsm.site, "lock-conflict", "txn=%v label=%s items=%d", ts, t.Label, len(items))
-		return finish(txn.StatusLockConflict)
+	s.step(r, stepCCCheck, "")
+	if !s.lockAndStamp(ts, a.sts) {
+		return txn.StatusLockConflict
 	}
-	step(stepLock, "")
+	r.locked = true
+	s.step(r, stepLock, "")
+	return undecided
+}
 
-	// One exit for everything below. Releasing the locks and taking the
-	// Vm parked behind them is one step under the stripes (the commit
-	// tail does it under the stripes it already holds, an abort exit
-	// takes them in abandon, logging what the transaction held); the
-	// parked Vm then get their redelivery shot at the freshly-unlocked
-	// window, after everything is let go — redelivery takes lifeMu
-	// again.
-	var (
-		parked []deferredVm
-		w      *waiter
-	)
-	locked := true
-	defer func() {
-		if locked {
-			parked = s.abandon(id, epoch, stripes, sts, w)
+// ask is §5 step 2: determine the inadequate items (the no-wait locks
+// keep the values what admission saw) and send askPlan's requests. It
+// parks the waiter on the items before it lets go of the fence and the
+// stripes, so a Vm handler finds it under the stripe and Crash's sweep,
+// behind the fence, cannot miss it; its epoch tag lets Crash fail
+// exactly the waiters of the epoch it ends.
+func (s *Site) ask(r *txnRun, a *accessSet) {
+	var shortBuf [inlineItems]itemNeed
+	short := shortBuf[:0]
+	var needs []itemNeed
+	for i, item := range a.items {
+		if a.needs[i] == 0 {
+			continue
 		}
-		s.redeliver(parked)
-	}()
+		needs = append(needs, itemNeed{item, a.needs[i]})
+		if have := s.cfg.DB.Value(item); have < a.needs[i] {
+			short = append(short, itemNeed{item, a.needs[i] - have})
+		}
+	}
+	r.w = newWaiter(r.ts.Txn(), r.ts, r.epoch, needs, a.t.Reads)
+	for _, st := range a.sts {
+		st.waiter = r.w
+	}
+	s.unlockStripes(r.stripes)
+	s.lifeMu.RUnlock()
+	r.striped, r.fenced = false, false
+	if len(a.t.Reads) == 0 {
+		s.obsm.fastFallbacks.Inc()
+	}
 
-	if verdict == admitShort || !writeOnly {
-		// Step 2 — determine inadequate items. The no-wait locks keep
-		// every mutator but our own credits off these items, so the
-		// values stay what admission saw.
-		needMap := make(map[ident.ItemID]core.Value, len(items))
-		shortfall := make(map[ident.ItemID]core.Value)
-		for i, item := range items {
-			if needs[i] == 0 {
-				continue
-			}
-			needMap[item] = needs[i]
-			if have := s.cfg.DB.Value(item); have < needs[i] {
-				shortfall[item] = needs[i] - have
-			}
-		}
-		// Park on the items before letting go of the fence and the
-		// stripes: a Vm handler finds the waiter under the stripe it
-		// holds, and Crash's sweep — behind the fence — cannot miss it.
-		// The epoch tag lets Crash fail exactly the waiters of the epoch
-		// it ends.
-		w = newWaiter(id, ts, epoch, needMap, t.Reads)
-		for _, st := range sts {
-			st.waiter = w
-		}
-		s.unlockStripes(stripes)
-		s.lifeMu.RUnlock()
-		if writeOnly {
-			s.obsm.fastFallbacks.Inc()
-		}
+	var tctx wire.TraceCtx
+	if r.rootSpan != 0 {
+		tctx = wire.TraceCtx{Origin: s.cfg.ID, TS: r.ts, Span: r.rootSpan}
+	}
+	start := 0
+	if len(short) > 0 { // rotate the starting peer, so AskOne/AskTwo spread load
+		start = int(s.askCursor.Add(1) - 1)
+	}
+	plan := askPlan(s.peersExceptSelf(), a.t.Reads, short, a.t.Ask, start)
+	for _, p := range plan {
+		s.send(p.to, &wire.Request{Txn: r.ts, Item: p.item, Want: p.want, FullRead: p.fullRead, Trace: tctx})
+		s.obsm.forPeer(p.to).asksSent.Inc()
+	}
+	r.res.RequestsSent = len(plan)
+	var detail string
+	if r.tr != nil {
+		detail = fmt.Sprintf("requests=%d policy=%v", r.res.RequestsSent, a.t.Ask)
+	}
+	s.step(r, stepAsk, detail)
+}
 
-		// ... and send requests.
-		var tctx wire.TraceCtx
-		if rootSpan != 0 {
-			tctx = wire.TraceCtx{Origin: s.cfg.ID, TS: ts, Span: rootSpan}
+// await is §5 step 3: await the requisite Vm (undecided), the timeout
+// or the end of the epoch; its timer is stopped either way. On a
+// timeout — "declare an abort and then release the locks" — quota
+// already received stays (abandon logs it, §6), and the residual
+// shortfall feeds the demand cells, the strongest rebalancing signal.
+func (s *Site) await(r *txnRun, a *accessSet) txn.Status {
+	w, timeout := r.w, a.t.Timeout
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	deadline := s.cfg.Clock.NewTimer(timeout)
+	status := undecided
+	quota := func(item ident.ItemID) core.Value { return s.cfg.DB.Value(item) + w.heldOn(item) }
+	answered := func() bool { return w.allResponded(s.peersExceptSelf()) }
+	for status == undecided && !satisfiedRule(w.needs, w.reads, quota, s.vm.HasOutstanding, answered) {
+		select {
+		case <-w.notify:
+		case <-deadline.C():
+			status = txn.StatusTimeout
 		}
-		res.RequestsSent = s.sendRequests(ts, shortfall, t.Reads, t.Ask, tctx)
-		if tr != nil {
-			detail = fmt.Sprintf("requests=%d policy=%v", res.RequestsSent, t.Ask)
+		if !s.sameEpoch(r.epoch) {
+			status = txn.StatusSiteDown
 		}
-		step(stepAsk, detail)
+	}
+	deadline.Stop()
+	if status == txn.StatusSiteDown {
+		return status
+	}
+	r.res.VmAccepted = w.acceptedCount()
+	var detail string
+	if r.tr != nil {
+		detail = fmt.Sprintf("accepted=%d", r.res.VmAccepted)
+	}
+	s.step(r, stepVmAccept, detail)
+	if status == txn.StatusTimeout {
+		s.recordDeficit(w.needs)
+		s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", r.ts, a.t.Label, r.res.VmAccepted)
+	}
+	return status
+}
 
-		// Step 3 — await the requisite Vm or the timeout.
-		status := s.await(w, epoch, t.Timeout)
-		if status == txn.StatusSiteDown {
-			return finish(status)
-		}
-		res.VmAccepted = w.acceptedCount()
-		if tr != nil {
-			detail = fmt.Sprintf("accepted=%d", res.VmAccepted)
-		}
-		step(stepVmAccept, detail)
-		if status == txn.StatusTimeout {
-			// §5 step 3: "declare an abort and then release the
-			// locks". Quota already received stays — the aborted
-			// transaction degenerates to an Rds transaction (§6), whose
-			// acceptance records abandon writes as it releases. The
-			// residual shortfall feeds the demand cells: unmet need
-			// is the strongest rebalancing signal there is.
-			s.recordDeficit(w.needs)
-			s.obsm.flight.Recordf(s.obsm.site, "txn-timeout", "txn=%v label=%s accepted=%d", ts, t.Label, res.VmAccepted)
-			return finish(status)
-		}
-
-		// Back under the fence and the stripes for the commit. Nothing
-		// but credits held for this transaction touched the locked items
-		// meanwhile, so adequacy still holds.
+// commit is §5 steps 4 to 7. A transaction that waited comes back under
+// the fence and its stripes first; nothing but its own credits touched
+// its locked items, so adequacy still holds.
+func (s *Site) commit(r *txnRun, a *accessSet) txn.Status {
+	if !r.fenced {
 		s.lifeMu.RLock()
-		if !s.sameEpoch(epoch) {
-			s.lifeMu.RUnlock()
-			return finish(txn.StatusSiteDown)
+		r.fenced = true
+		if !s.sameEpoch(r.epoch) {
+			return txn.StatusSiteDown
 		}
-		s.lockStripes(stripes)
+		s.lockStripes(r.stripes)
+		r.striped = true
 	}
+	t, res, ts, w := a.t, r.res, r.ts, r.w
 
 	// Step 4 — the computation. Operators are partitionable, so applying
 	// them in order to an adequate value is adding the folded delta;
@@ -230,7 +309,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	if w != nil {
 		held = w.heldCredits()
 	}
-	if !writeOnly {
+	if len(t.Reads) > 0 {
 		res.Reads = make(map[ident.ItemID]core.Value, len(t.Reads))
 		for _, item := range t.Reads {
 			res.Reads[item] = s.cfg.DB.Value(item) + creditOn(held, item)
@@ -238,8 +317,8 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	}
 	var actBuf [inlineItems]wal.Action
 	actions := actBuf[:0]
-	for i, item := range items {
-		if d := deltas[i] + creditOn(held, item); d != 0 {
+	for i, item := range a.items {
+		if d := a.deltas[i] + creditOn(held, item); d != 0 {
 			actions = append(actions, wal.Action{Item: item, Delta: d, SetTS: ts})
 		}
 	}
@@ -261,9 +340,10 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 	// stability of what it observed: its fence, the last record applied
 	// to any of its items, waited for below as a record's force is.
 	var d durable
+	var err error
 	recordless := len(actions) == 0 && len(held) == 0
 	if recordless {
-		for _, st := range sts {
+		for _, st := range a.sts {
 			d.lsn = max(d.lsn, st.logged)
 		}
 	} else {
@@ -281,9 +361,7 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			}
 		}
 		if d, err = s.enqueueApply(wal.RecCommit, rec.EncodeTo, actions, mark); err != nil {
-			s.unlockStripes(stripes)
-			s.lifeMu.RUnlock()
-			return finish(txn.StatusSiteDown)
+			return txn.StatusSiteDown
 		}
 		if len(held) > 0 {
 			w.takeHeld()
@@ -315,85 +393,87 @@ func (s *Site) Run(t *txn.Txn) *txn.Result {
 			Label: t.Label, CommitLSN: d.lsn, Recordless: recordless,
 		}
 		for _, item := range t.Reads {
-			ci.ReadVec[item] = sts[indexOf(items, item)].flowSnapshot()
+			ci.ReadVec[item] = a.sts[indexOf(a.items, item)].flowSnapshot()
 		}
 	}
-	for i, st := range sts {
-		if deltas[i] == 0 {
+	for i, st := range a.sts {
+		if a.deltas[i] == 0 {
 			continue
 		}
 		idx := st.writerCommit(s.cfg.ID)
 		if hook != nil {
-			ci.WriterIdx[items[i]] = idx
+			ci.WriterIdx[a.items[i]] = idx
 		}
-		st.demand.add(-deltas[i], segStart, s.cfg.Rebalance.HalfLife)
+		st.demand.add(-a.deltas[i], r.segStart, s.cfg.Rebalance.HalfLife)
 	}
-	parked, locked = releaseItems(id, sts), false
-	s.unlockStripes(stripes)
-	step(stepApply, "")
+	r.parked, r.locked = releaseItems(ts.Txn(), a.sts), false
+	s.unlockStripes(r.stripes)
+	r.striped = false
+	s.step(r, stepApply, "")
 
 	// Step 5's commit point: the record's stability, or the fence's.
 	// Nothing about t — reply, hook, counters — leaves the site before
 	// it; if the force fails, the site stops and t is not reported
-	// committed. The acceptances the force carried — those t's own
-	// record lists, and any logged before it — are acked from here.
+	// committed. The acceptances the force carried are settled from
+	// here, and t's own acked at once if ackAtOnce says so.
 	if recordless {
 		err = s.cfg.Log.WaitDurable(d.lsn) // the fenced record's writer stops the site if this fails
 	} else {
 		err = s.waitForce(&d)
 	}
 	if err == nil {
-		s.settleAccepts(d.lsn, nil)
+		var owed acks
+		if ackAtOnce(true, len(t.Reads) > 0, len(held)) {
+			for _, e := range held {
+				owed.add(e.from)
+			}
+		}
+		s.settleAccepts(d.lsn, owed)
 	}
 	s.lifeMu.RUnlock()
+	r.fenced = false
 	if err != nil {
-		return finish(txn.StatusSiteDown)
+		return txn.StatusSiteDown
 	}
-	step(stepWalFlush, "")
+	s.step(r, stepWalFlush, "")
 
-	if writeOnly && verdict == admitOK {
+	if len(t.Reads) == 0 && r.verdict == admitOK {
 		s.obsm.fastCommits.Inc()
 	}
 	if hook != nil {
 		hook(ci)
 	}
-	return finish(txn.StatusCommitted)
+	return txn.StatusCommitted
 }
 
 // abandon is Run's exit for a transaction that does not commit. In one
-// hold of its items' stripes it logs each credit held for it as an
-// acceptance record of its own (acceptLogged) — unless its epoch ended,
-// Crash having dropped them, or a commit that failed to apply already
-// accepted one — and frees its locks, taking the Vm parked behind them:
-// a Vm held up to the release is not lost. On its way out it settles
-// what the log holds stable; it asks for a force only if it logged a
-// credit. Until that credit is acked, its sender holds the Vm
-// outstanding and declines every full read of the item — a retry of
-// this very transaction among them, each decline costing the reader
-// its whole timeout. Forced and settled here, the ack leaves at once
-// (forceAccepts sends the VmAck no envelope has carried yet), ahead of
-// the retry's own requests.
-// w is nil for a transaction that never waited.
+// hold of its items' stripes it logs each credit held for it that
+// keepHeld keeps (acceptLogged) and frees its locks, taking the Vm
+// parked behind them. On its way out it settles what the log holds
+// stable or, if ackAtOnce says so, forces and acks at once
+// (forceAccepts), ahead of a retry's requests. w is nil for a
+// transaction that never waited.
 func (s *Site) abandon(id ident.TxnID, epoch, stripes uint64, sts []*itemState, w *waiter) []deferredVm {
 	s.lifeMu.RLock()
 	defer s.lifeMu.RUnlock()
 	s.lockStripes(stripes)
-	logged := false
-	if w != nil && s.sameEpoch(epoch) {
+	kept := 0
+	if w != nil {
+		ended := !s.sameEpoch(epoch)
 		for _, e := range w.takeHeld() {
-			if !s.vm.ShouldAccept(e.from, e.seq) {
+			if !keepHeld(ended, !s.vm.ShouldAccept(e.from, e.seq)) {
 				continue
 			}
 			if err := s.acceptLogged(e, 0); err != nil {
 				s.endHop(e.hop, "log-error")
 				continue
 			}
-			logged = true
+			kept++
 		}
 	}
 	parked := releaseItems(id, sts)
 	s.unlockStripes(stripes)
-	if logged {
+	if ackAtOnce(false, false, kept) {
 		s.forceAccepts()
 	} else {
 		s.settleAccepts(s.cfg.Log.DurableLSN(), nil)
@@ -433,84 +513,4 @@ func indexOf(items []ident.ItemID, item ident.ItemID) int {
 		}
 	}
 	return -1
-}
-
-// await is §5 step 3: block until w is satisfied (StatusCommitted —
-// proceed to commit), its timeout fires (StatusTimeout) or the epoch
-// it parked in ends (StatusSiteDown).
-func (s *Site) await(w *waiter, epoch uint64, timeout time.Duration) txn.Status {
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	deadline := s.cfg.Clock.After(timeout)
-	for !s.satisfied(w) {
-		select {
-		case <-w.notify:
-			if !s.sameEpoch(epoch) {
-				return txn.StatusSiteDown
-			}
-		case <-deadline:
-			if !s.sameEpoch(epoch) {
-				return txn.StatusSiteDown
-			}
-			return txn.StatusTimeout
-		}
-	}
-	return txn.StatusCommitted
-}
-
-// sendRequests dispatches the §5 step-2 requests: full-read gathers to
-// every peer, shortfall requests per the ask policy. Returns the
-// number of requests sent.
-func (s *Site) sendRequests(ts tstamp.TS, shortfall map[ident.ItemID]core.Value, reads []ident.ItemID, ask txn.AskPolicy, tctx wire.TraceCtx) int {
-	peers := s.peersExceptSelf()
-	sent := 0
-	for _, item := range reads {
-		for _, p := range peers {
-			s.send(p, &wire.Request{Txn: ts, Item: item, FullRead: true, Trace: tctx})
-			s.obsm.forPeer(p).asksSent.Inc()
-			sent++
-		}
-	}
-	if len(shortfall) > 0 {
-		fan := ask.Fanout(len(peers))
-		if fan <= 0 {
-			fan = len(peers)
-		}
-		// Rotate the starting peer so AskOne/AskTwo spread load.
-		startAt := int(s.askCursor.Add(1) - 1)
-		for item, want := range shortfall {
-			for k := 0; k < fan && k < len(peers); k++ {
-				p := peers[(startAt+k)%len(peers)]
-				// Under AskAll every peer is asked for the full
-				// shortfall; with narrower fanouts likewise — the
-				// exact split is the granting side's business.
-				s.send(p, &wire.Request{Txn: ts, Item: item, Want: want, Trace: tctx})
-				s.obsm.forPeer(p).asksSent.Inc()
-				sent++
-			}
-		}
-	}
-	return sent
-}
-
-// satisfied is the §5 step-3/4 gate: every op item has adequate local
-// quota, counting the credits held for the transaction, and every full
-// read has gathered all of Π⁻¹(d): a response from every peer and no Vm
-// of ours still carrying the item away.
-func (s *Site) satisfied(w *waiter) bool {
-	for item, need := range w.needs {
-		if s.cfg.DB.Value(item)+w.heldOn(item) < need {
-			return false
-		}
-	}
-	if len(w.reads) == 0 {
-		return true
-	}
-	for item := range w.reads {
-		if s.vm.HasOutstanding(item) {
-			return false
-		}
-	}
-	return w.allResponded(s.peersExceptSelf())
 }

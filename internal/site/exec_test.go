@@ -1,7 +1,9 @@
 package site
 
 import (
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +13,7 @@ import (
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
 	"dvp/internal/wal"
+	"dvp/internal/wire"
 )
 
 // countRecords tallies a log's records by kind.
@@ -253,5 +256,41 @@ func TestOneRecordPerCommit(t *testing.T) {
 	if recs[wal.RecCommit] != n || recs[wal.RecApplied] != 0 || tc.logs[0].LastLSN() != placed+n {
 		t.Errorf("after %d commits: %d commit records, %d applied records, last LSN %d; want %d, 0, %d",
 			n, recs[wal.RecCommit], recs[wal.RecApplied], tc.logs[0].LastLSN(), n, placed+n)
+	}
+}
+
+// A transaction short on six items asks for them in the order fold
+// lists them — first use — on every run, not in a map's order.
+func TestRequestsLeaveInFoldOrder(t *testing.T) {
+	items := []ident.ItemID{"i3", "i0", "i5", "i1", "i4", "i2"}
+	tc := newTestCluster(t, 2, simnet.Config{Seed: 75}, nil)
+	var mu sync.Mutex
+	var asked []ident.ItemID
+	tc.net.SetTap(func(from, _ ident.SiteID, kind wire.Kind, frame []byte) {
+		if from != 1 || kind != wire.KRequest {
+			return
+		}
+		env, err := wire.Unmarshal(frame)
+		if err != nil {
+			t.Errorf("tap: bad frame: %v", err)
+			return
+		}
+		mu.Lock()
+		asked = append(asked, env.Msg.(*wire.Request).Item)
+		mu.Unlock()
+	})
+	tx := &txn.Txn{Ask: txn.AskAll, Label: "six"}
+	for _, item := range items {
+		place(t, tc.sites[0], item, 0)
+		place(t, tc.sites[1], item, 10)
+		tx.Ops = append(tx.Ops, txn.ItemOp{Item: item, Op: core.Decr{M: 1}})
+	}
+	if res := tc.sites[0].Run(tx); !res.Committed() || res.RequestsSent != len(items) {
+		t.Fatalf("six-item write: %v, %d requests", res.Status, res.RequestsSent)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(asked, items) {
+		t.Errorf("requests asked for %v, want fold's order %v", asked, items)
 	}
 }

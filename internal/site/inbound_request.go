@@ -3,18 +3,18 @@ package site
 import (
 	"sync"
 
-	"dvp/internal/core"
 	"dvp/internal/ident"
 	"dvp/internal/obs"
 	"dvp/internal/wal"
 	"dvp/internal/wire"
 )
 
-// handleRequest implements the remote site's side of §5: decide
-// whether to honor a request for local quota, and if so create the
-// virtual message that carries it. It runs under the router's
-// lifeMu read side and serializes on the item's stripe; the counters
-// it bumps are atomics — no site-wide lock anywhere on this path.
+// handleRequest implements the remote site's side of §5: the donor
+// rule (rules.go) decides whether to honor a request for local quota,
+// and if so this creates the virtual message that carries it. It runs
+// under the router's lifeMu read side and serializes on the item's
+// stripe; the counters it bumps are atomics — no site-wide lock
+// anywhere on this path.
 func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 	hopStart := s.cfg.Clock.Now()
 	// A traced request grows an rds-create span here: the deduct half
@@ -36,50 +36,27 @@ func (s *Site) handleRequest(from ident.SiteID, req *wire.Request) {
 		s.endHop(hop, "declined:"+reason.String())
 	}
 
-	// "If there is currently a lock on d_j, site s_j can simply
-	// decide not to honor the request" (§5).
-	if st.holder != ident.NoTxn {
-		decline(declineLocked)
-		return
-	}
-	// Concurrency control admission (§6.1): honor only if
-	// TS(t) > TS(d_j) under Conc1.
-	if !s.policy.AllowLock(req.Txn, s.stampOf(st)) {
-		decline(declineCC)
-		// The requester's clock lags the item's stamp — by up to a
-		// Stride once a restart floored it — and an ack carries this
-		// site's clock back, so its next request draws above the stamp.
-		s.sendAck(from)
-		return
-	}
-	// Full reads require the complete local share: no outstanding Vm
-	// may still carry this item away from us (§5).
-	if req.FullRead && s.vm.HasOutstanding(req.Item) {
-		decline(declineOutstanding)
-		return
-	}
-	have := s.cfg.DB.Value(req.Item)
-	var grant core.Value
+	view := itemView{locked: st.holder != ident.NoTxn, stamp: s.stampOf(st), have: s.cfg.DB.Value(req.Item)}
 	if req.FullRead {
-		if have == 0 {
-			s.answerNoShare(stripe, st, from, req, hop)
-			return
+		view.outstanding = s.vm.HasOutstanding(req.Item)
+	}
+	verdict := donorRule(view, valueAsk{txn: req.Txn, want: req.Want, fullRead: req.FullRead}, s.policy, s.grant)
+	switch verdict.answer {
+	case answerDecline:
+		decline(verdict.reason)
+		if verdict.ack {
+			s.sendAck(from)
 		}
-		grant = have // the entire holding
-	} else {
-		grant = s.grant.Grant(have, req.Want)
-		if grant <= 0 {
-			// Nothing useful to give; ignoring the request is
-			// always safe — the requester's timeout bounds it.
-			decline(declineNoGrant)
-			return
-		}
+		return
+	case answerNoShare:
+		s.answerNoShare(stripe, st, from, req, hop)
+		return
 	}
 
 	// Honor: an Rds transaction acting at this site (§6), at the
 	// requester's timestamp. The Vm is sent only once its record is
 	// stable (§4.2: the Vm exists from that instant).
-	v := wal.VmOut{To: from, Item: req.Item, Amount: grant, ReqTxn: req.Txn}
+	v := wal.VmOut{To: from, Item: req.Item, Amount: verdict.amount, ReqTxn: req.Txn}
 	if hopSpan != 0 {
 		// The outgoing Vm carries this hop's span as the parent of
 		// the receiver's vm-accept and our own eventual vm-ack span.

@@ -175,14 +175,15 @@ type waiter struct {
 	id    ident.TxnID
 	ts    tstamp.TS
 	epoch uint64
-	// needs: item → minimum local quota required.
-	needs map[ident.ItemID]core.Value
-	// reads: items requiring a full gather (immutable set).
-	reads  map[ident.ItemID]bool
+	// needs: each op item's minimum local quota, in fold's order.
+	needs []itemNeed
+	// reads: items requiring a full gather, in the transaction's order.
+	reads  []ident.ItemID
 	notify chan struct{}
 
 	mu sync.Mutex
-	// responded tracks, per fully-read item, which peers have answered.
+	// responded tracks, per fully-read item, which peers have answered;
+	// it has an entry for the read items alone.
 	responded map[ident.ItemID]map[ident.SiteID]bool
 	// held are the credits of the Vm addressed to this transaction, in
 	// arrival order: counted by the adequacy and full-read checks, seen
@@ -193,15 +194,13 @@ type waiter struct {
 
 // newWaiter builds a waiter for a transaction entering §5 step 3 in
 // the given epoch, needing the listed per-item quota and full reads.
-func newWaiter(id ident.TxnID, ts tstamp.TS, epoch uint64, needs map[ident.ItemID]core.Value, reads []ident.ItemID) *waiter {
+func newWaiter(id ident.TxnID, ts tstamp.TS, epoch uint64, needs []itemNeed, reads []ident.ItemID) *waiter {
 	w := &waiter{
-		id: id, ts: ts, epoch: epoch, needs: needs,
-		reads:     make(map[ident.ItemID]bool, len(reads)),
+		id: id, ts: ts, epoch: epoch, needs: needs, reads: reads,
 		responded: make(map[ident.ItemID]map[ident.SiteID]bool, len(reads)),
 		notify:    make(chan struct{}, 1),
 	}
 	for _, item := range reads {
-		w.reads[item] = true
 		w.responded[item] = make(map[ident.SiteID]bool)
 	}
 	return w
@@ -226,8 +225,8 @@ func (w *waiter) hold(e acceptedVm) bool {
 		}
 	}
 	w.held = append(w.held, e)
-	if w.reads[e.item] {
-		w.responded[e.item][e.from] = true
+	if resp := w.responded[e.item]; resp != nil {
+		resp[e.from] = true
 	}
 	return true
 }
@@ -237,10 +236,11 @@ func (w *waiter) hold(e acceptedVm) bool {
 func (w *waiter) respond(item ident.ItemID, peer ident.SiteID) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if !w.reads[item] {
+	resp := w.responded[item]
+	if resp == nil {
 		return false
 	}
-	w.responded[item][peer] = true
+	resp[peer] = true
 	return true
 }
 
@@ -281,8 +281,7 @@ func (w *waiter) acceptedCount() int {
 func (w *waiter) allResponded(peers []ident.SiteID) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	for item := range w.reads {
-		resp := w.responded[item]
+	for _, resp := range w.responded {
 		for _, p := range peers {
 			if !resp[p] {
 				return false

@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"dvp/internal/ident"
+	"dvp/internal/obs"
 	"dvp/internal/simnet"
+	"dvp/internal/txn"
 	"dvp/internal/vclock"
 	"dvp/internal/wire"
 )
@@ -113,17 +115,14 @@ func TestQuietLinkAckedAtTheTick(t *testing.T) {
 	var tap carryTap
 	tap.install(t, tc.net)
 	s1 := tc.sites[0]
-	// tick fires site 1's retransmission timer, the earliest of its
-	// clock's idle timers — the write's timeout timer stays registered,
-	// unfired, behind it — and waits until the loop has swept and parked
-	// again.
-	var idle int
+	// tick fires site 1's retransmission timer, the one timer pending on
+	// its clock, and waits until the loop has swept and parked again.
 	tick := func() {
 		t.Helper()
 		c := clocks[0]
 		at, _ := c.NextDeadline()
 		c.AdvanceTo(at)
-		waitUntil(t, 2*time.Second, "retransmit loop swept", func() bool { return c.PendingTimers() == idle })
+		waitUntil(t, 2*time.Second, "retransmit loop swept", func() bool { return c.PendingTimers() == 1 })
 	}
 
 	if res := s1.Run(reserve(item, 1)); !res.Committed() {
@@ -139,7 +138,6 @@ func TestQuietLinkAckedAtTheTick(t *testing.T) {
 		return true
 	})
 	tc.settle()
-	idle = clocks[0].PendingTimers()
 	for _, d := range donors {
 		if n := tap.acks(d.ID()); n != 0 {
 			t.Fatalf("%d VmAcks to site %v before the tick, want 0", n, d.ID())
@@ -159,5 +157,76 @@ func TestQuietLinkAckedAtTheTick(t *testing.T) {
 		if n := tap.acks(d.ID()); n != 1 {
 			t.Errorf("%d VmAcks to site %v over two ticks, want 1", n, d.ID())
 		}
+	}
+}
+
+// A committed full read acks the donors whose Vm it gathered at once,
+// not at the tick: until its sender is acked a Vm is outstanding, and
+// its sender declines every full read of the item — here, another
+// site's. No clock moves, so no tick fires and no timeout can: each
+// donor retires its Vm on the read's one VmAck, and site 2's read of
+// the same item is answered, not declined outstanding-vm.
+func TestGatheredReadAcksAtOnce(t *testing.T) {
+	const item = ident.ItemID("audit")
+	regs := make([]*obs.Registry, 3)
+	tc := newTestCluster(t, 3, simnet.Config{Seed: 73}, func(i int, c *Config) {
+		c.Clock = vclock.NewVirtual(time.Unix(0, 0))
+		regs[i] = obs.NewRegistry()
+		c.Metrics = regs[i]
+	})
+	for _, s := range tc.sites {
+		place(t, s, item, 10)
+	}
+	var tap carryTap
+	tap.install(t, tc.net)
+	s1, s2, s3 := tc.sites[0], tc.sites[1], tc.sites[2]
+
+	if res := s1.Run(readItem(item)); !res.Committed() || res.Reads[item] != 30 {
+		t.Fatalf("site 1's read: %v, read %d, want committed 30", res.Status, res.Reads[item])
+	}
+	for _, d := range []*Site{s2, s3} {
+		waitUntil(t, 2*time.Second, "the donor's Vm retired with no tick", func() bool { return d.VM().PendingCount(1) == 0 })
+		if n := tap.acks(d.ID()); n != 1 {
+			t.Errorf("site 1 sent %d VmAcks to site %v, want 1", n, d.ID())
+		}
+	}
+
+	done := make(chan *txn.Result, 1)
+	go func() { done <- s2.Run(readItem(item)) }()
+	var res *txn.Result
+	waitUntil(t, 2*time.Second, "site 2's read decided", func() bool {
+		select {
+		case res = <-done:
+			return true
+		default:
+			return false
+		}
+	})
+	if !res.Committed() || res.Reads[item] != 30 {
+		t.Errorf("site 2's read: %v, read %d, want committed 30", res.Status, res.Reads[item])
+	}
+	for i, reg := range regs {
+		site := ident.SiteID(i + 1).String()
+		if n := reg.CounterValue("dvp_site_requests_declined_total", "site", site, "peer", "s2", "reason", "outstanding-vm"); n != 0 {
+			t.Errorf("site %s declined site 2's read %d times for an outstanding Vm", site, n)
+		}
+	}
+}
+
+// A transaction that waits stops its timeout timer as it returns: on a
+// virtual clock, after a shortfall write, site 1's clock holds the
+// timers it held before — its retransmission loop's alone.
+func TestAwaitStopsItsTimer(t *testing.T) {
+	const item = ident.ItemID("short")
+	tc, clocks := shortfallCluster(t, 2, 74, item)
+	c := clocks[0]
+	waitUntil(t, 2*time.Second, "the retransmit loop parked", func() bool { return c.PendingTimers() == 1 })
+	before := c.PendingTimers()
+	if res := tc.sites[0].Run(reserve(item, 1)); !res.Committed() {
+		t.Fatalf("write: %v", res.Status)
+	}
+	tc.settle()
+	if got := c.PendingTimers(); got != before {
+		t.Errorf("%d timers pending after the write, want %d: its timeout timer outlived it", got, before)
 	}
 }

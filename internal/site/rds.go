@@ -19,10 +19,12 @@ import (
 // and "there is no need for the transaction to await replies": the Vm
 // machinery guarantees eventual delivery.
 //
-// Returns an error if the site is down, the item is locked (no-wait),
-// or local quota is insufficient. The demand rebalancer (demand.go) is
-// built on this (paper §8: "performance studies to find the best ways
-// to distribute the data ... are needed").
+// Returns an error if the site is down, or if the donor rule (rules.go)
+// declines: the item is locked (no-wait), the scheme refuses the
+// transfer's timestamp, or local quota is insufficient. The demand
+// rebalancer (demand.go) is built on this (paper §8: "performance
+// studies to find the best ways to distribute the data ... are
+// needed").
 func (s *Site) SendValue(item ident.ItemID, peer ident.SiteID, amount core.Value) error {
 	return s.sendValue(item, peer, amount, false)
 }
@@ -71,18 +73,19 @@ func (s *Site) sendValue(item ident.ItemID, peer ident.SiteID, amount core.Value
 	}
 	outcome := "aborted"
 	defer func() { s.endHop(hop, outcome) }()
+	// The donor rule decides, as for a peer's request, but for exactly
+	// amount or nothing; a cc refusal's ack has no peer to go to.
 	stripe, st := s.lockItem(item)
-	if !s.policy.AllowLock(ts, s.stampOf(st)) {
+	view := itemView{locked: st.holder != ident.NoTxn, stamp: s.stampOf(st), have: s.cfg.DB.Value(item)}
+	if verdict := donorRule(view, valueAsk{txn: ts, want: amount, whole: true}, s.policy, s.grant); verdict.answer != answerGrant {
 		stripe.Unlock()
-		return fmt.Errorf("site %v: cc rejected rds on %q", s.cfg.ID, item)
-	}
-	if st.holder != ident.NoTxn {
-		stripe.Unlock()
-		return fmt.Errorf("site %v: %q locked", s.cfg.ID, item)
-	}
-	if have := s.cfg.DB.Value(item); have < amount {
-		stripe.Unlock()
-		return fmt.Errorf("site %v: quota %d < transfer %d", s.cfg.ID, have, amount)
+		switch verdict.reason {
+		case declineLocked:
+			return fmt.Errorf("site %v: %q locked", s.cfg.ID, item)
+		case declineCC:
+			return fmt.Errorf("site %v: cc rejected rds on %q", s.cfg.ID, item)
+		}
+		return fmt.Errorf("site %v: quota %d < transfer %d", s.cfg.ID, view.have, amount)
 	}
 	// The lock is taken as the stripe is let go (nobody could see it
 	// sooner) and held through the force and the dispatch: an Rds

@@ -20,14 +20,16 @@ const maxVmPerEnvelope = 64
 // nobody's force has carried yet is forced here, and a cumulative ack
 // that no envelope has piggybacked since it advanced leaves in a VmAck
 // of its own (forceAccepts), so a quiet link is acked at most one tick
-// late.
+// late. A crash's stop stops the pending tick with the loop.
 func (s *Site) retransmitLoop(stop <-chan struct{}) {
 	base := s.cfg.RetransmitEvery
 	for {
+		tick := s.cfg.Clock.NewTimer(base)
 		select {
 		case <-stop:
+			tick.Stop()
 			return
-		case <-s.cfg.Clock.After(base):
+		case <-tick.C():
 		}
 		s.forceAccepts()
 		now := s.cfg.Clock.Now()

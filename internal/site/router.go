@@ -50,15 +50,8 @@ func (s *Site) handle(env *wire.Envelope) {
 	case *wire.DemandAdvert:
 		s.demand.observeAdvert(env.From, m.Entries, s.cfg.Clock.Now())
 		s.obsm.advertsRecv.Inc()
-	case *wire.QuotaQuery:
-		s.send(env.From, &wire.QuotaReply{
-			Nonce: m.Nonce,
-			Item:  m.Item,
-			Value: s.cfg.DB.Value(m.Item),
-			Known: true,
-		})
 	default:
-		// Baseline traffic or introspection replies: not ours.
+		// Baseline traffic: not ours.
 	}
 }
 

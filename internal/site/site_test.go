@@ -8,7 +8,6 @@ import (
 	"dvp/internal/ident"
 	"dvp/internal/simnet"
 	"dvp/internal/txn"
-	"dvp/internal/wire"
 )
 
 func reserve(item ident.ItemID, n core.Value) *txn.Txn {
@@ -270,29 +269,5 @@ func TestValueSurvivesLossyNetwork(t *testing.T) {
 	}
 	if committed == 0 {
 		t.Error("nothing committed under 30% loss — retransmission broken?")
-	}
-}
-
-func TestQuotaQueryIntrospection(t *testing.T) {
-	tc := newTestCluster(t, 2, simnet.Config{Seed: 10}, nil)
-	tc.createItem("flight/A", 10)
-	// A monitor endpoint (site 99) queries site 1's local quota.
-	got := make(chan core.Value, 1)
-	ep := tc.net.Endpoint(99)
-	ep.SetHandler(func(env *wire.Envelope) {
-		if r, ok := env.Msg.(*wire.QuotaReply); ok && r.Known {
-			got <- r.Value
-		}
-	})
-	if err := ep.Send(&wire.Envelope{To: 1, Msg: &wire.QuotaQuery{Nonce: 1, Item: "flight/A"}}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case v := <-got:
-		if v != 5 {
-			t.Errorf("quota reply = %d, want 5", v)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no quota reply")
 	}
 }

@@ -10,6 +10,7 @@
 package vclock
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -22,8 +23,20 @@ type Clock interface {
 	// After returns a channel that receives the then-current time
 	// once d has elapsed on this clock.
 	After(d time.Duration) <-chan time.Time
+	// NewTimer is After with a Stop: a site's waits and loops use it,
+	// so a virtual clock stops counting them once they are done. The
+	// lock queue and the baselines, whose waits run to their timeout,
+	// keep After.
+	NewTimer(d time.Duration) Timer
 	// Sleep blocks the calling goroutine for d on this clock.
 	Sleep(d time.Duration)
+}
+
+// Timer is a one-shot timer. C receives the then-current time when it
+// fires; Stop keeps it from firing, and reports whether it was pending.
+type Timer interface {
+	C() <-chan time.Time
+	Stop() bool
 }
 
 // Real is the wall clock.
@@ -35,8 +48,15 @@ func (Real) Now() time.Time { return time.Now() }
 // After implements Clock.
 func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
+// NewTimer implements Clock.
+func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
 // Sleep implements Clock.
 func (Real) Sleep(d time.Duration) { time.Sleep(d) }
+
+type realTimer struct{ *time.Timer }
+
+func (t realTimer) C() <-chan time.Time { return t.Timer.C }
 
 // Virtual is a manually advanced clock. It never moves on its own:
 // goroutines blocked in After/Sleep wake only when Advance (or
@@ -49,6 +69,7 @@ type Virtual struct {
 }
 
 type waiter struct {
+	v        *Virtual
 	deadline time.Time
 	ch       chan time.Time
 }
@@ -68,21 +89,34 @@ func (v *Virtual) Now() time.Time {
 
 // After implements Clock. The returned channel has capacity 1 so the
 // clock never blocks delivering a tick.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
+func (v *Virtual) After(d time.Duration) <-chan time.Time { return v.NewTimer(d).C() }
+
+// NewTimer implements Clock. A stopped timer leaves PendingTimers.
+func (v *Virtual) NewTimer(d time.Duration) Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	deadline := v.now.Add(d)
+	w := &waiter{v: v, deadline: v.now.Add(d), ch: make(chan time.Time, 1)}
 	if d <= 0 {
-		ch <- v.now
-		return ch
+		w.ch <- v.now
+		return w
 	}
-	w := &waiter{deadline: deadline, ch: ch}
 	v.waiters = append(v.waiters, w)
 	sort.SliceStable(v.waiters, func(i, j int) bool {
 		return v.waiters[i].deadline.Before(v.waiters[j].deadline)
 	})
-	return ch
+	return w
+}
+
+func (w *waiter) C() <-chan time.Time { return w.ch }
+
+func (w *waiter) Stop() bool {
+	w.v.mu.Lock()
+	defer w.v.mu.Unlock()
+	i := slices.Index(w.v.waiters, w)
+	if i >= 0 {
+		w.v.waiters = slices.Delete(w.v.waiters, i, i+1)
+	}
+	return i >= 0
 }
 
 // Sleep implements Clock: it blocks until the clock is advanced past

@@ -167,3 +167,50 @@ func TestVirtualManyWaitersOneAdvance(t *testing.T) {
 		t.Errorf("%d timers still pending after full advance", v.PendingTimers())
 	}
 }
+
+// A stopped virtual timer leaves the pending set at once and never
+// fires; stopping it again, or after it fired, reports false.
+func TestVirtualTimerStop(t *testing.T) {
+	v := NewVirtual(time.Unix(0, 0))
+	keep := v.NewTimer(20 * time.Millisecond)
+	stop := v.NewTimer(10 * time.Millisecond)
+	if n := v.PendingTimers(); n != 2 {
+		t.Fatalf("%d timers pending, want 2", n)
+	}
+	if !stop.Stop() {
+		t.Fatal("Stop of a pending timer reported false")
+	}
+	if n := v.PendingTimers(); n != 1 {
+		t.Errorf("%d timers pending after Stop, want 1", n)
+	}
+	if stop.Stop() {
+		t.Error("a second Stop reported true")
+	}
+	v.Advance(20 * time.Millisecond)
+	select {
+	case <-stop.C():
+		t.Error("a stopped timer fired")
+	default:
+	}
+	select {
+	case <-keep.C():
+	default:
+		t.Fatal("the other timer did not fire at its deadline")
+	}
+	if keep.Stop() {
+		t.Error("Stop after firing reported true")
+	}
+}
+
+func TestRealTimerStop(t *testing.T) {
+	var c Real
+	tm := c.NewTimer(time.Hour)
+	if !tm.Stop() {
+		t.Error("Stop of a pending wall-clock timer reported false")
+	}
+	select {
+	case <-c.NewTimer(time.Millisecond).C():
+	case <-time.After(time.Second):
+		t.Fatal("Real.NewTimer never fired")
+	}
+}

@@ -18,7 +18,7 @@ func FuzzUnmarshal(f *testing.F) {
 		&VmAck{UpTo: 42},
 		&Prepare{Txn: tstamp.Make(4, 1), Writes: []ItemDelta{{"a", -2}}},
 		&Decision{Txn: tstamp.Make(4, 1), Commit: true},
-		&QuotaReply{Nonce: 7, Item: "x", Value: 9, Known: true},
+		&DemandAdvert{Entries: []DemandEntry{{Item: "x", Demand: 9000, Have: 9}}},
 		&Request{Txn: tstamp.Make(6, 1), Item: "flight/A", Want: 2,
 			Trace: TraceCtx{Origin: 1, TS: tstamp.Make(6, 1), Span: 1<<40 | 9}},
 		&Vm{Seq: 3, Item: "flight/A", Amount: 4, ReqTxn: tstamp.Make(6, 1),

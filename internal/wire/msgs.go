@@ -13,8 +13,9 @@ type Kind uint8
 
 // Message kinds. The first group is the DvP/Vm protocol of the paper;
 // the second group serves the traditional baselines (strict 2PL +
-// two-phase commit, quorum and primary-copy replica control); the
-// third group is cluster control/introspection traffic.
+// two-phase commit, quorum and primary-copy replica control); the kinds
+// appended after them serve the protocol too: Vm batches, demand
+// gossip and the NoShare answer.
 const (
 	// KRequest asks a remote site to surrender part (or, for a full
 	// read, all) of its quota for an item (paper §5 step 2).
@@ -55,11 +56,11 @@ const (
 	KForward
 	KForwardReply
 
-	// KQuotaQuery / KQuotaReply: introspection — ask a site for its
-	// current local quota of an item (used by monitors and dvpctl,
-	// never by transaction processing).
-	KQuotaQuery
-	KQuotaReply
+	// Kinds 17 and 18 are reserved: they numbered a quota query and its
+	// reply that nothing sent (the control port's QUOTA reads a site's
+	// quota). The gap keeps every later kind's number.
+	_
+	_
 
 	// KVmBatch coalesces several pending Vm toward one site into a
 	// single envelope (retransmission piggybacking) — the virtual
@@ -113,10 +114,6 @@ func (k Kind) String() string {
 		return "forward"
 	case KForwardReply:
 		return "forwardreply"
-	case KQuotaQuery:
-		return "quotaquery"
-	case KQuotaReply:
-		return "quotareply"
 	case KVmBatch:
 		return "vmbatch"
 	case KDemandAdvert:
@@ -724,55 +721,6 @@ func decodeForwardReply(r *Reader) *ForwardReply {
 	}
 }
 
-// --- Introspection ----------------------------------------------------------
-
-// QuotaQuery asks a site for its local quota of Item.
-type QuotaQuery struct {
-	Nonce uint64
-	Item  ident.ItemID
-}
-
-// Kind implements Msg.
-func (*QuotaQuery) Kind() Kind { return KQuotaQuery }
-
-// Encode implements Msg.
-func (m *QuotaQuery) Encode(w *Writer) {
-	w.U64(m.Nonce)
-	w.String(string(m.Item))
-}
-
-func decodeQuotaQuery(r *Reader) *QuotaQuery {
-	return &QuotaQuery{Nonce: r.U64(), Item: ident.ItemID(r.String())}
-}
-
-// QuotaReply reports a site's local quota of Item.
-type QuotaReply struct {
-	Nonce uint64
-	Item  ident.ItemID
-	Value core.Value
-	Known bool
-}
-
-// Kind implements Msg.
-func (*QuotaReply) Kind() Kind { return KQuotaReply }
-
-// Encode implements Msg.
-func (m *QuotaReply) Encode(w *Writer) {
-	w.U64(m.Nonce)
-	w.String(string(m.Item))
-	w.I64(int64(m.Value))
-	w.Bool(m.Known)
-}
-
-func decodeQuotaReply(r *Reader) *QuotaReply {
-	return &QuotaReply{
-		Nonce: r.U64(),
-		Item:  ident.ItemID(r.String()),
-		Value: core.Value(r.I64()),
-		Known: r.Bool(),
-	}
-}
-
 // DecodeMsg decodes a message body of the given kind.
 func DecodeMsg(kind Kind, r *Reader) (Msg, error) {
 	var m Msg
@@ -807,10 +755,6 @@ func DecodeMsg(kind Kind, r *Reader) (Msg, error) {
 		m = decodeForward(r)
 	case KForwardReply:
 		m = decodeForwardReply(r)
-	case KQuotaQuery:
-		m = decodeQuotaQuery(r)
-	case KQuotaReply:
-		m = decodeQuotaReply(r)
 	case KVmBatch:
 		m = decodeVmBatch(r)
 	case KDemandAdvert:

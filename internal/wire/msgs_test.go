@@ -52,8 +52,6 @@ func TestAllMessagesRoundTrip(t *testing.T) {
 		&DecisionAck{Txn: tstamp.Make(4, 1)},
 		&ReadReq{Txn: tstamp.Make(8, 2), Item: "q"},
 		&ReadReply{Txn: tstamp.Make(8, 2), Item: "q", Value: 19, Version: 3, OK: true},
-		&QuotaQuery{Nonce: 77, Item: "flight/A"},
-		&QuotaReply{Nonce: 77, Item: "flight/A", Value: 25, Known: true},
 		&DemandAdvert{Entries: []DemandEntry{
 			{Item: "flight/A", Demand: 12500, Have: 25},
 			{Item: "acct/x", Demand: 0, Have: 0},
@@ -262,7 +260,7 @@ func TestUnmarshalGarbageNeverPanics(t *testing.T) {
 func TestKindStrings(t *testing.T) {
 	kinds := []Kind{KRequest, KVm, KVmAck, KLockReq, KLockReply,
 		KPrepare, KVote, KDecision, KDecisionAck, KReadReq, KReadReply,
-		KQuotaQuery, KQuotaReply, KVmBatch, KDemandAdvert, KNoShare}
+		KQWrite, KQWriteAck, KForward, KForwardReply, KVmBatch, KDemandAdvert, KNoShare}
 	seen := map[string]bool{}
 	for _, k := range kinds {
 		s := k.String()

@@ -64,7 +64,7 @@ func FuzzReusedWriter(f *testing.F) {
 			FlowVec: []FlowEntry{{Site: 1, Count: 3}}},
 		&VmAck{UpTo: 42},
 		&VmBatch{Vms: []Vm{{Seq: 4, Item: "a", Amount: 1}, {Seq: 5, Item: "b", Amount: 2}}},
-		&QuotaReply{Nonce: 7, Item: "x", Value: 9, Known: true},
+		&NoShare{Txn: tstamp.Make(5, 2), Item: "x", FlowVec: []FlowEntry{{Site: 3, Count: 9}}},
 	}
 	for _, m := range seeds {
 		env := &Envelope{From: 1, To: 2, Lamport: tstamp.Make(9, 1), AckUpTo: 3, Msg: m}
